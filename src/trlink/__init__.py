@@ -24,7 +24,6 @@ from .harness import (
     run_ber_sweep,
     run_focusing_experiment,
     run_sounding_study,
-    run_validation_suite,
 )
 from .modem import (
     DetectionWindow,
@@ -40,7 +39,6 @@ from .modem import (
 )
 from .precoding import (
     FocusingReport,
-    PrecodedWaveform,
     SymbolStream,
     TrKernel,
     focusing_report,
@@ -64,7 +62,6 @@ __all__ = [
     "FocusingReport",
     "NUMERIC_RTOL",
     "PilotThreshold",
-    "PrecodedWaveform",
     "RsmConfig",
     "Scenario",
     "Scheme",
@@ -91,7 +88,6 @@ __all__ = [
     "run_ber_sweep",
     "run_focusing_experiment",
     "run_sounding_study",
-    "run_validation_suite",
     "sound_cir",
     "synth_cavity_ensemble",
     "tr_kernel",

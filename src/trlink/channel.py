@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import toeplitz
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .dsp import ComplexBasebandSignal, convolve, make_chirp, xcorr
 from .errors import ConfigurationError, DomainError
@@ -280,7 +280,10 @@ def sound_cir(
     lags = np.zeros(num_taps, dtype=np.complex128)
     span = min(num_taps, len(chirp))
     lags[:span] = autocorr[len(chirp) - 1 : len(chirp) - 1 + span]
-    gram = toeplitz(lags, np.conj(lags))
+    # Hermitian Toeplitz Gram: gram[r, c] is lags[r - c] on and below the
+    # diagonal and conj(lags[c - r]) above it, a strided view of the lags.
+    two_sided = np.concatenate((np.conj(lags[:0:-1]), lags))
+    gram = sliding_window_view(two_sided, num_taps)[:, ::-1]
     estimate = np.linalg.solve(gram, aligned)
     return Cir(estimate, true_cir.tap_spacing, position_mm=true_cir.position_mm)
 

@@ -2,9 +2,10 @@
 
 Subcommands: ``synth`` (generate + export an ensemble), ``sound``
 (estimation-error study), ``focus`` (focusing maps and two-user
-interference), ``ber`` (BER sweep), ``validate`` (built-in invariant
-battery). Exit codes: 0 success, 2 configuration error (bad flags, missing
-or invalid scenario), 1 runtime failure.
+interference), ``ber`` (BER sweep); each takes a scenario file. The
+invariant checks live in the test suite (``tests/test_acceptance.py``).
+Exit codes: 0 success, 2 configuration error (bad flags, missing or invalid
+scenario), 1 runtime failure.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from .harness import (
     run_ber_sweep,
     run_focusing_experiment,
     run_sounding_study,
-    run_validation_suite,
 )
 
 _EXIT_OK = 0
@@ -36,16 +36,14 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Time-reversal precoding link simulator",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, helptext, needs_scenario in (
-        ("synth", "synthesise a channel ensemble and export it as JSON+CSV", True),
-        ("sound", "channel-estimation error vs time-bandwidth product", True),
-        ("focus", "spatiotemporal focusing maps and two-user interference", True),
-        ("ber", "Monte-Carlo BER sweep over (scheme, spacing, SNR)", True),
-        ("validate", "run the built-in invariant battery", False),
+    for name, helptext in (
+        ("synth", "synthesise a channel ensemble and export it as JSON+CSV"),
+        ("sound", "channel-estimation error vs time-bandwidth product"),
+        ("focus", "spatiotemporal focusing maps and two-user interference"),
+        ("ber", "Monte-Carlo BER sweep over (scheme, spacing, SNR)"),
     ):
         cmd = sub.add_parser(name, help=helptext)
-        cmd.add_argument("--scenario", required=needs_scenario, default=None,
-                         help="scenario JSON file")
+        cmd.add_argument("--scenario", required=True, help="scenario JSON file")
         cmd.add_argument("--out", default="results", help="output directory")
         cmd.add_argument("--seed", type=int, default=None,
                          help="override the scenario master seed")
@@ -67,22 +65,6 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
 
     try:
-        if args.command == "validate":
-            seed = args.seed if args.seed is not None else 0
-            if args.scenario is not None:
-                _load(args)  # config check only
-            results = run_validation_suite(seed)
-            failed = 0
-            for name, passed, detail in results:
-                status = "PASS" if passed else "FAIL"
-                print(f"{status} {name}: {detail}")
-                failed += 0 if passed else 1
-            if failed:
-                print(f"{failed}/{len(results)} checks failed")
-                return _EXIT_RUNTIME
-            print(f"all {len(results)} checks passed")
-            return _EXIT_OK
-
         scenario = _load(args)
         out_dir = Path(args.out)
 

@@ -63,7 +63,6 @@ from .channel import (
     sounding_chirp,
     synth_cavity_ensemble,
 )
-from .dsp import NUMERIC_RTOL, ComplexBasebandSignal, convolve, xcorr
 from .errors import ConfigurationError, DomainError
 from .modem import (
     FixedThreshold,
@@ -82,7 +81,6 @@ from .precoding import (
     focusing_report,
     focusing_report_to_csv,
     propagate,
-    tr_kernel,
     tr_precode,
 )
 
@@ -292,7 +290,6 @@ def scenario_from_dict(data: dict, base_dir: Path | None = None) -> Scenario:
     rsm = RsmConfig(
         scheme=schemes[0],
         num_rx=int(rsm_obj.get("num_rx", 2)),
-        spacing=max(1, int(data["d_values"][0])) if data["d_values"] else 1,
         threshold_policy=threshold,
     )
 
@@ -375,6 +372,7 @@ def _pilot_targets(num_rx: int, num_pilots: int) -> np.ndarray:
 
 def _erask_threshold(
     cfg: RsmConfig,
+    spacing: int,
     true_cirs: list[Cir],
     known_cirs: list[Cir],
     sigma: float,
@@ -387,7 +385,7 @@ def _erask_threshold(
         return policy.value
     targeted = _pilot_targets(cfg.num_rx, policy.num_pilots)
     streams = [
-        SymbolStream(targeted[n].astype(np.complex128), cfg.spacing)
+        SymbolStream(targeted[n].astype(np.complex128), spacing)
         for n in range(cfg.num_rx)
     ]
     waveform = tr_precode(streams, known_cirs)
@@ -395,7 +393,7 @@ def _erask_threshold(
         propagate(waveform, true_cirs[n], sigma, rng_seed=[cell_seed, 2, n])
         for n in range(cfg.num_rx)
     ]
-    windows = detection_windows(policy.num_pilots, known_cirs[0].num_taps, cfg.spacing)
+    windows = detection_windows(policy.num_pilots, known_cirs[0].num_taps, spacing)
     return calibrate_threshold(received, windows, cfg, targeted)
 
 
@@ -413,7 +411,7 @@ def run_ber_point(
 
     For ERASK the payload is rounded up to a whole number of symbols.
     """
-    cfg = replace(rsm, scheme=scheme, spacing=spacing)
+    cfg = replace(rsm, scheme=scheme)
     rng_bits = np.random.default_rng([cell_seed, 0])
     if scheme is Scheme.RASK:
         bits = rng_bits.integers(0, 2, num_bits)
@@ -421,7 +419,8 @@ def run_ber_point(
         num_symbols = -(-num_bits // cfg.num_rx)
         bits = rng_bits.integers(0, 2, num_symbols * cfg.num_rx)
 
-    streams = rask_modulate(bits, cfg) if scheme is Scheme.RASK else erask_modulate(bits, cfg)
+    modulate = rask_modulate if scheme is Scheme.RASK else erask_modulate
+    streams = modulate(bits, cfg, spacing)
     waveform = tr_precode(streams, known_cirs)
     sigma = 10.0 ** (-snr_db / 20.0)
     received = [
@@ -433,7 +432,7 @@ def run_ber_point(
 
     threshold = None
     if scheme is Scheme.ERASK:
-        threshold = _erask_threshold(cfg, true_cirs, known_cirs, sigma, cell_seed)
+        threshold = _erask_threshold(cfg, spacing, true_cirs, known_cirs, sigma, cell_seed)
     detected = power_detect(received, windows, cfg, threshold)
     errors = int(np.sum(detected != bits))
     return bits.size, errors
@@ -609,111 +608,3 @@ def run_sounding_study(
             for tb, snr_db, err in rows:
                 writer.writerow([tb, repr(float(snr_db)), repr(float(err))])
     return rows
-
-
-def _random_cir(rng: np.random.Generator, num_taps: int, tap_spacing: float) -> Cir:
-    z = (rng.standard_normal(num_taps) + 1j * rng.standard_normal(num_taps)) / np.sqrt(2)
-    return Cir(z / np.sqrt(num_taps), tap_spacing)
-
-
-def run_validation_suite(seed: int = 0) -> list[tuple[str, bool, str]]:
-    """Fast built-in invariant battery for the ``validate`` CLI command.
-
-    Returns (name, passed, detail) triples. Each check is a cheap version
-    of a contract the full test suite pins down harder.
-    """
-    rng = np.random.default_rng(seed)
-    results: list[tuple[str, bool, str]] = []
-
-    def check(name: str, passed: bool, detail: str) -> None:
-        results.append((name, bool(passed), detail))
-
-    # fast convolution / correlation against numpy's direct summation
-    worst_conv = worst_corr = 0.0
-    for _ in range(20):
-        n, m = rng.integers(2, 257, 2)
-        a = ComplexBasebandSignal(
-            rng.standard_normal(n) + 1j * rng.standard_normal(n), 1.0
-        )
-        b = ComplexBasebandSignal(
-            rng.standard_normal(m) + 1j * rng.standard_normal(m), 1.0
-        )
-        direct = np.convolve(a.samples, b.samples)
-        err = np.max(np.abs(convolve(a, b).samples - direct)) / np.max(np.abs(direct))
-        worst_conv = max(worst_conv, float(err))
-        direct_corr = np.correlate(b.samples, a.samples, mode="full")
-        err = np.max(np.abs(xcorr(a, b).samples - direct_corr)) / np.max(np.abs(direct_corr))
-        worst_corr = max(worst_corr, float(err))
-    check("convolution-direct-sum", worst_conv <= NUMERIC_RTOL, f"max rel err {worst_conv:.2e}")
-    check("correlation-direct-sum", worst_corr <= NUMERIC_RTOL, f"max rel err {worst_corr:.2e}")
-
-    # unit emitted energy per unit-amplitude pulse
-    worst = 0.0
-    pulse = np.ones(1, dtype=np.complex128)
-    for _ in range(100):
-        cir = _random_cir(rng, 128, 1.0)
-        waveform = tr_precode([SymbolStream(pulse, 8)], [cir])
-        worst = max(worst, abs(waveform.signal.energy - 1.0))
-    check("precode-unit-energy", worst <= NUMERIC_RTOL, f"max |energy-1| {worst:.2e}")
-
-    # noiseless matched peak: sqrt(channel energy) at the focusing lag
-    worst = 0.0
-    aligned = True
-    for _ in range(100):
-        cir = _random_cir(rng, 128, 1.0)
-        waveform = tr_precode([SymbolStream(pulse, 8)], [cir])
-        received = propagate(waveform, cir, 0.0)
-        peak_idx = int(np.argmax(np.abs(received.samples)))
-        aligned &= peak_idx == cir.num_taps - 1
-        expected = math.sqrt(cir.energy)
-        worst = max(worst, abs(abs(received.samples[peak_idx]) - expected) / expected)
-    check("matched-peak-law", aligned and worst <= NUMERIC_RTOL, f"max rel err {worst:.2e}")
-
-    # received field equals the kernel expansion, sample for sample
-    worst = 0.0
-    for _ in range(10):
-        cirs = [_random_cir(rng, 64, 1.0) for _ in range(2)]
-        spacing = 9
-        streams = [
-            SymbolStream(rng.standard_normal(4) + 1j * rng.standard_normal(4), spacing)
-            for _ in range(2)
-        ]
-        waveform = tr_precode(streams, cirs)
-        for j in range(2):
-            received = propagate(waveform, cirs[j], 0.0).samples
-            expansion = np.zeros_like(received)
-            for i in range(2):
-                kernel = tr_kernel(cirs[j], cirs[i]).values
-                for l, amplitude in enumerate(streams[i].symbols):
-                    start = l * spacing
-                    expansion[start : start + kernel.size] += amplitude * kernel
-            worst = max(worst, float(np.max(np.abs(received - expansion)) / np.max(np.abs(received))))
-    check("kernel-expansion-consistency", worst <= NUMERIC_RTOL, f"max rel err {worst:.2e}")
-
-    # autocorrelation dominance of the focusing kernel
-    dominated = True
-    for _ in range(50):
-        cir = _random_cir(rng, 96, 1.0)
-        kernel = tr_kernel(cir, cir)
-        values = np.abs(kernel.values)
-        dominated &= bool(np.all(values <= values[kernel.lag0_index] * (1 + 1e-12)))
-    check("autocorrelation-dominance", dominated, "all lags below lag-0 peak")
-
-    # bit-identical regeneration from the same seed
-    params = CavityParams(num_taps=64, bandwidth_hz=4e9, rng_seed=int(rng.integers(2**31)))
-    positions = grid_positions(-1.5, 1.5, 0.3)
-    first = synth_cavity_ensemble(params, positions)
-    second = synth_cavity_ensemble(params, positions)
-    identical = all(
-        np.array_equal(x.taps, y.taps) for x, y in zip(first.cirs, second.cirs)
-    )
-    check("ensemble-determinism", identical, "same seed reproduces taps bit-for-bit")
-
-    # noiseless chirp sounding recovers the channel
-    truth = first.cirs[0]
-    cfg = SoundingConfig(duration_s=128 / params.bandwidth_hz)
-    estimate = sound_cir(truth, cfg, sounding_chirp(params, cfg))
-    err = float(np.linalg.norm(estimate.taps - truth.taps) / np.linalg.norm(truth.taps))
-    check("noiseless-sounding-recovery", err <= 1e-9, f"normalized error {err:.2e}")
-
-    return results

@@ -51,21 +51,20 @@ class PilotThreshold:
 
 @dataclass(frozen=True)
 class RsmConfig:
-    """Scheme, antenna count, pulse spacing, and threshold policy."""
+    """Scheme, antenna count, and threshold policy."""
 
     scheme: Scheme
     num_rx: int = 2
-    spacing: int = 15
     threshold_policy: FixedThreshold | PilotThreshold | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "scheme", Scheme(self.scheme))
-        if self.scheme is Scheme.RASK and self.num_rx < 2:
-            raise ConfigurationError("RASK needs at least 2 receive antennas")
+        if self.scheme is Scheme.RASK and self.num_rx != 2:
+            raise ConfigurationError(
+                f"RASK needs exactly 2 receive antennas, got num_rx={self.num_rx}"
+            )
         if self.num_rx < 1:
             raise ConfigurationError(f"num_rx must be >= 1, got {self.num_rx}")
-        if self.spacing < 1:
-            raise ConfigurationError(f"pulse spacing must be >= 1, got {self.spacing}")
 
     @property
     def bits_per_symbol(self) -> int:
@@ -116,22 +115,26 @@ def _as_bit_array(bits) -> np.ndarray:
     return arr
 
 
-def rask_modulate(bits, cfg: RsmConfig) -> list[SymbolStream]:
-    """One stream per antenna; bit 0 pulses antenna 0, bit 1 pulses antenna 1."""
+def rask_modulate(bits, cfg: RsmConfig, spacing: int) -> list[SymbolStream]:
+    """One stream per antenna; bit 0 pulses antenna 0, bit 1 pulses antenna 1.
+
+    ``spacing`` is the pulse spacing in taps.
+    """
     if cfg.scheme is not Scheme.RASK:
         raise ConfigurationError("rask_modulate requires an RASK config")
-    if cfg.num_rx != 2:
-        raise ConfigurationError("RASK mapping is defined for exactly 2 antennas")
     arr = _as_bit_array(bits)
     streams = []
     for antenna in range(cfg.num_rx):
         amplitudes = (arr == antenna).astype(np.complex128)
-        streams.append(SymbolStream(amplitudes, cfg.spacing))
+        streams.append(SymbolStream(amplitudes, spacing))
     return streams
 
 
-def erask_modulate(bits, cfg: RsmConfig) -> list[SymbolStream]:
-    """Groups of ``num_rx`` bits per symbol; bit ``n`` gates antenna ``n``."""
+def erask_modulate(bits, cfg: RsmConfig, spacing: int) -> list[SymbolStream]:
+    """Groups of ``num_rx`` bits per symbol; bit ``n`` gates antenna ``n``.
+
+    ``spacing`` is the pulse spacing in taps.
+    """
     if cfg.scheme is not Scheme.ERASK:
         raise ConfigurationError("erask_modulate requires an ERASK config")
     arr = _as_bit_array(bits)
@@ -141,7 +144,7 @@ def erask_modulate(bits, cfg: RsmConfig) -> list[SymbolStream]:
         )
     grouped = arr.reshape(-1, cfg.num_rx)
     return [
-        SymbolStream(grouped[:, antenna].astype(np.complex128), cfg.spacing)
+        SymbolStream(grouped[:, antenna].astype(np.complex128), spacing)
         for antenna in range(cfg.num_rx)
     ]
 
@@ -186,8 +189,6 @@ def power_detect(
         )
     powers = window_peak_powers(received, windows)
     if cfg.scheme is Scheme.RASK:
-        if cfg.num_rx != 2:
-            raise ConfigurationError("RASK detection is defined for exactly 2 antennas")
         return np.argmax(powers, axis=0).astype(np.int64)
     if threshold is None:
         raise ConfigurationError("ERASK detection requires a threshold")

@@ -66,20 +66,6 @@ class SymbolStream:
 
 
 @dataclass(frozen=True, eq=False)
-class PrecodedWaveform:
-    """The emitted signal plus per-user energy bookkeeping.
-
-    ``per_user_energy[i]`` is the energy of user ``i``'s contribution to the
-    emission. With non-overlapping pulses it equals the number of that
-    user's unit-amplitude pulses exactly; overlapping pulses add coherent
-    cross terms on top.
-    """
-
-    signal: ComplexBasebandSignal
-    per_user_energy: tuple[float, ...] = ()
-
-
-@dataclass(frozen=True, eq=False)
 class TrKernel:
     """Cross-correlation kernel between two impulse responses.
 
@@ -121,7 +107,7 @@ def _reversed_conjugate(cir: Cir) -> np.ndarray:
     return np.conj(cir.taps[::-1])
 
 
-def tr_precode(streams: list[SymbolStream], cirs: list[Cir]) -> PrecodedWaveform:
+def tr_precode(streams: list[SymbolStream], cirs: list[Cir]) -> ComplexBasebandSignal:
     """Assemble the multi-user time-reversal emission.
 
     Each user's pulse train is upsampled by the shared pulse spacing and
@@ -147,46 +133,39 @@ def tr_precode(streams: list[SymbolStream], cirs: list[Cir]) -> PrecodedWaveform
     sample_rate = 1.0 / taps_spacings.pop()
 
     contributions: list[np.ndarray] = []
-    energies: list[float] = []
     for stream, cir in zip(streams, cirs):
         energy = cir.energy
         if energy <= 0.0:
             raise DomainError("cannot precode toward a zero-energy CIR")
         if len(stream) == 0:
             contributions.append(np.zeros(0, dtype=np.complex128))
-            energies.append(0.0)
             continue
         train = np.zeros((len(stream) - 1) * spacing + 1, dtype=np.complex128)
         train[::spacing] = stream.symbols
         emission = ComplexBasebandSignal(train, sample_rate)
         flipped = ComplexBasebandSignal(_reversed_conjugate(cir) / math.sqrt(energy), sample_rate)
-        part = convolve(emission, flipped).samples
-        contributions.append(part)
-        energies.append(float(np.sum(np.abs(part) ** 2)))
+        contributions.append(convolve(emission, flipped).samples)
 
     total_len = max((c.size for c in contributions), default=0)
     combined = np.zeros(total_len, dtype=np.complex128)
     for part in contributions:
         combined[: part.size] += part
-    return PrecodedWaveform(
-        ComplexBasebandSignal(combined, sample_rate), tuple(energies)
-    )
+    return ComplexBasebandSignal(combined, sample_rate)
 
 
 def propagate(
-    waveform: PrecodedWaveform | ComplexBasebandSignal,
+    signal: ComplexBasebandSignal,
     cir: Cir,
     noise_sigma: float,
     rng_seed: int | list[int] | None = None,
 ) -> ComplexBasebandSignal:
-    """Receive a waveform through one channel with additive white noise.
+    """Receive an emitted signal through one channel with additive white noise.
 
     The received signal is the full linear convolution of the emission with
     the channel plus zero-mean circular complex Gaussian noise whose
     per-sample standard deviation is ``noise_sigma`` (``E|n|^2 = sigma^2``).
     Deterministic for a given ``rng_seed``.
     """
-    signal = waveform.signal if isinstance(waveform, PrecodedWaveform) else waveform
     if not (math.isfinite(noise_sigma) and noise_sigma >= 0.0):
         raise DomainError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
     received = convolve(signal, cir.as_signal()).samples

@@ -42,7 +42,7 @@ def test_criterion_1_unit_pulse_energy_normalisation():
     for seed in range(1000):
         cir = _ensemble_cir(seed)
         waveform = tr_precode([SymbolStream(UNIT_PULSE, 15)], [cir])
-        worst = max(worst, abs(waveform.signal.energy - 1.0))
+        worst = max(worst, abs(waveform.energy - 1.0))
     elapsed = time.monotonic() - start
     ok = worst <= 1e-9 and elapsed < 10.0
     _report(1, "unit pulse energy", ok, f"max |err|={worst:.2e}, {elapsed:.1f}s")

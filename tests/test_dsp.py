@@ -1,12 +1,24 @@
 """Signal container, convolution/correlation contracts, chirp synthesis."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import complex_gaussian, direct_convolve, direct_xcorr, max_rel_error, random_signal
-from trlink.dsp import NUMERIC_RTOL, ComplexBasebandSignal, convolve, make_chirp, xcorr
+from trlink.dsp import (
+    NUMERIC_RTOL,
+    ComplexBasebandSignal,
+    _fast_len,
+    convolve,
+    make_chirp,
+    xcorr,
+)
 from trlink.errors import ConfigurationError, DomainError
 
 
@@ -94,6 +106,39 @@ class TestXcorr:
     def test_rejects_empty(self):
         with pytest.raises(DomainError):
             xcorr(sig([1.0]), sig([]))
+
+
+class TestFastPath:
+    """The transform details that keep the committed results byte-identical."""
+
+    def test_fast_len_table(self):
+        table = {
+            1: 1, 13: 14, 97: 98, 511: 512, 1255: 1260, 10255: 10290,
+            19999: 20000, 50251: 50400, 150241: 150528, 300226: 301056,
+        }
+        assert {n: _fast_len(n) for n in table} == table
+
+    def test_length_one_operand_is_plain_scaling(self):
+        rng = np.random.default_rng(5)
+        a = sig([0.3 - 1.2j])
+        b = random_signal(rng, 37)
+        assert np.array_equal(convolve(a, b).samples, a.samples * b.samples)
+        assert np.array_equal(convolve(b, a).samples, b.samples * a.samples)
+        assert np.array_equal(xcorr(a, b).samples, np.conj(a.samples) * b.samples)
+
+    def test_import_loads_no_package_but_numpy(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        code = (
+            "import sys; before = set(sys.modules); import trlink; "
+            "new = {m.split('.')[0] for m in set(sys.modules) - before}; "
+            "print(sorted(new - set(sys.stdlib_module_names) - {'numpy', 'trlink'}))"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert result.stdout.strip() == "[]"
 
 
 class TestMakeChirp:

@@ -23,8 +23,9 @@ from trlink.modem import (
 )
 from trlink.precoding import propagate, tr_precode
 
-RASK_CFG = RsmConfig(Scheme.RASK, num_rx=2, spacing=7)
-ERASK_CFG = RsmConfig(Scheme.ERASK, num_rx=2, spacing=7)
+SPACING = 7
+RASK_CFG = RsmConfig(Scheme.RASK, num_rx=2)
+ERASK_CFG = RsmConfig(Scheme.ERASK, num_rx=2)
 
 
 def orthogonal_cirs():
@@ -61,74 +62,75 @@ def ideal_received(bits_per_antenna, spacing=7, num_taps=7):
 
 def transmit(bits, cfg, cirs, sigma=0.0, seed=0):
     modulate = rask_modulate if cfg.scheme is Scheme.RASK else erask_modulate
-    streams = modulate(bits, cfg)
+    streams = modulate(bits, cfg, SPACING)
     waveform = tr_precode(streams, cirs)
     received = [
         propagate(waveform, cirs[n], sigma, rng_seed=[seed, n])
         for n in range(cfg.num_rx)
     ]
-    windows = detection_windows(len(streams[0]), cirs[0].num_taps, cfg.spacing)
+    windows = detection_windows(len(streams[0]), cirs[0].num_taps, SPACING)
     return received, windows
 
 
 class TestRaskModulate:
     def test_single_zero_bit(self):
-        streams = rask_modulate([0], RASK_CFG)
+        streams = rask_modulate([0], RASK_CFG, SPACING)
         np.testing.assert_array_equal(streams[0].symbols, [1.0])
         np.testing.assert_array_equal(streams[1].symbols, [0.0])
 
     def test_empty_message(self):
-        streams = rask_modulate([], RASK_CFG)
+        streams = rask_modulate([], RASK_CFG, SPACING)
         assert len(streams) == 2
         assert all(len(s) == 0 for s in streams)
 
     def test_slot_assignment(self):
-        streams = rask_modulate([0, 1, 1, 0], RASK_CFG)
+        streams = rask_modulate([0, 1, 1, 0], RASK_CFG, SPACING)
         np.testing.assert_array_equal(streams[0].symbols, [1, 0, 0, 1])
         np.testing.assert_array_equal(streams[1].symbols, [0, 1, 1, 0])
 
     def test_one_bit_per_symbol(self):
         bits = [0, 1, 0, 1, 1]
-        streams = rask_modulate(bits, RASK_CFG)
+        streams = rask_modulate(bits, RASK_CFG, SPACING)
         assert all(len(s) == len(bits) for s in streams)
 
     def test_rejects_wrong_scheme(self):
         with pytest.raises(ConfigurationError):
-            rask_modulate([0], ERASK_CFG)
+            rask_modulate([0], ERASK_CFG, SPACING)
 
     def test_rejects_non_binary(self):
         with pytest.raises(DomainError):
-            rask_modulate([0, 2], RASK_CFG)
+            rask_modulate([0, 2], RASK_CFG, SPACING)
 
 
 class TestEraskModulate:
     def test_both_targeted(self):
-        streams = erask_modulate([1, 1], ERASK_CFG)
+        streams = erask_modulate([1, 1], ERASK_CFG, SPACING)
         np.testing.assert_array_equal(streams[0].symbols, [1.0])
         np.testing.assert_array_equal(streams[1].symbols, [1.0])
 
     def test_silent_symbol(self):
-        streams = erask_modulate([0, 0], ERASK_CFG)
+        streams = erask_modulate([0, 0], ERASK_CFG, SPACING)
         assert all(np.all(s.symbols == 0) for s in streams)
 
     def test_grouped_mapping(self):
-        streams = erask_modulate([0, 1, 1, 0], ERASK_CFG)
+        streams = erask_modulate([0, 1, 1, 0], ERASK_CFG, SPACING)
         np.testing.assert_array_equal(streams[0].symbols, [0.0, 1.0])
         np.testing.assert_array_equal(streams[1].symbols, [1.0, 0.0])
 
     def test_n_bits_per_symbol(self):
-        streams = erask_modulate([0, 1] * 6, ERASK_CFG)
+        streams = erask_modulate([0, 1] * 6, ERASK_CFG, SPACING)
         assert all(len(s) == 6 for s in streams)
 
     def test_framing_error(self):
         with pytest.raises(DomainError):
-            erask_modulate([0, 1, 1], ERASK_CFG)
+            erask_modulate([0, 1, 1], ERASK_CFG, SPACING)
 
 
 class TestConfigValidation:
     def test_rask_needs_two_antennas(self):
-        with pytest.raises(ConfigurationError):
-            RsmConfig(Scheme.RASK, num_rx=1)
+        for num_rx in (1, 3):
+            with pytest.raises(ConfigurationError, match="exactly 2"):
+                RsmConfig(Scheme.RASK, num_rx=num_rx)
 
     def test_erask_single_antenna_is_legal(self):
         cfg = RsmConfig(Scheme.ERASK, num_rx=1)
@@ -223,7 +225,7 @@ class TestRoundTrip:
     @given(st.lists(st.integers(0, 1), max_size=48))
     def test_rask_identity_over_ideal_channel(self, bits):
         if not bits:
-            streams = rask_modulate(bits, RASK_CFG)
+            streams = rask_modulate(bits, RASK_CFG, SPACING)
             assert all(len(s) == 0 for s in streams)
             return
         received, windows = transmit(bits, RASK_CFG, orthogonal_cirs())
@@ -250,8 +252,8 @@ class TestRoundTrip:
     def test_spectral_efficiency_bookkeeping(self):
         # M symbols move M bits under RASK and 2M bits under ERASK
         bits = list(np.random.default_rng(4).integers(0, 2, 24))
-        assert len(rask_modulate(bits, RASK_CFG)[0]) == 24
-        assert len(erask_modulate(bits, ERASK_CFG)[0]) == 12
+        assert len(rask_modulate(bits, RASK_CFG, SPACING)[0]) == 24
+        assert len(erask_modulate(bits, ERASK_CFG, SPACING)[0]) == 12
 
 
 class TestCalibrateThreshold:
@@ -312,9 +314,7 @@ class TestEndToEnd:
         ensemble = synth_cavity_ensemble(params, [-0.45, 0.45])
         cirs = list(ensemble.cirs)
         for scheme in (Scheme.RASK, Scheme.ERASK):
-            rsm = RsmConfig(
-                scheme, num_rx=2, spacing=64, threshold_policy=PilotThreshold(16)
-            )
+            rsm = RsmConfig(scheme, num_rx=2, threshold_policy=PilotThreshold(16))
             bits_sent, errors = run_ber_point(
                 scheme, rsm, cirs, cirs, spacing=64, snr_db=60.0,
                 num_bits=2000, cell_seed=99,
@@ -333,20 +333,14 @@ class TestEndToEnd:
             params = CavityParams(num_taps=128, rng_seed=300 + trial)
             ensemble = synth_cavity_ensemble(params, [-0.45, 0.45])
             cirs = list(ensemble.cirs)
-            base = RsmConfig(
-                Scheme.ERASK, num_rx=2, spacing=15,
-                threshold_policy=PilotThreshold(32),
-            )
-            calibrated = _erask_threshold(base, cirs, cirs, sigma, cell_seed=trial)
+            base = RsmConfig(Scheme.ERASK, num_rx=2, threshold_policy=PilotThreshold(32))
+            calibrated = _erask_threshold(base, 15, cirs, cirs, sigma, cell_seed=trial)
             for label, value in (
                 ("calibrated", calibrated),
                 ("low", 0.1 * calibrated),
                 ("high", 10.0 * calibrated),
             ):
-                rsm = RsmConfig(
-                    Scheme.ERASK, num_rx=2, spacing=15,
-                    threshold_policy=FixedThreshold(value),
-                )
+                rsm = RsmConfig(Scheme.ERASK, num_rx=2, threshold_policy=FixedThreshold(value))
                 bits_sent, errors = run_ber_point(
                     Scheme.ERASK, rsm, cirs, cirs, spacing=15, snr_db=snr_db,
                     num_bits=4000, cell_seed=1000 + trial,

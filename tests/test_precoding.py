@@ -92,15 +92,14 @@ class TestTrKernel:
 class TestTrPrecode:
     def test_single_tap_identity(self):
         waveform = tr_precode([SymbolStream(UNIT_PULSE, 1)], [Cir([1.0], 1.0)])
-        np.testing.assert_allclose(waveform.signal.samples, [1.0])
-        assert waveform.per_user_energy == (1.0,)
+        np.testing.assert_allclose(waveform.samples, [1.0])
 
     def test_unit_pulse_has_unit_energy(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
             h = random_cir(rng, 128)
             waveform = tr_precode([SymbolStream(UNIT_PULSE, 8)], [h])
-            assert abs(waveform.signal.energy - 1.0) <= NUMERIC_RTOL
+            assert abs(waveform.energy - 1.0) <= NUMERIC_RTOL
 
     def test_non_overlapping_pulses_carry_one_unit_each(self):
         rng = np.random.default_rng(4)
@@ -108,19 +107,20 @@ class TestTrPrecode:
         h = random_cir(rng, num_taps)
         stream = SymbolStream(np.ones(pulses, dtype=complex), num_taps)
         waveform = tr_precode([stream], [h])
-        assert abs(waveform.signal.energy - pulses) <= NUMERIC_RTOL * pulses
-        assert abs(waveform.per_user_energy[0] - pulses) <= NUMERIC_RTOL * pulses
+        assert abs(waveform.energy - pulses) <= NUMERIC_RTOL * pulses
 
     def test_two_user_emission_toward_close_targets(self):
         params = CavityParams(rng_seed=42)
         ensemble = synth_cavity_ensemble(params, grid_positions(-6.3, 6.3, 0.3))
         targets = [ensemble.index_of(-2.7), ensemble.index_of(-1.8)]
         streams = [SymbolStream(UNIT_PULSE, 15) for _ in targets]
-        waveform = tr_precode(streams, [ensemble.cirs[t] for t in targets])
-        assert len(waveform.signal) == params.num_taps
-        assert np.all(np.isfinite(waveform.signal.samples))
-        for energy in waveform.per_user_energy:
-            assert abs(energy - 1.0) <= NUMERIC_RTOL
+        cirs = [ensemble.cirs[t] for t in targets]
+        waveform = tr_precode(streams, cirs)
+        assert len(waveform) == params.num_taps
+        assert np.all(np.isfinite(waveform.samples))
+        for stream, cir in zip(streams, cirs):
+            alone = tr_precode([stream], [cir])
+            assert abs(alone.energy - 1.0) <= NUMERIC_RTOL
 
     def test_rejects_zero_energy_cir(self):
         with pytest.raises(DomainError):
