@@ -13,7 +13,7 @@ from .channel import (
     sound_cir,
     synth_cavity_ensemble,
 )
-from .dsp import NUMERIC_RTOL, ComplexBasebandSignal, convolve, make_chirp, xcorr
+from .dsp import NUMERIC_RTOL, convolve, make_chirp, xcorr
 from .errors import ConfigurationError, DomainError, TrLinkError
 from .harness import (
     BerRecord,
@@ -54,7 +54,6 @@ __all__ = [
     "BerRecord",
     "CavityParams",
     "Cir",
-    "ComplexBasebandSignal",
     "ConfigurationError",
     "DetectionWindow",
     "DomainError",

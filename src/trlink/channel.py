@@ -32,12 +32,15 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .dsp import ComplexBasebandSignal, convolve, make_chirp, xcorr
+from .dsp import convolve, make_chirp, xcorr
 from .errors import ConfigurationError, DomainError
 
 SPEED_OF_LIGHT_M_S = 299792458.0
 
 _ENSEMBLE_SCHEMA = "trlink.ensemble/1"
+
+#: Two receive positions closer than this (mm) are the same grid point.
+POSITION_TOL_MM = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,15 +75,8 @@ class Cir:
         return self.taps.size
 
     @property
-    def sample_rate(self) -> float:
-        return 1.0 / self.tap_spacing
-
-    @property
     def energy(self) -> float:
         return float(np.sum(np.abs(self.taps) ** 2))
-
-    def as_signal(self) -> ComplexBasebandSignal:
-        return ComplexBasebandSignal(self.taps, self.sample_rate)
 
 
 @dataclass(frozen=True)
@@ -164,7 +160,7 @@ class SpatialChannelEnsemble:
     def __len__(self) -> int:
         return self.positions_mm.size
 
-    def index_of(self, position_mm: float, tol: float = 1e-6) -> int:
+    def index_of(self, position_mm: float, tol: float = POSITION_TOL_MM) -> int:
         """Grid index of a position; raises if it is not on the grid."""
         idx = int(np.argmin(np.abs(self.positions_mm - position_mm)))
         if abs(self.positions_mm[idx] - position_mm) > tol:
@@ -233,9 +229,7 @@ def synth_cavity_ensemble(
     return SpatialChannelEnsemble(positions, cirs, params)
 
 
-def sound_cir(
-    true_cir: Cir, cfg: SoundingConfig, chirp: ComplexBasebandSignal
-) -> Cir:
+def sound_cir(true_cir: Cir, cfg: SoundingConfig, chirp: np.ndarray) -> Cir:
     """Estimate a CIR by chirp sounding.
 
     The chirp is transmitted through the channel (full linear convolution),
@@ -250,17 +244,13 @@ def sound_cir(
     with noise the error falls as the time-bandwidth product grows.
 
     Timing is assumed known (transmitter and recorder share a clock), so the
-    window position is not estimated.
+    window position is not estimated. The chirp must be sampled at the
+    CIR's tap rate, as :func:`sounding_chirp` builds it.
     """
     if len(chirp) < 2:
         raise DomainError("sounding chirp must have at least 2 samples")
-    if not math.isclose(chirp.sample_rate, true_cir.sample_rate, rel_tol=1e-9):
-        raise ConfigurationError(
-            f"chirp sample rate {chirp.sample_rate} does not match CIR rate "
-            f"{true_cir.sample_rate}"
-        )
 
-    clean = convolve(chirp, true_cir.as_signal()).samples
+    clean = convolve(chirp, true_cir.taps)
     rx_power = float(np.mean(np.abs(clean) ** 2))
     if math.isinf(cfg.probe_snr_db) or rx_power == 0.0:
         noisy = clean
@@ -271,12 +261,11 @@ def sound_cir(
         noisy = clean + sigma / np.sqrt(2.0) * (z[0] + 1j * z[1])
 
     num_taps = true_cir.num_taps
-    chirp_energy = chirp.energy
-    received_sig = ComplexBasebandSignal(noisy, chirp.sample_rate)
-    compressed = xcorr(chirp, received_sig).samples / chirp_energy
+    chirp_energy = float(np.sum(np.abs(chirp) ** 2))
+    compressed = xcorr(chirp, noisy) / chirp_energy
     aligned = compressed[len(chirp) - 1 : len(chirp) - 1 + num_taps]
 
-    autocorr = xcorr(chirp, chirp).samples / chirp_energy
+    autocorr = xcorr(chirp, chirp) / chirp_energy
     lags = np.zeros(num_taps, dtype=np.complex128)
     span = min(num_taps, len(chirp))
     lags[:span] = autocorr[len(chirp) - 1 : len(chirp) - 1 + span]
@@ -288,7 +277,7 @@ def sound_cir(
     return Cir(estimate, true_cir.tap_spacing, position_mm=true_cir.position_mm)
 
 
-def sounding_chirp(params: CavityParams, cfg: SoundingConfig) -> ComplexBasebandSignal:
+def sounding_chirp(params: CavityParams, cfg: SoundingConfig) -> np.ndarray:
     """Full-band probe chirp matching an ensemble's tap rate."""
     return make_chirp(
         params.carrier_freq_hz, params.bandwidth_hz, cfg.duration_s, params.bandwidth_hz
@@ -372,10 +361,26 @@ def load_ensemble(json_path: str | Path) -> SpatialChannelEnsemble:
             raise ConfigurationError(
                 f"ensemble CSV has {len(header)} columns, expected {expected_cols}"
             )
-        for row in reader:
-            values = np.asarray(row[1:], dtype=float)
-            taps = values[0::2] + 1j * values[1::2]
-            cirs.append(Cir(taps, params.tap_spacing, position_mm=float(row[0])))
+        for line, row in enumerate(reader, start=2):
+            where = f"ensemble CSV {csv_path.name} line {line}"
+            if len(row) != expected_cols:
+                raise ConfigurationError(
+                    f"{where} has {len(row)} columns, expected {expected_cols}"
+                )
+            try:
+                values = np.asarray(row, dtype=float)
+            except ValueError:
+                raise ConfigurationError(f"{where} has a non-numeric cell") from None
+            if not np.all(np.isfinite(values)):
+                raise ConfigurationError(f"{where} has a non-finite cell")
+            position, index = float(values[0]), len(cirs)
+            if index < positions.size and abs(position - positions[index]) > POSITION_TOL_MM:
+                raise ConfigurationError(
+                    f"{where} is at position_mm {position}, but positions_mm[{index}] "
+                    f"in {json_path.name} is {float(positions[index])}"
+                )
+            taps = values[1::2] + 1j * values[2::2]
+            cirs.append(Cir(taps, params.tap_spacing, position_mm=position))
     if len(cirs) != positions.size:
         raise ConfigurationError(
             f"ensemble CSV has {len(cirs)} rows for {positions.size} positions"

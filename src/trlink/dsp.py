@@ -1,15 +1,20 @@
-"""Complex baseband signals and the DSP primitives everything else is built on.
+"""The DSP primitives everything else is built on.
 
-All signals are uniformly sampled complex envelopes; the sample rate equals
-the simulated bandwidth and carrier up/down-conversion is treated as ideal,
-so nothing here models a passband. Convolution and correlation are
-full-support linear operations. They are computed with transform-domain fast
-convolution, but the contract is the direct summation: the test suite holds
-the fast path to a direct double-loop reference within ``NUMERIC_RTOL``.
-The committed results are byte-identical only for one rounding, so the fast
-path fixes two details: a length-1 operand is a plain scaling (no transform),
-and the transform length is the smallest 2-3-5-7-11-smooth length that holds
-the full output.
+A signal is a plain 1-D ``complex128`` numpy array of complex-envelope
+samples at one rate, the simulated bandwidth, so no rate travels with it.
+Carrier up/down-conversion is treated as ideal, so nothing here models a
+passband. The functions here neither copy nor re-check their inputs: the
+arrays come from validated boundary objects (``Cir`` taps, ``SymbolStream``
+symbols) or from earlier steps of the pipeline; convolution and correlation
+reject only empty inputs.
+
+Convolution and correlation are full-support linear operations. They are
+computed with transform-domain fast convolution, but the contract is the
+direct summation: the test suite holds the fast path to a direct
+double-loop reference within ``NUMERIC_RTOL``. The committed results are
+byte-identical only for one rounding, so the fast path fixes two details: a
+length-1 operand is a plain scaling (no transform), and the transform length
+is the smallest 2-3-5-7-11-smooth length that holds the full output.
 
 Lag convention, fixed once and used by every caller: the output of
 ``xcorr(a, b)`` has length ``len(a) + len(b) - 1`` and output index ``j``
@@ -20,7 +25,6 @@ holds lag ``j - (len(a) - 1)``. Lag 0 therefore sits at index
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,59 +33,6 @@ from .errors import ConfigurationError, DomainError
 #: Relative tolerance for "numerically exact" identities (energy
 #: normalisation, fast-vs-direct agreement, kernel peak values).
 NUMERIC_RTOL = 1e-9
-
-
-@dataclass(frozen=True, eq=False)
-class ComplexBasebandSignal:
-    """Uniformly sampled complex envelope.
-
-    Attributes:
-        samples: 1-D complex amplitudes (dimensionless, baseband-normalised).
-        sample_rate: samples per second; equals the simulation bandwidth.
-
-    Instances are immutable: the sample buffer is frozen after construction
-    and safe to share across concurrent workers. A zero-length signal is
-    legal (it acts as an identity for concatenation) but is rejected by the
-    convolution/correlation operations below.
-    """
-
-    samples: np.ndarray
-    sample_rate: float
-
-    def __post_init__(self) -> None:
-        samples = np.asarray(self.samples, dtype=np.complex128)
-        if samples.ndim != 1:
-            raise DomainError(f"signal samples must be 1-D, got shape {samples.shape}")
-        if samples.size and not np.all(np.isfinite(samples)):
-            raise DomainError("signal samples must be finite (no NaN/Inf)")
-        if not (math.isfinite(self.sample_rate) and self.sample_rate > 0):
-            raise ConfigurationError(f"sample_rate must be positive, got {self.sample_rate}")
-        samples = samples.copy()
-        samples.flags.writeable = False
-        object.__setattr__(self, "samples", samples)
-        object.__setattr__(self, "sample_rate", float(self.sample_rate))
-
-    def __len__(self) -> int:
-        return self.samples.size
-
-    @property
-    def energy(self) -> float:
-        """Sum of |sample|^2 over the whole signal."""
-        return float(np.sum(np.abs(self.samples) ** 2))
-
-    @property
-    def duration(self) -> float:
-        """Signal span in seconds."""
-        return self.samples.size / self.sample_rate
-
-
-def _check_pair(a: ComplexBasebandSignal, b: ComplexBasebandSignal, op: str) -> None:
-    if not math.isclose(a.sample_rate, b.sample_rate, rel_tol=1e-9):
-        raise ConfigurationError(
-            f"{op}: sample rates differ ({a.sample_rate} vs {b.sample_rate})"
-        )
-    if len(a) == 0 or len(b) == 0:
-        raise DomainError(f"{op}: inputs must be non-empty")
 
 
 def _fast_len(n: int) -> int:
@@ -106,18 +57,18 @@ def _fftconvolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.fft.ifft(np.fft.fft(a, m) * np.fft.fft(b, m))[:n]
 
 
-def convolve(a: ComplexBasebandSignal, b: ComplexBasebandSignal) -> ComplexBasebandSignal:
+def convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Full linear convolution of two signals.
 
     Output length is ``len(a) + len(b) - 1``. Uses FFT-based fast
     convolution internally; agrees with the direct sum to ``NUMERIC_RTOL``.
     """
-    _check_pair(a, b, "convolve")
-    out = _fftconvolve(a.samples, b.samples)
-    return ComplexBasebandSignal(out, a.sample_rate)
+    if a.size == 0 or b.size == 0:
+        raise DomainError("convolve: inputs must be non-empty")
+    return _fftconvolve(a, b)
 
 
-def xcorr(a: ComplexBasebandSignal, b: ComplexBasebandSignal) -> ComplexBasebandSignal:
+def xcorr(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Unnormalised cross-correlation of ``b`` against ``a`` over all lags.
 
     Output index ``j`` holds lag ``j - (len(a) - 1)``, whose value is
@@ -125,9 +76,9 @@ def xcorr(a: ComplexBasebandSignal, b: ComplexBasebandSignal) -> ComplexBaseband
     plain inner product ``sum(conj(a) * b)``. Equivalent to convolving the
     conjugated time-reversed ``a`` with ``b``.
     """
-    _check_pair(a, b, "xcorr")
-    out = _fftconvolve(np.conj(a.samples[::-1]), b.samples)
-    return ComplexBasebandSignal(out, a.sample_rate)
+    if a.size == 0 or b.size == 0:
+        raise DomainError("xcorr: inputs must be non-empty")
+    return _fftconvolve(np.conj(a[::-1]), b)
 
 
 def make_chirp(
@@ -135,7 +86,7 @@ def make_chirp(
     bandwidth: float,
     duration: float,
     sample_rate: float,
-) -> ComplexBasebandSignal:
+) -> np.ndarray:
     """Unit-amplitude linear-frequency-modulated probe pulse.
 
     The instantaneous frequency sweeps linearly from ``-bandwidth/2`` to
@@ -165,4 +116,4 @@ def make_chirp(
         )
     t = np.arange(num_samples) / sample_rate
     phase = 2.0 * np.pi * (-0.5 * bandwidth * t + bandwidth / (2.0 * duration) * t**2)
-    return ComplexBasebandSignal(np.exp(1j * phase), sample_rate)
+    return np.exp(1j * phase)

@@ -30,13 +30,18 @@ Scenario JSON schema (version 1)::
       "rsm": {"scheme": "rask"|"erask"|"both", "num_rx": 2,
               "threshold": {"policy": "fixed", "value": ..} |
                            {"policy": "pilot", "num_pilots": ..} (optional)},
-      "d_values": [..],                  # pulse spacings in taps
+      "d_values": [..],                  # pulse spacings in taps, each >= 3
       "snr_grid_db": [..],
       "bits_per_point": ..,
       "trials": ..,
       "sounding": "genie" | {"duration_s": .., "snr_db": .. (optional)},
-      "master_seed": ..
+      "master_seed": ..                  # >= 0
     }
+
+Counts, spacings and seeds (``num_taps``, ``num_rx``, ``num_pilots``,
+``d_values``, ``bits_per_point``, ``trials``, ``master_seed``, ``version``)
+must be JSON integers; every other number must be finite. Nothing is
+coerced: ``15.7``, ``"15"`` or ``true`` in an integer field is an error.
 
 BER CSV columns are fixed: ``scheme,D,snr_db,bits_sent,bit_errors,ber,seed``
 with one file per (scheme, spacing) and one row per (SNR point, trial).
@@ -54,6 +59,7 @@ from typing import Callable
 import numpy as np
 
 from .channel import (
+    POSITION_TOL_MM,
     CavityParams,
     Cir,
     SoundingConfig,
@@ -65,6 +71,7 @@ from .channel import (
 )
 from .errors import ConfigurationError, DomainError
 from .modem import (
+    WINDOW_HALF_WIDTH,
     FixedThreshold,
     PilotThreshold,
     RsmConfig,
@@ -92,6 +99,11 @@ _SCHEME_INDEX = {Scheme.RASK: 0, Scheme.ERASK: 1}
 
 BER_CSV_HEADER = ["scheme", "D", "snr_db", "bits_sent", "bit_errors", "ber", "seed"]
 
+# Each grid position adds a row and a column to the dense spatial-correlation
+# kernel that the ensemble draw factorises, so a grid is capped well below
+# the point where that matrix stops fitting in memory.
+_MAX_GRID_POSITIONS = 10_000
+
 
 def derive_seed(master_seed: int, *path: int) -> int:
     """Deterministic child seed for a counter path under the master seed."""
@@ -105,7 +117,13 @@ def grid_positions(start_mm: float, stop_mm: float, step_mm: float) -> np.ndarra
         raise ConfigurationError(f"grid step must be > 0, got {step_mm}")
     if stop_mm < start_mm:
         raise ConfigurationError("grid stop must be >= start")
-    count = int(math.floor((stop_mm - start_mm) / step_mm + 1e-9)) + 1
+    span = (stop_mm - start_mm) / step_mm
+    if not span < _MAX_GRID_POSITIONS:
+        raise ConfigurationError(
+            f"grid from {start_mm} to {stop_mm} mm in steps of {step_mm} mm has more "
+            f"than {_MAX_GRID_POSITIONS} positions"
+        )
+    count = int(math.floor(span + 1e-9)) + 1
     return start_mm + step_mm * np.arange(count)
 
 
@@ -163,14 +181,20 @@ class Scenario:
             raise ConfigurationError("scenario needs at least one scheme")
         if Scheme.ERASK in self.schemes and self.rsm.threshold_policy is None:
             raise ConfigurationError("ERASK runs need a threshold policy")
-        if not self.d_values or any(d < 1 for d in self.d_values):
-            raise ConfigurationError("d_values must be a non-empty list of taps >= 1")
+        min_spacing = 2 * WINDOW_HALF_WIDTH + 1
+        if not self.d_values or any(d < min_spacing for d in self.d_values):
+            raise ConfigurationError(
+                f"d_values must be a non-empty list of spacings >= {min_spacing} taps, "
+                f"so that detection windows do not overlap; got {list(self.d_values)}"
+            )
         if not self.snr_grid_db:
             raise ConfigurationError("snr_grid_db must be non-empty")
         if self.bits_per_point < 1:
             raise ConfigurationError("bits_per_point must be >= 1")
         if self.trials < 1:
             raise ConfigurationError("trials must be >= 1")
+        if self.master_seed < 0:
+            raise ConfigurationError(f"master_seed must be >= 0, got {self.master_seed}")
         positions = positions.copy()
         positions.flags.writeable = False
         object.__setattr__(self, "positions_mm", positions)
@@ -189,6 +213,8 @@ class Scenario:
 
 
 def _require_keys(obj: dict, allowed: set[str], required: set[str], where: str) -> None:
+    if not isinstance(obj, dict):
+        raise ConfigurationError(f"{where} must be an object, got {obj!r}")
     unknown = set(obj) - allowed
     if unknown:
         raise ConfigurationError(f"unknown keys in {where}: {sorted(unknown)}")
@@ -197,16 +223,41 @@ def _require_keys(obj: dict, allowed: set[str], required: set[str], where: str) 
         raise ConfigurationError(f"missing keys in {where}: {sorted(missing)}")
 
 
+def _integer(value, name: str) -> int:
+    """A JSON integer. Booleans and floats such as ``15.7`` are rejected, not coerced."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def _number(value, name: str) -> float:
+    """A finite JSON number. Booleans, strings, NaN and infinities are rejected."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            if math.isfinite(value):
+                return float(value)
+        except OverflowError:  # an integer beyond the float range
+            pass
+    raise ConfigurationError(f"{name} must be a finite number, got {value!r}")
+
+
+def _list(value, name: str, read: Callable) -> list:
+    """A JSON list whose items each pass ``read``."""
+    if not isinstance(value, list):
+        raise ConfigurationError(f"{name} must be a list, got {value!r}")
+    return [read(item, f"{name}[{i}]") for i, item in enumerate(value)]
+
+
 def _parse_threshold(obj) -> FixedThreshold | PilotThreshold:
     if not isinstance(obj, dict) or "policy" not in obj:
         raise ConfigurationError("rsm.threshold must be an object with a 'policy'")
     policy = obj["policy"]
     if policy == "fixed":
         _require_keys(obj, {"policy", "value"}, {"policy", "value"}, "rsm.threshold")
-        return FixedThreshold(float(obj["value"]))
+        return FixedThreshold(_number(obj["value"], "rsm.threshold.value"))
     if policy == "pilot":
         _require_keys(obj, {"policy", "num_pilots"}, {"policy"}, "rsm.threshold")
-        return PilotThreshold(int(obj.get("num_pilots", 32)))
+        return PilotThreshold(_integer(obj.get("num_pilots", 32), "rsm.threshold.num_pilots"))
     raise ConfigurationError(f"unknown threshold policy {policy!r}")
 
 
@@ -234,7 +285,7 @@ def scenario_from_dict(data: dict, base_dir: Path | None = None) -> Scenario:
          "bits_per_point", "trials", "sounding", "master_seed"},
         "scenario",
     )
-    if data["version"] != 1:
+    if _integer(data["version"], "version") != 1:
         raise ConfigurationError(f"unsupported scenario version {data['version']!r}")
 
     grid_keys = [k for k in ("grid_mm", "positions_mm", "ensemble_file") if k in data]
@@ -247,6 +298,10 @@ def scenario_from_dict(data: dict, base_dir: Path | None = None) -> Scenario:
     if "ensemble_file" in data:
         if "cavity" in data:
             raise ConfigurationError("ensemble_file scenarios must not also define cavity")
+        if not isinstance(data["ensemble_file"], str):
+            raise ConfigurationError(
+                f"ensemble_file must be a path string, got {data['ensemble_file']!r}"
+            )
         path = Path(data["ensemble_file"])
         if base_dir is not None and not path.is_absolute():
             path = base_dir / path
@@ -264,17 +319,25 @@ def scenario_from_dict(data: dict, base_dir: Path | None = None) -> Scenario:
             "cavity",
         )
         cavity = CavityParams(
-            num_taps=int(cav["num_taps"]),
-            bandwidth_hz=float(cav["bandwidth_hz"]),
-            carrier_freq_hz=float(cav["carrier_freq_hz"]),
-            decay_time_s=float(cav.get("decay_time_s", math.nan)),
+            num_taps=_integer(cav["num_taps"], "cavity.num_taps"),
+            bandwidth_hz=_number(cav["bandwidth_hz"], "cavity.bandwidth_hz"),
+            carrier_freq_hz=_number(cav["carrier_freq_hz"], "cavity.carrier_freq_hz"),
+            decay_time_s=(
+                _number(cav["decay_time_s"], "cavity.decay_time_s")
+                if "decay_time_s" in cav
+                else math.nan
+            ),
         )
         if "grid_mm" in data:
             grid = data["grid_mm"]
             _require_keys(grid, {"start", "stop", "step"}, {"start", "stop", "step"}, "grid_mm")
-            positions = grid_positions(float(grid["start"]), float(grid["stop"]), float(grid["step"]))
+            positions = grid_positions(
+                *(_number(grid[k], f"grid_mm.{k}") for k in ("start", "stop", "step"))
+            )
         else:
-            positions = np.asarray(data["positions_mm"], dtype=float)
+            positions = np.asarray(
+                _list(data["positions_mm"], "positions_mm", _number), dtype=float
+            )
 
     rsm_obj = data["rsm"]
     _require_keys(rsm_obj, {"scheme", "num_rx", "threshold"}, {"scheme"}, "rsm")
@@ -289,15 +352,15 @@ def scenario_from_dict(data: dict, base_dir: Path | None = None) -> Scenario:
     threshold = _parse_threshold(rsm_obj["threshold"]) if "threshold" in rsm_obj else None
     rsm = RsmConfig(
         scheme=schemes[0],
-        num_rx=int(rsm_obj.get("num_rx", 2)),
+        num_rx=_integer(rsm_obj.get("num_rx", 2), "rsm.num_rx"),
         threshold_policy=threshold,
     )
 
     target_indices = []
-    for target_mm in data["targets_mm"]:
-        deltas = np.abs(positions - float(target_mm))
+    for target_mm in _list(data["targets_mm"], "targets_mm", _number):
+        deltas = np.abs(positions - target_mm)
         idx = int(np.argmin(deltas))
-        if deltas[idx] > 1e-6:
+        if deltas[idx] > POSITION_TOL_MM:
             raise ConfigurationError(
                 f"target {target_mm} mm is not on the position grid"
             )
@@ -310,8 +373,8 @@ def scenario_from_dict(data: dict, base_dir: Path | None = None) -> Scenario:
         _require_keys(sounding_obj, {"duration_s", "snr_db"}, {"duration_s"}, "sounding")
         snr = sounding_obj.get("snr_db")
         sounding = SoundingConfig(
-            duration_s=float(sounding_obj["duration_s"]),
-            probe_snr_db=math.inf if snr is None else float(snr),
+            duration_s=_number(sounding_obj["duration_s"], "sounding.duration_s"),
+            probe_snr_db=math.inf if snr is None else _number(snr, "sounding.snr_db"),
         )
     else:
         raise ConfigurationError("sounding must be \"genie\" or an object")
@@ -322,12 +385,12 @@ def scenario_from_dict(data: dict, base_dir: Path | None = None) -> Scenario:
         target_indices=tuple(target_indices),
         rsm=rsm,
         schemes=schemes,
-        d_values=tuple(int(d) for d in data["d_values"]),
-        snr_grid_db=tuple(float(s) for s in data["snr_grid_db"]),
-        bits_per_point=int(data["bits_per_point"]),
-        trials=int(data["trials"]),
+        d_values=tuple(_list(data["d_values"], "d_values", _integer)),
+        snr_grid_db=tuple(_list(data["snr_grid_db"], "snr_grid_db", _number)),
+        bits_per_point=_integer(data["bits_per_point"], "bits_per_point"),
+        trials=_integer(data["trials"], "trials"),
         sounding=sounding,
-        master_seed=int(data["master_seed"]),
+        master_seed=_integer(data["master_seed"], "master_seed"),
         imported_ensemble=imported,
     )
 
@@ -340,7 +403,7 @@ def load_scenario(path: str | Path) -> Scenario:
         raise ConfigurationError(f"scenario file not found: {path}") from None
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer literal too long to parse
         raise ConfigurationError(f"scenario JSON is invalid: {exc}") from None
     return scenario_from_dict(data, base_dir=path.parent)
 

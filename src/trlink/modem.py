@@ -21,9 +21,12 @@ from enum import Enum
 
 import numpy as np
 
-from .dsp import ComplexBasebandSignal
 from .errors import ConfigurationError, DomainError
 from .precoding import SymbolStream
+
+
+#: Taps on each side of a focusing peak that the power detector reads.
+WINDOW_HALF_WIDTH = 1
 
 
 class Scheme(str, Enum):
@@ -80,7 +83,7 @@ class DetectionWindow:
     """
 
     peak_lags: np.ndarray
-    half_width: int = 1
+    half_width: int = WINDOW_HALF_WIDTH
 
     def __post_init__(self) -> None:
         lags = np.asarray(self.peak_lags, dtype=np.int64)
@@ -101,7 +104,7 @@ class DetectionWindow:
 
 
 def detection_windows(
-    num_symbols: int, num_taps: int, spacing: int, half_width: int = 1
+    num_symbols: int, num_taps: int, spacing: int, half_width: int = WINDOW_HALF_WIDTH
 ) -> DetectionWindow:
     """Windows centred on the focusing peaks ``L - 1 + l*spacing``."""
     lags = num_taps - 1 + np.arange(num_symbols, dtype=np.int64) * spacing
@@ -150,7 +153,7 @@ def erask_modulate(bits, cfg: RsmConfig, spacing: int) -> list[SymbolStream]:
 
 
 def window_peak_powers(
-    received: list[ComplexBasebandSignal], windows: DetectionWindow
+    received: list[np.ndarray], windows: DetectionWindow
 ) -> np.ndarray:
     """Max |y|^2 inside each symbol window, per antenna: shape (N, M)."""
     num_symbols = windows.num_symbols
@@ -158,8 +161,7 @@ def window_peak_powers(
     if num_symbols == 0:
         return powers
     offsets = np.arange(-windows.half_width, windows.half_width + 1)
-    for n, signal in enumerate(received):
-        samples = signal.samples
+    for n, samples in enumerate(received):
         if windows.peak_lags.max() >= samples.size:
             raise DomainError(
                 f"received signal of length {samples.size} is shorter than the last "
@@ -171,7 +173,7 @@ def window_peak_powers(
 
 
 def power_detect(
-    received: list[ComplexBasebandSignal],
+    received: list[np.ndarray],
     windows: DetectionWindow,
     cfg: RsmConfig,
     threshold: float | None = None,
@@ -197,7 +199,7 @@ def power_detect(
 
 
 def calibrate_threshold(
-    pilot_received: list[ComplexBasebandSignal],
+    pilot_received: list[np.ndarray],
     windows: DetectionWindow,
     cfg: RsmConfig,
     targeted: np.ndarray,

@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .channel import Cir, SpatialChannelEnsemble
-from .dsp import ComplexBasebandSignal, convolve, xcorr
+from .dsp import convolve, xcorr
 from .errors import ConfigurationError, DomainError
 
 
@@ -60,10 +60,6 @@ class SymbolStream:
     def __len__(self) -> int:
         return self.symbols.size
 
-    def symbol_duration(self, tap_spacing: float) -> float:
-        """Per-symbol duration in seconds for a given tap spacing."""
-        return self.spacing * tap_spacing
-
 
 @dataclass(frozen=True, eq=False)
 class TrKernel:
@@ -77,15 +73,10 @@ class TrKernel:
     """
 
     values: np.ndarray
-    normalizing_energy: float
 
     @property
     def lag0_index(self) -> int:
         return (self.values.size - 1) // 2
-
-    @property
-    def peak(self) -> complex:
-        return complex(self.values[self.lag0_index])
 
 
 def tr_kernel(h_j: Cir, h_i: Cir) -> TrKernel:
@@ -99,15 +90,10 @@ def tr_kernel(h_j: Cir, h_i: Cir) -> TrKernel:
     energy = h_i.energy
     if energy <= 0.0:
         raise DomainError("precoding target CIR has zero energy")
-    values = xcorr(h_i.as_signal(), h_j.as_signal()).samples / math.sqrt(energy)
-    return TrKernel(values, energy)
+    return TrKernel(xcorr(h_i.taps, h_j.taps) / math.sqrt(energy))
 
 
-def _reversed_conjugate(cir: Cir) -> np.ndarray:
-    return np.conj(cir.taps[::-1])
-
-
-def tr_precode(streams: list[SymbolStream], cirs: list[Cir]) -> ComplexBasebandSignal:
+def tr_precode(streams: list[SymbolStream], cirs: list[Cir]) -> np.ndarray:
     """Assemble the multi-user time-reversal emission.
 
     Each user's pulse train is upsampled by the shared pulse spacing and
@@ -129,8 +115,6 @@ def tr_precode(streams: list[SymbolStream], cirs: list[Cir]) -> ComplexBasebandS
     taps_spacings = {c.tap_spacing for c in cirs}
     if len(lengths) != 1 or len(taps_spacings) != 1:
         raise ConfigurationError("users must share CIR length and tap spacing")
-    num_taps = lengths.pop()
-    sample_rate = 1.0 / taps_spacings.pop()
 
     contributions: list[np.ndarray] = []
     for stream, cir in zip(streams, cirs):
@@ -142,23 +126,22 @@ def tr_precode(streams: list[SymbolStream], cirs: list[Cir]) -> ComplexBasebandS
             continue
         train = np.zeros((len(stream) - 1) * spacing + 1, dtype=np.complex128)
         train[::spacing] = stream.symbols
-        emission = ComplexBasebandSignal(train, sample_rate)
-        flipped = ComplexBasebandSignal(_reversed_conjugate(cir) / math.sqrt(energy), sample_rate)
-        contributions.append(convolve(emission, flipped).samples)
+        flipped = np.conj(cir.taps[::-1]) / math.sqrt(energy)
+        contributions.append(convolve(train, flipped))
 
     total_len = max((c.size for c in contributions), default=0)
     combined = np.zeros(total_len, dtype=np.complex128)
     for part in contributions:
         combined[: part.size] += part
-    return ComplexBasebandSignal(combined, sample_rate)
+    return combined
 
 
 def propagate(
-    signal: ComplexBasebandSignal,
+    signal: np.ndarray,
     cir: Cir,
     noise_sigma: float,
     rng_seed: int | list[int] | None = None,
-) -> ComplexBasebandSignal:
+) -> np.ndarray:
     """Receive an emitted signal through one channel with additive white noise.
 
     The received signal is the full linear convolution of the emission with
@@ -168,12 +151,12 @@ def propagate(
     """
     if not (math.isfinite(noise_sigma) and noise_sigma >= 0.0):
         raise DomainError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
-    received = convolve(signal, cir.as_signal()).samples
+    received = convolve(signal, cir.taps)
     if noise_sigma > 0.0:
         rng = np.random.default_rng(rng_seed)
         z = rng.standard_normal((2, received.size))
         received = received + noise_sigma / np.sqrt(2.0) * (z[0] + 1j * z[1])
-    return ComplexBasebandSignal(received, signal.sample_rate)
+    return received
 
 
 @dataclass(frozen=True, eq=False)
@@ -288,7 +271,7 @@ def focusing_report(
     ]
 
     fields = [
-        np.stack([propagate(w, ensemble.cirs[p], 0.0).samples for p in range(num_positions)])
+        np.stack([propagate(w, ensemble.cirs[p], 0.0) for p in range(num_positions)])
         for w in waveforms
     ]
     own = fields[0]

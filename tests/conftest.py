@@ -8,7 +8,6 @@ import numpy as np
 from hypothesis import HealthCheck, settings
 
 from trlink.channel import Cir
-from trlink.dsp import ComplexBasebandSignal
 
 settings.register_profile(
     "trlink",
@@ -21,10 +20,6 @@ settings.load_profile("trlink")
 
 def complex_gaussian(rng: np.random.Generator, n: int) -> np.ndarray:
     return (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2.0)
-
-
-def random_signal(rng: np.random.Generator, n: int, rate: float = 1.0) -> ComplexBasebandSignal:
-    return ComplexBasebandSignal(complex_gaussian(rng, n), rate)
 
 
 def random_cir(

@@ -17,7 +17,7 @@ import pytest
 
 from trlink.channel import CavityParams, SoundingConfig, sound_cir, sounding_chirp, synth_cavity_ensemble
 from trlink.cli import main as cli_main
-from trlink.dsp import ComplexBasebandSignal, convolve, xcorr
+from trlink.dsp import convolve, xcorr
 from trlink.harness import grid_positions, load_scenario, run_ber_sweep
 from trlink.precoding import SymbolStream, focusing_report, propagate, tr_kernel, tr_precode
 
@@ -42,7 +42,7 @@ def test_criterion_1_unit_pulse_energy_normalisation():
     for seed in range(1000):
         cir = _ensemble_cir(seed)
         waveform = tr_precode([SymbolStream(UNIT_PULSE, 15)], [cir])
-        worst = max(worst, abs(waveform.energy - 1.0))
+        worst = max(worst, abs(float(np.sum(np.abs(waveform) ** 2)) - 1.0))
     elapsed = time.monotonic() - start
     ok = worst <= 1e-9 and elapsed < 10.0
     _report(1, "unit pulse energy", ok, f"max |err|={worst:.2e}, {elapsed:.1f}s")
@@ -57,10 +57,10 @@ def test_criterion_2_matched_peak_law():
         cir = _ensemble_cir(seed)
         waveform = tr_precode([SymbolStream(UNIT_PULSE, 15)], [cir])
         received = propagate(waveform, cir, 0.0)
-        peak_idx = int(np.argmax(np.abs(received.samples)))
+        peak_idx = int(np.argmax(np.abs(received)))
         aligned &= peak_idx == cir.num_taps - 1
         expected = math.sqrt(cir.energy)
-        worst = max(worst, abs(abs(received.samples[peak_idx]) - expected) / expected)
+        worst = max(worst, abs(abs(received[peak_idx]) - expected) / expected)
     ok = aligned and worst <= 1e-9
     _report(2, "matched peak law", ok, f"max rel err={worst:.2e}")
     assert aligned
@@ -84,7 +84,7 @@ def test_criterion_3_received_field_equals_kernel_expansion():
         ]
         waveform = tr_precode(streams, cirs)
         for j in range(2):
-            received = propagate(waveform, cirs[j], 0.0).samples
+            received = propagate(waveform, cirs[j], 0.0)
             expansion = np.zeros_like(received)
             for i in range(2):
                 kernel = tr_kernel(cirs[j], cirs[i]).values
@@ -174,17 +174,17 @@ def test_criterion_8_dsp_oracles():
     worst_conv = worst_corr = 0.0
     for _ in range(250):
         n, m = rng.integers(1, 1025, 2)
-        a = ComplexBasebandSignal(rng.standard_normal(n) + 1j * rng.standard_normal(n), 1.0)
-        b = ComplexBasebandSignal(rng.standard_normal(m) + 1j * rng.standard_normal(m), 1.0)
-        direct = np.convolve(a.samples, b.samples)
-        err = np.max(np.abs(convolve(a, b).samples - direct)) / np.max(np.abs(direct))
+        a = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        b = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        direct = np.convolve(a, b)
+        err = np.max(np.abs(convolve(a, b) - direct)) / np.max(np.abs(direct))
         worst_conv = max(worst_conv, float(err))
     for _ in range(250):
         n, m = rng.integers(1, 1025, 2)
-        a = ComplexBasebandSignal(rng.standard_normal(n) + 1j * rng.standard_normal(n), 1.0)
-        b = ComplexBasebandSignal(rng.standard_normal(m) + 1j * rng.standard_normal(m), 1.0)
-        direct = np.correlate(b.samples, a.samples, mode="full")
-        err = np.max(np.abs(xcorr(a, b).samples - direct)) / np.max(np.abs(direct))
+        a = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        b = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        direct = np.correlate(b, a, mode="full")
+        err = np.max(np.abs(xcorr(a, b) - direct)) / np.max(np.abs(direct))
         worst_corr = max(worst_corr, float(err))
     ok = worst_conv <= 1e-9 and worst_corr <= 1e-9
     _report(8, "fast DSP vs direct summation", ok,

@@ -194,18 +194,8 @@ class TestSounding:
     def test_rejects_short_chirp(self):
         cir = _synth_cir(1, 8)
         cfg = SoundingConfig(duration_s=1.0)
-        from trlink.dsp import ComplexBasebandSignal
-
         with pytest.raises(DomainError):
-            sound_cir(cir, cfg, ComplexBasebandSignal(np.ones(1), 4e9))
-
-    def test_rejects_rate_mismatch(self):
-        cir = _synth_cir(1, 8)
-        cfg = SoundingConfig(duration_s=1e-8)
-        from trlink.dsp import make_chirp
-
-        with pytest.raises(ConfigurationError):
-            sound_cir(cir, cfg, make_chirp(0.0, 2e9, 1e-8, 2e9))
+            sound_cir(cir, cfg, np.ones(1, dtype=complex))
 
 
 class TestEnsembleExportImport:

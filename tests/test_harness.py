@@ -1,5 +1,6 @@
 """Scenario schema, seeded BER sweeps, focusing experiment, CLI contract."""
 
+import copy
 import json
 import math
 from dataclasses import replace
@@ -7,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trlink.channel import CavityParams, SoundingConfig, export_ensemble
 from trlink.cli import main as cli_main
@@ -21,10 +24,12 @@ from trlink.harness import (
     run_ber_sweep,
     run_focusing_experiment,
     run_sounding_study,
+    scenario_from_dict,
 )
 from trlink.modem import PilotThreshold, RsmConfig, Scheme
 
 ROOT = Path(__file__).resolve().parents[1]
+TWO_USER = json.loads((ROOT / "scenarios" / "two_user.json").read_text(encoding="utf-8"))
 
 
 def scenario_dict(**overrides):
@@ -56,9 +61,33 @@ def write_scenario(tmp_path: Path, name: str = "scenario.json", **overrides) -> 
 
 
 def small_scenario(**overrides) -> Scenario:
-    from trlink.harness import scenario_from_dict
-
     return scenario_from_dict(scenario_dict(**overrides))
+
+
+def set_field(doc, path, value):
+    *parents, leaf = path
+    for key in parents:
+        doc = doc[key]
+    doc[leaf] = value
+
+
+def scalar_paths(node, path=()):
+    """Key paths of every non-container value in a parsed JSON document."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return [path]
+    return [p for key, child in items for p in scalar_paths(child, path + (key,))]
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
 
 
 class TestGridPositions:
@@ -74,6 +103,11 @@ class TestGridPositions:
     def test_rejects_bad_step(self):
         with pytest.raises(ConfigurationError):
             grid_positions(0.0, 1.0, 0.0)
+
+    def test_rejects_oversized_grid_before_allocating(self):
+        for start, stop, step in ((-6.3, 6.3, 1e-9), (-1e308, 1e308, 1.0)):
+            with pytest.raises(ConfigurationError, match="more than"):
+                grid_positions(start, stop, step)
 
 
 class TestDeriveSeed:
@@ -154,6 +188,23 @@ class TestScenarioLoading:
         first = scenario.ensemble_for_trial(0)
         second = scenario.ensemble_for_trial(1)
         assert first is second
+
+    def test_non_string_ensemble_file_rejected(self):
+        doc = scenario_dict(ensemble_file=5)
+        del doc["cavity"], doc["grid_mm"]
+        with pytest.raises(ConfigurationError, match="ensemble_file"):
+            scenario_from_dict(doc)
+
+    @settings(max_examples=300)
+    @given(st.sampled_from(scalar_paths(TWO_USER)), json_values)
+    def test_any_value_in_one_scalar_field_loads_or_is_rejected(self, path, value):
+        doc = copy.deepcopy(TWO_USER)
+        set_field(doc, path, value)
+        try:
+            scenario = scenario_from_dict(doc)
+        except ConfigurationError:
+            return
+        assert isinstance(scenario, Scenario)
 
 
 class TestBerRecord:
@@ -313,6 +364,12 @@ class TestCommittedResults:
             expected = [header, *rows[::10]]
             assert (tmp_path / name).read_text(encoding="utf-8").splitlines() == expected
 
+    def test_sounding_reproduces_committed_csv(self, tmp_path):
+        scenario = load_scenario(ROOT / "scenarios" / "focus_grid.json")
+        run_sounding_study(scenario, out_dir=tmp_path)
+        name = "sounding_error.csv"
+        assert (tmp_path / name).read_bytes() == (ROOT / "results" / "sound" / name).read_bytes()
+
 
 class TestCli:
     def test_missing_scenario_file_exits_2(self, tmp_path, capsys):
@@ -373,4 +430,62 @@ class TestCli:
         out = tmp_path / "results"
         assert cli_main(["ber", "--scenario", str(path), "--out", str(out)]) == 2
         assert "exactly 2" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            pytest.param(lambda row: row[:3] + ["abc"] + row[4:], id="non-numeric-tap"),
+            pytest.param(lambda row: row[:3] + ["nan"] + row[4:], id="non-finite-tap"),
+            pytest.param(lambda row: row[:-1], id="short-row"),
+            pytest.param(lambda row: [repr(float(row[0]) + 0.3)] + row[1:], id="moved-position"),
+        ],
+    )
+    def test_malformed_ensemble_row_exits_2_before_writing(self, tmp_path, capsys, corrupt):
+        from trlink.channel import synth_cavity_ensemble
+
+        ensemble = synth_cavity_ensemble(CavityParams(num_taps=8, rng_seed=4), [-2.7, -1.8])
+        export_ensemble(ensemble, tmp_path / "measured.json")
+        csv_path = tmp_path / "measured.csv"
+        lines = csv_path.read_text(encoding="utf-8").splitlines()
+        lines[2] = ",".join(corrupt(lines[2].split(",")))
+        csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        doc = scenario_dict(ensemble_file="measured.json")
+        del doc["cavity"], doc["grid_mm"]
+        scenario_path = tmp_path / "scenario.json"
+        scenario_path.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "results"
+        assert cli_main(["ber", "--scenario", str(scenario_path), "--out", str(out)]) == 2
+        assert "measured.csv line 3" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize(
+        "path, value, extra_args, field",
+        [
+            pytest.param(("bits_per_point",), "abc", [], "bits_per_point", id="bits-string"),
+            pytest.param(("bits_per_point",), True, [], "bits_per_point", id="bits-bool"),
+            pytest.param(("rsm", "threshold", "num_pilots"), "x", [], "num_pilots", id="pilots"),
+            pytest.param(("snr_grid_db",), ["a"], [], "snr_grid_db", id="snr-string"),
+            pytest.param(("snr_grid_db",), [math.nan], [], "snr_grid_db", id="snr-nan"),
+            pytest.param(("master_seed",), -5, [], "master_seed", id="seed-negative"),
+            pytest.param(None, None, ["--seed", "-1"], "master_seed", id="seed-flag-negative"),
+            pytest.param(("d_values",), [15.7], [], "d_values", id="spacing-float"),
+            pytest.param(("d_values",), [2], [], "d_values", id="spacing-overlaps"),
+            pytest.param(("trials",), 1.9, [], "trials", id="trials-float"),
+            pytest.param(("cavity", "num_taps"), 256.7, [], "num_taps", id="taps-float"),
+            pytest.param(("version",), True, [], "version", id="version-bool"),
+        ],
+    )
+    def test_malformed_scalar_exits_2_before_writing(
+        self, tmp_path, capsys, path, value, extra_args, field
+    ):
+        doc = scenario_dict()
+        if path is not None:
+            set_field(doc, path, value)
+        scenario_path = tmp_path / "scenario.json"
+        scenario_path.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "results"
+        argv = ["ber", "--scenario", str(scenario_path), "--out", str(out), *extra_args]
+        assert cli_main(argv) == 2
+        assert field in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())

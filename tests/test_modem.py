@@ -6,7 +6,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from trlink.channel import Cir
-from trlink.dsp import ComplexBasebandSignal
 from trlink.errors import ConfigurationError, DomainError
 from trlink.harness import run_ber_point
 from trlink.modem import (
@@ -55,7 +54,7 @@ def ideal_received(bits_per_antenna, spacing=7, num_taps=7):
         samples = np.zeros(length, dtype=complex)
         for l, bit in enumerate(antenna_bits):
             samples[num_taps - 1 + l * spacing] = float(bit)
-        signals.append(ComplexBasebandSignal(samples, 1.0))
+        signals.append(samples)
     windows = detection_windows(num_symbols, num_taps, spacing)
     return signals, windows
 
@@ -178,9 +177,8 @@ class TestPowerDetect:
     def test_tie_breaks_to_first_antenna(self):
         samples = np.zeros(8, dtype=complex)
         samples[3] = 1.0
-        same = ComplexBasebandSignal(samples, 1.0)
         windows = DetectionWindow(np.array([3]), half_width=1)
-        detected = power_detect([same, same], windows, RASK_CFG)
+        detected = power_detect([samples, samples], windows, RASK_CFG)
         np.testing.assert_array_equal(detected, [0])
 
     def test_erask_requires_threshold(self):
@@ -197,9 +195,7 @@ class TestPowerDetect:
         rng = np.random.default_rng(1)
         bits = rng.integers(0, 2, 64)
         received, windows = transmit(bits, RASK_CFG, orthogonal_cirs(), sigma=0.3)
-        scaled = [
-            ComplexBasebandSignal(7.3 * r.samples, r.sample_rate) for r in received
-        ]
+        scaled = [7.3 * r for r in received]
         np.testing.assert_array_equal(
             power_detect(received, windows, RASK_CFG),
             power_detect(scaled, windows, RASK_CFG),
@@ -211,10 +207,7 @@ class TestPowerDetect:
         received, windows = transmit(bits, ERASK_CFG, orthogonal_cirs(), sigma=0.2)
         threshold = 0.4
         amplitude_scale = 2.5
-        scaled = [
-            ComplexBasebandSignal(amplitude_scale * r.samples, r.sample_rate)
-            for r in received
-        ]
+        scaled = [amplitude_scale * r for r in received]
         np.testing.assert_array_equal(
             power_detect(received, windows, ERASK_CFG, threshold),
             power_detect(scaled, windows, ERASK_CFG, threshold * amplitude_scale**2),
@@ -267,7 +260,7 @@ class TestCalibrateThreshold:
             for l in range(num_pilots):
                 level = on_power if targeted[n, l] else off_power
                 samples[num_taps - 1 + l * spacing] = np.sqrt(level)
-            signals.append(ComplexBasebandSignal(samples, 1.0))
+            signals.append(samples)
         windows = detection_windows(num_pilots, num_taps, spacing)
         return signals, windows
 
@@ -291,7 +284,7 @@ class TestCalibrateThreshold:
             for l in range(num_pilots):
                 level = on[n, l] if targeted[n, l] else off[n, l]
                 samples[num_taps - 1 + l * spacing] = np.sqrt(level)
-            signals.append(ComplexBasebandSignal(samples, 1.0))
+            signals.append(samples)
         windows = detection_windows(num_pilots, num_taps, spacing)
         threshold = calibrate_threshold(signals, windows, ERASK_CFG, targeted)
         assert off.min() < threshold < on.max()
