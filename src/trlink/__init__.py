@@ -39,8 +39,6 @@ from .modem import (
 )
 from .precoding import (
     FocusingReport,
-    SymbolStream,
-    TrKernel,
     focusing_report,
     focusing_report_to_csv,
     propagate,
@@ -66,8 +64,6 @@ __all__ = [
     "Scheme",
     "SoundingConfig",
     "SpatialChannelEnsemble",
-    "SymbolStream",
-    "TrKernel",
     "TrLinkError",
     "calibrate_threshold",
     "convolve",

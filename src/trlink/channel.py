@@ -33,14 +33,37 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .dsp import convolve, make_chirp, xcorr
-from .errors import ConfigurationError, DomainError
+from .errors import (
+    ConfigurationError,
+    DomainError,
+    read_integer,
+    read_list,
+    read_number,
+    require_keys,
+)
 
 SPEED_OF_LIGHT_M_S = 299792458.0
 
 _ENSEMBLE_SCHEMA = "trlink.ensemble/1"
+_ENSEMBLE_KEYS = {
+    "schema", "num_taps", "bandwidth_hz", "carrier_freq_hz", "decay_time_s", "rng_seed",
+    "positions_mm", "csv",
+}
 
 #: Two receive positions closer than this (mm) are the same grid point.
 POSITION_TOL_MM = 1e-6
+
+
+def check_positions(values, name: str = "positions") -> np.ndarray:
+    """``values`` as a 1-D float array: at least one position, strictly increasing."""
+    positions = np.asarray(values, dtype=float)
+    if positions.ndim != 1 or positions.size < 1:
+        raise ConfigurationError(f"{name} needs at least one position")
+    if not np.all(np.diff(positions) > 0):
+        raise ConfigurationError(
+            f"{name} must be strictly increasing, got {positions.tolist()}"
+        )
+    return positions
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,11 +162,7 @@ class SpatialChannelEnsemble:
     params: CavityParams
 
     def __post_init__(self) -> None:
-        positions = np.asarray(self.positions_mm, dtype=float)
-        if positions.ndim != 1 or positions.size < 1:
-            raise DomainError("ensemble needs at least one position")
-        if positions.size > 1 and not np.all(np.diff(positions) > 0):
-            raise DomainError("positions must be strictly increasing")
+        positions = check_positions(self.positions_mm)
         if len(self.cirs) != positions.size:
             raise ConfigurationError(
                 f"{len(self.cirs)} CIRs for {positions.size} positions"
@@ -204,12 +223,7 @@ def synth_cavity_ensemble(
     deterministic function of ``(params, positions_mm)``; see the module
     docstring for the exact random-draw order.
     """
-    positions = np.asarray(positions_mm, dtype=float)
-    if positions.ndim != 1 or positions.size < 1:
-        raise DomainError("need at least one receive position")
-    if positions.size > 1 and not np.all(np.diff(positions) > 0):
-        raise DomainError("positions must be strictly increasing")
-
+    positions = check_positions(positions_mm)
     num_taps = params.num_taps
     num_pos = positions.size
     pdp = params.power_delay_profile()
@@ -323,31 +337,42 @@ def export_ensemble(ensemble: SpatialChannelEnsemble, json_path: str | Path) -> 
 
 
 def load_ensemble(json_path: str | Path) -> SpatialChannelEnsemble:
-    """Load an ensemble previously written by :func:`export_ensemble`."""
+    """Load an ensemble previously written by :func:`export_ensemble`.
+
+    Every JSON field is read strictly (integers as JSON integers, numbers
+    finite, no unknown keys); ``decay_time_s`` also accepts the
+    ``Infinity`` written for a flat power-delay profile.
+    """
     json_path = Path(json_path)
     try:
         meta = json.loads(json_path.read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise ConfigurationError(f"ensemble file not found: {json_path}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(f"ensemble JSON is invalid: {exc}") from None
-    if meta.get("schema") != _ENSEMBLE_SCHEMA:
-        raise ConfigurationError(
-            f"unsupported ensemble schema {meta.get('schema')!r} in {json_path}"
-        )
-    required = {"num_taps", "bandwidth_hz", "carrier_freq_hz", "positions_mm", "csv"}
-    missing = required - set(meta)
-    if missing:
-        raise ConfigurationError(f"ensemble JSON missing keys: {sorted(missing)}")
-
-    params = CavityParams(
-        num_taps=int(meta["num_taps"]),
-        bandwidth_hz=float(meta["bandwidth_hz"]),
-        carrier_freq_hz=float(meta["carrier_freq_hz"]),
-        decay_time_s=float(meta.get("decay_time_s", math.nan)),
-        rng_seed=int(meta.get("rng_seed", 0)),
+    except ValueError as exc:  # JSONDecodeError, or an integer literal too long to parse
+        raise ConfigurationError(f"ensemble JSON {json_path.name} is invalid: {exc}") from None
+    require_keys(
+        meta, _ENSEMBLE_KEYS, _ENSEMBLE_KEYS - {"decay_time_s", "rng_seed"},
+        f"ensemble JSON {json_path.name}",
     )
-    positions = np.asarray(meta["positions_mm"], dtype=float)
+    if meta["schema"] != _ENSEMBLE_SCHEMA:
+        raise ConfigurationError(
+            f"unsupported ensemble schema {meta['schema']!r} in {json_path}"
+        )
+    decay = meta.get("decay_time_s", math.nan)
+    if "decay_time_s" in meta and decay != math.inf:
+        decay = read_number(decay, "decay_time_s")
+    params = CavityParams(
+        num_taps=read_integer(meta["num_taps"], "num_taps"),
+        bandwidth_hz=read_number(meta["bandwidth_hz"], "bandwidth_hz"),
+        carrier_freq_hz=read_number(meta["carrier_freq_hz"], "carrier_freq_hz"),
+        decay_time_s=decay,
+        rng_seed=read_integer(meta.get("rng_seed", 0), "rng_seed"),
+    )
+    positions = check_positions(
+        read_list(meta["positions_mm"], "positions_mm", read_number), "positions_mm"
+    )
+    if not isinstance(meta["csv"], str):
+        raise ConfigurationError(f"csv must be a file name string, got {meta['csv']!r}")
 
     csv_path = json_path.parent / meta["csv"]
     if not csv_path.exists():

@@ -4,9 +4,9 @@ A signal is a plain 1-D ``complex128`` numpy array of complex-envelope
 samples at one rate, the simulated bandwidth, so no rate travels with it.
 Carrier up/down-conversion is treated as ideal, so nothing here models a
 passband. The functions here neither copy nor re-check their inputs: the
-arrays come from validated boundary objects (``Cir`` taps, ``SymbolStream``
-symbols) or from earlier steps of the pipeline; convolution and correlation
-reject only empty inputs.
+arrays come from validated boundaries (``Cir`` taps, the symbol matrix that
+``tr_precode`` checks) or from earlier steps of the pipeline; convolution
+and correlation reject only empty inputs.
 
 Convolution and correlation are full-support linear operations. They are
 computed with transform-domain fast convolution, but the contract is the

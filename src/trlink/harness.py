@@ -25,9 +25,10 @@ Scenario JSON schema (version 1)::
       "cavity": {"num_taps": .., "bandwidth_hz": .., "carrier_freq_hz": ..,
                  "decay_time_s": .. (optional)},
       "grid_mm": {"start": .., "stop": .., "step": ..}   # or "positions_mm": [..]
+                                                         #   (strictly increasing)
                                                          # or "ensemble_file": "path"
       "targets_mm": [..],                # receive-antenna positions, on the grid
-      "rsm": {"scheme": "rask"|"erask"|"both", "num_rx": 2,
+      "rsm": {"scheme": "rask"|"erask"|"both", "num_rx": 2,   # RASK needs num_rx 2
               "threshold": {"policy": "fixed", "value": ..} |
                            {"policy": "pilot", "num_pilots": ..} (optional)},
       "d_values": [..],                  # pulse spacings in taps, each >= 3
@@ -64,14 +65,23 @@ from .channel import (
     Cir,
     SoundingConfig,
     SpatialChannelEnsemble,
+    check_positions,
     load_ensemble,
     sound_cir,
     sounding_chirp,
     synth_cavity_ensemble,
 )
-from .errors import ConfigurationError, DomainError
+from .errors import (
+    ConfigurationError,
+    DomainError,
+    read_integer,
+    read_list,
+    read_number,
+    require_keys,
+)
 from .modem import (
     WINDOW_HALF_WIDTH,
+    DetectionWindow,
     FixedThreshold,
     PilotThreshold,
     RsmConfig,
@@ -84,7 +94,6 @@ from .modem import (
 )
 from .precoding import (
     FocusingReport,
-    SymbolStream,
     focusing_report,
     focusing_report_to_csv,
     propagate,
@@ -165,20 +174,22 @@ class Scenario:
     imported_ensemble: SpatialChannelEnsemble | None = None
 
     def __post_init__(self) -> None:
-        positions = np.asarray(self.positions_mm, dtype=float)
-        if positions.ndim != 1 or positions.size < 1:
-            raise ConfigurationError("scenario needs at least one grid position")
+        positions = check_positions(self.positions_mm, "positions_mm")
         if len(set(self.target_indices)) != len(self.target_indices):
             raise ConfigurationError("targets must be distinct")
         for idx in self.target_indices:
             if not 0 <= idx < positions.size:
                 raise ConfigurationError(f"target index {idx} is off the grid")
+        if not self.schemes:
+            raise ConfigurationError("scenario needs at least one scheme")
+        if Scheme.RASK in self.schemes and self.rsm.num_rx != 2:
+            raise ConfigurationError(
+                f"RASK needs exactly 2 receive antennas, got num_rx={self.rsm.num_rx}"
+            )
         if len(self.target_indices) != self.rsm.num_rx:
             raise ConfigurationError(
                 f"{len(self.target_indices)} targets for num_rx={self.rsm.num_rx}"
             )
-        if not self.schemes:
-            raise ConfigurationError("scenario needs at least one scheme")
         if Scheme.ERASK in self.schemes and self.rsm.threshold_policy is None:
             raise ConfigurationError("ERASK runs need a threshold policy")
         min_spacing = 2 * WINDOW_HALF_WIDTH + 1
@@ -212,52 +223,16 @@ class Scenario:
         return synth_cavity_ensemble(params, self.positions_mm)
 
 
-def _require_keys(obj: dict, allowed: set[str], required: set[str], where: str) -> None:
-    if not isinstance(obj, dict):
-        raise ConfigurationError(f"{where} must be an object, got {obj!r}")
-    unknown = set(obj) - allowed
-    if unknown:
-        raise ConfigurationError(f"unknown keys in {where}: {sorted(unknown)}")
-    missing = required - set(obj)
-    if missing:
-        raise ConfigurationError(f"missing keys in {where}: {sorted(missing)}")
-
-
-def _integer(value, name: str) -> int:
-    """A JSON integer. Booleans and floats such as ``15.7`` are rejected, not coerced."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
-    return value
-
-
-def _number(value, name: str) -> float:
-    """A finite JSON number. Booleans, strings, NaN and infinities are rejected."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        try:
-            if math.isfinite(value):
-                return float(value)
-        except OverflowError:  # an integer beyond the float range
-            pass
-    raise ConfigurationError(f"{name} must be a finite number, got {value!r}")
-
-
-def _list(value, name: str, read: Callable) -> list:
-    """A JSON list whose items each pass ``read``."""
-    if not isinstance(value, list):
-        raise ConfigurationError(f"{name} must be a list, got {value!r}")
-    return [read(item, f"{name}[{i}]") for i, item in enumerate(value)]
-
-
 def _parse_threshold(obj) -> FixedThreshold | PilotThreshold:
     if not isinstance(obj, dict) or "policy" not in obj:
         raise ConfigurationError("rsm.threshold must be an object with a 'policy'")
     policy = obj["policy"]
     if policy == "fixed":
-        _require_keys(obj, {"policy", "value"}, {"policy", "value"}, "rsm.threshold")
-        return FixedThreshold(_number(obj["value"], "rsm.threshold.value"))
+        require_keys(obj, {"policy", "value"}, {"policy", "value"}, "rsm.threshold")
+        return FixedThreshold(read_number(obj["value"], "rsm.threshold.value"))
     if policy == "pilot":
-        _require_keys(obj, {"policy", "num_pilots"}, {"policy"}, "rsm.threshold")
-        return PilotThreshold(_integer(obj.get("num_pilots", 32), "rsm.threshold.num_pilots"))
+        require_keys(obj, {"policy", "num_pilots"}, {"policy"}, "rsm.threshold")
+        return PilotThreshold(read_integer(obj.get("num_pilots", 32), "rsm.threshold.num_pilots"))
     raise ConfigurationError(f"unknown threshold policy {policy!r}")
 
 
@@ -278,14 +253,14 @@ def scenario_from_dict(data: dict, base_dir: Path | None = None) -> Scenario:
         "sounding",
         "master_seed",
     }
-    _require_keys(
+    require_keys(
         data,
         top_allowed,
         {"version", "targets_mm", "rsm", "d_values", "snr_grid_db",
          "bits_per_point", "trials", "sounding", "master_seed"},
         "scenario",
     )
-    if _integer(data["version"], "version") != 1:
+    if read_integer(data["version"], "version") != 1:
         raise ConfigurationError(f"unsupported scenario version {data['version']!r}")
 
     grid_keys = [k for k in ("grid_mm", "positions_mm", "ensemble_file") if k in data]
@@ -312,35 +287,35 @@ def scenario_from_dict(data: dict, base_dir: Path | None = None) -> Scenario:
         if "cavity" not in data:
             raise ConfigurationError("missing keys in scenario: ['cavity']")
         cav = data["cavity"]
-        _require_keys(
+        require_keys(
             cav,
             {"num_taps", "bandwidth_hz", "carrier_freq_hz", "decay_time_s"},
             {"num_taps", "bandwidth_hz", "carrier_freq_hz"},
             "cavity",
         )
         cavity = CavityParams(
-            num_taps=_integer(cav["num_taps"], "cavity.num_taps"),
-            bandwidth_hz=_number(cav["bandwidth_hz"], "cavity.bandwidth_hz"),
-            carrier_freq_hz=_number(cav["carrier_freq_hz"], "cavity.carrier_freq_hz"),
+            num_taps=read_integer(cav["num_taps"], "cavity.num_taps"),
+            bandwidth_hz=read_number(cav["bandwidth_hz"], "cavity.bandwidth_hz"),
+            carrier_freq_hz=read_number(cav["carrier_freq_hz"], "cavity.carrier_freq_hz"),
             decay_time_s=(
-                _number(cav["decay_time_s"], "cavity.decay_time_s")
+                read_number(cav["decay_time_s"], "cavity.decay_time_s")
                 if "decay_time_s" in cav
                 else math.nan
             ),
         )
         if "grid_mm" in data:
             grid = data["grid_mm"]
-            _require_keys(grid, {"start", "stop", "step"}, {"start", "stop", "step"}, "grid_mm")
+            require_keys(grid, {"start", "stop", "step"}, {"start", "stop", "step"}, "grid_mm")
             positions = grid_positions(
-                *(_number(grid[k], f"grid_mm.{k}") for k in ("start", "stop", "step"))
+                *(read_number(grid[k], f"grid_mm.{k}") for k in ("start", "stop", "step"))
             )
         else:
             positions = np.asarray(
-                _list(data["positions_mm"], "positions_mm", _number), dtype=float
+                read_list(data["positions_mm"], "positions_mm", read_number), dtype=float
             )
 
     rsm_obj = data["rsm"]
-    _require_keys(rsm_obj, {"scheme", "num_rx", "threshold"}, {"scheme"}, "rsm")
+    require_keys(rsm_obj, {"scheme", "num_rx", "threshold"}, {"scheme"}, "rsm")
     scheme_name = str(rsm_obj["scheme"]).lower()
     if scheme_name == "both":
         schemes = (Scheme.RASK, Scheme.ERASK)
@@ -351,13 +326,12 @@ def scenario_from_dict(data: dict, base_dir: Path | None = None) -> Scenario:
             raise ConfigurationError(f"unknown rsm scheme {rsm_obj['scheme']!r}") from None
     threshold = _parse_threshold(rsm_obj["threshold"]) if "threshold" in rsm_obj else None
     rsm = RsmConfig(
-        scheme=schemes[0],
-        num_rx=_integer(rsm_obj.get("num_rx", 2), "rsm.num_rx"),
+        num_rx=read_integer(rsm_obj.get("num_rx", 2), "rsm.num_rx"),
         threshold_policy=threshold,
     )
 
     target_indices = []
-    for target_mm in _list(data["targets_mm"], "targets_mm", _number):
+    for target_mm in read_list(data["targets_mm"], "targets_mm", read_number):
         deltas = np.abs(positions - target_mm)
         idx = int(np.argmin(deltas))
         if deltas[idx] > POSITION_TOL_MM:
@@ -370,11 +344,11 @@ def scenario_from_dict(data: dict, base_dir: Path | None = None) -> Scenario:
     if sounding_obj == "genie":
         sounding = None
     elif isinstance(sounding_obj, dict):
-        _require_keys(sounding_obj, {"duration_s", "snr_db"}, {"duration_s"}, "sounding")
+        require_keys(sounding_obj, {"duration_s", "snr_db"}, {"duration_s"}, "sounding")
         snr = sounding_obj.get("snr_db")
         sounding = SoundingConfig(
-            duration_s=_number(sounding_obj["duration_s"], "sounding.duration_s"),
-            probe_snr_db=math.inf if snr is None else _number(snr, "sounding.snr_db"),
+            duration_s=read_number(sounding_obj["duration_s"], "sounding.duration_s"),
+            probe_snr_db=math.inf if snr is None else read_number(snr, "sounding.snr_db"),
         )
     else:
         raise ConfigurationError("sounding must be \"genie\" or an object")
@@ -385,12 +359,12 @@ def scenario_from_dict(data: dict, base_dir: Path | None = None) -> Scenario:
         target_indices=tuple(target_indices),
         rsm=rsm,
         schemes=schemes,
-        d_values=tuple(_list(data["d_values"], "d_values", _integer)),
-        snr_grid_db=tuple(_list(data["snr_grid_db"], "snr_grid_db", _number)),
-        bits_per_point=_integer(data["bits_per_point"], "bits_per_point"),
-        trials=_integer(data["trials"], "trials"),
+        d_values=tuple(read_list(data["d_values"], "d_values", read_integer)),
+        snr_grid_db=tuple(read_list(data["snr_grid_db"], "snr_grid_db", read_number)),
+        bits_per_point=read_integer(data["bits_per_point"], "bits_per_point"),
+        trials=read_integer(data["trials"], "trials"),
         sounding=sounding,
-        master_seed=_integer(data["master_seed"], "master_seed"),
+        master_seed=read_integer(data["master_seed"], "master_seed"),
         imported_ensemble=imported,
     )
 
@@ -433,31 +407,44 @@ def _pilot_targets(num_rx: int, num_pilots: int) -> np.ndarray:
     return np.stack([(combos >> n) & 1 for n in range(num_rx)]).astype(bool)
 
 
+def _receive(
+    symbols: np.ndarray,
+    true_cirs: list[Cir],
+    known_cirs: list[Cir],
+    spacing: int,
+    sigma: float,
+    seed_path: list[int],
+) -> tuple[list[np.ndarray], DetectionWindow]:
+    """Precode toward the known CIRs and receive through the true ones.
+
+    Receiver ``n``'s noise is seeded by ``[*seed_path, n]``.
+    """
+    waveform = tr_precode(symbols, known_cirs, spacing)
+    received = [
+        propagate(waveform, true_cirs[n], sigma, rng_seed=[*seed_path, n])
+        for n in range(len(symbols))
+    ]
+    windows = detection_windows(symbols.shape[1], known_cirs[0].num_taps, spacing)
+    return received, windows
+
+
 def _erask_threshold(
-    cfg: RsmConfig,
+    policy: FixedThreshold | PilotThreshold | None,
     spacing: int,
     true_cirs: list[Cir],
     known_cirs: list[Cir],
     sigma: float,
     cell_seed: int,
 ) -> float:
-    policy = cfg.threshold_policy
     if policy is None:
         raise ConfigurationError("ERASK runs need a threshold policy")
     if isinstance(policy, FixedThreshold):
         return policy.value
-    targeted = _pilot_targets(cfg.num_rx, policy.num_pilots)
-    streams = [
-        SymbolStream(targeted[n].astype(np.complex128), spacing)
-        for n in range(cfg.num_rx)
-    ]
-    waveform = tr_precode(streams, known_cirs)
-    received = [
-        propagate(waveform, true_cirs[n], sigma, rng_seed=[cell_seed, 2, n])
-        for n in range(cfg.num_rx)
-    ]
-    windows = detection_windows(policy.num_pilots, known_cirs[0].num_taps, spacing)
-    return calibrate_threshold(received, windows, cfg, targeted)
+    targeted = _pilot_targets(len(known_cirs), policy.num_pilots)
+    received, windows = _receive(
+        targeted, true_cirs, known_cirs, spacing, sigma, [cell_seed, 2]
+    )
+    return calibrate_threshold(received, windows, targeted)
 
 
 def run_ber_point(
@@ -474,29 +461,25 @@ def run_ber_point(
 
     For ERASK the payload is rounded up to a whole number of symbols.
     """
-    cfg = replace(rsm, scheme=scheme)
     rng_bits = np.random.default_rng([cell_seed, 0])
     if scheme is Scheme.RASK:
         bits = rng_bits.integers(0, 2, num_bits)
+        symbols = rask_modulate(bits)
     else:
-        num_symbols = -(-num_bits // cfg.num_rx)
-        bits = rng_bits.integers(0, 2, num_symbols * cfg.num_rx)
+        num_symbols = -(-num_bits // rsm.num_rx)
+        bits = rng_bits.integers(0, 2, num_symbols * rsm.num_rx)
+        symbols = erask_modulate(bits, rsm.num_rx)
 
-    modulate = rask_modulate if scheme is Scheme.RASK else erask_modulate
-    streams = modulate(bits, cfg, spacing)
-    waveform = tr_precode(streams, known_cirs)
     sigma = 10.0 ** (-snr_db / 20.0)
-    received = [
-        propagate(waveform, true_cirs[n], sigma, rng_seed=[cell_seed, 1, n])
-        for n in range(cfg.num_rx)
-    ]
-    num_symbols = len(streams[0])
-    windows = detection_windows(num_symbols, known_cirs[0].num_taps, spacing)
-
+    received, windows = _receive(
+        symbols, true_cirs, known_cirs, spacing, sigma, [cell_seed, 1]
+    )
     threshold = None
     if scheme is Scheme.ERASK:
-        threshold = _erask_threshold(cfg, spacing, true_cirs, known_cirs, sigma, cell_seed)
-    detected = power_detect(received, windows, cfg, threshold)
+        threshold = _erask_threshold(
+            rsm.threshold_policy, spacing, true_cirs, known_cirs, sigma, cell_seed
+        )
+    detected = power_detect(received, windows, scheme, threshold)
     errors = int(np.sum(detected != bits))
     return bits.size, errors
 

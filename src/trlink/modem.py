@@ -9,6 +9,10 @@ Two antenna-index keying schemes over the time-reversal link:
   per symbol; detection compares each antenna's windowed power against a
   threshold.
 
+The modulators return the ``(N, M)`` antenna-by-symbol amplitude matrix
+that :func:`trlink.precoding.tr_precode` takes; the pulse spacing travels
+beside it, not in it.
+
 The receiver is non-coherent: only magnitudes inside small windows around
 the expected focusing peaks are used, so no phase reference or inter-antenna
 synchronisation is required.
@@ -22,7 +26,6 @@ from enum import Enum
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
-from .precoding import SymbolStream
 
 
 #: Taps on each side of a focusing peak that the power detector reads.
@@ -54,24 +57,14 @@ class PilotThreshold:
 
 @dataclass(frozen=True)
 class RsmConfig:
-    """Scheme, antenna count, and threshold policy."""
+    """Antenna count and threshold policy; the scheme is passed per run."""
 
-    scheme: Scheme
     num_rx: int = 2
     threshold_policy: FixedThreshold | PilotThreshold | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "scheme", Scheme(self.scheme))
-        if self.scheme is Scheme.RASK and self.num_rx != 2:
-            raise ConfigurationError(
-                f"RASK needs exactly 2 receive antennas, got num_rx={self.num_rx}"
-            )
         if self.num_rx < 1:
             raise ConfigurationError(f"num_rx must be >= 1, got {self.num_rx}")
-
-    @property
-    def bits_per_symbol(self) -> int:
-        return 1 if self.scheme is Scheme.RASK else self.num_rx
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,38 +111,22 @@ def _as_bit_array(bits) -> np.ndarray:
     return arr
 
 
-def rask_modulate(bits, cfg: RsmConfig, spacing: int) -> list[SymbolStream]:
-    """One stream per antenna; bit 0 pulses antenna 0, bit 1 pulses antenna 1.
-
-    ``spacing`` is the pulse spacing in taps.
-    """
-    if cfg.scheme is not Scheme.RASK:
-        raise ConfigurationError("rask_modulate requires an RASK config")
+def rask_modulate(bits) -> np.ndarray:
+    """``(2, M)`` amplitudes, one symbol per bit: bit ``b`` pulses antenna ``b``."""
     arr = _as_bit_array(bits)
-    streams = []
-    for antenna in range(cfg.num_rx):
-        amplitudes = (arr == antenna).astype(np.complex128)
-        streams.append(SymbolStream(amplitudes, spacing))
-    return streams
+    return np.stack([arr == 0, arr == 1]).astype(np.complex128)
 
 
-def erask_modulate(bits, cfg: RsmConfig, spacing: int) -> list[SymbolStream]:
-    """Groups of ``num_rx`` bits per symbol; bit ``n`` gates antenna ``n``.
-
-    ``spacing`` is the pulse spacing in taps.
-    """
-    if cfg.scheme is not Scheme.ERASK:
-        raise ConfigurationError("erask_modulate requires an ERASK config")
+def erask_modulate(bits, num_rx: int) -> np.ndarray:
+    """``(num_rx, M)`` amplitudes: ``num_rx`` bits per symbol, bit ``n`` gates antenna ``n``."""
+    if num_rx < 1:
+        raise ConfigurationError(f"num_rx must be >= 1, got {num_rx}")
     arr = _as_bit_array(bits)
-    if arr.size % cfg.num_rx != 0:
+    if arr.size % num_rx != 0:
         raise DomainError(
-            f"bit count {arr.size} is not a multiple of num_rx={cfg.num_rx} (framing)"
+            f"bit count {arr.size} is not a multiple of num_rx={num_rx} (framing)"
         )
-    grouped = arr.reshape(-1, cfg.num_rx)
-    return [
-        SymbolStream(grouped[:, antenna].astype(np.complex128), spacing)
-        for antenna in range(cfg.num_rx)
-    ]
+    return arr.reshape(-1, num_rx).T.astype(np.complex128)
 
 
 def window_peak_powers(
@@ -175,22 +152,24 @@ def window_peak_powers(
 def power_detect(
     received: list[np.ndarray],
     windows: DetectionWindow,
-    cfg: RsmConfig,
+    scheme: Scheme,
     threshold: float | None = None,
 ) -> np.ndarray:
     """Non-coherent detection of the transmitted bits.
 
-    RASK returns one bit per symbol, the index of the strongest antenna
-    (ties break to the lowest index, i.e. bit 0). ERASK returns ``num_rx``
-    bits per symbol, antenna-major within each symbol, set where the
-    windowed power reaches the threshold.
+    RASK needs exactly 2 received signals and returns one bit per symbol,
+    the index of the strongest antenna (ties break to the lowest index,
+    i.e. bit 0). ERASK returns one bit per received signal per symbol,
+    antenna-major within each symbol, set where the windowed power reaches
+    the threshold.
     """
-    if len(received) != cfg.num_rx:
+    rask = Scheme(scheme) is Scheme.RASK
+    if rask and len(received) != 2:
         raise ConfigurationError(
-            f"{len(received)} received signals for num_rx={cfg.num_rx}"
+            f"RASK needs exactly 2 received signals, got {len(received)}"
         )
     powers = window_peak_powers(received, windows)
-    if cfg.scheme is Scheme.RASK:
+    if rask:
         return np.argmax(powers, axis=0).astype(np.int64)
     if threshold is None:
         raise ConfigurationError("ERASK detection requires a threshold")
@@ -201,7 +180,6 @@ def power_detect(
 def calibrate_threshold(
     pilot_received: list[np.ndarray],
     windows: DetectionWindow,
-    cfg: RsmConfig,
     targeted: np.ndarray,
 ) -> float:
     """Midpoint between the targeted and untargeted pilot power class means.

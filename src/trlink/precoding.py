@@ -1,12 +1,18 @@
 """Time-reversal precoding, propagation, and spatiotemporal focusing analysis.
 
-A single-antenna transmitter serves ``N`` receive positions. For each user
-the emission is the conjugated, time-reversed impulse response toward that
+A single-antenna transmitter serves ``N`` receive positions. The data are
+one ``(N, M)`` complex amplitude matrix ``x`` (row ``i`` is user ``i``,
+column ``l`` is symbol slot ``l``; an untargeted slot is a zero) and one
+pulse spacing ``D`` in taps, shared by all users. For each user the
+emission is the conjugated, time-reversed impulse response toward that
 user, scaled so every unit-amplitude data pulse carries unit emitted energy:
 
-    s[k] = sum_i sum_l x_i[l] * conj(h_i)[L-1 - (k - l*D)] / sqrt(E_i)
+    s[k] = sum_i sum_l x[i, l] * conj(h_i)[L-1 - (k - l*D)] / sqrt(E_i)
 
-with ``E_i = sum_l |h_i[l]|^2`` and ``D`` taps between consecutive pulses.
+with ``E_i = sum_l |h_i[l]|^2``. :func:`tr_precode` is where the matrix
+enters: it checks its shape against the channel list, the spacing, and that
+every amplitude is finite.
+
 After propagating through channel ``h_j`` the multipath echoes recombine: a
 single unit pulse toward user ``i`` arrives at position ``j`` as the
 cross-correlation of ``h_j`` with ``h_i`` (normalised by ``sqrt(E_i)``),
@@ -32,55 +38,15 @@ from .dsp import convolve, xcorr
 from .errors import ConfigurationError, DomainError
 
 
-@dataclass(frozen=True, eq=False)
-class SymbolStream:
-    """Data pulses for one user: complex amplitudes, one per symbol slot.
+def tr_kernel(h_j: Cir, h_i: Cir) -> np.ndarray:
+    """Correlation kernel of ``h_j`` against the precoding target ``h_i``.
 
-    ``spacing`` is the number of channel taps between consecutive pulses;
-    the symbol duration is ``spacing / B`` seconds. An untargeted slot is a
-    zero amplitude; an empty stream is legal.
-    """
-
-    symbols: np.ndarray
-    spacing: int
-
-    def __post_init__(self) -> None:
-        symbols = np.asarray(self.symbols, dtype=np.complex128)
-        if symbols.ndim != 1:
-            raise DomainError("symbols must be a 1-D sequence")
-        if symbols.size and not np.all(np.isfinite(symbols)):
-            raise DomainError("symbols must be finite")
-        if int(self.spacing) < 1:
-            raise ConfigurationError(f"pulse spacing must be >= 1 tap, got {self.spacing}")
-        symbols = symbols.copy()
-        symbols.flags.writeable = False
-        object.__setattr__(self, "symbols", symbols)
-        object.__setattr__(self, "spacing", int(self.spacing))
-
-    def __len__(self) -> int:
-        return self.symbols.size
-
-
-@dataclass(frozen=True, eq=False)
-class TrKernel:
-    """Cross-correlation kernel between two impulse responses.
-
-    ``values`` spans all lags ``-(L-1) .. L-1`` with lag 0 at index
-    ``L - 1``; entry ``values[lag0_index + m]`` is
+    The kernel spans all lags ``-(L-1) .. L-1`` with lag 0 at index
+    ``L - 1``; entry ``L - 1 + m`` is
     ``sum_k conj(h_i[k - m]) * h_j[k] / sqrt(E_i)``. For the
     autocorrelation case the lag-0 value is ``sqrt(E_i)``, real and
     positive, and dominates every other lag in magnitude.
     """
-
-    values: np.ndarray
-
-    @property
-    def lag0_index(self) -> int:
-        return (self.values.size - 1) // 2
-
-
-def tr_kernel(h_j: Cir, h_i: Cir) -> TrKernel:
-    """Correlation kernel of ``h_j`` against the precoding target ``h_i``."""
     if h_j.num_taps != h_i.num_taps:
         raise ConfigurationError(
             f"kernel CIRs must share length ({h_j.num_taps} vs {h_i.num_taps})"
@@ -90,49 +56,54 @@ def tr_kernel(h_j: Cir, h_i: Cir) -> TrKernel:
     energy = h_i.energy
     if energy <= 0.0:
         raise DomainError("precoding target CIR has zero energy")
-    return TrKernel(xcorr(h_i.taps, h_j.taps) / math.sqrt(energy))
+    return xcorr(h_i.taps, h_j.taps) / math.sqrt(energy)
 
 
-def tr_precode(streams: list[SymbolStream], cirs: list[Cir]) -> np.ndarray:
+def tr_precode(symbols: np.ndarray, cirs: list[Cir], spacing: int) -> np.ndarray:
     """Assemble the multi-user time-reversal emission.
 
-    Each user's pulse train is upsampled by the shared pulse spacing and
-    convolved with that user's conjugated, time-reversed response, scaled by
+    ``symbols`` is the ``(N, M)`` amplitude matrix: row ``i`` holds user
+    ``i``'s pulse amplitudes, one per symbol slot, and ``cirs[i]`` is the
+    channel toward that user. Each row is upsampled by ``spacing`` taps and
+    convolved with the user's conjugated, time-reversed response, scaled by
     ``1/sqrt(E_i)``; the users' contributions are summed. Pulse ``l`` of any
-    user focuses at received index ``L - 1 + l*spacing``.
+    user focuses at received index ``L - 1 + l*spacing``. ``M == 0`` gives
+    an empty emission.
     """
-    if len(streams) != len(cirs):
-        raise ConfigurationError(
-            f"{len(streams)} symbol streams for {len(cirs)} CIRs"
-        )
-    if not streams:
+    symbols = np.asarray(symbols, dtype=np.complex128)
+    if symbols.ndim != 2:
+        raise DomainError(f"symbols must be an (N, M) matrix, got shape {symbols.shape}")
+    if symbols.shape[0] != len(cirs):
+        raise ConfigurationError(f"{symbols.shape[0]} symbol rows for {len(cirs)} CIRs")
+    if not cirs:
         raise ConfigurationError("need at least one user")
-    spacings = {s.spacing for s in streams}
-    if len(spacings) != 1:
-        raise ConfigurationError(f"users must share the pulse spacing, got {sorted(spacings)}")
-    spacing = spacings.pop()
+    if spacing < 1:
+        raise ConfigurationError(f"pulse spacing must be >= 1 tap, got {spacing}")
+    if not np.all(np.isfinite(symbols)):
+        raise DomainError("symbols must be finite")
     lengths = {c.num_taps for c in cirs}
     taps_spacings = {c.tap_spacing for c in cirs}
     if len(lengths) != 1 or len(taps_spacings) != 1:
         raise ConfigurationError("users must share CIR length and tap spacing")
 
+    num_symbols = symbols.shape[1]
+    # One fresh train and one convolution per user, then one sum: reusing a
+    # train buffer or preallocating the sum measured slower (page faults).
     contributions: list[np.ndarray] = []
-    for stream, cir in zip(streams, cirs):
+    for row, cir in zip(symbols, cirs):
         energy = cir.energy
         if energy <= 0.0:
             raise DomainError("cannot precode toward a zero-energy CIR")
-        if len(stream) == 0:
-            contributions.append(np.zeros(0, dtype=np.complex128))
+        if num_symbols == 0:
             continue
-        train = np.zeros((len(stream) - 1) * spacing + 1, dtype=np.complex128)
-        train[::spacing] = stream.symbols
+        train = np.zeros((num_symbols - 1) * spacing + 1, dtype=np.complex128)
+        train[::spacing] = row
         flipped = np.conj(cir.taps[::-1]) / math.sqrt(energy)
         contributions.append(convolve(train, flipped))
 
-    total_len = max((c.size for c in contributions), default=0)
-    combined = np.zeros(total_len, dtype=np.complex128)
+    combined = np.zeros(contributions[0].size if contributions else 0, dtype=np.complex128)
     for part in contributions:
-        combined[: part.size] += part
+        combined += part
     return combined
 
 
@@ -245,13 +216,14 @@ def focusing_report(
     other_index: int | None,
     spacing: int,
 ) -> FocusingReport:
-    """Precode unit pulses, propagate noiselessly everywhere, and measure.
+    """Precode unit pulses, propagate noiselessly, and measure.
 
     One unit-amplitude pulse is precoded per user (the target alone, or the
     target plus one interfering user), each normalised by its own channel
     energy so the intended received peak powers are statistically identical.
-    The emission is received at every ensemble position and the focusing /
-    interference metrics described on :class:`FocusingReport` are extracted.
+    The target's emission is received at every ensemble position, the
+    interferer's at the target only, and the focusing / interference metrics
+    described on :class:`FocusingReport` are extracted.
     """
     num_positions = len(ensemble)
     if not 0 <= target_index < num_positions:
@@ -263,18 +235,9 @@ def focusing_report(
     if spacing < 1:
         raise ConfigurationError(f"pulse spacing must be >= 1, got {spacing}")
 
-    user_indices = [target_index] + ([other_index] if other_index is not None else [])
-    pulse = np.ones(1, dtype=np.complex128)
-    waveforms = [
-        tr_precode([SymbolStream(pulse, spacing)], [ensemble.cirs[u]])
-        for u in user_indices
-    ]
-
-    fields = [
-        np.stack([propagate(w, ensemble.cirs[p], 0.0) for p in range(num_positions)])
-        for w in waveforms
-    ]
-    own = fields[0]
+    pulse = np.ones((1, 1))
+    own_waveform = tr_precode(pulse, [ensemble.cirs[target_index]], spacing)
+    own = np.stack([propagate(own_waveform, cir, 0.0) for cir in ensemble.cirs])
     own_at_target = own[target_index]
 
     peak_lag = int(np.argmax(np.abs(own_at_target)))
@@ -306,7 +269,8 @@ def focusing_report(
 
     slots = _slot_indices(peak_lag, spacing, magnitude.size)
     if other_index is not None:
-        other_at_target = fields[1][target_index]
+        other_waveform = tr_precode(pulse, [ensemble.cirs[other_index]], spacing)
+        other_at_target = propagate(other_waveform, ensemble.cirs[target_index], 0.0)
         total_at_target = own_at_target + other_at_target
         iui_power = float(np.abs(other_at_target[peak_lag]) ** 2)
         isi_other = float(np.sum(np.abs(other_at_target[slots]) ** 2))

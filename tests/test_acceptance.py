@@ -19,9 +19,9 @@ from trlink.channel import CavityParams, SoundingConfig, sound_cir, sounding_chi
 from trlink.cli import main as cli_main
 from trlink.dsp import convolve, xcorr
 from trlink.harness import grid_positions, load_scenario, run_ber_sweep
-from trlink.precoding import SymbolStream, focusing_report, propagate, tr_kernel, tr_precode
+from trlink.precoding import focusing_report, propagate, tr_kernel, tr_precode
 
-UNIT_PULSE = np.ones(1, dtype=complex)
+UNIT_PULSE = np.ones((1, 1), dtype=complex)
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 
 
@@ -41,7 +41,7 @@ def test_criterion_1_unit_pulse_energy_normalisation():
     worst = 0.0
     for seed in range(1000):
         cir = _ensemble_cir(seed)
-        waveform = tr_precode([SymbolStream(UNIT_PULSE, 15)], [cir])
+        waveform = tr_precode(UNIT_PULSE, [cir], 15)
         worst = max(worst, abs(float(np.sum(np.abs(waveform) ** 2)) - 1.0))
     elapsed = time.monotonic() - start
     ok = worst <= 1e-9 and elapsed < 10.0
@@ -55,7 +55,7 @@ def test_criterion_2_matched_peak_law():
     aligned = True
     for seed in range(1000):
         cir = _ensemble_cir(seed)
-        waveform = tr_precode([SymbolStream(UNIT_PULSE, 15)], [cir])
+        waveform = tr_precode(UNIT_PULSE, [cir], 15)
         received = propagate(waveform, cir, 0.0)
         peak_idx = int(np.argmax(np.abs(received)))
         aligned &= peak_idx == cir.num_taps - 1
@@ -75,20 +75,17 @@ def test_criterion_3_received_field_equals_kernel_expansion():
         ensemble = synth_cavity_ensemble(params, [-0.45, 0.45])
         cirs = list(ensemble.cirs)
         rng = np.random.default_rng(10_000 + seed)
-        streams = [
-            SymbolStream(
-                rng.standard_normal(num_symbols) + 1j * rng.standard_normal(num_symbols),
-                spacing,
-            )
+        symbols = np.stack([
+            rng.standard_normal(num_symbols) + 1j * rng.standard_normal(num_symbols)
             for _ in range(2)
-        ]
-        waveform = tr_precode(streams, cirs)
+        ])
+        waveform = tr_precode(symbols, cirs, spacing)
         for j in range(2):
             received = propagate(waveform, cirs[j], 0.0)
             expansion = np.zeros_like(received)
             for i in range(2):
-                kernel = tr_kernel(cirs[j], cirs[i]).values
-                for l, amplitude in enumerate(streams[i].symbols):
+                kernel = tr_kernel(cirs[j], cirs[i])
+                for l, amplitude in enumerate(symbols[i]):
                     expansion[l * spacing : l * spacing + kernel.size] += amplitude * kernel
             scale = np.max(np.abs(received))
             worst = max(worst, float(np.max(np.abs(received - expansion)) / scale))

@@ -72,9 +72,9 @@ class TestEnsembleSynthesis:
 
     def test_rejects_non_increasing_positions(self):
         params = CavityParams(num_taps=4)
-        with pytest.raises(DomainError):
+        with pytest.raises(ConfigurationError, match="strictly increasing"):
             synth_cavity_ensemble(params, [0.0, 0.0])
-        with pytest.raises(DomainError):
+        with pytest.raises(ConfigurationError, match="strictly increasing"):
             synth_cavity_ensemble(params, [1.0, -1.0])
 
     def test_flat_profile_when_decay_is_infinite(self):
@@ -200,15 +200,18 @@ class TestSounding:
 
 class TestEnsembleExportImport:
     def test_round_trip_is_bit_exact(self, tmp_path):
-        params = CavityParams(num_taps=12, rng_seed=9)
-        ensemble = synth_cavity_ensemble(params, [-0.3, 0.0, 0.3])
-        json_path = tmp_path / "ensemble.json"
-        export_ensemble(ensemble, json_path)
-        loaded = load_ensemble(json_path)
-        assert np.array_equal(loaded.positions_mm, ensemble.positions_mm)
-        assert loaded.params == ensemble.params
-        for x, y in zip(loaded.cirs, ensemble.cirs):
-            assert np.array_equal(x.taps, y.taps)
+        # decay_time_s=inf is written as the JSON literal Infinity
+        for k, decay in enumerate((math.nan, math.inf)):
+            params = CavityParams(num_taps=12, rng_seed=9, decay_time_s=decay)
+            ensemble = synth_cavity_ensemble(params, [-0.3, 0.0, 0.3])
+            json_path = tmp_path / f"ensemble{k}.json"
+            export_ensemble(ensemble, json_path)
+            loaded = load_ensemble(json_path)
+            assert np.array_equal(loaded.positions_mm, ensemble.positions_mm)
+            assert loaded.params == ensemble.params
+            for x, y in zip(loaded.cirs, ensemble.cirs):
+                assert np.array_equal(x.taps, y.taps)
+        assert "Infinity" in json_path.read_text(encoding="utf-8")
 
     def test_missing_file_is_configuration_error(self, tmp_path):
         with pytest.raises(ConfigurationError):

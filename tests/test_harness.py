@@ -312,7 +312,7 @@ class TestFocusingExperiment:
             cavity=CavityParams(num_taps=32),
             positions_mm=np.array([0.0]),
             target_indices=(0,),
-            rsm=RsmConfig(Scheme.ERASK, num_rx=1, threshold_policy=PilotThreshold(8)),
+            rsm=RsmConfig(num_rx=1, threshold_policy=PilotThreshold(8)),
             schemes=(Scheme.ERASK,),
             d_values=(15,),
             snr_grid_db=(10.0,),
@@ -457,6 +457,65 @@ class TestCli:
         out = tmp_path / "results"
         assert cli_main(["ber", "--scenario", str(scenario_path), "--out", str(out)]) == 2
         assert "measured.csv line 3" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize(
+        "edit, field",
+        [
+            pytest.param(lambda doc: {**doc, "num_taps": "abc"}, "num_taps", id="taps-string"),
+            pytest.param(lambda doc: {**doc, "num_taps": 8.0}, "num_taps", id="taps-float"),
+            pytest.param(
+                lambda doc: json.dumps({**doc, "num_taps": 0}).replace(
+                    '"num_taps": 0', '"num_taps": ' + "1" * 5000
+                ),
+                "invalid",
+                id="taps-overlong-literal",
+            ),
+            pytest.param(lambda doc: {**doc, "bandwidth_hz": "4e9"}, "bandwidth_hz", id="bw-string"),
+            pytest.param(
+                lambda doc: {**doc, "carrier_freq_hz": True}, "carrier_freq_hz", id="carrier-bool"
+            ),
+            pytest.param(lambda doc: {**doc, "decay_time_s": math.nan}, "decay_time_s", id="decay-nan"),
+            pytest.param(
+                lambda doc: {**doc, "decay_time_s": -math.inf}, "decay_time_s", id="decay-neg-inf"
+            ),
+            pytest.param(lambda doc: {**doc, "rng_seed": 1.5}, "rng_seed", id="seed-float"),
+            pytest.param(lambda doc: {**doc, "positions_mm": "abc"}, "positions_mm", id="pos-string"),
+            pytest.param(
+                lambda doc: {**doc, "positions_mm": [-1.8, -2.7]}, "positions_mm", id="pos-order"
+            ),
+            pytest.param(lambda doc: {**doc, "csv": 5}, "csv", id="csv-number"),
+            pytest.param(lambda doc: {**doc, "extra": 1}, "extra", id="unknown-key"),
+            pytest.param(lambda doc: [doc], "must be an object", id="not-an-object"),
+        ],
+    )
+    def test_malformed_ensemble_json_exits_2_before_writing(self, tmp_path, capsys, edit, field):
+        from trlink.channel import synth_cavity_ensemble
+
+        ensemble = synth_cavity_ensemble(CavityParams(num_taps=8, rng_seed=4), [-2.7, -1.8])
+        json_path = tmp_path / "measured.json"
+        export_ensemble(ensemble, json_path)
+        edited = edit(json.loads(json_path.read_text(encoding="utf-8")))
+        json_path.write_text(
+            edited if isinstance(edited, str) else json.dumps(edited), encoding="utf-8"
+        )
+        doc = scenario_dict(ensemble_file="measured.json")
+        del doc["cavity"], doc["grid_mm"]
+        scenario_path = tmp_path / "scenario.json"
+        scenario_path.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "results"
+        assert cli_main(["ber", "--scenario", str(scenario_path), "--out", str(out)]) == 2
+        assert field in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_non_increasing_positions_exit_2_before_writing(self, tmp_path, capsys):
+        doc = scenario_dict(positions_mm=[-1.8, -2.7, -2.7], rsm={"scheme": "rask", "num_rx": 2})
+        del doc["grid_mm"]
+        scenario_path = tmp_path / "scenario.json"
+        scenario_path.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "results"
+        assert cli_main(["ber", "--scenario", str(scenario_path), "--out", str(out)]) == 2
+        assert "positions_mm must be strictly increasing" in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
 
     @pytest.mark.parametrize(

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from trlink.channel import Cir
 from trlink.errors import ConfigurationError, DomainError
-from trlink.harness import run_ber_point
+from trlink.harness import run_ber_point, scenario_from_dict
 from trlink.modem import (
     DetectionWindow,
     FixedThreshold,
@@ -23,8 +23,8 @@ from trlink.modem import (
 from trlink.precoding import propagate, tr_precode
 
 SPACING = 7
-RASK_CFG = RsmConfig(Scheme.RASK, num_rx=2)
-ERASK_CFG = RsmConfig(Scheme.ERASK, num_rx=2)
+RASK = Scheme.RASK
+ERASK = Scheme.ERASK
 
 
 def orthogonal_cirs():
@@ -59,81 +59,85 @@ def ideal_received(bits_per_antenna, spacing=7, num_taps=7):
     return signals, windows
 
 
-def transmit(bits, cfg, cirs, sigma=0.0, seed=0):
-    modulate = rask_modulate if cfg.scheme is Scheme.RASK else erask_modulate
-    streams = modulate(bits, cfg, SPACING)
-    waveform = tr_precode(streams, cirs)
+def transmit(bits, scheme, cirs, sigma=0.0, seed=0):
+    if scheme is Scheme.RASK:
+        symbols = rask_modulate(bits)
+    else:
+        symbols = erask_modulate(bits, len(cirs))
+    waveform = tr_precode(symbols, cirs, SPACING)
     received = [
         propagate(waveform, cirs[n], sigma, rng_seed=[seed, n])
-        for n in range(cfg.num_rx)
+        for n in range(len(cirs))
     ]
-    windows = detection_windows(len(streams[0]), cirs[0].num_taps, SPACING)
+    windows = detection_windows(symbols.shape[1], cirs[0].num_taps, SPACING)
     return received, windows
 
 
 class TestRaskModulate:
     def test_single_zero_bit(self):
-        streams = rask_modulate([0], RASK_CFG, SPACING)
-        np.testing.assert_array_equal(streams[0].symbols, [1.0])
-        np.testing.assert_array_equal(streams[1].symbols, [0.0])
+        symbols = rask_modulate([0])
+        np.testing.assert_array_equal(symbols, [[1.0], [0.0]])
 
     def test_empty_message(self):
-        streams = rask_modulate([], RASK_CFG, SPACING)
-        assert len(streams) == 2
-        assert all(len(s) == 0 for s in streams)
+        symbols = rask_modulate([])
+        assert symbols.shape == (2, 0)
 
     def test_slot_assignment(self):
-        streams = rask_modulate([0, 1, 1, 0], RASK_CFG, SPACING)
-        np.testing.assert_array_equal(streams[0].symbols, [1, 0, 0, 1])
-        np.testing.assert_array_equal(streams[1].symbols, [0, 1, 1, 0])
+        symbols = rask_modulate([0, 1, 1, 0])
+        assert symbols.dtype == np.complex128
+        np.testing.assert_array_equal(symbols, [[1, 0, 0, 1], [0, 1, 1, 0]])
 
     def test_one_bit_per_symbol(self):
         bits = [0, 1, 0, 1, 1]
-        streams = rask_modulate(bits, RASK_CFG, SPACING)
-        assert all(len(s) == len(bits) for s in streams)
-
-    def test_rejects_wrong_scheme(self):
-        with pytest.raises(ConfigurationError):
-            rask_modulate([0], ERASK_CFG, SPACING)
+        assert rask_modulate(bits).shape == (2, len(bits))
 
     def test_rejects_non_binary(self):
         with pytest.raises(DomainError):
-            rask_modulate([0, 2], RASK_CFG, SPACING)
+            rask_modulate([0, 2])
 
 
 class TestEraskModulate:
     def test_both_targeted(self):
-        streams = erask_modulate([1, 1], ERASK_CFG, SPACING)
-        np.testing.assert_array_equal(streams[0].symbols, [1.0])
-        np.testing.assert_array_equal(streams[1].symbols, [1.0])
+        np.testing.assert_array_equal(erask_modulate([1, 1], 2), [[1.0], [1.0]])
 
     def test_silent_symbol(self):
-        streams = erask_modulate([0, 0], ERASK_CFG, SPACING)
-        assert all(np.all(s.symbols == 0) for s in streams)
+        assert np.all(erask_modulate([0, 0], 2) == 0)
 
     def test_grouped_mapping(self):
-        streams = erask_modulate([0, 1, 1, 0], ERASK_CFG, SPACING)
-        np.testing.assert_array_equal(streams[0].symbols, [0.0, 1.0])
-        np.testing.assert_array_equal(streams[1].symbols, [1.0, 0.0])
+        symbols = erask_modulate([0, 1, 1, 0], 2)
+        assert symbols.dtype == np.complex128
+        np.testing.assert_array_equal(symbols, [[0.0, 1.0], [1.0, 0.0]])
 
     def test_n_bits_per_symbol(self):
-        streams = erask_modulate([0, 1] * 6, ERASK_CFG, SPACING)
-        assert all(len(s) == 6 for s in streams)
+        assert erask_modulate([0, 1] * 6, 2).shape == (2, 6)
 
     def test_framing_error(self):
         with pytest.raises(DomainError):
-            erask_modulate([0, 1, 1], ERASK_CFG, SPACING)
+            erask_modulate([0, 1, 1], 2)
 
 
 class TestConfigValidation:
     def test_rask_needs_two_antennas(self):
-        for num_rx in (1, 3):
+        for targets_mm in ([-2.7], [-2.7, -1.8, -0.9]):
+            doc = {
+                "version": 1,
+                "cavity": {"num_taps": 64, "bandwidth_hz": 4.0e9, "carrier_freq_hz": 2.736e11},
+                "grid_mm": {"start": -6.3, "stop": 6.3, "step": 0.3},
+                "targets_mm": targets_mm,
+                "rsm": {"scheme": "rask", "num_rx": len(targets_mm)},
+                "d_values": [15],
+                "snr_grid_db": [10.0],
+                "bits_per_point": 400,
+                "trials": 1,
+                "sounding": "genie",
+                "master_seed": 1,
+            }
             with pytest.raises(ConfigurationError, match="exactly 2"):
-                RsmConfig(Scheme.RASK, num_rx=num_rx)
+                scenario_from_dict(doc)
 
     def test_erask_single_antenna_is_legal(self):
-        cfg = RsmConfig(Scheme.ERASK, num_rx=1)
-        assert cfg.bits_per_symbol == 1
+        assert erask_modulate([1, 0, 1], 1).shape == (1, 3)
+        assert RsmConfig(num_rx=1).num_rx == 1
 
     def test_pilot_threshold_needs_pilots(self):
         with pytest.raises(ConfigurationError):
@@ -164,53 +168,53 @@ class TestPowerDetect:
         rng = np.random.default_rng(0)
         bits = rng.integers(0, 2, 200)
         received, windows = ideal_received([(bits == 0), (bits == 1)])
-        detected = power_detect(received, windows, RASK_CFG)
+        detected = power_detect(received, windows, RASK)
         np.testing.assert_array_equal(detected, bits)
 
     def test_noiseless_rask_full_chain(self):
         rng = np.random.default_rng(10)
         bits = rng.integers(0, 2, 200)
-        received, windows = transmit(bits, RASK_CFG, orthogonal_cirs())
-        detected = power_detect(received, windows, RASK_CFG)
+        received, windows = transmit(bits, RASK, orthogonal_cirs())
+        detected = power_detect(received, windows, RASK)
         np.testing.assert_array_equal(detected, bits)
 
     def test_tie_breaks_to_first_antenna(self):
         samples = np.zeros(8, dtype=complex)
         samples[3] = 1.0
         windows = DetectionWindow(np.array([3]), half_width=1)
-        detected = power_detect([samples, samples], windows, RASK_CFG)
+        detected = power_detect([samples, samples], windows, RASK)
         np.testing.assert_array_equal(detected, [0])
 
     def test_erask_requires_threshold(self):
-        received, windows = transmit([1, 0], ERASK_CFG, orthogonal_cirs())
+        received, windows = transmit([1, 0], ERASK, orthogonal_cirs())
         with pytest.raises(ConfigurationError):
-            power_detect(received, windows, ERASK_CFG, threshold=None)
+            power_detect(received, windows, ERASK, threshold=None)
 
     def test_rejects_antenna_count_mismatch(self):
-        received, windows = transmit([0], RASK_CFG, orthogonal_cirs())
+        received, windows = transmit([0], RASK, orthogonal_cirs())
         with pytest.raises(ConfigurationError):
-            power_detect(received[:1], windows, RASK_CFG)
+            power_detect(received[:1], windows, RASK)
 
     def test_rask_invariant_to_global_scaling(self):
         rng = np.random.default_rng(1)
         bits = rng.integers(0, 2, 64)
-        received, windows = transmit(bits, RASK_CFG, orthogonal_cirs(), sigma=0.3)
+        received, windows = transmit(bits, RASK, orthogonal_cirs(), sigma=0.3)
         scaled = [7.3 * r for r in received]
         np.testing.assert_array_equal(
-            power_detect(received, windows, RASK_CFG),
-            power_detect(scaled, windows, RASK_CFG),
+            power_detect(received, windows, RASK),
+            power_detect(scaled, windows, RASK),
         )
 
     def test_erask_joint_scaling_invariance(self):
         rng = np.random.default_rng(2)
         bits = rng.integers(0, 2, 64)
-        received, windows = transmit(bits, ERASK_CFG, orthogonal_cirs(), sigma=0.2)
+        received, windows = transmit(bits, ERASK, orthogonal_cirs(), sigma=0.2)
         threshold = 0.4
         amplitude_scale = 2.5
         scaled = [amplitude_scale * r for r in received]
         np.testing.assert_array_equal(
-            power_detect(received, windows, ERASK_CFG, threshold),
-            power_detect(scaled, windows, ERASK_CFG, threshold * amplitude_scale**2),
+            power_detect(received, windows, ERASK, threshold),
+            power_detect(scaled, windows, ERASK, threshold * amplitude_scale**2),
         )
 
 
@@ -218,35 +222,34 @@ class TestRoundTrip:
     @given(st.lists(st.integers(0, 1), max_size=48))
     def test_rask_identity_over_ideal_channel(self, bits):
         if not bits:
-            streams = rask_modulate(bits, RASK_CFG, SPACING)
-            assert all(len(s) == 0 for s in streams)
+            assert rask_modulate(bits).shape == (2, 0)
             return
-        received, windows = transmit(bits, RASK_CFG, orthogonal_cirs())
-        detected = power_detect(received, windows, RASK_CFG)
+        received, windows = transmit(bits, RASK, orthogonal_cirs())
+        detected = power_detect(received, windows, RASK)
         np.testing.assert_array_equal(detected, bits)
 
     @given(st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1)), min_size=1, max_size=24))
     def test_erask_identity_over_ideal_channel(self, symbols):
         bits = [b for pair in symbols for b in pair]
-        received, windows = transmit(bits, ERASK_CFG, orthogonal_cirs())
-        detected = power_detect(received, windows, ERASK_CFG, threshold=0.5)
+        received, windows = transmit(bits, ERASK, orthogonal_cirs())
+        detected = power_detect(received, windows, ERASK, threshold=0.5)
         np.testing.assert_array_equal(detected, bits)
 
     def test_long_messages_round_trip(self):
         rng = np.random.default_rng(3)
         bits = rng.integers(0, 2, 1000)
-        received, windows = transmit(bits, RASK_CFG, orthogonal_cirs())
-        np.testing.assert_array_equal(power_detect(received, windows, RASK_CFG), bits)
-        received, windows = transmit(bits, ERASK_CFG, orthogonal_cirs())
+        received, windows = transmit(bits, RASK, orthogonal_cirs())
+        np.testing.assert_array_equal(power_detect(received, windows, RASK), bits)
+        received, windows = transmit(bits, ERASK, orthogonal_cirs())
         np.testing.assert_array_equal(
-            power_detect(received, windows, ERASK_CFG, threshold=0.5), bits
+            power_detect(received, windows, ERASK, threshold=0.5), bits
         )
 
     def test_spectral_efficiency_bookkeeping(self):
         # M symbols move M bits under RASK and 2M bits under ERASK
         bits = list(np.random.default_rng(4).integers(0, 2, 24))
-        assert len(rask_modulate(bits, RASK_CFG, SPACING)[0]) == 24
-        assert len(erask_modulate(bits, ERASK_CFG, SPACING)[0]) == 12
+        assert rask_modulate(bits).shape[1] == 24
+        assert erask_modulate(bits, 2).shape[1] == 12
 
 
 class TestCalibrateThreshold:
@@ -267,7 +270,7 @@ class TestCalibrateThreshold:
     def test_clean_classes_give_exact_midpoint(self):
         targeted = np.array([[True, False, True, False], [False, True, False, True]])
         signals, windows = self._pilot_signals(4.0, 0.0, targeted)
-        threshold = calibrate_threshold(signals, windows, ERASK_CFG, targeted)
+        threshold = calibrate_threshold(signals, windows, targeted)
         assert threshold == pytest.approx(2.0)
 
     def test_overlapping_classes_stay_between_means(self):
@@ -286,7 +289,7 @@ class TestCalibrateThreshold:
                 samples[num_taps - 1 + l * spacing] = np.sqrt(level)
             signals.append(samples)
         windows = detection_windows(num_pilots, num_taps, spacing)
-        threshold = calibrate_threshold(signals, windows, ERASK_CFG, targeted)
+        threshold = calibrate_threshold(signals, windows, targeted)
         assert off.min() < threshold < on.max()
         mean_on = on[targeted].mean() if targeted.any() else 0.0
         mean_off = off[~targeted].mean()
@@ -296,7 +299,7 @@ class TestCalibrateThreshold:
         targeted = np.ones((2, 4), dtype=bool)
         signals, windows = self._pilot_signals(4.0, 0.0, targeted)
         with pytest.raises(ConfigurationError):
-            calibrate_threshold(signals, windows, ERASK_CFG, targeted)
+            calibrate_threshold(signals, windows, targeted)
 
 
 class TestEndToEnd:
@@ -307,7 +310,7 @@ class TestEndToEnd:
         ensemble = synth_cavity_ensemble(params, [-0.45, 0.45])
         cirs = list(ensemble.cirs)
         for scheme in (Scheme.RASK, Scheme.ERASK):
-            rsm = RsmConfig(scheme, num_rx=2, threshold_policy=PilotThreshold(16))
+            rsm = RsmConfig(num_rx=2, threshold_policy=PilotThreshold(16))
             bits_sent, errors = run_ber_point(
                 scheme, rsm, cirs, cirs, spacing=64, snr_db=60.0,
                 num_bits=2000, cell_seed=99,
@@ -326,14 +329,13 @@ class TestEndToEnd:
             params = CavityParams(num_taps=128, rng_seed=300 + trial)
             ensemble = synth_cavity_ensemble(params, [-0.45, 0.45])
             cirs = list(ensemble.cirs)
-            base = RsmConfig(Scheme.ERASK, num_rx=2, threshold_policy=PilotThreshold(32))
-            calibrated = _erask_threshold(base, 15, cirs, cirs, sigma, cell_seed=trial)
+            calibrated = _erask_threshold(PilotThreshold(32), 15, cirs, cirs, sigma, cell_seed=trial)
             for label, value in (
                 ("calibrated", calibrated),
                 ("low", 0.1 * calibrated),
                 ("high", 10.0 * calibrated),
             ):
-                rsm = RsmConfig(Scheme.ERASK, num_rx=2, threshold_policy=FixedThreshold(value))
+                rsm = RsmConfig(num_rx=2, threshold_policy=FixedThreshold(value))
                 bits_sent, errors = run_ber_point(
                     Scheme.ERASK, rsm, cirs, cirs, spacing=15, snr_db=snr_db,
                     num_bits=4000, cell_seed=1000 + trial,

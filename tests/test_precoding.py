@@ -11,7 +11,6 @@ from trlink.dsp import NUMERIC_RTOL
 from trlink.errors import ConfigurationError, DomainError
 from trlink.harness import grid_positions
 from trlink.precoding import (
-    SymbolStream,
     focusing_report,
     focusing_report_to_csv,
     full_width_half_max,
@@ -20,22 +19,21 @@ from trlink.precoding import (
     tr_precode,
 )
 
-UNIT_PULSE = np.ones(1, dtype=complex)
+UNIT_PULSE = np.ones((1, 1), dtype=complex)
 
 
 def energy(signal: np.ndarray) -> float:
     return float(np.sum(np.abs(signal) ** 2))
 
 
-def kernel_expansion(streams, cirs, receiver_index):
+def kernel_expansion(symbols, cirs, spacing, receiver_index):
     """Received field assembled pulse by pulse from the correlation kernels."""
-    spacing = streams[0].spacing
     num_taps = cirs[0].num_taps
-    max_symbols = max(len(s) for s in streams)
-    out = np.zeros((max_symbols - 1) * spacing + 2 * num_taps - 1, dtype=complex)
-    for stream, cir in zip(streams, cirs):
-        kernel = tr_kernel(cirs[receiver_index], cir).values
-        for l, amplitude in enumerate(stream.symbols):
+    num_symbols = symbols.shape[1]
+    out = np.zeros((num_symbols - 1) * spacing + 2 * num_taps - 1, dtype=complex)
+    for row, cir in zip(symbols, cirs):
+        kernel = tr_kernel(cirs[receiver_index], cir)
+        for l, amplitude in enumerate(row):
             start = l * spacing
             out[start : start + kernel.size] += amplitude * kernel
     return out
@@ -45,14 +43,13 @@ class TestTrKernel:
     def test_single_tap(self):
         h = Cir([1.0], 1.0)
         kernel = tr_kernel(h, h)
-        np.testing.assert_allclose(kernel.values, [1.0])
-        assert kernel.lag0_index == 0
+        np.testing.assert_allclose(kernel, [1.0])
+        assert kernel.size == 2 * h.num_taps - 1
 
     def test_zero_lag_peak_is_root_energy(self):
         rng = np.random.default_rng(0)
         h = random_cir(rng, 64)
-        kernel = tr_kernel(h, h)
-        peak = kernel.values[kernel.lag0_index]
+        peak = tr_kernel(h, h)[h.num_taps - 1]
         assert abs(peak - math.sqrt(h.energy)) <= NUMERIC_RTOL * math.sqrt(h.energy)
         assert abs(peak.imag) <= NUMERIC_RTOL
 
@@ -60,9 +57,8 @@ class TestTrKernel:
         rng = np.random.default_rng(1)
         for _ in range(20):
             h = random_cir(rng, 48)
-            kernel = tr_kernel(h, h)
-            mags = np.abs(kernel.values)
-            assert mags.max() <= mags[kernel.lag0_index] * (1 + 1e-12)
+            mags = np.abs(tr_kernel(h, h))
+            assert mags.max() <= mags[h.num_taps - 1] * (1 + 1e-12)
 
     def test_cross_kernel_statistics(self):
         # for independent flat channels E|R[0]|^2 is the receive energy over L,
@@ -76,8 +72,8 @@ class TestTrKernel:
             h_j = random_cir(rng, num_taps)
             cross = tr_kernel(h_j, h_i)
             matched = tr_kernel(h_i, h_i)
-            zero_lag_power[k] = np.abs(cross.values[cross.lag0_index]) ** 2
-            if np.abs(cross.values).max() < matched.values[matched.lag0_index].real:
+            zero_lag_power[k] = np.abs(cross[num_taps - 1]) ** 2
+            if np.abs(cross).max() < matched[num_taps - 1].real:
                 dominated += 1
         assert np.mean(zero_lag_power) == pytest.approx(1.0 / num_taps, rel=0.2)
         assert dominated / draws >= 0.99
@@ -95,58 +91,74 @@ class TestTrKernel:
 
 class TestTrPrecode:
     def test_single_tap_identity(self):
-        waveform = tr_precode([SymbolStream(UNIT_PULSE, 1)], [Cir([1.0], 1.0)])
+        waveform = tr_precode(UNIT_PULSE, [Cir([1.0], 1.0)], 1)
         np.testing.assert_allclose(waveform, [1.0])
+
+    def test_empty_symbol_matrix_gives_empty_emission(self):
+        h = Cir(np.ones(4), 1.0)
+        waveform = tr_precode(np.zeros((2, 0)), [h, h], 3)
+        assert waveform.dtype == np.complex128
+        assert waveform.size == 0
 
     def test_unit_pulse_has_unit_energy(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
             h = random_cir(rng, 128)
-            waveform = tr_precode([SymbolStream(UNIT_PULSE, 8)], [h])
+            waveform = tr_precode(UNIT_PULSE, [h], 8)
             assert abs(energy(waveform) - 1.0) <= NUMERIC_RTOL
 
     def test_non_overlapping_pulses_carry_one_unit_each(self):
         rng = np.random.default_rng(4)
         num_taps, pulses = 64, 5
         h = random_cir(rng, num_taps)
-        stream = SymbolStream(np.ones(pulses, dtype=complex), num_taps)
-        waveform = tr_precode([stream], [h])
+        waveform = tr_precode(np.ones((1, pulses)), [h], num_taps)
         assert abs(energy(waveform) - pulses) <= NUMERIC_RTOL * pulses
 
     def test_two_user_emission_toward_close_targets(self):
         params = CavityParams(rng_seed=42)
         ensemble = synth_cavity_ensemble(params, grid_positions(-6.3, 6.3, 0.3))
         targets = [ensemble.index_of(-2.7), ensemble.index_of(-1.8)]
-        streams = [SymbolStream(UNIT_PULSE, 15) for _ in targets]
         cirs = [ensemble.cirs[t] for t in targets]
-        waveform = tr_precode(streams, cirs)
+        waveform = tr_precode(np.ones((2, 1)), cirs, 15)
         assert len(waveform) == params.num_taps
         assert np.all(np.isfinite(waveform))
-        for stream, cir in zip(streams, cirs):
-            alone = tr_precode([stream], [cir])
+        for cir in cirs:
+            alone = tr_precode(UNIT_PULSE, [cir], 15)
             assert abs(energy(alone) - 1.0) <= NUMERIC_RTOL
 
     def test_rejects_zero_energy_cir(self):
         with pytest.raises(DomainError):
-            tr_precode([SymbolStream(UNIT_PULSE, 1)], [Cir(np.zeros(4), 1.0)])
+            tr_precode(UNIT_PULSE, [Cir(np.zeros(4), 1.0)], 1)
 
     def test_rejects_count_mismatch(self):
         h = Cir(np.ones(4), 1.0)
-        with pytest.raises(ConfigurationError):
-            tr_precode([SymbolStream(UNIT_PULSE, 1)], [h, h])
+        with pytest.raises(ConfigurationError, match="1 symbol rows for 2 CIRs"):
+            tr_precode(UNIT_PULSE, [h, h], 1)
 
-    def test_rejects_mixed_spacing(self):
+    def test_rejects_one_dimensional_symbols(self):
         h = Cir(np.ones(4), 1.0)
-        streams = [SymbolStream(UNIT_PULSE, 2), SymbolStream(UNIT_PULSE, 3)]
-        with pytest.raises(ConfigurationError):
-            tr_precode(streams, [h, h])
+        with pytest.raises(DomainError, match="matrix"):
+            tr_precode(np.ones(3), [h], 4)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_rejects_non_finite_symbols(self, bad):
+        h = Cir(np.ones(4), 1.0)
+        symbols = np.ones((2, 3), dtype=complex)
+        symbols[1, 2] = bad
+        with pytest.raises(DomainError, match="finite"):
+            tr_precode(symbols, [h, h], 4)
+
+    def test_rejects_spacing_below_one_tap(self):
+        h = Cir(np.ones(4), 1.0)
+        with pytest.raises(ConfigurationError, match="spacing"):
+            tr_precode(UNIT_PULSE, [h], 0)
 
 
 class TestPropagate:
     def test_matched_filter_peak(self):
         rng = np.random.default_rng(5)
         h = random_cir(rng, 96)
-        waveform = tr_precode([SymbolStream(UNIT_PULSE, 4)], [h])
+        waveform = tr_precode(UNIT_PULSE, [h], 4)
         received = propagate(waveform, h, 0.0)
         peak_idx = int(np.argmax(np.abs(received)))
         assert peak_idx == h.num_taps - 1
@@ -163,28 +175,27 @@ class TestPropagate:
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(7)
         h = random_cir(rng, 16)
-        waveform = tr_precode([SymbolStream(UNIT_PULSE, 2)], [h])
+        waveform = tr_precode(UNIT_PULSE, [h], 2)
         first = propagate(waveform, h, 0.5, rng_seed=123)
         second = propagate(waveform, h, 0.5, rng_seed=123)
         assert np.array_equal(first, second)
 
     def test_rejects_negative_sigma(self):
         h = Cir([1.0], 1.0)
-        waveform = tr_precode([SymbolStream(UNIT_PULSE, 1)], [h])
+        waveform = tr_precode(UNIT_PULSE, [h], 1)
         with pytest.raises(DomainError):
             propagate(waveform, h, -0.1)
 
     def test_equals_kernel_expansion(self):
         rng = np.random.default_rng(8)
         cirs = [random_cir(rng, 64, flat=False) for _ in range(2)]
-        streams = [
-            SymbolStream(rng.standard_normal(5) + 1j * rng.standard_normal(5), 9)
-            for _ in range(2)
-        ]
-        waveform = tr_precode(streams, cirs)
+        symbols = np.stack([
+            rng.standard_normal(5) + 1j * rng.standard_normal(5) for _ in range(2)
+        ])
+        waveform = tr_precode(symbols, cirs, 9)
         for j in range(2):
             received = propagate(waveform, cirs[j], 0.0)
-            expected = kernel_expansion(streams, cirs, j)
+            expected = kernel_expansion(symbols, cirs, 9, j)
             scale = np.max(np.abs(expected))
             assert np.max(np.abs(received - expected)) <= NUMERIC_RTOL * scale
 
@@ -197,7 +208,7 @@ class TestFocusingGain:
             for seed in range(200):
                 params = CavityParams(num_taps=num_taps, rng_seed=seed)
                 cir = synth_cavity_ensemble(params, [0.0]).cirs[0]
-                waveform = tr_precode([SymbolStream(UNIT_PULSE, 4)], [cir])
+                waveform = tr_precode(UNIT_PULSE, [cir], 4)
                 field = np.abs(propagate(waveform, cir, 0.0))
                 peak_idx = int(np.argmax(field))
                 mask = np.ones(field.size, dtype=bool)
@@ -252,9 +263,7 @@ class TestFocusingReport:
         seeds = 2000
         for _ in range(seeds):
             ensemble = draw_ensemble()
-            waveform = tr_precode(
-                [SymbolStream(UNIT_PULSE, 1)], [ensemble.cirs[target]]
-            )
+            waveform = tr_precode(UNIT_PULSE, [ensemble.cirs[target]], 1)
             for p in range(3):
                 mean_field[p] += propagate(waveform, ensemble.cirs[p], 0.0)[0]
         mean_field /= seeds
