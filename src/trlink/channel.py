@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .dsp import convolve, make_chirp, xcorr
+from .dsp import complex_noise, convolve, make_chirp, xcorr
 from .errors import (
     ConfigurationError,
     DomainError,
@@ -41,6 +41,7 @@ from .errors import (
     read_number,
     require_keys,
 )
+from .output import write_csv, write_text
 
 SPEED_OF_LIGHT_M_S = 299792458.0
 
@@ -64,6 +65,14 @@ def check_positions(values, name: str = "positions") -> np.ndarray:
             f"{name} must be strictly increasing, got {positions.tolist()}"
         )
     return positions
+
+
+def grid_index(positions: np.ndarray, position_mm: float, name: str = "position") -> int:
+    """Index of the grid position within ``POSITION_TOL_MM`` of ``position_mm``."""
+    idx = int(np.argmin(np.abs(positions - position_mm)))
+    if abs(positions[idx] - position_mm) > POSITION_TOL_MM:
+        raise ConfigurationError(f"{name} {position_mm} mm is not on the position grid")
+    return idx
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,9 +151,9 @@ class CavityParams:
         """Carrier wavelength in millimetres; spatial correlation scale."""
         return 1e3 * SPEED_OF_LIGHT_M_S / self.carrier_freq_hz
 
-    def spatial_correlation(self, distance_mm: float) -> float:
-        """Diffuse-field correlation ``sin(x)/x`` with ``x = 2*pi*d/lambda``."""
-        return float(np.sinc(2.0 * distance_mm / self.wavelength_mm))
+    def spatial_correlation(self, distance_mm: float | np.ndarray) -> float | np.ndarray:
+        """Diffuse-field correlation ``sin(x)/x`` with ``x = 2*pi*d/lambda``, elementwise."""
+        return np.sinc(2.0 * distance_mm / self.wavelength_mm)
 
     def power_delay_profile(self) -> np.ndarray:
         """Expected tap powers, exponentially decaying, unit total energy."""
@@ -179,14 +188,9 @@ class SpatialChannelEnsemble:
     def __len__(self) -> int:
         return self.positions_mm.size
 
-    def index_of(self, position_mm: float, tol: float = POSITION_TOL_MM) -> int:
+    def index_of(self, position_mm: float) -> int:
         """Grid index of a position; raises if it is not on the grid."""
-        idx = int(np.argmin(np.abs(self.positions_mm - position_mm)))
-        if abs(self.positions_mm[idx] - position_mm) > tol:
-            raise ConfigurationError(
-                f"position {position_mm} mm is not on the ensemble grid"
-            )
-        return idx
+        return grid_index(self.positions_mm, position_mm)
 
 
 @dataclass(frozen=True)
@@ -207,8 +211,7 @@ class SoundingConfig:
 
 
 def _kernel_sqrt(params: CavityParams, positions: np.ndarray) -> np.ndarray:
-    distances = np.abs(positions[:, None] - positions[None, :])
-    kernel = np.sinc(2.0 * distances / params.wavelength_mm)
+    kernel = params.spatial_correlation(np.abs(positions[:, None] - positions[None, :]))
     eigval, eigvec = np.linalg.eigh(kernel)
     eigval = np.clip(eigval, 0.0, None)
     return (eigvec * np.sqrt(eigval)) @ eigvec.T
@@ -270,9 +273,7 @@ def sound_cir(true_cir: Cir, cfg: SoundingConfig, chirp: np.ndarray) -> Cir:
         noisy = clean
     else:
         sigma = math.sqrt(rx_power / 10.0 ** (cfg.probe_snr_db / 10.0))
-        rng = np.random.default_rng(cfg.rng_seed)
-        z = rng.standard_normal((2, clean.size))
-        noisy = clean + sigma / np.sqrt(2.0) * (z[0] + 1j * z[1])
+        noisy = clean + complex_noise(clean.size, sigma, cfg.rng_seed)
 
     num_taps = true_cir.num_taps
     chirp_energy = float(np.sum(np.abs(chirp) ** 2))
@@ -303,9 +304,10 @@ def export_ensemble(ensemble: SpatialChannelEnsemble, json_path: str | Path) -> 
 
     The JSON file carries the parameters and positions; the CSV (same stem,
     ``.csv`` suffix, referenced from the JSON) carries one row per position
-    with the taps as interleaved re/im columns. The pair is the injection
-    point for externally measured responses: anything matching the schema
-    can be loaded back with :func:`load_ensemble`.
+    with the taps as interleaved re/im columns. The CSV is written first and
+    the JSON, the pair's entry point, last. The pair is the injection point
+    for externally measured responses: anything matching the schema can be
+    loaded back with :func:`load_ensemble`.
     """
     json_path = Path(json_path)
     csv_path = json_path.with_suffix(".csv")
@@ -320,20 +322,16 @@ def export_ensemble(ensemble: SpatialChannelEnsemble, json_path: str | Path) -> 
         "positions_mm": [float(p) for p in ensemble.positions_mm],
         "csv": csv_path.name,
     }
-    json_path.write_text(json.dumps(meta, indent=2) + "\n", encoding="utf-8")
-
-    num_taps = params.num_taps
     header = ["position_mm"]
-    for l in range(num_taps):
+    for l in range(params.num_taps):
         header += [f"tap{l}_re", f"tap{l}_im"]
-    with open(csv_path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(header)
-        for pos, cir in zip(ensemble.positions_mm, ensemble.cirs):
-            row = [repr(float(pos))]
-            for tap in cir.taps:
-                row += [repr(float(tap.real)), repr(float(tap.imag))]
-            writer.writerow(row)
+    # A complex128 array viewed as float64 interleaves real and imaginary parts.
+    rows = [
+        [float(pos), *cir.taps.view(np.float64).tolist()]
+        for pos, cir in zip(ensemble.positions_mm, ensemble.cirs)
+    ]
+    write_csv(csv_path, header, rows)
+    write_text(json_path, json.dumps(meta, indent=2) + "\n")
 
 
 def load_ensemble(json_path: str | Path) -> SpatialChannelEnsemble:

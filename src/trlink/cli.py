@@ -69,7 +69,6 @@ def main(argv: list[str] | None = None) -> int:
         out_dir = Path(args.out)
 
         if args.command == "synth":
-            out_dir.mkdir(parents=True, exist_ok=True)
             ensemble = scenario.ensemble_for_trial(0)
             target = out_dir / "ensemble.json"
             export_ensemble(ensemble, target)

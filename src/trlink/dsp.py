@@ -81,6 +81,25 @@ def xcorr(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _fftconvolve(np.conj(a[::-1]), b)
 
 
+def complex_noise(size: int, sigma: float, rng_seed: int | list[int] | None) -> np.ndarray:
+    """White circular complex Gaussian noise, ``E|n|^2 = sigma^2`` (seed/noise contract v1)."""
+    z = np.random.default_rng(rng_seed).standard_normal((2, size))
+    return sigma / np.sqrt(2.0) * (z[0] + 1j * z[1])
+
+
+def chirp_length(duration: float, sample_rate: float) -> int:
+    """Samples in a chirp of ``duration`` seconds; a ConfigurationError below 2."""
+    if not (math.isfinite(duration) and duration > 0):
+        raise ConfigurationError(f"duration must be positive, got {duration}")
+    num_samples = int(round(duration * sample_rate))
+    if num_samples < 2:
+        raise ConfigurationError(
+            f"duration * sample_rate = {duration * sample_rate:.3g} gives "
+            f"{num_samples} samples; need at least 2"
+        )
+    return num_samples
+
+
 def make_chirp(
     center_freq: float,
     bandwidth: float,
@@ -106,14 +125,7 @@ def make_chirp(
         raise ConfigurationError(
             f"chirp bandwidth {bandwidth} Hz exceeds sample rate {sample_rate} Hz (aliasing)"
         )
-    if not (math.isfinite(duration) and duration > 0):
-        raise ConfigurationError(f"duration must be positive, got {duration}")
-    num_samples = int(round(duration * sample_rate))
-    if num_samples < 2:
-        raise ConfigurationError(
-            f"duration * sample_rate = {duration * sample_rate:.3g} gives "
-            f"{num_samples} samples; need at least 2"
-        )
+    num_samples = chirp_length(duration, sample_rate)
     t = np.arange(num_samples) / sample_rate
     phase = 2.0 * np.pi * (-0.5 * bandwidth * t + bandwidth / (2.0 * duration) * t**2)
     return np.exp(1j * phase)

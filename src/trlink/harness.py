@@ -10,7 +10,10 @@ byte-identical CSV artifacts regardless of how the work is split up:
                                 <- cell = seed_of(master, 1, s, d_index, q, t)
   with sub-streams ``[cell, 0]`` for payload bits, ``[cell, 1, n]`` for
   receiver-``n`` noise and ``[cell, 2, n]`` for pilot noise
-* sounding noise for trial ``t``, target ``j`` <- seed_of(master, 2, t, j)
+* sounding noise for trial ``t``, target ``j`` <- seed_of(master, 2, t, j);
+  the BER sweep's channel estimates take ``j`` as the target's ordinal in
+  ``targets_mm`` (0, 1, ...), while ``run_sounding_study`` takes it as the
+  first target's grid index
 
 where ``seed_of`` feeds its arguments to ``numpy.random.SeedSequence`` and
 scheme indices are fixed (RASK=0, ERASK=1). The SNR axis is the inverse
@@ -36,6 +39,7 @@ Scenario JSON schema (version 1)::
       "bits_per_point": ..,
       "trials": ..,
       "sounding": "genie" | {"duration_s": .., "snr_db": .. (optional)},
+                                         # chirp >= 2 samples at bandwidth_hz
       "master_seed": ..                  # >= 0
     }
 
@@ -46,31 +50,34 @@ coerced: ``15.7``, ``"15"`` or ``true`` in an integer field is an error.
 
 BER CSV columns are fixed: ``scheme,D,snr_db,bits_sent,bit_errors,ber,seed``
 with one file per (scheme, spacing) and one row per (SNR point, trial).
+Each run builds its channels before its first result and writes each output
+file whole through :mod:`trlink.output` once its contents are known, so a
+file appears only complete.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
 from .channel import (
-    POSITION_TOL_MM,
     CavityParams,
     Cir,
     SoundingConfig,
     SpatialChannelEnsemble,
     check_positions,
+    grid_index,
     load_ensemble,
     sound_cir,
     sounding_chirp,
     synth_cavity_ensemble,
 )
+from .dsp import chirp_length
 from .errors import (
     ConfigurationError,
     DomainError,
@@ -92,6 +99,7 @@ from .modem import (
     power_detect,
     rask_modulate,
 )
+from .output import write_csv
 from .precoding import (
     FocusingReport,
     focusing_report,
@@ -106,6 +114,7 @@ _STREAM_SOUNDING = 2
 
 _SCHEME_INDEX = {Scheme.RASK: 0, Scheme.ERASK: 1}
 
+# One column per ``BerRecord`` field, in field order.
 BER_CSV_HEADER = ["scheme", "D", "snr_db", "bits_sent", "bit_errors", "ber", "seed"]
 
 # Each grid position adds a row and a column to the dense spatial-correlation
@@ -180,6 +189,11 @@ class Scenario:
         for idx in self.target_indices:
             if not 0 <= idx < positions.size:
                 raise ConfigurationError(f"target index {idx} is off the grid")
+            if self.imported_ensemble is not None and self.imported_ensemble.cirs[idx].energy == 0:
+                raise ConfigurationError(
+                    f"target {float(positions[idx])} mm has a zero-energy CIR in the imported "
+                    "ensemble; cannot precode toward it"
+                )
         if not self.schemes:
             raise ConfigurationError("scenario needs at least one scheme")
         if Scheme.RASK in self.schemes and self.rsm.num_rx != 2:
@@ -206,6 +220,11 @@ class Scenario:
             raise ConfigurationError("trials must be >= 1")
         if self.master_seed < 0:
             raise ConfigurationError(f"master_seed must be >= 0, got {self.master_seed}")
+        if self.sounding is not None:
+            try:
+                chirp_length(self.sounding.duration_s, self.cavity.bandwidth_hz)
+            except ConfigurationError as exc:
+                raise ConfigurationError(f"sounding.duration_s: {exc}") from None
         positions = positions.copy()
         positions.flags.writeable = False
         object.__setattr__(self, "positions_mm", positions)
@@ -330,15 +349,10 @@ def scenario_from_dict(data: dict, base_dir: Path | None = None) -> Scenario:
         threshold_policy=threshold,
     )
 
-    target_indices = []
-    for target_mm in read_list(data["targets_mm"], "targets_mm", read_number):
-        deltas = np.abs(positions - target_mm)
-        idx = int(np.argmin(deltas))
-        if deltas[idx] > POSITION_TOL_MM:
-            raise ConfigurationError(
-                f"target {target_mm} mm is not on the position grid"
-            )
-        target_indices.append(idx)
+    target_indices = [
+        grid_index(positions, target_mm, "target")
+        for target_mm in read_list(data["targets_mm"], "targets_mm", read_number)
+    ]
 
     sounding_obj = data["sounding"]
     if sounding_obj == "genie":
@@ -382,13 +396,13 @@ def load_scenario(path: str | Path) -> Scenario:
     return scenario_from_dict(data, base_dir=path.parent)
 
 
-def _known_target_cirs(
-    scenario: Scenario, ensemble: SpatialChannelEnsemble, trial: int
-) -> list[Cir]:
-    """The precoder's channel knowledge: genie truth or sounded estimates."""
+def _target_cirs(scenario: Scenario, trial: int) -> tuple[list[Cir], list[Cir]]:
+    """Trial ``t``'s target channels as ``(true, known)``; ``known`` is the
+    precoder's channel knowledge: the truth for a genie, else sounded estimates."""
+    ensemble = scenario.ensemble_for_trial(trial)
     true_cirs = [ensemble.cirs[i] for i in scenario.target_indices]
     if scenario.sounding is None:
-        return true_cirs
+        return true_cirs, true_cirs
     chirp = sounding_chirp(ensemble.params, scenario.sounding)
     estimates = []
     for j, cir in enumerate(true_cirs):
@@ -397,7 +411,7 @@ def _known_target_cirs(
             rng_seed=derive_seed(scenario.master_seed, _STREAM_SOUNDING, trial, j),
         )
         estimates.append(sound_cir(cir, cfg, chirp))
-    return estimates
+    return true_cirs, estimates
 
 
 def _pilot_targets(num_rx: int, num_pilots: int) -> np.ndarray:
@@ -491,71 +505,44 @@ def run_ber_sweep(
 ) -> list[BerRecord]:
     """Monte-Carlo BER over every (scheme, spacing, SNR, trial) cell.
 
-    Records stream to one CSV per (scheme, spacing) as they complete when
-    ``out_dir`` is given; cell order is fixed by indices, so output is
+    Every trial's channels are built first. ``progress`` sees each record
+    as its cell completes; when ``out_dir`` is given, each (scheme, spacing)
+    CSV is written whole once its last cell is done, so a failed sweep
+    leaves no partial file. Cell order is fixed by indices, so output is
     deterministic for a given scenario and master seed.
     """
-    out_path = Path(out_dir) if out_dir is not None else None
-    if out_path is not None:
-        out_path.mkdir(parents=True, exist_ok=True)
-
-    ensembles: dict[int, tuple[list[Cir], list[Cir]]] = {}
-
-    def cirs_for_trial(trial: int) -> tuple[list[Cir], list[Cir]]:
-        if trial not in ensembles:
-            ensemble = scenario.ensemble_for_trial(trial)
-            true_cirs = [ensemble.cirs[i] for i in scenario.target_indices]
-            ensembles[trial] = (true_cirs, _known_target_cirs(scenario, ensemble, trial))
-        return ensembles[trial]
-
+    channels = [_target_cirs(scenario, trial) for trial in range(scenario.trials)]
     records: list[BerRecord] = []
     for scheme in scenario.schemes:
         scheme_idx = _SCHEME_INDEX[scheme]
         for d_idx, spacing in enumerate(scenario.d_values):
-            writer = None
-            handle = None
-            if out_path is not None:
-                csv_file = out_path / f"ber_{scheme.value}_D{spacing}.csv"
-                handle = open(csv_file, "w", newline="", encoding="utf-8")
-                writer = csv.writer(handle)
-                writer.writerow(BER_CSV_HEADER)
-            try:
-                for snr_idx, snr_db in enumerate(scenario.snr_grid_db):
-                    for trial in range(scenario.trials):
-                        true_cirs, known_cirs = cirs_for_trial(trial)
-                        cell_seed = derive_seed(
-                            scenario.master_seed, _STREAM_CELL,
-                            scheme_idx, d_idx, snr_idx, trial,
-                        )
-                        bits_sent, errors = run_ber_point(
-                            scheme, scenario.rsm, true_cirs, known_cirs,
-                            spacing, snr_db, scenario.bits_per_point, cell_seed,
-                        )
-                        record = BerRecord(
-                            scheme=scheme.value,
-                            d=spacing,
-                            snr_db=float(snr_db),
-                            bits_sent=bits_sent,
-                            bit_errors=errors,
-                            ber=errors / bits_sent,
-                            seed=cell_seed,
-                        )
-                        records.append(record)
-                        if writer is not None:
-                            writer.writerow([
-                                record.scheme,
-                                record.d,
-                                repr(float(record.snr_db)),
-                                record.bits_sent,
-                                record.bit_errors,
-                                repr(float(record.ber)),
-                                record.seed,
-                            ])
-                        if progress is not None:
-                            progress(record)
-            finally:
-                if handle is not None:
-                    handle.close()
+            group: list[BerRecord] = []
+            for snr_idx, snr_db in enumerate(scenario.snr_grid_db):
+                for trial, (true_cirs, known_cirs) in enumerate(channels):
+                    cell_seed = derive_seed(
+                        scenario.master_seed, _STREAM_CELL,
+                        scheme_idx, d_idx, snr_idx, trial,
+                    )
+                    bits_sent, errors = run_ber_point(
+                        scheme, scenario.rsm, true_cirs, known_cirs,
+                        spacing, snr_db, scenario.bits_per_point, cell_seed,
+                    )
+                    record = BerRecord(
+                        scheme=scheme.value,
+                        d=spacing,
+                        snr_db=float(snr_db),
+                        bits_sent=bits_sent,
+                        bit_errors=errors,
+                        ber=errors / bits_sent,
+                        seed=cell_seed,
+                    )
+                    group.append(record)
+                    if progress is not None:
+                        progress(record)
+            if out_dir is not None:
+                name = f"ber_{scheme.value}_D{spacing}.csv"
+                write_csv(Path(out_dir) / name, BER_CSV_HEADER, [astuple(r) for r in group])
+            records += group
     return records
 
 
@@ -566,40 +553,36 @@ def run_focusing_experiment(
 
     The single-user reports use the first configured pulse spacing; the
     two-user interference decomposition (first two targets, both roles) is
-    produced for every spacing in ``d_values``. One CSV per report.
+    produced for every spacing in ``d_values``. Focusing is measured on
+    trial 0's true channels: the scenario's ``sounding`` block is ignored.
+    Every report is computed before the first CSV (one per report) is written.
     """
-    out_path = Path(out_dir) if out_dir is not None else None
-    if out_path is not None:
-        out_path.mkdir(parents=True, exist_ok=True)
-
     ensemble = scenario.ensemble_for_trial(0)
-    reports: list[FocusingReport] = []
+    targets = scenario.target_indices
+    # (file name, target, interfering user, spacing) per report, in output order
+    jobs = [
+        (f"focus_single_t{k}.csv", target, None, scenario.d_values[0])
+        for k, target in enumerate(targets)
+    ]
+    if len(targets) >= 2:
+        first, second = targets[:2]
+        jobs += [
+            (f"focus_two_user_D{spacing}_t{k}.csv", tgt, other, spacing)
+            for spacing in scenario.d_values
+            for k, (tgt, other) in enumerate(((first, second), (second, first)))
+        ]
 
-    def measure(target: int, other: int | None, spacing: int) -> FocusingReport:
+    reports: list[FocusingReport] = []
+    for _, target, other, spacing in jobs:
         try:
-            return focusing_report(ensemble, target, other, spacing)
+            reports.append(focusing_report(ensemble, target, other, spacing))
         except (ConfigurationError, DomainError) as exc:
             raise type(exc)(
                 f"focusing at target index {target} (spacing {spacing}): {exc}"
             ) from exc
-
-    base_spacing = scenario.d_values[0]
-    for k, target in enumerate(scenario.target_indices):
-        report = measure(target, None, base_spacing)
-        reports.append(report)
-        if out_path is not None:
-            focusing_report_to_csv(report, out_path / f"focus_single_t{k}.csv")
-
-    if len(scenario.target_indices) >= 2:
-        first, second = scenario.target_indices[:2]
-        for spacing in scenario.d_values:
-            for k, (tgt, other) in enumerate(((first, second), (second, first))):
-                report = measure(tgt, other, spacing)
-                reports.append(report)
-                if out_path is not None:
-                    focusing_report_to_csv(
-                        report, out_path / f"focus_two_user_D{spacing}_t{k}.csv"
-                    )
+    if out_dir is not None:
+        for (name, *_), report in zip(jobs, reports):
+            focusing_report_to_csv(report, Path(out_dir) / name)
     return reports
 
 
@@ -625,20 +608,21 @@ def run_sounding_study(
         snr_points.append(probe_snr)
     target = scenario.target_indices[0]
 
+    truths = [
+        scenario.ensemble_for_trial(trial).cirs[target] for trial in range(scenario.trials)
+    ]
     rows: list[tuple[int, float, float]] = []
     for tb in tb_values:
         duration = tb / scenario.cavity.bandwidth_hz
+        chirp = sounding_chirp(scenario.cavity, SoundingConfig(duration_s=duration))
         for snr_db in snr_points:
             errors = []
-            for trial in range(scenario.trials):
-                ensemble = scenario.ensemble_for_trial(trial)
+            for trial, truth in enumerate(truths):
                 cfg = SoundingConfig(
                     duration_s=duration,
                     probe_snr_db=snr_db,
                     rng_seed=derive_seed(scenario.master_seed, _STREAM_SOUNDING, trial, target),
                 )
-                chirp = sounding_chirp(ensemble.params, cfg)
-                truth = ensemble.cirs[target]
                 estimate = sound_cir(truth, cfg, chirp)
                 errors.append(
                     float(np.linalg.norm(estimate.taps - truth.taps) / np.linalg.norm(truth.taps))
@@ -646,11 +630,7 @@ def run_sounding_study(
             rows.append((tb, float(snr_db), float(np.median(errors))))
 
     if out_dir is not None:
-        out_path = Path(out_dir)
-        out_path.mkdir(parents=True, exist_ok=True)
-        with open(out_path / "sounding_error.csv", "w", newline="", encoding="utf-8") as f:
-            writer = csv.writer(f)
-            writer.writerow(["tb", "probe_snr_db", "normalized_error"])
-            for tb, snr_db, err in rows:
-                writer.writerow([tb, repr(float(snr_db)), repr(float(err))])
+        write_csv(
+            Path(out_dir) / "sounding_error.csv", ["tb", "probe_snr_db", "normalized_error"], rows
+        )
     return rows

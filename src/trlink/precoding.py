@@ -26,7 +26,6 @@ out across positions, seeds, and SNR points.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -34,8 +33,9 @@ from pathlib import Path
 import numpy as np
 
 from .channel import Cir, SpatialChannelEnsemble
-from .dsp import convolve, xcorr
+from .dsp import complex_noise, convolve, xcorr
 from .errors import ConfigurationError, DomainError
+from .output import write_csv
 
 
 def tr_kernel(h_j: Cir, h_i: Cir) -> np.ndarray:
@@ -124,9 +124,7 @@ def propagate(
         raise DomainError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
     received = convolve(signal, cir.taps)
     if noise_sigma > 0.0:
-        rng = np.random.default_rng(rng_seed)
-        z = rng.standard_normal((2, received.size))
-        received = received + noise_sigma / np.sqrt(2.0) * (z[0] + 1j * z[1])
+        received = received + complex_noise(received.size, noise_sigma, rng_seed)
     return received
 
 
@@ -327,13 +325,5 @@ def focusing_report_to_csv(report: FocusingReport, path: str | Path) -> None:
         ("isi_self_power", report.isi_self_power),
         ("isi_other_power", report.isi_other_power),
     ]
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        f.write("# schema=trlink.focusing/1\n")
-        for name, value in scalars:
-            if isinstance(value, float):
-                value = repr(float(value))
-            f.write(f"# {name}={value}\n")
-        writer = csv.writer(f)
-        writer.writerow(["position_mm", "peak_abs"])
-        for pos, val in report.spatial_profile:
-            writer.writerow([repr(float(pos)), repr(float(val))])
+    comments = ["schema=trlink.focusing/1", *(f"{name}={value}" for name, value in scalars)]
+    write_csv(path, ["position_mm", "peak_abs"], report.spatial_profile, comments)

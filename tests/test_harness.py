@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import trlink.harness as harness
 from trlink.channel import CavityParams, SoundingConfig, export_ensemble
 from trlink.cli import main as cli_main
 from trlink.errors import ConfigurationError
@@ -237,6 +238,22 @@ class TestBerSweep:
             assert len(lines) - 1 == 2  # one row per (snr, trial)
         assert len(records) == 4
 
+    def test_failed_cell_leaves_no_file(self, tmp_path, monkeypatch):
+        real = harness.run_ber_point
+        calls = []
+
+        def fail_on_second_call(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise RuntimeError("cell failed")
+            return real(*args)
+
+        monkeypatch.setattr(harness, "run_ber_point", fail_on_second_call)
+        out = tmp_path / "results"
+        with pytest.raises(RuntimeError, match="cell failed"):
+            run_ber_sweep(small_scenario(), out_dir=out)
+        assert not out.exists() or not any(out.iterdir())
+
     def test_pure_noise_rask_is_coin_flip(self):
         scenario = small_scenario(
             rsm={"scheme": "rask", "num_rx": 2},
@@ -339,6 +356,19 @@ class TestSoundingStudy:
         assert all(err <= 1e-9 for err in noiseless.values())
         assert noisy[0][1] > noisy[1][1]
 
+    def test_each_trial_is_synthesised_once(self, monkeypatch):
+        real = harness.synth_cavity_ensemble
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(harness, "synth_cavity_ensemble", counting)
+        scenario = small_scenario(trials=3, sounding={"duration_s": 6.4e-8, "snr_db": 20.0})
+        run_sounding_study(scenario, tb_values=(100, 1000))
+        assert len(calls) == scenario.trials
+
 
 class TestCommittedResults:
     """The committed ``results/`` files are the behavioural oracle."""
@@ -433,15 +463,30 @@ class TestCli:
         assert not out.exists() or not any(out.iterdir())
 
     @pytest.mark.parametrize(
-        "corrupt",
+        "corrupt, message",
         [
-            pytest.param(lambda row: row[:3] + ["abc"] + row[4:], id="non-numeric-tap"),
-            pytest.param(lambda row: row[:3] + ["nan"] + row[4:], id="non-finite-tap"),
-            pytest.param(lambda row: row[:-1], id="short-row"),
-            pytest.param(lambda row: [repr(float(row[0]) + 0.3)] + row[1:], id="moved-position"),
+            pytest.param(
+                lambda row: row[:3] + ["abc"] + row[4:], "measured.csv line 3", id="non-numeric-tap"
+            ),
+            pytest.param(
+                lambda row: row[:3] + ["nan"] + row[4:], "measured.csv line 3", id="non-finite-tap"
+            ),
+            pytest.param(lambda row: row[:-1], "measured.csv line 3", id="short-row"),
+            pytest.param(
+                lambda row: [repr(float(row[0]) + 0.3)] + row[1:],
+                "measured.csv line 3",
+                id="moved-position",
+            ),
+            pytest.param(
+                lambda row: row[:1] + ["0.0"] * (len(row) - 1),
+                "target -1.8 mm has a zero-energy CIR",
+                id="zero-energy-target",
+            ),
         ],
     )
-    def test_malformed_ensemble_row_exits_2_before_writing(self, tmp_path, capsys, corrupt):
+    def test_malformed_ensemble_row_exits_2_before_writing(
+        self, tmp_path, capsys, corrupt, message
+    ):
         from trlink.channel import synth_cavity_ensemble
 
         ensemble = synth_cavity_ensemble(CavityParams(num_taps=8, rng_seed=4), [-2.7, -1.8])
@@ -456,7 +501,7 @@ class TestCli:
         scenario_path.write_text(json.dumps(doc), encoding="utf-8")
         out = tmp_path / "results"
         assert cli_main(["ber", "--scenario", str(scenario_path), "--out", str(out)]) == 2
-        assert "measured.csv line 3" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
 
     @pytest.mark.parametrize(
@@ -533,6 +578,9 @@ class TestCli:
             pytest.param(("trials",), 1.9, [], "trials", id="trials-float"),
             pytest.param(("cavity", "num_taps"), 256.7, [], "num_taps", id="taps-float"),
             pytest.param(("version",), True, [], "version", id="version-bool"),
+            pytest.param(
+                ("sounding",), {"duration_s": 1e-12}, [], "sounding.duration_s", id="chirp-too-short"
+            ),
         ],
     )
     def test_malformed_scalar_exits_2_before_writing(
