@@ -42,6 +42,7 @@ from .precoding import (
     focusing_report,
     focusing_report_to_csv,
     propagate,
+    received_at,
     tr_kernel,
     tr_precode,
 )
@@ -80,6 +81,7 @@ __all__ = [
     "power_detect",
     "propagate",
     "rask_modulate",
+    "received_at",
     "run_ber_sweep",
     "run_focusing_experiment",
     "run_sounding_study",

@@ -81,9 +81,20 @@ def xcorr(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _fftconvolve(np.conj(a[::-1]), b)
 
 
-def complex_noise(size: int, sigma: float, rng_seed: int | list[int] | None) -> np.ndarray:
-    """White circular complex Gaussian noise, ``E|n|^2 = sigma^2`` (seed/noise contract v1)."""
+def complex_noise(
+    size: int,
+    sigma: float,
+    rng_seed: int | list[int] | None,
+    at: np.ndarray | None = None,
+) -> np.ndarray:
+    """White circular complex Gaussian noise, ``E|n|^2 = sigma^2`` (seed/noise contract v1).
+
+    The draw always spans ``size`` samples. Given an index array ``at``, only
+    those samples are returned, equal bit for bit to indexing the full draw.
+    """
     z = np.random.default_rng(rng_seed).standard_normal((2, size))
+    if at is not None:
+        z = z[:, at]
     return sigma / np.sqrt(2.0) * (z[0] + 1j * z[1])
 
 

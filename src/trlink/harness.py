@@ -39,14 +39,23 @@ Scenario JSON schema (version 1)::
       "bits_per_point": ..,
       "trials": ..,
       "sounding": "genie" | {"duration_s": .., "snr_db": .. (optional)},
-                                         # chirp >= 2 samples at bandwidth_hz
+                                         # chirp of 2 .. 1_000_000 samples
+                                         #   at bandwidth_hz
       "master_seed": ..                  # >= 0
     }
 
 Counts, spacings and seeds (``num_taps``, ``num_rx``, ``num_pilots``,
 ``d_values``, ``bits_per_point``, ``trials``, ``master_seed``, ``version``)
 must be JSON integers; every other number must be finite. Nothing is
-coerced: ``15.7``, ``"15"`` or ``true`` in an integer field is an error.
+coerced: ``15.7``, ``"15"`` or ``true`` in an integer field is an error,
+and ``rsm.scheme`` is one of the three lower-case strings shown. Each
+``snr_grid_db`` entry must give a noise power ``10**(-q/10)`` that is a
+positive finite double (about ``|q| <= 3080`` dB).
+
+Each BER cell evaluates the received field only at its detector's window
+samples (:func:`trlink.precoding.received_at`), so a cell costs about what
+the detector reads plus one full-length noise draw per antenna and frame
+(noise contract v1, unchanged).
 
 BER CSV columns are fixed: ``scheme,D,snr_db,bits_sent,bit_errors,ber,seed``
 with one file per (scheme, spacing) and one row per (SNR point, trial).
@@ -104,8 +113,7 @@ from .precoding import (
     FocusingReport,
     focusing_report,
     focusing_report_to_csv,
-    propagate,
-    tr_precode,
+    received_at,
 )
 
 _STREAM_ENSEMBLE = 0
@@ -121,6 +129,11 @@ BER_CSV_HEADER = ["scheme", "D", "snr_db", "bits_sent", "bit_errors", "ber", "se
 # kernel that the ensemble draw factorises, so a grid is capped well below
 # the point where that matrix stops fitting in memory.
 _MAX_GRID_POSITIONS = 10_000
+
+# A sounding chirp is convolved and correlated at full length, several
+# complex buffers at a time; a million samples (time-bandwidth product 1e6)
+# keeps each near 16 MB.
+_MAX_CHIRP_SAMPLES = 1_000_000
 
 
 def derive_seed(master_seed: int, *path: int) -> int:
@@ -214,6 +227,16 @@ class Scenario:
             )
         if not self.snr_grid_db:
             raise ConfigurationError("snr_grid_db must be non-empty")
+        for snr_db in self.snr_grid_db:
+            try:
+                noise_power = 10.0 ** (-snr_db / 10.0)
+            except OverflowError:
+                noise_power = math.inf
+            if not 0.0 < noise_power < math.inf:
+                raise ConfigurationError(
+                    f"snr_grid_db entry {snr_db} dB gives a noise power of "
+                    f"10**{-snr_db / 10.0:g}, outside the positive finite doubles"
+                )
         if self.bits_per_point < 1:
             raise ConfigurationError("bits_per_point must be >= 1")
         if self.trials < 1:
@@ -222,9 +245,15 @@ class Scenario:
             raise ConfigurationError(f"master_seed must be >= 0, got {self.master_seed}")
         if self.sounding is not None:
             try:
-                chirp_length(self.sounding.duration_s, self.cavity.bandwidth_hz)
+                num_samples = chirp_length(self.sounding.duration_s, self.cavity.bandwidth_hz)
             except ConfigurationError as exc:
                 raise ConfigurationError(f"sounding.duration_s: {exc}") from None
+            if num_samples > _MAX_CHIRP_SAMPLES:
+                raise ConfigurationError(
+                    f"sounding.duration_s: {self.sounding.duration_s} s at "
+                    f"{self.cavity.bandwidth_hz} Hz is a {num_samples}-sample chirp; "
+                    f"the cap is {_MAX_CHIRP_SAMPLES}"
+                )
         positions = positions.copy()
         positions.flags.writeable = False
         object.__setattr__(self, "positions_mm", positions)
@@ -335,14 +364,15 @@ def scenario_from_dict(data: dict, base_dir: Path | None = None) -> Scenario:
 
     rsm_obj = data["rsm"]
     require_keys(rsm_obj, {"scheme", "num_rx", "threshold"}, {"scheme"}, "rsm")
-    scheme_name = str(rsm_obj["scheme"]).lower()
+    scheme_name = rsm_obj["scheme"]
     if scheme_name == "both":
         schemes = (Scheme.RASK, Scheme.ERASK)
+    elif scheme_name in ("rask", "erask"):
+        schemes = (Scheme(scheme_name),)
     else:
-        try:
-            schemes = (Scheme(scheme_name),)
-        except ValueError:
-            raise ConfigurationError(f"unknown rsm scheme {rsm_obj['scheme']!r}") from None
+        raise ConfigurationError(
+            f'rsm.scheme must be "rask", "erask" or "both", got {scheme_name!r}'
+        )
     threshold = _parse_threshold(rsm_obj["threshold"]) if "threshold" in rsm_obj else None
     rsm = RsmConfig(
         num_rx=read_integer(rsm_obj.get("num_rx", 2), "rsm.num_rx"),
@@ -428,17 +458,16 @@ def _receive(
     spacing: int,
     sigma: float,
     seed_path: list[int],
-) -> tuple[list[np.ndarray], DetectionWindow]:
+) -> tuple[np.ndarray, DetectionWindow]:
     """Precode toward the known CIRs and receive through the true ones.
 
-    Receiver ``n``'s noise is seeded by ``[*seed_path, n]``.
+    Returns the ``(N, M, 2w+1)`` received samples at the detection windows
+    and the windows. Receiver ``n``'s noise is seeded by ``[*seed_path, n]``.
     """
-    waveform = tr_precode(symbols, known_cirs, spacing)
-    received = [
-        propagate(waveform, true_cirs[n], sigma, rng_seed=[*seed_path, n])
-        for n in range(len(symbols))
-    ]
     windows = detection_windows(symbols.shape[1], known_cirs[0].num_taps, spacing)
+    received = received_at(
+        symbols, true_cirs, known_cirs, spacing, windows.lags, sigma, seed_path
+    )
     return received, windows
 
 

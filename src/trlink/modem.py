@@ -15,7 +15,10 @@ beside it, not in it.
 
 The receiver is non-coherent: only magnitudes inside small windows around
 the expected focusing peaks are used, so no phase reference or inter-antenna
-synchronisation is required.
+synchronisation is required. The detector therefore takes just those
+samples: an ``(N, M, 2w+1)`` array holding each antenna's received samples
+at :attr:`DetectionWindow.lags`, as :func:`trlink.precoding.received_at`
+evaluates them, never a full received signal.
 """
 
 from __future__ import annotations
@@ -95,6 +98,12 @@ class DetectionWindow:
     def num_symbols(self) -> int:
         return self.peak_lags.size
 
+    @property
+    def lags(self) -> np.ndarray:
+        """``(M, 2*half_width + 1)`` received sample indices the detector reads."""
+        offsets = np.arange(-self.half_width, self.half_width + 1)
+        return self.peak_lags[:, None] + offsets[None, :]
+
 
 def detection_windows(
     num_symbols: int, num_taps: int, spacing: int, half_width: int = WINDOW_HALF_WIDTH
@@ -129,44 +138,41 @@ def erask_modulate(bits, num_rx: int) -> np.ndarray:
     return arr.reshape(-1, num_rx).T.astype(np.complex128)
 
 
-def window_peak_powers(
-    received: list[np.ndarray], windows: DetectionWindow
-) -> np.ndarray:
-    """Max |y|^2 inside each symbol window, per antenna: shape (N, M)."""
-    num_symbols = windows.num_symbols
-    powers = np.zeros((len(received), num_symbols))
-    if num_symbols == 0:
-        return powers
-    offsets = np.arange(-windows.half_width, windows.half_width + 1)
-    for n, samples in enumerate(received):
-        if windows.peak_lags.max() >= samples.size:
-            raise DomainError(
-                f"received signal of length {samples.size} is shorter than the last "
-                f"detection window at lag {int(windows.peak_lags.max())}"
-            )
-        idx = np.clip(windows.peak_lags[:, None] + offsets[None, :], 0, samples.size - 1)
-        powers[n] = np.max(np.abs(samples[idx]) ** 2, axis=1)
-    return powers
+def window_peak_powers(received: np.ndarray, windows: DetectionWindow) -> np.ndarray:
+    """Max |y|^2 inside each symbol window, per antenna: shape (N, M).
+
+    ``received`` holds each antenna's samples at ``windows.lags``: shape
+    ``(N, M, 2*half_width + 1)``.
+    """
+    received = np.asarray(received)
+    expected = (windows.num_symbols, 2 * windows.half_width + 1)
+    if received.ndim != 3 or received.shape[1:] != expected:
+        raise DomainError(
+            f"window samples of shape {received.shape} do not match {expected[0]} "
+            f"windows of {expected[1]} samples per antenna"
+        )
+    return np.max(np.abs(received) ** 2, axis=2)
 
 
 def power_detect(
-    received: list[np.ndarray],
+    received: np.ndarray,
     windows: DetectionWindow,
     scheme: Scheme,
     threshold: float | None = None,
 ) -> np.ndarray:
     """Non-coherent detection of the transmitted bits.
 
-    RASK needs exactly 2 received signals and returns one bit per symbol,
-    the index of the strongest antenna (ties break to the lowest index,
-    i.e. bit 0). ERASK returns one bit per received signal per symbol,
-    antenna-major within each symbol, set where the windowed power reaches
-    the threshold.
+    ``received`` holds the antennas' window samples (see
+    :func:`window_peak_powers`). RASK needs exactly 2 antennas and returns
+    one bit per symbol, the index of the strongest antenna (ties break to
+    the lowest index, i.e. bit 0). ERASK returns one bit per antenna per
+    symbol, antenna-major within each symbol, set where the windowed power
+    reaches the threshold.
     """
     rask = Scheme(scheme) is Scheme.RASK
     if rask and len(received) != 2:
         raise ConfigurationError(
-            f"RASK needs exactly 2 received signals, got {len(received)}"
+            f"RASK needs exactly 2 receive antennas, got {len(received)}"
         )
     powers = window_peak_powers(received, windows)
     if rask:
@@ -178,15 +184,16 @@ def power_detect(
 
 
 def calibrate_threshold(
-    pilot_received: list[np.ndarray],
+    pilot_received: np.ndarray,
     windows: DetectionWindow,
     targeted: np.ndarray,
 ) -> float:
     """Midpoint between the targeted and untargeted pilot power class means.
 
-    ``targeted`` is a boolean (num_rx, num_pilots) mask saying which
-    antenna/symbol cells of the pilot frame carried a pulse; both classes
-    must be represented.
+    ``pilot_received`` holds the pilot frame's window samples (see
+    :func:`window_peak_powers`). ``targeted`` is a boolean (num_rx,
+    num_pilots) mask saying which antenna/symbol cells of the pilot frame
+    carried a pulse; both classes must be represented.
     """
     mask = np.asarray(targeted, dtype=bool)
     powers = window_peak_powers(pilot_received, windows)

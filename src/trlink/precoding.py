@@ -9,9 +9,9 @@ user, scaled so every unit-amplitude data pulse carries unit emitted energy:
 
     s[k] = sum_i sum_l x[i, l] * conj(h_i)[L-1 - (k - l*D)] / sqrt(E_i)
 
-with ``E_i = sum_l |h_i[l]|^2``. :func:`tr_precode` is where the matrix
-enters: it checks its shape against the channel list, the spacing, and that
-every amplitude is finite.
+with ``E_i = sum_l |h_i[l]|^2``. :func:`tr_precode` and :func:`received_at`
+are where the matrix enters: both check its shape against the channel list,
+the spacing, and that every amplitude is finite.
 
 After propagating through channel ``h_j`` the multipath echoes recombine: a
 single unit pulse toward user ``i`` arrives at position ``j`` as the
@@ -19,6 +19,14 @@ cross-correlation of ``h_j`` with ``h_i`` (normalised by ``sqrt(E_i)``),
 which for ``j == i`` peaks at lag 0 with amplitude ``sqrt(E_i)``. The peak
 of a pulse placed in symbol slot ``l`` forms at received sample index
 ``L - 1 + l*D``; that index convention is shared with the detector windows.
+
+By linearity the field at antenna ``n`` is ``sum_i upsample_D(x[i]) *
+K_ni``, where ``K_ni`` is the noiseless received unit pulse (length
+``2L - 1``, :func:`tr_kernel`). :func:`received_at` uses that identity to give
+the BER sweep the received samples at the detector's window indices only:
+it never forms the ``(M-1)*D + 2L - 1``-sample emission or received signal.
+Its noise is still drawn at that full length, exactly as :func:`propagate`
+draws it (seed/noise contract v1), and read at the same indices.
 
 Everything here is pure and deterministic given the seed, and safe to fan
 out across positions, seeds, and SNR points.
@@ -38,6 +46,43 @@ from .errors import ConfigurationError, DomainError
 from .output import write_csv
 
 
+_UNIT_PULSE = np.ones((1, 1), dtype=np.complex128)
+
+
+def _check_symbols(symbols: np.ndarray, cirs: list[Cir], spacing: int) -> np.ndarray:
+    """The ``(N, M)`` amplitude matrix as complex128, checked against its targets."""
+    symbols = np.asarray(symbols, dtype=np.complex128)
+    if symbols.ndim != 2:
+        raise DomainError(f"symbols must be an (N, M) matrix, got shape {symbols.shape}")
+    if symbols.shape[0] != len(cirs):
+        raise ConfigurationError(f"{symbols.shape[0]} symbol rows for {len(cirs)} CIRs")
+    if not cirs:
+        raise ConfigurationError("need at least one user")
+    if spacing < 1:
+        raise ConfigurationError(f"pulse spacing must be >= 1 tap, got {spacing}")
+    if not np.all(np.isfinite(symbols)):
+        raise DomainError("symbols must be finite")
+    lengths = {c.num_taps for c in cirs}
+    taps_spacings = {c.tap_spacing for c in cirs}
+    if len(lengths) != 1 or len(taps_spacings) != 1:
+        raise ConfigurationError("users must share CIR length and tap spacing")
+    return symbols
+
+
+def _check_noise_sigma(noise_sigma: float) -> None:
+    if not (math.isfinite(noise_sigma) and noise_sigma >= 0.0):
+        raise DomainError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
+
+
+def _check_kernel_pair(h_j: Cir, h_i: Cir) -> None:
+    if h_j.num_taps != h_i.num_taps:
+        raise ConfigurationError(
+            f"kernel CIRs must share length ({h_j.num_taps} vs {h_i.num_taps})"
+        )
+    if not math.isclose(h_j.tap_spacing, h_i.tap_spacing, rel_tol=1e-9):
+        raise ConfigurationError("kernel CIRs must share tap spacing")
+
+
 def tr_kernel(h_j: Cir, h_i: Cir) -> np.ndarray:
     """Correlation kernel of ``h_j`` against the precoding target ``h_i``.
 
@@ -45,14 +90,11 @@ def tr_kernel(h_j: Cir, h_i: Cir) -> np.ndarray:
     ``L - 1``; entry ``L - 1 + m`` is
     ``sum_k conj(h_i[k - m]) * h_j[k] / sqrt(E_i)``. For the
     autocorrelation case the lag-0 value is ``sqrt(E_i)``, real and
-    positive, and dominates every other lag in magnitude.
+    positive, and dominates every other lag in magnitude. It equals, to
+    ``NUMERIC_RTOL``, the field ``propagate(tr_precode(unit pulse, [h_i],
+    1), h_j, 0.0)`` that :func:`received_at` builds its kernels from.
     """
-    if h_j.num_taps != h_i.num_taps:
-        raise ConfigurationError(
-            f"kernel CIRs must share length ({h_j.num_taps} vs {h_i.num_taps})"
-        )
-    if not math.isclose(h_j.tap_spacing, h_i.tap_spacing, rel_tol=1e-9):
-        raise ConfigurationError("kernel CIRs must share tap spacing")
+    _check_kernel_pair(h_j, h_i)
     energy = h_i.energy
     if energy <= 0.0:
         raise DomainError("precoding target CIR has zero energy")
@@ -70,22 +112,7 @@ def tr_precode(symbols: np.ndarray, cirs: list[Cir], spacing: int) -> np.ndarray
     user focuses at received index ``L - 1 + l*spacing``. ``M == 0`` gives
     an empty emission.
     """
-    symbols = np.asarray(symbols, dtype=np.complex128)
-    if symbols.ndim != 2:
-        raise DomainError(f"symbols must be an (N, M) matrix, got shape {symbols.shape}")
-    if symbols.shape[0] != len(cirs):
-        raise ConfigurationError(f"{symbols.shape[0]} symbol rows for {len(cirs)} CIRs")
-    if not cirs:
-        raise ConfigurationError("need at least one user")
-    if spacing < 1:
-        raise ConfigurationError(f"pulse spacing must be >= 1 tap, got {spacing}")
-    if not np.all(np.isfinite(symbols)):
-        raise DomainError("symbols must be finite")
-    lengths = {c.num_taps for c in cirs}
-    taps_spacings = {c.tap_spacing for c in cirs}
-    if len(lengths) != 1 or len(taps_spacings) != 1:
-        raise ConfigurationError("users must share CIR length and tap spacing")
-
+    symbols = _check_symbols(symbols, cirs, spacing)
     num_symbols = symbols.shape[1]
     # One fresh train and one convolution per user, then one sum: reusing a
     # train buffer or preallocating the sum measured slower (page faults).
@@ -120,12 +147,65 @@ def propagate(
     per-sample standard deviation is ``noise_sigma`` (``E|n|^2 = sigma^2``).
     Deterministic for a given ``rng_seed``.
     """
-    if not (math.isfinite(noise_sigma) and noise_sigma >= 0.0):
-        raise DomainError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
+    _check_noise_sigma(noise_sigma)
     received = convolve(signal, cir.taps)
     if noise_sigma > 0.0:
         received = received + complex_noise(received.size, noise_sigma, rng_seed)
     return received
+
+
+def received_at(
+    symbols: np.ndarray,
+    true_cirs: list[Cir],
+    known_cirs: list[Cir],
+    spacing: int,
+    lags: np.ndarray,
+    noise_sigma: float,
+    seed_path: list[int],
+) -> np.ndarray:
+    """Received samples at the given indices, one slice per receive antenna.
+
+    Entry ``[n, ...]`` equals, to ``NUMERIC_RTOL``, sample ``lags[...]`` of
+    ``propagate(tr_precode(symbols, known_cirs, spacing), true_cirs[n],
+    noise_sigma, [*seed_path, n])``, with each lag clipped into that
+    ``(M-1)*spacing + 2L - 1``-sample signal as a reader past either end
+    reads the end sample. Only the requested samples are computed: index
+    ``k = q*spacing + r`` of user ``i``'s contribution is the convolution of
+    row ``i`` with the polyphase component ``K_ni[r::spacing]`` at ``q``. A
+    component with no taps contributes nothing. The noise is drawn at the
+    full length from the same seeds as :func:`propagate` and indexed, so
+    noise contract v1 is unchanged. Returns shape ``(len(true_cirs),
+    *lags.shape)``.
+    """
+    symbols = _check_symbols(symbols, known_cirs, spacing)
+    _check_noise_sigma(noise_sigma)
+    lags = np.asarray(lags, dtype=np.int64)
+    field = np.zeros((len(true_cirs), lags.size), dtype=np.complex128)
+    num_symbols = symbols.shape[1]
+    if num_symbols > 0:
+        length = (num_symbols - 1) * spacing + 2 * known_cirs[0].num_taps - 1
+        index = np.clip(lags.ravel(), 0, length - 1)
+        block, phase = np.divmod(index, spacing)
+        # (residue r, the positions with that residue, their blocks q)
+        groups = []
+        for r in np.unique(phase):
+            at = np.flatnonzero(phase == r)
+            groups.append((r, at, block[at]))
+        for n, h_n in enumerate(true_cirs):
+            _check_kernel_pair(h_n, known_cirs[0])
+            # Built by the chain this function stands in for, not by
+            # tr_kernel's closed form, so the detector sees the chain's bits.
+            kernels = [
+                propagate(tr_precode(_UNIT_PULSE, [h_i], 1), h_n, 0.0) for h_i in known_cirs
+            ]
+            for r, at, q in groups:
+                for row, kernel in zip(symbols, kernels):
+                    taps = kernel[r::spacing]
+                    if taps.size:
+                        field[n, at] += np.convolve(row, taps)[q]
+            if noise_sigma > 0.0:
+                field[n] += complex_noise(length, noise_sigma, [*seed_path, n], at=index)
+    return field.reshape(len(true_cirs), *lags.shape)
 
 
 @dataclass(frozen=True, eq=False)
@@ -233,8 +313,7 @@ def focusing_report(
     if spacing < 1:
         raise ConfigurationError(f"pulse spacing must be >= 1, got {spacing}")
 
-    pulse = np.ones((1, 1))
-    own_waveform = tr_precode(pulse, [ensemble.cirs[target_index]], spacing)
+    own_waveform = tr_precode(_UNIT_PULSE, [ensemble.cirs[target_index]], spacing)
     own = np.stack([propagate(own_waveform, cir, 0.0) for cir in ensemble.cirs])
     own_at_target = own[target_index]
 
@@ -267,7 +346,7 @@ def focusing_report(
 
     slots = _slot_indices(peak_lag, spacing, magnitude.size)
     if other_index is not None:
-        other_waveform = tr_precode(pulse, [ensemble.cirs[other_index]], spacing)
+        other_waveform = tr_precode(_UNIT_PULSE, [ensemble.cirs[other_index]], spacing)
         other_at_target = propagate(other_waveform, ensemble.cirs[target_index], 0.0)
         total_at_target = own_at_target + other_at_target
         iui_power = float(np.abs(other_at_target[peak_lag]) ** 2)

@@ -423,6 +423,18 @@ class TestCli:
         assert (out / "ber_rask_D15.csv").exists()
         assert (out / "ber_erask_D15.csv").exists()
 
+    def test_ber_over_single_tap_channels(self, tmp_path, capsys):
+        # one tap leaves the window offsets either side of a peak without
+        # kernel taps, and the first window's left sample at index -1
+        path = write_scenario(tmp_path, cavity={
+            "num_taps": 1, "bandwidth_hz": 4.0e9, "carrier_freq_hz": 2.736e11,
+        })
+        out = tmp_path / "results"
+        assert cli_main(["ber", "--scenario", str(path), "--out", str(out)]) == 0
+        for scheme in ("rask", "erask"):
+            rows = (out / f"ber_{scheme}_D15.csv").read_text(encoding="utf-8").splitlines()
+            assert len(rows) == 3
+
     def test_focus_writes_profiles(self, tmp_path, capsys):
         path = write_scenario(tmp_path)
         out = tmp_path / "results"
@@ -581,6 +593,13 @@ class TestCli:
             pytest.param(
                 ("sounding",), {"duration_s": 1e-12}, [], "sounding.duration_s", id="chirp-too-short"
             ),
+            pytest.param(
+                ("sounding",), {"duration_s": 1.0}, [], "sounding.duration_s", id="chirp-too-long"
+            ),
+            pytest.param(("snr_grid_db",), [-1e308], [], "snr_grid_db", id="snr-noise-overflows"),
+            pytest.param(("snr_grid_db",), [1e308], [], "snr_grid_db", id="snr-noise-underflows"),
+            pytest.param(("rsm", "scheme"), "RASK", [], "rsm.scheme", id="scheme-upper-case"),
+            pytest.param(("rsm", "scheme"), ["rask"], [], "rsm.scheme", id="scheme-list"),
         ],
     )
     def test_malformed_scalar_exits_2_before_writing(

@@ -19,8 +19,9 @@ from trlink.modem import (
     erask_modulate,
     power_detect,
     rask_modulate,
+    window_peak_powers,
 )
-from trlink.precoding import propagate, tr_precode
+from trlink.precoding import received_at
 
 SPACING = 7
 RASK = Scheme.RASK
@@ -41,22 +42,18 @@ def orthogonal_cirs():
     return [Cir(first, 1.0), Cir(second, 1.0)]
 
 
-def ideal_received(bits_per_antenna, spacing=7, num_taps=7):
-    """Directly constructed receptions: a diagonal unit channel matrix.
+def ideal_received(powers, spacing=7, num_taps=7):
+    """Directly constructed window samples: a diagonal channel matrix.
 
-    Antenna n sees a unit pulse in symbol slot l exactly when its bit is
-    set; there is no cross-talk at all (interference-free detector check).
+    Window ``l`` of antenna ``n`` holds one pulse of power ``powers[n][l]``
+    at its centre and nothing else; with 0/1 powers (the bits) there is no
+    cross-talk at all (interference-free detector check).
     """
-    num_symbols = len(bits_per_antenna[0])
-    length = num_taps - 1 + (num_symbols - 1) * spacing + 2
-    signals = []
-    for antenna_bits in bits_per_antenna:
-        samples = np.zeros(length, dtype=complex)
-        for l, bit in enumerate(antenna_bits):
-            samples[num_taps - 1 + l * spacing] = float(bit)
-        signals.append(samples)
-    windows = detection_windows(num_symbols, num_taps, spacing)
-    return signals, windows
+    powers = np.asarray(powers, dtype=float)
+    windows = detection_windows(powers.shape[1], num_taps, spacing)
+    samples = np.zeros((*powers.shape, 2 * windows.half_width + 1), dtype=complex)
+    samples[:, :, windows.half_width] = np.sqrt(powers)
+    return samples, windows
 
 
 def transmit(bits, scheme, cirs, sigma=0.0, seed=0):
@@ -64,12 +61,8 @@ def transmit(bits, scheme, cirs, sigma=0.0, seed=0):
         symbols = rask_modulate(bits)
     else:
         symbols = erask_modulate(bits, len(cirs))
-    waveform = tr_precode(symbols, cirs, SPACING)
-    received = [
-        propagate(waveform, cirs[n], sigma, rng_seed=[seed, n])
-        for n in range(len(cirs))
-    ]
     windows = detection_windows(symbols.shape[1], cirs[0].num_taps, SPACING)
+    received = received_at(symbols, cirs, cirs, SPACING, windows.lags, sigma, [seed])
     return received, windows
 
 
@@ -179,11 +172,18 @@ class TestPowerDetect:
         np.testing.assert_array_equal(detected, bits)
 
     def test_tie_breaks_to_first_antenna(self):
-        samples = np.zeros(8, dtype=complex)
-        samples[3] = 1.0
+        samples = np.zeros((1, 3), dtype=complex)
+        samples[0, 1] = 1.0
         windows = DetectionWindow(np.array([3]), half_width=1)
-        detected = power_detect([samples, samples], windows, RASK)
+        detected = power_detect(np.stack([samples, samples]), windows, RASK)
         np.testing.assert_array_equal(detected, [0])
+
+    def test_window_samples_must_match_the_windows(self):
+        received, windows = transmit([0, 1, 1], RASK, orthogonal_cirs())
+        full_length = np.zeros((2, 40), dtype=complex)
+        for bad in (full_length, received[:, :2], received[:, :, :2]):
+            with pytest.raises(DomainError, match="do not match"):
+                window_peak_powers(bad, windows)
 
     def test_erask_requires_threshold(self):
         received, windows = transmit([1, 0], ERASK, orthogonal_cirs())
@@ -199,7 +199,7 @@ class TestPowerDetect:
         rng = np.random.default_rng(1)
         bits = rng.integers(0, 2, 64)
         received, windows = transmit(bits, RASK, orthogonal_cirs(), sigma=0.3)
-        scaled = [7.3 * r for r in received]
+        scaled = 7.3 * received
         np.testing.assert_array_equal(
             power_detect(received, windows, RASK),
             power_detect(scaled, windows, RASK),
@@ -211,7 +211,7 @@ class TestPowerDetect:
         received, windows = transmit(bits, ERASK, orthogonal_cirs(), sigma=0.2)
         threshold = 0.4
         amplitude_scale = 2.5
-        scaled = [amplitude_scale * r for r in received]
+        scaled = amplitude_scale * received
         np.testing.assert_array_equal(
             power_detect(received, windows, ERASK, threshold),
             power_detect(scaled, windows, ERASK, threshold * amplitude_scale**2),
@@ -253,23 +253,9 @@ class TestRoundTrip:
 
 
 class TestCalibrateThreshold:
-    @staticmethod
-    def _pilot_signals(on_power, off_power, targeted, spacing=4, num_taps=2):
-        num_rx, num_pilots = targeted.shape
-        length = num_taps - 1 + (num_pilots - 1) * spacing + 2
-        signals = []
-        for n in range(num_rx):
-            samples = np.zeros(length, dtype=complex)
-            for l in range(num_pilots):
-                level = on_power if targeted[n, l] else off_power
-                samples[num_taps - 1 + l * spacing] = np.sqrt(level)
-            signals.append(samples)
-        windows = detection_windows(num_pilots, num_taps, spacing)
-        return signals, windows
-
     def test_clean_classes_give_exact_midpoint(self):
         targeted = np.array([[True, False, True, False], [False, True, False, True]])
-        signals, windows = self._pilot_signals(4.0, 0.0, targeted)
+        signals, windows = ideal_received(np.where(targeted, 4.0, 0.0))
         threshold = calibrate_threshold(signals, windows, targeted)
         assert threshold == pytest.approx(2.0)
 
@@ -278,17 +264,7 @@ class TestCalibrateThreshold:
         targeted = np.array([[True, False] * 8, [False, True] * 8])
         on = 1.0 + 0.3 * rng.random(targeted.shape)
         off = 0.4 + 0.3 * rng.random(targeted.shape)
-        num_rx, num_pilots = targeted.shape
-        spacing, num_taps = 4, 2
-        length = num_taps - 1 + (num_pilots - 1) * spacing + 2
-        signals = []
-        for n in range(num_rx):
-            samples = np.zeros(length, dtype=complex)
-            for l in range(num_pilots):
-                level = on[n, l] if targeted[n, l] else off[n, l]
-                samples[num_taps - 1 + l * spacing] = np.sqrt(level)
-            signals.append(samples)
-        windows = detection_windows(num_pilots, num_taps, spacing)
+        signals, windows = ideal_received(np.where(targeted, on, off))
         threshold = calibrate_threshold(signals, windows, targeted)
         assert off.min() < threshold < on.max()
         mean_on = on[targeted].mean() if targeted.any() else 0.0
@@ -297,7 +273,7 @@ class TestCalibrateThreshold:
 
     def test_single_class_pilot_is_rejected(self):
         targeted = np.ones((2, 4), dtype=bool)
-        signals, windows = self._pilot_signals(4.0, 0.0, targeted)
+        signals, windows = ideal_received(np.where(targeted, 4.0, 0.0))
         with pytest.raises(ConfigurationError):
             calibrate_threshold(signals, windows, targeted)
 

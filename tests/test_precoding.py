@@ -6,15 +6,25 @@ import numpy as np
 import pytest
 
 from conftest import random_cir
-from trlink.channel import CavityParams, Cir, SpatialChannelEnsemble, synth_cavity_ensemble
+from trlink.channel import (
+    CavityParams,
+    Cir,
+    SoundingConfig,
+    SpatialChannelEnsemble,
+    sound_cir,
+    sounding_chirp,
+    synth_cavity_ensemble,
+)
 from trlink.dsp import NUMERIC_RTOL
 from trlink.errors import ConfigurationError, DomainError
-from trlink.harness import grid_positions
+from trlink.harness import _pilot_targets, grid_positions
+from trlink.modem import detection_windows, erask_modulate, rask_modulate
 from trlink.precoding import (
     focusing_report,
     focusing_report_to_csv,
     full_width_half_max,
     propagate,
+    received_at,
     tr_kernel,
     tr_precode,
 )
@@ -77,6 +87,18 @@ class TestTrKernel:
                 dominated += 1
         assert np.mean(zero_lag_power) == pytest.approx(1.0 / num_taps, rel=0.2)
         assert dominated / draws >= 0.99
+
+    @pytest.mark.parametrize("num_taps", [1, 2, 64])
+    def test_closed_form_equals_the_unit_pulse_chain(self, num_taps):
+        # received_at builds its kernels by precoding and propagating one
+        # pulse; the correlation formula here must give the same field
+        rng = np.random.default_rng(num_taps)
+        h_i, h_j = random_cir(rng, num_taps), random_cir(rng, num_taps)
+        for target, receiver in ((h_i, h_i), (h_i, h_j)):
+            chain = propagate(tr_precode(UNIT_PULSE, [target], 1), receiver, 0.0)
+            kernel = tr_kernel(receiver, target)
+            assert kernel.shape == chain.shape
+            assert np.max(np.abs(kernel - chain)) <= NUMERIC_RTOL * np.max(np.abs(chain))
 
     def test_rejects_zero_energy_target(self):
         h = Cir(np.ones(4), 1.0)
@@ -198,6 +220,95 @@ class TestPropagate:
             expected = kernel_expansion(symbols, cirs, 9, j)
             scale = np.max(np.abs(expected))
             assert np.max(np.abs(received - expected)) <= NUMERIC_RTOL * scale
+
+
+def windowed_reference(symbols, true_cirs, known_cirs, spacing, lags, sigma, seed_path):
+    """The full-length chain, indexed at the (clipped) lags afterwards."""
+    waveform = tr_precode(symbols, known_cirs, spacing)
+    rows = []
+    for n, cir in enumerate(true_cirs):
+        received = propagate(waveform, cir, sigma, rng_seed=[*seed_path, n])
+        rows.append(received[np.clip(lags, 0, received.size - 1)])
+    return np.stack(rows)
+
+
+def _frames(rng, num_rx=2):
+    """RASK, ERASK, pilot and complex-amplitude symbol matrices."""
+    bits = rng.integers(0, 2, 40)
+    return {
+        "rask": rask_modulate(bits),
+        "erask": erask_modulate(bits, num_rx),
+        "pilot": _pilot_targets(num_rx, 32).astype(complex),
+        "complex": rng.standard_normal((num_rx, 9)) + 1j * rng.standard_normal((num_rx, 9)),
+    }
+
+
+class TestReceivedAt:
+    """The window-sample engine against the full-length precode-propagate chain."""
+
+    @pytest.mark.parametrize("num_taps, spacings", [
+        (1, (1, 3)),
+        (2, (3, 7)),
+        (256, (5, 15, 600)),
+    ])
+    @pytest.mark.parametrize("csi", ["genie", "sounded"])
+    def test_matches_full_length_chain(self, num_taps, spacings, csi):
+        params = CavityParams(num_taps=num_taps, rng_seed=21)
+        ensemble = synth_cavity_ensemble(params, [-0.45, 0.45])
+        true_cirs = list(ensemble.cirs)
+        known_cirs = true_cirs
+        if csi == "sounded":
+            cfg = SoundingConfig(duration_s=64 / params.bandwidth_hz, probe_snr_db=20.0)
+            chirp = sounding_chirp(params, cfg)
+            known_cirs = [
+                sound_cir(cir, SoundingConfig(cfg.duration_s, 20.0, rng_seed=j), chirp)
+                for j, cir in enumerate(true_cirs)
+            ]
+        rng = np.random.default_rng(num_taps)
+        for name, symbols in _frames(rng).items():
+            for spacing in spacings:
+                lags = detection_windows(symbols.shape[1], num_taps, spacing).lags
+                for sigma in (0.0, 0.3):
+                    actual = received_at(
+                        symbols, true_cirs, known_cirs, spacing, lags, sigma, [5, 1]
+                    )
+                    expected = windowed_reference(
+                        symbols, true_cirs, known_cirs, spacing, lags, sigma, [5, 1]
+                    )
+                    assert actual.shape == (2, *lags.shape)
+                    scale = np.max(np.abs(expected))
+                    assert np.max(np.abs(actual - expected)) <= NUMERIC_RTOL * scale, (
+                        name, spacing, sigma
+                    )
+
+    def test_single_tap_reads_clip_to_the_signal_ends(self):
+        # with L = 1 the field is zero between pulses; the first window's
+        # left sample and the last window's right sample clip to the ends
+        h = Cir([0.6 + 0.8j], 1.0)
+        symbols = np.array([[1.0, 2.0, 3.0]], dtype=complex)
+        lags = detection_windows(3, 1, 4).lags
+        field = received_at(symbols, [h], [h], 4, lags, 0.0, [0])[0]
+        np.testing.assert_allclose(field, [[1, 1, 0], [0, 2, 0], [0, 3, 3]], atol=1e-15)
+        noisy = received_at(symbols, [h], [h], 4, lags, 0.5, [0])[0]
+        assert noisy[0, 0] == noisy[0, 1]
+        assert noisy[2, 1] == noisy[2, 2]
+        assert noisy[0, 0] != noisy[2, 2]
+
+    def test_empty_frame_gives_no_samples(self):
+        h = Cir(np.ones(4), 1.0)
+        lags = detection_windows(0, 4, 5).lags
+        field = received_at(np.zeros((2, 0)), [h, h], [h, h], 5, lags, 0.1, [0])
+        assert field.shape == (2, 0, 3)
+
+    def test_rejects_what_the_chain_rejects(self):
+        h = Cir(np.ones(4), 1.0)
+        lags = detection_windows(2, 4, 5).lags
+        with pytest.raises(DomainError, match="noise_sigma"):
+            received_at(np.ones((1, 2)), [h], [h], 5, lags, -1.0, [0])
+        with pytest.raises(ConfigurationError, match="symbol rows"):
+            received_at(np.ones((2, 2)), [h], [h], 5, lags, 0.0, [0])
+        with pytest.raises(DomainError, match="zero-energy"):
+            received_at(np.ones((1, 2)), [h], [Cir(np.zeros(4), 1.0)], 5, lags, 0.0, [0])
 
 
 class TestFocusingGain:

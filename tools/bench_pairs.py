@@ -1,0 +1,147 @@
+"""Compare two checkouts on the perfbench workloads and write a BENCH_<n>.json record.
+
+Usage (from any directory; both checkouts need ``perfbench/``, ``src/`` and
+``BENCHMARK.json``):
+
+    python3 tools/bench_pairs.py --parent ../parent --change . --out BENCH_1.json
+
+Every workload ``BENCHMARK.json`` lists is measured (or only those named
+with ``--workload``) over ``PAIRS`` pairs. Pair ``k`` runs
+``perfbench/run.py --seed <first-seed + k> --seconds <run_seconds> --trace
+0`` once in each checkout, one run at a time, with ``run_seconds`` taken
+from ``BENCHMARK.json`` (both checkouts must agree on it). The side that
+runs first alternates from pair to pair, so drift of the host hits both
+sides alike. The record keeps each checkout's git revision and whether its
+tree had uncommitted changes, the seeds, the environment line each run
+printed (Python, numpy, BLAS threads, CPUs), every run's end-to-end
+metrics and, per metric, the median and quartiles of each side, the median
+ratio (change / parent) and the number of pairs the change won in the
+metric's better direction. A run that fails its oracle is kept with
+``correct: false`` and left out of the summaries.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+PAIRS = 10
+
+
+def benchmark_spec(checkout: Path) -> dict:
+    return json.loads((checkout / "BENCHMARK.json").read_text(encoding="utf-8"))
+
+
+def revision(checkout: Path) -> dict:
+    """The checkout's git revision and whether its tree differs from it."""
+    def git(*args: str) -> subprocess.CompletedProcess:
+        return subprocess.run(["git", *args], capture_output=True, text=True, cwd=checkout)
+
+    head = git("rev-parse", "--short", "HEAD")
+    if head.returncode != 0:
+        return {"revision": None, "uncommitted_changes": None}
+    status = git("status", "--porcelain", "--untracked-files=no")
+    return {"revision": head.stdout.strip(), "uncommitted_changes": bool(status.stdout.strip())}
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", "0"],
+        capture_output=True, text=True, cwd=checkout,
+    )
+    lines = proc.stdout.strip().splitlines()
+    result = json.loads(lines[-1]) if lines and lines[-1].startswith("{") else {}
+    # run.py's header line reads "perfbench <workload> seed=...: ...; <environment>"
+    header = [line for line in lines if line.startswith(f"perfbench {workload} ")]
+    environment = header[0].split("; ", 1)[-1] if header else None
+    return {
+        "seed": seed,
+        "correct": proc.returncode == 0 and bool(result.get("correct")),
+        "environment": environment,
+        "metrics": {k: v["value"] for k, v in result.get("metrics", {}).items()},
+    }
+
+
+def summarise(parent: list[dict], change: list[dict], better: dict[str, str]) -> dict:
+    pairs = [(p["metrics"], c["metrics"]) for p, c in zip(parent, change)
+             if p["correct"] and c["correct"]]
+    summary = {"pairs": len(pairs)}
+    for name, direction in better.items():
+        old = [p[name] for p, _ in pairs]
+        new = [c[name] for _, c in pairs]
+        if not old:
+            continue
+        wins = sum((n > o) if direction == "higher" else (n < o) for o, n in zip(old, new))
+        quartiles = {side: statistics.quantiles(values, n=4, method="inclusive")
+                     if len(values) > 1 else [values[0]] * 3
+                     for side, values in (("parent", old), ("change", new))}
+        summary[name] = {
+            "better": direction,
+            "parent_median": statistics.median(old),
+            "change_median": statistics.median(new),
+            "parent_quartiles": [quartiles["parent"][0], quartiles["parent"][2]],
+            "change_quartiles": [quartiles["change"][0], quartiles["change"][2]],
+            "ratio_change_over_parent": statistics.median(new) / statistics.median(old),
+            "change_wins": wins,
+        }
+    return summary
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", type=Path, required=True)
+    parser.add_argument("--change", type=Path, required=True)
+    parser.add_argument("--workload", action="append",
+                        help="measure only this workload (repeatable; default: all)")
+    parser.add_argument("--first-seed", type=int, default=101)
+    parser.add_argument("--out", type=Path, required=True)
+    args = parser.parse_args(argv)
+
+    spec = benchmark_spec(args.change)
+    seconds = spec["run_seconds"]
+    if benchmark_spec(args.parent)["run_seconds"] != seconds:
+        parser.error("the two checkouts' BENCHMARK.json set different run_seconds")
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    workloads = args.workload or [w["name"] for w in spec["workloads"]]
+    seeds = [args.first_seed + k for k in range(PAIRS)]
+
+    record = {
+        "description": "Parent vs change on the perfbench workloads: per gated end-to-end "
+                       "metric, each side's median and quartiles over alternating pairs, the "
+                       "median ratio and the pairs the change won. Written by "
+                       "tools/bench_pairs.py; every run is kept under 'runs'.",
+        "command": f"python3 perfbench/run.py --workload W --seed S --seconds {seconds:g} "
+                   "--trace 0",
+        "parent": revision(args.parent),
+        "change": revision(args.change),
+        "seeds": seeds,
+        "environments": {},
+        "workloads": {},
+    }
+    runs_by_side = {"parent": [], "change": []}
+    for workload in workloads:
+        runs = {"parent": [], "change": []}
+        for k, seed in enumerate(seeds):
+            for side in ("parent", "change")[:: 1 if k % 2 == 0 else -1]:
+                runs[side].append(run_once(getattr(args, side), workload, seed, seconds))
+            print(f"{workload} pair {k + 1}/{PAIRS} done", file=sys.stderr)
+        record["workloads"][workload] = {
+            "summary": summarise(runs["parent"], runs["change"], better), "runs": runs,
+        }
+        for side in runs:
+            runs_by_side[side] += runs[side]
+    record["environments"] = {
+        side: sorted({r["environment"] for r in runs if r["environment"]})
+        for side, runs in runs_by_side.items()
+    }
+    args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
