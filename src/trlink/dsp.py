@@ -8,6 +8,12 @@ arrays come from validated boundaries (``Cir`` taps, the symbol matrix that
 ``tr_precode`` checks) or from earlier steps of the pipeline; convolution
 and correlation reject only empty inputs.
 
+``convolve``'s second operand may also be a ``(P, Lb)`` stack of ``P``
+signals of one length, which convolves the same first signal with every
+row: one emission received through ``P`` channels. The first signal is
+transformed once and the stack in one batched transform along its last
+axis; row ``p`` of the result equals ``convolve(a, b[p])`` bit for bit.
+
 Convolution and correlation are full-support linear operations. They are
 computed with transform-domain fast convolution, but the contract is the
 direct summation: the test suite holds the fast path to a direct
@@ -49,19 +55,23 @@ def _fast_len(n: int) -> int:
 
 
 def _fftconvolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Full linear convolution of two non-empty 1-D arrays via the FFT."""
-    if a.size == 1 or b.size == 1:
+    """Full linear convolution via the FFT of a non-empty 1-D ``a`` with the
+    last axis of ``b``, one signal or a stack of them."""
+    if a.size == 1 or b.shape[-1] == 1:
         return a * b
-    n = a.size + b.size - 1
+    n = a.size + b.shape[-1] - 1
     m = _fast_len(n)
-    return np.fft.ifft(np.fft.fft(a, m) * np.fft.fft(b, m))[:n]
+    return np.fft.ifft(np.fft.fft(a, m) * np.fft.fft(b, m, axis=-1), axis=-1)[..., :n]
 
 
 def convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Full linear convolution of two signals.
+    """Full linear convolution of a signal with one signal or a stack.
 
-    Output length is ``len(a) + len(b) - 1``. Uses FFT-based fast
-    convolution internally; agrees with the direct sum to ``NUMERIC_RTOL``.
+    ``b`` is one signal of length ``Lb`` or a ``(P, Lb)`` stack; the output
+    is ``len(a) + Lb - 1`` samples long, with one row per stacked signal.
+    Uses FFT-based fast convolution internally; agrees with the direct sum
+    to ``NUMERIC_RTOL``, and each row of a stacked result equals the
+    convolution with that row alone bit for bit.
     """
     if a.size == 0 or b.size == 0:
         raise DomainError("convolve: inputs must be non-empty")

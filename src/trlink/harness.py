@@ -50,7 +50,10 @@ must be JSON integers; every other number must be finite. Nothing is
 coerced: ``15.7``, ``"15"`` or ``true`` in an integer field is an error,
 and ``rsm.scheme`` is one of the three lower-case strings shown. Each
 ``snr_grid_db`` entry must give a noise power ``10**(-q/10)`` that is a
-positive finite double (about ``|q| <= 3080`` dB).
+positive finite double (about ``|q| <= 3080`` dB). Sizes are capped at load:
+``num_taps`` at 4096, and a BER frame of ``(M-1)*max(d_values) + 2*num_taps
+- 1`` samples at 10,000,000, where ``M`` is ``bits_per_point`` for RASK and
+``ceil(bits_per_point / num_rx)`` for ERASK.
 
 Each BER cell evaluates the received field only at its detector's window
 samples (:func:`trlink.precoding.received_at`), so a cell costs about what
@@ -134,6 +137,15 @@ _MAX_GRID_POSITIONS = 10_000
 # complex buffers at a time; a million samples (time-bandwidth product 1e6)
 # keeps each near 16 MB.
 _MAX_CHIRP_SAMPLES = 1_000_000
+
+# A BER frame of (M-1)*max(d_values) + 2L - 1 samples sets the length of the
+# full-length noise draw per antenna (noise contract v1); ten million samples
+# keeps each complex buffer near 160 MB.
+_MAX_FRAME_SAMPLES = 10_000_000
+
+# num_taps sizes the L x L Gram of the sounding solve and its O(L^3)
+# factorisation.
+_MAX_TAPS = 4096
 
 
 def derive_seed(master_seed: int, *path: int) -> int:
@@ -239,6 +251,22 @@ class Scenario:
                 )
         if self.bits_per_point < 1:
             raise ConfigurationError("bits_per_point must be >= 1")
+        num_taps = self.cavity.num_taps
+        if num_taps > _MAX_TAPS:
+            raise ConfigurationError(
+                f"cavity.num_taps {num_taps} is above the cap of {_MAX_TAPS} taps"
+            )
+        frame_symbols = max(
+            self.bits_per_point if scheme is Scheme.RASK
+            else -(-self.bits_per_point // self.rsm.num_rx)
+            for scheme in self.schemes
+        )
+        frame_samples = (frame_symbols - 1) * max(self.d_values) + 2 * num_taps - 1
+        if frame_samples > _MAX_FRAME_SAMPLES:
+            raise ConfigurationError(
+                f"bits_per_point {self.bits_per_point} at D={max(self.d_values)} gives a "
+                f"{frame_samples}-sample BER frame; the cap is {_MAX_FRAME_SAMPLES}"
+            )
         if self.trials < 1:
             raise ConfigurationError("trials must be >= 1")
         if self.master_seed < 0:

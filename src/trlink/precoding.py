@@ -28,6 +28,14 @@ it never forms the ``(M-1)*D + 2L - 1``-sample emission or received signal.
 Its noise is still drawn at that full length, exactly as :func:`propagate`
 draws it (seed/noise contract v1), and read at the same indices.
 
+One emission received noiselessly through many channels is one
+:func:`~trlink.dsp.convolve` of the emission with the ``(P, L)`` stack of
+their taps, each row equal bit for bit to :func:`propagate` through that
+channel alone: :func:`focusing_report` receives the target's emission at
+every grid position that way. :func:`propagate` remains the one-channel
+path: the noisy receive, the interferer's field at the target, and the
+pulse responses :func:`received_at` builds per receive antenna.
+
 Everything here is pure and deterministic given the seed, and safe to fan
 out across positions, seeds, and SNR points.
 """
@@ -191,13 +199,12 @@ def received_at(
         for r in np.unique(phase):
             at = np.flatnonzero(phase == r)
             groups.append((r, at, block[at]))
+        # Built by the chain this function stands in for, not by tr_kernel's
+        # closed form, so the detector sees the chain's bits.
+        pulses = [tr_precode(_UNIT_PULSE, [h_i], 1) for h_i in known_cirs]
         for n, h_n in enumerate(true_cirs):
             _check_kernel_pair(h_n, known_cirs[0])
-            # Built by the chain this function stands in for, not by
-            # tr_kernel's closed form, so the detector sees the chain's bits.
-            kernels = [
-                propagate(tr_precode(_UNIT_PULSE, [h_i], 1), h_n, 0.0) for h_i in known_cirs
-            ]
+            kernels = [propagate(pulse, h_n, 0.0) for pulse in pulses]
             for r, at, q in groups:
                 for row, kernel in zip(symbols, kernels):
                     taps = kernel[r::spacing]
@@ -225,8 +232,10 @@ class FocusingReport:
     * ``iui_power`` - peak-aligned power delivered to the target by the
       other user's precode (0 for a single-user run).
 
-    ``spatial_fwhm_mm`` is ``None`` when the profile has no unique interior
-    maximum or the half-power crossings cannot be bracketed.
+    ``spatial_fwhm_mm`` is the width of the focal spot around the target:
+    it is ``None`` unless the profile's unique maximum sits at the target
+    position, away from the grid ends, and the half-power crossings can be
+    bracketed on both sides.
     """
 
     target_index: int
@@ -299,9 +308,10 @@ def focusing_report(
     One unit-amplitude pulse is precoded per user (the target alone, or the
     target plus one interfering user), each normalised by its own channel
     energy so the intended received peak powers are statistically identical.
-    The target's emission is received at every ensemble position, the
-    interferer's at the target only, and the focusing / interference metrics
-    described on :class:`FocusingReport` are extracted.
+    The target's emission is received at every ensemble position in one
+    stacked convolution, the interferer's at the target only, and the
+    focusing / interference metrics described on :class:`FocusingReport`
+    are extracted.
     """
     num_positions = len(ensemble)
     if not 0 <= target_index < num_positions:
@@ -314,7 +324,7 @@ def focusing_report(
         raise ConfigurationError(f"pulse spacing must be >= 1, got {spacing}")
 
     own_waveform = tr_precode(_UNIT_PULSE, [ensemble.cirs[target_index]], spacing)
-    own = np.stack([propagate(own_waveform, cir, 0.0) for cir in ensemble.cirs])
+    own = convolve(own_waveform, np.stack([cir.taps for cir in ensemble.cirs]))
     own_at_target = own[target_index]
 
     peak_lag = int(np.argmax(np.abs(own_at_target)))
@@ -340,7 +350,7 @@ def focusing_report(
     )
     spatial_fwhm_mm = (
         full_width_half_max(ensemble.positions_mm, profile_values)
-        if num_positions > 1
+        if int(np.argmax(profile_values)) == target_index
         else None
     )
 

@@ -101,6 +101,27 @@ class TestFastPath:
         assert np.array_equal(convolve(b, a), b * a)
         assert np.array_equal(xcorr(a, b), np.conj(a) * b)
 
+    @pytest.mark.parametrize("num_rows", [1, 3, 43])
+    @pytest.mark.parametrize(
+        "a_len, row_len",
+        [(256, 256), (511, 256), (766, 256), (256, 511), (256, 766), (1, 256), (511, 1), (1, 1)],
+    )
+    def test_stacked_rows_equal_single_rows_bit_for_bit(self, num_rows, a_len, row_len):
+        # focusing_report and received_at convolve one emission with a stack
+        # of channels; the committed results stay byte-identical only if each
+        # row is exactly the one-channel convolution.
+        rng = np.random.default_rng(1000 * a_len + row_len + num_rows)
+        a = complex_gaussian(rng, a_len)
+        stack = complex_gaussian(rng, num_rows * row_len).reshape(num_rows, row_len)
+        out = convolve(a, stack)
+        assert out.shape == (num_rows, a_len + row_len - 1)
+        assert np.array_equal(out, np.stack([convolve(a, row) for row in stack]))
+        assert max_rel_error(out[-1], direct_convolve(a, stack[-1])) <= NUMERIC_RTOL
+
+    def test_empty_stack_is_rejected(self):
+        with pytest.raises(DomainError):
+            convolve(sig([1.0, 2.0]), np.zeros((0, 4), dtype=complex))
+
     def test_import_loads_no_package_but_numpy(self):
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ)

@@ -600,6 +600,8 @@ class TestCli:
             pytest.param(("snr_grid_db",), [1e308], [], "snr_grid_db", id="snr-noise-underflows"),
             pytest.param(("rsm", "scheme"), "RASK", [], "rsm.scheme", id="scheme-upper-case"),
             pytest.param(("rsm", "scheme"), ["rask"], [], "rsm.scheme", id="scheme-list"),
+            pytest.param(("bits_per_point",), 10**12, [], "bits_per_point", id="frame-too-long"),
+            pytest.param(("cavity", "num_taps"), 4097, [], "cavity.num_taps", id="taps-above-cap"),
         ],
     )
     def test_malformed_scalar_exits_2_before_writing(

@@ -347,6 +347,23 @@ class TestFocusingReport:
         assert report.spatial_fwhm_mm is None
         assert report.iui_power == 0.0
 
+    def test_spatial_width_is_undefined_when_the_peak_is_off_target(self):
+        # one-tap channels: position p's profile value is |h_p|, so the
+        # profile's maximum (2.0, interior, with half-power crossings on both
+        # sides) sits at index 2, not at the target
+        params = CavityParams(num_taps=1)
+        positions = np.arange(5, dtype=float)
+        gains = [0.1, 0.5, 2.0, 0.3, 0.1]
+        cirs = tuple(
+            Cir(np.array([g], dtype=complex), params.tap_spacing, position_mm=pos)
+            for g, pos in zip(gains, positions)
+        )
+        ensemble = SpatialChannelEnsemble(positions, cirs, params)
+        report = focusing_report(ensemble, 1, None, 1)
+        assert [v for _, v in report.spatial_profile] == pytest.approx(gains)
+        assert report.spatial_fwhm_mm is None
+        assert focusing_report(ensemble, 2, None, 1).spatial_fwhm_mm is not None
+
     def test_degenerate_single_tap_profile(self):
         # unit-magnitude single-tap channels: per-realisation profile is 1 at
         # the target, and the seed-averaged complex field elsewhere matches

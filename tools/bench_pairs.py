@@ -15,9 +15,19 @@ sides alike. The record keeps each checkout's git revision and whether its
 tree had uncommitted changes, the seeds, the environment line each run
 printed (Python, numpy, BLAS threads, CPUs), every run's end-to-end
 metrics and, per metric, the median and quartiles of each side, the median
-ratio (change / parent) and the number of pairs the change won in the
-metric's better direction. A run that fails its oracle is kept with
-``correct: false`` and left out of the summaries.
+ratio (change / parent), the number of pairs the change won in the
+metric's better direction and a verdict against the metric's bound in
+``BENCHMARK.json``:
+
+* ``"gain"``: the change won at least 9 of every 10 pairs, and its median
+  is better than the parent's by more than the parent's interquartile
+  range;
+* ``"regression"``: the change's median is worse than the parent's by more
+  than ``bound`` times the parent's median;
+* ``"within bound"``: anything else.
+
+A run that fails its oracle is kept with ``correct: false`` and left out of
+the summaries.
 """
 
 from __future__ import annotations
@@ -67,11 +77,27 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     }
 
 
-def summarise(parent: list[dict], change: list[dict], better: dict[str, str]) -> dict:
+def verdict(parent_median: float, change_median: float, parent_quartiles: list[float],
+            wins: int, pairs: int, direction: str, bound: float) -> str:
+    """``"gain"``, ``"regression"`` or ``"within bound"`` (see the module docstring)."""
+    improvement = change_median - parent_median
+    if direction == "lower":
+        improvement = -improvement
+    if 10 * wins >= 9 * pairs and improvement > parent_quartiles[1] - parent_quartiles[0]:
+        return "gain"
+    if improvement < -bound * abs(parent_median):
+        return "regression"
+    return "within bound"
+
+
+def summarise(parent: list[dict], change: list[dict], gated: dict[str, dict]) -> dict:
+    """Per gated metric (name -> its ``BENCHMARK.json`` entry), both sides' medians
+    and quartiles over the pairs where both runs were correct, and a verdict."""
     pairs = [(p["metrics"], c["metrics"]) for p, c in zip(parent, change)
              if p["correct"] and c["correct"]]
     summary = {"pairs": len(pairs)}
-    for name, direction in better.items():
+    for name, metric in gated.items():
+        direction = metric["better"]
         old = [p[name] for p, _ in pairs]
         new = [c[name] for _, c in pairs]
         if not old:
@@ -80,14 +106,19 @@ def summarise(parent: list[dict], change: list[dict], better: dict[str, str]) ->
         quartiles = {side: statistics.quantiles(values, n=4, method="inclusive")
                      if len(values) > 1 else [values[0]] * 3
                      for side, values in (("parent", old), ("change", new))}
+        old_median, new_median = statistics.median(old), statistics.median(new)
+        parent_quartiles = [quartiles["parent"][0], quartiles["parent"][2]]
         summary[name] = {
             "better": direction,
-            "parent_median": statistics.median(old),
-            "change_median": statistics.median(new),
-            "parent_quartiles": [quartiles["parent"][0], quartiles["parent"][2]],
+            "parent_median": old_median,
+            "change_median": new_median,
+            "parent_quartiles": parent_quartiles,
             "change_quartiles": [quartiles["change"][0], quartiles["change"][2]],
-            "ratio_change_over_parent": statistics.median(new) / statistics.median(old),
+            "ratio_change_over_parent": new_median / old_median,
             "change_wins": wins,
+            "bound": metric["bound"],
+            "verdict": verdict(old_median, new_median, parent_quartiles, wins, len(pairs),
+                               direction, metric["bound"]),
         }
     return summary
 
@@ -106,14 +137,15 @@ def main(argv: list[str] | None = None) -> int:
     seconds = spec["run_seconds"]
     if benchmark_spec(args.parent)["run_seconds"] != seconds:
         parser.error("the two checkouts' BENCHMARK.json set different run_seconds")
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    gated = {m["name"]: m for m in spec["end_to_end"]}
     workloads = args.workload or [w["name"] for w in spec["workloads"]]
     seeds = [args.first_seed + k for k in range(PAIRS)]
 
     record = {
         "description": "Parent vs change on the perfbench workloads: per gated end-to-end "
                        "metric, each side's median and quartiles over alternating pairs, the "
-                       "median ratio and the pairs the change won. Written by "
+                       "median ratio, the pairs the change won and a verdict against the "
+                       "metric's bound. Written by "
                        "tools/bench_pairs.py; every run is kept under 'runs'.",
         "command": f"python3 perfbench/run.py --workload W --seed S --seconds {seconds:g} "
                    "--trace 0",
@@ -131,7 +163,7 @@ def main(argv: list[str] | None = None) -> int:
                 runs[side].append(run_once(getattr(args, side), workload, seed, seconds))
             print(f"{workload} pair {k + 1}/{PAIRS} done", file=sys.stderr)
         record["workloads"][workload] = {
-            "summary": summarise(runs["parent"], runs["change"], better), "runs": runs,
+            "summary": summarise(runs["parent"], runs["change"], gated), "runs": runs,
         }
         for side in runs:
             runs_by_side[side] += runs[side]
