@@ -19,6 +19,14 @@ the uncorrelated field are drawn first as ``rng.standard_normal((L, P))``
 the complex field is scaled by ``1/sqrt(2)``, correlated across positions by
 right-multiplying with the symmetric square root of the kernel matrix, and
 finally scaled per tap by ``sqrt(PDP[l])``.
+
+Sounding (:func:`sound_cir`) estimates a batch of responses that share one
+probe chirp: the chirp is transformed, and its Gram built and factorised,
+once per batch, and each row keeps its own probe SNR and noise seed. The
+factorisation and solve run in LAPACK, whose last digits depend on the
+number of BLAS threads, so sounded estimates are reproducible bit for bit
+for a fixed BLAS thread count. With one thread every row equals its
+singleton batch bit for bit; with more, within ``NUMERIC_RTOL``.
 """
 
 from __future__ import annotations
@@ -26,13 +34,14 @@ from __future__ import annotations
 import csv
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .dsp import complex_noise, convolve, make_chirp, xcorr
+from .dsp import _fast_len, complex_noise, convolve, make_chirp, xcorr
 from .errors import (
     ConfigurationError,
     DomainError,
@@ -53,6 +62,10 @@ _ENSEMBLE_KEYS = {
 
 #: Two receive positions closer than this (mm) are the same grid point.
 POSITION_TOL_MM = 1e-6
+
+# Sounding transforms a block of rows at a time, at most this many complex
+# samples per buffer (16 MB), so memory does not grow with the batch.
+_BLOCK_SAMPLES = 2**20
 
 
 def check_positions(values, name: str = "positions") -> np.ndarray:
@@ -246,19 +259,29 @@ def synth_cavity_ensemble(
     return SpatialChannelEnsemble(positions, cirs, params)
 
 
-def sound_cir(true_cir: Cir, cfg: SoundingConfig, chirp: np.ndarray) -> Cir:
-    """Estimate a CIR by chirp sounding.
+def sound_cir(
+    true_cirs: Sequence[Cir], cfgs: Sequence[SoundingConfig], chirp: np.ndarray
+) -> list[Cir]:
+    """Estimate CIRs by chirp sounding, one estimate per ``(true_cirs[k], cfgs[k])``.
 
-    The chirp is transmitted through the channel (full linear convolution),
-    white circular complex Gaussian noise is added at the configured probe
-    SNR, and the recording is correlated with the chirp (pulse compression,
-    normalised by the chirp energy). Because the chirp's own correlation
-    sidelobes leak between taps, the compressed output over the aligned
-    ``L``-tap window is then deconvolved by solving the Toeplitz
+    The chirp is transmitted through each channel (full linear convolution),
+    white circular complex Gaussian noise is added at that row's probe SNR
+    and seed, and the recording is correlated with the chirp (pulse
+    compression, normalised by the chirp energy). Because the chirp's own
+    correlation sidelobes leak between taps, the compressed output over the
+    aligned ``L``-tap window is then deconvolved by solving the Toeplitz
     normal-equation system built from the chirp's known autocorrelation,
     which makes the whole procedure the least-squares channel estimate.
     Noiseless sounding therefore recovers the response to machine precision;
     with noise the error falls as the time-bandwidth product grows.
+
+    All CIRs must share ``num_taps`` and tap spacing. The rows are convolved
+    and correlated in stacked transforms, in blocks of at most
+    ``_BLOCK_SAMPLES`` samples per buffer, and share one Gram and one LU
+    factorisation: ``np.linalg.solve`` takes every row as a right-hand side.
+    Estimates do not depend on the block size. With one BLAS thread each
+    estimate equals that row's singleton batch bit for bit; with more, the
+    threaded LU rounds with the number of rows, within ``NUMERIC_RTOL``.
 
     Timing is assumed known (transmitter and recorder share a clock), so the
     window position is not estimated. The chirp must be sampled at the
@@ -266,30 +289,44 @@ def sound_cir(true_cir: Cir, cfg: SoundingConfig, chirp: np.ndarray) -> Cir:
     """
     if len(chirp) < 2:
         raise DomainError("sounding chirp must have at least 2 samples")
+    if not true_cirs:
+        raise DomainError("sound_cir needs at least one CIR")
+    if len(cfgs) != len(true_cirs):
+        raise ConfigurationError(
+            f"{len(true_cirs)} CIRs but {len(cfgs)} sounding configurations"
+        )
+    num_taps, spacing = true_cirs[0].num_taps, true_cirs[0].tap_spacing
+    if any(c.num_taps != num_taps or c.tap_spacing != spacing for c in true_cirs):
+        raise ConfigurationError("a sounding batch must share num_taps and tap spacing")
 
-    clean = convolve(chirp, true_cir.taps)
-    rx_power = float(np.mean(np.abs(clean) ** 2))
-    if math.isinf(cfg.probe_snr_db) or rx_power == 0.0:
-        noisy = clean
-    else:
-        sigma = math.sqrt(rx_power / 10.0 ** (cfg.probe_snr_db / 10.0))
-        noisy = clean + complex_noise(clean.size, sigma, cfg.rng_seed)
-
-    num_taps = true_cir.num_taps
+    taps = np.stack([c.taps for c in true_cirs])
+    n = len(chirp)
+    block = max(1, _BLOCK_SAMPLES // _fast_len(2 * n + num_taps - 2))
+    aligned = np.empty((len(true_cirs), num_taps), dtype=np.complex128)
+    for start in range(0, len(true_cirs), block):
+        received = convolve(chirp, taps[start : start + block])
+        for row, cfg in zip(received, cfgs[start : start + block]):
+            rx_power = float(np.mean(np.abs(row) ** 2))
+            if not (math.isinf(cfg.probe_snr_db) or rx_power == 0.0):
+                sigma = math.sqrt(rx_power / 10.0 ** (cfg.probe_snr_db / 10.0))
+                row += complex_noise(row.size, sigma, cfg.rng_seed)
+        aligned[start : start + block] = xcorr(chirp, received)[:, n - 1 : n - 1 + num_taps]
     chirp_energy = float(np.sum(np.abs(chirp) ** 2))
-    compressed = xcorr(chirp, noisy) / chirp_energy
-    aligned = compressed[len(chirp) - 1 : len(chirp) - 1 + num_taps]
+    aligned /= chirp_energy
 
     autocorr = xcorr(chirp, chirp) / chirp_energy
     lags = np.zeros(num_taps, dtype=np.complex128)
-    span = min(num_taps, len(chirp))
-    lags[:span] = autocorr[len(chirp) - 1 : len(chirp) - 1 + span]
+    span = min(num_taps, n)
+    lags[:span] = autocorr[n - 1 : n - 1 + span]
     # Hermitian Toeplitz Gram: gram[r, c] is lags[r - c] on and below the
     # diagonal and conj(lags[c - r]) above it, a strided view of the lags.
     two_sided = np.concatenate((np.conj(lags[:0:-1]), lags))
     gram = sliding_window_view(two_sided, num_taps)[:, ::-1]
-    estimate = np.linalg.solve(gram, aligned)
-    return Cir(estimate, true_cir.tap_spacing, position_mm=true_cir.position_mm)
+    estimates = np.linalg.solve(gram, aligned.T).T
+    return [
+        Cir(estimate, spacing, position_mm=cir.position_mm)
+        for estimate, cir in zip(estimates, true_cirs)
+    ]
 
 
 def sounding_chirp(params: CavityParams, cfg: SoundingConfig) -> np.ndarray:

@@ -3,7 +3,11 @@
 Scenarios are versioned UTF-8 JSON files (schema below); unknown keys are
 rejected so typos fail fast. All randomness derives from one master seed
 through a documented counter scheme, so identical scenario + seed produce
-byte-identical CSV artifacts regardless of how the work is split up:
+byte-identical CSV artifacts regardless of how the work is split up, with
+one qualification: the Toeplitz solve of chirp sounding rounds with the
+number of BLAS threads, so ``trlink sound`` and sweeps with a sounded
+``sounding`` block are byte-reproducible for a fixed BLAS thread count
+(``results/sound`` was made with ``OPENBLAS_NUM_THREADS=1``). The seeds are:
 
 * ensemble for trial ``t``      <- seed_of(master, 0, t)
 * BER cell (scheme s, spacing d, SNR point q, trial t)
@@ -49,7 +53,8 @@ Counts, spacings and seeds (``num_taps``, ``num_rx``, ``num_pilots``,
 must be JSON integers; every other number must be finite. Nothing is
 coerced: ``15.7``, ``"15"`` or ``true`` in an integer field is an error,
 and ``rsm.scheme`` is one of the three lower-case strings shown. Each
-``snr_grid_db`` entry must give a noise power ``10**(-q/10)`` that is a
+``snr_grid_db`` entry must give a noise power ``10**(-q/10)``, and a
+finite ``sounding.snr_db`` a probe power ratio ``10**(q/10)``, that is a
 positive finite double (about ``|q| <= 3080`` dB). Sizes are capped at load:
 ``num_taps`` at 4096, and a BER frame of ``(M-1)*max(d_values) + 2*num_taps
 - 1`` samples at 10,000,000, where ``M`` is ``bits_per_point`` for RASK and
@@ -148,6 +153,19 @@ _MAX_FRAME_SAMPLES = 10_000_000
 _MAX_TAPS = 4096
 
 
+def _check_power_ratio(db: float, what: str) -> None:
+    """``10**(db/10)``, the power ratio a dB value stands for, must be a
+    positive finite double; ``what`` names the field in the error."""
+    try:
+        ratio = 10.0 ** (db / 10.0)
+    except OverflowError:
+        ratio = math.inf
+    if not 0.0 < ratio < math.inf:
+        raise ConfigurationError(
+            f"{what} of 10**{db / 10.0:g}, outside the positive finite doubles"
+        )
+
+
 def derive_seed(master_seed: int, *path: int) -> int:
     """Deterministic child seed for a counter path under the master seed."""
     seq = np.random.SeedSequence([int(master_seed), *(int(p) for p in path)])
@@ -240,15 +258,7 @@ class Scenario:
         if not self.snr_grid_db:
             raise ConfigurationError("snr_grid_db must be non-empty")
         for snr_db in self.snr_grid_db:
-            try:
-                noise_power = 10.0 ** (-snr_db / 10.0)
-            except OverflowError:
-                noise_power = math.inf
-            if not 0.0 < noise_power < math.inf:
-                raise ConfigurationError(
-                    f"snr_grid_db entry {snr_db} dB gives a noise power of "
-                    f"10**{-snr_db / 10.0:g}, outside the positive finite doubles"
-                )
+            _check_power_ratio(-snr_db, f"snr_grid_db entry {snr_db} dB gives a noise power")
         if self.bits_per_point < 1:
             raise ConfigurationError("bits_per_point must be >= 1")
         num_taps = self.cavity.num_taps
@@ -272,6 +282,9 @@ class Scenario:
         if self.master_seed < 0:
             raise ConfigurationError(f"master_seed must be >= 0, got {self.master_seed}")
         if self.sounding is not None:
+            snr_db = self.sounding.probe_snr_db
+            if snr_db != math.inf:
+                _check_power_ratio(snr_db, f"sounding.snr_db {snr_db} dB gives a power ratio")
             try:
                 num_samples = chirp_length(self.sounding.duration_s, self.cavity.bandwidth_hz)
             except ConfigurationError as exc:
@@ -462,14 +475,14 @@ def _target_cirs(scenario: Scenario, trial: int) -> tuple[list[Cir], list[Cir]]:
     if scenario.sounding is None:
         return true_cirs, true_cirs
     chirp = sounding_chirp(ensemble.params, scenario.sounding)
-    estimates = []
-    for j, cir in enumerate(true_cirs):
-        cfg = replace(
+    cfgs = [
+        replace(
             scenario.sounding,
             rng_seed=derive_seed(scenario.master_seed, _STREAM_SOUNDING, trial, j),
         )
-        estimates.append(sound_cir(cir, cfg, chirp))
-    return true_cirs, estimates
+        for j in range(len(true_cirs))
+    ]
+    return true_cirs, sound_cir(true_cirs, cfgs, chirp)
 
 
 def _pilot_targets(num_rx: int, num_pilots: int) -> np.ndarray:
@@ -668,22 +681,25 @@ def run_sounding_study(
     truths = [
         scenario.ensemble_for_trial(trial).cirs[target] for trial in range(scenario.trials)
     ]
+    seeds = [
+        derive_seed(scenario.master_seed, _STREAM_SOUNDING, trial, target)
+        for trial in range(scenario.trials)
+    ]
     rows: list[tuple[int, float, float]] = []
     for tb in tb_values:
         duration = tb / scenario.cavity.bandwidth_hz
         chirp = sounding_chirp(scenario.cavity, SoundingConfig(duration_s=duration))
-        for snr_db in snr_points:
-            errors = []
-            for trial, truth in enumerate(truths):
-                cfg = SoundingConfig(
-                    duration_s=duration,
-                    probe_snr_db=snr_db,
-                    rng_seed=derive_seed(scenario.master_seed, _STREAM_SOUNDING, trial, target),
-                )
-                estimate = sound_cir(truth, cfg, chirp)
-                errors.append(
-                    float(np.linalg.norm(estimate.taps - truth.taps) / np.linalg.norm(truth.taps))
-                )
+        cfgs = [
+            SoundingConfig(duration_s=duration, probe_snr_db=snr_db, rng_seed=seed)
+            for snr_db in snr_points
+            for seed in seeds
+        ]
+        estimates = sound_cir(truths * len(snr_points), cfgs, chirp)
+        for k, snr_db in enumerate(snr_points):
+            errors = [
+                float(np.linalg.norm(estimate.taps - truth.taps) / np.linalg.norm(truth.taps))
+                for estimate, truth in zip(estimates[k * len(truths) :], truths)
+            ]
             rows.append((tb, float(snr_db), float(np.median(errors))))
 
     if out_dir is not None:

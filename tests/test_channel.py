@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import trlink.channel as channel
 from trlink.channel import (
     CavityParams,
     Cir,
@@ -16,6 +17,7 @@ from trlink.channel import (
     sounding_chirp,
     synth_cavity_ensemble,
 )
+from trlink.dsp import NUMERIC_RTOL, make_chirp
 from trlink.errors import ConfigurationError, DomainError
 from trlink.harness import grid_positions
 
@@ -155,7 +157,7 @@ def _synth_cir(seed: int, num_taps: int, bandwidth: float = 4e9) -> Cir:
 def _estimate_error(true_cir: Cir, cfg: SoundingConfig, bandwidth: float = 4e9) -> float:
     params = CavityParams(num_taps=true_cir.num_taps, bandwidth_hz=bandwidth)
     chirp = sounding_chirp(params, cfg)
-    estimate = sound_cir(true_cir, cfg, chirp)
+    [estimate] = sound_cir([true_cir], [cfg], chirp)
     return float(
         np.linalg.norm(estimate.taps - true_cir.taps) / np.linalg.norm(true_cir.taps)
     )
@@ -166,7 +168,7 @@ class TestSounding:
         dead = Cir(np.zeros(32), 1 / 4e9)
         cfg = SoundingConfig(duration_s=128 / 4e9)
         params = CavityParams(num_taps=32, bandwidth_hz=4e9)
-        estimate = sound_cir(dead, cfg, sounding_chirp(params, cfg))
+        [estimate] = sound_cir([dead], [cfg], sounding_chirp(params, cfg))
         assert estimate.energy == 0.0
 
     def test_noiseless_high_tb_recovers_channel(self):
@@ -195,7 +197,78 @@ class TestSounding:
         cir = _synth_cir(1, 8)
         cfg = SoundingConfig(duration_s=1.0)
         with pytest.raises(DomainError):
-            sound_cir(cir, cfg, np.ones(1, dtype=complex))
+            sound_cir([cir], [cfg], np.ones(1, dtype=complex))
+
+
+def _mixed_batch(num_taps: int) -> tuple[list[Cir], list[SoundingConfig]]:
+    """Noiseless and noisy rows, one truth sounded three times and a dead channel."""
+    first, second = _synth_cir(31, num_taps), _synth_cir(32, num_taps)
+    dead = Cir(np.zeros(num_taps), first.tap_spacing, position_mm=0.3)
+    rows = [
+        (first, math.inf, 0),
+        (first, 20.0, 1),
+        (second, 10.0, 2),
+        (dead, 20.0, 3),
+        (first, 20.0, 4),
+        (second, math.inf, 5),
+    ]
+    cirs = [cir for cir, _, _ in rows]
+    cfgs = [SoundingConfig(1.0, snr_db, rng_seed=seed) for _, snr_db, seed in rows]
+    return cirs, cfgs
+
+
+# (num_taps, chirp samples): chirps both shorter and longer than the response
+BATCH_SHAPES = [(1, 2), (1, 100), (64, 16), (64, 200)]
+
+
+class TestSoundingBatch:
+    @pytest.mark.parametrize("num_taps, chirp_len", BATCH_SHAPES)
+    def test_each_row_matches_its_singleton_call(self, num_taps, chirp_len):
+        cirs, cfgs = _mixed_batch(num_taps)
+        chirp = make_chirp(0.0, 4e9, chirp_len / 4e9, 4e9)
+        for cir, cfg, estimate in zip(cirs, cfgs, sound_cir(cirs, cfgs, chirp)):
+            [single] = sound_cir([cir], [cfg], chirp)
+            assert estimate.position_mm == cir.position_mm
+            error = np.linalg.norm(estimate.taps - single.taps)
+            assert error <= NUMERIC_RTOL * np.linalg.norm(single.taps)
+
+    @pytest.mark.parametrize("num_taps, chirp_len", BATCH_SHAPES)
+    def test_noiseless_rows_recover_the_truth(self, num_taps, chirp_len):
+        cirs, cfgs = _mixed_batch(num_taps)
+        chirp = make_chirp(0.0, 4e9, chirp_len / 4e9, 4e9)
+        estimates = sound_cir(cirs, cfgs, chirp)
+        for cir, cfg, estimate in zip(cirs, cfgs, estimates):
+            if cir.energy == 0:
+                assert estimate.energy == 0.0
+            elif math.isinf(cfg.probe_snr_db):
+                error = np.linalg.norm(estimate.taps - cir.taps) / np.linalg.norm(cir.taps)
+                assert error <= 1e-9
+
+    @pytest.mark.parametrize("num_taps, chirp_len", BATCH_SHAPES)
+    def test_estimates_do_not_depend_on_the_block_size(self, monkeypatch, num_taps, chirp_len):
+        cirs, cfgs = _mixed_batch(num_taps)
+        chirp = make_chirp(0.0, 4e9, chirp_len / 4e9, 4e9)
+        one_block = sound_cir(cirs, cfgs, chirp)
+        # one row per block, then two or three rows per block
+        for budget in (1, 3 * (2 * chirp_len + num_taps - 2)):
+            monkeypatch.setattr(channel, "_BLOCK_SAMPLES", budget)
+            blocked = sound_cir(cirs, cfgs, chirp)
+            for x, y in zip(blocked, one_block):
+                assert np.array_equal(x.taps, y.taps)
+
+    def test_rejects_malformed_batches(self):
+        cirs, cfgs = _mixed_batch(8)
+        chirp = make_chirp(0.0, 4e9, 32 / 4e9, 4e9)
+        with pytest.raises(DomainError):
+            sound_cir([], [], chirp)
+        with pytest.raises(ConfigurationError):
+            sound_cir(cirs, cfgs[:-1], chirp)
+        with pytest.raises(ConfigurationError):
+            sound_cir([cirs[0], _synth_cir(33, 9)], cfgs[:2], chirp)
+        with pytest.raises(ConfigurationError):
+            sound_cir([cirs[0], Cir(cirs[1].taps, 1.0)], cfgs[:2], chirp)
+        with pytest.raises(DomainError):
+            sound_cir(cirs, cfgs, chirp[:1])
 
 
 class TestEnsembleExportImport:

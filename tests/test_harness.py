@@ -3,6 +3,9 @@
 import copy
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -395,8 +398,16 @@ class TestCommittedResults:
             assert (tmp_path / name).read_text(encoding="utf-8").splitlines() == expected
 
     def test_sounding_reproduces_committed_csv(self, tmp_path):
-        scenario = load_scenario(ROOT / "scenarios" / "focus_grid.json")
-        run_sounding_study(scenario, out_dir=tmp_path)
+        # The committed file was made with one BLAS thread: a threaded LU
+        # rounds the Toeplitz solve differently, in the last digits.
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+        src = str(ROOT / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        subprocess.run(
+            [sys.executable, "-m", "trlink", "sound",
+             "--scenario", str(ROOT / "scenarios" / "focus_grid.json"), "--out", str(tmp_path)],
+            env=env, capture_output=True, check=True,
+        )
         name = "sounding_error.csv"
         assert (tmp_path / name).read_bytes() == (ROOT / "results" / "sound" / name).read_bytes()
 
@@ -598,6 +609,14 @@ class TestCli:
             ),
             pytest.param(("snr_grid_db",), [-1e308], [], "snr_grid_db", id="snr-noise-overflows"),
             pytest.param(("snr_grid_db",), [1e308], [], "snr_grid_db", id="snr-noise-underflows"),
+            pytest.param(
+                ("sounding",), {"duration_s": 6.4e-8, "snr_db": 4000}, [], "sounding.snr_db",
+                id="sounding-snr-overflows",
+            ),
+            pytest.param(
+                ("sounding",), {"duration_s": 6.4e-8, "snr_db": -4000}, [], "sounding.snr_db",
+                id="sounding-snr-underflows",
+            ),
             pytest.param(("rsm", "scheme"), "RASK", [], "rsm.scheme", id="scheme-upper-case"),
             pytest.param(("rsm", "scheme"), ["rask"], [], "rsm.scheme", id="scheme-list"),
             pytest.param(("bits_per_point",), 10**12, [], "bits_per_point", id="frame-too-long"),

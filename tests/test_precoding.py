@@ -260,10 +260,8 @@ class TestReceivedAt:
         if csi == "sounded":
             cfg = SoundingConfig(duration_s=64 / params.bandwidth_hz, probe_snr_db=20.0)
             chirp = sounding_chirp(params, cfg)
-            known_cirs = [
-                sound_cir(cir, SoundingConfig(cfg.duration_s, 20.0, rng_seed=j), chirp)
-                for j, cir in enumerate(true_cirs)
-            ]
+            cfgs = [SoundingConfig(cfg.duration_s, 20.0, rng_seed=j) for j in range(len(true_cirs))]
+            known_cirs = sound_cir(true_cirs, cfgs, chirp)
         rng = np.random.default_rng(num_taps)
         for name, symbols in _frames(rng).items():
             for spacing in spacings:
