@@ -42,6 +42,7 @@ from .precoding import (
     focusing_report,
     focusing_report_to_csv,
     propagate,
+    pulse_responses,
     received_at,
     tr_kernel,
     tr_precode,
@@ -80,6 +81,7 @@ __all__ = [
     "make_chirp",
     "power_detect",
     "propagate",
+    "pulse_responses",
     "rask_modulate",
     "received_at",
     "run_ber_sweep",

@@ -45,6 +45,7 @@ from .dsp import _fast_len, complex_noise, convolve, make_chirp, xcorr
 from .errors import (
     ConfigurationError,
     DomainError,
+    check_power_ratio,
     read_integer,
     read_list,
     read_number,
@@ -92,15 +93,14 @@ def grid_index(positions: np.ndarray, position_mm: float, name: str = "position"
 class Cir:
     """One channel impulse response: complex tap gains at spacing 1/B.
 
-    ``position_mm`` records where on the receive axis the response was
-    probed; it is optional for standalone synthetic responses. Zero-energy
-    responses are legal here (a dead channel is a valid sounding subject)
-    but are rejected wherever a response is used as a precoding target.
+    Zero-energy responses are legal here (a dead channel is a valid
+    sounding subject) but are rejected wherever a response is used as a
+    precoding target. Where it was probed is its index in a
+    :class:`SpatialChannelEnsemble`.
     """
 
     taps: np.ndarray
     tap_spacing: float
-    position_mm: float | None = None
 
     def __post_init__(self) -> None:
         taps = np.asarray(self.taps, dtype=np.complex128)
@@ -201,17 +201,14 @@ class SpatialChannelEnsemble:
     def __len__(self) -> int:
         return self.positions_mm.size
 
-    def index_of(self, position_mm: float) -> int:
-        """Grid index of a position; raises if it is not on the grid."""
-        return grid_index(self.positions_mm, position_mm)
-
 
 @dataclass(frozen=True)
 class SoundingConfig:
     """Chirp-sounding parameters.
 
     ``probe_snr_db`` is the power ratio of the noiseless received chirp to
-    the additive noise; ``math.inf`` means noiseless probing.
+    the additive noise: ``math.inf`` (noiseless probing) or a ``q`` whose
+    ``10**(q/10)`` is a positive finite double, about ``|q| <= 3080`` dB.
     """
 
     duration_s: float
@@ -221,6 +218,9 @@ class SoundingConfig:
     def __post_init__(self) -> None:
         if not self.duration_s > 0:
             raise ConfigurationError(f"sounding duration must be > 0, got {self.duration_s}")
+        snr_db = self.probe_snr_db
+        if snr_db != math.inf:
+            check_power_ratio(snr_db, f"sounding.snr_db {snr_db} dB gives a power ratio")
 
 
 def _kernel_sqrt(params: CavityParams, positions: np.ndarray) -> np.ndarray:
@@ -252,10 +252,7 @@ def synth_cavity_ensemble(
     correlated = white @ sqrt_kernel
     taps = np.sqrt(pdp)[:, None] * correlated
 
-    cirs = tuple(
-        Cir(taps[:, p], params.tap_spacing, position_mm=float(positions[p]))
-        for p in range(num_pos)
-    )
+    cirs = tuple(Cir(taps[:, p], params.tap_spacing) for p in range(num_pos))
     return SpatialChannelEnsemble(positions, cirs, params)
 
 
@@ -323,17 +320,12 @@ def sound_cir(
     two_sided = np.concatenate((np.conj(lags[:0:-1]), lags))
     gram = sliding_window_view(two_sided, num_taps)[:, ::-1]
     estimates = np.linalg.solve(gram, aligned.T).T
-    return [
-        Cir(estimate, spacing, position_mm=cir.position_mm)
-        for estimate, cir in zip(estimates, true_cirs)
-    ]
+    return [Cir(estimate, spacing) for estimate in estimates]
 
 
 def sounding_chirp(params: CavityParams, cfg: SoundingConfig) -> np.ndarray:
     """Full-band probe chirp matching an ensemble's tap rate."""
-    return make_chirp(
-        params.carrier_freq_hz, params.bandwidth_hz, cfg.duration_s, params.bandwidth_hz
-    )
+    return make_chirp(params.bandwidth_hz, cfg.duration_s, params.bandwidth_hz)
 
 
 def export_ensemble(ensemble: SpatialChannelEnsemble, json_path: str | Path) -> None:
@@ -440,7 +432,7 @@ def load_ensemble(json_path: str | Path) -> SpatialChannelEnsemble:
                     f"in {json_path.name} is {float(positions[index])}"
                 )
             taps = values[1::2] + 1j * values[2::2]
-            cirs.append(Cir(taps, params.tap_spacing, position_mm=position))
+            cirs.append(Cir(taps, params.tap_spacing))
     if len(cirs) != positions.size:
         raise ConfigurationError(
             f"ensemble CSV has {len(cirs)} rows for {positions.size} positions"

@@ -121,25 +121,18 @@ def chirp_length(duration: float, sample_rate: float) -> int:
     return num_samples
 
 
-def make_chirp(
-    center_freq: float,
-    bandwidth: float,
-    duration: float,
-    sample_rate: float,
-) -> np.ndarray:
-    """Unit-amplitude linear-frequency-modulated probe pulse.
+def make_chirp(bandwidth: float, duration: float, sample_rate: float) -> np.ndarray:
+    """Unit-amplitude linear-frequency-modulated probe pulse, at baseband.
 
     The instantaneous frequency sweeps linearly from ``-bandwidth/2`` to
-    ``+bandwidth/2`` over ``duration``; the carrier at ``center_freq`` is
-    implicit in the baseband-equivalent model and does not affect the
-    samples. ``bandwidth = 0`` degenerates to a constant-phase unit tone.
+    ``+bandwidth/2`` over ``duration``; the carrier is implicit in the
+    baseband-equivalent model. ``bandwidth = 0`` degenerates to a
+    constant-phase unit tone.
 
     Raises:
         ConfigurationError: if ``bandwidth > sample_rate`` (the sweep would
             alias) or the requested duration yields fewer than 2 samples.
     """
-    if not (math.isfinite(center_freq) and center_freq >= 0):
-        raise ConfigurationError(f"center_freq must be finite and >= 0, got {center_freq}")
     if not (math.isfinite(bandwidth) and bandwidth >= 0):
         raise ConfigurationError(f"bandwidth must be finite and >= 0, got {bandwidth}")
     if bandwidth > sample_rate:

@@ -1,6 +1,6 @@
-"""Exception hierarchy shared by all simulator modules, and the strict readers
+"""Exception hierarchy shared by all simulator modules, the strict readers
 that turn malformed JSON input (scenarios, ensemble files) into a
-``ConfigurationError`` naming the field.
+``ConfigurationError`` naming the field, and the range check of a dB value.
 """
 
 import math
@@ -47,6 +47,19 @@ def read_number(value, name: str) -> float:
         except OverflowError:  # an integer beyond the float range
             pass
     raise ConfigurationError(f"{name} must be a finite number, got {value!r}")
+
+
+def check_power_ratio(db: float, what: str) -> None:
+    """``10**(db/10)``, the power ratio a dB value stands for, must be a
+    positive finite double; ``what`` names the field in the error."""
+    try:
+        ratio = 10.0 ** (db / 10.0)
+    except OverflowError:
+        ratio = math.inf
+    if not 0.0 < ratio < math.inf:
+        raise ConfigurationError(
+            f"{what} of 10**{db / 10.0:g}, outside the positive finite doubles"
+        )
 
 
 def read_list(value, name: str, read: Callable) -> list:

@@ -60,10 +60,12 @@ positive finite double (about ``|q| <= 3080`` dB). Sizes are capped at load:
 - 1`` samples at 10,000,000, where ``M`` is ``bits_per_point`` for RASK and
 ``ceil(bits_per_point / num_rx)`` for ERASK.
 
-Each BER cell evaluates the received field only at its detector's window
-samples (:func:`trlink.precoding.received_at`), so a cell costs about what
-the detector reads plus one full-length noise draw per antenna and frame
-(noise contract v1, unchanged).
+Each trial's pulse responses (:func:`trlink.precoding.pulse_responses`)
+are built once, before the first cell, and every data and pilot frame of
+that trial reuses them. Each BER cell evaluates the received field only at
+its detector's window samples (:func:`trlink.precoding.received_at`), so a
+cell costs about what the detector reads plus one full-length noise draw
+per antenna and frame (noise contract v1, unchanged).
 
 BER CSV columns are fixed: ``scheme,D,snr_db,bits_sent,bit_errors,ber,seed``
 with one file per (scheme, spacing) and one row per (SNR point, trial).
@@ -84,7 +86,6 @@ import numpy as np
 
 from .channel import (
     CavityParams,
-    Cir,
     SoundingConfig,
     SpatialChannelEnsemble,
     check_positions,
@@ -98,6 +99,7 @@ from .dsp import chirp_length
 from .errors import (
     ConfigurationError,
     DomainError,
+    check_power_ratio,
     read_integer,
     read_list,
     read_number,
@@ -121,6 +123,7 @@ from .precoding import (
     FocusingReport,
     focusing_report,
     focusing_report_to_csv,
+    pulse_responses,
     received_at,
 )
 
@@ -152,18 +155,8 @@ _MAX_FRAME_SAMPLES = 10_000_000
 # factorisation.
 _MAX_TAPS = 4096
 
-
-def _check_power_ratio(db: float, what: str) -> None:
-    """``10**(db/10)``, the power ratio a dB value stands for, must be a
-    positive finite double; ``what`` names the field in the error."""
-    try:
-        ratio = 10.0 ** (db / 10.0)
-    except OverflowError:
-        ratio = math.inf
-    if not 0.0 < ratio < math.inf:
-        raise ConfigurationError(
-            f"{what} of 10**{db / 10.0:g}, outside the positive finite doubles"
-        )
+#: Time-bandwidth products of the sounding study's probe chirps.
+SOUNDING_TB_VALUES = (100, 1000, 10000)
 
 
 def derive_seed(master_seed: int, *path: int) -> int:
@@ -258,7 +251,7 @@ class Scenario:
         if not self.snr_grid_db:
             raise ConfigurationError("snr_grid_db must be non-empty")
         for snr_db in self.snr_grid_db:
-            _check_power_ratio(-snr_db, f"snr_grid_db entry {snr_db} dB gives a noise power")
+            check_power_ratio(-snr_db, f"snr_grid_db entry {snr_db} dB gives a noise power")
         if self.bits_per_point < 1:
             raise ConfigurationError("bits_per_point must be >= 1")
         num_taps = self.cavity.num_taps
@@ -282,9 +275,6 @@ class Scenario:
         if self.master_seed < 0:
             raise ConfigurationError(f"master_seed must be >= 0, got {self.master_seed}")
         if self.sounding is not None:
-            snr_db = self.sounding.probe_snr_db
-            if snr_db != math.inf:
-                _check_power_ratio(snr_db, f"sounding.snr_db {snr_db} dB gives a power ratio")
             try:
                 num_samples = chirp_length(self.sounding.duration_s, self.cavity.bandwidth_hz)
             except ConfigurationError as exc:
@@ -467,22 +457,26 @@ def load_scenario(path: str | Path) -> Scenario:
     return scenario_from_dict(data, base_dir=path.parent)
 
 
-def _target_cirs(scenario: Scenario, trial: int) -> tuple[list[Cir], list[Cir]]:
-    """Trial ``t``'s target channels as ``(true, known)``; ``known`` is the
-    precoder's channel knowledge: the truth for a genie, else sounded estimates."""
+def _trial_kernels(scenario: Scenario, trial: int) -> np.ndarray:
+    """Trial ``t``'s ``(N, N, 2L-1)`` pulse responses at its receive antennas.
+
+    The precoder targets each antenna with its channel knowledge: the truth
+    for a genie, else sounded estimates.
+    """
     ensemble = scenario.ensemble_for_trial(trial)
     true_cirs = [ensemble.cirs[i] for i in scenario.target_indices]
-    if scenario.sounding is None:
-        return true_cirs, true_cirs
-    chirp = sounding_chirp(ensemble.params, scenario.sounding)
-    cfgs = [
-        replace(
-            scenario.sounding,
-            rng_seed=derive_seed(scenario.master_seed, _STREAM_SOUNDING, trial, j),
-        )
-        for j in range(len(true_cirs))
-    ]
-    return true_cirs, sound_cir(true_cirs, cfgs, chirp)
+    known_cirs = true_cirs
+    if scenario.sounding is not None:
+        chirp = sounding_chirp(ensemble.params, scenario.sounding)
+        cfgs = [
+            replace(
+                scenario.sounding,
+                rng_seed=derive_seed(scenario.master_seed, _STREAM_SOUNDING, trial, j),
+            )
+            for j in range(len(true_cirs))
+        ]
+        known_cirs = sound_cir(true_cirs, cfgs, chirp)
+    return pulse_responses(true_cirs, known_cirs)
 
 
 def _pilot_targets(num_rx: int, num_pilots: int) -> np.ndarray:
@@ -494,29 +488,26 @@ def _pilot_targets(num_rx: int, num_pilots: int) -> np.ndarray:
 
 def _receive(
     symbols: np.ndarray,
-    true_cirs: list[Cir],
-    known_cirs: list[Cir],
+    kernels: np.ndarray,
     spacing: int,
     sigma: float,
     seed_path: list[int],
 ) -> tuple[np.ndarray, DetectionWindow]:
-    """Precode toward the known CIRs and receive through the true ones.
+    """Precode a frame and receive it through the trial's pulse responses.
 
     Returns the ``(N, M, 2w+1)`` received samples at the detection windows
     and the windows. Receiver ``n``'s noise is seeded by ``[*seed_path, n]``.
     """
-    windows = detection_windows(symbols.shape[1], known_cirs[0].num_taps, spacing)
-    received = received_at(
-        symbols, true_cirs, known_cirs, spacing, windows.lags, sigma, seed_path
-    )
+    # A (2L-1)-sample pulse response peaks at index L - 1.
+    windows = detection_windows(symbols.shape[1], (kernels.shape[-1] + 1) // 2, spacing)
+    received = received_at(symbols, kernels, spacing, windows.lags, sigma, seed_path)
     return received, windows
 
 
 def _erask_threshold(
     policy: FixedThreshold | PilotThreshold | None,
     spacing: int,
-    true_cirs: list[Cir],
-    known_cirs: list[Cir],
+    kernels: np.ndarray,
     sigma: float,
     cell_seed: int,
 ) -> float:
@@ -524,18 +515,15 @@ def _erask_threshold(
         raise ConfigurationError("ERASK runs need a threshold policy")
     if isinstance(policy, FixedThreshold):
         return policy.value
-    targeted = _pilot_targets(len(known_cirs), policy.num_pilots)
-    received, windows = _receive(
-        targeted, true_cirs, known_cirs, spacing, sigma, [cell_seed, 2]
-    )
+    targeted = _pilot_targets(kernels.shape[1], policy.num_pilots)
+    received, windows = _receive(targeted, kernels, spacing, sigma, [cell_seed, 2])
     return calibrate_threshold(received, windows, targeted)
 
 
 def run_ber_point(
     scheme: Scheme,
     rsm: RsmConfig,
-    true_cirs: list[Cir],
-    known_cirs: list[Cir],
+    kernels: np.ndarray,
     spacing: int,
     snr_db: float,
     num_bits: int,
@@ -543,7 +531,9 @@ def run_ber_point(
 ) -> tuple[int, int]:
     """One Monte-Carlo cell: returns (bits_sent, bit_errors).
 
-    For ERASK the payload is rounded up to a whole number of symbols.
+    ``kernels`` is the trial's :func:`~trlink.precoding.pulse_responses`;
+    the data frame and an ERASK pilot frame both reuse them. For ERASK the
+    payload is rounded up to a whole number of symbols.
     """
     rng_bits = np.random.default_rng([cell_seed, 0])
     if scheme is Scheme.RASK:
@@ -555,14 +545,10 @@ def run_ber_point(
         symbols = erask_modulate(bits, rsm.num_rx)
 
     sigma = 10.0 ** (-snr_db / 20.0)
-    received, windows = _receive(
-        symbols, true_cirs, known_cirs, spacing, sigma, [cell_seed, 1]
-    )
+    received, windows = _receive(symbols, kernels, spacing, sigma, [cell_seed, 1])
     threshold = None
     if scheme is Scheme.ERASK:
-        threshold = _erask_threshold(
-            rsm.threshold_policy, spacing, true_cirs, known_cirs, sigma, cell_seed
-        )
+        threshold = _erask_threshold(rsm.threshold_policy, spacing, kernels, sigma, cell_seed)
     detected = power_detect(received, windows, scheme, threshold)
     errors = int(np.sum(detected != bits))
     return bits.size, errors
@@ -575,26 +561,26 @@ def run_ber_sweep(
 ) -> list[BerRecord]:
     """Monte-Carlo BER over every (scheme, spacing, SNR, trial) cell.
 
-    Every trial's channels are built first. ``progress`` sees each record
-    as its cell completes; when ``out_dir`` is given, each (scheme, spacing)
-    CSV is written whole once its last cell is done, so a failed sweep
-    leaves no partial file. Cell order is fixed by indices, so output is
+    Every trial's channels and pulse responses are built first, once per
+    trial. ``progress`` sees each record as its cell completes; when
+    ``out_dir`` is given, each (scheme, spacing) CSV is written whole once
+    its last cell is done, so a failed sweep leaves no partial file. Cell order is fixed by indices, so output is
     deterministic for a given scenario and master seed.
     """
-    channels = [_target_cirs(scenario, trial) for trial in range(scenario.trials)]
+    kernels = [_trial_kernels(scenario, trial) for trial in range(scenario.trials)]
     records: list[BerRecord] = []
     for scheme in scenario.schemes:
         scheme_idx = _SCHEME_INDEX[scheme]
         for d_idx, spacing in enumerate(scenario.d_values):
             group: list[BerRecord] = []
             for snr_idx, snr_db in enumerate(scenario.snr_grid_db):
-                for trial, (true_cirs, known_cirs) in enumerate(channels):
+                for trial, trial_kernels in enumerate(kernels):
                     cell_seed = derive_seed(
                         scenario.master_seed, _STREAM_CELL,
                         scheme_idx, d_idx, snr_idx, trial,
                     )
                     bits_sent, errors = run_ber_point(
-                        scheme, scenario.rsm, true_cirs, known_cirs,
+                        scheme, scenario.rsm, trial_kernels,
                         spacing, snr_db, scenario.bits_per_point, cell_seed,
                     )
                     record = BerRecord(
@@ -657,18 +643,16 @@ def run_focusing_experiment(
 
 
 def run_sounding_study(
-    scenario: Scenario,
-    out_dir: str | Path | None = None,
-    tb_values: tuple[int, ...] = (100, 1000, 10000),
+    scenario: Scenario, out_dir: str | Path | None = None
 ) -> list[tuple[int, float, float]]:
     """Channel-estimation error vs time-bandwidth product.
 
-    For each TB value the probe chirp lasts ``TB / bandwidth`` seconds; the
-    normalized error ``||est - true|| / ||true||`` toward the first target
-    is reported as a median over the scenario's trials, once noiseless and
-    once at the scenario's probe SNR (20 dB when sounding is "genie").
-    Returns (tb, probe_snr_db, median_error) rows and writes
-    ``sounding_error.csv`` when ``out_dir`` is given.
+    For each TB in ``SOUNDING_TB_VALUES`` the probe chirp lasts ``TB /
+    bandwidth`` seconds; the normalized error ``||est - true|| / ||true||``
+    toward the first target is reported as a median over the scenario's
+    trials, once noiseless and once at the scenario's probe SNR (20 dB when
+    sounding is "genie"). Returns (tb, probe_snr_db, median_error) rows and
+    writes ``sounding_error.csv`` when ``out_dir`` is given.
     """
     probe_snr = (
         scenario.sounding.probe_snr_db if scenario.sounding is not None else 20.0
@@ -686,7 +670,7 @@ def run_sounding_study(
         for trial in range(scenario.trials)
     ]
     rows: list[tuple[int, float, float]] = []
-    for tb in tb_values:
+    for tb in SOUNDING_TB_VALUES:
         duration = tb / scenario.cavity.bandwidth_hz
         chirp = sounding_chirp(scenario.cavity, SoundingConfig(duration_s=duration))
         cfgs = [

@@ -72,14 +72,14 @@ class RsmConfig:
 
 @dataclass(frozen=True, eq=False)
 class DetectionWindow:
-    """Expected focusing-peak indices per symbol, plus a half-width in taps.
+    """Expected focusing-peak indices per symbol; each window spans
+    ``WINDOW_HALF_WIDTH`` taps on either side of its peak.
 
     Windows of distinct symbols are disjoint whenever the pulse spacing
     exceeds twice the half-width.
     """
 
     peak_lags: np.ndarray
-    half_width: int = WINDOW_HALF_WIDTH
 
     def __post_init__(self) -> None:
         lags = np.asarray(self.peak_lags, dtype=np.int64)
@@ -87,12 +87,14 @@ class DetectionWindow:
             raise DomainError("peak_lags must be 1-D")
         if lags.size and lags.min() < 0:
             raise DomainError("peak lags must be non-negative")
-        if self.half_width < 0:
-            raise ConfigurationError(f"half_width must be >= 0, got {self.half_width}")
         lags = lags.copy()
         lags.flags.writeable = False
         object.__setattr__(self, "peak_lags", lags)
-        object.__setattr__(self, "half_width", int(self.half_width))
+
+    @property
+    def half_width(self) -> int:
+        """Taps read on each side of a peak: always ``WINDOW_HALF_WIDTH``."""
+        return WINDOW_HALF_WIDTH
 
     @property
     def num_symbols(self) -> int:
@@ -105,12 +107,10 @@ class DetectionWindow:
         return self.peak_lags[:, None] + offsets[None, :]
 
 
-def detection_windows(
-    num_symbols: int, num_taps: int, spacing: int, half_width: int = WINDOW_HALF_WIDTH
-) -> DetectionWindow:
+def detection_windows(num_symbols: int, num_taps: int, spacing: int) -> DetectionWindow:
     """Windows centred on the focusing peaks ``L - 1 + l*spacing``."""
     lags = num_taps - 1 + np.arange(num_symbols, dtype=np.int64) * spacing
-    return DetectionWindow(lags, half_width)
+    return DetectionWindow(lags)
 
 
 def _as_bit_array(bits) -> np.ndarray:

@@ -10,8 +10,8 @@ user, scaled so every unit-amplitude data pulse carries unit emitted energy:
     s[k] = sum_i sum_l x[i, l] * conj(h_i)[L-1 - (k - l*D)] / sqrt(E_i)
 
 with ``E_i = sum_l |h_i[l]|^2``. :func:`tr_precode` and :func:`received_at`
-are where the matrix enters: both check its shape against the channel list,
-the spacing, and that every amplitude is finite.
+are where the matrix enters: both check its shape against the users, the
+spacing, and that every amplitude is finite.
 
 After propagating through channel ``h_j`` the multipath echoes recombine: a
 single unit pulse toward user ``i`` arrives at position ``j`` as the
@@ -20,21 +20,17 @@ which for ``j == i`` peaks at lag 0 with amplitude ``sqrt(E_i)``. The peak
 of a pulse placed in symbol slot ``l`` forms at received sample index
 ``L - 1 + l*D``; that index convention is shared with the detector windows.
 
-By linearity the field at antenna ``n`` is ``sum_i upsample_D(x[i]) *
-K_ni``, where ``K_ni`` is the noiseless received unit pulse (length
-``2L - 1``, :func:`tr_kernel`). :func:`received_at` uses that identity to give
-the BER sweep the received samples at the detector's window indices only:
-it never forms the ``(M-1)*D + 2L - 1``-sample emission or received signal.
-Its noise is still drawn at that full length, exactly as :func:`propagate`
-draws it (seed/noise contract v1), and read at the same indices.
-
-One emission received noiselessly through many channels is one
-:func:`~trlink.dsp.convolve` of the emission with the ``(P, L)`` stack of
-their taps, each row equal bit for bit to :func:`propagate` through that
-channel alone: :func:`focusing_report` receives the target's emission at
-every grid position that way. :func:`propagate` remains the one-channel
-path: the noisy receive, the interferer's field at the target, and the
-pulse responses :func:`received_at` builds per receive antenna.
+:func:`propagate` is the one receive path: one emission, one row per
+receiver, one stacked :func:`~trlink.dsp.convolve`, and row ``n``'s noise
+seeded ``[*seed_path, n]`` (seed/noise contract v1). :func:`pulse_responses`
+builds through it every ``K_ni``, the noiseless field at receiver ``n`` of
+one unit pulse toward user ``i`` (``2L - 1`` samples): the focusing maps
+read it over the grid, the BER sweep at its antennas. :func:`tr_kernel` is
+its closed form, kept as the test oracle. By linearity the field at antenna
+``n`` is ``sum_i upsample_D(x[i]) * K_ni``, so :func:`received_at` gives the
+BER sweep the samples at the detector's windows only, never the ``(M-1)*D +
+2L - 1``-sample signal; its noise is drawn at that full length from the
+same seeds and indexed.
 
 Everything here is pure and deterministic given the seed, and safe to fan
 out across positions, seeds, and SNR points.
@@ -43,6 +39,7 @@ out across positions, seeds, and SNR points.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -57,24 +54,25 @@ from .output import write_csv
 _UNIT_PULSE = np.ones((1, 1), dtype=np.complex128)
 
 
-def _check_symbols(symbols: np.ndarray, cirs: list[Cir], spacing: int) -> np.ndarray:
-    """The ``(N, M)`` amplitude matrix as complex128, checked against its targets."""
+def _check_symbols(symbols: np.ndarray, num_users: int, spacing: int) -> np.ndarray:
+    """The ``(N, M)`` amplitude matrix as complex128, checked against its ``N`` users."""
     symbols = np.asarray(symbols, dtype=np.complex128)
     if symbols.ndim != 2:
         raise DomainError(f"symbols must be an (N, M) matrix, got shape {symbols.shape}")
-    if symbols.shape[0] != len(cirs):
-        raise ConfigurationError(f"{symbols.shape[0]} symbol rows for {len(cirs)} CIRs")
-    if not cirs:
+    if symbols.shape[0] != num_users:
+        raise ConfigurationError(f"{symbols.shape[0]} symbol rows for {num_users} CIRs")
+    if num_users == 0:
         raise ConfigurationError("need at least one user")
     if spacing < 1:
         raise ConfigurationError(f"pulse spacing must be >= 1 tap, got {spacing}")
     if not np.all(np.isfinite(symbols)):
         raise DomainError("symbols must be finite")
-    lengths = {c.num_taps for c in cirs}
-    taps_spacings = {c.tap_spacing for c in cirs}
-    if len(lengths) != 1 or len(taps_spacings) != 1:
-        raise ConfigurationError("users must share CIR length and tap spacing")
     return symbols
+
+
+def _check_shared(cirs: Sequence[Cir], what: str) -> None:
+    if len({(c.taps.size, c.tap_spacing) for c in cirs}) != 1:
+        raise ConfigurationError(f"{what} must share CIR length and tap spacing")
 
 
 def _check_noise_sigma(noise_sigma: float) -> None:
@@ -82,27 +80,24 @@ def _check_noise_sigma(noise_sigma: float) -> None:
         raise DomainError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
 
 
-def _check_kernel_pair(h_j: Cir, h_i: Cir) -> None:
-    if h_j.num_taps != h_i.num_taps:
-        raise ConfigurationError(
-            f"kernel CIRs must share length ({h_j.num_taps} vs {h_i.num_taps})"
-        )
-    if not math.isclose(h_j.tap_spacing, h_i.tap_spacing, rel_tol=1e-9):
-        raise ConfigurationError("kernel CIRs must share tap spacing")
+def _receiver_noise(num_rx: int, size: int, sigma: float, seed_path, at=None) -> np.ndarray:
+    """Row ``n`` is receiver ``n``'s noise, seeded ``[*seed_path, n]`` (contract v1)."""
+    return np.stack([complex_noise(size, sigma, [*seed_path, n], at) for n in range(num_rx)])
 
 
 def tr_kernel(h_j: Cir, h_i: Cir) -> np.ndarray:
-    """Correlation kernel of ``h_j`` against the precoding target ``h_i``.
+    """Closed-form correlation kernel of ``h_j`` against the precoding target ``h_i``.
 
     The kernel spans all lags ``-(L-1) .. L-1`` with lag 0 at index
     ``L - 1``; entry ``L - 1 + m`` is
     ``sum_k conj(h_i[k - m]) * h_j[k] / sqrt(E_i)``. For the
     autocorrelation case the lag-0 value is ``sqrt(E_i)``, real and
-    positive, and dominates every other lag in magnitude. It equals, to
-    ``NUMERIC_RTOL``, the field ``propagate(tr_precode(unit pulse, [h_i],
-    1), h_j, 0.0)`` that :func:`received_at` builds its kernels from.
+    positive, and dominates every other lag in magnitude. It is the test
+    oracle for :func:`pulse_responses`, the one production builder of
+    ``K_ni``: it equals ``pulse_responses([h_j], [h_i])[0, 0]`` to
+    ``NUMERIC_RTOL``.
     """
-    _check_kernel_pair(h_j, h_i)
+    _check_shared([h_j, h_i], "kernel CIRs")
     energy = h_i.energy
     if energy <= 0.0:
         raise DomainError("precoding target CIR has zero energy")
@@ -120,7 +115,8 @@ def tr_precode(symbols: np.ndarray, cirs: list[Cir], spacing: int) -> np.ndarray
     user focuses at received index ``L - 1 + l*spacing``. ``M == 0`` gives
     an empty emission.
     """
-    symbols = _check_symbols(symbols, cirs, spacing)
+    symbols = _check_symbols(symbols, len(cirs), spacing)
+    _check_shared(cirs, "users")
     num_symbols = symbols.shape[1]
     # One fresh train and one convolution per user, then one sum: reusing a
     # train buffer or preallocating the sum measured slower (page faults).
@@ -144,75 +140,94 @@ def tr_precode(symbols: np.ndarray, cirs: list[Cir], spacing: int) -> np.ndarray
 
 def propagate(
     signal: np.ndarray,
-    cir: Cir,
+    cirs: Sequence[Cir],
     noise_sigma: float,
-    rng_seed: int | list[int] | None = None,
+    seed_path: Sequence[int] = (),
 ) -> np.ndarray:
-    """Receive an emitted signal through one channel with additive white noise.
+    """Receive one emission at a list of receivers, with additive white noise.
 
-    The received signal is the full linear convolution of the emission with
-    the channel plus zero-mean circular complex Gaussian noise whose
-    per-sample standard deviation is ``noise_sigma`` (``E|n|^2 = sigma^2``).
-    Deterministic for a given ``rng_seed``.
+    Row ``n`` is the full linear convolution of the emission with
+    ``cirs[n]`` plus zero-mean circular complex Gaussian noise whose
+    per-sample standard deviation is ``noise_sigma`` (``E|n|^2 = sigma^2``),
+    seeded ``[*seed_path, n]``. The channels, which must share CIR length
+    and tap spacing, are received in one stacked convolution; each row
+    equals the convolution with that channel alone bit for bit. Returns
+    shape ``(len(cirs), len(signal) + L - 1)``.
     """
     _check_noise_sigma(noise_sigma)
-    received = convolve(signal, cir.taps)
+    if not cirs:
+        raise ConfigurationError("propagate needs at least one receive channel")
+    _check_shared(cirs, "receive channels")
+    received = convolve(signal, np.stack([c.taps for c in cirs]))
     if noise_sigma > 0.0:
-        received = received + complex_noise(received.size, noise_sigma, rng_seed)
+        received += _receiver_noise(len(cirs), received.shape[1], noise_sigma, seed_path)
     return received
+
+
+def pulse_responses(true_cirs: Sequence[Cir], known_cirs: Sequence[Cir]) -> np.ndarray:
+    """Noiseless received unit pulses ``K_ni``, shape ``(N, U, 2L - 1)``.
+
+    Entry ``[:, i]`` is ``propagate(tr_precode(unit pulse, [known_cirs[i]],
+    1), true_cirs, 0.0)``: one pulse precoded toward user ``i`` with the
+    precoder's channel knowledge, received through the ``N`` true channels.
+    Receivers and users must share CIR length and tap spacing.
+    """
+    if not true_cirs or not known_cirs:
+        raise ConfigurationError("pulse responses need at least one receiver and one user")
+    # propagate checks the receivers against each other
+    _check_shared([true_cirs[0], *known_cirs], "receivers and users")
+    return np.stack(
+        [propagate(tr_precode(_UNIT_PULSE, [h_i], 1), true_cirs, 0.0) for h_i in known_cirs],
+        axis=1,
+    )
 
 
 def received_at(
     symbols: np.ndarray,
-    true_cirs: list[Cir],
-    known_cirs: list[Cir],
+    kernels: np.ndarray,
     spacing: int,
     lags: np.ndarray,
     noise_sigma: float,
-    seed_path: list[int],
+    seed_path: Sequence[int],
 ) -> np.ndarray:
     """Received samples at the given indices, one slice per receive antenna.
 
-    Entry ``[n, ...]`` equals, to ``NUMERIC_RTOL``, sample ``lags[...]`` of
-    ``propagate(tr_precode(symbols, known_cirs, spacing), true_cirs[n],
-    noise_sigma, [*seed_path, n])``, with each lag clipped into that
+    ``kernels`` is ``pulse_responses(true_cirs, known_cirs)``. Entry ``[n,
+    ...]`` equals, to ``NUMERIC_RTOL``, sample ``lags[...]`` of row ``n`` of
+    ``propagate(tr_precode(symbols, known_cirs, spacing), true_cirs,
+    noise_sigma, seed_path)``, with each lag clipped into that
     ``(M-1)*spacing + 2L - 1``-sample signal as a reader past either end
     reads the end sample. Only the requested samples are computed: index
     ``k = q*spacing + r`` of user ``i``'s contribution is the convolution of
-    row ``i`` with the polyphase component ``K_ni[r::spacing]`` at ``q``. A
-    component with no taps contributes nothing. The noise is drawn at the
-    full length from the same seeds as :func:`propagate` and indexed, so
-    noise contract v1 is unchanged. Returns shape ``(len(true_cirs),
-    *lags.shape)``.
+    row ``i`` with the polyphase component ``K_ni[r::spacing]`` at ``q``
+    (nothing, if it has no taps). The noise is drawn at the full length from
+    the seeds :func:`propagate` uses and indexed (noise contract v1).
+    Returns shape ``(N, *lags.shape)``.
     """
-    symbols = _check_symbols(symbols, known_cirs, spacing)
+    kernels = np.asarray(kernels)
+    if kernels.ndim != 3:
+        raise DomainError(f"kernels must be an (N, U, 2L-1) array, got shape {kernels.shape}")
+    symbols = _check_symbols(symbols, kernels.shape[1], spacing)
     _check_noise_sigma(noise_sigma)
+    num_rx = kernels.shape[0]
     lags = np.asarray(lags, dtype=np.int64)
-    field = np.zeros((len(true_cirs), lags.size), dtype=np.complex128)
+    field = np.zeros((num_rx, lags.size), dtype=np.complex128)
     num_symbols = symbols.shape[1]
     if num_symbols > 0:
-        length = (num_symbols - 1) * spacing + 2 * known_cirs[0].num_taps - 1
+        length = (num_symbols - 1) * spacing + kernels.shape[2]
         index = np.clip(lags.ravel(), 0, length - 1)
         block, phase = np.divmod(index, spacing)
-        # (residue r, the positions with that residue, their blocks q)
-        groups = []
         for r in np.unique(phase):
             at = np.flatnonzero(phase == r)
-            groups.append((r, at, block[at]))
-        # Built by the chain this function stands in for, not by tr_kernel's
-        # closed form, so the detector sees the chain's bits.
-        pulses = [tr_precode(_UNIT_PULSE, [h_i], 1) for h_i in known_cirs]
-        for n, h_n in enumerate(true_cirs):
-            _check_kernel_pair(h_n, known_cirs[0])
-            kernels = [propagate(pulse, h_n, 0.0) for pulse in pulses]
-            for r, at, q in groups:
-                for row, kernel in zip(symbols, kernels):
+            q = block[at]
+            for n in range(num_rx):
+                for row, kernel in zip(symbols, kernels[n]):
                     taps = kernel[r::spacing]
                     if taps.size:
                         field[n, at] += np.convolve(row, taps)[q]
-            if noise_sigma > 0.0:
-                field[n] += complex_noise(length, noise_sigma, [*seed_path, n], at=index)
-    return field.reshape(len(true_cirs), *lags.shape)
+        if noise_sigma > 0.0:
+            field += _receiver_noise(num_rx, length, noise_sigma, seed_path, at=index)
+    return field.reshape(num_rx, *lags.shape)
 
 
 @dataclass(frozen=True, eq=False)
@@ -308,10 +323,10 @@ def focusing_report(
     One unit-amplitude pulse is precoded per user (the target alone, or the
     target plus one interfering user), each normalised by its own channel
     energy so the intended received peak powers are statistically identical.
-    The target's emission is received at every ensemble position in one
-    stacked convolution, the interferer's at the target only, and the
+    Both fields come from :func:`pulse_responses`: the target's pulse at
+    every ensemble position, the interferer's at the target only. The
     focusing / interference metrics described on :class:`FocusingReport`
-    are extracted.
+    are extracted from them.
     """
     num_positions = len(ensemble)
     if not 0 <= target_index < num_positions:
@@ -323,8 +338,8 @@ def focusing_report(
     if spacing < 1:
         raise ConfigurationError(f"pulse spacing must be >= 1, got {spacing}")
 
-    own_waveform = tr_precode(_UNIT_PULSE, [ensemble.cirs[target_index]], spacing)
-    own = convolve(own_waveform, np.stack([cir.taps for cir in ensemble.cirs]))
+    target = ensemble.cirs[target_index]
+    own = pulse_responses(ensemble.cirs, [target])[:, 0]
     own_at_target = own[target_index]
 
     peak_lag = int(np.argmax(np.abs(own_at_target)))
@@ -356,8 +371,7 @@ def focusing_report(
 
     slots = _slot_indices(peak_lag, spacing, magnitude.size)
     if other_index is not None:
-        other_waveform = tr_precode(_UNIT_PULSE, [ensemble.cirs[other_index]], spacing)
-        other_at_target = propagate(other_waveform, ensemble.cirs[target_index], 0.0)
+        other_at_target = pulse_responses([target], [ensemble.cirs[other_index]])[0, 0]
         total_at_target = own_at_target + other_at_target
         iui_power = float(np.abs(other_at_target[peak_lag]) ** 2)
         isi_other = float(np.sum(np.abs(other_at_target[slots]) ** 2))

@@ -56,7 +56,7 @@ def test_criterion_2_matched_peak_law():
     for seed in range(1000):
         cir = _ensemble_cir(seed)
         waveform = tr_precode(UNIT_PULSE, [cir], 15)
-        received = propagate(waveform, cir, 0.0)
+        [received] = propagate(waveform, [cir], 0.0)
         peak_idx = int(np.argmax(np.abs(received)))
         aligned &= peak_idx == cir.num_taps - 1
         expected = math.sqrt(cir.energy)
@@ -80,8 +80,7 @@ def test_criterion_3_received_field_equals_kernel_expansion():
             for _ in range(2)
         ])
         waveform = tr_precode(symbols, cirs, spacing)
-        for j in range(2):
-            received = propagate(waveform, cirs[j], 0.0)
+        for j, received in enumerate(propagate(waveform, cirs, 0.0)):
             expansion = np.zeros_like(received)
             for i in range(2):
                 kernel = tr_kernel(cirs[j], cirs[i])

@@ -12,6 +12,7 @@ from trlink.channel import (
     SoundingConfig,
     SpatialChannelEnsemble,
     export_ensemble,
+    grid_index,
     load_ensemble,
     sound_cir,
     sounding_chirp,
@@ -141,12 +142,13 @@ class TestEnsembleType:
         with pytest.raises(ConfigurationError):
             SpatialChannelEnsemble(np.array([0.0, 1.0]), (a, b), CavityParams(num_taps=4))
 
-    def test_index_of_requires_on_grid_position(self):
+    def test_grid_index_requires_on_grid_position(self):
         params = CavityParams(num_taps=4, rng_seed=3)
         ensemble = synth_cavity_ensemble(params, [0.0, 0.3, 0.6])
-        assert ensemble.index_of(0.3) == 1
-        with pytest.raises(ConfigurationError):
-            ensemble.index_of(0.1)
+        assert grid_index(ensemble.positions_mm, 0.3) == 1
+        assert grid_index(ensemble.positions_mm, 0.3 + 0.5 * channel.POSITION_TOL_MM) == 1
+        with pytest.raises(ConfigurationError, match="target 0.1 mm"):
+            grid_index(ensemble.positions_mm, 0.1, "target")
 
 
 def _synth_cir(seed: int, num_taps: int, bandwidth: float = 4e9) -> Cir:
@@ -193,6 +195,15 @@ class TestSounding:
             medians.append(np.median(errors))
         assert medians[0] > medians[1] > medians[2]
 
+    @pytest.mark.parametrize("snr_db", [4000.0, -4000.0, 1e308])
+    def test_rejects_snr_outside_the_power_ratios(self, snr_db):
+        # 10**(q/10) overflows or underflows to 0; sound_cir would then
+        # raise OverflowError or ZeroDivisionError mid-run
+        with pytest.raises(ConfigurationError, match="sounding.snr_db"):
+            SoundingConfig(1.0, snr_db)
+        assert SoundingConfig(1.0, math.inf).probe_snr_db == math.inf
+        assert SoundingConfig(1.0, -3000.0).probe_snr_db == -3000.0
+
     def test_rejects_short_chirp(self):
         cir = _synth_cir(1, 8)
         cfg = SoundingConfig(duration_s=1.0)
@@ -203,7 +214,7 @@ class TestSounding:
 def _mixed_batch(num_taps: int) -> tuple[list[Cir], list[SoundingConfig]]:
     """Noiseless and noisy rows, one truth sounded three times and a dead channel."""
     first, second = _synth_cir(31, num_taps), _synth_cir(32, num_taps)
-    dead = Cir(np.zeros(num_taps), first.tap_spacing, position_mm=0.3)
+    dead = Cir(np.zeros(num_taps), first.tap_spacing)
     rows = [
         (first, math.inf, 0),
         (first, 20.0, 1),
@@ -225,17 +236,16 @@ class TestSoundingBatch:
     @pytest.mark.parametrize("num_taps, chirp_len", BATCH_SHAPES)
     def test_each_row_matches_its_singleton_call(self, num_taps, chirp_len):
         cirs, cfgs = _mixed_batch(num_taps)
-        chirp = make_chirp(0.0, 4e9, chirp_len / 4e9, 4e9)
+        chirp = make_chirp(4e9, chirp_len / 4e9, 4e9)
         for cir, cfg, estimate in zip(cirs, cfgs, sound_cir(cirs, cfgs, chirp)):
             [single] = sound_cir([cir], [cfg], chirp)
-            assert estimate.position_mm == cir.position_mm
             error = np.linalg.norm(estimate.taps - single.taps)
             assert error <= NUMERIC_RTOL * np.linalg.norm(single.taps)
 
     @pytest.mark.parametrize("num_taps, chirp_len", BATCH_SHAPES)
     def test_noiseless_rows_recover_the_truth(self, num_taps, chirp_len):
         cirs, cfgs = _mixed_batch(num_taps)
-        chirp = make_chirp(0.0, 4e9, chirp_len / 4e9, 4e9)
+        chirp = make_chirp(4e9, chirp_len / 4e9, 4e9)
         estimates = sound_cir(cirs, cfgs, chirp)
         for cir, cfg, estimate in zip(cirs, cfgs, estimates):
             if cir.energy == 0:
@@ -247,7 +257,7 @@ class TestSoundingBatch:
     @pytest.mark.parametrize("num_taps, chirp_len", BATCH_SHAPES)
     def test_estimates_do_not_depend_on_the_block_size(self, monkeypatch, num_taps, chirp_len):
         cirs, cfgs = _mixed_batch(num_taps)
-        chirp = make_chirp(0.0, 4e9, chirp_len / 4e9, 4e9)
+        chirp = make_chirp(4e9, chirp_len / 4e9, 4e9)
         one_block = sound_cir(cirs, cfgs, chirp)
         # one row per block, then two or three rows per block
         for budget in (1, 3 * (2 * chirp_len + num_taps - 2)):
@@ -258,7 +268,7 @@ class TestSoundingBatch:
 
     def test_rejects_malformed_batches(self):
         cirs, cfgs = _mixed_batch(8)
-        chirp = make_chirp(0.0, 4e9, 32 / 4e9, 4e9)
+        chirp = make_chirp(4e9, 32 / 4e9, 4e9)
         with pytest.raises(DomainError):
             sound_cir([], [], chirp)
         with pytest.raises(ConfigurationError):

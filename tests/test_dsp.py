@@ -107,8 +107,7 @@ class TestFastPath:
         [(256, 256), (511, 256), (766, 256), (256, 511), (256, 766), (1, 256), (511, 1), (1, 1)],
     )
     def test_stacked_rows_equal_single_rows_bit_for_bit(self, num_rows, a_len, row_len):
-        # focusing_report and received_at convolve one emission with a stack
-        # of channels; the committed results stay byte-identical only if each
+        # propagate convolves one emission with a stack of channels; the committed results stay byte-identical only if each
         # row is exactly the one-channel convolution.
         rng = np.random.default_rng(1000 * a_len + row_len + num_rows)
         a = complex_gaussian(rng, a_len)
@@ -139,11 +138,11 @@ class TestFastPath:
 
 class TestMakeChirp:
     def test_zero_bandwidth_is_unit_tone(self):
-        tone = make_chirp(1e9, 0.0, 1e-6, 1e8)
+        tone = make_chirp(0.0, 1e-6, 1e8)
         np.testing.assert_allclose(tone, np.ones(100), atol=1e-12)
 
     def test_full_band_length_and_amplitude(self):
-        chirp = make_chirp(273.6e9, 4e9, 1e-6, 4e9)
+        chirp = make_chirp(4e9, 1e-6, 4e9)
         assert len(chirp) == 4000
         np.testing.assert_allclose(np.abs(chirp), 1.0, atol=1e-12)
 
@@ -151,7 +150,7 @@ class TestMakeChirp:
         # -3 dB width of the autocorrelation of an oversampled chirp is about
         # sample_rate / bandwidth samples (time-bandwidth compression).
         rate, bandwidth = 1e9, 1.25e8
-        chirp = make_chirp(0.0, bandwidth, 2e-6, rate)
+        chirp = make_chirp(bandwidth, 2e-6, rate)
         ac = np.abs(xcorr(chirp, chirp))
         peak_idx = int(np.argmax(ac))
         level = ac[peak_idx] / np.sqrt(2.0)
@@ -168,11 +167,11 @@ class TestMakeChirp:
 
     def test_rejects_aliasing_bandwidth(self):
         with pytest.raises(ConfigurationError):
-            make_chirp(1e9, 2e9, 1e-6, 1e9)
+            make_chirp(2e9, 1e-6, 1e9)
 
     def test_rejects_too_short(self):
         with pytest.raises(ConfigurationError):
-            make_chirp(1e9, 1e6, 1e-9, 1e8)
+            make_chirp(1e6, 1e-9, 1e8)
 
 
 length = st.integers(min_value=1, max_value=200)

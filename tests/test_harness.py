@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import trlink.harness as harness
+import trlink.precoding as precoding
 from trlink.channel import CavityParams, SoundingConfig, export_ensemble
 from trlink.cli import main as cli_main
 from trlink.errors import ConfigurationError
@@ -231,6 +232,29 @@ class TestBerSweep:
         again = run_ber_sweep(scenario)
         assert records == again
 
+    @pytest.mark.parametrize("sounding", ["genie", {"duration_s": 6.4e-8, "snr_db": 20.0}])
+    def test_pulse_responses_are_built_once_per_trial(self, monkeypatch, sounding):
+        calls = {"tr_precode": 0, "propagate": 0}
+
+        def counting(name):
+            real = getattr(precoding, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(precoding, name, counting(name))
+        scenario = small_scenario(
+            d_values=[5, 15], snr_grid_db=[0.0, 10.0], trials=3, sounding=sounding
+        )
+        records = run_ber_sweep(scenario)
+        assert len(records) == 2 * 2 * 2 * 3  # schemes x D x SNR x trials
+        per_trial = scenario.trials * scenario.rsm.num_rx
+        assert calls == {"tr_precode": per_trial, "propagate": per_trial}
+
     def test_csv_schema_and_rows(self, tmp_path):
         scenario = small_scenario()
         records = run_ber_sweep(scenario, out_dir=tmp_path)
@@ -352,12 +376,13 @@ class TestSoundingStudy:
         scenario = small_scenario(
             trials=3, sounding={"duration_s": 6.4e-8, "snr_db": 20.0}
         )
-        rows = run_sounding_study(scenario, out_dir=tmp_path, tb_values=(100, 1000))
+        rows = run_sounding_study(scenario, out_dir=tmp_path)
         assert (tmp_path / "sounding_error.csv").exists()
         noiseless = {tb: err for tb, snr, err in rows if math.isinf(snr)}
         noisy = sorted((tb, err) for tb, snr, err in rows if not math.isinf(snr))
+        assert sorted(noiseless) == list(harness.SOUNDING_TB_VALUES)
         assert all(err <= 1e-9 for err in noiseless.values())
-        assert noisy[0][1] > noisy[1][1]
+        assert noisy[0][1] > noisy[1][1] > noisy[2][1]
 
     def test_each_trial_is_synthesised_once(self, monkeypatch):
         real = harness.synth_cavity_ensemble
@@ -369,7 +394,7 @@ class TestSoundingStudy:
 
         monkeypatch.setattr(harness, "synth_cavity_ensemble", counting)
         scenario = small_scenario(trials=3, sounding={"duration_s": 6.4e-8, "snr_db": 20.0})
-        run_sounding_study(scenario, tb_values=(100, 1000))
+        run_sounding_study(scenario)
         assert len(calls) == scenario.trials
 
 

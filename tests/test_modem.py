@@ -9,6 +9,7 @@ from trlink.channel import Cir
 from trlink.errors import ConfigurationError, DomainError
 from trlink.harness import run_ber_point, scenario_from_dict
 from trlink.modem import (
+    WINDOW_HALF_WIDTH,
     DetectionWindow,
     FixedThreshold,
     PilotThreshold,
@@ -21,7 +22,7 @@ from trlink.modem import (
     rask_modulate,
     window_peak_powers,
 )
-from trlink.precoding import received_at
+from trlink.precoding import pulse_responses, received_at
 
 SPACING = 7
 RASK = Scheme.RASK
@@ -62,7 +63,8 @@ def transmit(bits, scheme, cirs, sigma=0.0, seed=0):
     else:
         symbols = erask_modulate(bits, len(cirs))
     windows = detection_windows(symbols.shape[1], cirs[0].num_taps, SPACING)
-    received = received_at(symbols, cirs, cirs, SPACING, windows.lags, sigma, [seed])
+    kernels = pulse_responses(cirs, cirs)
+    received = received_at(symbols, kernels, SPACING, windows.lags, sigma, [seed])
     return received, windows
 
 
@@ -142,15 +144,11 @@ class TestDetectionWindows:
         windows = detection_windows(3, num_taps=16, spacing=5)
         np.testing.assert_array_equal(windows.peak_lags, [15, 20, 25])
 
-    @given(st.integers(3, 40), st.integers(1, 12))
-    def test_windows_disjoint_when_spacing_exceeds_twice_half_width(self, spacing, half_width):
-        if spacing <= 2 * half_width:
-            return
-        windows = detection_windows(4, num_taps=8, spacing=spacing, half_width=half_width)
-        spans = [
-            set(range(int(lag) - half_width, int(lag) + half_width + 1))
-            for lag in windows.peak_lags
-        ]
+    @given(st.integers(2 * WINDOW_HALF_WIDTH + 1, 40))
+    def test_windows_disjoint_when_spacing_exceeds_twice_half_width(self, spacing):
+        windows = detection_windows(4, num_taps=8, spacing=spacing)
+        assert windows.half_width == WINDOW_HALF_WIDTH
+        spans = [set(row.tolist()) for row in windows.lags]
         for i in range(len(spans)):
             for j in range(i + 1, len(spans)):
                 assert not (spans[i] & spans[j])
@@ -174,7 +172,7 @@ class TestPowerDetect:
     def test_tie_breaks_to_first_antenna(self):
         samples = np.zeros((1, 3), dtype=complex)
         samples[0, 1] = 1.0
-        windows = DetectionWindow(np.array([3]), half_width=1)
+        windows = DetectionWindow(np.array([3]))
         detected = power_detect(np.stack([samples, samples]), windows, RASK)
         np.testing.assert_array_equal(detected, [0])
 
@@ -284,11 +282,11 @@ class TestEndToEnd:
 
         params = CavityParams(num_taps=64, rng_seed=11)
         ensemble = synth_cavity_ensemble(params, [-0.45, 0.45])
-        cirs = list(ensemble.cirs)
+        kernels = pulse_responses(list(ensemble.cirs), list(ensemble.cirs))
         for scheme in (Scheme.RASK, Scheme.ERASK):
             rsm = RsmConfig(num_rx=2, threshold_policy=PilotThreshold(16))
             bits_sent, errors = run_ber_point(
-                scheme, rsm, cirs, cirs, spacing=64, snr_db=60.0,
+                scheme, rsm, kernels, spacing=64, snr_db=60.0,
                 num_bits=2000, cell_seed=99,
             )
             assert bits_sent >= 2000
@@ -304,8 +302,8 @@ class TestEndToEnd:
         for trial in range(5):
             params = CavityParams(num_taps=128, rng_seed=300 + trial)
             ensemble = synth_cavity_ensemble(params, [-0.45, 0.45])
-            cirs = list(ensemble.cirs)
-            calibrated = _erask_threshold(PilotThreshold(32), 15, cirs, cirs, sigma, cell_seed=trial)
+            kernels = pulse_responses(list(ensemble.cirs), list(ensemble.cirs))
+            calibrated = _erask_threshold(PilotThreshold(32), 15, kernels, sigma, cell_seed=trial)
             for label, value in (
                 ("calibrated", calibrated),
                 ("low", 0.1 * calibrated),
@@ -313,7 +311,7 @@ class TestEndToEnd:
             ):
                 rsm = RsmConfig(num_rx=2, threshold_policy=FixedThreshold(value))
                 bits_sent, errors = run_ber_point(
-                    Scheme.ERASK, rsm, cirs, cirs, spacing=15, snr_db=snr_db,
+                    Scheme.ERASK, rsm, kernels, spacing=15, snr_db=snr_db,
                     num_bits=4000, cell_seed=1000 + trial,
                 )
                 results[label].append(errors / bits_sent)

@@ -11,11 +11,12 @@ from trlink.channel import (
     Cir,
     SoundingConfig,
     SpatialChannelEnsemble,
+    grid_index,
     sound_cir,
     sounding_chirp,
     synth_cavity_ensemble,
 )
-from trlink.dsp import NUMERIC_RTOL
+from trlink.dsp import NUMERIC_RTOL, complex_noise, convolve
 from trlink.errors import ConfigurationError, DomainError
 from trlink.harness import _pilot_targets, grid_positions
 from trlink.modem import detection_windows, erask_modulate, rask_modulate
@@ -24,6 +25,7 @@ from trlink.precoding import (
     focusing_report_to_csv,
     full_width_half_max,
     propagate,
+    pulse_responses,
     received_at,
     tr_kernel,
     tr_precode,
@@ -90,15 +92,25 @@ class TestTrKernel:
 
     @pytest.mark.parametrize("num_taps", [1, 2, 64])
     def test_closed_form_equals_the_unit_pulse_chain(self, num_taps):
-        # received_at builds its kernels by precoding and propagating one
+        # pulse_responses builds every K_ni by precoding and propagating one
         # pulse; the correlation formula here must give the same field
         rng = np.random.default_rng(num_taps)
         h_i, h_j = random_cir(rng, num_taps), random_cir(rng, num_taps)
         for target, receiver in ((h_i, h_i), (h_i, h_j)):
-            chain = propagate(tr_precode(UNIT_PULSE, [target], 1), receiver, 0.0)
+            [chain] = propagate(tr_precode(UNIT_PULSE, [target], 1), [receiver], 0.0)
             kernel = tr_kernel(receiver, target)
             assert kernel.shape == chain.shape
             assert np.max(np.abs(kernel - chain)) <= NUMERIC_RTOL * np.max(np.abs(chain))
+        # three receivers, two users (the second a sounded-like perturbation)
+        true_cirs = [h_i, h_j, random_cir(rng, num_taps)]
+        known_cirs = [h_j, Cir(h_i.taps + 0.1 * random_cir(rng, num_taps).taps, 1.0)]
+        kernels = pulse_responses(true_cirs, known_cirs)
+        assert kernels.shape == (3, 2, 2 * num_taps - 1)
+        for n, receiver in enumerate(true_cirs):
+            for i, target in enumerate(known_cirs):
+                kernel = tr_kernel(receiver, target)
+                scale = np.max(np.abs(kernel))
+                assert np.max(np.abs(kernels[n, i] - kernel)) <= NUMERIC_RTOL * scale
 
     def test_rejects_zero_energy_target(self):
         h = Cir(np.ones(4), 1.0)
@@ -139,7 +151,7 @@ class TestTrPrecode:
     def test_two_user_emission_toward_close_targets(self):
         params = CavityParams(rng_seed=42)
         ensemble = synth_cavity_ensemble(params, grid_positions(-6.3, 6.3, 0.3))
-        targets = [ensemble.index_of(-2.7), ensemble.index_of(-1.8)]
+        targets = [grid_index(ensemble.positions_mm, x) for x in (-2.7, -1.8)]
         cirs = [ensemble.cirs[t] for t in targets]
         waveform = tr_precode(np.ones((2, 1)), cirs, 15)
         assert len(waveform) == params.num_taps
@@ -181,7 +193,7 @@ class TestPropagate:
         rng = np.random.default_rng(5)
         h = random_cir(rng, 96)
         waveform = tr_precode(UNIT_PULSE, [h], 4)
-        received = propagate(waveform, h, 0.0)
+        [received] = propagate(waveform, [h], 0.0)
         peak_idx = int(np.argmax(np.abs(received)))
         assert peak_idx == h.num_taps - 1
         expected = math.sqrt(h.energy)
@@ -189,7 +201,7 @@ class TestPropagate:
 
     def test_noise_only_variance(self):
         zeros = np.zeros(100_000, dtype=complex)
-        received = propagate(zeros, Cir([1.0], 1.0), 1.0, rng_seed=6)
+        [received] = propagate(zeros, [Cir([1.0], 1.0)], 1.0, [6])
         variance = float(np.mean(np.abs(received) ** 2))
         assert variance == pytest.approx(1.0, rel=0.05)
         assert abs(complex(np.mean(received))) <= 0.02
@@ -198,15 +210,36 @@ class TestPropagate:
         rng = np.random.default_rng(7)
         h = random_cir(rng, 16)
         waveform = tr_precode(UNIT_PULSE, [h], 2)
-        first = propagate(waveform, h, 0.5, rng_seed=123)
-        second = propagate(waveform, h, 0.5, rng_seed=123)
+        first = propagate(waveform, [h, h], 0.5, [123])
+        second = propagate(waveform, [h, h], 0.5, [123])
         assert np.array_equal(first, second)
 
     def test_rejects_negative_sigma(self):
         h = Cir([1.0], 1.0)
         waveform = tr_precode(UNIT_PULSE, [h], 1)
         with pytest.raises(DomainError):
-            propagate(waveform, h, -0.1)
+            propagate(waveform, [h], -0.1)
+
+    def test_rejects_no_channels_and_mixed_tap_counts(self):
+        waveform = tr_precode(UNIT_PULSE, [Cir(np.ones(4), 1.0)], 1)
+        with pytest.raises(ConfigurationError, match="at least one"):
+            propagate(waveform, [], 0.0)
+        with pytest.raises(ConfigurationError, match="share"):
+            propagate(waveform, [Cir(np.ones(4), 1.0), Cir(np.ones(5), 1.0)], 0.0)
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.3])
+    def test_each_row_is_its_channel_plus_its_seeded_noise(self, sigma):
+        # the per-antenna seed rule: row n's noise is seeded [*seed_path, n]
+        rng = np.random.default_rng(9)
+        cirs = [random_cir(rng, 32) for _ in range(3)]
+        waveform = tr_precode(np.ones((1, 4)), cirs[:1], 5)
+        received = propagate(waveform, cirs, sigma, [7, 1])
+        assert received.shape == (3, waveform.size + 31)
+        for n, cir in enumerate(cirs):
+            expected = convolve(waveform, cir.taps)
+            if sigma > 0.0:
+                expected = expected + complex_noise(expected.size, sigma, [7, 1, n])
+            assert np.array_equal(received[n], expected)
 
     def test_equals_kernel_expansion(self):
         rng = np.random.default_rng(8)
@@ -215,8 +248,7 @@ class TestPropagate:
             rng.standard_normal(5) + 1j * rng.standard_normal(5) for _ in range(2)
         ])
         waveform = tr_precode(symbols, cirs, 9)
-        for j in range(2):
-            received = propagate(waveform, cirs[j], 0.0)
+        for j, received in enumerate(propagate(waveform, cirs, 0.0)):
             expected = kernel_expansion(symbols, cirs, 9, j)
             scale = np.max(np.abs(expected))
             assert np.max(np.abs(received - expected)) <= NUMERIC_RTOL * scale
@@ -225,11 +257,8 @@ class TestPropagate:
 def windowed_reference(symbols, true_cirs, known_cirs, spacing, lags, sigma, seed_path):
     """The full-length chain, indexed at the (clipped) lags afterwards."""
     waveform = tr_precode(symbols, known_cirs, spacing)
-    rows = []
-    for n, cir in enumerate(true_cirs):
-        received = propagate(waveform, cir, sigma, rng_seed=[*seed_path, n])
-        rows.append(received[np.clip(lags, 0, received.size - 1)])
-    return np.stack(rows)
+    received = propagate(waveform, true_cirs, sigma, seed_path)
+    return received[:, np.clip(lags, 0, received.shape[1] - 1)]
 
 
 def _frames(rng, num_rx=2):
@@ -262,14 +291,13 @@ class TestReceivedAt:
             chirp = sounding_chirp(params, cfg)
             cfgs = [SoundingConfig(cfg.duration_s, 20.0, rng_seed=j) for j in range(len(true_cirs))]
             known_cirs = sound_cir(true_cirs, cfgs, chirp)
+        kernels = pulse_responses(true_cirs, known_cirs)
         rng = np.random.default_rng(num_taps)
         for name, symbols in _frames(rng).items():
             for spacing in spacings:
                 lags = detection_windows(symbols.shape[1], num_taps, spacing).lags
                 for sigma in (0.0, 0.3):
-                    actual = received_at(
-                        symbols, true_cirs, known_cirs, spacing, lags, sigma, [5, 1]
-                    )
+                    actual = received_at(symbols, kernels, spacing, lags, sigma, [5, 1])
                     expected = windowed_reference(
                         symbols, true_cirs, known_cirs, spacing, lags, sigma, [5, 1]
                     )
@@ -285,9 +313,10 @@ class TestReceivedAt:
         h = Cir([0.6 + 0.8j], 1.0)
         symbols = np.array([[1.0, 2.0, 3.0]], dtype=complex)
         lags = detection_windows(3, 1, 4).lags
-        field = received_at(symbols, [h], [h], 4, lags, 0.0, [0])[0]
+        kernels = pulse_responses([h], [h])
+        field = received_at(symbols, kernels, 4, lags, 0.0, [0])[0]
         np.testing.assert_allclose(field, [[1, 1, 0], [0, 2, 0], [0, 3, 3]], atol=1e-15)
-        noisy = received_at(symbols, [h], [h], 4, lags, 0.5, [0])[0]
+        noisy = received_at(symbols, kernels, 4, lags, 0.5, [0])[0]
         assert noisy[0, 0] == noisy[0, 1]
         assert noisy[2, 1] == noisy[2, 2]
         assert noisy[0, 0] != noisy[2, 2]
@@ -295,18 +324,21 @@ class TestReceivedAt:
     def test_empty_frame_gives_no_samples(self):
         h = Cir(np.ones(4), 1.0)
         lags = detection_windows(0, 4, 5).lags
-        field = received_at(np.zeros((2, 0)), [h, h], [h, h], 5, lags, 0.1, [0])
+        field = received_at(np.zeros((2, 0)), pulse_responses([h, h], [h, h]), 5, lags, 0.1, [0])
         assert field.shape == (2, 0, 3)
 
     def test_rejects_what_the_chain_rejects(self):
         h = Cir(np.ones(4), 1.0)
+        kernels = pulse_responses([h], [h])
         lags = detection_windows(2, 4, 5).lags
         with pytest.raises(DomainError, match="noise_sigma"):
-            received_at(np.ones((1, 2)), [h], [h], 5, lags, -1.0, [0])
+            received_at(np.ones((1, 2)), kernels, 5, lags, -1.0, [0])
         with pytest.raises(ConfigurationError, match="symbol rows"):
-            received_at(np.ones((2, 2)), [h], [h], 5, lags, 0.0, [0])
+            received_at(np.ones((2, 2)), kernels, 5, lags, 0.0, [0])
         with pytest.raises(DomainError, match="zero-energy"):
-            received_at(np.ones((1, 2)), [h], [Cir(np.zeros(4), 1.0)], 5, lags, 0.0, [0])
+            pulse_responses([h], [Cir(np.zeros(4), 1.0)])
+        with pytest.raises(ConfigurationError, match="share"):
+            pulse_responses([h], [Cir(np.ones(5), 1.0)])
 
 
 class TestFocusingGain:
@@ -318,7 +350,7 @@ class TestFocusingGain:
                 params = CavityParams(num_taps=num_taps, rng_seed=seed)
                 cir = synth_cavity_ensemble(params, [0.0]).cirs[0]
                 waveform = tr_precode(UNIT_PULSE, [cir], 4)
-                field = np.abs(propagate(waveform, cir, 0.0))
+                field = np.abs(propagate(waveform, [cir], 0.0)[0])
                 peak_idx = int(np.argmax(field))
                 mask = np.ones(field.size, dtype=bool)
                 mask[max(0, peak_idx - 1) : peak_idx + 2] = False
@@ -353,8 +385,7 @@ class TestFocusingReport:
         positions = np.arange(5, dtype=float)
         gains = [0.1, 0.5, 2.0, 0.3, 0.1]
         cirs = tuple(
-            Cir(np.array([g], dtype=complex), params.tap_spacing, position_mm=pos)
-            for g, pos in zip(gains, positions)
+            Cir(np.array([g], dtype=complex), params.tap_spacing) for g in gains
         )
         ensemble = SpatialChannelEnsemble(positions, cirs, params)
         report = focusing_report(ensemble, 1, None, 1)
@@ -373,10 +404,7 @@ class TestFocusingReport:
 
         def draw_ensemble() -> SpatialChannelEnsemble:
             phases = np.exp(2j * np.pi * rng.random(3))
-            cirs = tuple(
-                Cir(np.array([p]), params.tap_spacing, position_mm=pos)
-                for p, pos in zip(phases, positions)
-            )
+            cirs = tuple(Cir(np.array([p]), params.tap_spacing) for p in phases)
             return SpatialChannelEnsemble(positions, cirs, params)
 
         for _ in range(5):
@@ -390,8 +418,7 @@ class TestFocusingReport:
         for _ in range(seeds):
             ensemble = draw_ensemble()
             waveform = tr_precode(UNIT_PULSE, [ensemble.cirs[target]], 1)
-            for p in range(3):
-                mean_field[p] += propagate(waveform, ensemble.cirs[p], 0.0)[0]
+            mean_field += propagate(waveform, list(ensemble.cirs), 0.0)[:, 0]
         mean_field /= seeds
         assert abs(mean_field[target] - 1.0) <= 0.05
         assert abs(mean_field[0]) <= 0.05
@@ -409,8 +436,8 @@ class TestFocusingReport:
 
     def test_two_user_interference_decomposition(self):
         ensemble = _dense_grid_ensemble(3)
-        target = ensemble.index_of(-1.8)
-        other = ensemble.index_of(-2.7)
+        target = grid_index(ensemble.positions_mm, -1.8)
+        other = grid_index(ensemble.positions_mm, -2.7)
         report = focusing_report(ensemble, target, other, 15)
         assert report.other_mm == pytest.approx(-2.7)
         assert report.peak_amplitude > 0
@@ -422,7 +449,7 @@ class TestFocusingReport:
 
     def test_csv_round_trip(self, tmp_path):
         ensemble = _dense_grid_ensemble(4)
-        report = focusing_report(ensemble, ensemble.index_of(-1.8), None, 15)
+        report = focusing_report(ensemble, grid_index(ensemble.positions_mm, -1.8), None, 15)
         path = tmp_path / "report.csv"
         focusing_report_to_csv(report, path)
         lines = path.read_text(encoding="utf-8").splitlines()
