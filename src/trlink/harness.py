@@ -57,15 +57,18 @@ and ``rsm.scheme`` is one of the three lower-case strings shown. Each
 finite ``sounding.snr_db`` a probe power ratio ``10**(q/10)``, that is a
 positive finite double (about ``|q| <= 3080`` dB). Sizes are capped at load:
 ``num_taps`` at 4096, and a BER frame of ``(M-1)*max(d_values) + 2*num_taps
-- 1`` samples at 10,000,000, where ``M`` is ``bits_per_point`` for RASK and
-``ceil(bits_per_point / num_rx)`` for ERASK.
+- 1`` samples at 10,000,000, where ``M`` is ``bits_per_point`` for RASK,
+``ceil(bits_per_point / num_rx)`` for ERASK and ``num_pilots`` for a pilot
+frame.
 
 Each trial's pulse responses (:func:`trlink.precoding.pulse_responses`)
 are built once, before the first cell, and every data and pilot frame of
 that trial reuses them. Each BER cell evaluates the received field only at
-its detector's window samples (:func:`trlink.precoding.received_at`), so a
-cell costs about what the detector reads plus one full-length noise draw
-per antenna and frame (noise contract v1, unchanged).
+its detector's window samples (:func:`trlink.precoding.received_at`) as
+blocked real matrix products, so a cell costs ``2*(2*(L // D) + 1)`` real
+multiply-adds per user for each sample the detector reads, plus one
+full-length noise draw per antenna and frame (noise contract v1,
+unchanged).
 
 BER CSV columns are fixed: ``scheme,D,snr_db,bits_sent,bit_errors,ber,seed``
 with one file per (scheme, spacing) and one row per (SNR point, trial).
@@ -264,12 +267,19 @@ class Scenario:
             else -(-self.bits_per_point // self.rsm.num_rx)
             for scheme in self.schemes
         )
-        frame_samples = (frame_symbols - 1) * max(self.d_values) + 2 * num_taps - 1
-        if frame_samples > _MAX_FRAME_SAMPLES:
-            raise ConfigurationError(
-                f"bits_per_point {self.bits_per_point} at D={max(self.d_values)} gives a "
-                f"{frame_samples}-sample BER frame; the cap is {_MAX_FRAME_SAMPLES}"
+        frames = [("bits_per_point", self.bits_per_point, frame_symbols, "BER frame")]
+        policy = self.rsm.threshold_policy
+        if isinstance(policy, PilotThreshold):
+            frames.append(
+                ("rsm.threshold.num_pilots", policy.num_pilots, policy.num_pilots, "pilot frame")
             )
+        for field, value, symbols, what in frames:
+            frame_samples = (symbols - 1) * max(self.d_values) + 2 * num_taps - 1
+            if frame_samples > _MAX_FRAME_SAMPLES:
+                raise ConfigurationError(
+                    f"{field} {value} at D={max(self.d_values)} gives a {frame_samples}-sample "
+                    f"{what}; the cap is {_MAX_FRAME_SAMPLES}"
+                )
         if self.trials < 1:
             raise ConfigurationError("trials must be >= 1")
         if self.master_seed < 0:
@@ -500,8 +510,7 @@ def _receive(
     """
     # A (2L-1)-sample pulse response peaks at index L - 1.
     windows = detection_windows(symbols.shape[1], (kernels.shape[-1] + 1) // 2, spacing)
-    received = received_at(symbols, kernels, spacing, windows.lags, sigma, seed_path)
-    return received, windows
+    return received_at(symbols, kernels, spacing, sigma, seed_path), windows
 
 
 def _erask_threshold(

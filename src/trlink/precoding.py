@@ -29,8 +29,10 @@ read it over the grid, the BER sweep at its antennas. :func:`tr_kernel` is
 its closed form, kept as the test oracle. By linearity the field at antenna
 ``n`` is ``sum_i upsample_D(x[i]) * K_ni``, so :func:`received_at` gives the
 BER sweep the samples at the detector's windows only, never the ``(M-1)*D +
-2L - 1``-sample signal; its noise is drawn at that full length from the
-same seeds and indexed.
+2L - 1``-sample signal: each window is the few symbol amplitudes whose
+pulses reach it times a fixed matrix of ``K_ni`` samples, computed as
+blocked real matrix products. Its noise is drawn at that full length from
+the same seeds and indexed.
 
 Everything here is pure and deterministic given the seed, and safe to fan
 out across positions, seeds, and SNR points.
@@ -44,14 +46,21 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .channel import Cir, SpatialChannelEnsemble
 from .dsp import complex_noise, convolve, xcorr
 from .errors import ConfigurationError, DomainError
+from .modem import WINDOW_HALF_WIDTH, detection_windows
 from .output import write_csv
 
 
 _UNIT_PULSE = np.ones((1, 1), dtype=np.complex128)
+
+# The window engine copies at most this many symbol-window entries (256 KiB
+# of doubles) into each block it multiplies, so memory does not grow with
+# the frame.
+_BLOCK_ELEMENTS = 2**15
 
 
 def _check_symbols(symbols: np.ndarray, num_users: int, spacing: int) -> np.ndarray:
@@ -186,48 +195,80 @@ def received_at(
     symbols: np.ndarray,
     kernels: np.ndarray,
     spacing: int,
-    lags: np.ndarray,
     noise_sigma: float,
     seed_path: Sequence[int],
 ) -> np.ndarray:
-    """Received samples at the given indices, one slice per receive antenna.
+    """Received samples at the detector's windows, one slice per receive antenna.
 
-    ``kernels`` is ``pulse_responses(true_cirs, known_cirs)``. Entry ``[n,
-    ...]`` equals, to ``NUMERIC_RTOL``, sample ``lags[...]`` of row ``n`` of
+    ``kernels`` is ``pulse_responses(true_cirs, known_cirs)``, shape ``(N, U,
+    2L-1)``. With ``w = WINDOW_HALF_WIDTH``, entry ``[n, m, w + o]`` equals,
+    to ``NUMERIC_RTOL``, sample ``L-1 + m*spacing + o`` (``|o| <= w``: the
+    ``detection_windows(M, L, spacing).lags``) of row ``n`` of
     ``propagate(tr_precode(symbols, known_cirs, spacing), true_cirs,
-    noise_sigma, seed_path)``, with each lag clipped into that
-    ``(M-1)*spacing + 2L - 1``-sample signal as a reader past either end
-    reads the end sample. Only the requested samples are computed: index
-    ``k = q*spacing + r`` of user ``i``'s contribution is the convolution of
-    row ``i`` with the polyphase component ``K_ni[r::spacing]`` at ``q``
-    (nothing, if it has no taps). The noise is drawn at the full length from
-    the seeds :func:`propagate` uses and indexed (noise contract v1).
-    Returns shape ``(N, *lags.shape)``.
+    noise_sigma, seed_path)``; a read past either end of that ``(M-1)*spacing
+    + 2L - 1``-sample signal reads the end sample.
+
+    Only those samples are computed. Pulse ``m - s`` reaches window ``m``
+    only for ``|s| <= S = (L-1 + w) // spacing``, so user ``i`` adds to
+    window ``m`` its ``2S+1`` amplitudes around slot ``m`` (zero outside the
+    frame) times one ``(2S+1, N(2w+1))`` matrix of ``K_ni`` samples. The
+    arithmetic is real: each matrix is stored with real and imaginary parts
+    interleaved, and the imaginary parts of complex amplitudes (none for
+    either modulator) take a second real pass against ``1j`` times it. The
+    users' and passes' windows sit side by side, so one real matrix product
+    per block of at most ``_BLOCK_ELEMENTS`` window entries gives those
+    windows' samples. The noise is drawn at the full length from the seeds
+    :func:`propagate` uses and indexed (noise contract v1). Returns shape
+    ``(N, M, 2w+1)``.
     """
     kernels = np.asarray(kernels)
-    if kernels.ndim != 3:
+    if kernels.ndim != 3 or kernels.shape[2] % 2 == 0:
         raise DomainError(f"kernels must be an (N, U, 2L-1) array, got shape {kernels.shape}")
     symbols = _check_symbols(symbols, kernels.shape[1], spacing)
     _check_noise_sigma(noise_sigma)
-    num_rx = kernels.shape[0]
-    lags = np.asarray(lags, dtype=np.int64)
-    field = np.zeros((num_rx, lags.size), dtype=np.complex128)
+    num_rx, num_users, size = kernels.shape
     num_symbols = symbols.shape[1]
-    if num_symbols > 0:
-        length = (num_symbols - 1) * spacing + kernels.shape[2]
-        index = np.clip(lags.ravel(), 0, length - 1)
-        block, phase = np.divmod(index, spacing)
-        for r in np.unique(phase):
-            at = np.flatnonzero(phase == r)
-            q = block[at]
-            for n in range(num_rx):
-                for row, kernel in zip(symbols, kernels[n]):
-                    taps = kernel[r::spacing]
-                    if taps.size:
-                        field[n, at] += np.convolve(row, taps)[q]
-        if noise_sigma > 0.0:
-            field += _receiver_noise(num_rx, length, noise_sigma, seed_path, at=index)
-    return field.reshape(num_rx, *lags.shape)
+    peak = size // 2  # L - 1
+    offsets = np.arange(-WINDOW_HALF_WIDTH, WINDOW_HALF_WIDTH + 1)
+    span = (peak + WINDOW_HALF_WIDTH) // spacing
+    width = 2 * span + 1
+    if num_symbols == 0:
+        return np.zeros((num_rx, 0, offsets.size), dtype=np.complex128)
+
+    # gathered[i, c, n, o] = K_ni[L-1 + (span - c)*spacing + o], zero off the
+    # kernel; viewed as float64 it is user i's real matrix, and the product's
+    # interleaved (re, im) columns view back as the complex field.
+    taps = peak + np.arange(span, -span - 1, -1)[:, None] * spacing + offsets
+    gathered = np.where((taps >= 0) & (taps < size), kernels[:, :, np.clip(taps, 0, size - 1)], 0)
+    gathered = np.ascontiguousarray(gathered.transpose(1, 2, 0, 3), dtype=np.complex128)
+    planes = [(symbols.real, gathered)]
+    if np.any(symbols.imag):
+        planes.append((symbols.imag, 1j * gathered))
+    matrix = np.concatenate([m.view(np.float64).reshape(num_users * width, -1) for _, m in planes])
+    padded = np.zeros((len(planes) * num_users, num_symbols + 2 * span))
+    padded[:, span : span + num_symbols] = np.concatenate([a for a, _ in planes])
+    windows = sliding_window_view(padded, width, axis=1)
+
+    product = np.empty((num_symbols, matrix.shape[1]))
+    rows = max(1, _BLOCK_ELEMENTS // matrix.shape[0])
+    block = np.empty((min(rows, num_symbols), len(padded), width))
+    for start in range(0, num_symbols, rows):
+        stop = min(start + rows, num_symbols)
+        np.copyto(block[: stop - start], windows[:, start:stop].transpose(1, 0, 2))
+        np.matmul(block[: stop - start].reshape(stop - start, -1), matrix, out=product[start:stop])
+    field = product.view(np.complex128).reshape(num_symbols, num_rx, offsets.size)
+    field = np.ascontiguousarray(field.transpose(1, 0, 2))
+
+    length = (num_symbols - 1) * spacing + size
+    lags = detection_windows(num_symbols, peak + 1, spacing).lags
+    if peak < WINDOW_HALF_WIDTH:
+        # the first and last windows reach past the signal's end samples
+        field[:, lags < 0] = (kernels[:, :, 0] @ symbols[:, 0])[:, None]
+        field[:, lags >= length] = (kernels[:, :, -1] @ symbols[:, -1])[:, None]
+    if noise_sigma > 0.0:
+        index = np.clip(lags, 0, length - 1)
+        field += _receiver_noise(num_rx, length, noise_sigma, seed_path, at=index)
+    return field
 
 
 @dataclass(frozen=True, eq=False)

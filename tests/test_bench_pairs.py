@@ -1,6 +1,8 @@
 """The verdicts tools/bench_pairs.py writes for each gated metric, on synthetic runs."""
 
 import importlib.util
+import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -73,3 +75,30 @@ class TestVerdict:
         summary = bench_pairs.summarise(parent, change, RATE)
         assert summary["pairs"] == 9
         assert summary["work_per_s"]["verdict"] == "gain"
+
+
+class TestFailures:
+    def run_with_stdout(self, monkeypatch, stdout, returncode=0):
+        def fake_run(argv, **kwargs):
+            return subprocess.CompletedProcess(argv, returncode, stdout=stdout, stderr="")
+
+        monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+        return bench_pairs.run_once(Path("."), "ber_two_user", 101, 25)
+
+    def test_each_run_records_its_attempted_and_failed_items(self, monkeypatch):
+        result = {"correct": False, "attempted": 40, "failed": 3,
+                  "metrics": {"work_per_s": {"value": 5.0}}}
+        run = self.run_with_stdout(monkeypatch, "perfbench ber_two_user seed=101: x; env\n"
+                                   + json.dumps(result) + "\n", returncode=1)
+        assert (run["attempted"], run["failed"], run["correct"]) == (40, 3, False)
+        assert run["metrics"] == {"work_per_s": 5.0}
+
+    def test_a_run_without_a_result_is_one_failed_item(self, monkeypatch):
+        run = self.run_with_stdout(monkeypatch, "Traceback (most recent call last):\n", 1)
+        assert (run["attempted"], run["failed"], run["correct"]) == (1, 1, False)
+
+    def test_failed_share_sums_over_a_sides_runs(self):
+        side = [{"attempted": 30, "failed": 0}, {"attempted": 10, "failed": 2},
+                {"attempted": 1, "failed": 1}]
+        assert bench_pairs.failed_share(side) == {"attempted": 41, "failed": 3, "share": 3 / 41}
+        assert bench_pairs.failed_share([])["share"] == 0.0

@@ -411,16 +411,19 @@ class TestCommittedResults:
 
     def test_ber_sweep_reproduces_committed_trial_0_rows(self, tmp_path):
         # Committed files hold 10 trials per SNR point in order, so every 10th
-        # row is trial 0; D=5 is d_values[0] there too, so cell seeds agree.
+        # row is trial 0, whose cell seeds a one-trial sweep shares. Every
+        # spacing is pinned: the window engine's matrix width changes with D.
         scenario = load_scenario(ROOT / "scenarios" / "two_user.json")
-        run_ber_sweep(replace(scenario, trials=1, d_values=(5,)), out_dir=tmp_path)
-        for scheme in ("rask", "erask"):
-            name = f"ber_{scheme}_D5.csv"
-            header, *rows = (ROOT / "results" / "ber" / name).read_text(
-                encoding="utf-8"
-            ).splitlines()
+        assert scenario.trials == 10
+        run_ber_sweep(replace(scenario, trials=1), out_dir=tmp_path)
+        committed = sorted((ROOT / "results" / "ber").glob("*.csv"))
+        assert [p.name for p in committed] == sorted(p.name for p in tmp_path.iterdir())
+        assert len(committed) == 6
+        for path in committed:
+            header, *rows = path.read_text(encoding="utf-8").splitlines()
             expected = [header, *rows[::10]]
-            assert (tmp_path / name).read_text(encoding="utf-8").splitlines() == expected
+            actual = (tmp_path / path.name).read_text(encoding="utf-8").splitlines()
+            assert actual == expected, path.name
 
     def test_sounding_reproduces_committed_csv(self, tmp_path):
         # The committed file was made with one BLAS thread: a threaded LU
@@ -645,6 +648,10 @@ class TestCli:
             pytest.param(("rsm", "scheme"), "RASK", [], "rsm.scheme", id="scheme-upper-case"),
             pytest.param(("rsm", "scheme"), ["rask"], [], "rsm.scheme", id="scheme-list"),
             pytest.param(("bits_per_point",), 10**12, [], "bits_per_point", id="frame-too-long"),
+            pytest.param(
+                ("rsm", "threshold", "num_pilots"), 10**8, [], "rsm.threshold.num_pilots",
+                id="pilot-frame-too-long",
+            ),
             pytest.param(("cavity", "num_taps"), 4097, [], "cavity.num_taps", id="taps-above-cap"),
         ],
     )

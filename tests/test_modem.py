@@ -64,7 +64,7 @@ def transmit(bits, scheme, cirs, sigma=0.0, seed=0):
         symbols = erask_modulate(bits, len(cirs))
     windows = detection_windows(symbols.shape[1], cirs[0].num_taps, SPACING)
     kernels = pulse_responses(cirs, cirs)
-    received = received_at(symbols, kernels, SPACING, windows.lags, sigma, [seed])
+    received = received_at(symbols, kernels, SPACING, sigma, [seed])
     return received, windows
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import random_cir
+from trlink import precoding
 from trlink.channel import (
     CavityParams,
     Cir,
@@ -297,7 +298,7 @@ class TestReceivedAt:
             for spacing in spacings:
                 lags = detection_windows(symbols.shape[1], num_taps, spacing).lags
                 for sigma in (0.0, 0.3):
-                    actual = received_at(symbols, kernels, spacing, lags, sigma, [5, 1])
+                    actual = received_at(symbols, kernels, spacing, sigma, [5, 1])
                     expected = windowed_reference(
                         symbols, true_cirs, known_cirs, spacing, lags, sigma, [5, 1]
                     )
@@ -307,34 +308,51 @@ class TestReceivedAt:
                         name, spacing, sigma
                     )
 
+    @pytest.mark.parametrize("budget", [1, 300])
+    @pytest.mark.parametrize("num_taps", [1, 64])
+    def test_block_size_does_not_change_the_samples(self, monkeypatch, budget, num_taps):
+        # a budget of 1 multiplies one window row per block, 300 a few; the
+        # block edges regroup the products, so agreement is to NUMERIC_RTOL
+        params = CavityParams(num_taps=num_taps, rng_seed=4)
+        cirs = synth_cavity_ensemble(params, [-0.45, 0.45]).cirs
+        kernels = pulse_responses(cirs, cirs)
+        frames = _frames(np.random.default_rng(3))
+        default = {
+            name: received_at(symbols, kernels, 5, 0.3, [2]) for name, symbols in frames.items()
+        }
+        monkeypatch.setattr(precoding, "_BLOCK_ELEMENTS", budget)
+        for name, symbols in frames.items():
+            actual = received_at(symbols, kernels, 5, 0.3, [2])
+            scale = np.max(np.abs(default[name]))
+            assert np.max(np.abs(actual - default[name])) <= NUMERIC_RTOL * scale, name
+
     def test_single_tap_reads_clip_to_the_signal_ends(self):
         # with L = 1 the field is zero between pulses; the first window's
         # left sample and the last window's right sample clip to the ends
         h = Cir([0.6 + 0.8j], 1.0)
         symbols = np.array([[1.0, 2.0, 3.0]], dtype=complex)
-        lags = detection_windows(3, 1, 4).lags
         kernels = pulse_responses([h], [h])
-        field = received_at(symbols, kernels, 4, lags, 0.0, [0])[0]
+        field = received_at(symbols, kernels, 4, 0.0, [0])[0]
         np.testing.assert_allclose(field, [[1, 1, 0], [0, 2, 0], [0, 3, 3]], atol=1e-15)
-        noisy = received_at(symbols, kernels, 4, lags, 0.5, [0])[0]
+        noisy = received_at(symbols, kernels, 4, 0.5, [0])[0]
         assert noisy[0, 0] == noisy[0, 1]
         assert noisy[2, 1] == noisy[2, 2]
         assert noisy[0, 0] != noisy[2, 2]
 
     def test_empty_frame_gives_no_samples(self):
         h = Cir(np.ones(4), 1.0)
-        lags = detection_windows(0, 4, 5).lags
-        field = received_at(np.zeros((2, 0)), pulse_responses([h, h], [h, h]), 5, lags, 0.1, [0])
+        field = received_at(np.zeros((2, 0)), pulse_responses([h, h], [h, h]), 5, 0.1, [0])
         assert field.shape == (2, 0, 3)
 
     def test_rejects_what_the_chain_rejects(self):
         h = Cir(np.ones(4), 1.0)
         kernels = pulse_responses([h], [h])
-        lags = detection_windows(2, 4, 5).lags
         with pytest.raises(DomainError, match="noise_sigma"):
-            received_at(np.ones((1, 2)), kernels, 5, lags, -1.0, [0])
+            received_at(np.ones((1, 2)), kernels, 5, -1.0, [0])
         with pytest.raises(ConfigurationError, match="symbol rows"):
-            received_at(np.ones((2, 2)), kernels, 5, lags, 0.0, [0])
+            received_at(np.ones((2, 2)), kernels, 5, 0.0, [0])
+        with pytest.raises(DomainError, match="2L-1"):
+            received_at(np.ones((1, 2)), kernels[..., 1:], 5, 0.0, [0])
         with pytest.raises(DomainError, match="zero-energy"):
             pulse_responses([h], [Cir(np.zeros(4), 1.0)])
         with pytest.raises(ConfigurationError, match="share"):

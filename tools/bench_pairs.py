@@ -14,7 +14,10 @@ runs first alternates from pair to pair, so drift of the host hits both
 sides alike. The record keeps each checkout's git revision and whether its
 tree had uncommitted changes, the seeds, the environment line each run
 printed (Python, numpy, BLAS threads, CPUs), every run's end-to-end
-metrics and, per metric, the median and quartiles of each side, the median
+metrics with its ``attempted`` and ``failed`` item counts, each side's
+failed share per workload (failed over attempted items, summed over its
+runs; a run that printed no result counts as one failed item of one) and,
+per metric, the median and quartiles of each side, the median
 ratio (change / parent), the number of pairs the change won in the
 metric's better direction and a verdict against the metric's bound in
 ``BENCHMARK.json``:
@@ -72,9 +75,19 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     return {
         "seed": seed,
         "correct": proc.returncode == 0 and bool(result.get("correct")),
+        "attempted": int(result.get("attempted", 1)),
+        "failed": int(result.get("failed", 1)),
         "environment": environment,
         "metrics": {k: v["value"] for k, v in result.get("metrics", {}).items()},
     }
+
+
+def failed_share(runs: list[dict]) -> dict:
+    """One side's failed and attempted items summed over its runs, and their ratio."""
+    attempted = sum(r["attempted"] for r in runs)
+    failed = sum(r["failed"] for r in runs)
+    return {"attempted": attempted, "failed": failed,
+            "share": failed / attempted if attempted else 0.0}
 
 
 def verdict(parent_median: float, change_median: float, parent_quartiles: list[float],
@@ -163,7 +176,9 @@ def main(argv: list[str] | None = None) -> int:
                 runs[side].append(run_once(getattr(args, side), workload, seed, seconds))
             print(f"{workload} pair {k + 1}/{PAIRS} done", file=sys.stderr)
         record["workloads"][workload] = {
-            "summary": summarise(runs["parent"], runs["change"], gated), "runs": runs,
+            "summary": summarise(runs["parent"], runs["change"], gated),
+            "failed_share": {side: failed_share(side_runs) for side, side_runs in runs.items()},
+            "runs": runs,
         }
         for side in runs:
             runs_by_side[side] += runs[side]
