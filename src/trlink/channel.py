@@ -405,34 +405,37 @@ def load_ensemble(json_path: str | Path) -> SpatialChannelEnsemble:
     if not csv_path.exists():
         raise ConfigurationError(f"ensemble CSV not found: {csv_path}")
     cirs = []
-    with open(csv_path, newline="", encoding="utf-8") as f:
-        reader = csv.reader(f)
-        header = next(reader)
-        expected_cols = 1 + 2 * params.num_taps
-        if len(header) != expected_cols:
-            raise ConfigurationError(
-                f"ensemble CSV has {len(header)} columns, expected {expected_cols}"
-            )
-        for line, row in enumerate(reader, start=2):
-            where = f"ensemble CSV {csv_path.name} line {line}"
-            if len(row) != expected_cols:
+    try:
+        with open(csv_path, newline="", encoding="utf-8") as f:
+            reader = csv.reader(f)
+            header = next(reader, [])
+            expected_cols = 1 + 2 * params.num_taps
+            if len(header) != expected_cols:
                 raise ConfigurationError(
-                    f"{where} has {len(row)} columns, expected {expected_cols}"
+                    f"ensemble CSV has {len(header)} columns, expected {expected_cols}"
                 )
-            try:
-                values = np.asarray(row, dtype=float)
-            except ValueError:
-                raise ConfigurationError(f"{where} has a non-numeric cell") from None
-            if not np.all(np.isfinite(values)):
-                raise ConfigurationError(f"{where} has a non-finite cell")
-            position, index = float(values[0]), len(cirs)
-            if index < positions.size and abs(position - positions[index]) > POSITION_TOL_MM:
-                raise ConfigurationError(
-                    f"{where} is at position_mm {position}, but positions_mm[{index}] "
-                    f"in {json_path.name} is {float(positions[index])}"
-                )
-            taps = values[1::2] + 1j * values[2::2]
-            cirs.append(Cir(taps, params.tap_spacing))
+            for line, row in enumerate(reader, start=2):
+                where = f"ensemble CSV {csv_path.name} line {line}"
+                if len(row) != expected_cols:
+                    raise ConfigurationError(
+                        f"{where} has {len(row)} columns, expected {expected_cols}"
+                    )
+                try:
+                    values = np.asarray(row, dtype=float)
+                except ValueError:
+                    raise ConfigurationError(f"{where} has a non-numeric cell") from None
+                if not np.all(np.isfinite(values)):
+                    raise ConfigurationError(f"{where} has a non-finite cell")
+                position, index = float(values[0]), len(cirs)
+                if index < positions.size and abs(position - positions[index]) > POSITION_TOL_MM:
+                    raise ConfigurationError(
+                        f"{where} is at position_mm {position}, but positions_mm[{index}] "
+                        f"in {json_path.name} is {float(positions[index])}"
+                    )
+                taps = values[1::2] + 1j * values[2::2]
+                cirs.append(Cir(taps, params.tap_spacing))
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"ensemble CSV {csv_path.name} is not UTF-8: {exc}") from None
     if len(cirs) != positions.size:
         raise ConfigurationError(
             f"ensemble CSV has {len(cirs)} rows for {positions.size} positions"

@@ -124,7 +124,7 @@ from .modem import (
 from .output import write_csv
 from .precoding import (
     FocusingReport,
-    focusing_report,
+    _measure_focusing,
     focusing_report_to_csv,
     pulse_responses,
     received_at,
@@ -460,6 +460,8 @@ def load_scenario(path: str | Path) -> Scenario:
         text = path.read_text(encoding="utf-8")
     except FileNotFoundError:
         raise ConfigurationError(f"scenario file not found: {path}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"scenario file {path} is not UTF-8: {exc}") from None
     try:
         data = json.loads(text)
     except ValueError as exc:  # JSONDecodeError, or an integer literal too long to parse
@@ -620,7 +622,12 @@ def run_focusing_experiment(
     two-user interference decomposition (first two targets, both roles) is
     produced for every spacing in ``d_values``. Focusing is measured on
     trial 0's true channels: the scenario's ``sounding`` block is ignored.
-    Every report is computed before the first CSV (one per report) is written.
+    One :func:`~trlink.precoding.pulse_responses` call gives every target's
+    field over the whole grid, and every report is measured from it: a
+    report reads its target's field at every position and, for two users,
+    the interferer's field at the target. The spacing only picks which taps
+    are read. Every report is computed before the first CSV (one per report)
+    is written.
     """
     ensemble = scenario.ensemble_for_trial(0)
     targets = scenario.target_indices
@@ -637,10 +644,18 @@ def run_focusing_experiment(
             for k, (tgt, other) in enumerate(((first, second), (second, first)))
         ]
 
+    try:
+        fields = pulse_responses(ensemble.cirs, [ensemble.cirs[t] for t in targets])
+    except (ConfigurationError, DomainError) as exc:
+        raise type(exc)(f"focusing at target indices {list(targets)}: {exc}") from exc
+    column = {target: k for k, target in enumerate(targets)}
     reports: list[FocusingReport] = []
     for _, target, other, spacing in jobs:
+        other_at_target = None if other is None else fields[target, column[other]]
         try:
-            reports.append(focusing_report(ensemble, target, other, spacing))
+            reports.append(_measure_focusing(
+                ensemble, fields[:, column[target]], other_at_target, target, other, spacing
+            ))
         except (ConfigurationError, DomainError) as exc:
             raise type(exc)(
                 f"focusing at target index {target} (spacing {spacing}): {exc}"

@@ -151,7 +151,13 @@ def window_peak_powers(received: np.ndarray, windows: DetectionWindow) -> np.nda
             f"window samples of shape {received.shape} do not match {expected[0]} "
             f"windows of {expected[1]} samples per antenna"
         )
-    return np.max(np.abs(received) ** 2, axis=2)
+    power = np.abs(received) ** 2
+    # Elementwise maxima over the few window columns: numpy's max reduction
+    # along a 3-sample trailing axis costs several times as much.
+    peak = power[:, :, 0]
+    for column in range(1, power.shape[2]):
+        peak = np.maximum(peak, power[:, :, column])
+    return peak
 
 
 def power_detect(

@@ -25,7 +25,10 @@ receiver, one stacked :func:`~trlink.dsp.convolve`, and row ``n``'s noise
 seeded ``[*seed_path, n]`` (seed/noise contract v1). :func:`pulse_responses`
 builds through it every ``K_ni``, the noiseless field at receiver ``n`` of
 one unit pulse toward user ``i`` (``2L - 1`` samples): the focusing maps
-read it over the grid, the BER sweep at its antennas. :func:`tr_kernel` is
+read it over the grid, the BER sweep at its antennas. A focusing report is
+measured from those fields alone: its target's column over the grid, and
+for two users the interferer's column at the target, so one call serves
+every report of an experiment. :func:`tr_kernel` is
 its closed form, kept as the test oracle. By linearity the field at antenna
 ``n`` is ``sum_i upsample_D(x[i]) * K_ni``, so :func:`received_at` gives the
 BER sweep the samples at the detector's windows only, never the ``(M-1)*D +
@@ -364,10 +367,10 @@ def focusing_report(
     One unit-amplitude pulse is precoded per user (the target alone, or the
     target plus one interfering user), each normalised by its own channel
     energy so the intended received peak powers are statistically identical.
-    Both fields come from :func:`pulse_responses`: the target's pulse at
-    every ensemble position, the interferer's at the target only. The
-    focusing / interference metrics described on :class:`FocusingReport`
-    are extracted from them.
+    One :func:`pulse_responses` call gives both users' fields at every
+    ensemble position; the focusing / interference metrics described on
+    :class:`FocusingReport` are measured from the target's field over the
+    grid and the interferer's field at the target.
     """
     num_positions = len(ensemble)
     if not 0 <= target_index < num_positions:
@@ -379,8 +382,29 @@ def focusing_report(
     if spacing < 1:
         raise ConfigurationError(f"pulse spacing must be >= 1, got {spacing}")
 
-    target = ensemble.cirs[target_index]
-    own = pulse_responses(ensemble.cirs, [target])[:, 0]
+    users = [target_index] if other_index is None else [target_index, other_index]
+    fields = pulse_responses(ensemble.cirs, [ensemble.cirs[i] for i in users])
+    other_at_target = None if other_index is None else fields[target_index, 1]
+    return _measure_focusing(
+        ensemble, fields[:, 0], other_at_target, target_index, other_index, spacing
+    )
+
+
+def _measure_focusing(
+    ensemble: SpatialChannelEnsemble,
+    own: np.ndarray,
+    other_at_target: np.ndarray | None,
+    target_index: int,
+    other_index: int | None,
+    spacing: int,
+) -> FocusingReport:
+    """The :class:`FocusingReport` of fields already received.
+
+    ``own`` is the target's pulse response at every ensemble position,
+    shape ``(P, 2L - 1)``; ``other_at_target`` is the interfering user's
+    pulse response at the target position, or ``None`` for a single user.
+    The indices and spacing are taken as valid.
+    """
     own_at_target = own[target_index]
 
     peak_lag = int(np.argmax(np.abs(own_at_target)))
@@ -411,8 +435,7 @@ def focusing_report(
     )
 
     slots = _slot_indices(peak_lag, spacing, magnitude.size)
-    if other_index is not None:
-        other_at_target = pulse_responses([target], [ensemble.cirs[other_index]])[0, 0]
+    if other_at_target is not None:
         total_at_target = own_at_target + other_at_target
         iui_power = float(np.abs(other_at_target[peak_lag]) ** 2)
         isi_other = float(np.sum(np.abs(other_at_target[slots]) ** 2))

@@ -6,7 +6,7 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +16,13 @@ from hypothesis import strategies as st
 
 import trlink.harness as harness
 import trlink.precoding as precoding
-from trlink.channel import CavityParams, SoundingConfig, export_ensemble
+from trlink.channel import (
+    CavityParams,
+    Cir,
+    SoundingConfig,
+    SpatialChannelEnsemble,
+    export_ensemble,
+)
 from trlink.cli import main as cli_main
 from trlink.errors import ConfigurationError
 from trlink.harness import (
@@ -32,6 +38,7 @@ from trlink.harness import (
     scenario_from_dict,
 )
 from trlink.modem import PilotThreshold, RsmConfig, Scheme
+from trlink.precoding import FocusingReport, focusing_report
 
 ROOT = Path(__file__).resolve().parents[1]
 TWO_USER = json.loads((ROOT / "scenarios" / "two_user.json").read_text(encoding="utf-8"))
@@ -67,6 +74,29 @@ def write_scenario(tmp_path: Path, name: str = "scenario.json", **overrides) -> 
 
 def small_scenario(**overrides) -> Scenario:
     return scenario_from_dict(scenario_dict(**overrides))
+
+
+def off_target_scenario() -> Scenario:
+    # one-tap channels: position p's profile value is |h_p|, so both
+    # targets' profiles peak at index 2 and no report has a spatial width
+    params = CavityParams(num_taps=1)
+    gains = (0.1, 0.5, 2.0, 0.3, 0.1)
+    cirs = tuple(Cir(np.array([g], dtype=complex), params.tap_spacing) for g in gains)
+    ensemble = SpatialChannelEnsemble(np.arange(5.0), cirs, params)
+    return Scenario(
+        cavity=params,
+        positions_mm=ensemble.positions_mm,
+        target_indices=(1, 3),
+        rsm=RsmConfig(num_rx=2),
+        schemes=(Scheme.RASK,),
+        d_values=(3, 5),
+        snr_grid_db=(10.0,),
+        bits_per_point=10,
+        trials=1,
+        sounding=None,
+        master_seed=0,
+        imported_ensemble=ensemble,
+    )
 
 
 def set_field(doc, path, value):
@@ -351,6 +381,41 @@ class TestFocusingExperiment:
             for role in (0, 1):
                 assert (tmp_path / f"focus_two_user_D{spacing}_t{role}.csv").exists()
 
+    @pytest.mark.parametrize("name, num_reports", [("two_user", 8), ("off_target", 6)])
+    def test_reports_equal_standalone_focusing_reports(self, name, num_reports):
+        if name == "two_user":
+            scenario = load_scenario(ROOT / "scenarios" / "two_user.json")
+        else:
+            scenario = off_target_scenario()
+        ensemble = scenario.ensemble_for_trial(0)
+        reports = run_focusing_experiment(scenario)
+        assert len(reports) == num_reports
+        if name == "off_target":
+            assert all(report.spatial_fwhm_mm is None for report in reports)
+        for report in reports:
+            alone = focusing_report(
+                ensemble, report.target_index, report.other_index, report.spacing
+            )
+            for field in fields(FocusingReport):
+                got, want = getattr(report, field.name), getattr(alone, field.name)
+                # NaN (an unmeasurable temporal width) equals itself here
+                assert got == want or (got != got and want != want), field.name
+
+    def test_each_target_is_propagated_once(self, monkeypatch):
+        calls = []
+        for module, name in ((harness, "pulse_responses"), (precoding, "propagate")):
+            real = getattr(module, name)
+
+            def counting(*args, _real=real, _name=name, **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counting)
+        scenario = small_scenario(d_values=[15, 30])
+        assert len(run_focusing_experiment(scenario)) == 2 + 2 * 2
+        assert calls.count("pulse_responses") == 1
+        assert calls.count("propagate") == len(scenario.target_indices)
+
     def test_single_position_flagged_undefined(self, tmp_path):
         scenario = Scenario(
             cavity=CavityParams(num_taps=32),
@@ -602,6 +667,38 @@ class TestCli:
         out = tmp_path / "results"
         assert cli_main(["ber", "--scenario", str(scenario_path), "--out", str(out)]) == 2
         assert field in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize(
+        "corrupted, message",
+        [
+            pytest.param("scenario", "scenario.json is not UTF-8", id="scenario-not-utf8"),
+            pytest.param("csv", "measured.csv is not UTF-8", id="ensemble-csv-not-utf8"),
+            pytest.param("empty-csv", "ensemble CSV has 0 columns", id="ensemble-csv-empty"),
+        ],
+    )
+    def test_unreadable_input_exits_2_before_writing(self, tmp_path, capsys, corrupted, message):
+        from trlink.channel import synth_cavity_ensemble
+
+        ensemble = synth_cavity_ensemble(CavityParams(num_taps=8, rng_seed=4), [-2.7, -1.8])
+        export_ensemble(ensemble, tmp_path / "measured.json")
+        csv_path = tmp_path / "measured.csv"
+        doc = scenario_dict(ensemble_file="measured.json")
+        del doc["cavity"], doc["grid_mm"]
+        scenario_bytes = json.dumps(doc).encode("utf-8")
+        if corrupted == "scenario":
+            scenario_bytes = b"\xff\xfe" + scenario_bytes
+        elif corrupted == "csv":
+            lines = csv_path.read_bytes().split(b"\n")
+            lines[2] = b"\xff" + lines[2]
+            csv_path.write_bytes(b"\n".join(lines))
+        else:
+            csv_path.write_bytes(b"")
+        scenario_path = tmp_path / "scenario.json"
+        scenario_path.write_bytes(scenario_bytes)
+        out = tmp_path / "results"
+        assert cli_main(["ber", "--scenario", str(scenario_path), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
 
     def test_non_increasing_positions_exit_2_before_writing(self, tmp_path, capsys):

@@ -183,6 +183,19 @@ class TestPowerDetect:
             with pytest.raises(DomainError, match="do not match"):
                 window_peak_powers(bad, windows)
 
+    @pytest.mark.parametrize("shape", [(2, 500, 3), (3, 40, 3), (2, 0, 3)])
+    def test_window_peak_powers_equal_the_max_reduction(self, shape):
+        rng = np.random.default_rng(11)
+        windows = detection_windows(shape[1], 4, SPACING)
+        frame = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        # exact ties between window columns, sign flips included
+        frame[:, ::3, 2] = frame[:, ::3, 0]
+        frame[:, 1::3, 1] = -frame[:, 1::3, 0]
+        frame[:, 2::3, :] = frame[:, 2::3, :1]
+        for received in (frame, np.zeros(shape, dtype=complex)):
+            reference = np.max(np.abs(received) ** 2, axis=2)
+            assert np.array_equal(window_peak_powers(received, windows), reference)
+
     def test_erask_requires_threshold(self):
         received, windows = transmit([1, 0], ERASK, orthogonal_cirs())
         with pytest.raises(ConfigurationError):
