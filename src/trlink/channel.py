@@ -22,11 +22,16 @@ finally scaled per tap by ``sqrt(PDP[l])``.
 
 Sounding (:func:`sound_cir`) estimates a batch of responses that share one
 probe chirp: the chirp is transformed, and its Gram built and factorised,
-once per batch, and each row keeps its own probe SNR and noise seed. The
-factorisation and solve run in LAPACK, whose last digits depend on the
-number of BLAS threads, so sounded estimates are reproducible bit for bit
-for a fixed BLAS thread count. With one thread every row equals its
-singleton batch bit for bit; with more, within ``NUMERIC_RTOL``.
+once per batch, and each row keeps its own probe SNR and noise seed. Every
+row lives in one spectrum at the received signal's own transform length,
+the smallest fast length holding its ``n + L - 1`` samples: the probe power
+comes from that spectrum by Parseval, and pulse compression and the Gram's
+lags are circular correlations read at lags ``0 .. L - 1``, which that
+length holds without aliasing. The factorisation and solve run in LAPACK,
+whose last digits depend on the number of BLAS threads, so sounded
+estimates are reproducible bit for bit for a fixed BLAS thread count.
+With one thread every row equals its singleton batch bit for bit; with
+more, within ``NUMERIC_RTOL``.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .dsp import _fast_len, complex_noise, convolve, make_chirp, xcorr
+from .dsp import _fast_len, complex_noise, make_chirp
 from .errors import (
     ConfigurationError,
     DomainError,
@@ -65,7 +70,8 @@ _ENSEMBLE_KEYS = {
 POSITION_TOL_MM = 1e-6
 
 # Sounding transforms a block of rows at a time, at most this many complex
-# samples per buffer (16 MB), so memory does not grow with the batch.
+# samples per buffer (16 MB) of spectra at the transform length
+# _fast_len(n + L - 1), so memory does not grow with the batch.
 _BLOCK_SAMPLES = 2**20
 
 
@@ -216,8 +222,10 @@ class SoundingConfig:
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
-        if not self.duration_s > 0:
-            raise ConfigurationError(f"sounding duration must be > 0, got {self.duration_s}")
+        if not (math.isfinite(self.duration_s) and self.duration_s > 0):
+            raise ConfigurationError(
+                f"sounding duration_s must be finite and > 0, got {self.duration_s}"
+            )
         snr_db = self.probe_snr_db
         if snr_db != math.inf:
             check_power_ratio(snr_db, f"sounding.snr_db {snr_db} dB gives a power ratio")
@@ -272,8 +280,18 @@ def sound_cir(
     Noiseless sounding therefore recovers the response to machine precision;
     with noise the error falls as the time-bandwidth product grows.
 
-    All CIRs must share ``num_taps`` and tap spacing. The rows are convolved
-    and correlated in stacked transforms, in blocks of at most
+    Each row is one spectrum of length ``m = _fast_len(n + L - 1)`` for an
+    ``n``-sample chirp ``C`` and ``L`` taps: the received spectrum is ``C``
+    times the taps' spectrum, the probe power is the mean power of the
+    ``n + L - 1`` received samples taken from it by Parseval, and a noisy
+    row adds the spectrum of its ``n + L - 1`` noise samples (the same
+    draw as in the time domain). Lags ``0 .. L - 1`` of the circular
+    correlations ``ifft(conj(C) * row)`` and ``ifft(|C|**2)`` equal the
+    linear ones, since ``m`` holds the whole received signal: they are the
+    compressed window and the Gram's lags.
+
+    All CIRs must share ``num_taps`` and tap spacing. The rows are
+    transformed as stacks, in blocks of at most
     ``_BLOCK_SAMPLES`` samples per buffer, and share one Gram and one LU
     factorisation: ``np.linalg.solve`` takes every row as a right-hand side.
     Estimates do not depend on the block size. With one BLAS thread each
@@ -298,23 +316,27 @@ def sound_cir(
 
     taps = np.stack([c.taps for c in true_cirs])
     n = len(chirp)
-    block = max(1, _BLOCK_SAMPLES // _fast_len(2 * n + num_taps - 2))
+    received_len = n + num_taps - 1
+    m = _fast_len(received_len)
+    chirp_spectrum = np.fft.fft(chirp, m)
+    block = max(1, _BLOCK_SAMPLES // m)
     aligned = np.empty((len(true_cirs), num_taps), dtype=np.complex128)
     for start in range(0, len(true_cirs), block):
-        received = convolve(chirp, taps[start : start + block])
-        for row, cfg in zip(received, cfgs[start : start + block]):
-            rx_power = float(np.mean(np.abs(row) ** 2))
+        spectra = chirp_spectrum * np.fft.fft(taps[start : start + block], m, axis=-1)
+        # Parseval: the mean power of the received samples, from their spectrum
+        powers = np.sum(np.abs(spectra) ** 2, axis=-1) / (m * received_len)
+        for row, cfg, rx_power in zip(spectra, cfgs[start : start + block], powers):
             if not (math.isinf(cfg.probe_snr_db) or rx_power == 0.0):
                 sigma = math.sqrt(rx_power / 10.0 ** (cfg.probe_snr_db / 10.0))
-                row += complex_noise(row.size, sigma, cfg.rng_seed)
-        aligned[start : start + block] = xcorr(chirp, received)[:, n - 1 : n - 1 + num_taps]
+                row += np.fft.fft(complex_noise(received_len, sigma, cfg.rng_seed), m)
+        compressed = np.fft.ifft(np.conj(chirp_spectrum) * spectra, axis=-1)
+        aligned[start : start + block] = compressed[:, :num_taps]
     chirp_energy = float(np.sum(np.abs(chirp) ** 2))
     aligned /= chirp_energy
 
-    autocorr = xcorr(chirp, chirp) / chirp_energy
     lags = np.zeros(num_taps, dtype=np.complex128)
     span = min(num_taps, n)
-    lags[:span] = autocorr[n - 1 : n - 1 + span]
+    lags[:span] = np.fft.ifft(np.abs(chirp_spectrum) ** 2)[:span] / chirp_energy
     # Hermitian Toeplitz Gram: gram[r, c] is lags[r - c] on and below the
     # diagonal and conj(lags[c - r]) above it, a strided view of the lags.
     two_sided = np.concatenate((np.conj(lags[:0:-1]), lags))

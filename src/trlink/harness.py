@@ -144,9 +144,9 @@ BER_CSV_HEADER = ["scheme", "D", "snr_db", "bits_sent", "bit_errors", "ber", "se
 # the point where that matrix stops fitting in memory.
 _MAX_GRID_POSITIONS = 10_000
 
-# A sounding chirp is convolved and correlated at full length, several
-# complex buffers at a time; a million samples (time-bandwidth product 1e6)
-# keeps each near 16 MB.
+# A sounding chirp is transformed with each response at the received
+# length, several complex buffers at a time; a million samples
+# (time-bandwidth product 1e6) keeps each near 16 MB.
 _MAX_CHIRP_SAMPLES = 1_000_000
 
 # A BER frame of (M-1)*max(d_values) + 2L - 1 samples sets the length of the

@@ -18,7 +18,7 @@ from trlink.channel import (
     sounding_chirp,
     synth_cavity_ensemble,
 )
-from trlink.dsp import NUMERIC_RTOL, make_chirp
+from trlink.dsp import NUMERIC_RTOL, complex_noise, make_chirp
 from trlink.errors import ConfigurationError, DomainError
 from trlink.harness import grid_positions
 
@@ -204,6 +204,11 @@ class TestSounding:
         assert SoundingConfig(1.0, math.inf).probe_snr_db == math.inf
         assert SoundingConfig(1.0, -3000.0).probe_snr_db == -3000.0
 
+    @pytest.mark.parametrize("duration_s", [math.inf, -math.inf, math.nan, 0.0, -1.0])
+    def test_rejects_a_duration_that_is_not_finite_and_positive(self, duration_s):
+        with pytest.raises(ConfigurationError, match="duration_s"):
+            SoundingConfig(duration_s)
+
     def test_rejects_short_chirp(self):
         cir = _synth_cir(1, 8)
         cfg = SoundingConfig(duration_s=1.0)
@@ -228,8 +233,24 @@ def _mixed_batch(num_taps: int) -> tuple[list[Cir], list[SoundingConfig]]:
     return cirs, cfgs
 
 
-# (num_taps, chirp samples): chirps both shorter and longer than the response
-BATCH_SHAPES = [(1, 2), (1, 100), (64, 16), (64, 200)]
+# (num_taps, chirp samples): chirps both shorter and longer than the
+# response, and one whose received length n + L - 1 = 80 is itself a fast
+# transform length, so sounding transforms at exactly n + L - 1 samples
+BATCH_SHAPES = [(1, 2), (1, 100), (64, 16), (64, 200), (65, 16)]
+
+
+def _least_squares_estimate(cir: Cir, cfg: SoundingConfig, chirp: np.ndarray) -> np.ndarray:
+    """The sounding estimate from the dense convolution matrix of the chirp."""
+    n, num_taps = chirp.size, cir.num_taps
+    conv = np.zeros((n + num_taps - 1, num_taps), dtype=np.complex128)
+    for l in range(num_taps):
+        conv[l : l + n, l] = chirp
+    received = conv @ cir.taps
+    rx_power = float(np.mean(np.abs(received) ** 2))
+    if not (math.isinf(cfg.probe_snr_db) or rx_power == 0.0):
+        sigma = math.sqrt(rx_power / 10.0 ** (cfg.probe_snr_db / 10.0))
+        received = received + complex_noise(received.size, sigma, cfg.rng_seed)
+    return np.linalg.lstsq(conv, received, rcond=None)[0]
 
 
 class TestSoundingBatch:
@@ -241,6 +262,15 @@ class TestSoundingBatch:
             [single] = sound_cir([cir], [cfg], chirp)
             error = np.linalg.norm(estimate.taps - single.taps)
             assert error <= NUMERIC_RTOL * np.linalg.norm(single.taps)
+
+    @pytest.mark.parametrize("num_taps, chirp_len", BATCH_SHAPES)
+    def test_rows_match_the_dense_least_squares_oracle(self, num_taps, chirp_len):
+        cirs, cfgs = _mixed_batch(num_taps)
+        chirp = make_chirp(4e9, chirp_len / 4e9, 4e9)
+        for cir, cfg, estimate in zip(cirs, cfgs, sound_cir(cirs, cfgs, chirp)):
+            reference = _least_squares_estimate(cir, cfg, chirp)
+            error = np.linalg.norm(estimate.taps - reference)
+            assert error <= NUMERIC_RTOL * np.linalg.norm(reference)
 
     @pytest.mark.parametrize("num_taps, chirp_len", BATCH_SHAPES)
     def test_noiseless_rows_recover_the_truth(self, num_taps, chirp_len):
@@ -260,7 +290,7 @@ class TestSoundingBatch:
         chirp = make_chirp(4e9, chirp_len / 4e9, 4e9)
         one_block = sound_cir(cirs, cfgs, chirp)
         # one row per block, then two or three rows per block
-        for budget in (1, 3 * (2 * chirp_len + num_taps - 2)):
+        for budget in (1, 3 * (chirp_len + num_taps - 1)):
             monkeypatch.setattr(channel, "_BLOCK_SAMPLES", budget)
             blocked = sound_cir(cirs, cfgs, chirp)
             for x, y in zip(blocked, one_block):

@@ -24,6 +24,7 @@ from trlink.channel import (
     export_ensemble,
 )
 from trlink.cli import main as cli_main
+from trlink.dsp import NUMERIC_RTOL
 from trlink.errors import ConfigurationError
 from trlink.harness import (
     BER_CSV_HEADER,
@@ -503,6 +504,44 @@ class TestCommittedResults:
         )
         name = "sounding_error.csv"
         assert (tmp_path / name).read_bytes() == (ROOT / "results" / "sound" / name).read_bytes()
+
+
+def _committed_sounding_rows() -> list[tuple[int, float, float]]:
+    path = ROOT / "results" / "sound" / "sounding_error.csv"
+    header, *lines = path.read_text(encoding="utf-8").splitlines()
+    assert header == "tb,probe_snr_db,normalized_error"
+    return [(int(tb), float(snr), float(err)) for tb, snr, err in (l.split(",") for l in lines)]
+
+
+def _assert_sounding_rows_match(rows, noisy_errors):
+    """Noiseless rows are rounding-level; noisy rows match ``{tb: error}`` within NUMERIC_RTOL."""
+    expected = [(tb, snr) for tb in noisy_errors for snr in (math.inf, 30.0)]
+    assert [(tb, snr) for tb, snr, _ in rows] == expected
+    for tb, snr, err in rows:
+        if math.isinf(snr):
+            assert err <= 1e-9, tb
+        else:
+            assert err == pytest.approx(noisy_errors[tb], rel=NUMERIC_RTOL, abs=0), tb
+
+
+class TestCommittedSounding:
+    """``results/sound`` moves only in its last digits, whatever the BLAS threads."""
+
+    def test_committed_rows_match_the_full_length_correlation_sounder(self):
+        # The noisy rows written by the sounder that correlated at the full
+        # 2n + L - 2 samples: the transform length moved only their rounding.
+        full_length = {
+            100: 0.028580212902131547,
+            1000: 0.014809813576772236,
+            10000: 0.005144816590407202,
+        }
+        _assert_sounding_rows_match(_committed_sounding_rows(), full_length)
+
+    def test_sounding_at_this_process_thread_count_matches_committed_csv(self):
+        # The byte pin runs one BLAS thread; this runs the threaded LU, if any.
+        scenario = load_scenario(ROOT / "scenarios" / "focus_grid.json")
+        committed = {tb: err for tb, snr, err in _committed_sounding_rows() if not math.isinf(snr)}
+        _assert_sounding_rows_match(run_sounding_study(scenario), committed)
 
 
 class TestCli:
