@@ -1,5 +1,9 @@
 """Synthetic reverberation-cavity channels and chirp sounding.
 
+A response (:class:`Cir`) is its taps alone, at the one sample rate kept in
+:class:`CavityParams`, the bandwidth; responses that meet must share one
+length (:func:`check_shared`).
+
 The physical channel is a leaking metallic cavity probed across a 1-D
 receive axis. No field solver is involved; instead each impulse response is
 drawn from the standard statistical model for a diffuse reverberant field:
@@ -46,7 +50,7 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .dsp import _fast_len, complex_noise, make_chirp
+from .dsp import _fast_len, complex_noise
 from .errors import (
     ConfigurationError,
     DomainError,
@@ -97,7 +101,7 @@ def grid_index(positions: np.ndarray, position_mm: float, name: str = "position"
 
 @dataclass(frozen=True, eq=False)
 class Cir:
-    """One channel impulse response: complex tap gains at spacing 1/B.
+    """One channel impulse response: complex tap gains at the bandwidth's rate.
 
     Zero-energy responses are legal here (a dead channel is a valid
     sounding subject) but are rejected wherever a response is used as a
@@ -106,7 +110,6 @@ class Cir:
     """
 
     taps: np.ndarray
-    tap_spacing: float
 
     def __post_init__(self) -> None:
         taps = np.asarray(self.taps, dtype=np.complex128)
@@ -114,12 +117,9 @@ class Cir:
             raise DomainError("a CIR needs at least one tap")
         if not np.all(np.isfinite(taps)):
             raise DomainError("CIR taps must be finite")
-        if not (math.isfinite(self.tap_spacing) and self.tap_spacing > 0):
-            raise ConfigurationError(f"tap_spacing must be positive, got {self.tap_spacing}")
         taps = taps.copy()
         taps.flags.writeable = False
         object.__setattr__(self, "taps", taps)
-        object.__setattr__(self, "tap_spacing", float(self.tap_spacing))
 
     @property
     def num_taps(self) -> int:
@@ -128,6 +128,12 @@ class Cir:
     @property
     def energy(self) -> float:
         return float(np.sum(np.abs(self.taps) ** 2))
+
+
+def check_shared(cirs: Sequence[Cir], what: str) -> None:
+    """Raise a ConfigurationError unless ``cirs`` all have one length."""
+    if len({c.num_taps for c in cirs}) > 1:
+        raise ConfigurationError(f"{what} must share one CIR length")
 
 
 @dataclass(frozen=True)
@@ -195,10 +201,7 @@ class SpatialChannelEnsemble:
             raise ConfigurationError(
                 f"{len(self.cirs)} CIRs for {positions.size} positions"
             )
-        lengths = {c.num_taps for c in self.cirs}
-        spacings = {c.tap_spacing for c in self.cirs}
-        if len(lengths) != 1 or len(spacings) != 1:
-            raise ConfigurationError("all ensemble CIRs must share length and tap spacing")
+        check_shared(self.cirs, "ensemble CIRs")
         positions = positions.copy()
         positions.flags.writeable = False
         object.__setattr__(self, "positions_mm", positions)
@@ -260,7 +263,7 @@ def synth_cavity_ensemble(
     correlated = white @ sqrt_kernel
     taps = np.sqrt(pdp)[:, None] * correlated
 
-    cirs = tuple(Cir(taps[:, p], params.tap_spacing) for p in range(num_pos))
+    cirs = tuple(Cir(taps[:, p]) for p in range(num_pos))
     return SpatialChannelEnsemble(positions, cirs, params)
 
 
@@ -290,17 +293,17 @@ def sound_cir(
     linear ones, since ``m`` holds the whole received signal: they are the
     compressed window and the Gram's lags.
 
-    All CIRs must share ``num_taps`` and tap spacing. The rows are
-    transformed as stacks, in blocks of at most
-    ``_BLOCK_SAMPLES`` samples per buffer, and share one Gram and one LU
-    factorisation: ``np.linalg.solve`` takes every row as a right-hand side.
+    All CIRs must share ``num_taps``. The rows are transformed as stacks,
+    in blocks of at most ``_BLOCK_SAMPLES`` samples per buffer, and share
+    one Gram and one LU factorisation: ``np.linalg.solve`` takes every row
+    as a right-hand side.
     Estimates do not depend on the block size. With one BLAS thread each
     estimate equals that row's singleton batch bit for bit; with more, the
     threaded LU rounds with the number of rows, within ``NUMERIC_RTOL``.
 
     Timing is assumed known (transmitter and recorder share a clock), so the
-    window position is not estimated. The chirp must be sampled at the
-    CIR's tap rate, as :func:`sounding_chirp` builds it.
+    window position is not estimated. The chirp is sampled at the taps'
+    rate, the bandwidth, as ``make_chirp(bandwidth_hz, duration_s)`` builds it.
     """
     if len(chirp) < 2:
         raise DomainError("sounding chirp must have at least 2 samples")
@@ -310,11 +313,10 @@ def sound_cir(
         raise ConfigurationError(
             f"{len(true_cirs)} CIRs but {len(cfgs)} sounding configurations"
         )
-    num_taps, spacing = true_cirs[0].num_taps, true_cirs[0].tap_spacing
-    if any(c.num_taps != num_taps or c.tap_spacing != spacing for c in true_cirs):
-        raise ConfigurationError("a sounding batch must share num_taps and tap spacing")
+    check_shared(true_cirs, "a sounding batch")
 
     taps = np.stack([c.taps for c in true_cirs])
+    num_taps = taps.shape[1]
     n = len(chirp)
     received_len = n + num_taps - 1
     m = _fast_len(received_len)
@@ -342,12 +344,7 @@ def sound_cir(
     two_sided = np.concatenate((np.conj(lags[:0:-1]), lags))
     gram = sliding_window_view(two_sided, num_taps)[:, ::-1]
     estimates = np.linalg.solve(gram, aligned.T).T
-    return [Cir(estimate, spacing) for estimate in estimates]
-
-
-def sounding_chirp(params: CavityParams, cfg: SoundingConfig) -> np.ndarray:
-    """Full-band probe chirp matching an ensemble's tap rate."""
-    return make_chirp(params.bandwidth_hz, cfg.duration_s, params.bandwidth_hz)
+    return [Cir(estimate) for estimate in estimates]
 
 
 def export_ensemble(ensemble: SpatialChannelEnsemble, json_path: str | Path) -> None:
@@ -455,7 +452,7 @@ def load_ensemble(json_path: str | Path) -> SpatialChannelEnsemble:
                         f"in {json_path.name} is {float(positions[index])}"
                     )
                 taps = values[1::2] + 1j * values[2::2]
-                cirs.append(Cir(taps, params.tap_spacing))
+                cirs.append(Cir(taps))
     except UnicodeDecodeError as exc:
         raise ConfigurationError(f"ensemble CSV {csv_path.name} is not UTF-8: {exc}") from None
     if len(cirs) != positions.size:

@@ -7,7 +7,9 @@ module: it reads ``L`` lags of each correlation, so it transforms at the
 received signal's length instead of the full correlation's.
 
 A signal is a plain 1-D ``complex128`` numpy array of complex-envelope
-samples at one rate, the simulated bandwidth, so no rate travels with it.
+samples at one rate, the simulated bandwidth, so no rate travels with it:
+channel taps, the probe chirp (:func:`make_chirp` samples at its
+bandwidth) and every emission share it.
 Carrier up/down-conversion is treated as ideal, so nothing here models a
 passband. The functions here neither copy nor re-check their inputs: the
 arrays come from validated boundaries (``Cir`` taps, the symbol matrix that
@@ -127,25 +129,21 @@ def chirp_length(duration: float, sample_rate: float) -> int:
     return num_samples
 
 
-def make_chirp(bandwidth: float, duration: float, sample_rate: float) -> np.ndarray:
+def make_chirp(bandwidth: float, duration: float) -> np.ndarray:
     """Unit-amplitude linear-frequency-modulated probe pulse, at baseband.
 
-    The instantaneous frequency sweeps linearly from ``-bandwidth/2`` to
-    ``+bandwidth/2`` over ``duration``; the carrier is implicit in the
-    baseband-equivalent model. ``bandwidth = 0`` degenerates to a
-    constant-phase unit tone.
+    The chirp is sampled at ``bandwidth``, the one sample rate of the
+    simulated signals, and its instantaneous frequency sweeps linearly from
+    ``-bandwidth/2`` to ``+bandwidth/2`` over ``duration``; the carrier is
+    implicit in the baseband-equivalent model.
 
     Raises:
-        ConfigurationError: if ``bandwidth > sample_rate`` (the sweep would
-            alias) or the requested duration yields fewer than 2 samples.
+        ConfigurationError: if ``bandwidth`` is not finite and positive, or
+            the requested duration yields fewer than 2 samples.
     """
-    if not (math.isfinite(bandwidth) and bandwidth >= 0):
-        raise ConfigurationError(f"bandwidth must be finite and >= 0, got {bandwidth}")
-    if bandwidth > sample_rate:
-        raise ConfigurationError(
-            f"chirp bandwidth {bandwidth} Hz exceeds sample rate {sample_rate} Hz (aliasing)"
-        )
-    num_samples = chirp_length(duration, sample_rate)
-    t = np.arange(num_samples) / sample_rate
+    if not (math.isfinite(bandwidth) and bandwidth > 0):
+        raise ConfigurationError(f"bandwidth must be finite and > 0, got {bandwidth}")
+    num_samples = chirp_length(duration, bandwidth)
+    t = np.arange(num_samples) / bandwidth
     phase = 2.0 * np.pi * (-0.5 * bandwidth * t + bandwidth / (2.0 * duration) * t**2)
     return np.exp(1j * phase)

@@ -38,13 +38,14 @@ Scenario JSON schema (version 1)::
       "rsm": {"scheme": "rask"|"erask"|"both", "num_rx": 2,   # RASK needs num_rx 2
               "threshold": {"policy": "fixed", "value": ..} |
                            {"policy": "pilot", "num_pilots": ..} (optional)},
-      "d_values": [..],                  # pulse spacings in taps, each >= 3
+      "d_values": [..],                  # distinct pulse spacings in taps, each >= 3
       "snr_grid_db": [..],
       "bits_per_point": ..,
       "trials": ..,
       "sounding": "genie" | {"duration_s": .., "snr_db": .. (optional)},
                                          # chirp of 2 .. 1_000_000 samples
-                                         #   at bandwidth_hz
+                                         #   at bandwidth_hz, the one sample
+                                         #   rate of taps and signals
       "master_seed": ..                  # >= 0
     }
 
@@ -59,7 +60,8 @@ positive finite double (about ``|q| <= 3080`` dB). Sizes are capped at load:
 ``num_taps`` at 4096, and a BER frame of ``(M-1)*max(d_values) + 2*num_taps
 - 1`` samples at 10,000,000, where ``M`` is ``bits_per_point`` for RASK,
 ``ceil(bits_per_point / num_rx)`` for ERASK and ``num_pilots`` for a pilot
-frame.
+frame. A synthesised grid (``grid_mm`` or ``positions_mm``) must keep the
+spatial-correlation argument ``2*pi*2*(last - first)/wavelength`` finite.
 
 Each trial's pulse responses (:func:`trlink.precoding.pulse_responses`)
 are built once, before the first cell, and every data and pilot frame of
@@ -95,10 +97,9 @@ from .channel import (
     grid_index,
     load_ensemble,
     sound_cir,
-    sounding_chirp,
     synth_cavity_ensemble,
 )
-from .dsp import chirp_length
+from .dsp import chirp_length, make_chirp
 from .errors import (
     ConfigurationError,
     DomainError,
@@ -223,6 +224,14 @@ class Scenario:
 
     def __post_init__(self) -> None:
         positions = check_positions(self.positions_mm, "positions_mm")
+        # a synthesised draw correlates every pair of positions, out to the extent
+        first, last = float(positions[0]), float(positions[-1])
+        extent = 2 * math.pi * 2 * (last - first) / self.cavity.wavelength_mm
+        if self.imported_ensemble is None and not math.isfinite(extent):
+            raise ConfigurationError(
+                f"positions_mm from {first} to {last} mm overflow the spatial correlation "
+                "argument 2*pi*2*(last - first)/wavelength"
+            )
         if len(set(self.target_indices)) != len(self.target_indices):
             raise ConfigurationError("targets must be distinct")
         for idx in self.target_indices:
@@ -251,6 +260,8 @@ class Scenario:
                 f"d_values must be a non-empty list of spacings >= {min_spacing} taps, "
                 f"so that detection windows do not overlap; got {list(self.d_values)}"
             )
+        if len(set(self.d_values)) != len(self.d_values):
+            raise ConfigurationError(f"d_values must be distinct, got {list(self.d_values)}")
         if not self.snr_grid_db:
             raise ConfigurationError("snr_grid_db must be non-empty")
         for snr_db in self.snr_grid_db:
@@ -479,7 +490,7 @@ def _trial_kernels(scenario: Scenario, trial: int) -> np.ndarray:
     true_cirs = [ensemble.cirs[i] for i in scenario.target_indices]
     known_cirs = true_cirs
     if scenario.sounding is not None:
-        chirp = sounding_chirp(ensemble.params, scenario.sounding)
+        chirp = make_chirp(scenario.cavity.bandwidth_hz, scenario.sounding.duration_s)
         cfgs = [
             replace(
                 scenario.sounding,
@@ -492,10 +503,10 @@ def _trial_kernels(scenario: Scenario, trial: int) -> np.ndarray:
 
 
 def _pilot_targets(num_rx: int, num_pilots: int) -> np.ndarray:
-    """Deterministic pilot pattern cycling through all on/off combinations."""
+    """Pilot pattern cycling through all on/off combinations: antenna n of
+    pilot k is bit n of k."""
     symbols = np.arange(num_pilots)
-    combos = symbols % (1 << num_rx)
-    return np.stack([(combos >> n) & 1 for n in range(num_rx)]).astype(bool)
+    return np.stack([(symbols >> n) & 1 for n in range(num_rx)]).astype(bool)
 
 
 def _receive(
@@ -651,15 +662,10 @@ def run_focusing_experiment(
     column = {target: k for k, target in enumerate(targets)}
     reports: list[FocusingReport] = []
     for _, target, other, spacing in jobs:
-        other_at_target = None if other is None else fields[target, column[other]]
-        try:
-            reports.append(_measure_focusing(
-                ensemble, fields[:, column[target]], other_at_target, target, other, spacing
-            ))
-        except (ConfigurationError, DomainError) as exc:
-            raise type(exc)(
-                f"focusing at target index {target} (spacing {spacing}): {exc}"
-            ) from exc
+        own, other_at_target = fields[:, column[target]], None
+        if other is not None:
+            other_at_target = fields[target, column[other]]
+        reports.append(_measure_focusing(ensemble, own, other_at_target, target, other, spacing))
     if out_dir is not None:
         for (name, *_), report in zip(jobs, reports):
             focusing_report_to_csv(report, Path(out_dir) / name)
@@ -696,7 +702,7 @@ def run_sounding_study(
     rows: list[tuple[int, float, float]] = []
     for tb in SOUNDING_TB_VALUES:
         duration = tb / scenario.cavity.bandwidth_hz
-        chirp = sounding_chirp(scenario.cavity, SoundingConfig(duration_s=duration))
+        chirp = make_chirp(scenario.cavity.bandwidth_hz, duration)
         cfgs = [
             SoundingConfig(duration_s=duration, probe_snr_db=snr_db, rng_seed=seed)
             for snr_db in snr_points

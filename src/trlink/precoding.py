@@ -51,7 +51,7 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .channel import Cir, SpatialChannelEnsemble
+from .channel import Cir, SpatialChannelEnsemble, check_shared
 from .dsp import complex_noise, convolve, xcorr
 from .errors import ConfigurationError, DomainError
 from .modem import WINDOW_HALF_WIDTH, detection_windows
@@ -82,11 +82,6 @@ def _check_symbols(symbols: np.ndarray, num_users: int, spacing: int) -> np.ndar
     return symbols
 
 
-def _check_shared(cirs: Sequence[Cir], what: str) -> None:
-    if len({(c.taps.size, c.tap_spacing) for c in cirs}) != 1:
-        raise ConfigurationError(f"{what} must share CIR length and tap spacing")
-
-
 def _check_noise_sigma(noise_sigma: float) -> None:
     if not (math.isfinite(noise_sigma) and noise_sigma >= 0.0):
         raise DomainError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
@@ -109,7 +104,7 @@ def tr_kernel(h_j: Cir, h_i: Cir) -> np.ndarray:
     ``K_ni``: it equals ``pulse_responses([h_j], [h_i])[0, 0]`` to
     ``NUMERIC_RTOL``.
     """
-    _check_shared([h_j, h_i], "kernel CIRs")
+    check_shared([h_j, h_i], "kernel CIRs")
     energy = h_i.energy
     if energy <= 0.0:
         raise DomainError("precoding target CIR has zero energy")
@@ -128,7 +123,7 @@ def tr_precode(symbols: np.ndarray, cirs: list[Cir], spacing: int) -> np.ndarray
     an empty emission.
     """
     symbols = _check_symbols(symbols, len(cirs), spacing)
-    _check_shared(cirs, "users")
+    check_shared(cirs, "users")
     num_symbols = symbols.shape[1]
     # One fresh train and one convolution per user, then one sum: reusing a
     # train buffer or preallocating the sum measured slower (page faults).
@@ -161,15 +156,15 @@ def propagate(
     Row ``n`` is the full linear convolution of the emission with
     ``cirs[n]`` plus zero-mean circular complex Gaussian noise whose
     per-sample standard deviation is ``noise_sigma`` (``E|n|^2 = sigma^2``),
-    seeded ``[*seed_path, n]``. The channels, which must share CIR length
-    and tap spacing, are received in one stacked convolution; each row
-    equals the convolution with that channel alone bit for bit. Returns
-    shape ``(len(cirs), len(signal) + L - 1)``.
+    seeded ``[*seed_path, n]``. The channels, which must share one CIR
+    length, are received in one stacked convolution; each row equals the
+    convolution with that channel alone bit for bit. Returns shape
+    ``(len(cirs), len(signal) + L - 1)``.
     """
     _check_noise_sigma(noise_sigma)
     if not cirs:
         raise ConfigurationError("propagate needs at least one receive channel")
-    _check_shared(cirs, "receive channels")
+    check_shared(cirs, "receive channels")
     received = convolve(signal, np.stack([c.taps for c in cirs]))
     if noise_sigma > 0.0:
         received += _receiver_noise(len(cirs), received.shape[1], noise_sigma, seed_path)
@@ -182,12 +177,12 @@ def pulse_responses(true_cirs: Sequence[Cir], known_cirs: Sequence[Cir]) -> np.n
     Entry ``[:, i]`` is ``propagate(tr_precode(unit pulse, [known_cirs[i]],
     1), true_cirs, 0.0)``: one pulse precoded toward user ``i`` with the
     precoder's channel knowledge, received through the ``N`` true channels.
-    Receivers and users must share CIR length and tap spacing.
+    Receivers and users must share one CIR length.
     """
     if not true_cirs or not known_cirs:
         raise ConfigurationError("pulse responses need at least one receiver and one user")
     # propagate checks the receivers against each other
-    _check_shared([true_cirs[0], *known_cirs], "receivers and users")
+    check_shared([true_cirs[0], *known_cirs], "receivers and users")
     return np.stack(
         [propagate(tr_precode(_UNIT_PULSE, [h_i], 1), true_cirs, 0.0) for h_i in known_cirs],
         axis=1,
@@ -419,8 +414,7 @@ def _measure_focusing(
     else:
         sidelobe_ratio_db = math.inf
 
-    tap_spacing = ensemble.params.tap_spacing
-    time_axis = np.arange(magnitude.size) * tap_spacing
+    time_axis = np.arange(magnitude.size) * ensemble.params.tap_spacing
     fwhm_s = full_width_half_max(time_axis, magnitude)
     temporal_fwhm_s = float(fwhm_s) if fwhm_s is not None else math.nan
 

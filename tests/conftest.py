@@ -25,7 +25,6 @@ def complex_gaussian(rng: np.random.Generator, n: int) -> np.ndarray:
 def random_cir(
     rng: np.random.Generator,
     num_taps: int,
-    tap_spacing: float = 1.0,
     flat: bool = True,
 ) -> Cir:
     """Random Rayleigh-tap CIR with unit expected energy."""
@@ -36,7 +35,7 @@ def random_cir(
         pdp = np.exp(-np.arange(num_taps) / (num_taps / 3.0))
         pdp /= pdp.sum()
         taps = np.sqrt(pdp) * taps
-    return Cir(taps, tap_spacing)
+    return Cir(taps)
 
 
 def direct_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -15,9 +15,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from trlink.channel import CavityParams, SoundingConfig, sound_cir, sounding_chirp, synth_cavity_ensemble
+from trlink.channel import CavityParams, SoundingConfig, sound_cir, synth_cavity_ensemble
 from trlink.cli import main as cli_main
-from trlink.dsp import convolve, xcorr
+from trlink.dsp import convolve, make_chirp, xcorr
 from trlink.harness import grid_positions, load_scenario, run_ber_sweep
 from trlink.precoding import focusing_report, propagate, tr_kernel, tr_precode
 
@@ -194,7 +194,7 @@ def test_criterion_9_sounding_fidelity_at_tb_100():
     params = CavityParams(num_taps=64, bandwidth_hz=bandwidth, rng_seed=909)
     truth = synth_cavity_ensemble(params, [0.0]).cirs[0]
     cfg = SoundingConfig(duration_s=100 / bandwidth)
-    chirp = sounding_chirp(params, cfg)
+    chirp = make_chirp(bandwidth, cfg.duration_s)
     assert len(chirp) == 100  # time-bandwidth product
     [estimate] = sound_cir([truth], [cfg], chirp)
     error = float(np.linalg.norm(estimate.taps - truth.taps) / np.linalg.norm(truth.taps))

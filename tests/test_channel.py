@@ -15,7 +15,6 @@ from trlink.channel import (
     grid_index,
     load_ensemble,
     sound_cir,
-    sounding_chirp,
     synth_cavity_ensemble,
 )
 from trlink.dsp import NUMERIC_RTOL, complex_noise, make_chirp
@@ -137,8 +136,8 @@ class TestEnsembleSynthesis:
 
 class TestEnsembleType:
     def test_rejects_mixed_tap_counts(self):
-        a = Cir(np.ones(4), 1.0)
-        b = Cir(np.ones(5), 1.0)
+        a = Cir(np.ones(4))
+        b = Cir(np.ones(5))
         with pytest.raises(ConfigurationError):
             SpatialChannelEnsemble(np.array([0.0, 1.0]), (a, b), CavityParams(num_taps=4))
 
@@ -157,8 +156,7 @@ def _synth_cir(seed: int, num_taps: int, bandwidth: float = 4e9) -> Cir:
 
 
 def _estimate_error(true_cir: Cir, cfg: SoundingConfig, bandwidth: float = 4e9) -> float:
-    params = CavityParams(num_taps=true_cir.num_taps, bandwidth_hz=bandwidth)
-    chirp = sounding_chirp(params, cfg)
+    chirp = make_chirp(bandwidth, cfg.duration_s)
     [estimate] = sound_cir([true_cir], [cfg], chirp)
     return float(
         np.linalg.norm(estimate.taps - true_cir.taps) / np.linalg.norm(true_cir.taps)
@@ -167,10 +165,9 @@ def _estimate_error(true_cir: Cir, cfg: SoundingConfig, bandwidth: float = 4e9) 
 
 class TestSounding:
     def test_zero_channel_yields_zero_estimate(self):
-        dead = Cir(np.zeros(32), 1 / 4e9)
+        dead = Cir(np.zeros(32))
         cfg = SoundingConfig(duration_s=128 / 4e9)
-        params = CavityParams(num_taps=32, bandwidth_hz=4e9)
-        [estimate] = sound_cir([dead], [cfg], sounding_chirp(params, cfg))
+        [estimate] = sound_cir([dead], [cfg], make_chirp(4e9, cfg.duration_s))
         assert estimate.energy == 0.0
 
     def test_noiseless_high_tb_recovers_channel(self):
@@ -219,7 +216,7 @@ class TestSounding:
 def _mixed_batch(num_taps: int) -> tuple[list[Cir], list[SoundingConfig]]:
     """Noiseless and noisy rows, one truth sounded three times and a dead channel."""
     first, second = _synth_cir(31, num_taps), _synth_cir(32, num_taps)
-    dead = Cir(np.zeros(num_taps), first.tap_spacing)
+    dead = Cir(np.zeros(num_taps))
     rows = [
         (first, math.inf, 0),
         (first, 20.0, 1),
@@ -257,7 +254,7 @@ class TestSoundingBatch:
     @pytest.mark.parametrize("num_taps, chirp_len", BATCH_SHAPES)
     def test_each_row_matches_its_singleton_call(self, num_taps, chirp_len):
         cirs, cfgs = _mixed_batch(num_taps)
-        chirp = make_chirp(4e9, chirp_len / 4e9, 4e9)
+        chirp = make_chirp(4e9, chirp_len / 4e9)
         for cir, cfg, estimate in zip(cirs, cfgs, sound_cir(cirs, cfgs, chirp)):
             [single] = sound_cir([cir], [cfg], chirp)
             error = np.linalg.norm(estimate.taps - single.taps)
@@ -266,7 +263,7 @@ class TestSoundingBatch:
     @pytest.mark.parametrize("num_taps, chirp_len", BATCH_SHAPES)
     def test_rows_match_the_dense_least_squares_oracle(self, num_taps, chirp_len):
         cirs, cfgs = _mixed_batch(num_taps)
-        chirp = make_chirp(4e9, chirp_len / 4e9, 4e9)
+        chirp = make_chirp(4e9, chirp_len / 4e9)
         for cir, cfg, estimate in zip(cirs, cfgs, sound_cir(cirs, cfgs, chirp)):
             reference = _least_squares_estimate(cir, cfg, chirp)
             error = np.linalg.norm(estimate.taps - reference)
@@ -275,7 +272,7 @@ class TestSoundingBatch:
     @pytest.mark.parametrize("num_taps, chirp_len", BATCH_SHAPES)
     def test_noiseless_rows_recover_the_truth(self, num_taps, chirp_len):
         cirs, cfgs = _mixed_batch(num_taps)
-        chirp = make_chirp(4e9, chirp_len / 4e9, 4e9)
+        chirp = make_chirp(4e9, chirp_len / 4e9)
         estimates = sound_cir(cirs, cfgs, chirp)
         for cir, cfg, estimate in zip(cirs, cfgs, estimates):
             if cir.energy == 0:
@@ -287,7 +284,7 @@ class TestSoundingBatch:
     @pytest.mark.parametrize("num_taps, chirp_len", BATCH_SHAPES)
     def test_estimates_do_not_depend_on_the_block_size(self, monkeypatch, num_taps, chirp_len):
         cirs, cfgs = _mixed_batch(num_taps)
-        chirp = make_chirp(4e9, chirp_len / 4e9, 4e9)
+        chirp = make_chirp(4e9, chirp_len / 4e9)
         one_block = sound_cir(cirs, cfgs, chirp)
         # one row per block, then two or three rows per block
         for budget in (1, 3 * (chirp_len + num_taps - 1)):
@@ -298,15 +295,13 @@ class TestSoundingBatch:
 
     def test_rejects_malformed_batches(self):
         cirs, cfgs = _mixed_batch(8)
-        chirp = make_chirp(4e9, 32 / 4e9, 4e9)
+        chirp = make_chirp(4e9, 32 / 4e9)
         with pytest.raises(DomainError):
             sound_cir([], [], chirp)
         with pytest.raises(ConfigurationError):
             sound_cir(cirs, cfgs[:-1], chirp)
         with pytest.raises(ConfigurationError):
             sound_cir([cirs[0], _synth_cir(33, 9)], cfgs[:2], chirp)
-        with pytest.raises(ConfigurationError):
-            sound_cir([cirs[0], Cir(cirs[1].taps, 1.0)], cfgs[:2], chirp)
         with pytest.raises(DomainError):
             sound_cir(cirs, cfgs, chirp[:1])
 

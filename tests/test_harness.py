@@ -82,7 +82,7 @@ def off_target_scenario() -> Scenario:
     # targets' profiles peak at index 2 and no report has a spatial width
     params = CavityParams(num_taps=1)
     gains = (0.1, 0.5, 2.0, 0.3, 0.1)
-    cirs = tuple(Cir(np.array([g], dtype=complex), params.tap_spacing) for g in gains)
+    cirs = tuple(Cir(np.array([g], dtype=complex)) for g in gains)
     ensemble = SpatialChannelEnsemble(np.arange(5.0), cirs, params)
     return Scenario(
         cavity=params,
@@ -225,6 +225,18 @@ class TestScenarioLoading:
         second = scenario.ensemble_for_trial(1)
         assert first is second
 
+    def test_imported_ensemble_is_not_held_to_the_synthesised_extent(self, tmp_path):
+        # imported responses are never correlated across positions, so a
+        # grid that no synthesised draw could span still loads
+        positions = np.array([-2.7, -1.8, 1e308])
+        cirs = tuple(Cir(np.ones(4)) for _ in positions)
+        ensemble = SpatialChannelEnsemble(positions, cirs, CavityParams(num_taps=4))
+        export_ensemble(ensemble, tmp_path / "measured.json")
+        doc = scenario_dict(ensemble_file="measured.json")
+        del doc["cavity"], doc["grid_mm"]
+        scenario = scenario_from_dict(doc, base_dir=tmp_path)
+        assert scenario.positions_mm[-1] == 1e308
+
     def test_non_string_ensemble_file_rejected(self):
         doc = scenario_dict(ensemble_file=5)
         del doc["cavity"], doc["grid_mm"]
@@ -241,6 +253,13 @@ class TestScenarioLoading:
         except ConfigurationError:
             return
         assert isinstance(scenario, Scenario)
+
+
+class TestPilotTargets:
+    @pytest.mark.parametrize("num_rx, num_pilots", [(2, 32), (64, 32)])
+    def test_antenna_n_of_pilot_k_is_bit_n_of_k(self, num_rx, num_pilots):
+        expected = [[(k >> n) & 1 == 1 for k in range(num_pilots)] for n in range(num_rx)]
+        assert harness._pilot_targets(num_rx, num_pilots).tolist() == expected
 
 
 class TestBerRecord:
@@ -506,6 +525,25 @@ class TestCommittedResults:
         assert (tmp_path / name).read_bytes() == (ROOT / "results" / "sound" / name).read_bytes()
 
 
+    def test_focusing_from_the_exported_ensemble_reproduces_committed_csvs(self, tmp_path):
+        # synth exports trial 0's ensemble, and a scenario importing it sees
+        # the same channels through the JSON/CSV pair
+        scenario_path = ROOT / "scenarios" / "focus_grid.json"
+        synth = ["synth", "--scenario", str(scenario_path), "--out", str(tmp_path / "synth")]
+        assert cli_main(synth) == 0
+        doc = json.loads(scenario_path.read_text(encoding="utf-8"))
+        del doc["cavity"], doc["grid_mm"]
+        doc["ensemble_file"] = "synth/ensemble.json"
+        imported = tmp_path / "imported.json"
+        imported.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "focus"
+        assert cli_main(["focus", "--scenario", str(imported), "--out", str(out)]) == 0
+        committed = sorted((ROOT / "results" / "focus").glob("*.csv"))
+        assert [p.name for p in committed] == sorted(p.name for p in out.iterdir())
+        for path in committed:
+            assert (out / path.name).read_bytes() == path.read_bytes(), path.name
+
+
 def _committed_sounding_rows() -> list[tuple[int, float, float]]:
     path = ROOT / "results" / "sound" / "sounding_error.csv"
     header, *lines = path.read_text(encoding="utf-8").splitlines()
@@ -604,6 +642,24 @@ class TestCli:
         a = (out_a / "ber_rask_D15.csv").read_text(encoding="utf-8")
         b = (out_b / "ber_rask_D15.csv").read_text(encoding="utf-8")
         assert a != b
+
+    def test_erask_with_63_antennas(self, tmp_path, capsys):
+        # a target at every grid position; pilot k sets antenna n to bit n of k
+        positions = [round(0.3 * k, 1) for k in range(63)]
+        doc = scenario_dict(
+            cavity={"num_taps": 16, "bandwidth_hz": 4.0e9, "carrier_freq_hz": 2.736e11},
+            positions_mm=positions,
+            targets_mm=positions,
+            rsm={"scheme": "erask", "num_rx": 63,
+                 "threshold": {"policy": "pilot", "num_pilots": 16}},
+        )
+        del doc["grid_mm"]
+        scenario_path = tmp_path / "scenario.json"
+        scenario_path.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "results"
+        assert cli_main(["ber", "--scenario", str(scenario_path), "--out", str(out)]) == 0
+        rows = (out / "ber_erask_D15.csv").read_text(encoding="utf-8").splitlines()
+        assert len(rows) == 1 + doc["trials"]
 
     def test_rask_with_three_antennas_exits_2_before_writing(self, tmp_path, capsys):
         path = write_scenario(
@@ -740,6 +796,18 @@ class TestCli:
         assert message in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
 
+    def test_positions_overflowing_the_spatial_correlation_exit_2_before_writing(
+        self, tmp_path, capsys
+    ):
+        doc = scenario_dict(positions_mm=[-2.7, -1.8, 1e308])
+        del doc["grid_mm"]
+        scenario_path = tmp_path / "scenario.json"
+        scenario_path.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "results"
+        assert cli_main(["focus", "--scenario", str(scenario_path), "--out", str(out)]) == 2
+        assert "positions_mm from -2.7 to 1e+308 mm" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
     def test_non_increasing_positions_exit_2_before_writing(self, tmp_path, capsys):
         doc = scenario_dict(positions_mm=[-1.8, -2.7, -2.7], rsm={"scheme": "rask", "num_rx": 2})
         del doc["grid_mm"]
@@ -762,6 +830,7 @@ class TestCli:
             pytest.param(None, None, ["--seed", "-1"], "master_seed", id="seed-flag-negative"),
             pytest.param(("d_values",), [15.7], [], "d_values", id="spacing-float"),
             pytest.param(("d_values",), [2], [], "d_values", id="spacing-overlaps"),
+            pytest.param(("d_values",), [15, 15], [], "d_values", id="d-values-repeated"),
             pytest.param(("trials",), 1.9, [], "trials", id="trials-float"),
             pytest.param(("cavity", "num_taps"), 256.7, [], "num_taps", id="taps-float"),
             pytest.param(("version",), True, [], "version", id="version-bool"),

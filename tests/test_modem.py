@@ -40,7 +40,7 @@ def orthogonal_cirs():
     second = np.zeros(7, dtype=complex)
     first[0] = 1.0
     second[3] = 1.0
-    return [Cir(first, 1.0), Cir(second, 1.0)]
+    return [Cir(first), Cir(second)]
 
 
 def ideal_received(powers, spacing=7, num_taps=7):

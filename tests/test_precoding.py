@@ -14,10 +14,9 @@ from trlink.channel import (
     SpatialChannelEnsemble,
     grid_index,
     sound_cir,
-    sounding_chirp,
     synth_cavity_ensemble,
 )
-from trlink.dsp import NUMERIC_RTOL, complex_noise, convolve
+from trlink.dsp import NUMERIC_RTOL, complex_noise, convolve, make_chirp
 from trlink.errors import ConfigurationError, DomainError
 from trlink.harness import _pilot_targets, grid_positions
 from trlink.modem import detection_windows, erask_modulate, rask_modulate
@@ -54,7 +53,7 @@ def kernel_expansion(symbols, cirs, spacing, receiver_index):
 
 class TestTrKernel:
     def test_single_tap(self):
-        h = Cir([1.0], 1.0)
+        h = Cir([1.0])
         kernel = tr_kernel(h, h)
         np.testing.assert_allclose(kernel, [1.0])
         assert kernel.size == 2 * h.num_taps - 1
@@ -104,7 +103,7 @@ class TestTrKernel:
             assert np.max(np.abs(kernel - chain)) <= NUMERIC_RTOL * np.max(np.abs(chain))
         # three receivers, two users (the second a sounded-like perturbation)
         true_cirs = [h_i, h_j, random_cir(rng, num_taps)]
-        known_cirs = [h_j, Cir(h_i.taps + 0.1 * random_cir(rng, num_taps).taps, 1.0)]
+        known_cirs = [h_j, Cir(h_i.taps + 0.1 * random_cir(rng, num_taps).taps)]
         kernels = pulse_responses(true_cirs, known_cirs)
         assert kernels.shape == (3, 2, 2 * num_taps - 1)
         for n, receiver in enumerate(true_cirs):
@@ -114,23 +113,23 @@ class TestTrKernel:
                 assert np.max(np.abs(kernels[n, i] - kernel)) <= NUMERIC_RTOL * scale
 
     def test_rejects_zero_energy_target(self):
-        h = Cir(np.ones(4), 1.0)
-        dead = Cir(np.zeros(4), 1.0)
+        h = Cir(np.ones(4))
+        dead = Cir(np.zeros(4))
         with pytest.raises(DomainError):
             tr_kernel(h, dead)
 
     def test_rejects_length_mismatch(self):
         with pytest.raises(ConfigurationError):
-            tr_kernel(Cir(np.ones(4), 1.0), Cir(np.ones(5), 1.0))
+            tr_kernel(Cir(np.ones(4)), Cir(np.ones(5)))
 
 
 class TestTrPrecode:
     def test_single_tap_identity(self):
-        waveform = tr_precode(UNIT_PULSE, [Cir([1.0], 1.0)], 1)
+        waveform = tr_precode(UNIT_PULSE, [Cir([1.0])], 1)
         np.testing.assert_allclose(waveform, [1.0])
 
     def test_empty_symbol_matrix_gives_empty_emission(self):
-        h = Cir(np.ones(4), 1.0)
+        h = Cir(np.ones(4))
         waveform = tr_precode(np.zeros((2, 0)), [h, h], 3)
         assert waveform.dtype == np.complex128
         assert waveform.size == 0
@@ -163,28 +162,28 @@ class TestTrPrecode:
 
     def test_rejects_zero_energy_cir(self):
         with pytest.raises(DomainError):
-            tr_precode(UNIT_PULSE, [Cir(np.zeros(4), 1.0)], 1)
+            tr_precode(UNIT_PULSE, [Cir(np.zeros(4))], 1)
 
     def test_rejects_count_mismatch(self):
-        h = Cir(np.ones(4), 1.0)
+        h = Cir(np.ones(4))
         with pytest.raises(ConfigurationError, match="1 symbol rows for 2 CIRs"):
             tr_precode(UNIT_PULSE, [h, h], 1)
 
     def test_rejects_one_dimensional_symbols(self):
-        h = Cir(np.ones(4), 1.0)
+        h = Cir(np.ones(4))
         with pytest.raises(DomainError, match="matrix"):
             tr_precode(np.ones(3), [h], 4)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
     def test_rejects_non_finite_symbols(self, bad):
-        h = Cir(np.ones(4), 1.0)
+        h = Cir(np.ones(4))
         symbols = np.ones((2, 3), dtype=complex)
         symbols[1, 2] = bad
         with pytest.raises(DomainError, match="finite"):
             tr_precode(symbols, [h, h], 4)
 
     def test_rejects_spacing_below_one_tap(self):
-        h = Cir(np.ones(4), 1.0)
+        h = Cir(np.ones(4))
         with pytest.raises(ConfigurationError, match="spacing"):
             tr_precode(UNIT_PULSE, [h], 0)
 
@@ -202,7 +201,7 @@ class TestPropagate:
 
     def test_noise_only_variance(self):
         zeros = np.zeros(100_000, dtype=complex)
-        [received] = propagate(zeros, [Cir([1.0], 1.0)], 1.0, [6])
+        [received] = propagate(zeros, [Cir([1.0])], 1.0, [6])
         variance = float(np.mean(np.abs(received) ** 2))
         assert variance == pytest.approx(1.0, rel=0.05)
         assert abs(complex(np.mean(received))) <= 0.02
@@ -216,17 +215,17 @@ class TestPropagate:
         assert np.array_equal(first, second)
 
     def test_rejects_negative_sigma(self):
-        h = Cir([1.0], 1.0)
+        h = Cir([1.0])
         waveform = tr_precode(UNIT_PULSE, [h], 1)
         with pytest.raises(DomainError):
             propagate(waveform, [h], -0.1)
 
     def test_rejects_no_channels_and_mixed_tap_counts(self):
-        waveform = tr_precode(UNIT_PULSE, [Cir(np.ones(4), 1.0)], 1)
+        waveform = tr_precode(UNIT_PULSE, [Cir(np.ones(4))], 1)
         with pytest.raises(ConfigurationError, match="at least one"):
             propagate(waveform, [], 0.0)
         with pytest.raises(ConfigurationError, match="share"):
-            propagate(waveform, [Cir(np.ones(4), 1.0), Cir(np.ones(5), 1.0)], 0.0)
+            propagate(waveform, [Cir(np.ones(4)), Cir(np.ones(5))], 0.0)
 
     @pytest.mark.parametrize("sigma", [0.0, 0.3])
     def test_each_row_is_its_channel_plus_its_seeded_noise(self, sigma):
@@ -289,7 +288,7 @@ class TestReceivedAt:
         known_cirs = true_cirs
         if csi == "sounded":
             cfg = SoundingConfig(duration_s=64 / params.bandwidth_hz, probe_snr_db=20.0)
-            chirp = sounding_chirp(params, cfg)
+            chirp = make_chirp(params.bandwidth_hz, cfg.duration_s)
             cfgs = [SoundingConfig(cfg.duration_s, 20.0, rng_seed=j) for j in range(len(true_cirs))]
             known_cirs = sound_cir(true_cirs, cfgs, chirp)
         kernels = pulse_responses(true_cirs, known_cirs)
@@ -329,7 +328,7 @@ class TestReceivedAt:
     def test_single_tap_reads_clip_to_the_signal_ends(self):
         # with L = 1 the field is zero between pulses; the first window's
         # left sample and the last window's right sample clip to the ends
-        h = Cir([0.6 + 0.8j], 1.0)
+        h = Cir([0.6 + 0.8j])
         symbols = np.array([[1.0, 2.0, 3.0]], dtype=complex)
         kernels = pulse_responses([h], [h])
         field = received_at(symbols, kernels, 4, 0.0, [0])[0]
@@ -340,12 +339,12 @@ class TestReceivedAt:
         assert noisy[0, 0] != noisy[2, 2]
 
     def test_empty_frame_gives_no_samples(self):
-        h = Cir(np.ones(4), 1.0)
+        h = Cir(np.ones(4))
         field = received_at(np.zeros((2, 0)), pulse_responses([h, h], [h, h]), 5, 0.1, [0])
         assert field.shape == (2, 0, 3)
 
     def test_rejects_what_the_chain_rejects(self):
-        h = Cir(np.ones(4), 1.0)
+        h = Cir(np.ones(4))
         kernels = pulse_responses([h], [h])
         with pytest.raises(DomainError, match="noise_sigma"):
             received_at(np.ones((1, 2)), kernels, 5, -1.0, [0])
@@ -354,9 +353,9 @@ class TestReceivedAt:
         with pytest.raises(DomainError, match="2L-1"):
             received_at(np.ones((1, 2)), kernels[..., 1:], 5, 0.0, [0])
         with pytest.raises(DomainError, match="zero-energy"):
-            pulse_responses([h], [Cir(np.zeros(4), 1.0)])
+            pulse_responses([h], [Cir(np.zeros(4))])
         with pytest.raises(ConfigurationError, match="share"):
-            pulse_responses([h], [Cir(np.ones(5), 1.0)])
+            pulse_responses([h], [Cir(np.ones(5))])
 
 
 class TestFocusingGain:
@@ -403,7 +402,7 @@ class TestFocusingReport:
         positions = np.arange(5, dtype=float)
         gains = [0.1, 0.5, 2.0, 0.3, 0.1]
         cirs = tuple(
-            Cir(np.array([g], dtype=complex), params.tap_spacing) for g in gains
+            Cir(np.array([g], dtype=complex)) for g in gains
         )
         ensemble = SpatialChannelEnsemble(positions, cirs, params)
         report = focusing_report(ensemble, 1, None, 1)
@@ -422,7 +421,7 @@ class TestFocusingReport:
 
         def draw_ensemble() -> SpatialChannelEnsemble:
             phases = np.exp(2j * np.pi * rng.random(3))
-            cirs = tuple(Cir(np.array([p]), params.tap_spacing) for p in phases)
+            cirs = tuple(Cir(np.array([p])) for p in phases)
             return SpatialChannelEnsemble(positions, cirs, params)
 
         for _ in range(5):
