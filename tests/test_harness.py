@@ -524,7 +524,6 @@ class TestCommittedResults:
         name = "sounding_error.csv"
         assert (tmp_path / name).read_bytes() == (ROOT / "results" / "sound" / name).read_bytes()
 
-
     def test_focusing_from_the_exported_ensemble_reproduces_committed_csvs(self, tmp_path):
         # synth exports trial 0's ensemble, and a scenario importing it sees
         # the same channels through the JSON/CSV pair
