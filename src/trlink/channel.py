@@ -25,13 +25,17 @@ right-multiplying with the symmetric square root of the kernel matrix, and
 finally scaled per tap by ``sqrt(PDP[l])``.
 
 Sounding (:func:`sound_cir`) estimates a batch of responses that share one
-probe chirp: the chirp is transformed, and its Gram built and factorised,
-once per batch, and each row keeps its own probe SNR and noise seed. Every
-row lives in one spectrum at the received signal's own transform length,
-the smallest fast length holding its ``n + L - 1`` samples: the probe power
-comes from that spectrum by Parseval, and pulse compression and the Gram's
-lags are circular correlations read at lags ``0 .. L - 1``, which that
-length holds without aliasing. The factorisation and solve run in LAPACK,
+probe chirp, built from the batch's one ``duration_s``: the chirp is
+transformed, and its Gram built and factorised, once per batch, and each
+row keeps its own probe SNR and noise seed. A row's compressed window is
+computed in the lag domain: its noiseless part is the Gram times the taps,
+a convolution of the ``2L - 1`` two-sided lags with the ``L`` taps, and the
+probe power is a quadratic form in that Gram. Only a noisy row's noise is
+correlated with the chirp at the received signal's transform length, the
+smallest fast length holding its ``n + L - 1`` samples, which holds lags
+``0 .. L - 1`` without aliasing. The Hermitian Toeplitz Gram is folded to
+a real symmetric matrix of the same size, so one real LU solves every row.
+The factorisation and solve run in LAPACK,
 whose last digits depend on the number of BLAS threads, so sounded
 estimates are reproducible bit for bit for a fixed BLAS thread count.
 With one thread every row equals its singleton batch bit for bit; with
@@ -50,7 +54,7 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .dsp import _fast_len, complex_noise
+from .dsp import _fast_len, complex_noise, make_chirp
 from .errors import (
     ConfigurationError,
     DomainError,
@@ -74,9 +78,12 @@ _ENSEMBLE_KEYS = {
 POSITION_TOL_MM = 1e-6
 
 # Sounding transforms a block of rows at a time, at most this many complex
-# samples per buffer (16 MB) of spectra at the transform length
-# _fast_len(n + L - 1), so memory does not grow with the batch.
+# samples per buffer (16 MB), so memory does not grow with the batch: each
+# row's taps at the lag-domain length _fast_len(3L - 2), and each noisy
+# row's noise at the received signal's length _fast_len(n + L - 1).
 _BLOCK_SAMPLES = 2**20
+
+_SQRT_HALF = math.sqrt(0.5)
 
 
 def check_positions(values, name: str = "positions") -> np.ndarray:
@@ -84,7 +91,7 @@ def check_positions(values, name: str = "positions") -> np.ndarray:
     positions = np.asarray(values, dtype=float)
     if positions.ndim != 1 or positions.size < 1:
         raise ConfigurationError(f"{name} needs at least one position")
-    if not np.all(np.diff(positions) > 0):
+    if not np.all(positions[1:] > positions[:-1]):
         raise ConfigurationError(
             f"{name} must be strictly increasing, got {positions.tolist()}"
         )
@@ -268,11 +275,13 @@ def synth_cavity_ensemble(
 
 
 def sound_cir(
-    true_cirs: Sequence[Cir], cfgs: Sequence[SoundingConfig], chirp: np.ndarray
+    true_cirs: Sequence[Cir], cfgs: Sequence[SoundingConfig], bandwidth_hz: float
 ) -> list[Cir]:
     """Estimate CIRs by chirp sounding, one estimate per ``(true_cirs[k], cfgs[k])``.
 
-    The chirp is transmitted through each channel (full linear convolution),
+    The probe is ``make_chirp(bandwidth_hz, duration_s)``, sampled at the
+    taps' rate, the bandwidth; every row must share one ``duration_s``. The
+    chirp is transmitted through each channel (full linear convolution),
     white circular complex Gaussian noise is added at that row's probe SNR
     and seed, and the recording is correlated with the chirp (pulse
     compression, normalised by the chirp energy). Because the chirp's own
@@ -283,30 +292,29 @@ def sound_cir(
     Noiseless sounding therefore recovers the response to machine precision;
     with noise the error falls as the time-bandwidth product grows.
 
-    Each row is one spectrum of length ``m = _fast_len(n + L - 1)`` for an
-    ``n``-sample chirp ``C`` and ``L`` taps: the received spectrum is ``C``
-    times the taps' spectrum, the probe power is the mean power of the
-    ``n + L - 1`` received samples taken from it by Parseval, and a noisy
-    row adds the spectrum of its ``n + L - 1`` noise samples (the same
-    draw as in the time domain). Lags ``0 .. L - 1`` of the circular
-    correlations ``ifft(conj(C) * row)`` and ``ifft(|C|**2)`` equal the
-    linear ones, since ``m`` holds the whole received signal: they are the
-    compressed window and the Gram's lags.
+    The compressed window is computed in the lag domain. For an
+    ``n``-sample chirp of energy ``E`` and spectrum ``C`` at
+    ``m = _fast_len(n + L - 1)``, the Gram's lags are lags ``0 .. L - 1`` of
+    ``ifft(|C|**2) / E``, and a row's noiseless window is the Gram times its
+    taps, ``G h``: the middle ``L`` samples of the two-sided lags convolved
+    with the taps, a transform at ``_fast_len(3L - 2)``. The probe power,
+    the mean power of the ``n + L - 1`` received samples, is
+    ``E * Re(h^H G h) / (n + L - 1)``. Only a noisy row's noise goes through
+    the ``m``-length transforms, as ``ifft(conj(C) * fft(noise, m))[:L] / E``
+    (the same draw as in the time domain; ``m`` holds the whole received
+    signal, so those circular lags equal the linear ones).
 
     All CIRs must share ``num_taps``. The rows are transformed as stacks,
     in blocks of at most ``_BLOCK_SAMPLES`` samples per buffer, and share
-    one Gram and one LU factorisation: ``np.linalg.solve`` takes every row
-    as a right-hand side.
+    one Gram, folded to a real symmetric matrix (:func:`_toeplitz_solve`)
+    whose one LU factorisation takes every row as a right-hand side.
     Estimates do not depend on the block size. With one BLAS thread each
     estimate equals that row's singleton batch bit for bit; with more, the
     threaded LU rounds with the number of rows, within ``NUMERIC_RTOL``.
 
     Timing is assumed known (transmitter and recorder share a clock), so the
-    window position is not estimated. The chirp is sampled at the taps'
-    rate, the bandwidth, as ``make_chirp(bandwidth_hz, duration_s)`` builds it.
+    window position is not estimated.
     """
-    if len(chirp) < 2:
-        raise DomainError("sounding chirp must have at least 2 samples")
     if not true_cirs:
         raise DomainError("sound_cir needs at least one CIR")
     if len(cfgs) != len(true_cirs):
@@ -314,6 +322,10 @@ def sound_cir(
             f"{len(true_cirs)} CIRs but {len(cfgs)} sounding configurations"
         )
     check_shared(true_cirs, "a sounding batch")
+    durations = sorted({cfg.duration_s for cfg in cfgs})
+    if len(durations) > 1:
+        raise ConfigurationError(f"a sounding batch must share one duration_s, got {durations}")
+    chirp = make_chirp(bandwidth_hz, durations[0])
 
     taps = np.stack([c.taps for c in true_cirs])
     num_taps = taps.shape[1]
@@ -321,30 +333,89 @@ def sound_cir(
     received_len = n + num_taps - 1
     m = _fast_len(received_len)
     chirp_spectrum = np.fft.fft(chirp, m)
-    block = max(1, _BLOCK_SAMPLES // m)
-    aligned = np.empty((len(true_cirs), num_taps), dtype=np.complex128)
-    for start in range(0, len(true_cirs), block):
-        spectra = chirp_spectrum * np.fft.fft(taps[start : start + block], m, axis=-1)
-        # Parseval: the mean power of the received samples, from their spectrum
-        powers = np.sum(np.abs(spectra) ** 2, axis=-1) / (m * received_len)
-        for row, cfg, rx_power in zip(spectra, cfgs[start : start + block], powers):
-            if not (math.isinf(cfg.probe_snr_db) or rx_power == 0.0):
-                sigma = math.sqrt(rx_power / 10.0 ** (cfg.probe_snr_db / 10.0))
-                row += np.fft.fft(complex_noise(received_len, sigma, cfg.rng_seed), m)
-        compressed = np.fft.ifft(np.conj(chirp_spectrum) * spectra, axis=-1)
-        aligned[start : start + block] = compressed[:, :num_taps]
     chirp_energy = float(np.sum(np.abs(chirp) ** 2))
-    aligned /= chirp_energy
-
     lags = np.zeros(num_taps, dtype=np.complex128)
     span = min(num_taps, n)
     lags[:span] = np.fft.ifft(np.abs(chirp_spectrum) ** 2)[:span] / chirp_energy
-    # Hermitian Toeplitz Gram: gram[r, c] is lags[r - c] on and below the
-    # diagonal and conj(lags[c - r]) above it, a strided view of the lags.
+
     two_sided = np.concatenate((np.conj(lags[:0:-1]), lags))
-    gram = sliding_window_view(two_sided, num_taps)[:, ::-1]
-    estimates = np.linalg.solve(gram, aligned.T).T
-    return [Cir(estimate) for estimate in estimates]
+    lag_len = _fast_len(3 * num_taps - 2)
+    lag_spectrum = np.fft.fft(two_sided, lag_len)
+    block = max(1, _BLOCK_SAMPLES // max(lag_len, m))
+    aligned = np.empty_like(taps)
+    for start in range(0, len(true_cirs), block):
+        rows = slice(start, start + block)
+        gram_taps = np.fft.ifft(lag_spectrum * np.fft.fft(taps[rows], lag_len, axis=-1), axis=-1)
+        window = aligned[rows]
+        window[:] = gram_taps[:, num_taps - 1 : 2 * num_taps - 1]
+        powers = chirp_energy * np.sum(np.conj(taps[rows]) * window, axis=-1).real / received_len
+        noisy = [
+            (j, math.sqrt(rx_power / 10.0 ** (cfg.probe_snr_db / 10.0)), cfg.rng_seed)
+            for j, (cfg, rx_power) in enumerate(zip(cfgs[rows], powers))
+            if not (math.isinf(cfg.probe_snr_db) or rx_power <= 0.0)
+        ]
+        if noisy:
+            noise = np.stack([complex_noise(received_len, sigma, seed) for _, sigma, seed in noisy])
+            compressed = np.fft.ifft(
+                np.conj(chirp_spectrum) * np.fft.fft(noise, m, axis=-1), axis=-1
+            )
+            window[[j for j, _, _ in noisy]] += compressed[:, :num_taps] / chirp_energy
+    return [Cir(estimate) for estimate in _toeplitz_solve(two_sided, aligned)]
+
+
+def _toeplitz_solve(two_sided: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve ``G x = b`` for every row ``b`` of ``rhs``, in real arithmetic.
+
+    ``G`` is the ``L x L`` Hermitian Toeplitz matrix ``G[r, c] = t[r - c]``,
+    with ``t[d]`` at ``two_sided[d + L - 1]`` and ``t[-d] = conj(t[d])``;
+    write ``lags`` for ``t[0 .. L - 1]``. It is centro-Hermitian
+    (``J G J = conj(G)`` for the exchange matrix ``J``), so with ``k = L // 2``
+    the unitary fold ``Q = [[I, 0, iI], [0, sqrt(2), 0], [J, 0, -iJ]] / sqrt(2)``
+    (without the middle row and column for even ``L``) turns it into the real
+    symmetric ``Q^H G Q`` of the same size and condition number (A. Lee,
+    "Centrohermitian and skew-centrohermitian matrices", Linear Algebra Appl.
+    29, 1980). With ``T[r, c] = t[r - c]`` and the Hankel
+    ``H[r, c] = t[r + c - (L - 1)]`` for ``r, c < k``, its corners are
+    ``[[Re(T + H), Im(H - T)], [Im(T + H), Re(T - H)]]``; for odd ``L`` the
+    middle column is ``sqrt(2) * Re`` (top) and ``-sqrt(2) * Im`` (bottom) of
+    ``lags[k:0:-1]``, around ``Re(lags[0])``. One real LU takes the real and
+    imaginary parts of every folded row ``Q^H b`` as right-hand sides, and
+    ``x = Q y``.
+    """
+    num_taps = rhs.shape[1]
+    lags = two_sided[num_taps - 1 :]
+    k = num_taps // 2
+    lo, hi = slice(0, k), slice(num_taps - k, num_taps)
+    real = np.empty((num_taps, num_taps))
+    # windows[:, i, j] holds t[i + j - (L - 1)], re and im: T[r, c] is
+    # windows[:, L - k + r, k - 1 - c] and H[r, c] is windows[:, r, c]
+    windows = sliding_window_view(np.stack((two_sided.real, two_sided.imag)), k, axis=-1)
+    (re_t, im_t), (re_h, im_h) = windows[:, num_taps - k : num_taps, ::-1], windows[:, :k]
+    np.add(re_t, re_h, out=real[lo, lo])
+    np.subtract(im_h, im_t, out=real[lo, hi])
+    np.add(im_t, im_h, out=real[hi, lo])
+    np.subtract(re_t, re_h, out=real[hi, hi])
+    if num_taps % 2:
+        edge = math.sqrt(2.0) * lags[k:0:-1]
+        real[lo, k] = real[k, lo] = edge.real
+        real[hi, k] = real[k, hi] = -edge.imag
+        real[k, k] = lags[0].real
+
+    b = rhs.T
+    folded = np.empty_like(b)
+    flipped = b[hi][::-1]
+    folded[lo] = (b[lo] + flipped) * _SQRT_HALF
+    folded[hi] = 1j * (flipped - b[lo]) * _SQRT_HALF
+    if num_taps % 2:
+        folded[k] = b[k]
+    y = np.linalg.solve(real, np.concatenate((folded.real, folded.imag), axis=1))
+    y = y[:, : len(rhs)] + 1j * y[:, len(rhs) :]
+    x = np.empty_like(y)
+    x[lo] = (y[lo] + 1j * y[hi]) * _SQRT_HALF
+    x[hi] = ((y[lo] - 1j * y[hi]) * _SQRT_HALF)[::-1]
+    if num_taps % 2:
+        x[k] = y[k]
+    return x.T
 
 
 def export_ensemble(ensemble: SpatialChannelEnsemble, json_path: str | Path) -> None:

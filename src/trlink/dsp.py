@@ -3,8 +3,9 @@
 Precoding, propagation and the TR kernel are built on the full-support
 convolution and correlation here. Chirp sounding (``channel.sound_cir``)
 takes only its chirp, its noise draw and the transform length from this
-module: it reads ``L`` lags of each correlation, so it transforms at the
-received signal's length instead of the full correlation's.
+module: it reads ``L`` lags of each correlation, so it transforms the
+chirp and the noise at the received signal's length instead of the full
+correlation's, and the taps at the lag domain's ``3L - 2``.
 
 A signal is a plain 1-D ``complex128`` numpy array of complex-envelope
 samples at one rate, the simulated bandwidth, so no rate travels with it:

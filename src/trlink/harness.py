@@ -99,7 +99,7 @@ from .channel import (
     sound_cir,
     synth_cavity_ensemble,
 )
-from .dsp import chirp_length, make_chirp
+from .dsp import chirp_length
 from .errors import (
     ConfigurationError,
     DomainError,
@@ -145,8 +145,8 @@ BER_CSV_HEADER = ["scheme", "D", "snr_db", "bits_sent", "bit_errors", "ber", "se
 # the point where that matrix stops fitting in memory.
 _MAX_GRID_POSITIONS = 10_000
 
-# A sounding chirp is transformed with each response at the received
-# length, several complex buffers at a time; a million samples
+# A sounding chirp is transformed with each noisy row's noise at the
+# received length, several complex buffers at a time; a million samples
 # (time-bandwidth product 1e6) keeps each near 16 MB.
 _MAX_CHIRP_SAMPLES = 1_000_000
 
@@ -490,7 +490,6 @@ def _trial_kernels(scenario: Scenario, trial: int) -> np.ndarray:
     true_cirs = [ensemble.cirs[i] for i in scenario.target_indices]
     known_cirs = true_cirs
     if scenario.sounding is not None:
-        chirp = make_chirp(scenario.cavity.bandwidth_hz, scenario.sounding.duration_s)
         cfgs = [
             replace(
                 scenario.sounding,
@@ -498,7 +497,7 @@ def _trial_kernels(scenario: Scenario, trial: int) -> np.ndarray:
             )
             for j in range(len(true_cirs))
         ]
-        known_cirs = sound_cir(true_cirs, cfgs, chirp)
+        known_cirs = sound_cir(true_cirs, cfgs, scenario.cavity.bandwidth_hz)
     return pulse_responses(true_cirs, known_cirs)
 
 
@@ -702,13 +701,12 @@ def run_sounding_study(
     rows: list[tuple[int, float, float]] = []
     for tb in SOUNDING_TB_VALUES:
         duration = tb / scenario.cavity.bandwidth_hz
-        chirp = make_chirp(scenario.cavity.bandwidth_hz, duration)
         cfgs = [
             SoundingConfig(duration_s=duration, probe_snr_db=snr_db, rng_seed=seed)
             for snr_db in snr_points
             for seed in seeds
         ]
-        estimates = sound_cir(truths * len(snr_points), cfgs, chirp)
+        estimates = sound_cir(truths * len(snr_points), cfgs, scenario.cavity.bandwidth_hz)
         for k, snr_db in enumerate(snr_points):
             errors = [
                 float(np.linalg.norm(estimate.taps - truth.taps) / np.linalg.norm(truth.taps))

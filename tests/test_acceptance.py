@@ -196,7 +196,7 @@ def test_criterion_9_sounding_fidelity_at_tb_100():
     cfg = SoundingConfig(duration_s=100 / bandwidth)
     chirp = make_chirp(bandwidth, cfg.duration_s)
     assert len(chirp) == 100  # time-bandwidth product
-    [estimate] = sound_cir([truth], [cfg], chirp)
+    [estimate] = sound_cir([truth], [cfg], bandwidth)
     error = float(np.linalg.norm(estimate.taps - truth.taps) / np.linalg.norm(truth.taps))
     ok = error <= 0.01
     _report(9, "chirp sounding fidelity", ok, f"normalized error={error:.2e} at TB=100")

@@ -1,6 +1,7 @@
 """Cavity ensemble statistics, sounding fidelity, ensemble import/export."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,13 +12,14 @@ from trlink.channel import (
     Cir,
     SoundingConfig,
     SpatialChannelEnsemble,
+    check_positions,
     export_ensemble,
     grid_index,
     load_ensemble,
     sound_cir,
     synth_cavity_ensemble,
 )
-from trlink.dsp import NUMERIC_RTOL, complex_noise, make_chirp
+from trlink.dsp import NUMERIC_RTOL, _fast_len, complex_noise, make_chirp
 from trlink.errors import ConfigurationError, DomainError
 from trlink.harness import grid_positions
 
@@ -156,8 +158,7 @@ def _synth_cir(seed: int, num_taps: int, bandwidth: float = 4e9) -> Cir:
 
 
 def _estimate_error(true_cir: Cir, cfg: SoundingConfig, bandwidth: float = 4e9) -> float:
-    chirp = make_chirp(bandwidth, cfg.duration_s)
-    [estimate] = sound_cir([true_cir], [cfg], chirp)
+    [estimate] = sound_cir([true_cir], [cfg], bandwidth)
     return float(
         np.linalg.norm(estimate.taps - true_cir.taps) / np.linalg.norm(true_cir.taps)
     )
@@ -167,7 +168,7 @@ class TestSounding:
     def test_zero_channel_yields_zero_estimate(self):
         dead = Cir(np.zeros(32))
         cfg = SoundingConfig(duration_s=128 / 4e9)
-        [estimate] = sound_cir([dead], [cfg], make_chirp(4e9, cfg.duration_s))
+        [estimate] = sound_cir([dead], [cfg], 4e9)
         assert estimate.energy == 0.0
 
     def test_noiseless_high_tb_recovers_channel(self):
@@ -208,13 +209,16 @@ class TestSounding:
 
     def test_rejects_short_chirp(self):
         cir = _synth_cir(1, 8)
-        cfg = SoundingConfig(duration_s=1.0)
-        with pytest.raises(DomainError):
-            sound_cir([cir], [cfg], np.ones(1, dtype=complex))
+        cfg = SoundingConfig(duration_s=1 / 4e9)
+        with pytest.raises(ConfigurationError, match="need at least 2"):
+            sound_cir([cir], [cfg], 4e9)
 
 
-def _mixed_batch(num_taps: int) -> tuple[list[Cir], list[SoundingConfig]]:
-    """Noiseless and noisy rows, one truth sounded three times and a dead channel."""
+def _mixed_batch(
+    num_taps: int, chirp_len: int
+) -> tuple[list[Cir], list[SoundingConfig]]:
+    """Noiseless and noisy rows, one truth sounded three times and a dead
+    channel, all with a ``chirp_len``-sample chirp at 4 GHz."""
     first, second = _synth_cir(31, num_taps), _synth_cir(32, num_taps)
     dead = Cir(np.zeros(num_taps))
     rows = [
@@ -226,7 +230,7 @@ def _mixed_batch(num_taps: int) -> tuple[list[Cir], list[SoundingConfig]]:
         (second, math.inf, 5),
     ]
     cirs = [cir for cir, _, _ in rows]
-    cfgs = [SoundingConfig(1.0, snr_db, rng_seed=seed) for _, snr_db, seed in rows]
+    cfgs = [SoundingConfig(chirp_len / 4e9, snr_db, rng_seed=seed) for _, snr_db, seed in rows]
     return cirs, cfgs
 
 
@@ -253,27 +257,25 @@ def _least_squares_estimate(cir: Cir, cfg: SoundingConfig, chirp: np.ndarray) ->
 class TestSoundingBatch:
     @pytest.mark.parametrize("num_taps, chirp_len", BATCH_SHAPES)
     def test_each_row_matches_its_singleton_call(self, num_taps, chirp_len):
-        cirs, cfgs = _mixed_batch(num_taps)
-        chirp = make_chirp(4e9, chirp_len / 4e9)
-        for cir, cfg, estimate in zip(cirs, cfgs, sound_cir(cirs, cfgs, chirp)):
-            [single] = sound_cir([cir], [cfg], chirp)
+        cirs, cfgs = _mixed_batch(num_taps, chirp_len)
+        for cir, cfg, estimate in zip(cirs, cfgs, sound_cir(cirs, cfgs, 4e9)):
+            [single] = sound_cir([cir], [cfg], 4e9)
             error = np.linalg.norm(estimate.taps - single.taps)
             assert error <= NUMERIC_RTOL * np.linalg.norm(single.taps)
 
     @pytest.mark.parametrize("num_taps, chirp_len", BATCH_SHAPES)
     def test_rows_match_the_dense_least_squares_oracle(self, num_taps, chirp_len):
-        cirs, cfgs = _mixed_batch(num_taps)
+        cirs, cfgs = _mixed_batch(num_taps, chirp_len)
         chirp = make_chirp(4e9, chirp_len / 4e9)
-        for cir, cfg, estimate in zip(cirs, cfgs, sound_cir(cirs, cfgs, chirp)):
+        for cir, cfg, estimate in zip(cirs, cfgs, sound_cir(cirs, cfgs, 4e9)):
             reference = _least_squares_estimate(cir, cfg, chirp)
             error = np.linalg.norm(estimate.taps - reference)
             assert error <= NUMERIC_RTOL * np.linalg.norm(reference)
 
     @pytest.mark.parametrize("num_taps, chirp_len", BATCH_SHAPES)
     def test_noiseless_rows_recover_the_truth(self, num_taps, chirp_len):
-        cirs, cfgs = _mixed_batch(num_taps)
-        chirp = make_chirp(4e9, chirp_len / 4e9)
-        estimates = sound_cir(cirs, cfgs, chirp)
+        cirs, cfgs = _mixed_batch(num_taps, chirp_len)
+        estimates = sound_cir(cirs, cfgs, 4e9)
         for cir, cfg, estimate in zip(cirs, cfgs, estimates):
             if cir.energy == 0:
                 assert estimate.energy == 0.0
@@ -283,27 +285,58 @@ class TestSoundingBatch:
 
     @pytest.mark.parametrize("num_taps, chirp_len", BATCH_SHAPES)
     def test_estimates_do_not_depend_on_the_block_size(self, monkeypatch, num_taps, chirp_len):
-        cirs, cfgs = _mixed_batch(num_taps)
-        chirp = make_chirp(4e9, chirp_len / 4e9)
-        one_block = sound_cir(cirs, cfgs, chirp)
-        # one row per block, then two or three rows per block
-        for budget in (1, 3 * (chirp_len + num_taps - 1)):
+        cirs, cfgs = _mixed_batch(num_taps, chirp_len)
+        one_block = sound_cir(cirs, cfgs, 4e9)
+        # the longer of the lag-domain and the received transform lengths
+        widest = max(_fast_len(3 * num_taps - 2), _fast_len(chirp_len + num_taps - 1))
+        # one row per block, then two and three rows per block
+        for budget in (1, 2 * widest, 3 * widest):
             monkeypatch.setattr(channel, "_BLOCK_SAMPLES", budget)
-            blocked = sound_cir(cirs, cfgs, chirp)
+            blocked = sound_cir(cirs, cfgs, 4e9)
             for x, y in zip(blocked, one_block):
                 assert np.array_equal(x.taps, y.taps)
 
     def test_rejects_malformed_batches(self):
-        cirs, cfgs = _mixed_batch(8)
-        chirp = make_chirp(4e9, 32 / 4e9)
+        cirs, cfgs = _mixed_batch(8, 32)
         with pytest.raises(DomainError):
-            sound_cir([], [], chirp)
+            sound_cir([], [], 4e9)
         with pytest.raises(ConfigurationError):
-            sound_cir(cirs, cfgs[:-1], chirp)
+            sound_cir(cirs, cfgs[:-1], 4e9)
         with pytest.raises(ConfigurationError):
-            sound_cir([cirs[0], _synth_cir(33, 9)], cfgs[:2], chirp)
-        with pytest.raises(DomainError):
-            sound_cir(cirs, cfgs, chirp[:1])
+            sound_cir([cirs[0], _synth_cir(33, 9)], cfgs[:2], 4e9)
+        # a bandwidth at which the chirp holds one sample
+        with pytest.raises(ConfigurationError, match="need at least 2"):
+            sound_cir(cirs, cfgs, 1 / cfgs[0].duration_s)
+        with pytest.raises(ConfigurationError, match="share one duration_s"):
+            sound_cir(cirs[:2], [cfgs[0], replace(cfgs[1], duration_s=64 / 4e9)], 4e9)
+
+
+def _dense_chirp_gram(num_taps: int, chirp_len: int) -> np.ndarray:
+    """``C^H C / E`` for the dense convolution matrix ``C`` of a 4 GHz chirp."""
+    chirp = make_chirp(4e9, chirp_len / 4e9)
+    conv = np.zeros((chirp_len + num_taps - 1, num_taps), dtype=np.complex128)
+    for l in range(num_taps):
+        conv[l : l + chirp_len, l] = chirp
+    return conv.conj().T @ conv / np.sum(np.abs(chirp) ** 2)
+
+
+class TestToeplitzSolve:
+    """The real-arithmetic solve of the folded Gram against the complex dense solve."""
+
+    @pytest.mark.parametrize("num_taps", [1, 2, 3, 4, 5, 64, 65, 256, 257])
+    @pytest.mark.parametrize("chirp_scale", ["shorter", "longer"])
+    def test_matches_the_dense_complex_solve(self, num_taps, chirp_scale):
+        # chirps with n < L (n >= 2, so n = 2 for one tap) and with n >> L
+        chirp_len = max(2, num_taps // 2) if chirp_scale == "shorter" else 10 * num_taps + 3
+        gram = _dense_chirp_gram(num_taps, chirp_len)
+        rng = np.random.default_rng(num_taps)
+        rhs = rng.standard_normal((3, num_taps)) + 1j * rng.standard_normal((3, num_taps))
+        # t[-(L - 1) .. -1] from the Gram's first row, t[0 .. L - 1] from its first column
+        two_sided = np.concatenate((gram[0, :0:-1], gram[:, 0]))
+        solved = channel._toeplitz_solve(two_sided, rhs)
+        reference = np.linalg.solve(gram, rhs.T).T
+        for x, y in zip(solved, reference):
+            assert np.linalg.norm(x - y) <= NUMERIC_RTOL * np.linalg.norm(y)
 
 
 class TestEnsembleExportImport:
@@ -320,6 +353,16 @@ class TestEnsembleExportImport:
             for x, y in zip(loaded.cirs, ensemble.cirs):
                 assert np.array_equal(x.taps, y.taps)
         assert "Infinity" in json_path.read_text(encoding="utf-8")
+
+    def test_positions_whose_difference_overflows_load(self, tmp_path):
+        # neighbours are compared, not subtracted: 1e308 - (-1e308) overflows
+        positions = [-1e308, 1e308]
+        assert check_positions(positions).tolist() == positions
+        cirs = (Cir(np.ones(2)), Cir(np.arange(2.0)))
+        ensemble = SpatialChannelEnsemble(np.array(positions), cirs, CavityParams(num_taps=2))
+        json_path = tmp_path / "extreme.json"
+        export_ensemble(ensemble, json_path)
+        assert load_ensemble(json_path).positions_mm.tolist() == positions
 
     def test_missing_file_is_configuration_error(self, tmp_path):
         with pytest.raises(ConfigurationError):

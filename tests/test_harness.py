@@ -574,6 +574,14 @@ class TestCommittedSounding:
         }
         _assert_sounding_rows_match(_committed_sounding_rows(), full_length)
 
+    def test_noiseless_rows_stay_at_rounding_level(self):
+        # ~4e-16 today; the 1e-9 bounds elsewhere would let a 1000x accuracy
+        # loss of the Toeplitz solve through
+        scenario = load_scenario(ROOT / "scenarios" / "focus_grid.json")
+        noiseless = [err for _, snr, err in run_sounding_study(scenario) if math.isinf(snr)]
+        assert len(noiseless) == len(harness.SOUNDING_TB_VALUES)
+        assert all(err <= 1e-14 for err in noiseless), noiseless
+
     def test_sounding_at_this_process_thread_count_matches_committed_csv(self):
         # The byte pin runs one BLAS thread; this runs the threaded LU, if any.
         scenario = load_scenario(ROOT / "scenarios" / "focus_grid.json")

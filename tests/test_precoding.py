@@ -16,7 +16,7 @@ from trlink.channel import (
     sound_cir,
     synth_cavity_ensemble,
 )
-from trlink.dsp import NUMERIC_RTOL, complex_noise, convolve, make_chirp
+from trlink.dsp import NUMERIC_RTOL, complex_noise, convolve
 from trlink.errors import ConfigurationError, DomainError
 from trlink.harness import _pilot_targets, grid_positions
 from trlink.modem import detection_windows, erask_modulate, rask_modulate
@@ -288,9 +288,8 @@ class TestReceivedAt:
         known_cirs = true_cirs
         if csi == "sounded":
             cfg = SoundingConfig(duration_s=64 / params.bandwidth_hz, probe_snr_db=20.0)
-            chirp = make_chirp(params.bandwidth_hz, cfg.duration_s)
             cfgs = [SoundingConfig(cfg.duration_s, 20.0, rng_seed=j) for j in range(len(true_cirs))]
-            known_cirs = sound_cir(true_cirs, cfgs, chirp)
+            known_cirs = sound_cir(true_cirs, cfgs, params.bandwidth_hz)
         kernels = pulse_responses(true_cirs, known_cirs)
         rng = np.random.default_rng(num_taps)
         for name, symbols in _frames(rng).items():
