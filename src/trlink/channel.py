@@ -77,6 +77,10 @@ _ENSEMBLE_KEYS = {
 #: Two receive positions closer than this (mm) are the same grid point.
 POSITION_TOL_MM = 1e-6
 
+# num_taps sizes the L x L Gram of the sounding solve and its O(L^3)
+# factorisation.
+_MAX_TAPS = 4096
+
 # Sounding transforms a block of rows at a time, at most this many complex
 # samples per buffer (16 MB), so memory does not grow with the batch: each
 # row's taps at the lag-domain length _fast_len(3L - 2), and each noisy
@@ -99,9 +103,17 @@ def check_positions(values, name: str = "positions") -> np.ndarray:
 
 
 def grid_index(positions: np.ndarray, position_mm: float, name: str = "position") -> int:
-    """Index of the grid position within ``POSITION_TOL_MM`` of ``position_mm``."""
-    idx = int(np.argmin(np.abs(positions - position_mm)))
-    if abs(positions[idx] - position_mm) > POSITION_TOL_MM:
+    """Index of the grid position within ``POSITION_TOL_MM`` of ``position_mm``.
+
+    ``positions`` is strictly increasing, so only the two neighbours of
+    ``position_mm`` can be nearest; their distances are taken in Python
+    floats, which overflow to ``inf`` without a warning.
+    """
+    position_mm = float(position_mm)
+    right = int(np.searchsorted(positions, position_mm))
+    neighbours = [k for k in (right - 1, right) if 0 <= k < len(positions)]
+    idx = min(neighbours, key=lambda k: abs(float(positions[k]) - position_mm))
+    if not abs(float(positions[idx]) - position_mm) <= POSITION_TOL_MM:
         raise ConfigurationError(f"{name} {position_mm} mm is not on the position grid")
     return idx
 
@@ -147,11 +159,11 @@ def check_shared(cirs: Sequence[Cir], what: str) -> None:
 class CavityParams:
     """Statistical description of the reverberation cavity.
 
-    ``decay_time_s`` defaults to ``num_taps / (3 * bandwidth_hz)`` so that
-    most of the reverberant energy falls inside the simulated tap window;
-    ``math.inf`` is accepted and yields a flat power-delay profile. The
-    carrier frequency only enters through the spatial-correlation
-    wavelength.
+    ``num_taps`` is 1 to ``_MAX_TAPS``. ``decay_time_s`` defaults to
+    ``num_taps / (3 * bandwidth_hz)`` so that most of the reverberant energy
+    falls inside the simulated tap window; ``math.inf`` is accepted and
+    yields a flat power-delay profile. The carrier frequency only enters
+    through the spatial-correlation wavelength.
     """
 
     num_taps: int = 256
@@ -163,6 +175,10 @@ class CavityParams:
     def __post_init__(self) -> None:
         if self.num_taps < 1:
             raise ConfigurationError(f"num_taps must be >= 1, got {self.num_taps}")
+        if self.num_taps > _MAX_TAPS:
+            raise ConfigurationError(
+                f"num_taps {self.num_taps} is above the cap of {_MAX_TAPS} taps"
+            )
         if not self.bandwidth_hz > 0:
             raise ConfigurationError(f"bandwidth_hz must be > 0, got {self.bandwidth_hz}")
         if not self.carrier_freq_hz > 0:
@@ -463,7 +479,7 @@ def load_ensemble(json_path: str | Path) -> SpatialChannelEnsemble:
     json_path = Path(json_path)
     try:
         meta = json.loads(json_path.read_text(encoding="utf-8"))
-    except FileNotFoundError:
+    except (FileNotFoundError, IsADirectoryError):
         raise ConfigurationError(f"ensemble file not found: {json_path}") from None
     except ValueError as exc:  # JSONDecodeError, or an integer literal too long to parse
         raise ConfigurationError(f"ensemble JSON {json_path.name} is invalid: {exc}") from None
@@ -492,7 +508,7 @@ def load_ensemble(json_path: str | Path) -> SpatialChannelEnsemble:
         raise ConfigurationError(f"csv must be a file name string, got {meta['csv']!r}")
 
     csv_path = json_path.parent / meta["csv"]
-    if not csv_path.exists():
+    if not csv_path.is_file():
         raise ConfigurationError(f"ensemble CSV not found: {csv_path}")
     cirs = []
     try:
@@ -517,10 +533,12 @@ def load_ensemble(json_path: str | Path) -> SpatialChannelEnsemble:
                 if not np.all(np.isfinite(values)):
                     raise ConfigurationError(f"{where} has a non-finite cell")
                 position, index = float(values[0]), len(cirs)
-                if index < positions.size and abs(position - positions[index]) > POSITION_TOL_MM:
+                # in Python floats a distance between extreme positions is inf, not a warning
+                expected = float(positions[index]) if index < positions.size else position
+                if abs(position - expected) > POSITION_TOL_MM:
                     raise ConfigurationError(
                         f"{where} is at position_mm {position}, but positions_mm[{index}] "
-                        f"in {json_path.name} is {float(positions[index])}"
+                        f"in {json_path.name} is {expected}"
                     )
                 taps = values[1::2] + 1j * values[2::2]
                 cirs.append(Cir(taps))

@@ -117,15 +117,29 @@ def complex_noise(
     return sigma / np.sqrt(2.0) * (z[0] + 1j * z[1])
 
 
+# A sounding chirp is transformed with each noisy row's noise at the
+# received length, several complex buffers at a time; a million samples
+# (time-bandwidth product 1e6) keeps each near 16 MB.
+_MAX_CHIRP_SAMPLES = 1_000_000
+
+
 def chirp_length(duration: float, sample_rate: float) -> int:
-    """Samples in a chirp of ``duration`` seconds; a ConfigurationError below 2."""
+    """Samples in a chirp of ``duration`` seconds: 2 to ``_MAX_CHIRP_SAMPLES``.
+
+    A ConfigurationError outside that range, before anything is allocated.
+    """
     if not (math.isfinite(duration) and duration > 0):
         raise ConfigurationError(f"duration must be positive, got {duration}")
-    num_samples = int(round(duration * sample_rate))
+    product = duration * sample_rate
+    # clipped first: a product that overflows to inf has no integer
+    num_samples = int(round(min(product, _MAX_CHIRP_SAMPLES + 1)))
     if num_samples < 2:
         raise ConfigurationError(
-            f"duration * sample_rate = {duration * sample_rate:.3g} gives "
-            f"{num_samples} samples; need at least 2"
+            f"duration * sample_rate = {product:.3g} gives {num_samples} samples; need at least 2"
+        )
+    if num_samples > _MAX_CHIRP_SAMPLES:
+        raise ConfigurationError(
+            f"duration * sample_rate = {product:.7g} samples; the cap is {_MAX_CHIRP_SAMPLES}"
         )
     return num_samples
 
@@ -140,7 +154,8 @@ def make_chirp(bandwidth: float, duration: float) -> np.ndarray:
 
     Raises:
         ConfigurationError: if ``bandwidth`` is not finite and positive, or
-            the requested duration yields fewer than 2 samples.
+            the requested duration yields fewer than 2 samples or more than
+            ``_MAX_CHIRP_SAMPLES``.
     """
     if not (math.isfinite(bandwidth) and bandwidth > 0):
         raise ConfigurationError(f"bandwidth must be finite and > 0, got {bandwidth}")

@@ -60,8 +60,10 @@ positive finite double (about ``|q| <= 3080`` dB). Sizes are capped at load:
 ``num_taps`` at 4096, and a BER frame of ``(M-1)*max(d_values) + 2*num_taps
 - 1`` samples at 10,000,000, where ``M`` is ``bits_per_point`` for RASK,
 ``ceil(bits_per_point / num_rx)`` for ERASK and ``num_pilots`` for a pilot
-frame. A synthesised grid (``grid_mm`` or ``positions_mm``) must keep the
-spatial-correlation argument ``2*pi*2*(last - first)/wavelength`` finite.
+frame. A synthesised grid (``grid_mm`` or ``positions_mm``) holds at most
+10,000 positions and must keep the spatial-correlation argument
+``2*pi*2*(last - first)/wavelength`` finite; an imported ensemble is held
+to neither, since its responses are never correlated across positions.
 
 Each trial's pulse responses (:func:`trlink.precoding.pulse_responses`)
 are built once, before the first cell, and every data and pilot frame of
@@ -125,7 +127,7 @@ from .modem import (
 from .output import write_csv
 from .precoding import (
     FocusingReport,
-    _measure_focusing,
+    focusing_report,
     focusing_report_to_csv,
     pulse_responses,
     received_at,
@@ -141,23 +143,16 @@ _SCHEME_INDEX = {Scheme.RASK: 0, Scheme.ERASK: 1}
 BER_CSV_HEADER = ["scheme", "D", "snr_db", "bits_sent", "bit_errors", "ber", "seed"]
 
 # Each grid position adds a row and a column to the dense spatial-correlation
-# kernel that the ensemble draw factorises, so a grid is capped well below
-# the point where that matrix stops fitting in memory.
+# kernel that the ensemble draw factorises, so a synthesised grid is capped
+# well below the point where that matrix stops fitting in memory:
+# grid_positions refuses before it allocates, and Scenario holds an explicit
+# positions_mm list to the same cap.
 _MAX_GRID_POSITIONS = 10_000
-
-# A sounding chirp is transformed with each noisy row's noise at the
-# received length, several complex buffers at a time; a million samples
-# (time-bandwidth product 1e6) keeps each near 16 MB.
-_MAX_CHIRP_SAMPLES = 1_000_000
 
 # A BER frame of (M-1)*max(d_values) + 2L - 1 samples sets the length of the
 # full-length noise draw per antenna (noise contract v1); ten million samples
 # keeps each complex buffer near 160 MB.
 _MAX_FRAME_SAMPLES = 10_000_000
-
-# num_taps sizes the L x L Gram of the sounding solve and its O(L^3)
-# factorisation.
-_MAX_TAPS = 4096
 
 #: Time-bandwidth products of the sounding study's probe chirps.
 SOUNDING_TB_VALUES = (100, 1000, 10000)
@@ -224,13 +219,19 @@ class Scenario:
 
     def __post_init__(self) -> None:
         positions = check_positions(self.positions_mm, "positions_mm")
-        # a synthesised draw correlates every pair of positions, out to the extent
+        # a synthesised draw correlates every pair of positions, out to the
+        # extent, in one kernel; an imported ensemble is never correlated
         first, last = float(positions[0]), float(positions[-1])
         extent = 2 * math.pi * 2 * (last - first) / self.cavity.wavelength_mm
         if self.imported_ensemble is None and not math.isfinite(extent):
             raise ConfigurationError(
                 f"positions_mm from {first} to {last} mm overflow the spatial correlation "
                 "argument 2*pi*2*(last - first)/wavelength"
+            )
+        if self.imported_ensemble is None and positions.size > _MAX_GRID_POSITIONS:
+            raise ConfigurationError(
+                f"positions_mm has {positions.size} positions; a synthesised grid holds "
+                f"at most {_MAX_GRID_POSITIONS}"
             )
         if len(set(self.target_indices)) != len(self.target_indices):
             raise ConfigurationError("targets must be distinct")
@@ -269,10 +270,6 @@ class Scenario:
         if self.bits_per_point < 1:
             raise ConfigurationError("bits_per_point must be >= 1")
         num_taps = self.cavity.num_taps
-        if num_taps > _MAX_TAPS:
-            raise ConfigurationError(
-                f"cavity.num_taps {num_taps} is above the cap of {_MAX_TAPS} taps"
-            )
         frame_symbols = max(
             self.bits_per_point if scheme is Scheme.RASK
             else -(-self.bits_per_point // self.rsm.num_rx)
@@ -297,15 +294,9 @@ class Scenario:
             raise ConfigurationError(f"master_seed must be >= 0, got {self.master_seed}")
         if self.sounding is not None:
             try:
-                num_samples = chirp_length(self.sounding.duration_s, self.cavity.bandwidth_hz)
+                chirp_length(self.sounding.duration_s, self.cavity.bandwidth_hz)
             except ConfigurationError as exc:
                 raise ConfigurationError(f"sounding.duration_s: {exc}") from None
-            if num_samples > _MAX_CHIRP_SAMPLES:
-                raise ConfigurationError(
-                    f"sounding.duration_s: {self.sounding.duration_s} s at "
-                    f"{self.cavity.bandwidth_hz} Hz is a {num_samples}-sample chirp; "
-                    f"the cap is {_MAX_CHIRP_SAMPLES}"
-                )
         positions = positions.copy()
         positions.flags.writeable = False
         object.__setattr__(self, "positions_mm", positions)
@@ -393,16 +384,19 @@ def scenario_from_dict(data: dict, base_dir: Path | None = None) -> Scenario:
             {"num_taps", "bandwidth_hz", "carrier_freq_hz"},
             "cavity",
         )
-        cavity = CavityParams(
-            num_taps=read_integer(cav["num_taps"], "cavity.num_taps"),
-            bandwidth_hz=read_number(cav["bandwidth_hz"], "cavity.bandwidth_hz"),
-            carrier_freq_hz=read_number(cav["carrier_freq_hz"], "cavity.carrier_freq_hz"),
-            decay_time_s=(
-                read_number(cav["decay_time_s"], "cavity.decay_time_s")
-                if "decay_time_s" in cav
-                else math.nan
-            ),
-        )
+        try:
+            cavity = CavityParams(
+                num_taps=read_integer(cav["num_taps"], "num_taps"),
+                bandwidth_hz=read_number(cav["bandwidth_hz"], "bandwidth_hz"),
+                carrier_freq_hz=read_number(cav["carrier_freq_hz"], "carrier_freq_hz"),
+                decay_time_s=(
+                    read_number(cav["decay_time_s"], "decay_time_s")
+                    if "decay_time_s" in cav
+                    else math.nan
+                ),
+            )
+        except ConfigurationError as exc:  # each message starts with its field's name
+            raise ConfigurationError(f"cavity.{exc}") from None
         if "grid_mm" in data:
             grid = data["grid_mm"]
             require_keys(grid, {"start", "stop", "step"}, {"start", "stop", "step"}, "grid_mm")
@@ -410,8 +404,9 @@ def scenario_from_dict(data: dict, base_dir: Path | None = None) -> Scenario:
                 *(read_number(grid[k], f"grid_mm.{k}") for k in ("start", "stop", "step"))
             )
         else:
-            positions = np.asarray(
-                read_list(data["positions_mm"], "positions_mm", read_number), dtype=float
+            # strictly increasing before the targets are looked up on it
+            positions = check_positions(
+                read_list(data["positions_mm"], "positions_mm", read_number), "positions_mm"
             )
 
     rsm_obj = data["rsm"]
@@ -469,7 +464,7 @@ def load_scenario(path: str | Path) -> Scenario:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except FileNotFoundError:
+    except (FileNotFoundError, IsADirectoryError):
         raise ConfigurationError(f"scenario file not found: {path}") from None
     except UnicodeDecodeError as exc:
         raise ConfigurationError(f"scenario file {path} is not UTF-8: {exc}") from None
@@ -633,9 +628,10 @@ def run_focusing_experiment(
     produced for every spacing in ``d_values``. Focusing is measured on
     trial 0's true channels: the scenario's ``sounding`` block is ignored.
     One :func:`~trlink.precoding.pulse_responses` call gives every target's
-    field over the whole grid, and every report is measured from it: a
-    report reads its target's field at every position and, for two users,
-    the interferer's field at the target. The spacing only picks which taps
+    field over the whole grid, and each report is
+    :func:`~trlink.precoding.focusing_report` of views of its columns: its
+    target's field at every position and, for two users, the interferer's,
+    which the report reads at the target. The spacing only picks which taps
     are read. Every report is computed before the first CSV (one per report)
     is written.
     """
@@ -658,13 +654,11 @@ def run_focusing_experiment(
         fields = pulse_responses(ensemble.cirs, [ensemble.cirs[t] for t in targets])
     except (ConfigurationError, DomainError) as exc:
         raise type(exc)(f"focusing at target indices {list(targets)}: {exc}") from exc
-    column = {target: k for k, target in enumerate(targets)}
-    reports: list[FocusingReport] = []
-    for _, target, other, spacing in jobs:
-        own, other_at_target = fields[:, column[target]], None
-        if other is not None:
-            other_at_target = fields[target, column[other]]
-        reports.append(_measure_focusing(ensemble, own, other_at_target, target, other, spacing))
+    responses = {target: fields[:, k] for k, target in enumerate(targets)}
+    reports = [
+        focusing_report(ensemble, responses[target], responses.get(other), target, other, spacing)
+        for _, target, other, spacing in jobs
+    ]
     if out_dir is not None:
         for (name, *_), report in zip(jobs, reports):
             focusing_report_to_csv(report, Path(out_dir) / name)

@@ -25,17 +25,20 @@ receiver, one stacked :func:`~trlink.dsp.convolve`, and row ``n``'s noise
 seeded ``[*seed_path, n]`` (seed/noise contract v1). :func:`pulse_responses`
 builds through it every ``K_ni``, the noiseless field at receiver ``n`` of
 one unit pulse toward user ``i`` (``2L - 1`` samples): the focusing maps
-read it over the grid, the BER sweep at its antennas. A focusing report is
-measured from those fields alone: its target's column over the grid, and
-for two users the interferer's column at the target, so one call serves
-every report of an experiment. :func:`tr_kernel` is
-its closed form, kept as the test oracle. By linearity the field at antenna
-``n`` is ``sum_i upsample_D(x[i]) * K_ni``, so :func:`received_at` gives the
-BER sweep the samples at the detector's windows only, never the ``(M-1)*D +
-2L - 1``-sample signal: each window is the few symbol amplitudes whose
-pulses reach it times a fixed matrix of ``K_ni`` samples, computed as
-blocked real matrix products. Its noise is drawn at that full length from
-the same seeds and indexed.
+read it over the grid, the BER sweep at its antennas. :func:`tr_kernel` is
+its closed form, kept as the test oracle.
+
+:func:`focusing_report` is measured from those fields alone: it takes its
+target's column over the grid and, for two users, the interferer's column,
+which it reads at the target, so one :func:`pulse_responses` call serves
+every report of an experiment.
+
+By linearity the field at antenna ``n`` is ``sum_i upsample_D(x[i]) *
+K_ni``, so :func:`received_at` gives the BER sweep the samples at the
+detector's windows only, never the ``(M-1)*D + 2L - 1``-sample signal:
+each window is the few symbol amplitudes whose pulses reach it times a
+fixed matrix of ``K_ni`` samples, computed as blocked real matrix products.
+Its noise is drawn at that full length from the same seeds and indexed.
 
 Everything here is pure and deterministic given the seed, and safe to fan
 out across positions, seeds, and SNR points.
@@ -353,19 +356,22 @@ def _slot_indices(peak_lag: int, spacing: int, length: int) -> np.ndarray:
 
 def focusing_report(
     ensemble: SpatialChannelEnsemble,
+    own: np.ndarray,
+    other: np.ndarray | None,
     target_index: int,
     other_index: int | None,
     spacing: int,
 ) -> FocusingReport:
-    """Precode unit pulses, propagate noiselessly, and measure.
+    """Measure spatiotemporal focusing and interference from received pulse responses.
 
-    One unit-amplitude pulse is precoded per user (the target alone, or the
-    target plus one interfering user), each normalised by its own channel
-    energy so the intended received peak powers are statistically identical.
-    One :func:`pulse_responses` call gives both users' fields at every
-    ensemble position; the focusing / interference metrics described on
-    :class:`FocusingReport` are measured from the target's field over the
-    grid and the interferer's field at the target.
+    ``own`` and ``other`` are the target's and the interfering user's
+    noiseless pulse responses at every ensemble position, shape ``(P, 2L -
+    1)``: columns of ``pulse_responses(ensemble.cirs, users)``, where each
+    user's unit pulse is normalised by its own channel energy so the
+    intended received peak powers are statistically identical. ``other`` is
+    ``None`` for a single user and is read only at the target position. The
+    metrics described on :class:`FocusingReport` are measured from the
+    target's field over the grid and the interferer's field at the target.
     """
     num_positions = len(ensemble)
     if not 0 <= target_index < num_positions:
@@ -376,31 +382,16 @@ def focusing_report(
         raise DomainError("target and interfering user must be distinct positions")
     if spacing < 1:
         raise ConfigurationError(f"pulse spacing must be >= 1, got {spacing}")
+    shape = (num_positions, 2 * ensemble.cirs[0].num_taps - 1)
+    if np.shape(own) != shape:
+        raise DomainError(f"own must be the {shape} pulse responses, got shape {np.shape(own)}")
+    if (other is None) != (other_index is None):
+        raise DomainError("other pulse responses must be given exactly when other_index is")
+    if other is not None and np.shape(other) != shape:
+        raise DomainError(f"other must have own's shape {shape}, got {np.shape(other)}")
 
-    users = [target_index] if other_index is None else [target_index, other_index]
-    fields = pulse_responses(ensemble.cirs, [ensemble.cirs[i] for i in users])
-    other_at_target = None if other_index is None else fields[target_index, 1]
-    return _measure_focusing(
-        ensemble, fields[:, 0], other_at_target, target_index, other_index, spacing
-    )
-
-
-def _measure_focusing(
-    ensemble: SpatialChannelEnsemble,
-    own: np.ndarray,
-    other_at_target: np.ndarray | None,
-    target_index: int,
-    other_index: int | None,
-    spacing: int,
-) -> FocusingReport:
-    """The :class:`FocusingReport` of fields already received.
-
-    ``own`` is the target's pulse response at every ensemble position,
-    shape ``(P, 2L - 1)``; ``other_at_target`` is the interfering user's
-    pulse response at the target position, or ``None`` for a single user.
-    The indices and spacing are taken as valid.
-    """
     own_at_target = own[target_index]
+    other_at_target = None if other is None else other[target_index]
 
     peak_lag = int(np.argmax(np.abs(own_at_target)))
     peak_amplitude = float(np.abs(own_at_target[peak_lag]))

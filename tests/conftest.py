@@ -7,7 +7,8 @@ independent of the transform-domain fast paths they are used to check.
 import numpy as np
 from hypothesis import HealthCheck, settings
 
-from trlink.channel import Cir
+from trlink.channel import Cir, SpatialChannelEnsemble
+from trlink.precoding import FocusingReport, focusing_report, pulse_responses
 
 settings.register_profile(
     "trlink",
@@ -36,6 +37,23 @@ def random_cir(
         pdp /= pdp.sum()
         taps = np.sqrt(pdp) * taps
     return Cir(taps)
+
+
+def measure_focusing(
+    ensemble: SpatialChannelEnsemble,
+    target_index: int,
+    other_index: int | None,
+    spacing: int,
+) -> FocusingReport:
+    """The focusing report of one target, alone or with one interfering user.
+
+    Builds the users' pulse responses at every ensemble position and passes
+    their columns to :func:`focusing_report`.
+    """
+    users = [target_index] if other_index is None else [target_index, other_index]
+    fields = pulse_responses(ensemble.cirs, [ensemble.cirs[i] for i in users])
+    other = None if other_index is None else fields[:, 1]
+    return focusing_report(ensemble, fields[:, 0], other, target_index, other_index, spacing)
 
 
 def direct_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -15,11 +15,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import measure_focusing
 from trlink.channel import CavityParams, SoundingConfig, sound_cir, synth_cavity_ensemble
 from trlink.cli import main as cli_main
 from trlink.dsp import convolve, make_chirp, xcorr
 from trlink.harness import grid_positions, load_scenario, run_ber_sweep
-from trlink.precoding import focusing_report, propagate, tr_kernel, tr_precode
+from trlink.precoding import propagate, tr_kernel, tr_precode
 
 UNIT_PULSE = np.ones((1, 1), dtype=complex)
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
@@ -100,7 +101,7 @@ def test_criterion_4_temporal_focusing_width():
     for seed in range(100):
         params = CavityParams(num_taps=256, bandwidth_hz=bandwidth, rng_seed=seed)
         ensemble = synth_cavity_ensemble(params, [0.0])
-        report = focusing_report(ensemble, 0, None, 15)
+        report = measure_focusing(ensemble, 0, None, 15)
         widths.append(report.temporal_fwhm_s)
     median_width = float(np.median(widths))
     elapsed = time.monotonic() - start
@@ -117,7 +118,7 @@ def test_criterion_5_spatial_focusing_width():
     for seed in range(100):
         params = CavityParams(num_taps=256, carrier_freq_hz=273.6e9, rng_seed=seed)
         ensemble = synth_cavity_ensemble(params, positions)
-        report = focusing_report(ensemble, target, None, 15)
+        report = measure_focusing(ensemble, target, None, 15)
         if report.spatial_fwhm_mm is not None:
             widths.append(report.spatial_fwhm_mm)
     assert len(widths) >= 50, "spatial width undefined in too many realisations"

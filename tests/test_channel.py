@@ -151,6 +151,14 @@ class TestEnsembleType:
         with pytest.raises(ConfigurationError, match="target 0.1 mm"):
             grid_index(ensemble.positions_mm, 0.1, "target")
 
+    def test_grid_index_at_extreme_positions(self):
+        # the two positions are 2e308 apart, past the largest double
+        positions = np.array([-1e308, 1e308])
+        assert grid_index(positions, -1e308) == 0
+        assert grid_index(positions, 1e308) == 1
+        with pytest.raises(ConfigurationError, match="not on the position grid"):
+            grid_index(positions, 0.0)
+
 
 def _synth_cir(seed: int, num_taps: int, bandwidth: float = 4e9) -> Cir:
     params = CavityParams(num_taps=num_taps, bandwidth_hz=bandwidth, rng_seed=seed)
@@ -211,6 +219,12 @@ class TestSounding:
         cir = _synth_cir(1, 8)
         cfg = SoundingConfig(duration_s=1 / 4e9)
         with pytest.raises(ConfigurationError, match="need at least 2"):
+            sound_cir([cir], [cfg], 4e9)
+
+    def test_rejects_a_chirp_just_past_the_cap(self):
+        cir = _synth_cir(1, 8)
+        cfg = SoundingConfig(duration_s=1_000_001 / 4e9)
+        with pytest.raises(ConfigurationError, match="the cap is 1000000"):
             sound_cir([cir], [cfg], 4e9)
 
 

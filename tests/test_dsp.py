@@ -169,6 +169,10 @@ class TestMakeChirp:
         with pytest.raises(ConfigurationError):
             make_chirp(1e8, 1e-9)
 
+    def test_rejects_a_chirp_just_past_the_cap(self):
+        with pytest.raises(ConfigurationError, match="the cap is 1000000"):
+            make_chirp(4e9, 1_000_001 / 4e9)
+
 
 length = st.integers(min_value=1, max_value=200)
 seed = st.integers(min_value=0, max_value=2**31 - 1)

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import measure_focusing
 import trlink.harness as harness
 import trlink.precoding as precoding
 from trlink.channel import (
@@ -39,10 +40,11 @@ from trlink.harness import (
     scenario_from_dict,
 )
 from trlink.modem import PilotThreshold, RsmConfig, Scheme
-from trlink.precoding import FocusingReport, focusing_report
+from trlink.precoding import FocusingReport
 
 ROOT = Path(__file__).resolve().parents[1]
 TWO_USER = json.loads((ROOT / "scenarios" / "two_user.json").read_text(encoding="utf-8"))
+FOCUS_GRID = json.loads((ROOT / "scenarios" / "focus_grid.json").read_text(encoding="utf-8"))
 
 
 def scenario_dict(**overrides):
@@ -124,6 +126,59 @@ json_values = st.recursive(
     | st.dictionaries(st.text(max_size=4), inner, max_size=3),
     max_leaves=6,
 )
+
+
+def subtrees(node):
+    """Every value in a parsed JSON document, the root and the containers included."""
+    if isinstance(node, dict):
+        children = list(node.values())
+    elif isinstance(node, list):
+        children = node
+    else:
+        children = []
+    return [node, *(tree for child in children for tree in subtrees(child))]
+
+
+def edit_document(data, doc, keys) -> None:
+    """Replace, delete or insert one key or list item anywhere in ``doc``.
+
+    The new value is any JSON value, an extreme number or name, or a copy of
+    any part of the document; a new key is one of ``keys`` or any short text.
+    """
+    node = data.draw(st.sampled_from([n for n in subtrees(doc) if isinstance(n, (dict, list))]))
+    value = data.draw(
+        json_values
+        | st.sampled_from([10**400, -(10**400), 2**63, 1e308, -1e308, 5e-324, -1, 0, ""])
+        | st.sampled_from(["genie", "both", "pilot", ".", "measured.json", "measured.csv"])
+        | st.sampled_from(subtrees(doc)).map(copy.deepcopy)
+    )
+    action = data.draw(st.sampled_from(["replace", "delete", "insert"]))
+    if action == "insert" or not node:
+        if isinstance(node, dict):
+            node[data.draw(st.sampled_from(keys) | st.text(max_size=4))] = value
+        else:
+            node.insert(data.draw(st.integers(0, len(node))), value)
+        return
+    if isinstance(node, dict):
+        slot = data.draw(st.sampled_from(sorted(node)))
+    else:
+        slot = data.draw(st.integers(0, len(node) - 1))
+    if action == "replace":
+        node[slot] = value
+    else:
+        del node[slot]
+
+
+@pytest.fixture(scope="module")
+def measured_dir(tmp_path_factory):
+    """A directory holding a small exported ensemble, ``measured.json`` and
+    ``measured.csv``, on the positions of ``scenario_dict``'s targets."""
+    from trlink.channel import synth_cavity_ensemble
+
+    directory = tmp_path_factory.mktemp("measured")
+    ensemble = synth_cavity_ensemble(CavityParams(num_taps=4, rng_seed=4), [-2.7, -1.8, 0.3])
+    export_ensemble(ensemble, directory / "measured.json")
+    return directory
 
 
 class TestGridPositions:
@@ -250,6 +305,29 @@ class TestScenarioLoading:
         set_field(doc, path, value)
         try:
             scenario = scenario_from_dict(doc)
+        except ConfigurationError:
+            return
+        assert isinstance(scenario, Scenario)
+
+    @settings(max_examples=200)
+    @given(st.sampled_from(["two_user", "focus_grid", "ensemble"]), st.data())
+    def test_any_edit_to_a_whole_document_loads_or_is_rejected(self, measured_dir, name, data):
+        ensemble_doc = json.loads((measured_dir / "measured.json").read_text(encoding="utf-8"))
+        doc = {"two_user": TWO_USER, "focus_grid": FOCUS_GRID, "ensemble": ensemble_doc}[name]
+        doc = copy.deepcopy(doc)
+        # every key either document knows, and the optional ones neither uses
+        keys = {"ensemble_file", "decay_time_s", "value"}
+        for tree in subtrees([TWO_USER, FOCUS_GRID, ensemble_doc]):
+            keys.update(tree if isinstance(tree, dict) else ())
+        keys = sorted(keys)
+        for _ in range(data.draw(st.integers(1, 3))):
+            edit_document(data, doc, keys)
+        if name == "ensemble":
+            (measured_dir / "edited.json").write_text(json.dumps(doc), encoding="utf-8")
+            doc = scenario_dict(ensemble_file="edited.json")
+            del doc["cavity"], doc["grid_mm"]
+        try:
+            scenario = scenario_from_dict(doc, base_dir=measured_dir)
         except ConfigurationError:
             return
         assert isinstance(scenario, Scenario)
@@ -413,7 +491,7 @@ class TestFocusingExperiment:
         if name == "off_target":
             assert all(report.spatial_fwhm_mm is None for report in reports)
         for report in reports:
-            alone = focusing_report(
+            alone = measure_focusing(
                 ensemble, report.target_index, report.other_index, report.spacing
             )
             for field in fields(FocusingReport):
@@ -595,6 +673,18 @@ class TestCli:
         assert code == 2
         assert "not found" in capsys.readouterr().err
 
+    def test_directory_as_scenario_or_ensemble_file_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "results"
+        assert cli_main(["ber", "--scenario", str(tmp_path), "--out", str(out)]) == 2
+        assert "scenario file not found" in capsys.readouterr().err
+        doc = scenario_dict(ensemble_file=".")
+        del doc["cavity"], doc["grid_mm"]
+        scenario_path = tmp_path / "scenario.json"
+        scenario_path.write_text(json.dumps(doc), encoding="utf-8")
+        assert cli_main(["ber", "--scenario", str(scenario_path), "--out", str(out)]) == 2
+        assert "ensemble file not found" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_flag_exits_2(self, tmp_path, capsys):
         path = write_scenario(tmp_path)
         code = cli_main(["ber", "--scenario", str(path), "--bogus"])
@@ -748,6 +838,8 @@ class TestCli:
                 lambda doc: {**doc, "positions_mm": [-1.8, -2.7]}, "positions_mm", id="pos-order"
             ),
             pytest.param(lambda doc: {**doc, "csv": 5}, "csv", id="csv-number"),
+            pytest.param(lambda doc: {**doc, "csv": "."}, "ensemble CSV not found", id="csv-dir"),
+            pytest.param(lambda doc: {**doc, "num_taps": 10**400}, "num_taps", id="taps-huge"),
             pytest.param(lambda doc: {**doc, "extra": 1}, "extra", id="unknown-key"),
             pytest.param(lambda doc: [doc], "must be an object", id="not-an-object"),
         ],
@@ -825,6 +917,53 @@ class TestCli:
         assert "positions_mm must be strictly increasing" in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
 
+    @staticmethod
+    def _extreme_ensemble_scenario(tmp_path: Path) -> Path:
+        # one-tap channels 2e308 mm apart: every distance between the two
+        # positions overflows a double
+        positions = np.array([-1e308, 1e308])
+        cirs = tuple(Cir(np.array([g], dtype=complex)) for g in (1.0, 0.5))
+        ensemble = SpatialChannelEnsemble(positions, cirs, CavityParams(num_taps=1))
+        export_ensemble(ensemble, tmp_path / "measured.json")
+        doc = scenario_dict(ensemble_file="measured.json", targets_mm=[-1e308, 1e308])
+        del doc["cavity"], doc["grid_mm"]
+        scenario_path = tmp_path / "scenario.json"
+        scenario_path.write_text(json.dumps(doc), encoding="utf-8")
+        return scenario_path
+
+    def test_focus_on_an_ensemble_at_extreme_positions(self, tmp_path, capsys):
+        scenario_path = self._extreme_ensemble_scenario(tmp_path)
+        out = tmp_path / "results"
+        assert cli_main(["focus", "--scenario", str(scenario_path), "--out", str(out)]) == 0
+        assert (out / "focus_two_user_D15_t1.csv").exists()
+
+    def test_reordered_extreme_ensemble_rows_exit_2_before_writing(self, tmp_path, capsys):
+        scenario_path = self._extreme_ensemble_scenario(tmp_path)
+        csv_path = tmp_path / "measured.csv"
+        header, *rows = csv_path.read_text(encoding="utf-8").splitlines()
+        csv_path.write_text("\n".join([header, *rows[::-1]]) + "\n", encoding="utf-8")
+        out = tmp_path / "results"
+        assert cli_main(["focus", "--scenario", str(scenario_path), "--out", str(out)]) == 2
+        assert "measured.csv line 2 is at position_mm 1e+308" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_positions_mm_hold_at_most_10000_positions(self, tmp_path, capsys, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("a 10,001-position grid must be refused before it is drawn")
+
+        monkeypatch.setattr(harness, "synth_cavity_ensemble", never)
+        positions = [k * 1e-3 for k in range(10_001)]
+        doc = scenario_dict(positions_mm=positions[:10_000], targets_mm=positions[:2])
+        del doc["grid_mm"]
+        assert scenario_from_dict(doc).positions_mm.size == 10_000
+        doc["positions_mm"] = positions
+        scenario_path = tmp_path / "scenario.json"
+        scenario_path.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "results"
+        assert cli_main(["focus", "--scenario", str(scenario_path), "--out", str(out)]) == 2
+        assert "positions_mm has 10001 positions" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
     @pytest.mark.parametrize(
         "path, value, extra_args, field",
         [
@@ -865,6 +1004,13 @@ class TestCli:
                 id="pilot-frame-too-long",
             ),
             pytest.param(("cavity", "num_taps"), 4097, [], "cavity.num_taps", id="taps-above-cap"),
+            pytest.param(
+                ("cavity", "num_taps"), 10**400, [], "cavity.num_taps", id="taps-beyond-a-double"
+            ),
+            pytest.param(
+                ("sounding",), {"duration_s": 1e300}, [], "sounding.duration_s",
+                id="chirp-length-beyond-a-double",
+            ),
         ],
     )
     def test_malformed_scalar_exits_2_before_writing(

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_cir
+from conftest import measure_focusing, random_cir
 from trlink import precoding
 from trlink.channel import (
     CavityParams,
@@ -384,12 +384,37 @@ class TestFocusingReport:
     def test_rejects_coincident_users(self):
         ensemble = _dense_grid_ensemble(0)
         with pytest.raises(DomainError):
-            focusing_report(ensemble, 3, 3, 15)
+            measure_focusing(ensemble, 3, 3, 15)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            pytest.param(lambda a: (a[0][:, :-1], None, 3, None), "own", id="own-even-length"),
+            pytest.param(lambda a: (a[0][:-1], None, 3, None), "own", id="own-missing-position"),
+            pytest.param(lambda a: (a[0], a[1][:, 1:], 3, 5), "other", id="other-shape"),
+            pytest.param(lambda a: (a[0], None, 3, 5), "exactly when", id="other-missing"),
+            pytest.param(lambda a: (a[0], a[1], 3, None), "exactly when", id="other-unexpected"),
+            pytest.param(lambda a: (a[0], None, 43, None), "target index", id="target-off-grid"),
+            pytest.param(lambda a: (a[0], a[1], 3, -1), "other index", id="other-off-grid"),
+        ],
+    )
+    def test_rejects_inconsistent_pulse_responses(self, edit, message):
+        ensemble = _dense_grid_ensemble(0)
+        fields = pulse_responses(ensemble.cirs, [ensemble.cirs[3], ensemble.cirs[5]])
+        own, other, target, other_index = edit((fields[:, 0], fields[:, 1]))
+        with pytest.raises(DomainError, match=message):
+            focusing_report(ensemble, own, other, target, other_index, 15)
+
+    def test_rejects_spacing_below_one_tap(self):
+        ensemble = _dense_grid_ensemble(0)
+        own = pulse_responses(ensemble.cirs, [ensemble.cirs[3]])[:, 0]
+        with pytest.raises(ConfigurationError, match="spacing"):
+            focusing_report(ensemble, own, None, 3, None, 0)
 
     def test_single_position_grid_has_undefined_spatial_width(self):
         params = CavityParams(num_taps=32, rng_seed=1)
         ensemble = synth_cavity_ensemble(params, [0.0])
-        report = focusing_report(ensemble, 0, None, 15)
+        report = measure_focusing(ensemble, 0, None, 15)
         assert report.spatial_fwhm_mm is None
         assert report.iui_power == 0.0
 
@@ -404,10 +429,10 @@ class TestFocusingReport:
             Cir(np.array([g], dtype=complex)) for g in gains
         )
         ensemble = SpatialChannelEnsemble(positions, cirs, params)
-        report = focusing_report(ensemble, 1, None, 1)
+        report = measure_focusing(ensemble, 1, None, 1)
         assert [v for _, v in report.spatial_profile] == pytest.approx(gains)
         assert report.spatial_fwhm_mm is None
-        assert focusing_report(ensemble, 2, None, 1).spatial_fwhm_mm is not None
+        assert measure_focusing(ensemble, 2, None, 1).spatial_fwhm_mm is not None
 
     def test_degenerate_single_tap_profile(self):
         # unit-magnitude single-tap channels: per-realisation profile is 1 at
@@ -424,7 +449,7 @@ class TestFocusingReport:
             return SpatialChannelEnsemble(positions, cirs, params)
 
         for _ in range(5):
-            report = focusing_report(draw_ensemble(), target, None, 1)
+            report = measure_focusing(draw_ensemble(), target, None, 1)
             assert report.peak_amplitude == pytest.approx(1.0, abs=1e-12)
             profile = np.array([v for _, v in report.spatial_profile])
             assert profile[target] == pytest.approx(1.0, abs=1e-12)
@@ -446,7 +471,7 @@ class TestFocusingReport:
             ensemble = synth_cavity_ensemble(
                 CavityParams(rng_seed=seed), [0.0]
             )
-            report = focusing_report(ensemble, 0, None, 15)
+            report = measure_focusing(ensemble, 0, None, 15)
             widths.append(report.temporal_fwhm_s)
         assert np.median(widths) <= 2.0 / 4e9
 
@@ -454,7 +479,7 @@ class TestFocusingReport:
         ensemble = _dense_grid_ensemble(3)
         target = grid_index(ensemble.positions_mm, -1.8)
         other = grid_index(ensemble.positions_mm, -2.7)
-        report = focusing_report(ensemble, target, other, 15)
+        report = measure_focusing(ensemble, target, other, 15)
         assert report.other_mm == pytest.approx(-2.7)
         assert report.peak_amplitude > 0
         assert report.iui_power > 0
@@ -465,7 +490,7 @@ class TestFocusingReport:
 
     def test_csv_round_trip(self, tmp_path):
         ensemble = _dense_grid_ensemble(4)
-        report = focusing_report(ensemble, grid_index(ensemble.positions_mm, -1.8), None, 15)
+        report = measure_focusing(ensemble, grid_index(ensemble.positions_mm, -1.8), None, 15)
         path = tmp_path / "report.csv"
         focusing_report_to_csv(report, path)
         lines = path.read_text(encoding="utf-8").splitlines()
