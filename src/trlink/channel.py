@@ -1,8 +1,17 @@
 """Synthetic reverberation-cavity channels and chirp sounding.
 
-A response (:class:`Cir`) is its taps alone, at the one sample rate kept in
-:class:`CavityParams`, the bandwidth; responses that meet must share one
-length (:func:`check_shared`).
+A channel set is one read-only, C-contiguous ``(P, L)`` complex128 array
+of taps: row ``p`` is the response at position ``p``, at the one sample
+rate kept in :class:`CavityParams`, the bandwidth. A set enters the
+pipeline as :class:`SpatialChannelEnsemble` ``.taps``, built by
+:func:`synth_cavity_ensemble` and :func:`load_ensemble`; its constructor
+checks the block once (shape, row count, tap count, every tap finite) and
+keeps a frozen copy. The functions that take taps (:func:`sound_cir` here,
+the precoder's in :mod:`trlink.precoding`) check only the shape
+(:func:`as_taps`), so a block passes between them without a copy or a
+rescan, and a row is a view. ``SpatialChannelEnsemble.cirs`` still builds
+one :class:`Cir` per row on access, for the benchmark's focus oracle;
+nothing in trlink reads it.
 
 The physical channel is a leaking metallic cavity probed across a 1-D
 receive axis. No field solver is involved; instead each impulse response is
@@ -23,6 +32,11 @@ the uncorrelated field are drawn first as ``rng.standard_normal((L, P))``
 the complex field is scaled by ``1/sqrt(2)``, correlated across positions by
 right-multiplying with the symmetric square root of the kernel matrix, and
 finally scaled per tap by ``sqrt(PDP[l])``.
+
+That square root depends only on the positions and the wavelength, so it is
+memoised with one entry (:func:`_kernel_sqrt`): repeated draws over one
+grid, such as a scenario's trials, factorise the kernel once. The cached
+root is read-only and equals a fresh one bit for bit.
 
 Sounding (:func:`sound_cir`) estimates a batch of responses that share one
 probe chirp, built from the batch's one ``duration_s``: the chirp is
@@ -45,6 +59,7 @@ more, within ``NUMERIC_RTOL``.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 from collections.abc import Sequence
@@ -90,6 +105,13 @@ _BLOCK_SAMPLES = 2**20
 _SQRT_HALF = math.sqrt(0.5)
 
 
+def _diffuse_correlation(
+    distance_mm: float | np.ndarray, wavelength_mm: float
+) -> float | np.ndarray:
+    """The 3-D diffuse-field kernel ``sinc(2*pi*d / lambda)`` at distance ``d``, elementwise."""
+    return np.sinc(2.0 * distance_mm / wavelength_mm)
+
+
 def check_positions(values, name: str = "positions") -> np.ndarray:
     """``values`` as a 1-D float array: at least one position, strictly increasing."""
     positions = np.asarray(values, dtype=float)
@@ -118,14 +140,32 @@ def grid_index(positions: np.ndarray, position_mm: float, name: str = "position"
     return idx
 
 
+def as_taps(values, what: str, copy: bool | None = None) -> np.ndarray:
+    """``values`` as a C-contiguous ``(P, L)`` complex128 block, ``P, L >= 1``.
+
+    Rows of different lengths are a ``ConfigurationError`` (``what`` must
+    share one CIR length); any other shape is a ``DomainError``. Only the
+    shape is checked. A block that already is one is returned as it is,
+    unless ``copy`` is true.
+    """
+    try:
+        taps = np.array(values, dtype=np.complex128, order="C", copy=copy)
+    except ValueError:  # rows of different lengths
+        raise ConfigurationError(f"{what} must share one CIR length") from None
+    if taps.ndim != 2 or 0 in taps.shape:
+        raise DomainError(
+            f"{what} must be a (P, L) block with at least one tap, got shape {taps.shape}"
+        )
+    return taps
+
+
 @dataclass(frozen=True, eq=False)
 class Cir:
     """One channel impulse response: complex tap gains at the bandwidth's rate.
 
-    Zero-energy responses are legal here (a dead channel is a valid
-    sounding subject) but are rejected wherever a response is used as a
-    precoding target. Where it was probed is its index in a
-    :class:`SpatialChannelEnsemble`.
+    Only :attr:`SpatialChannelEnsemble.cirs` builds these, for the
+    benchmark's focus oracle, which reads ``cirs[i].energy``; both go when
+    the benchmark next changes. Channels travel as ``(P, L)`` blocks.
     """
 
     taps: np.ndarray
@@ -147,12 +187,6 @@ class Cir:
     @property
     def energy(self) -> float:
         return float(np.sum(np.abs(self.taps) ** 2))
-
-
-def check_shared(cirs: Sequence[Cir], what: str) -> None:
-    """Raise a ConfigurationError unless ``cirs`` all have one length."""
-    if len({c.num_taps for c in cirs}) > 1:
-        raise ConfigurationError(f"{what} must share one CIR length")
 
 
 @dataclass(frozen=True)
@@ -201,7 +235,7 @@ class CavityParams:
 
     def spatial_correlation(self, distance_mm: float | np.ndarray) -> float | np.ndarray:
         """Diffuse-field correlation ``sin(x)/x`` with ``x = 2*pi*d/lambda``, elementwise."""
-        return np.sinc(2.0 * distance_mm / self.wavelength_mm)
+        return _diffuse_correlation(distance_mm, self.wavelength_mm)
 
     def power_delay_profile(self) -> np.ndarray:
         """Expected tap powers, exponentially decaying, unit total energy."""
@@ -212,26 +246,49 @@ class CavityParams:
 
 @dataclass(frozen=True, eq=False)
 class SpatialChannelEnsemble:
-    """Impulse responses indexed by position on the 1-D receive axis."""
+    """Impulse responses indexed by position on the 1-D receive axis.
+
+    ``taps`` is the ``(P, L)`` block, row ``p`` at ``positions_mm[p]``,
+    with ``L = params.num_taps``. Construction is where a channel set is
+    checked: the block's shape, one row per position, its tap count and
+    that every tap is finite. Zero-energy rows are legal (a dead channel is
+    a valid sounding subject) but are rejected wherever a row is precoded
+    toward. Positions and taps are kept as frozen C-contiguous copies.
+    """
 
     positions_mm: np.ndarray
-    cirs: tuple[Cir, ...]
+    taps: np.ndarray
     params: CavityParams
 
     def __post_init__(self) -> None:
         positions = check_positions(self.positions_mm)
-        if len(self.cirs) != positions.size:
+        taps = as_taps(self.taps, "ensemble CIRs", copy=True)
+        if len(taps) != positions.size:
+            raise ConfigurationError(f"{len(taps)} CIRs for {positions.size} positions")
+        if taps.shape[1] != self.params.num_taps:
             raise ConfigurationError(
-                f"{len(self.cirs)} CIRs for {positions.size} positions"
+                f"ensemble CIRs have {taps.shape[1]} taps, but num_taps is {self.params.num_taps}"
             )
-        check_shared(self.cirs, "ensemble CIRs")
+        if not np.all(np.isfinite(taps)):
+            raise DomainError("CIR taps must be finite")
+        taps.flags.writeable = False
         positions = positions.copy()
         positions.flags.writeable = False
         object.__setattr__(self, "positions_mm", positions)
-        object.__setattr__(self, "cirs", tuple(self.cirs))
+        object.__setattr__(self, "taps", taps)
 
     def __len__(self) -> int:
         return self.positions_mm.size
+
+    @property
+    def cirs(self) -> tuple[Cir, ...]:
+        """One :class:`Cir` per row of ``taps``, built on each access.
+
+        Kept only for the benchmark's focus oracle, which reads
+        ``cirs[i].energy``; trlink itself never calls it. It goes, with
+        :class:`Cir`, when the benchmark next changes.
+        """
+        return tuple(Cir(row) for row in self.taps)
 
 
 @dataclass(frozen=True)
@@ -257,11 +314,22 @@ class SoundingConfig:
             check_power_ratio(snr_db, f"sounding.snr_db {snr_db} dB gives a power ratio")
 
 
-def _kernel_sqrt(params: CavityParams, positions: np.ndarray) -> np.ndarray:
-    kernel = params.spatial_correlation(np.abs(positions[:, None] - positions[None, :]))
+@functools.lru_cache(maxsize=1)
+def _kernel_sqrt(wavelength_mm: float, position_bytes: bytes) -> np.ndarray:
+    """Read-only symmetric square root of the diffuse-field kernel over the positions.
+
+    ``position_bytes`` is the float64 positions' ``tobytes()``. The kernel
+    depends only on these two keys, so the last root is kept (one entry):
+    a scenario's trials draw over one grid at one carrier.
+    """
+    positions = np.frombuffer(position_bytes)
+    distance = np.abs(positions[:, None] - positions[None, :])
+    kernel = _diffuse_correlation(distance, wavelength_mm)
     eigval, eigvec = np.linalg.eigh(kernel)
     eigval = np.clip(eigval, 0.0, None)
-    return (eigvec * np.sqrt(eigval)) @ eigvec.T
+    root = (eigvec * np.sqrt(eigval)) @ eigvec.T
+    root.flags.writeable = False
+    return root
 
 
 def synth_cavity_ensemble(
@@ -277,7 +345,7 @@ def synth_cavity_ensemble(
     num_taps = params.num_taps
     num_pos = positions.size
     pdp = params.power_delay_profile()
-    sqrt_kernel = _kernel_sqrt(params, positions)
+    sqrt_kernel = _kernel_sqrt(params.wavelength_mm, positions.tobytes())
 
     rng = np.random.default_rng(params.rng_seed)
     re = rng.standard_normal((num_taps, num_pos))
@@ -285,15 +353,16 @@ def synth_cavity_ensemble(
     white = (re + 1j * im) / np.sqrt(2.0)
     correlated = white @ sqrt_kernel
     taps = np.sqrt(pdp)[:, None] * correlated
-
-    cirs = tuple(Cir(taps[:, p]) for p in range(num_pos))
-    return SpatialChannelEnsemble(positions, cirs, params)
+    return SpatialChannelEnsemble(positions, taps.T, params)
 
 
 def sound_cir(
-    true_cirs: Sequence[Cir], cfgs: Sequence[SoundingConfig], bandwidth_hz: float
-) -> list[Cir]:
-    """Estimate CIRs by chirp sounding, one estimate per ``(true_cirs[k], cfgs[k])``.
+    true_taps: np.ndarray, cfgs: Sequence[SoundingConfig], bandwidth_hz: float
+) -> np.ndarray:
+    """Estimate CIRs by chirp sounding, one estimate per ``(true_taps[k], cfgs[k])``.
+
+    ``true_taps`` is an ``(R, L)`` block (:func:`as_taps`); the estimates
+    are returned as another, read-only and C-contiguous.
 
     The probe is ``make_chirp(bandwidth_hz, duration_s)``, sampled at the
     taps' rate, the bandwidth; every row must share one ``duration_s``. The
@@ -320,7 +389,7 @@ def sound_cir(
     (the same draw as in the time domain; ``m`` holds the whole received
     signal, so those circular lags equal the linear ones).
 
-    All CIRs must share ``num_taps``. The rows are transformed as stacks,
+    The rows are transformed as stacks,
     in blocks of at most ``_BLOCK_SAMPLES`` samples per buffer, and share
     one Gram, folded to a real symmetric matrix (:func:`_toeplitz_solve`)
     whose one LU factorisation takes every row as a right-hand side.
@@ -331,19 +400,16 @@ def sound_cir(
     Timing is assumed known (transmitter and recorder share a clock), so the
     window position is not estimated.
     """
-    if not true_cirs:
+    if len(true_taps) == 0:
         raise DomainError("sound_cir needs at least one CIR")
-    if len(cfgs) != len(true_cirs):
-        raise ConfigurationError(
-            f"{len(true_cirs)} CIRs but {len(cfgs)} sounding configurations"
-        )
-    check_shared(true_cirs, "a sounding batch")
+    taps = as_taps(true_taps, "a sounding batch")
+    if len(cfgs) != len(taps):
+        raise ConfigurationError(f"{len(taps)} CIRs but {len(cfgs)} sounding configurations")
     durations = sorted({cfg.duration_s for cfg in cfgs})
     if len(durations) > 1:
         raise ConfigurationError(f"a sounding batch must share one duration_s, got {durations}")
     chirp = make_chirp(bandwidth_hz, durations[0])
 
-    taps = np.stack([c.taps for c in true_cirs])
     num_taps = taps.shape[1]
     n = len(chirp)
     received_len = n + num_taps - 1
@@ -359,7 +425,7 @@ def sound_cir(
     lag_spectrum = np.fft.fft(two_sided, lag_len)
     block = max(1, _BLOCK_SAMPLES // max(lag_len, m))
     aligned = np.empty_like(taps)
-    for start in range(0, len(true_cirs), block):
+    for start in range(0, len(taps), block):
         rows = slice(start, start + block)
         gram_taps = np.fft.ifft(lag_spectrum * np.fft.fft(taps[rows], lag_len, axis=-1), axis=-1)
         window = aligned[rows]
@@ -376,7 +442,9 @@ def sound_cir(
                 np.conj(chirp_spectrum) * np.fft.fft(noise, m, axis=-1), axis=-1
             )
             window[[j for j, _, _ in noisy]] += compressed[:, :num_taps] / chirp_energy
-    return [Cir(estimate) for estimate in _toeplitz_solve(two_sided, aligned)]
+    estimates = np.ascontiguousarray(_toeplitz_solve(two_sided, aligned))
+    estimates.flags.writeable = False
+    return estimates
 
 
 def _toeplitz_solve(two_sided: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -462,8 +530,8 @@ def export_ensemble(ensemble: SpatialChannelEnsemble, json_path: str | Path) -> 
         header += [f"tap{l}_re", f"tap{l}_im"]
     # A complex128 array viewed as float64 interleaves real and imaginary parts.
     rows = [
-        [float(pos), *cir.taps.view(np.float64).tolist()]
-        for pos, cir in zip(ensemble.positions_mm, ensemble.cirs)
+        [float(pos), *taps.view(np.float64).tolist()]
+        for pos, taps in zip(ensemble.positions_mm, ensemble.taps)
     ]
     write_csv(csv_path, header, rows)
     write_text(json_path, json.dumps(meta, indent=2) + "\n")
@@ -510,7 +578,7 @@ def load_ensemble(json_path: str | Path) -> SpatialChannelEnsemble:
     csv_path = json_path.parent / meta["csv"]
     if not csv_path.is_file():
         raise ConfigurationError(f"ensemble CSV not found: {csv_path}")
-    cirs = []
+    rows = []
     try:
         with open(csv_path, newline="", encoding="utf-8") as f:
             reader = csv.reader(f)
@@ -532,7 +600,7 @@ def load_ensemble(json_path: str | Path) -> SpatialChannelEnsemble:
                     raise ConfigurationError(f"{where} has a non-numeric cell") from None
                 if not np.all(np.isfinite(values)):
                     raise ConfigurationError(f"{where} has a non-finite cell")
-                position, index = float(values[0]), len(cirs)
+                position, index = float(values[0]), len(rows)
                 # in Python floats a distance between extreme positions is inf, not a warning
                 expected = float(positions[index]) if index < positions.size else position
                 if abs(position - expected) > POSITION_TOL_MM:
@@ -540,12 +608,11 @@ def load_ensemble(json_path: str | Path) -> SpatialChannelEnsemble:
                         f"{where} is at position_mm {position}, but positions_mm[{index}] "
                         f"in {json_path.name} is {expected}"
                     )
-                taps = values[1::2] + 1j * values[2::2]
-                cirs.append(Cir(taps))
+                rows.append(values[1::2] + 1j * values[2::2])
     except UnicodeDecodeError as exc:
         raise ConfigurationError(f"ensemble CSV {csv_path.name} is not UTF-8: {exc}") from None
-    if len(cirs) != positions.size:
+    if len(rows) != positions.size:
         raise ConfigurationError(
-            f"ensemble CSV has {len(cirs)} rows for {positions.size} positions"
+            f"ensemble CSV has {len(rows)} rows for {positions.size} positions"
         )
-    return SpatialChannelEnsemble(positions, tuple(cirs), params)
+    return SpatialChannelEnsemble(positions, rows, params)

@@ -13,7 +13,8 @@ channel taps, the probe chirp (:func:`make_chirp` samples at its
 bandwidth) and every emission share it.
 Carrier up/down-conversion is treated as ideal, so nothing here models a
 passband. The functions here neither copy nor re-check their inputs: the
-arrays come from validated boundaries (``Cir`` taps, the symbol matrix that
+arrays come from validated boundaries (an ensemble's ``(P, L)`` taps block,
+checked finite once where it was built, and the symbol matrix that
 ``tr_precode`` checks) or from earlier steps of the pipeline; convolution
 and correlation reject only empty inputs.
 

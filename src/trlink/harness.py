@@ -65,6 +65,14 @@ frame. A synthesised grid (``grid_mm`` or ``positions_mm``) holds at most
 ``2*pi*2*(last - first)/wavelength`` finite; an imported ensemble is held
 to neither, since its responses are never correlated across positions.
 
+Channels pass between the stages as row selections of the trial's
+ensemble ``taps``, one ``(P, L)`` block checked when it was built; no
+experiment builds a per-position :class:`~trlink.channel.Cir` (that
+accessor, ``SpatialChannelEnsemble.cirs``, is kept for the benchmark's
+focus oracle only). Every trial of a synthesised scenario draws over one
+grid at one carrier, so the kernel root its draws share is factorised once
+and memoised (:func:`trlink.channel.synth_cavity_ensemble`).
+
 Each trial's pulse responses (:func:`trlink.precoding.pulse_responses`)
 are built once, before the first cell, and every data and pilot frame of
 that trial reuses them. Each BER cell evaluates the received field only at
@@ -238,7 +246,10 @@ class Scenario:
         for idx in self.target_indices:
             if not 0 <= idx < positions.size:
                 raise ConfigurationError(f"target index {idx} is off the grid")
-            if self.imported_ensemble is not None and self.imported_ensemble.cirs[idx].energy == 0:
+            if (
+                self.imported_ensemble is not None
+                and np.sum(np.abs(self.imported_ensemble.taps[idx]) ** 2) == 0
+            ):
                 raise ConfigurationError(
                     f"target {float(positions[idx])} mm has a zero-energy CIR in the imported "
                     "ensemble; cannot precode toward it"
@@ -481,19 +492,18 @@ def _trial_kernels(scenario: Scenario, trial: int) -> np.ndarray:
     The precoder targets each antenna with its channel knowledge: the truth
     for a genie, else sounded estimates.
     """
-    ensemble = scenario.ensemble_for_trial(trial)
-    true_cirs = [ensemble.cirs[i] for i in scenario.target_indices]
-    known_cirs = true_cirs
+    true_taps = scenario.ensemble_for_trial(trial).taps[list(scenario.target_indices)]
+    known_taps = true_taps
     if scenario.sounding is not None:
         cfgs = [
             replace(
                 scenario.sounding,
                 rng_seed=derive_seed(scenario.master_seed, _STREAM_SOUNDING, trial, j),
             )
-            for j in range(len(true_cirs))
+            for j in range(len(true_taps))
         ]
-        known_cirs = sound_cir(true_cirs, cfgs, scenario.cavity.bandwidth_hz)
-    return pulse_responses(true_cirs, known_cirs)
+        known_taps = sound_cir(true_taps, cfgs, scenario.cavity.bandwidth_hz)
+    return pulse_responses(true_taps, known_taps)
 
 
 def _pilot_targets(num_rx: int, num_pilots: int) -> np.ndarray:
@@ -651,7 +661,7 @@ def run_focusing_experiment(
         ]
 
     try:
-        fields = pulse_responses(ensemble.cirs, [ensemble.cirs[t] for t in targets])
+        fields = pulse_responses(ensemble.taps, ensemble.taps[list(targets)])
     except (ConfigurationError, DomainError) as exc:
         raise type(exc)(f"focusing at target indices {list(targets)}: {exc}") from exc
     responses = {target: fields[:, k] for k, target in enumerate(targets)}
@@ -685,9 +695,9 @@ def run_sounding_study(
         snr_points.append(probe_snr)
     target = scenario.target_indices[0]
 
-    truths = [
-        scenario.ensemble_for_trial(trial).cirs[target] for trial in range(scenario.trials)
-    ]
+    truths = np.stack(
+        [scenario.ensemble_for_trial(trial).taps[target] for trial in range(scenario.trials)]
+    )
     seeds = [
         derive_seed(scenario.master_seed, _STREAM_SOUNDING, trial, target)
         for trial in range(scenario.trials)
@@ -700,10 +710,12 @@ def run_sounding_study(
             for snr_db in snr_points
             for seed in seeds
         ]
-        estimates = sound_cir(truths * len(snr_points), cfgs, scenario.cavity.bandwidth_hz)
+        estimates = sound_cir(
+            np.tile(truths, (len(snr_points), 1)), cfgs, scenario.cavity.bandwidth_hz
+        )
         for k, snr_db in enumerate(snr_points):
             errors = [
-                float(np.linalg.norm(estimate.taps - truth.taps) / np.linalg.norm(truth.taps))
+                float(np.linalg.norm(estimate - truth) / np.linalg.norm(truth))
                 for estimate, truth in zip(estimates[k * len(truths) :], truths)
             ]
             rows.append((tb, float(snr_db), float(np.median(errors))))

@@ -13,6 +13,12 @@ with ``E_i = sum_l |h_i[l]|^2``. :func:`tr_precode` and :func:`received_at`
 are where the matrix enters: both check its shape against the users, the
 spacing, and that every amplitude is finite.
 
+Channels are ``(P, L)`` tap blocks, one row per channel, as
+:class:`~trlink.channel.SpatialChannelEnsemble` holds them; a user or a
+receiver is a row, and a subset of positions is a row selection. The
+functions here check only a block's shape (:func:`~trlink.channel.as_taps`):
+its taps were checked finite once, where the block entered.
+
 After propagating through channel ``h_j`` the multipath echoes recombine: a
 single unit pulse toward user ``i`` arrives at position ``j`` as the
 cross-correlation of ``h_j`` with ``h_i`` (normalised by ``sqrt(E_i)``),
@@ -54,7 +60,7 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .channel import Cir, SpatialChannelEnsemble, check_shared
+from .channel import SpatialChannelEnsemble, as_taps
 from .dsp import complex_noise, convolve, xcorr
 from .errors import ConfigurationError, DomainError
 from .modem import WINDOW_HALF_WIDTH, detection_windows
@@ -95,8 +101,8 @@ def _receiver_noise(num_rx: int, size: int, sigma: float, seed_path, at=None) ->
     return np.stack([complex_noise(size, sigma, [*seed_path, n], at) for n in range(num_rx)])
 
 
-def tr_kernel(h_j: Cir, h_i: Cir) -> np.ndarray:
-    """Closed-form correlation kernel of ``h_j`` against the precoding target ``h_i``.
+def tr_kernel(h_j: np.ndarray, h_i: np.ndarray) -> np.ndarray:
+    """Closed-form correlation kernel of taps ``h_j`` against the precoding target's ``h_i``.
 
     The kernel spans all lags ``-(L-1) .. L-1`` with lag 0 at index
     ``L - 1``; entry ``L - 1 + m`` is
@@ -107,39 +113,39 @@ def tr_kernel(h_j: Cir, h_i: Cir) -> np.ndarray:
     ``K_ni``: it equals ``pulse_responses([h_j], [h_i])[0, 0]`` to
     ``NUMERIC_RTOL``.
     """
-    check_shared([h_j, h_i], "kernel CIRs")
-    energy = h_i.energy
+    h_j, h_i = as_taps([h_j, h_i], "kernel CIRs")
+    energy = float(np.sum(np.abs(h_i) ** 2))
     if energy <= 0.0:
         raise DomainError("precoding target CIR has zero energy")
-    return xcorr(h_i.taps, h_j.taps) / math.sqrt(energy)
+    return xcorr(h_i, h_j) / math.sqrt(energy)
 
 
-def tr_precode(symbols: np.ndarray, cirs: list[Cir], spacing: int) -> np.ndarray:
+def tr_precode(symbols: np.ndarray, taps: np.ndarray, spacing: int) -> np.ndarray:
     """Assemble the multi-user time-reversal emission.
 
     ``symbols`` is the ``(N, M)`` amplitude matrix: row ``i`` holds user
-    ``i``'s pulse amplitudes, one per symbol slot, and ``cirs[i]`` is the
-    channel toward that user. Each row is upsampled by ``spacing`` taps and
+    ``i``'s pulse amplitudes, one per symbol slot, and row ``i`` of the
+    ``(N, L)`` block ``taps`` is the channel toward that user. Each row is upsampled by ``spacing`` taps and
     convolved with the user's conjugated, time-reversed response, scaled by
     ``1/sqrt(E_i)``; the users' contributions are summed. Pulse ``l`` of any
     user focuses at received index ``L - 1 + l*spacing``. ``M == 0`` gives
     an empty emission.
     """
-    symbols = _check_symbols(symbols, len(cirs), spacing)
-    check_shared(cirs, "users")
+    symbols = _check_symbols(symbols, len(taps), spacing)
+    taps = as_taps(taps, "users")
     num_symbols = symbols.shape[1]
     # One fresh train and one convolution per user, then one sum: reusing a
     # train buffer or preallocating the sum measured slower (page faults).
     contributions: list[np.ndarray] = []
-    for row, cir in zip(symbols, cirs):
-        energy = cir.energy
+    for row, h in zip(symbols, taps):
+        energy = float(np.sum(np.abs(h) ** 2))
         if energy <= 0.0:
             raise DomainError("cannot precode toward a zero-energy CIR")
         if num_symbols == 0:
             continue
         train = np.zeros((num_symbols - 1) * spacing + 1, dtype=np.complex128)
         train[::spacing] = row
-        flipped = np.conj(cir.taps[::-1]) / math.sqrt(energy)
+        flipped = np.conj(h[::-1]) / math.sqrt(energy)
         contributions.append(convolve(train, flipped))
 
     combined = np.zeros(contributions[0].size if contributions else 0, dtype=np.complex128)
@@ -150,44 +156,46 @@ def tr_precode(symbols: np.ndarray, cirs: list[Cir], spacing: int) -> np.ndarray
 
 def propagate(
     signal: np.ndarray,
-    cirs: Sequence[Cir],
+    taps: np.ndarray,
     noise_sigma: float,
     seed_path: Sequence[int] = (),
 ) -> np.ndarray:
     """Receive one emission at a list of receivers, with additive white noise.
 
-    Row ``n`` is the full linear convolution of the emission with
-    ``cirs[n]`` plus zero-mean circular complex Gaussian noise whose
-    per-sample standard deviation is ``noise_sigma`` (``E|n|^2 = sigma^2``),
-    seeded ``[*seed_path, n]``. The channels, which must share one CIR
-    length, are received in one stacked convolution; each row equals the
-    convolution with that channel alone bit for bit. Returns shape
-    ``(len(cirs), len(signal) + L - 1)``.
+    Row ``n`` is the full linear convolution of the emission with row ``n``
+    of the ``(R, L)`` block ``taps`` plus zero-mean circular complex
+    Gaussian noise whose per-sample standard deviation is ``noise_sigma``
+    (``E|n|^2 = sigma^2``), seeded ``[*seed_path, n]``. The block is
+    received in one stacked convolution; each row equals the convolution
+    with that channel alone bit for bit. Returns shape ``(R, len(signal) +
+    L - 1)``.
     """
     _check_noise_sigma(noise_sigma)
-    if not cirs:
+    if len(taps) == 0:
         raise ConfigurationError("propagate needs at least one receive channel")
-    check_shared(cirs, "receive channels")
-    received = convolve(signal, np.stack([c.taps for c in cirs]))
+    taps = as_taps(taps, "receive channels")
+    received = convolve(signal, taps)
     if noise_sigma > 0.0:
-        received += _receiver_noise(len(cirs), received.shape[1], noise_sigma, seed_path)
+        received += _receiver_noise(len(taps), received.shape[1], noise_sigma, seed_path)
     return received
 
 
-def pulse_responses(true_cirs: Sequence[Cir], known_cirs: Sequence[Cir]) -> np.ndarray:
+def pulse_responses(true_taps: np.ndarray, known_taps: np.ndarray) -> np.ndarray:
     """Noiseless received unit pulses ``K_ni``, shape ``(N, U, 2L - 1)``.
 
-    Entry ``[:, i]`` is ``propagate(tr_precode(unit pulse, [known_cirs[i]],
-    1), true_cirs, 0.0)``: one pulse precoded toward user ``i`` with the
-    precoder's channel knowledge, received through the ``N`` true channels.
-    Receivers and users must share one CIR length.
+    Entry ``[:, i]`` is ``propagate(tr_precode(unit pulse, known_taps[i:i +
+    1], 1), true_taps, 0.0)``: one pulse precoded toward user ``i`` with
+    the precoder's channel knowledge, received through the ``N`` true
+    channels. Both are blocks of one CIR length.
     """
-    if not true_cirs or not known_cirs:
+    if len(true_taps) == 0 or len(known_taps) == 0:
         raise ConfigurationError("pulse responses need at least one receiver and one user")
-    # propagate checks the receivers against each other
-    check_shared([true_cirs[0], *known_cirs], "receivers and users")
+    true_taps = as_taps(true_taps, "receivers")
+    known_taps = as_taps(known_taps, "users")
+    if true_taps.shape[1] != known_taps.shape[1]:
+        raise ConfigurationError("receivers and users must share one CIR length")
     return np.stack(
-        [propagate(tr_precode(_UNIT_PULSE, [h_i], 1), true_cirs, 0.0) for h_i in known_cirs],
+        [propagate(tr_precode(_UNIT_PULSE, h_i[None], 1), true_taps, 0.0) for h_i in known_taps],
         axis=1,
     )
 
@@ -201,11 +209,11 @@ def received_at(
 ) -> np.ndarray:
     """Received samples at the detector's windows, one slice per receive antenna.
 
-    ``kernels`` is ``pulse_responses(true_cirs, known_cirs)``, shape ``(N, U,
+    ``kernels`` is ``pulse_responses(true_taps, known_taps)``, shape ``(N, U,
     2L-1)``. With ``w = WINDOW_HALF_WIDTH``, entry ``[n, m, w + o]`` equals,
     to ``NUMERIC_RTOL``, sample ``L-1 + m*spacing + o`` (``|o| <= w``: the
     ``detection_windows(M, L, spacing).lags``) of row ``n`` of
-    ``propagate(tr_precode(symbols, known_cirs, spacing), true_cirs,
+    ``propagate(tr_precode(symbols, known_taps, spacing), true_taps,
     noise_sigma, seed_path)``; a read past either end of that ``(M-1)*spacing
     + 2L - 1``-sample signal reads the end sample.
 
@@ -366,7 +374,7 @@ def focusing_report(
 
     ``own`` and ``other`` are the target's and the interfering user's
     noiseless pulse responses at every ensemble position, shape ``(P, 2L -
-    1)``: columns of ``pulse_responses(ensemble.cirs, users)``, where each
+    1)``: columns of ``pulse_responses(ensemble.taps, users)``, where each
     user's unit pulse is normalised by its own channel energy so the
     intended received peak powers are statistically identical. ``other`` is
     ``None`` for a single user and is read only at the target position. The
@@ -382,7 +390,7 @@ def focusing_report(
         raise DomainError("target and interfering user must be distinct positions")
     if spacing < 1:
         raise ConfigurationError(f"pulse spacing must be >= 1, got {spacing}")
-    shape = (num_positions, 2 * ensemble.cirs[0].num_taps - 1)
+    shape = (num_positions, 2 * ensemble.taps.shape[1] - 1)
     if np.shape(own) != shape:
         raise DomainError(f"own must be the {shape} pulse responses, got shape {np.shape(own)}")
     if (other is None) != (other_index is None):

@@ -7,7 +7,7 @@ independent of the transform-domain fast paths they are used to check.
 import numpy as np
 from hypothesis import HealthCheck, settings
 
-from trlink.channel import Cir, SpatialChannelEnsemble
+from trlink.channel import SpatialChannelEnsemble
 from trlink.precoding import FocusingReport, focusing_report, pulse_responses
 
 settings.register_profile(
@@ -23,11 +23,26 @@ def complex_gaussian(rng: np.random.Generator, n: int) -> np.ndarray:
     return (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2.0)
 
 
+def cir(taps) -> np.ndarray:
+    """One channel's taps as a row of a ``(P, L)`` channel block holds them.
+
+    A read-only 1-D complex128 copy; a list of rows, or one row, feeds the
+    precoder, propagation, sounding and ``SpatialChannelEnsemble``.
+    """
+    row = np.array(taps, dtype=np.complex128)
+    row.flags.writeable = False
+    return row
+
+
+def energy(taps: np.ndarray) -> float:
+    return float(np.sum(np.abs(taps) ** 2))
+
+
 def random_cir(
     rng: np.random.Generator,
     num_taps: int,
     flat: bool = True,
-) -> Cir:
+) -> np.ndarray:
     """Random Rayleigh-tap CIR with unit expected energy."""
     taps = complex_gaussian(rng, num_taps)
     if flat:
@@ -36,7 +51,7 @@ def random_cir(
         pdp = np.exp(-np.arange(num_taps) / (num_taps / 3.0))
         pdp /= pdp.sum()
         taps = np.sqrt(pdp) * taps
-    return Cir(taps)
+    return cir(taps)
 
 
 def measure_focusing(
@@ -51,7 +66,7 @@ def measure_focusing(
     their columns to :func:`focusing_report`.
     """
     users = [target_index] if other_index is None else [target_index, other_index]
-    fields = pulse_responses(ensemble.cirs, [ensemble.cirs[i] for i in users])
+    fields = pulse_responses(ensemble.taps, ensemble.taps[users])
     other = None if other_index is None else fields[:, 1]
     return focusing_report(ensemble, fields[:, 0], other, target_index, other_index, spacing)
 

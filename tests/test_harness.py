@@ -14,12 +14,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import measure_focusing
+from conftest import cir, measure_focusing
+import trlink.channel as channel
 import trlink.harness as harness
 import trlink.precoding as precoding
 from trlink.channel import (
     CavityParams,
-    Cir,
     SoundingConfig,
     SpatialChannelEnsemble,
     export_ensemble,
@@ -84,7 +84,7 @@ def off_target_scenario() -> Scenario:
     # targets' profiles peak at index 2 and no report has a spatial width
     params = CavityParams(num_taps=1)
     gains = (0.1, 0.5, 2.0, 0.3, 0.1)
-    cirs = tuple(Cir(np.array([g], dtype=complex)) for g in gains)
+    cirs = tuple(cir(np.array([g], dtype=complex)) for g in gains)
     ensemble = SpatialChannelEnsemble(np.arange(5.0), cirs, params)
     return Scenario(
         cavity=params,
@@ -284,7 +284,7 @@ class TestScenarioLoading:
         # imported responses are never correlated across positions, so a
         # grid that no synthesised draw could span still loads
         positions = np.array([-2.7, -1.8, 1e308])
-        cirs = tuple(Cir(np.ones(4)) for _ in positions)
+        cirs = tuple(cir(np.ones(4)) for _ in positions)
         ensemble = SpatialChannelEnsemble(positions, cirs, CavityParams(num_taps=4))
         export_ensemble(ensemble, tmp_path / "measured.json")
         doc = scenario_dict(ensemble_file="measured.json")
@@ -382,6 +382,24 @@ class TestBerSweep:
         assert len(records) == 2 * 2 * 2 * 3  # schemes x D x SNR x trials
         per_trial = scenario.trials * scenario.rsm.num_rx
         assert calls == {"tr_precode": per_trial, "propagate": per_trial}
+
+    def test_experiments_build_no_per_position_cir(self, monkeypatch):
+        # channels travel as the ensemble's (P, L) block; only the cirs
+        # accessor builds Cir objects
+        built = []
+        real = channel.Cir.__post_init__
+
+        def counting(self):
+            built.append(self)
+            real(self)
+
+        monkeypatch.setattr(channel.Cir, "__post_init__", counting)
+        sounded = small_scenario(sounding={"duration_s": 6.4e-8, "snr_db": 20.0})
+        run_focusing_experiment(sounded)
+        run_sounding_study(sounded)
+        run_ber_sweep(sounded)
+        assert built == []
+        assert len(sounded.ensemble_for_trial(0).cirs) == len(built) > 0
 
     def test_csv_schema_and_rows(self, tmp_path):
         scenario = small_scenario()
@@ -922,7 +940,7 @@ class TestCli:
         # one-tap channels 2e308 mm apart: every distance between the two
         # positions overflows a double
         positions = np.array([-1e308, 1e308])
-        cirs = tuple(Cir(np.array([g], dtype=complex)) for g in (1.0, 0.5))
+        cirs = tuple(cir(np.array([g], dtype=complex)) for g in (1.0, 0.5))
         ensemble = SpatialChannelEnsemble(positions, cirs, CavityParams(num_taps=1))
         export_ensemble(ensemble, tmp_path / "measured.json")
         doc = scenario_dict(ensemble_file="measured.json", targets_mm=[-1e308, 1e308])

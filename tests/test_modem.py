@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from trlink.channel import Cir
+from conftest import cir
 from trlink.errors import ConfigurationError, DomainError
 from trlink.harness import run_ber_point, scenario_from_dict
 from trlink.modem import (
@@ -40,7 +40,7 @@ def orthogonal_cirs():
     second = np.zeros(7, dtype=complex)
     first[0] = 1.0
     second[3] = 1.0
-    return [Cir(first), Cir(second)]
+    return [cir(first), cir(second)]
 
 
 def ideal_received(powers, spacing=7, num_taps=7):
@@ -62,7 +62,7 @@ def transmit(bits, scheme, cirs, sigma=0.0, seed=0):
         symbols = rask_modulate(bits)
     else:
         symbols = erask_modulate(bits, len(cirs))
-    windows = detection_windows(symbols.shape[1], cirs[0].num_taps, SPACING)
+    windows = detection_windows(symbols.shape[1], len(cirs[0]), SPACING)
     kernels = pulse_responses(cirs, cirs)
     received = received_at(symbols, kernels, SPACING, sigma, [seed])
     return received, windows
@@ -295,7 +295,7 @@ class TestEndToEnd:
 
         params = CavityParams(num_taps=64, rng_seed=11)
         ensemble = synth_cavity_ensemble(params, [-0.45, 0.45])
-        kernels = pulse_responses(list(ensemble.cirs), list(ensemble.cirs))
+        kernels = pulse_responses(ensemble.taps, ensemble.taps)
         for scheme in (Scheme.RASK, Scheme.ERASK):
             rsm = RsmConfig(num_rx=2, threshold_policy=PilotThreshold(16))
             bits_sent, errors = run_ber_point(
@@ -315,7 +315,7 @@ class TestEndToEnd:
         for trial in range(5):
             params = CavityParams(num_taps=128, rng_seed=300 + trial)
             ensemble = synth_cavity_ensemble(params, [-0.45, 0.45])
-            kernels = pulse_responses(list(ensemble.cirs), list(ensemble.cirs))
+            kernels = pulse_responses(ensemble.taps, ensemble.taps)
             calibrated = _erask_threshold(PilotThreshold(32), 15, kernels, sigma, cell_seed=trial)
             for label, value in (
                 ("calibrated", calibrated),

@@ -5,11 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from conftest import measure_focusing, random_cir
+from conftest import cir, energy, measure_focusing, random_cir
 from trlink import precoding
 from trlink.channel import (
     CavityParams,
-    Cir,
     SoundingConfig,
     SpatialChannelEnsemble,
     grid_index,
@@ -34,17 +33,13 @@ from trlink.precoding import (
 UNIT_PULSE = np.ones((1, 1), dtype=complex)
 
 
-def energy(signal: np.ndarray) -> float:
-    return float(np.sum(np.abs(signal) ** 2))
-
-
 def kernel_expansion(symbols, cirs, spacing, receiver_index):
     """Received field assembled pulse by pulse from the correlation kernels."""
-    num_taps = cirs[0].num_taps
+    num_taps = len(cirs[0])
     num_symbols = symbols.shape[1]
     out = np.zeros((num_symbols - 1) * spacing + 2 * num_taps - 1, dtype=complex)
-    for row, cir in zip(symbols, cirs):
-        kernel = tr_kernel(cirs[receiver_index], cir)
+    for row, h in zip(symbols, cirs):
+        kernel = tr_kernel(cirs[receiver_index], h)
         for l, amplitude in enumerate(row):
             start = l * spacing
             out[start : start + kernel.size] += amplitude * kernel
@@ -53,16 +48,16 @@ def kernel_expansion(symbols, cirs, spacing, receiver_index):
 
 class TestTrKernel:
     def test_single_tap(self):
-        h = Cir([1.0])
+        h = cir([1.0])
         kernel = tr_kernel(h, h)
         np.testing.assert_allclose(kernel, [1.0])
-        assert kernel.size == 2 * h.num_taps - 1
+        assert kernel.size == 2 * h.size - 1
 
     def test_zero_lag_peak_is_root_energy(self):
         rng = np.random.default_rng(0)
         h = random_cir(rng, 64)
-        peak = tr_kernel(h, h)[h.num_taps - 1]
-        assert abs(peak - math.sqrt(h.energy)) <= NUMERIC_RTOL * math.sqrt(h.energy)
+        peak = tr_kernel(h, h)[h.size - 1]
+        assert abs(peak - math.sqrt(energy(h))) <= NUMERIC_RTOL * math.sqrt(energy(h))
         assert abs(peak.imag) <= NUMERIC_RTOL
 
     def test_autocorrelation_dominance(self):
@@ -70,7 +65,7 @@ class TestTrKernel:
         for _ in range(20):
             h = random_cir(rng, 48)
             mags = np.abs(tr_kernel(h, h))
-            assert mags.max() <= mags[h.num_taps - 1] * (1 + 1e-12)
+            assert mags.max() <= mags[h.size - 1] * (1 + 1e-12)
 
     def test_cross_kernel_statistics(self):
         # for independent flat channels E|R[0]|^2 is the receive energy over L,
@@ -103,7 +98,7 @@ class TestTrKernel:
             assert np.max(np.abs(kernel - chain)) <= NUMERIC_RTOL * np.max(np.abs(chain))
         # three receivers, two users (the second a sounded-like perturbation)
         true_cirs = [h_i, h_j, random_cir(rng, num_taps)]
-        known_cirs = [h_j, Cir(h_i.taps + 0.1 * random_cir(rng, num_taps).taps)]
+        known_cirs = [h_j, cir(h_i + 0.1 * random_cir(rng, num_taps))]
         kernels = pulse_responses(true_cirs, known_cirs)
         assert kernels.shape == (3, 2, 2 * num_taps - 1)
         for n, receiver in enumerate(true_cirs):
@@ -113,23 +108,23 @@ class TestTrKernel:
                 assert np.max(np.abs(kernels[n, i] - kernel)) <= NUMERIC_RTOL * scale
 
     def test_rejects_zero_energy_target(self):
-        h = Cir(np.ones(4))
-        dead = Cir(np.zeros(4))
+        h = cir(np.ones(4))
+        dead = cir(np.zeros(4))
         with pytest.raises(DomainError):
             tr_kernel(h, dead)
 
     def test_rejects_length_mismatch(self):
         with pytest.raises(ConfigurationError):
-            tr_kernel(Cir(np.ones(4)), Cir(np.ones(5)))
+            tr_kernel(cir(np.ones(4)), cir(np.ones(5)))
 
 
 class TestTrPrecode:
     def test_single_tap_identity(self):
-        waveform = tr_precode(UNIT_PULSE, [Cir([1.0])], 1)
+        waveform = tr_precode(UNIT_PULSE, [cir([1.0])], 1)
         np.testing.assert_allclose(waveform, [1.0])
 
     def test_empty_symbol_matrix_gives_empty_emission(self):
-        h = Cir(np.ones(4))
+        h = cir(np.ones(4))
         waveform = tr_precode(np.zeros((2, 0)), [h, h], 3)
         assert waveform.dtype == np.complex128
         assert waveform.size == 0
@@ -152,38 +147,38 @@ class TestTrPrecode:
         params = CavityParams(rng_seed=42)
         ensemble = synth_cavity_ensemble(params, grid_positions(-6.3, 6.3, 0.3))
         targets = [grid_index(ensemble.positions_mm, x) for x in (-2.7, -1.8)]
-        cirs = [ensemble.cirs[t] for t in targets]
+        cirs = ensemble.taps[targets]
         waveform = tr_precode(np.ones((2, 1)), cirs, 15)
         assert len(waveform) == params.num_taps
         assert np.all(np.isfinite(waveform))
-        for cir in cirs:
-            alone = tr_precode(UNIT_PULSE, [cir], 15)
+        for h in cirs:
+            alone = tr_precode(UNIT_PULSE, [h], 15)
             assert abs(energy(alone) - 1.0) <= NUMERIC_RTOL
 
     def test_rejects_zero_energy_cir(self):
         with pytest.raises(DomainError):
-            tr_precode(UNIT_PULSE, [Cir(np.zeros(4))], 1)
+            tr_precode(UNIT_PULSE, [cir(np.zeros(4))], 1)
 
     def test_rejects_count_mismatch(self):
-        h = Cir(np.ones(4))
+        h = cir(np.ones(4))
         with pytest.raises(ConfigurationError, match="1 symbol rows for 2 CIRs"):
             tr_precode(UNIT_PULSE, [h, h], 1)
 
     def test_rejects_one_dimensional_symbols(self):
-        h = Cir(np.ones(4))
+        h = cir(np.ones(4))
         with pytest.raises(DomainError, match="matrix"):
             tr_precode(np.ones(3), [h], 4)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
     def test_rejects_non_finite_symbols(self, bad):
-        h = Cir(np.ones(4))
+        h = cir(np.ones(4))
         symbols = np.ones((2, 3), dtype=complex)
         symbols[1, 2] = bad
         with pytest.raises(DomainError, match="finite"):
             tr_precode(symbols, [h, h], 4)
 
     def test_rejects_spacing_below_one_tap(self):
-        h = Cir(np.ones(4))
+        h = cir(np.ones(4))
         with pytest.raises(ConfigurationError, match="spacing"):
             tr_precode(UNIT_PULSE, [h], 0)
 
@@ -195,13 +190,13 @@ class TestPropagate:
         waveform = tr_precode(UNIT_PULSE, [h], 4)
         [received] = propagate(waveform, [h], 0.0)
         peak_idx = int(np.argmax(np.abs(received)))
-        assert peak_idx == h.num_taps - 1
-        expected = math.sqrt(h.energy)
+        assert peak_idx == h.size - 1
+        expected = math.sqrt(energy(h))
         assert abs(abs(received[peak_idx]) - expected) <= NUMERIC_RTOL * expected
 
     def test_noise_only_variance(self):
         zeros = np.zeros(100_000, dtype=complex)
-        [received] = propagate(zeros, [Cir([1.0])], 1.0, [6])
+        [received] = propagate(zeros, [cir([1.0])], 1.0, [6])
         variance = float(np.mean(np.abs(received) ** 2))
         assert variance == pytest.approx(1.0, rel=0.05)
         assert abs(complex(np.mean(received))) <= 0.02
@@ -215,17 +210,17 @@ class TestPropagate:
         assert np.array_equal(first, second)
 
     def test_rejects_negative_sigma(self):
-        h = Cir([1.0])
+        h = cir([1.0])
         waveform = tr_precode(UNIT_PULSE, [h], 1)
         with pytest.raises(DomainError):
             propagate(waveform, [h], -0.1)
 
     def test_rejects_no_channels_and_mixed_tap_counts(self):
-        waveform = tr_precode(UNIT_PULSE, [Cir(np.ones(4))], 1)
+        waveform = tr_precode(UNIT_PULSE, [cir(np.ones(4))], 1)
         with pytest.raises(ConfigurationError, match="at least one"):
             propagate(waveform, [], 0.0)
         with pytest.raises(ConfigurationError, match="share"):
-            propagate(waveform, [Cir(np.ones(4)), Cir(np.ones(5))], 0.0)
+            propagate(waveform, [cir(np.ones(4)), cir(np.ones(5))], 0.0)
 
     @pytest.mark.parametrize("sigma", [0.0, 0.3])
     def test_each_row_is_its_channel_plus_its_seeded_noise(self, sigma):
@@ -235,8 +230,8 @@ class TestPropagate:
         waveform = tr_precode(np.ones((1, 4)), cirs[:1], 5)
         received = propagate(waveform, cirs, sigma, [7, 1])
         assert received.shape == (3, waveform.size + 31)
-        for n, cir in enumerate(cirs):
-            expected = convolve(waveform, cir.taps)
+        for n, h in enumerate(cirs):
+            expected = convolve(waveform, h)
             if sigma > 0.0:
                 expected = expected + complex_noise(expected.size, sigma, [7, 1, n])
             assert np.array_equal(received[n], expected)
@@ -284,7 +279,7 @@ class TestReceivedAt:
     def test_matches_full_length_chain(self, num_taps, spacings, csi):
         params = CavityParams(num_taps=num_taps, rng_seed=21)
         ensemble = synth_cavity_ensemble(params, [-0.45, 0.45])
-        true_cirs = list(ensemble.cirs)
+        true_cirs = ensemble.taps
         known_cirs = true_cirs
         if csi == "sounded":
             cfg = SoundingConfig(duration_s=64 / params.bandwidth_hz, probe_snr_db=20.0)
@@ -312,7 +307,7 @@ class TestReceivedAt:
         # a budget of 1 multiplies one window row per block, 300 a few; the
         # block edges regroup the products, so agreement is to NUMERIC_RTOL
         params = CavityParams(num_taps=num_taps, rng_seed=4)
-        cirs = synth_cavity_ensemble(params, [-0.45, 0.45]).cirs
+        cirs = synth_cavity_ensemble(params, [-0.45, 0.45]).taps
         kernels = pulse_responses(cirs, cirs)
         frames = _frames(np.random.default_rng(3))
         default = {
@@ -327,7 +322,7 @@ class TestReceivedAt:
     def test_single_tap_reads_clip_to_the_signal_ends(self):
         # with L = 1 the field is zero between pulses; the first window's
         # left sample and the last window's right sample clip to the ends
-        h = Cir([0.6 + 0.8j])
+        h = cir([0.6 + 0.8j])
         symbols = np.array([[1.0, 2.0, 3.0]], dtype=complex)
         kernels = pulse_responses([h], [h])
         field = received_at(symbols, kernels, 4, 0.0, [0])[0]
@@ -338,12 +333,12 @@ class TestReceivedAt:
         assert noisy[0, 0] != noisy[2, 2]
 
     def test_empty_frame_gives_no_samples(self):
-        h = Cir(np.ones(4))
+        h = cir(np.ones(4))
         field = received_at(np.zeros((2, 0)), pulse_responses([h, h], [h, h]), 5, 0.1, [0])
         assert field.shape == (2, 0, 3)
 
     def test_rejects_what_the_chain_rejects(self):
-        h = Cir(np.ones(4))
+        h = cir(np.ones(4))
         kernels = pulse_responses([h], [h])
         with pytest.raises(DomainError, match="noise_sigma"):
             received_at(np.ones((1, 2)), kernels, 5, -1.0, [0])
@@ -352,9 +347,9 @@ class TestReceivedAt:
         with pytest.raises(DomainError, match="2L-1"):
             received_at(np.ones((1, 2)), kernels[..., 1:], 5, 0.0, [0])
         with pytest.raises(DomainError, match="zero-energy"):
-            pulse_responses([h], [Cir(np.zeros(4))])
+            pulse_responses([h], [cir(np.zeros(4))])
         with pytest.raises(ConfigurationError, match="share"):
-            pulse_responses([h], [Cir(np.ones(5))])
+            pulse_responses([h], [cir(np.ones(5))])
 
 
 class TestFocusingGain:
@@ -364,9 +359,9 @@ class TestFocusingGain:
             ratios = []
             for seed in range(200):
                 params = CavityParams(num_taps=num_taps, rng_seed=seed)
-                cir = synth_cavity_ensemble(params, [0.0]).cirs[0]
-                waveform = tr_precode(UNIT_PULSE, [cir], 4)
-                field = np.abs(propagate(waveform, [cir], 0.0)[0])
+                h = synth_cavity_ensemble(params, [0.0]).taps[0]
+                waveform = tr_precode(UNIT_PULSE, [h], 4)
+                field = np.abs(propagate(waveform, [h], 0.0)[0])
                 peak_idx = int(np.argmax(field))
                 mask = np.ones(field.size, dtype=bool)
                 mask[max(0, peak_idx - 1) : peak_idx + 2] = False
@@ -400,14 +395,14 @@ class TestFocusingReport:
     )
     def test_rejects_inconsistent_pulse_responses(self, edit, message):
         ensemble = _dense_grid_ensemble(0)
-        fields = pulse_responses(ensemble.cirs, [ensemble.cirs[3], ensemble.cirs[5]])
+        fields = pulse_responses(ensemble.taps, ensemble.taps[[3, 5]])
         own, other, target, other_index = edit((fields[:, 0], fields[:, 1]))
         with pytest.raises(DomainError, match=message):
             focusing_report(ensemble, own, other, target, other_index, 15)
 
     def test_rejects_spacing_below_one_tap(self):
         ensemble = _dense_grid_ensemble(0)
-        own = pulse_responses(ensemble.cirs, [ensemble.cirs[3]])[:, 0]
+        own = pulse_responses(ensemble.taps, ensemble.taps[[3]])[:, 0]
         with pytest.raises(ConfigurationError, match="spacing"):
             focusing_report(ensemble, own, None, 3, None, 0)
 
@@ -426,7 +421,7 @@ class TestFocusingReport:
         positions = np.arange(5, dtype=float)
         gains = [0.1, 0.5, 2.0, 0.3, 0.1]
         cirs = tuple(
-            Cir(np.array([g], dtype=complex)) for g in gains
+            cir(np.array([g], dtype=complex)) for g in gains
         )
         ensemble = SpatialChannelEnsemble(positions, cirs, params)
         report = measure_focusing(ensemble, 1, None, 1)
@@ -445,7 +440,7 @@ class TestFocusingReport:
 
         def draw_ensemble() -> SpatialChannelEnsemble:
             phases = np.exp(2j * np.pi * rng.random(3))
-            cirs = tuple(Cir(np.array([p])) for p in phases)
+            cirs = tuple(cir(np.array([p])) for p in phases)
             return SpatialChannelEnsemble(positions, cirs, params)
 
         for _ in range(5):
@@ -458,8 +453,8 @@ class TestFocusingReport:
         seeds = 2000
         for _ in range(seeds):
             ensemble = draw_ensemble()
-            waveform = tr_precode(UNIT_PULSE, [ensemble.cirs[target]], 1)
-            mean_field += propagate(waveform, list(ensemble.cirs), 0.0)[:, 0]
+            waveform = tr_precode(UNIT_PULSE, ensemble.taps[[target]], 1)
+            mean_field += propagate(waveform, ensemble.taps, 0.0)[:, 0]
         mean_field /= seeds
         assert abs(mean_field[target] - 1.0) <= 0.05
         assert abs(mean_field[0]) <= 0.05
