@@ -181,10 +181,6 @@ class Cir:
         object.__setattr__(self, "taps", taps)
 
     @property
-    def num_taps(self) -> int:
-        return self.taps.size
-
-    @property
     def energy(self) -> float:
         return float(np.sum(np.abs(self.taps) ** 2))
 

@@ -125,11 +125,12 @@ def tr_precode(symbols: np.ndarray, taps: np.ndarray, spacing: int) -> np.ndarra
 
     ``symbols`` is the ``(N, M)`` amplitude matrix: row ``i`` holds user
     ``i``'s pulse amplitudes, one per symbol slot, and row ``i`` of the
-    ``(N, L)`` block ``taps`` is the channel toward that user. Each row is upsampled by ``spacing`` taps and
-    convolved with the user's conjugated, time-reversed response, scaled by
-    ``1/sqrt(E_i)``; the users' contributions are summed. Pulse ``l`` of any
-    user focuses at received index ``L - 1 + l*spacing``. ``M == 0`` gives
-    an empty emission.
+    ``(N, L)`` block ``taps`` is the channel toward that user. Each
+    amplitude row is upsampled by ``spacing`` taps and convolved with the
+    user's conjugated, time-reversed response, scaled by ``1/sqrt(E_i)``;
+    the users' contributions are summed. Pulse ``l`` of any user focuses at
+    received index ``L - 1 + l*spacing``. ``M == 0`` gives an empty
+    emission.
     """
     symbols = _check_symbols(symbols, len(taps), spacing)
     taps = as_taps(taps, "users")
@@ -183,10 +184,11 @@ def propagate(
 def pulse_responses(true_taps: np.ndarray, known_taps: np.ndarray) -> np.ndarray:
     """Noiseless received unit pulses ``K_ni``, shape ``(N, U, 2L - 1)``.
 
-    Entry ``[:, i]`` is ``propagate(tr_precode(unit pulse, known_taps[i:i +
-    1], 1), true_taps, 0.0)``: one pulse precoded toward user ``i`` with
-    the precoder's channel knowledge, received through the ``N`` true
-    channels. Both are blocks of one CIR length.
+    ``true_taps`` is the ``(N, L)`` block of receivers, ``known_taps`` the
+    ``(U, L)`` block of the precoder's channel knowledge. Entry ``[:, i]``
+    is ``propagate(tr_precode(unit pulse, known_taps[[i]], 1), true_taps,
+    0.0)``: one pulse precoded toward user ``i``, received through the
+    ``N`` true channels.
     """
     if len(true_taps) == 0 or len(known_taps) == 0:
         raise ConfigurationError("pulse responses need at least one receiver and one user")
