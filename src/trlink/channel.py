@@ -7,11 +7,14 @@ pipeline as :class:`SpatialChannelEnsemble` ``.taps``, built by
 :func:`synth_cavity_ensemble` and :func:`load_ensemble`; its constructor
 checks the block once (shape, row count, tap count, every tap finite) and
 keeps a frozen copy. The functions that take taps (:func:`sound_cir` here,
-the precoder's in :mod:`trlink.precoding`) check only the shape
-(:func:`as_taps`), so a block passes between them without a copy or a
-rescan, and a row is a view. ``SpatialChannelEnsemble.cirs`` still builds
-one :class:`Cir` per row on access, for the benchmark's focus oracle;
-nothing in trlink reads it.
+the precoder's in :mod:`trlink.precoding`) convert them with
+:func:`as_taps`, which checks the shape and passes a block through without
+a copy, so a row is a view. They still refuse non-finite taps from any
+caller: precoding from the target's energy (:func:`energy`), computed
+anyway; sounding and propagation by one scan of their block, cheap next to
+their transforms. ``SpatialChannelEnsemble.cirs``
+still builds one :class:`Cir` per row on access, for the benchmark's focus
+oracle; nothing in trlink reads it.
 
 The physical channel is a leaking metallic cavity probed across a 1-D
 receive axis. No field solver is involved; instead each impulse response is
@@ -140,7 +143,12 @@ def grid_index(positions: np.ndarray, position_mm: float, name: str = "position"
     return idx
 
 
-def as_taps(values, what: str, copy: bool | None = None) -> np.ndarray:
+def energy(taps: np.ndarray) -> float:
+    """Total energy ``sum |h[l]|^2`` of a row of taps."""
+    return float(np.sum(np.abs(taps) ** 2))
+
+
+def as_taps(values, what: str, copy: bool = False) -> np.ndarray:
     """``values`` as a C-contiguous ``(P, L)`` complex128 block, ``P, L >= 1``.
 
     Rows of different lengths are a ``ConfigurationError`` (``what`` must
@@ -148,9 +156,12 @@ def as_taps(values, what: str, copy: bool | None = None) -> np.ndarray:
     shape is checked. A block that already is one is returned as it is,
     unless ``copy`` is true.
     """
+    convert = np.array if copy else np.asarray
     try:
-        taps = np.array(values, dtype=np.complex128, order="C", copy=copy)
-    except ValueError:  # rows of different lengths
+        taps = convert(values, dtype=np.complex128, order="C")
+    except ValueError as exc:
+        if "inhomogeneous" not in str(exc):  # not ragged rows, e.g. a string cell
+            raise
         raise ConfigurationError(f"{what} must share one CIR length") from None
     if taps.ndim != 2 or 0 in taps.shape:
         raise DomainError(
@@ -182,7 +193,7 @@ class Cir:
 
     @property
     def energy(self) -> float:
-        return float(np.sum(np.abs(self.taps) ** 2))
+        return energy(self.taps)
 
 
 @dataclass(frozen=True)
@@ -358,7 +369,8 @@ def sound_cir(
     """Estimate CIRs by chirp sounding, one estimate per ``(true_taps[k], cfgs[k])``.
 
     ``true_taps`` is an ``(R, L)`` block (:func:`as_taps`); the estimates
-    are returned as another, read-only and C-contiguous.
+    are returned as another, read-only and C-contiguous. A non-finite tap
+    is a ``DomainError``.
 
     The probe is ``make_chirp(bandwidth_hz, duration_s)``, sampled at the
     taps' rate, the bandwidth; every row must share one ``duration_s``. The
@@ -399,6 +411,8 @@ def sound_cir(
     if len(true_taps) == 0:
         raise DomainError("sound_cir needs at least one CIR")
     taps = as_taps(true_taps, "a sounding batch")
+    if not np.all(np.isfinite(taps)):
+        raise DomainError("sounding batch taps must be finite")
     if len(cfgs) != len(taps):
         raise ConfigurationError(f"{len(taps)} CIRs but {len(cfgs)} sounding configurations")
     durations = sorted({cfg.duration_s for cfg in cfgs})
@@ -411,7 +425,7 @@ def sound_cir(
     received_len = n + num_taps - 1
     m = _fast_len(received_len)
     chirp_spectrum = np.fft.fft(chirp, m)
-    chirp_energy = float(np.sum(np.abs(chirp) ** 2))
+    chirp_energy = energy(chirp)
     lags = np.zeros(num_taps, dtype=np.complex128)
     span = min(num_taps, n)
     lags[:span] = np.fft.ifft(np.abs(chirp_spectrum) ** 2)[:span] / chirp_energy

@@ -104,6 +104,7 @@ from .channel import (
     SoundingConfig,
     SpatialChannelEnsemble,
     check_positions,
+    energy,
     grid_index,
     load_ensemble,
     sound_cir,
@@ -248,7 +249,7 @@ class Scenario:
                 raise ConfigurationError(f"target index {idx} is off the grid")
             if (
                 self.imported_ensemble is not None
-                and np.sum(np.abs(self.imported_ensemble.taps[idx]) ** 2) == 0
+                and energy(self.imported_ensemble.taps[idx]) == 0
             ):
                 raise ConfigurationError(
                     f"target {float(positions[idx])} mm has a zero-energy CIR in the imported "

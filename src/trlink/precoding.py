@@ -16,8 +16,10 @@ spacing, and that every amplitude is finite.
 Channels are ``(P, L)`` tap blocks, one row per channel, as
 :class:`~trlink.channel.SpatialChannelEnsemble` holds them; a user or a
 receiver is a row, and a subset of positions is a row selection. The
-functions here check only a block's shape (:func:`~trlink.channel.as_taps`):
-its taps were checked finite once, where the block entered.
+functions here convert a block with :func:`~trlink.channel.as_taps`, which
+checks its shape and does not copy it. Non-finite taps are refused from any
+caller: a precoding target's by its energy ``E_i``, computed anyway, and a
+receive block's by one scan in :func:`propagate`.
 
 After propagating through channel ``h_j`` the multipath echoes recombine: a
 single unit pulse toward user ``i`` arrives at position ``j`` as the
@@ -60,7 +62,7 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .channel import SpatialChannelEnsemble, as_taps
+from .channel import SpatialChannelEnsemble, as_taps, energy
 from .dsp import complex_noise, convolve, xcorr
 from .errors import ConfigurationError, DomainError
 from .modem import WINDOW_HALF_WIDTH, detection_windows
@@ -96,6 +98,16 @@ def _check_noise_sigma(noise_sigma: float) -> None:
         raise DomainError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
 
 
+def _target_energy(h: np.ndarray) -> float:
+    """Energy ``E_i`` of a precoding target's taps, which must be finite and nonzero."""
+    e = energy(h)
+    if not math.isfinite(e):
+        raise DomainError("cannot precode toward a CIR with non-finite taps or energy")
+    if e <= 0.0:
+        raise DomainError("cannot precode toward a zero-energy CIR")
+    return e
+
+
 def _receiver_noise(num_rx: int, size: int, sigma: float, seed_path, at=None) -> np.ndarray:
     """Row ``n`` is receiver ``n``'s noise, seeded ``[*seed_path, n]`` (contract v1)."""
     return np.stack([complex_noise(size, sigma, [*seed_path, n], at) for n in range(num_rx)])
@@ -114,10 +126,8 @@ def tr_kernel(h_j: np.ndarray, h_i: np.ndarray) -> np.ndarray:
     ``NUMERIC_RTOL``.
     """
     h_j, h_i = as_taps([h_j, h_i], "kernel CIRs")
-    energy = float(np.sum(np.abs(h_i) ** 2))
-    if energy <= 0.0:
-        raise DomainError("precoding target CIR has zero energy")
-    return xcorr(h_i, h_j) / math.sqrt(energy)
+    scale = math.sqrt(_target_energy(h_i))
+    return xcorr(h_i, h_j) / scale
 
 
 def tr_precode(symbols: np.ndarray, taps: np.ndarray, spacing: int) -> np.ndarray:
@@ -130,7 +140,8 @@ def tr_precode(symbols: np.ndarray, taps: np.ndarray, spacing: int) -> np.ndarra
     user's conjugated, time-reversed response, scaled by ``1/sqrt(E_i)``;
     the users' contributions are summed. Pulse ``l`` of any user focuses at
     received index ``L - 1 + l*spacing``. ``M == 0`` gives an empty
-    emission.
+    emission. A user whose energy is zero or not finite (a non-finite tap)
+    is a ``DomainError``.
     """
     symbols = _check_symbols(symbols, len(taps), spacing)
     taps = as_taps(taps, "users")
@@ -139,14 +150,12 @@ def tr_precode(symbols: np.ndarray, taps: np.ndarray, spacing: int) -> np.ndarra
     # train buffer or preallocating the sum measured slower (page faults).
     contributions: list[np.ndarray] = []
     for row, h in zip(symbols, taps):
-        energy = float(np.sum(np.abs(h) ** 2))
-        if energy <= 0.0:
-            raise DomainError("cannot precode toward a zero-energy CIR")
+        e = _target_energy(h)
         if num_symbols == 0:
             continue
         train = np.zeros((num_symbols - 1) * spacing + 1, dtype=np.complex128)
         train[::spacing] = row
-        flipped = np.conj(h[::-1]) / math.sqrt(energy)
+        flipped = np.conj(h[::-1]) / math.sqrt(e)
         contributions.append(convolve(train, flipped))
 
     combined = np.zeros(contributions[0].size if contributions else 0, dtype=np.complex128)
@@ -169,12 +178,14 @@ def propagate(
     (``E|n|^2 = sigma^2``), seeded ``[*seed_path, n]``. The block is
     received in one stacked convolution; each row equals the convolution
     with that channel alone bit for bit. Returns shape ``(R, len(signal) +
-    L - 1)``.
+    L - 1)``. A non-finite tap in ``taps`` is a ``DomainError``.
     """
     _check_noise_sigma(noise_sigma)
     if len(taps) == 0:
         raise ConfigurationError("propagate needs at least one receive channel")
     taps = as_taps(taps, "receive channels")
+    if not np.all(np.isfinite(taps)):
+        raise DomainError("receive channel taps must be finite")
     received = convolve(signal, taps)
     if noise_sigma > 0.0:
         received += _receiver_noise(len(taps), received.shape[1], noise_sigma, seed_path)

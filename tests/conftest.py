@@ -7,7 +7,7 @@ independent of the transform-domain fast paths they are used to check.
 import numpy as np
 from hypothesis import HealthCheck, settings
 
-from trlink.channel import SpatialChannelEnsemble
+from trlink.channel import SpatialChannelEnsemble, energy  # noqa: F401  (re-exported to the tests)
 from trlink.precoding import FocusingReport, focusing_report, pulse_responses
 
 settings.register_profile(
@@ -32,10 +32,6 @@ def cir(taps) -> np.ndarray:
     row = np.array(taps, dtype=np.complex128)
     row.flags.writeable = False
     return row
-
-
-def energy(taps: np.ndarray) -> float:
-    return float(np.sum(np.abs(taps) ** 2))
 
 
 def random_cir(

@@ -202,6 +202,16 @@ class TestChannelBlock:
         source[0, 0] = np.nan
         assert np.array_equal(taps, np.arange(6.0).reshape(2, 3) + 1j)
 
+    def test_as_taps_copies_only_when_asked(self):
+        block = np.ones((2, 3), dtype=np.complex128)
+        assert channel.as_taps(block, "a block") is block
+        assert not np.shares_memory(channel.as_taps(block, "a block", copy=True), block)
+
+    def test_as_taps_reads_only_ragged_rows_as_a_length_mismatch(self):
+        with pytest.raises(ValueError, match="malformed") as info:
+            channel.as_taps([["1", "x"]], "a block")
+        assert not isinstance(info.value, ConfigurationError)
+
     @staticmethod
     def _exported(tmp_path) -> tuple:
         ensemble = synth_cavity_ensemble(CavityParams(num_taps=4, rng_seed=2), [-0.3, 0.3])
@@ -326,6 +336,13 @@ class TestSounding:
                 errors.append(_estimate_error(h, cfg))
             medians.append(np.median(errors))
         assert medians[0] > medians[1] > medians[2]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_rejects_a_non_finite_tap(self, bad):
+        cfg = SoundingConfig(duration_s=16 / 4e9)
+        rows = [cir(np.ones(8)), cir([1.0, bad, *np.zeros(6)])]
+        with pytest.raises(DomainError, match="taps must be finite"):
+            sound_cir(rows, [cfg, cfg], 4e9)
 
     @pytest.mark.parametrize("snr_db", [4000.0, -4000.0, 1e308])
     def test_rejects_snr_outside_the_power_ratios(self, snr_db):

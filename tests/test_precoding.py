@@ -267,6 +267,39 @@ def _frames(rng, num_rx=2):
     }
 
 
+NON_FINITE = [
+    pytest.param(np.nan, id="nan"),
+    pytest.param(np.inf, id="inf"),
+    pytest.param(complex(0.0, -np.inf), id="complex-inf"),
+]
+
+
+class TestNonFiniteTaps:
+    """A raw tap block with a non-finite tap is refused, not turned into NaN fields."""
+
+    @staticmethod
+    def _rows(bad):
+        return cir([1.0, 0.5, 0.25]), cir([1.0, bad, 0.25])
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_precoding_toward_it(self, bad):
+        good, broken = self._rows(bad)
+        with pytest.raises(DomainError, match="non-finite"):
+            tr_precode(np.ones((2, 1)), [good, broken], 1)
+        with pytest.raises(DomainError, match="non-finite"):
+            tr_kernel(good, broken)
+        with pytest.raises(DomainError, match="non-finite"):
+            pulse_responses([good], [good, broken])
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_receiving_through_it(self, bad):
+        good, broken = self._rows(bad)
+        with pytest.raises(DomainError, match="finite"):
+            propagate(tr_precode(UNIT_PULSE, [good], 1), [good, broken], 0.0)
+        with pytest.raises(DomainError, match="finite"):
+            pulse_responses([good, broken], [good])
+
+
 class TestReceivedAt:
     """The window-sample engine against the full-length precode-propagate chain."""
 
