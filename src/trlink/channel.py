@@ -330,8 +330,8 @@ def _kernel_sqrt(wavelength_mm: float, position_bytes: bytes) -> np.ndarray:
     a scenario's trials draw over one grid at one carrier.
     """
     positions = np.frombuffer(position_bytes)
-    distance = np.abs(positions[:, None] - positions[None, :])
-    kernel = _diffuse_correlation(distance, wavelength_mm)
+    # no name for the distances: they are freed before eigh's peak
+    kernel = _diffuse_correlation(np.abs(positions[:, None] - positions[None, :]), wavelength_mm)
     eigval, eigvec = np.linalg.eigh(kernel)
     eigval = np.clip(eigval, 0.0, None)
     root = (eigvec * np.sqrt(eigval)) @ eigvec.T
