@@ -327,7 +327,9 @@ def _kernel_sqrt(wavelength_mm: float, position_bytes: bytes) -> np.ndarray:
 
     ``position_bytes`` is the float64 positions' ``tobytes()``. The kernel
     depends only on these two keys, so the last root is kept (one entry):
-    a scenario's trials draw over one grid at one carrier.
+    a scenario's trials draw over one grid at one carrier. The kept root,
+    ``8 P**2`` bytes, is smaller than the kernel and eigenvectors a draw
+    allocates anyway, so keeping it does not raise a run's peak memory.
     """
     positions = np.frombuffer(position_bytes)
     # no name for the distances: they are freed before eigh's peak
