@@ -32,7 +32,6 @@ from .modem import (
     RsmConfig,
     Scheme,
     calibrate_threshold,
-    detection_windows,
     erask_modulate,
     power_detect,
     rask_modulate,
@@ -70,7 +69,6 @@ __all__ = [
     "calibrate_threshold",
     "convolve",
     "derive_seed",
-    "detection_windows",
     "erask_modulate",
     "export_ensemble",
     "focusing_report",

@@ -200,7 +200,8 @@ class Cir:
 class CavityParams:
     """Statistical description of the reverberation cavity.
 
-    ``num_taps`` is 1 to ``_MAX_TAPS``. ``decay_time_s`` defaults to
+    ``num_taps`` is 1 to ``_MAX_TAPS``; the bandwidth and the carrier are
+    finite and positive. ``decay_time_s`` defaults to
     ``num_taps / (3 * bandwidth_hz)`` so that most of the reverberant energy
     falls inside the simulated tap window; ``math.inf`` is accepted and
     yields a flat power-delay profile. The carrier frequency only enters
@@ -220,10 +221,10 @@ class CavityParams:
             raise ConfigurationError(
                 f"num_taps {self.num_taps} is above the cap of {_MAX_TAPS} taps"
             )
-        if not self.bandwidth_hz > 0:
-            raise ConfigurationError(f"bandwidth_hz must be > 0, got {self.bandwidth_hz}")
-        if not self.carrier_freq_hz > 0:
-            raise ConfigurationError(f"carrier_freq_hz must be > 0, got {self.carrier_freq_hz}")
+        for name in ("bandwidth_hz", "carrier_freq_hz"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigurationError(f"{name} must be finite and > 0, got {value}")
         if math.isnan(self.decay_time_s):
             object.__setattr__(
                 self, "decay_time_s", self.num_taps / (3.0 * self.bandwidth_hz)

@@ -128,7 +128,6 @@ from .modem import (
     RsmConfig,
     Scheme,
     calibrate_threshold,
-    detection_windows,
     erask_modulate,
     power_detect,
     rask_modulate,
@@ -523,11 +522,11 @@ def _receive(
 ) -> tuple[np.ndarray, DetectionWindow]:
     """Precode a frame and receive it through the trial's pulse responses.
 
-    Returns the ``(N, M, 2w+1)`` received samples at the detection windows
-    and the windows. Receiver ``n``'s noise is seeded by ``[*seed_path, n]``.
+    Returns the ``(N, M, 2w+1)`` samples at ``DetectionWindow(M, L, spacing)``
+    and that window. Receiver ``n``'s noise is seeded by ``[*seed_path, n]``.
     """
-    # A (2L-1)-sample pulse response peaks at index L - 1.
-    windows = detection_windows(symbols.shape[1], (kernels.shape[-1] + 1) // 2, spacing)
+    # A pulse response of an L-tap channel has 2L - 1 samples.
+    windows = DetectionWindow(symbols.shape[1], (kernels.shape[-1] + 1) // 2, spacing)
     return received_at(symbols, kernels, spacing, sigma, seed_path), windows
 
 

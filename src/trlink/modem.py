@@ -10,7 +10,7 @@ Two antenna-index keying schemes over the time-reversal link:
   threshold.
 
 The modulators return the ``(N, M)`` antenna-by-symbol amplitude matrix
-that :func:`trlink.precoding.tr_precode` takes; the pulse spacing travels
+that :func:`trlink.precoding.received_at` takes; the pulse spacing travels
 beside it, not in it.
 
 The receiver is non-coherent: only magnitudes inside small windows around
@@ -18,11 +18,13 @@ the expected focusing peaks are used, so no phase reference or inter-antenna
 synchronisation is required. The detector therefore takes just those
 samples: an ``(N, M, 2w+1)`` array holding each antenna's received samples
 at :attr:`DetectionWindow.lags`, as :func:`trlink.precoding.received_at`
-evaluates them, never a full received signal.
+evaluates them, never a full received signal. Those lags derive from the
+frame's three integers alone, so this module says where the detector reads.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -45,6 +47,10 @@ class FixedThreshold:
     """Use a caller-supplied detection threshold (received power units)."""
 
     value: float
+
+    def __post_init__(self) -> None:
+        if not math.isfinite(self.value):
+            raise ConfigurationError(f"a fixed threshold must be finite, got {self.value}")
 
 
 @dataclass(frozen=True)
@@ -70,26 +76,27 @@ class RsmConfig:
             raise ConfigurationError(f"num_rx must be >= 1, got {self.num_rx}")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class DetectionWindow:
-    """Expected focusing-peak indices per symbol; each window spans
-    ``WINDOW_HALF_WIDTH`` taps on either side of its peak.
+    """A frame of ``num_symbols`` pulses ``spacing`` taps apart through
+    ``num_taps``-tap channels: symbol ``l`` peaks at ``num_taps - 1 + l*spacing``.
 
-    Windows of distinct symbols are disjoint whenever the pulse spacing
-    exceeds twice the half-width.
+    Each window spans ``WINDOW_HALF_WIDTH`` taps on either side of its peak,
+    so windows of distinct symbols are disjoint whenever the spacing exceeds
+    twice the half-width.
     """
 
-    peak_lags: np.ndarray
+    num_symbols: int
+    num_taps: int
+    spacing: int
 
     def __post_init__(self) -> None:
-        lags = np.asarray(self.peak_lags, dtype=np.int64)
-        if lags.ndim != 1:
-            raise DomainError("peak_lags must be 1-D")
-        if lags.size and lags.min() < 0:
-            raise DomainError("peak lags must be non-negative")
-        lags = lags.copy()
-        lags.flags.writeable = False
-        object.__setattr__(self, "peak_lags", lags)
+        if self.num_symbols < 0:
+            raise DomainError(f"num_symbols must be >= 0, got {self.num_symbols}")
+        if self.num_taps < 1:
+            raise DomainError(f"num_taps must be >= 1, got {self.num_taps}")
+        if self.spacing < 1:
+            raise DomainError(f"spacing must be >= 1, got {self.spacing}")
 
     @property
     def half_width(self) -> int:
@@ -97,20 +104,11 @@ class DetectionWindow:
         return WINDOW_HALF_WIDTH
 
     @property
-    def num_symbols(self) -> int:
-        return self.peak_lags.size
-
-    @property
     def lags(self) -> np.ndarray:
         """``(M, 2*half_width + 1)`` received sample indices the detector reads."""
+        peaks = self.num_taps - 1 + np.arange(self.num_symbols, dtype=np.int64) * self.spacing
         offsets = np.arange(-self.half_width, self.half_width + 1)
-        return self.peak_lags[:, None] + offsets[None, :]
-
-
-def detection_windows(num_symbols: int, num_taps: int, spacing: int) -> DetectionWindow:
-    """Windows centred on the focusing peaks ``L - 1 + l*spacing``."""
-    lags = num_taps - 1 + np.arange(num_symbols, dtype=np.int64) * spacing
-    return DetectionWindow(lags)
+        return peaks[:, None] + offsets[None, :]
 
 
 def _as_bit_array(bits) -> np.ndarray:
@@ -173,7 +171,7 @@ def power_detect(
     one bit per symbol, the index of the strongest antenna (ties break to
     the lowest index, i.e. bit 0). ERASK returns one bit per antenna per
     symbol, antenna-major within each symbol, set where the windowed power
-    reaches the threshold.
+    reaches the threshold, which must be finite.
     """
     rask = Scheme(scheme) is Scheme.RASK
     if rask and len(received) != 2:
@@ -185,6 +183,8 @@ def power_detect(
         return np.argmax(powers, axis=0).astype(np.int64)
     if threshold is None:
         raise ConfigurationError("ERASK detection requires a threshold")
+    if not math.isfinite(threshold):
+        raise DomainError(f"the ERASK threshold must be finite, got {threshold}")
     decisions = (powers >= threshold).astype(np.int64)
     return decisions.T.reshape(-1)
 

@@ -9,9 +9,9 @@ user, scaled so every unit-amplitude data pulse carries unit emitted energy:
 
     s[k] = sum_i sum_l x[i, l] * conj(h_i)[L-1 - (k - l*D)] / sqrt(E_i)
 
-with ``E_i = sum_l |h_i[l]|^2``. :func:`tr_precode` and :func:`received_at`
-are where the matrix enters: both check its shape against the users, the
-spacing, and that every amplitude is finite.
+with ``E_i = sum_l |h_i[l]|^2``. :func:`received_at` and its full-signal
+reference :func:`tr_precode` are where the matrix enters: both check its
+shape against the users, the spacing, and that every amplitude is finite.
 
 Channels are ``(P, L)`` tap blocks, one row per channel, as
 :class:`~trlink.channel.SpatialChannelEnsemble` holds them; a user or a
@@ -26,15 +26,16 @@ single unit pulse toward user ``i`` arrives at position ``j`` as the
 cross-correlation of ``h_j`` with ``h_i`` (normalised by ``sqrt(E_i)``),
 which for ``j == i`` peaks at lag 0 with amplitude ``sqrt(E_i)``. The peak
 of a pulse placed in symbol slot ``l`` forms at received sample index
-``L - 1 + l*D``; that index convention is shared with the detector windows.
+``L - 1 + l*D``, the peak of :class:`~trlink.modem.DetectionWindow`.
 
 :func:`propagate` is the one receive path: one emission, one row per
 receiver, one stacked :func:`~trlink.dsp.convolve`, and row ``n``'s noise
 seeded ``[*seed_path, n]`` (seed/noise contract v1). :func:`pulse_responses`
-builds through it every ``K_ni``, the noiseless field at receiver ``n`` of
-one unit pulse toward user ``i`` (``2L - 1`` samples): the focusing maps
-read it over the grid, the BER sweep at its antennas. :func:`tr_kernel` is
-its closed form, kept as the test oracle.
+receives each ``conj(h_i[::-1]) / sqrt(E_i)`` through it as ``K_ni``, the
+noiseless field at receiver ``n`` of one unit pulse toward user ``i``
+(``2L - 1`` samples): the focusing maps read it over the grid, the BER
+sweep at its antennas. :func:`tr_kernel` is its closed form, kept as the
+test oracle.
 
 :func:`focusing_report` is measured from those fields alone: it takes its
 target's column over the grid and, for two users, the interferer's column,
@@ -65,11 +66,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .channel import SpatialChannelEnsemble, as_taps, energy
 from .dsp import complex_noise, convolve, xcorr
 from .errors import ConfigurationError, DomainError
-from .modem import WINDOW_HALF_WIDTH, detection_windows
+from .modem import WINDOW_HALF_WIDTH, DetectionWindow
 from .output import write_csv
-
-
-_UNIT_PULSE = np.ones((1, 1), dtype=np.complex128)
 
 # The window engine copies at most this many symbol-window entries (256 KiB
 # of doubles) into each block it multiplies, so memory does not grow with
@@ -197,9 +195,9 @@ def pulse_responses(true_taps: np.ndarray, known_taps: np.ndarray) -> np.ndarray
 
     ``true_taps`` is the ``(N, L)`` block of receivers, ``known_taps`` the
     ``(U, L)`` block of the precoder's channel knowledge. Entry ``[:, i]``
-    is ``propagate(tr_precode(unit pulse, known_taps[[i]], 1), true_taps,
-    0.0)``: one pulse precoded toward user ``i``, received through the
-    ``N`` true channels.
+    is user ``i``'s unit-pulse emission ``conj(h_i[::-1]) / sqrt(E_i)`` (one
+    pulse of :func:`tr_precode`) received through the ``N`` true channels by
+    :func:`propagate`. A zero-energy or non-finite user is a ``DomainError``.
     """
     if len(true_taps) == 0 or len(known_taps) == 0:
         raise ConfigurationError("pulse responses need at least one receiver and one user")
@@ -207,10 +205,8 @@ def pulse_responses(true_taps: np.ndarray, known_taps: np.ndarray) -> np.ndarray
     known_taps = as_taps(known_taps, "users")
     if true_taps.shape[1] != known_taps.shape[1]:
         raise ConfigurationError("receivers and users must share one CIR length")
-    return np.stack(
-        [propagate(tr_precode(_UNIT_PULSE, h_i[None], 1), true_taps, 0.0) for h_i in known_taps],
-        axis=1,
-    )
+    emissions = [np.conj(h_i[::-1]) / math.sqrt(_target_energy(h_i)) for h_i in known_taps]
+    return np.stack([propagate(e, true_taps, 0.0) for e in emissions], axis=1)
 
 
 def received_at(
@@ -225,10 +221,11 @@ def received_at(
     ``kernels`` is ``pulse_responses(true_taps, known_taps)``, shape ``(N, U,
     2L-1)``. With ``w = WINDOW_HALF_WIDTH``, entry ``[n, m, w + o]`` equals,
     to ``NUMERIC_RTOL``, sample ``L-1 + m*spacing + o`` (``|o| <= w``: the
-    ``detection_windows(M, L, spacing).lags``) of row ``n`` of
-    ``propagate(tr_precode(symbols, known_taps, spacing), true_taps,
-    noise_sigma, seed_path)``; a read past either end of that ``(M-1)*spacing
-    + 2L - 1``-sample signal reads the end sample.
+    ``DetectionWindow(M, L, spacing).lags``) of row ``n`` of the reference:
+    :func:`tr_precode` of ``symbols`` toward ``known_taps``, received by
+    :func:`propagate` through ``true_taps`` with the same noise. A read past
+    either end of that ``(M-1)*spacing + 2L - 1``-sample signal reads the
+    end sample.
 
     Only those samples are computed. Pulse ``m - s`` reaches window ``m``
     only for ``|s| <= S = (L-1 + w) // spacing``, so user ``i`` adds to
@@ -282,7 +279,7 @@ def received_at(
     field = np.ascontiguousarray(field.transpose(1, 0, 2))
 
     length = (num_symbols - 1) * spacing + size
-    lags = detection_windows(num_symbols, peak + 1, spacing).lags
+    lags = DetectionWindow(num_symbols, peak + 1, spacing).lags
     if peak < WINDOW_HALF_WIDTH:
         # the first and last windows reach past the signal's end samples
         field[:, lags < 0] = (kernels[:, :, 0] @ symbols[:, 0])[:, None]

@@ -20,7 +20,7 @@ from trlink.channel import CavityParams, SoundingConfig, sound_cir, synth_cavity
 from trlink.cli import main as cli_main
 from trlink.dsp import convolve, make_chirp, xcorr
 from trlink.harness import grid_positions, load_scenario, run_ber_sweep
-from trlink.precoding import propagate, tr_kernel, tr_precode
+from trlink.precoding import focusing_report, propagate, pulse_responses, tr_kernel, tr_precode
 
 UNIT_PULSE = np.ones((1, 1), dtype=complex)
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
@@ -235,3 +235,76 @@ def test_criterion_10_ber_runs_are_byte_identical(tmp_path):
     )
     _report(10, "byte-identical reruns", identical, f"{len(names)} CSV files compared")
     assert identical
+
+
+def test_criterion_12_closed_form_focusing_moments():
+    """Energy-weighted focusing statistics against their exact ensemble means.
+
+    The synthetic taps are ``h_p[l] = sqrt(p_l) (W S)_{lp}``: independent
+    across taps and circular Gaussian across positions, with ``E[h_p[l]
+    conj(h_q[l])] = p_l C_pq`` for the diffuse-field kernel ``C``. Weighting
+    each report quantity by the energy of the channel that normalised it
+    makes its mean exact by Isserlis' theorem, with ``r(m) = sum_k p_k
+    p_{k+|m|}``:
+
+    * ``E[E_t] = 1``, and ``peak_amplitude**2 = E_t`` in every draw;
+    * ``E[E_t isi_self_power] = E[E_o isi_other_power] = sum r(m)`` over the
+      slot lags ``m = jD``, ``j != 0``;
+    * ``E[E_o iui_power] = sum p**2 + C(d)**2`` with ``C(d) = sinc(2d/lambda)``;
+    * ``E[E_t sum_{m=1..16} |K_tt(m)|**2] = sum_{m=1..16} r(m)``, the PDP's
+      own signature near the peak.
+
+    The PDP and ``C(d)`` are computed here from the model, not read from the
+    code under test. Each statistic is one value per seed (a seed's lags are
+    correlated, so they are summed before any z-score is taken).
+    """
+    start = time.monotonic()
+    scenario = load_scenario(SCENARIO_DIR / "two_user.json")
+    cavity, positions = scenario.cavity, scenario.positions_mm
+    target, other = scenario.target_indices
+    num_taps = cavity.num_taps
+    # the default decay time L / (3B) is L / 3 taps
+    pdp = np.exp(-3.0 * np.arange(num_taps) / num_taps)
+    pdp /= pdp.sum()
+    r = np.array([np.dot(pdp[: num_taps - m], pdp[m:]) for m in range(num_taps)])
+    separation = abs(float(positions[other] - positions[target]))
+    correlation = np.sinc(2.0 * separation / (1e3 * 299_792_458.0 / cavity.carrier_freq_hz))
+    near = np.arange(1, 17)
+    expected = {
+        "energy": 1.0,
+        "iui": float(np.sum(pdp**2) + correlation**2),
+        "near-lag": float(r[near].sum()),
+    }
+    for spacing in scenario.d_values:
+        slots = 2.0 * float(r[spacing::spacing].sum())
+        expected[f"isi_self D={spacing}"] = expected[f"isi_other D={spacing}"] = slots
+
+    samples: dict[str, list[float]] = {name: [] for name in expected}
+    worst_peak = 0.0
+    for seed in range(400):
+        ensemble = synth_cavity_ensemble(replace(cavity, rng_seed=seed), positions)
+        e_t, e_o = energy(ensemble.taps[target]), energy(ensemble.taps[other])
+        fields = pulse_responses(ensemble.taps, ensemble.taps[[target, other]])
+        own, cross = fields[:, 0], fields[:, 1]
+        samples["energy"].append(e_t)
+        near_power = float(np.sum(np.abs(own[target, num_taps - 1 + near]) ** 2))
+        samples["near-lag"].append(e_t * near_power)
+        for spacing in scenario.d_values:
+            report = focusing_report(ensemble, own, cross, target, other, spacing)
+            worst_peak = max(worst_peak, abs(report.peak_amplitude**2 - e_t) / e_t)
+            samples[f"isi_self D={spacing}"].append(e_t * report.isi_self_power)
+            samples[f"isi_other D={spacing}"].append(e_o * report.isi_other_power)
+        samples["iui"].append(e_o * report.iui_power)
+
+    z = {}
+    for name, values in samples.items():
+        values = np.asarray(values)
+        z[name] = (values.mean() - expected[name]) / (values.std(ddof=1) / math.sqrt(values.size))
+    worst = max(z, key=lambda name: abs(z[name]))
+    elapsed = time.monotonic() - start
+    ok = abs(z[worst]) <= 4.0 and worst_peak <= 1e-9
+    detail = f"max |z|={abs(z[worst]):.2f} ({worst}), peak rel err={worst_peak:.1e}"
+    detail += f", {elapsed:.2f}s"
+    _report(12, "closed-form focusing moments", ok, detail)
+    assert worst_peak <= 1e-9
+    assert abs(z[worst]) <= 4.0, z

@@ -51,6 +51,15 @@ class TestCavityParams:
         with pytest.raises(ConfigurationError):
             CavityParams(**kwargs)
 
+    @pytest.mark.parametrize("name", ["bandwidth_hz", "carrier_freq_hz"])
+    def test_rejects_infinite_frequencies_by_name(self, name):
+        with pytest.raises(ConfigurationError, match=f"{name} must be finite"):
+            CavityParams(**{name: math.inf})
+
+    def test_infinite_decay_gives_a_flat_profile(self):
+        params = CavityParams(num_taps=8, decay_time_s=math.inf)
+        np.testing.assert_array_equal(params.power_delay_profile(), np.full(8, 1 / 8))
+
 
 class TestEnsembleSynthesis:
     def test_regular_grid_has_42_positions_sharing_length(self):

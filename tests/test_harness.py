@@ -380,8 +380,9 @@ class TestBerSweep:
         )
         records = run_ber_sweep(scenario)
         assert len(records) == 2 * 2 * 2 * 3  # schemes x D x SNR x trials
+        # each user's unit-pulse emission is built from its taps, not precoded
         per_trial = scenario.trials * scenario.rsm.num_rx
-        assert calls == {"tr_precode": per_trial, "propagate": per_trial}
+        assert calls == {"tr_precode": 0, "propagate": per_trial}
 
     def test_experiments_build_no_per_position_cir(self, monkeypatch):
         # channels travel as the ensemble's (P, L) block; only the cirs

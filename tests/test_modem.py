@@ -16,7 +16,6 @@ from trlink.modem import (
     RsmConfig,
     Scheme,
     calibrate_threshold,
-    detection_windows,
     erask_modulate,
     power_detect,
     rask_modulate,
@@ -51,7 +50,7 @@ def ideal_received(powers, spacing=7, num_taps=7):
     cross-talk at all (interference-free detector check).
     """
     powers = np.asarray(powers, dtype=float)
-    windows = detection_windows(powers.shape[1], num_taps, spacing)
+    windows = DetectionWindow(powers.shape[1], num_taps, spacing)
     samples = np.zeros((*powers.shape, 2 * windows.half_width + 1), dtype=complex)
     samples[:, :, windows.half_width] = np.sqrt(powers)
     return samples, windows
@@ -62,7 +61,7 @@ def transmit(bits, scheme, cirs, sigma=0.0, seed=0):
         symbols = rask_modulate(bits)
     else:
         symbols = erask_modulate(bits, len(cirs))
-    windows = detection_windows(symbols.shape[1], len(cirs[0]), SPACING)
+    windows = DetectionWindow(symbols.shape[1], len(cirs[0]), SPACING)
     kernels = pulse_responses(cirs, cirs)
     received = received_at(symbols, kernels, SPACING, sigma, [seed])
     return received, windows
@@ -138,20 +137,35 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError):
             PilotThreshold(num_pilots=1)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_fixed_threshold_must_be_finite(self, value):
+        with pytest.raises(ConfigurationError, match="finite"):
+            FixedThreshold(value)
+
 
 class TestDetectionWindows:
     def test_peaks_follow_symbol_slots(self):
-        windows = detection_windows(3, num_taps=16, spacing=5)
-        np.testing.assert_array_equal(windows.peak_lags, [15, 20, 25])
+        windows = DetectionWindow(3, num_taps=16, spacing=5)
+        np.testing.assert_array_equal(windows.lags[:, windows.half_width], [15, 20, 25])
 
     @given(st.integers(2 * WINDOW_HALF_WIDTH + 1, 40))
     def test_windows_disjoint_when_spacing_exceeds_twice_half_width(self, spacing):
-        windows = detection_windows(4, num_taps=8, spacing=spacing)
+        windows = DetectionWindow(4, num_taps=8, spacing=spacing)
         assert windows.half_width == WINDOW_HALF_WIDTH
         spans = [set(row.tolist()) for row in windows.lags]
         for i in range(len(spans)):
             for j in range(i + 1, len(spans)):
                 assert not (spans[i] & spans[j])
+
+
+    @pytest.mark.parametrize("num_symbols, num_taps, spacing", [
+        (3, 0, 5),
+        (3, 16, 0),
+        (-1, 16, 5),
+    ])
+    def test_rejects_out_of_range_integers(self, num_symbols, num_taps, spacing):
+        with pytest.raises(DomainError, match="must be >="):
+            DetectionWindow(num_symbols, num_taps, spacing)
 
 
 class TestPowerDetect:
@@ -172,7 +186,7 @@ class TestPowerDetect:
     def test_tie_breaks_to_first_antenna(self):
         samples = np.zeros((1, 3), dtype=complex)
         samples[0, 1] = 1.0
-        windows = DetectionWindow(np.array([3]))
+        windows = DetectionWindow(1, num_taps=4, spacing=SPACING)
         detected = power_detect(np.stack([samples, samples]), windows, RASK)
         np.testing.assert_array_equal(detected, [0])
 
@@ -186,7 +200,7 @@ class TestPowerDetect:
     @pytest.mark.parametrize("shape", [(2, 500, 3), (3, 40, 3), (2, 0, 3)])
     def test_window_peak_powers_equal_the_max_reduction(self, shape):
         rng = np.random.default_rng(11)
-        windows = detection_windows(shape[1], 4, SPACING)
+        windows = DetectionWindow(shape[1], 4, SPACING)
         frame = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         # exact ties between window columns, sign flips included
         frame[:, ::3, 2] = frame[:, ::3, 0]
@@ -227,6 +241,13 @@ class TestPowerDetect:
             power_detect(received, windows, ERASK, threshold),
             power_detect(scaled, windows, ERASK, threshold * amplitude_scale**2),
         )
+
+
+    @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), float("-inf")])
+    def test_erask_rejects_non_finite_threshold(self, threshold):
+        received, windows = transmit([1, 0], ERASK, orthogonal_cirs())
+        with pytest.raises(DomainError, match="finite"):
+            power_detect(received, windows, ERASK, threshold)
 
 
 class TestRoundTrip:

@@ -18,7 +18,7 @@ from trlink.channel import (
 from trlink.dsp import NUMERIC_RTOL, complex_noise, convolve
 from trlink.errors import ConfigurationError, DomainError
 from trlink.harness import _pilot_targets, grid_positions
-from trlink.modem import detection_windows, erask_modulate, rask_modulate
+from trlink.modem import DetectionWindow, erask_modulate, rask_modulate
 from trlink.precoding import (
     focusing_report,
     focusing_report_to_csv,
@@ -87,8 +87,8 @@ class TestTrKernel:
 
     @pytest.mark.parametrize("num_taps", [1, 2, 64])
     def test_closed_form_equals_the_unit_pulse_chain(self, num_taps):
-        # pulse_responses builds every K_ni by precoding and propagating one
-        # pulse; the correlation formula here must give the same field
+        # one pulse precoded and propagated is the full-signal chain behind
+        # every K_ni; the correlation formula here must give the same field
         rng = np.random.default_rng(num_taps)
         h_i, h_j = random_cir(rng, num_taps), random_cir(rng, num_taps)
         for target, receiver in ((h_i, h_i), (h_i, h_j)):
@@ -116,6 +116,27 @@ class TestTrKernel:
     def test_rejects_length_mismatch(self):
         with pytest.raises(ConfigurationError):
             tr_kernel(cir(np.ones(4)), cir(np.ones(5)))
+
+
+class TestPulseResponses:
+    @pytest.mark.parametrize("num_taps", [1, 2, 64, 256])
+    def test_equal_the_unit_pulse_chain_bit_for_bit(self, num_taps):
+        # each column is built from the user's taps directly; it must equal
+        # precoding one unit pulse toward that user and propagating it
+        rng = np.random.default_rng(100 + num_taps)
+        for case in range(5):
+            true_taps = np.stack([random_cir(rng, num_taps) for _ in range(3)])
+            known_taps = np.stack([random_cir(rng, num_taps) for _ in range(2)])
+            if case % 2:
+                # zero taps of both signs, and a dead receiver
+                true_taps[0] = 0.0
+                known_taps[:, rng.random(num_taps) < 0.5] = 0.0
+                known_taps[:, rng.random(num_taps) < 0.3] = complex(-0.0, -0.0)
+                known_taps[:, 0] = 1.0 - 0.5j  # keep every user's energy nonzero
+            kernels = pulse_responses(true_taps, known_taps)
+            for i in range(len(known_taps)):
+                chain = propagate(tr_precode(UNIT_PULSE, known_taps[[i]], 1), true_taps, 0.0)
+                assert np.array_equal(kernels[:, i], chain), (num_taps, case, i)
 
 
 class TestTrPrecode:
@@ -322,7 +343,7 @@ class TestReceivedAt:
         rng = np.random.default_rng(num_taps)
         for name, symbols in _frames(rng).items():
             for spacing in spacings:
-                lags = detection_windows(symbols.shape[1], num_taps, spacing).lags
+                lags = DetectionWindow(symbols.shape[1], num_taps, spacing).lags
                 for sigma in (0.0, 0.3):
                     actual = received_at(symbols, kernels, spacing, sigma, [5, 1])
                     expected = windowed_reference(
