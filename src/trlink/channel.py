@@ -520,13 +520,18 @@ def export_ensemble(ensemble: SpatialChannelEnsemble, json_path: str | Path) -> 
 
     The JSON file carries the parameters and positions; the CSV (same stem,
     ``.csv`` suffix, referenced from the JSON) carries one row per position
-    with the taps as interleaved re/im columns. The CSV is written first and
-    the JSON, the pair's entry point, last. The pair is the injection point
+    with the taps as interleaved re/im columns, so a ``json_path`` ending in
+    ``.csv`` is refused before anything is written. The CSV is written first
+    and the JSON, the pair's entry point, last. The pair is the injection point
     for externally measured responses: anything matching the schema can be
     loaded back with :func:`load_ensemble`.
     """
     json_path = Path(json_path)
     csv_path = json_path.with_suffix(".csv")
+    if csv_path == json_path:
+        raise ConfigurationError(
+            f"ensemble JSON path {json_path} is its own CSV path; the JSON would overwrite it"
+        )
     params = ensemble.params
     meta = {
         "schema": _ENSEMBLE_SCHEMA,

@@ -14,10 +14,10 @@ number of BLAS threads, so ``trlink sound`` and sweeps with a sounded
                                 <- cell = seed_of(master, 1, s, d_index, q, t)
   with sub-streams ``[cell, 0]`` for payload bits, ``[cell, 1, n]`` for
   receiver-``n`` noise and ``[cell, 2, n]`` for pilot noise
-* sounding noise for trial ``t``, target ``j`` <- seed_of(master, 2, t, j);
-  the BER sweep's channel estimates take ``j`` as the target's ordinal in
-  ``targets_mm`` (0, 1, ...), while ``run_sounding_study`` takes it as the
-  first target's grid index
+* sounding noise for trial ``t``, the target at grid index ``g``
+                                <- seed_of(master, 2, t, g),
+  the same stream in the BER sweep's channel estimates and in
+  ``run_sounding_study``
 
 where ``seed_of`` feeds its arguments to ``numpy.random.SeedSequence`` and
 scheme indices are fixed (RASK=0, ERASK=1). The SNR axis is the inverse
@@ -227,6 +227,15 @@ class Scenario:
 
     def __post_init__(self) -> None:
         positions = check_positions(self.positions_mm, "positions_mm")
+        # an imported ensemble fixes the sample rate, tap count and grid that
+        # sounding, the frame cap and the reports read from the scenario
+        imported = self.imported_ensemble
+        if imported is not None and self.cavity != imported.params:
+            raise ConfigurationError(
+                f"cavity {self.cavity} differs from the imported ensemble's {imported.params}"
+            )
+        if imported is not None and not np.array_equal(positions, imported.positions_mm):
+            raise ConfigurationError("positions_mm differ from the imported ensemble's positions")
         # a synthesised draw correlates every pair of positions, out to the
         # extent, in one kernel; an imported ensemble is never correlated
         first, last = float(positions[0]), float(positions[-1])
@@ -498,9 +507,9 @@ def _trial_kernels(scenario: Scenario, trial: int) -> np.ndarray:
         cfgs = [
             replace(
                 scenario.sounding,
-                rng_seed=derive_seed(scenario.master_seed, _STREAM_SOUNDING, trial, j),
+                rng_seed=derive_seed(scenario.master_seed, _STREAM_SOUNDING, trial, g),
             )
-            for j in range(len(true_taps))
+            for g in scenario.target_indices
         ]
         known_taps = sound_cir(true_taps, cfgs, scenario.cavity.bandwidth_hz)
     return pulse_responses(true_taps, known_taps)
@@ -511,39 +520,6 @@ def _pilot_targets(num_rx: int, num_pilots: int) -> np.ndarray:
     pilot k is bit n of k."""
     symbols = np.arange(num_pilots)
     return np.stack([(symbols >> n) & 1 for n in range(num_rx)]).astype(bool)
-
-
-def _receive(
-    symbols: np.ndarray,
-    kernels: np.ndarray,
-    spacing: int,
-    sigma: float,
-    seed_path: list[int],
-) -> tuple[np.ndarray, DetectionWindow]:
-    """Precode a frame and receive it through the trial's pulse responses.
-
-    Returns the ``(N, M, 2w+1)`` samples at ``DetectionWindow(M, L, spacing)``
-    and that window. Receiver ``n``'s noise is seeded by ``[*seed_path, n]``.
-    """
-    # A pulse response of an L-tap channel has 2L - 1 samples.
-    windows = DetectionWindow(symbols.shape[1], (kernels.shape[-1] + 1) // 2, spacing)
-    return received_at(symbols, kernels, spacing, sigma, seed_path), windows
-
-
-def _erask_threshold(
-    policy: FixedThreshold | PilotThreshold | None,
-    spacing: int,
-    kernels: np.ndarray,
-    sigma: float,
-    cell_seed: int,
-) -> float:
-    if policy is None:
-        raise ConfigurationError("ERASK runs need a threshold policy")
-    if isinstance(policy, FixedThreshold):
-        return policy.value
-    targeted = _pilot_targets(kernels.shape[1], policy.num_pilots)
-    received, windows = _receive(targeted, kernels, spacing, sigma, [cell_seed, 2])
-    return calibrate_threshold(received, windows, targeted)
 
 
 def run_ber_point(
@@ -558,8 +534,14 @@ def run_ber_point(
     """One Monte-Carlo cell: returns (bits_sent, bit_errors).
 
     ``kernels`` is the trial's :func:`~trlink.precoding.pulse_responses`;
-    the data frame and an ERASK pilot frame both reuse them. For ERASK the
-    payload is rounded up to a whole number of symbols.
+    the data frame and an ERASK pilot frame both reuse them. The data
+    frame's window samples are :func:`~trlink.precoding.received_at` with
+    noise seeded ``[cell_seed, 1, n]``, detected at ``DetectionWindow(M, L,
+    spacing)``. An ERASK threshold comes from the policy: a
+    :class:`FixedThreshold`'s value, or a :class:`PilotThreshold`
+    calibrated on a pilot frame received with noise seeded ``[cell_seed, 2,
+    n]``; without a policy :func:`~trlink.modem.power_detect` refuses the
+    frame. For ERASK the payload is rounded up to a whole number of symbols.
     """
     rng_bits = np.random.default_rng([cell_seed, 0])
     if scheme is Scheme.RASK:
@@ -571,10 +553,20 @@ def run_ber_point(
         symbols = erask_modulate(bits, rsm.num_rx)
 
     sigma = 10.0 ** (-snr_db / 20.0)
-    received, windows = _receive(symbols, kernels, spacing, sigma, [cell_seed, 1])
+    # A pulse response of an L-tap channel has 2L - 1 samples.
+    num_taps = (kernels.shape[-1] + 1) // 2
+    received = received_at(symbols, kernels, spacing, sigma, [cell_seed, 1])
     threshold = None
     if scheme is Scheme.ERASK:
-        threshold = _erask_threshold(rsm.threshold_policy, spacing, kernels, sigma, cell_seed)
+        policy = rsm.threshold_policy
+        if isinstance(policy, FixedThreshold):
+            threshold = policy.value
+        elif isinstance(policy, PilotThreshold):
+            targeted = _pilot_targets(rsm.num_rx, policy.num_pilots)
+            pilots = received_at(targeted, kernels, spacing, sigma, [cell_seed, 2])
+            pilot_windows = DetectionWindow(policy.num_pilots, num_taps, spacing)
+            threshold = calibrate_threshold(pilots, pilot_windows, targeted)
+    windows = DetectionWindow(symbols.shape[1], num_taps, spacing)
     detected = power_detect(received, windows, scheme, threshold)
     errors = int(np.sum(detected != bits))
     return bits.size, errors

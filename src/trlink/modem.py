@@ -44,13 +44,19 @@ class Scheme(str, Enum):
 
 @dataclass(frozen=True)
 class FixedThreshold:
-    """Use a caller-supplied detection threshold (received power units)."""
+    """Use a caller-supplied detection threshold (received power units).
+
+    Window powers are never negative, so the value must be finite and > 0:
+    a threshold at or below zero would decide every antenna "on".
+    """
 
     value: float
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.value):
-            raise ConfigurationError(f"a fixed threshold must be finite, got {self.value}")
+        if not (math.isfinite(self.value) and self.value > 0.0):
+            raise ConfigurationError(
+                f"a fixed threshold must be finite and > 0, got {self.value}"
+            )
 
 
 @dataclass(frozen=True)
@@ -171,7 +177,7 @@ def power_detect(
     one bit per symbol, the index of the strongest antenna (ties break to
     the lowest index, i.e. bit 0). ERASK returns one bit per antenna per
     symbol, antenna-major within each symbol, set where the windowed power
-    reaches the threshold, which must be finite.
+    reaches the threshold, which must be finite and > 0.
     """
     rask = Scheme(scheme) is Scheme.RASK
     if rask and len(received) != 2:
@@ -183,8 +189,8 @@ def power_detect(
         return np.argmax(powers, axis=0).astype(np.int64)
     if threshold is None:
         raise ConfigurationError("ERASK detection requires a threshold")
-    if not math.isfinite(threshold):
-        raise DomainError(f"the ERASK threshold must be finite, got {threshold}")
+    if not (math.isfinite(threshold) and threshold > 0.0):
+        raise DomainError(f"the ERASK threshold must be finite and > 0, got {threshold}")
     decisions = (powers >= threshold).astype(np.int64)
     return decisions.T.reshape(-1)
 

@@ -12,6 +12,8 @@ user, scaled so every unit-amplitude data pulse carries unit emitted energy:
 with ``E_i = sum_l |h_i[l]|^2``. :func:`received_at` and its full-signal
 reference :func:`tr_precode` are where the matrix enters: both check its
 shape against the users, the spacing, and that every amplitude is finite.
+:func:`tr_precode` takes complex amplitudes; :func:`received_at` takes the
+real ones both modulators emit and refuses a nonzero imaginary part.
 
 Channels are ``(P, L)`` tap blocks, one row per channel, as
 :class:`~trlink.channel.SpatialChannelEnsemble` holds them; a user or a
@@ -45,8 +47,8 @@ every report of an experiment.
 By linearity the field at antenna ``n`` is ``sum_i upsample_D(x[i]) *
 K_ni``, so :func:`received_at` gives the BER sweep the samples at the
 detector's windows only, never the ``(M-1)*D + 2L - 1``-sample signal:
-each window is the few symbol amplitudes whose pulses reach it times a
-fixed matrix of ``K_ni`` samples, computed as blocked real matrix products.
+each window is the few real symbol amplitudes whose pulses reach it times
+a fixed matrix of ``K_ni`` samples, computed as blocked real matrix products.
 Its noise is drawn at that full length from the same seeds and indexed.
 
 Everything here is pure and deterministic given the seed, and safe to fan
@@ -231,19 +233,21 @@ def received_at(
     only for ``|s| <= S = (L-1 + w) // spacing``, so user ``i`` adds to
     window ``m`` its ``2S+1`` amplitudes around slot ``m`` (zero outside the
     frame) times one ``(2S+1, N(2w+1))`` matrix of ``K_ni`` samples. The
-    arithmetic is real: each matrix is stored with real and imaginary parts
-    interleaved, and the imaginary parts of complex amplitudes (none for
-    either modulator) take a second real pass against ``1j`` times it. The
-    users' and passes' windows sit side by side, so one real matrix product
-    per block of at most ``_BLOCK_ELEMENTS`` window entries gives those
-    windows' samples. The noise is drawn at the full length from the seeds
-    :func:`propagate` uses and indexed (noise contract v1). Returns shape
-    ``(N, M, 2w+1)``.
+    amplitudes must be real, as both modulators' are; a nonzero imaginary
+    part is a ``DomainError`` (:func:`tr_precode` takes complex ones). So
+    the arithmetic is real: each matrix is stored with real and imaginary
+    parts interleaved, the users' windows sit side by side, and one real
+    matrix product per block of at most ``_BLOCK_ELEMENTS`` window entries
+    gives those windows' samples. The noise is drawn at the full length
+    from the seeds :func:`propagate` uses and indexed (noise contract v1).
+    Returns shape ``(N, M, 2w+1)``.
     """
     kernels = np.asarray(kernels)
     if kernels.ndim != 3 or kernels.shape[2] % 2 == 0:
         raise DomainError(f"kernels must be an (N, U, 2L-1) array, got shape {kernels.shape}")
     symbols = _check_symbols(symbols, kernels.shape[1], spacing)
+    if np.any(symbols.imag):
+        raise DomainError("received_at takes real amplitudes; use tr_precode for complex ones")
     _check_noise_sigma(noise_sigma)
     num_rx, num_users, size = kernels.shape
     num_symbols = symbols.shape[1]
@@ -260,21 +264,17 @@ def received_at(
     taps = peak + np.arange(span, -span - 1, -1)[:, None] * spacing + offsets
     gathered = np.where((taps >= 0) & (taps < size), kernels[:, :, np.clip(taps, 0, size - 1)], 0)
     gathered = np.ascontiguousarray(gathered.transpose(1, 2, 0, 3), dtype=np.complex128)
-    planes = [(symbols.real, gathered)]
-    if np.any(symbols.imag):
-        planes.append((symbols.imag, 1j * gathered))
-    matrix = np.concatenate([m.view(np.float64).reshape(num_users * width, -1) for _, m in planes])
-    padded = np.zeros((len(planes) * num_users, num_symbols + 2 * span))
-    padded[:, span : span + num_symbols] = np.concatenate([a for a, _ in planes])
+    matrix = gathered.view(np.float64).reshape(num_users * width, -1)
+    padded = np.zeros((num_users, num_symbols + 2 * span))
+    padded[:, span : span + num_symbols] = symbols.real
     windows = sliding_window_view(padded, width, axis=1)
 
     product = np.empty((num_symbols, matrix.shape[1]))
     rows = max(1, _BLOCK_ELEMENTS // matrix.shape[0])
-    block = np.empty((min(rows, num_symbols), len(padded), width))
     for start in range(0, num_symbols, rows):
         stop = min(start + rows, num_symbols)
-        np.copyto(block[: stop - start], windows[:, start:stop].transpose(1, 0, 2))
-        np.matmul(block[: stop - start].reshape(stop - start, -1), matrix, out=product[start:stop])
+        block = windows[:, start:stop].transpose(1, 0, 2).reshape(stop - start, -1)
+        np.matmul(block, matrix, out=product[start:stop])
     field = product.view(np.complex128).reshape(num_symbols, num_rx, offsets.size)
     field = np.ascontiguousarray(field.transpose(1, 0, 2))
 

@@ -530,6 +530,13 @@ class TestEnsembleExportImport:
         export_ensemble(ensemble, json_path)
         assert load_ensemble(json_path).positions_mm.tolist() == positions
 
+    def test_a_json_path_ending_in_csv_is_refused_before_writing(self, tmp_path):
+        # the CSV would be written first and then overwritten by the JSON
+        ensemble = synth_cavity_ensemble(CavityParams(num_taps=4), [0.0, 0.3])
+        with pytest.raises(ConfigurationError, match="its own CSV"):
+            export_ensemble(ensemble, tmp_path / "pair.csv")
+        assert list(tmp_path.iterdir()) == []
+
     def test_missing_file_is_configuration_error(self, tmp_path):
         with pytest.raises(ConfigurationError):
             load_ensemble(tmp_path / "nope.json")

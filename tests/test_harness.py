@@ -39,7 +39,7 @@ from trlink.harness import (
     run_sounding_study,
     scenario_from_dict,
 )
-from trlink.modem import PilotThreshold, RsmConfig, Scheme
+from trlink.modem import FixedThreshold, PilotThreshold, RsmConfig, Scheme
 from trlink.precoding import FocusingReport
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -292,6 +292,19 @@ class TestScenarioLoading:
         scenario = scenario_from_dict(doc, base_dir=tmp_path)
         assert scenario.positions_mm[-1] == 1e308
 
+    def test_imported_ensemble_must_match_cavity_and_positions(self, measured_dir):
+        # sounding, the frame cap and the reports would read the scenario's
+        # values, not the ensemble's
+        doc = scenario_dict(ensemble_file="measured.json")
+        del doc["cavity"], doc["grid_mm"]
+        imported = scenario_from_dict(doc, base_dir=measured_dir)
+        with pytest.raises(ConfigurationError, match="cavity"):
+            replace(imported, cavity=CavityParams(num_taps=128, bandwidth_hz=1e9))
+        with pytest.raises(ConfigurationError, match="positions_mm"):
+            replace(imported, positions_mm=imported.positions_mm + 100.0)
+        equal = replace(imported, cavity=replace(imported.cavity), master_seed=7)
+        assert equal.cavity == imported.imported_ensemble.params
+
     def test_non_string_ensemble_file_rejected(self):
         doc = scenario_dict(ensemble_file=5)
         del doc["cavity"], doc["grid_mm"]
@@ -340,6 +353,45 @@ class TestPilotTargets:
         assert harness._pilot_targets(num_rx, num_pilots).tolist() == expected
 
 
+class TestBerPoint:
+    @staticmethod
+    def _kernels():
+        from trlink.channel import synth_cavity_ensemble
+
+        taps = synth_cavity_ensemble(CavityParams(num_taps=16, rng_seed=3), [-0.45, 0.45]).taps
+        return precoding.pulse_responses(taps, taps)
+
+    @pytest.mark.parametrize(
+        "scheme, policy, expected",
+        [
+            pytest.param(Scheme.RASK, None, [([7, 1], 100)], id="rask"),
+            pytest.param(
+                Scheme.ERASK, PilotThreshold(16), [([7, 1], 50), ([7, 2], 16)], id="erask-pilot"
+            ),
+            pytest.param(Scheme.ERASK, FixedThreshold(0.5), [([7, 1], 50)], id="erask-fixed"),
+        ],
+    )
+    def test_frames_read_per_cell(self, monkeypatch, scheme, policy, expected):
+        # (noise seed path, symbols) of each frame the cell receives, in order
+        reads = []
+        real = harness.received_at
+
+        def recording(symbols, kernels, spacing, sigma, seed_path):
+            reads.append((list(seed_path), symbols.shape[1]))
+            return real(symbols, kernels, spacing, sigma, seed_path)
+
+        monkeypatch.setattr(harness, "received_at", recording)
+        rsm = RsmConfig(num_rx=2, threshold_policy=policy)
+        harness.run_ber_point(scheme, rsm, self._kernels(), 15, 20.0, 100, cell_seed=7)
+        assert reads == expected
+
+    def test_erask_without_a_policy_is_refused_by_the_detector(self):
+        with pytest.raises(ConfigurationError, match="requires a threshold"):
+            harness.run_ber_point(
+                Scheme.ERASK, RsmConfig(num_rx=2), self._kernels(), 15, 20.0, 100, cell_seed=7
+            )
+
+
 class TestBerRecord:
     def test_consistency_enforced(self):
         with pytest.raises(Exception):
@@ -383,6 +435,26 @@ class TestBerSweep:
         # each user's unit-pulse emission is built from its taps, not precoded
         per_trial = scenario.trials * scenario.rsm.num_rx
         assert calls == {"tr_precode": 0, "propagate": per_trial}
+
+    def test_sounding_seeds_follow_the_target_grid_index(self, monkeypatch):
+        # the sweep seeds each target's probe noise as run_sounding_study does
+        seeds = []
+        real = harness.sound_cir
+
+        def recording(true_taps, cfgs, bandwidth_hz):
+            seeds.append([cfg.rng_seed for cfg in cfgs])
+            return real(true_taps, cfgs, bandwidth_hz)
+
+        monkeypatch.setattr(harness, "sound_cir", recording)
+        scenario = small_scenario(
+            targets_mm=[-1.8, -2.7], bits_per_point=20, sounding={"duration_s": 6.4e-8}
+        )
+        run_ber_sweep(scenario)
+        assert scenario.target_indices == (15, 12)
+        assert seeds == [
+            [derive_seed(scenario.master_seed, 2, trial, g) for g in scenario.target_indices]
+            for trial in range(scenario.trials)
+        ]
 
     def test_experiments_build_no_per_position_cir(self, monkeypatch):
         # channels travel as the ensemble's (P, L) block; only the cirs
@@ -1023,6 +1095,14 @@ class TestCli:
                 id="pilot-frame-too-long",
             ),
             pytest.param(("cavity", "num_taps"), 4097, [], "cavity.num_taps", id="taps-above-cap"),
+            pytest.param(
+                ("rsm", "threshold"), {"policy": "fixed", "value": 0}, [],
+                "fixed threshold must be finite and > 0", id="fixed-threshold-zero",
+            ),
+            pytest.param(
+                ("rsm", "threshold"), {"policy": "fixed", "value": -1.0}, [],
+                "fixed threshold must be finite and > 0", id="fixed-threshold-negative",
+            ),
             pytest.param(
                 ("cavity", "num_taps"), 10**400, [], "cavity.num_taps", id="taps-beyond-a-double"
             ),

@@ -142,6 +142,12 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError, match="finite"):
             FixedThreshold(value)
 
+    @pytest.mark.parametrize("value", [0.0, -1.0])
+    def test_fixed_threshold_must_be_positive(self, value):
+        # window powers are never negative: such a threshold decides every antenna "on"
+        with pytest.raises(ConfigurationError, match="> 0"):
+            FixedThreshold(value)
+
 
 class TestDetectionWindows:
     def test_peaks_follow_symbol_slots(self):
@@ -249,6 +255,12 @@ class TestPowerDetect:
         with pytest.raises(DomainError, match="finite"):
             power_detect(received, windows, ERASK, threshold)
 
+    @pytest.mark.parametrize("threshold", [0.0, -1.0])
+    def test_erask_rejects_a_threshold_at_or_below_zero(self, threshold):
+        received, windows = transmit([1, 0], ERASK, orthogonal_cirs())
+        with pytest.raises(DomainError, match="> 0"):
+            power_detect(received, windows, ERASK, threshold)
+
 
 class TestRoundTrip:
     @given(st.lists(st.integers(0, 1), max_size=48))
@@ -328,7 +340,7 @@ class TestEndToEnd:
 
     def test_calibrated_threshold_beats_mis_scaled_fixed(self):
         from trlink.channel import CavityParams, synth_cavity_ensemble
-        from trlink.harness import _erask_threshold
+        from trlink.harness import _pilot_targets
 
         snr_db = 10.0
         sigma = 10 ** (-snr_db / 20)
@@ -337,7 +349,12 @@ class TestEndToEnd:
             params = CavityParams(num_taps=128, rng_seed=300 + trial)
             ensemble = synth_cavity_ensemble(params, [-0.45, 0.45])
             kernels = pulse_responses(ensemble.taps, ensemble.taps)
-            calibrated = _erask_threshold(PilotThreshold(32), 15, kernels, sigma, cell_seed=trial)
+            targeted = _pilot_targets(2, 32)
+            calibrated = calibrate_threshold(
+                received_at(targeted, kernels, 15, sigma, [trial, 2]),
+                DetectionWindow(32, 128, 15),
+                targeted,
+            )
             for label, value in (
                 ("calibrated", calibrated),
                 ("low", 0.1 * calibrated),

@@ -278,13 +278,13 @@ def windowed_reference(symbols, true_cirs, known_cirs, spacing, lags, sigma, see
 
 
 def _frames(rng, num_rx=2):
-    """RASK, ERASK, pilot and complex-amplitude symbol matrices."""
+    """RASK, ERASK, pilot and real signed (non-binary) amplitude matrices."""
     bits = rng.integers(0, 2, 40)
     return {
         "rask": rask_modulate(bits),
         "erask": erask_modulate(bits, num_rx),
         "pilot": _pilot_targets(num_rx, 32).astype(complex),
-        "complex": rng.standard_normal((num_rx, 9)) + 1j * rng.standard_normal((num_rx, 9)),
+        "signed": rng.standard_normal((num_rx, 9)),
     }
 
 
@@ -400,6 +400,8 @@ class TestReceivedAt:
             received_at(np.ones((2, 2)), kernels, 5, 0.0, [0])
         with pytest.raises(DomainError, match="2L-1"):
             received_at(np.ones((1, 2)), kernels[..., 1:], 5, 0.0, [0])
+        with pytest.raises(DomainError, match="real amplitudes"):
+            received_at(np.array([[1.0, 1j]]), kernels, 5, 0.0, [0])
         with pytest.raises(DomainError, match="zero-energy"):
             pulse_responses([h], [cir(np.zeros(4))])
         with pytest.raises(ConfigurationError, match="share"):
