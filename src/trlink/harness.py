@@ -36,7 +36,7 @@ Scenario JSON schema (version 1)::
                                                          # or "ensemble_file": "path"
       "targets_mm": [..],                # receive-antenna positions, on the grid
       "rsm": {"scheme": "rask"|"erask"|"both", "num_rx": 2,   # RASK needs num_rx 2
-              "threshold": {"policy": "fixed", "value": ..} |
+              "threshold": {"policy": "fixed", "value": .. (> 0)} |
                            {"policy": "pilot", "num_pilots": ..} (optional)},
       "d_values": [..],                  # distinct pulse spacings in taps, each >= 3
       "snr_grid_db": [..],
