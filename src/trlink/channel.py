@@ -43,16 +43,18 @@ root is read-only and equals a fresh one bit for bit.
 
 Sounding (:func:`sound_cir`) estimates a batch of responses that share one
 probe chirp, built from the batch's one ``duration_s``: the chirp is
-transformed, and its Gram built and factorised, once per batch, and each
+transformed, and its Gram built in closed form
+(:func:`~trlink.dsp.chirp_gram`) and factorised, once per batch, and each
 row keeps its own probe SNR and noise seed. A row's compressed window is
 computed in the lag domain: its noiseless part is the Gram times the taps,
 a convolution of the ``2L - 1`` two-sided lags with the ``L`` taps, and the
 probe power is a quadratic form in that Gram. Only a noisy row's noise is
 correlated with the chirp at the received signal's transform length, the
 smallest fast length holding its ``n + L - 1`` samples, which holds lags
-``0 .. L - 1`` without aliasing. The Hermitian Toeplitz Gram is folded to
-a real symmetric matrix of the same size, so one real LU solves every row.
-The factorisation and solve run in LAPACK,
+``0 .. L - 1`` without aliasing. The Gram is a unitary diagonal
+modulation of a real symmetric centrosymmetric Toeplitz matrix, which one
+fold splits into two real systems of half the size, so two real LUs of
+half the size solve every row. The factorisations and solves run in LAPACK,
 whose last digits depend on the number of BLAS threads, so sounded
 estimates are reproducible bit for bit for a fixed BLAS thread count.
 With one thread every row equals its singleton batch bit for bit; with
@@ -72,7 +74,7 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .dsp import _fast_len, complex_noise, make_chirp
+from .dsp import _fast_len, chirp_gram, complex_noise, make_chirp
 from .errors import (
     ConfigurationError,
     DomainError,
@@ -95,8 +97,8 @@ _ENSEMBLE_KEYS = {
 #: Two receive positions closer than this (mm) are the same grid point.
 POSITION_TOL_MM = 1e-6
 
-# num_taps sizes the L x L Gram of the sounding solve and its O(L^3)
-# factorisation.
+# num_taps sizes the two (L/2) x (L/2) halves of the sounding Gram and
+# their O(L^3) factorisations.
 _MAX_TAPS = 4096
 
 # Sounding transforms a block of rows at a time, at most this many complex
@@ -390,8 +392,10 @@ def sound_cir(
 
     The compressed window is computed in the lag domain. For an
     ``n``-sample chirp of energy ``E`` and spectrum ``C`` at
-    ``m = _fast_len(n + L - 1)``, the Gram's lags are lags ``0 .. L - 1`` of
-    ``ifft(|C|**2) / E``, and a row's noiseless window is the Gram times its
+    ``m = _fast_len(n + L - 1)``, the Gram's lags are the closed form of
+    :func:`~trlink.dsp.chirp_gram`, ``G[r, c] = d[r] conj(d[c]) S[|r - c|]``
+    for its real lags ``S`` and the modulation ``d[r] = exp(1j * step * r)``,
+    and a row's noiseless window is the Gram times its
     taps, ``G h``: the middle ``L`` samples of the two-sided lags convolved
     with the taps, a transform at ``_fast_len(3L - 2)``. The probe power,
     the mean power of the ``n + L - 1`` received samples, is
@@ -402,11 +406,14 @@ def sound_cir(
 
     The rows are transformed as stacks,
     in blocks of at most ``_BLOCK_SAMPLES`` samples per buffer, and share
-    one Gram, folded to a real symmetric matrix (:func:`_toeplitz_solve`)
-    whose one LU factorisation takes every row as a right-hand side.
-    Estimates do not depend on the block size. With one BLAS thread each
-    estimate equals that row's singleton batch bit for bit; with more, the
-    threaded LU rounds with the number of rows, within ``NUMERIC_RTOL``.
+    one Gram. Demodulated by ``conj(d)``, every row is solved against the
+    real symmetric centrosymmetric ``S``, which one fold splits into two
+    real systems of half the size (:func:`_toeplitz_solve`); each half's one
+    LU factorisation takes every row as a right-hand side. Nothing is kept
+    between calls. Estimates do not depend on the block size. With one BLAS
+    thread each estimate equals that row's singleton batch bit for bit; with
+    more, the threaded LU rounds with the number of rows, within
+    ``NUMERIC_RTOL``.
 
     Timing is assumed known (transmitter and recorder share a clock), so the
     window position is not estimated.
@@ -424,14 +431,13 @@ def sound_cir(
     chirp = make_chirp(bandwidth_hz, durations[0])
 
     num_taps = taps.shape[1]
-    n = len(chirp)
-    received_len = n + num_taps - 1
+    received_len = len(chirp) + num_taps - 1
     m = _fast_len(received_len)
     chirp_spectrum = np.fft.fft(chirp, m)
     chirp_energy = energy(chirp)
-    lags = np.zeros(num_taps, dtype=np.complex128)
-    span = min(num_taps, n)
-    lags[:span] = np.fft.ifft(np.abs(chirp_spectrum) ** 2)[:span] / chirp_energy
+    real_lags, phase_step = chirp_gram(bandwidth_hz, durations[0], num_taps)
+    modulation = np.exp(1j * phase_step * np.arange(num_taps))
+    lags = modulation * real_lags
 
     two_sided = np.concatenate((np.conj(lags[:0:-1]), lags))
     lag_len = _fast_len(3 * num_taps - 2)
@@ -455,64 +461,56 @@ def sound_cir(
                 np.conj(chirp_spectrum) * np.fft.fft(noise, m, axis=-1), axis=-1
             )
             window[[j for j, _, _ in noisy]] += compressed[:, :num_taps] / chirp_energy
-    estimates = np.ascontiguousarray(_toeplitz_solve(two_sided, aligned))
+    estimates = np.ascontiguousarray(_toeplitz_solve(real_lags, modulation, aligned))
     estimates.flags.writeable = False
     return estimates
 
 
-def _toeplitz_solve(two_sided: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve ``G x = b`` for every row ``b`` of ``rhs``, in real arithmetic.
+def _toeplitz_solve(lags: np.ndarray, modulation: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve ``G x = b`` for every row ``b`` of ``rhs``, as two half-size real solves.
 
-    ``G`` is the ``L x L`` Hermitian Toeplitz matrix ``G[r, c] = t[r - c]``,
-    with ``t[d]`` at ``two_sided[d + L - 1]`` and ``t[-d] = conj(t[d])``;
-    write ``lags`` for ``t[0 .. L - 1]``. It is centro-Hermitian
-    (``J G J = conj(G)`` for the exchange matrix ``J``), so with ``k = L // 2``
-    the unitary fold ``Q = [[I, 0, iI], [0, sqrt(2), 0], [J, 0, -iJ]] / sqrt(2)``
-    (without the middle row and column for even ``L``) turns it into the real
-    symmetric ``Q^H G Q`` of the same size and condition number (A. Lee,
-    "Centrohermitian and skew-centrohermitian matrices", Linear Algebra Appl.
-    29, 1980). With ``T[r, c] = t[r - c]`` and the Hankel
-    ``H[r, c] = t[r + c - (L - 1)]`` for ``r, c < k``, its corners are
-    ``[[Re(T + H), Im(H - T)], [Im(T + H), Re(T - H)]]``; for odd ``L`` the
-    middle column is ``sqrt(2) * Re`` (top) and ``-sqrt(2) * Im`` (bottom) of
-    ``lags[k:0:-1]``, around ``Re(lags[0])``. One real LU takes the real and
-    imaginary parts of every folded row ``Q^H b`` as right-hand sides, and
-    ``x = Q y``.
+    ``G = D S D^H``: ``S[r, c] = lags[|r - c|]`` is the real symmetric
+    Toeplitz matrix of the real ``lags`` and ``D = diag(modulation)`` is
+    unitary, so ``x = D y`` for ``S y = D^H b``. ``S`` is also
+    centrosymmetric (``J S J = S`` for the exchange matrix ``J``), so with
+    ``k = L // 2`` the orthogonal fold ``u = (y_top + J y_bottom) / sqrt(2)``,
+    ``v = (y_top - J y_bottom) / sqrt(2)`` splits it into ``T + H`` for
+    ``u`` (bordered, for odd ``L``, by the middle row and column
+    ``sqrt(2) * lags[k:0:-1]`` around ``lags[0]``) and ``T - H`` for ``v``
+    (A. Cantoni and P. Butler, "Eigenvalues and eigenvectors of symmetric
+    centrosymmetric matrices", Linear Algebra Appl. 13, 1976), with the
+    Toeplitz ``T[r, c] = lags[|r - c|]`` and the Hankel
+    ``H[r, c] = lags[L - 1 - r - c]`` for ``r, c < k``. Each half is one
+    real LU that takes the real and imaginary parts of every folded row as
+    right-hand sides.
     """
     num_taps = rhs.shape[1]
-    lags = two_sided[num_taps - 1 :]
     k = num_taps // 2
     lo, hi = slice(0, k), slice(num_taps - k, num_taps)
-    real = np.empty((num_taps, num_taps))
-    # windows[:, i, j] holds t[i + j - (L - 1)], re and im: T[r, c] is
-    # windows[:, L - k + r, k - 1 - c] and H[r, c] is windows[:, r, c]
-    windows = sliding_window_view(np.stack((two_sided.real, two_sided.imag)), k, axis=-1)
-    (re_t, im_t), (re_h, im_h) = windows[:, num_taps - k : num_taps, ::-1], windows[:, :k]
-    np.add(re_t, re_h, out=real[lo, lo])
-    np.subtract(im_h, im_t, out=real[lo, hi])
-    np.add(im_t, im_h, out=real[hi, lo])
-    np.subtract(re_t, re_h, out=real[hi, hi])
+    # windows[i, j] holds lags[|i + j - (L - 1)|]: T[r, c] is
+    # windows[L - k + r, k - 1 - c] and H[r, c] is windows[r, c]
+    windows = sliding_window_view(np.concatenate((lags[:0:-1], lags)), k)
+    toeplitz, hankel = windows[num_taps - k : num_taps, ::-1], windows[:k]
+    even = np.empty((num_taps - k, num_taps - k))
+    np.add(toeplitz, hankel, out=even[lo, lo])
     if num_taps % 2:
-        edge = math.sqrt(2.0) * lags[k:0:-1]
-        real[lo, k] = real[k, lo] = edge.real
-        real[hi, k] = real[k, hi] = -edge.imag
-        real[k, k] = lags[0].real
+        even[lo, k] = even[k, lo] = math.sqrt(2.0) * lags[k:0:-1]
+        even[k, k] = lags[0]
 
-    b = rhs.T
-    folded = np.empty_like(b)
+    # b[k : L - k] and u[k:] are the middle row for odd L and empty for even
+    b = rhs.T * np.conj(modulation)[:, None]
     flipped = b[hi][::-1]
-    folded[lo] = (b[lo] + flipped) * _SQRT_HALF
-    folded[hi] = 1j * (flipped - b[lo]) * _SQRT_HALF
-    if num_taps % 2:
-        folded[k] = b[k]
-    y = np.linalg.solve(real, np.concatenate((folded.real, folded.imag), axis=1))
-    y = y[:, : len(rhs)] + 1j * y[:, len(rhs) :]
-    x = np.empty_like(y)
-    x[lo] = (y[lo] + 1j * y[hi]) * _SQRT_HALF
-    x[hi] = ((y[lo] - 1j * y[hi]) * _SQRT_HALF)[::-1]
-    if num_taps % 2:
-        x[k] = y[k]
-    return x.T
+    u = _real_solve(even, np.concatenate(((b[lo] + flipped) * _SQRT_HALF, b[k : num_taps - k])))
+    v = _real_solve(toeplitz - hankel, (b[lo] - flipped) * _SQRT_HALF)
+    y = np.concatenate(((u[lo] + v) * _SQRT_HALF, u[k:], ((u[lo] - v) * _SQRT_HALF)[::-1]))
+    return (y * modulation[:, None]).T
+
+
+def _real_solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """``matrix^-1 rhs`` for a real ``matrix`` and complex ``rhs``, by one real LU."""
+    columns = rhs.shape[1]
+    solved = np.linalg.solve(matrix, np.concatenate((rhs.real, rhs.imag), axis=1))
+    return solved[:, :columns] + 1j * solved[:, columns:]
 
 
 def export_ensemble(ensemble: SpatialChannelEnsemble, json_path: str | Path) -> None:

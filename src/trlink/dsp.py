@@ -2,10 +2,13 @@
 
 Precoding, propagation and the TR kernel are built on the full-support
 convolution and correlation here. Chirp sounding (``channel.sound_cir``)
-takes only its chirp, its noise draw and the transform length from this
-module: it reads ``L`` lags of each correlation, so it transforms the
-chirp and the noise at the received signal's length instead of the full
-correlation's, and the taps at the lag domain's ``3L - 2``.
+takes only its chirp, the chirp's Gram, its noise draw and the transform
+length from this module: it reads ``L`` lags of each correlation, so it
+transforms the chirp and the noise at the received signal's length instead
+of the full correlation's, and the taps at the lag domain's ``3L - 2``. The
+Gram (:func:`chirp_gram`) is not transformed at all: the linear-FM chirp's
+autocorrelation is a real Dirichlet kernel times a linear phase, in closed
+form next to the chirp's phase law in :func:`make_chirp`.
 
 A signal is a plain 1-D ``complex128`` numpy array of complex-envelope
 samples at one rate, the simulated bandwidth, so no rate travels with it:
@@ -158,9 +161,38 @@ def make_chirp(bandwidth: float, duration: float) -> np.ndarray:
             the requested duration yields fewer than 2 samples or more than
             ``_MAX_CHIRP_SAMPLES``.
     """
-    if not (math.isfinite(bandwidth) and bandwidth > 0):
-        raise ConfigurationError(f"bandwidth must be finite and > 0, got {bandwidth}")
-    num_samples = chirp_length(duration, bandwidth)
+    num_samples = _chirp_samples(bandwidth, duration)
     t = np.arange(num_samples) / bandwidth
     phase = 2.0 * np.pi * (-0.5 * bandwidth * t + bandwidth / (2.0 * duration) * t**2)
     return np.exp(1j * phase)
+
+
+def chirp_gram(bandwidth: float, duration: float, num_taps: int) -> tuple[np.ndarray, float]:
+    """The Gram of :func:`make_chirp`'s probe over ``num_taps`` taps, in closed form.
+
+    The Gram is ``G = C^H C / n`` for the ``(n + L - 1, L)`` convolution
+    matrix ``C`` of the ``n``-sample chirp (energy ``n``, unit amplitude).
+    The chirp's phase at sample ``j`` is ``pi (j^2 / n' - j)`` with the
+    unrounded ``n' = duration * bandwidth``, so its autocorrelation at lag
+    ``k`` is a geometric sum: ``G[r, c] = exp(1j * phase_step * (r - c)) *
+    lags[|r - c|]``, with ``phase_step = pi ((n - 1) / n' - 1)`` and the real
+    Dirichlet kernel ``lags[0] = 1``, ``lags[k] = sin(pi k (n - k) / n') /
+    (n sin(pi k / n'))`` for ``1 <= k < min(L, n)`` and ``0`` beyond.
+    ``sin(pi k / n')`` is never 0 there, because ``k <= n - 1 < n'``.
+
+    Returns ``(lags, phase_step)``; raises what :func:`make_chirp` raises.
+    """
+    n = _chirp_samples(bandwidth, duration)
+    n_prime = duration * bandwidth
+    lags = np.zeros(num_taps)
+    lags[0] = 1.0
+    k = np.arange(1, min(num_taps, n))
+    lags[1 : k.size + 1] = np.sin(np.pi * k * (n - k) / n_prime) / (n * np.sin(np.pi * k / n_prime))
+    return lags, math.pi * ((n - 1) / n_prime - 1.0)
+
+
+def _chirp_samples(bandwidth: float, duration: float) -> int:
+    """The probe's sample count, after checking that ``bandwidth`` is finite and positive."""
+    if not (math.isfinite(bandwidth) and bandwidth > 0):
+        raise ConfigurationError(f"bandwidth must be finite and > 0, got {bandwidth}")
+    return chirp_length(duration, bandwidth)

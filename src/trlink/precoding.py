@@ -273,8 +273,10 @@ def received_at(
     rows = max(1, _BLOCK_ELEMENTS // matrix.shape[0])
     for start in range(0, num_symbols, rows):
         stop = min(start + rows, num_symbols)
+        # one user's reshape is still a view of overlapping windows, which
+        # numpy's matmul cannot hand to BLAS; two or more are copied anyway
         block = windows[:, start:stop].transpose(1, 0, 2).reshape(stop - start, -1)
-        np.matmul(block, matrix, out=product[start:stop])
+        np.matmul(np.ascontiguousarray(block), matrix, out=product[start:stop])
     field = product.view(np.complex128).reshape(num_symbols, num_rx, offsets.size)
     field = np.ascontiguousarray(field.transpose(1, 0, 2))
 

@@ -20,7 +20,7 @@ from trlink.channel import (
     sound_cir,
     synth_cavity_ensemble,
 )
-from trlink.dsp import NUMERIC_RTOL, _fast_len, complex_noise, make_chirp
+from trlink.dsp import NUMERIC_RTOL, _fast_len, chirp_gram, complex_noise, make_chirp
 from trlink.errors import ConfigurationError, DomainError
 from trlink.harness import grid_positions
 
@@ -429,7 +429,8 @@ class TestSoundingBatch:
             error = np.linalg.norm(estimate - single)
             assert error <= NUMERIC_RTOL * np.linalg.norm(single)
 
-    @pytest.mark.parametrize("num_taps, chirp_len", BATCH_SHAPES)
+    # and a chirp of duration * bandwidth = 100.4, which the Gram's phase law reads unrounded
+    @pytest.mark.parametrize("num_taps, chirp_len", [*BATCH_SHAPES, (64, 100.4)])
     def test_rows_match_the_dense_least_squares_oracle(self, num_taps, chirp_len):
         cirs, cfgs = _mixed_batch(num_taps, chirp_len)
         chirp = make_chirp(4e9, chirp_len / 4e9)
@@ -477,29 +478,78 @@ class TestSoundingBatch:
             sound_cir(cirs[:2], [cfgs[0], replace(cfgs[1], duration_s=64 / 4e9)], 4e9)
 
 
-def _dense_chirp_gram(num_taps: int, chirp_len: int) -> np.ndarray:
-    """``C^H C / E`` for the dense convolution matrix ``C`` of a 4 GHz chirp."""
+def _dense_chirp_gram(num_taps: int, chirp_len: float) -> np.ndarray:
+    """``C^H C / E`` for the dense convolution matrix ``C`` of a 4 GHz chirp
+    of duration ``chirp_len / 4e9`` (``chirp_len`` rounds to its samples)."""
     chirp = make_chirp(4e9, chirp_len / 4e9)
-    conv = np.zeros((chirp_len + num_taps - 1, num_taps), dtype=np.complex128)
+    conv = np.zeros((chirp.size + num_taps - 1, num_taps), dtype=np.complex128)
     for l in range(num_taps):
-        conv[l : l + chirp_len, l] = chirp
+        conv[l : l + chirp.size, l] = chirp
     return conv.conj().T @ conv / np.sum(np.abs(chirp) ** 2)
 
 
-class TestToeplitzSolve:
-    """The real-arithmetic solve of the folded Gram against the complex dense solve."""
+GRAM_TAPS = [1, 2, 3, 4, 5, 64, 65, 256, 257]
 
-    @pytest.mark.parametrize("num_taps", [1, 2, 3, 4, 5, 64, 65, 256, 257])
+
+def _chirp_len(num_taps: int, chirp_scale: str) -> int:
+    """Chirps with n < L (n >= 2, so n = 2 for one tap) and with n >> L."""
+    return max(2, num_taps // 2) if chirp_scale == "shorter" else 10 * num_taps + 3
+
+
+class TestChirpGram:
+    """The closed-form Gram lags and phase law against the dense chirp Gram."""
+
+    @staticmethod
+    def _assert_matches_dense(num_taps: int, chirp_len: float) -> None:
+        lags, phase_step = chirp_gram(4e9, chirp_len / 4e9, num_taps)
+        assert lags.dtype == np.float64 and lags.shape == (num_taps,)
+        gram = _dense_chirp_gram(num_taps, chirp_len)
+        # the first column, then every entry: G[r, c] = exp(i step (r - c)) lags[|r - c|]
+        lag = np.arange(num_taps)
+        first_column = np.exp(1j * phase_step * lag) * lags
+        np.testing.assert_allclose(gram[:, 0], first_column, rtol=0, atol=1e-13)
+        offset = lag[:, None] - lag[None, :]
+        closed = np.exp(1j * phase_step * offset) * lags[np.abs(offset)]
+        np.testing.assert_allclose(gram, closed, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("num_taps", GRAM_TAPS)
+    @pytest.mark.parametrize("chirp_scale", ["shorter", "longer"])
+    def test_matches_the_dense_gram(self, num_taps, chirp_scale):
+        self._assert_matches_dense(num_taps, _chirp_len(num_taps, chirp_scale))
+
+    @pytest.mark.parametrize("num_taps, chirp_len", [(64, 100.4), (257, 100.4), (257, 12345.6)])
+    def test_phase_law_reads_the_unrounded_time_bandwidth(self, num_taps, chirp_len):
+        # duration * bandwidth is not a whole number of samples; the lags
+        # past the chirp's last sample are zero
+        self._assert_matches_dense(num_taps, chirp_len)
+        lags, _ = chirp_gram(4e9, chirp_len / 4e9, num_taps)
+        n = round(chirp_len)
+        assert np.all(lags[n:] == 0.0) and lags[0] == 1.0
+
+    @pytest.mark.parametrize("bandwidth, duration, match", [
+        (math.nan, 1.0, "bandwidth"),
+        (0.0, 1.0, "bandwidth"),
+        (4e9, 1 / 4e9, "need at least 2"),
+        (4e9, 1_000_001 / 4e9, "the cap is 1000000"),
+    ])
+    def test_rejects_what_make_chirp_rejects(self, bandwidth, duration, match):
+        with pytest.raises(ConfigurationError, match=match):
+            chirp_gram(bandwidth, duration, 8)
+
+
+class TestToeplitzSolve:
+    """The two half-size real solves of the chirp Gram against the complex dense solve."""
+
+    @pytest.mark.parametrize("num_taps", GRAM_TAPS)
     @pytest.mark.parametrize("chirp_scale", ["shorter", "longer"])
     def test_matches_the_dense_complex_solve(self, num_taps, chirp_scale):
-        # chirps with n < L (n >= 2, so n = 2 for one tap) and with n >> L
-        chirp_len = max(2, num_taps // 2) if chirp_scale == "shorter" else 10 * num_taps + 3
+        chirp_len = _chirp_len(num_taps, chirp_scale)
         gram = _dense_chirp_gram(num_taps, chirp_len)
         rng = np.random.default_rng(num_taps)
         rhs = rng.standard_normal((3, num_taps)) + 1j * rng.standard_normal((3, num_taps))
-        # t[-(L - 1) .. -1] from the Gram's first row, t[0 .. L - 1] from its first column
-        two_sided = np.concatenate((gram[0, :0:-1], gram[:, 0]))
-        solved = channel._toeplitz_solve(two_sided, rhs)
+        lags, phase_step = chirp_gram(4e9, chirp_len / 4e9, num_taps)
+        modulation = np.exp(1j * phase_step * np.arange(num_taps))
+        solved = channel._toeplitz_solve(lags, modulation, rhs)
         reference = np.linalg.solve(gram, rhs.T).T
         for x, y in zip(solved, reference):
             assert np.linalg.norm(x - y) <= NUMERIC_RTOL * np.linalg.norm(y)

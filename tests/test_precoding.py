@@ -332,28 +332,35 @@ class TestReceivedAt:
     @pytest.mark.parametrize("csi", ["genie", "sounded"])
     def test_matches_full_length_chain(self, num_taps, spacings, csi):
         params = CavityParams(num_taps=num_taps, rng_seed=21)
-        ensemble = synth_cavity_ensemble(params, [-0.45, 0.45])
-        true_cirs = ensemble.taps
-        known_cirs = true_cirs
-        if csi == "sounded":
-            cfg = SoundingConfig(duration_s=64 / params.bandwidth_hz, probe_snr_db=20.0)
-            cfgs = [SoundingConfig(cfg.duration_s, 20.0, rng_seed=j) for j in range(len(true_cirs))]
-            known_cirs = sound_cir(true_cirs, cfgs, params.bandwidth_hz)
-        kernels = pulse_responses(true_cirs, known_cirs)
         rng = np.random.default_rng(num_taps)
-        for name, symbols in _frames(rng).items():
-            for spacing in spacings:
-                lags = DetectionWindow(symbols.shape[1], num_taps, spacing).lags
-                for sigma in (0.0, 0.3):
-                    actual = received_at(symbols, kernels, spacing, sigma, [5, 1])
-                    expected = windowed_reference(
-                        symbols, true_cirs, known_cirs, spacing, lags, sigma, [5, 1]
-                    )
-                    assert actual.shape == (2, *lags.shape)
-                    scale = np.max(np.abs(expected))
-                    assert np.max(np.abs(actual - expected)) <= NUMERIC_RTOL * scale, (
-                        name, spacing, sigma
-                    )
+        # two users, then one: a single user's window block is a strided view
+        for positions in ([-0.45, 0.45], [0.0]):
+            num_rx = len(positions)
+            true_cirs = synth_cavity_ensemble(params, positions).taps
+            known_cirs = true_cirs
+            if csi == "sounded":
+                cfgs = [
+                    SoundingConfig(64 / params.bandwidth_hz, 20.0, rng_seed=j)
+                    for j in range(num_rx)
+                ]
+                known_cirs = sound_cir(true_cirs, cfgs, params.bandwidth_hz)
+            kernels = pulse_responses(true_cirs, known_cirs)
+            frames = _frames(rng, num_rx)
+            if num_rx == 1:
+                del frames["rask"]  # RASK needs two antennas
+            for name, symbols in frames.items():
+                for spacing in spacings:
+                    lags = DetectionWindow(symbols.shape[1], num_taps, spacing).lags
+                    for sigma in (0.0, 0.3):
+                        actual = received_at(symbols, kernels, spacing, sigma, [5, 1])
+                        expected = windowed_reference(
+                            symbols, true_cirs, known_cirs, spacing, lags, sigma, [5, 1]
+                        )
+                        assert actual.shape == (num_rx, *lags.shape)
+                        scale = np.max(np.abs(expected))
+                        assert np.max(np.abs(actual - expected)) <= NUMERIC_RTOL * scale, (
+                            num_rx, name, spacing, sigma
+                        )
 
     @pytest.mark.parametrize("budget", [1, 300])
     @pytest.mark.parametrize("num_taps", [1, 64])

@@ -5,6 +5,11 @@ Usage (from any directory; both checkouts need ``perfbench/``, ``src/`` and
 
     python3 tools/bench_pairs.py --parent ../parent --change . --out BENCH_1.json
 
+Make each side a fresh clone of its commit (``git clone``, then ``git
+checkout <rev>``) just before the run, never an older checkout reused: a
+reused clone of unchanged code has read ``setup_s`` about 1.18 times its
+fresh clone's, which passes for a change in the code.
+
 Every workload ``BENCHMARK.json`` lists is measured (or only those named
 with ``--workload``) over ``PAIRS`` pairs. Pair ``k`` runs
 ``perfbench/run.py --seed <first-seed + k> --seconds <run_seconds> --trace
