@@ -42,23 +42,22 @@ grid, such as a scenario's trials, factorise the kernel once. The cached
 root is read-only and equals a fresh one bit for bit.
 
 Sounding (:func:`sound_cir`) estimates a batch of responses that share one
-probe chirp, built from the batch's one ``duration_s``: the chirp is
-transformed, and its Gram built in closed form
-(:func:`~trlink.dsp.chirp_gram`) and factorised, once per batch, and each
-row keeps its own probe SNR and noise seed. A row's compressed window is
-computed in the lag domain: its noiseless part is the Gram times the taps,
-a convolution of the ``2L - 1`` two-sided lags with the ``L`` taps, and the
-probe power is a quadratic form in that Gram. Only a noisy row's noise is
-correlated with the chirp at the received signal's transform length, the
-smallest fast length holding its ``n + L - 1`` samples, which holds lags
-``0 .. L - 1`` without aliasing. The Gram is a unitary diagonal
+probe chirp, built from the batch's one ``duration_s``; each row keeps its
+own probe SNR and noise seed. The least-squares estimate from a noisy
+recording is the truth plus the noise solved through the chirp's Gram, and
+sounding computes it in that form. A noiseless row is its taps, bit for
+bit. A noisy row's probe power is a quadratic form in the Gram, which is
+built in closed form (:func:`~trlink.dsp.chirp_gram`), and only its noise
+is correlated with the chirp, at the received signal's transform length,
+the smallest fast length holding its ``n + L - 1`` samples, which holds
+lags ``0 .. L - 1`` without aliasing. The Gram is a unitary diagonal
 modulation of a real symmetric centrosymmetric Toeplitz matrix, which one
 fold splits into two real systems of half the size, so two real LUs of
-half the size solve every row. The factorisations and solves run in LAPACK,
-whose last digits depend on the number of BLAS threads, so sounded
-estimates are reproducible bit for bit for a fixed BLAS thread count.
-With one thread every row equals its singleton batch bit for bit; with
-more, within ``NUMERIC_RTOL``.
+half the size solve every noisy row. The factorisations and solves run in
+LAPACK, whose last digits depend on the number of BLAS threads, so noisy
+sounded estimates are reproducible bit for bit for a fixed BLAS thread
+count. With one thread every row equals its singleton batch bit for bit;
+with more, within ``NUMERIC_RTOL``.
 """
 
 from __future__ import annotations
@@ -74,7 +73,7 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .dsp import _fast_len, chirp_gram, complex_noise, make_chirp
+from .dsp import _fast_len, chirp_gram, complex_noise, make_chirp, xcorr
 from .errors import (
     ConfigurationError,
     DomainError,
@@ -101,10 +100,10 @@ POSITION_TOL_MM = 1e-6
 # their O(L^3) factorisations.
 _MAX_TAPS = 4096
 
-# Sounding transforms a block of rows at a time, at most this many complex
-# samples per buffer (16 MB), so memory does not grow with the batch: each
-# row's taps at the lag-domain length _fast_len(3L - 2), and each noisy
-# row's noise at the received signal's length _fast_len(n + L - 1).
+# Sounding pulse-compresses a block of noisy rows at a time, at most this
+# many complex samples per buffer (16 MB), so the transforms do not grow
+# with the batch: each noisy row's noise at the received signal's length
+# _fast_len(n + L - 1).
 _BLOCK_SAMPLES = 2**20
 
 _SQRT_HALF = math.sqrt(0.5)
@@ -387,33 +386,36 @@ def sound_cir(
     aligned ``L``-tap window is then deconvolved by solving the Toeplitz
     normal-equation system built from the chirp's known autocorrelation,
     which makes the whole procedure the least-squares channel estimate.
-    Noiseless sounding therefore recovers the response to machine precision;
-    with noise the error falls as the time-bandwidth product grows.
 
-    The compressed window is computed in the lag domain. For an
-    ``n``-sample chirp of energy ``E`` and spectrum ``C`` at
-    ``m = _fast_len(n + L - 1)``, the Gram's lags are the closed form of
+    That estimate is computed as what it equals. For the ``(n + L - 1, L)``
+    convolution matrix ``C`` of an ``n``-sample chirp of energy ``E``, the
+    received signal is ``C h + w`` and the least-squares estimate is
+    ``h + G^-1 (C^H w / E)`` with the Gram ``G = C^H C / E``: the truth plus
+    the solved noise. So a noiseless row (``probe_snr_db = inf``), or one
+    whose received power is zero, returns its taps bit for bit, with no
+    transform and no solve; with noise the error falls as the
+    time-bandwidth product grows. The Gram is the closed form of
     :func:`~trlink.dsp.chirp_gram`, ``G[r, c] = d[r] conj(d[c]) S[|r - c|]``
-    for its real lags ``S`` and the modulation ``d[r] = exp(1j * step * r)``,
-    and a row's noiseless window is the Gram times its
-    taps, ``G h``: the middle ``L`` samples of the two-sided lags convolved
-    with the taps, a transform at ``_fast_len(3L - 2)``. The probe power,
-    the mean power of the ``n + L - 1`` received samples, is
-    ``E * Re(h^H G h) / (n + L - 1)``. Only a noisy row's noise goes through
-    the ``m``-length transforms, as ``ifft(conj(C) * fft(noise, m))[:L] / E``
-    (the same draw as in the time domain; ``m`` holds the whole received
-    signal, so those circular lags equal the linear ones).
+    for its real lags ``S`` and the modulation ``d[r] = exp(1j * step *
+    r)``. A noisy row's probe power, the mean power of its ``n + L - 1``
+    noiseless received samples, is ``E * Re(u^H S u) / (n + L - 1)`` for the
+    demodulated taps ``u = conj(d) * h``: the two-sided lags of ``S`` dotted
+    with ``u``'s autocorrelation (:func:`~trlink.dsp.xcorr`). Its noise is
+    drawn in the time domain and pulse-compressed at ``m = _fast_len(n + L -
+    1)``, as ``ifft(conj(fft(chirp, m)) * fft(noise, m))[:L] / E``; ``m``
+    holds the whole received signal, so those circular lags equal the
+    linear ones.
 
-    The rows are transformed as stacks,
-    in blocks of at most ``_BLOCK_SAMPLES`` samples per buffer, and share
-    one Gram. Demodulated by ``conj(d)``, every row is solved against the
-    real symmetric centrosymmetric ``S``, which one fold splits into two
-    real systems of half the size (:func:`_toeplitz_solve`); each half's one
-    LU factorisation takes every row as a right-hand side. Nothing is kept
-    between calls. Estimates do not depend on the block size. With one BLAS
-    thread each estimate equals that row's singleton batch bit for bit; with
-    more, the threaded LU rounds with the number of rows, within
-    ``NUMERIC_RTOL``.
+    The noisy rows are compressed as stacks, in blocks of at most
+    ``_BLOCK_SAMPLES`` samples per buffer, and share one Gram. Demodulated
+    by ``conj(d)``, their windows are solved against the real symmetric
+    centrosymmetric ``S``, which one fold splits into two real systems of
+    half the size (:func:`_toeplitz_solve`); each half's one LU
+    factorisation takes every noisy row as a right-hand side. Nothing is
+    kept between calls. Estimates do not depend on the block size. With one
+    BLAS thread each estimate equals that row's singleton batch bit for
+    bit; with more, the threaded LU rounds with the number of noisy rows,
+    within ``NUMERIC_RTOL``.
 
     Timing is assumed known (transmitter and recorder share a clock), so the
     window position is not estimated.
@@ -430,38 +432,39 @@ def sound_cir(
         raise ConfigurationError(f"a sounding batch must share one duration_s, got {durations}")
     chirp = make_chirp(bandwidth_hz, durations[0])
 
+    estimates = taps.copy()
     num_taps = taps.shape[1]
     received_len = len(chirp) + num_taps - 1
-    m = _fast_len(received_len)
-    chirp_spectrum = np.fft.fft(chirp, m)
     chirp_energy = energy(chirp)
     real_lags, phase_step = chirp_gram(bandwidth_hz, durations[0], num_taps)
     modulation = np.exp(1j * phase_step * np.arange(num_taps))
-    lags = modulation * real_lags
-
-    two_sided = np.concatenate((np.conj(lags[:0:-1]), lags))
-    lag_len = _fast_len(3 * num_taps - 2)
-    lag_spectrum = np.fft.fft(two_sided, lag_len)
-    block = max(1, _BLOCK_SAMPLES // max(lag_len, m))
-    aligned = np.empty_like(taps)
-    for start in range(0, len(taps), block):
-        rows = slice(start, start + block)
-        gram_taps = np.fft.ifft(lag_spectrum * np.fft.fft(taps[rows], lag_len, axis=-1), axis=-1)
-        window = aligned[rows]
-        window[:] = gram_taps[:, num_taps - 1 : 2 * num_taps - 1]
-        powers = chirp_energy * np.sum(np.conj(taps[rows]) * window, axis=-1).real / received_len
-        noisy = [
-            (j, math.sqrt(rx_power / 10.0 ** (cfg.probe_snr_db / 10.0)), cfg.rng_seed)
-            for j, (cfg, rx_power) in enumerate(zip(cfgs[rows], powers))
-            if not (math.isinf(cfg.probe_snr_db) or rx_power <= 0.0)
-        ]
-        if noisy:
-            noise = np.stack([complex_noise(received_len, sigma, seed) for _, sigma, seed in noisy])
-            compressed = np.fft.ifft(
-                np.conj(chirp_spectrum) * np.fft.fft(noise, m, axis=-1), axis=-1
-            )
-            window[[j for j, _, _ in noisy]] += compressed[:, :num_taps] / chirp_energy
-    estimates = np.ascontiguousarray(_toeplitz_solve(real_lags, modulation, aligned))
+    # S at lags -(L - 1) .. L - 1, the order of xcorr's output
+    even_lags = np.concatenate((real_lags[:0:-1], real_lags))
+    noisy = []
+    for row, cfg in enumerate(cfgs):
+        if math.isinf(cfg.probe_snr_db):
+            continue
+        demodulated = np.conj(modulation) * taps[row]
+        autocorrelation = xcorr(demodulated, demodulated).real
+        rx_power = chirp_energy * float(np.dot(even_lags, autocorrelation)) / received_len
+        if rx_power > 0.0:
+            sigma = math.sqrt(rx_power / 10.0 ** (cfg.probe_snr_db / 10.0))
+            noisy.append((row, sigma, cfg.rng_seed))
+    if noisy:
+        m = _fast_len(received_len)
+        chirp_spectrum = np.fft.fft(chirp, m)
+        block = max(1, _BLOCK_SAMPLES // m)
+        windows = []
+        for start in range(0, len(noisy), block):
+            noise = np.stack([
+                complex_noise(received_len, sigma, seed)
+                for _, sigma, seed in noisy[start : start + block]
+            ])
+            spectrum = np.conj(chirp_spectrum) * np.fft.fft(noise, m, axis=-1)
+            compressed = np.fft.ifft(spectrum, axis=-1)
+            windows.append(compressed[:, :num_taps] / chirp_energy)
+        rows = [row for row, _, _ in noisy]
+        estimates[rows] += _toeplitz_solve(real_lags, modulation, np.concatenate(windows))
     estimates.flags.writeable = False
     return estimates
 

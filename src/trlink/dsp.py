@@ -2,10 +2,12 @@
 
 Precoding, propagation and the TR kernel are built on the full-support
 convolution and correlation here. Chirp sounding (``channel.sound_cir``)
-takes only its chirp, the chirp's Gram, its noise draw and the transform
-length from this module: it reads ``L`` lags of each correlation, so it
-transforms the chirp and the noise at the received signal's length instead
-of the full correlation's, and the taps at the lag domain's ``3L - 2``. The
+takes its chirp, the chirp's Gram, its noise draw, the transform length
+and one correlation from this module. :func:`xcorr` gives each noisy
+row's taps' autocorrelation, which with the Gram gives its probe power.
+The noise's correlation with the chirp is read at ``L`` lags only, so
+sounding transforms the chirp and the noise at the received signal's
+length instead of the full correlation's. The
 Gram (:func:`chirp_gram`) is not transformed at all: the linear-FM chirp's
 autocorrelation is a real Dirichlet kernel times a linear phase, in closed
 form next to the chirp's phase law in :func:`make_chirp`.

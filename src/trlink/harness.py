@@ -60,8 +60,10 @@ positive finite double (about ``|q| <= 3080`` dB). Sizes are capped at load:
 ``num_taps`` at 4096, and a BER frame of ``(M-1)*max(d_values) + 2*num_taps
 - 1`` samples at 10,000,000, where ``M`` is ``bits_per_point`` for RASK,
 ``ceil(bits_per_point / num_rx)`` for ERASK and ``num_pilots`` for a pilot
-frame. A synthesised grid (``grid_mm`` or ``positions_mm``) holds at most
-10,000 positions and must keep the spatial-correlation argument
+frame, and the ``trials * num_rx**2 * (2*num_taps - 1)`` pulse-response
+samples a sweep holds at the same 10,000,000. A synthesised grid
+(``grid_mm`` or ``positions_mm``) holds at most 10,000 positions and must
+keep the spatial-correlation argument
 ``2*pi*2*(last - first)/wavelength`` finite; an imported ensemble is held
 to neither, since its responses are never correlated across positions.
 
@@ -158,8 +160,9 @@ BER_CSV_HEADER = ["scheme", "D", "snr_db", "bits_sent", "bit_errors", "ber", "se
 _MAX_GRID_POSITIONS = 10_000
 
 # A BER frame of (M-1)*max(d_values) + 2L - 1 samples sets the length of the
-# full-length noise draw per antenna (noise contract v1); ten million samples
-# keeps each complex buffer near 160 MB.
+# full-length noise draw per antenna (noise contract v1), and a sweep holds
+# every trial's (N, N, 2L - 1) pulse responses before its first cell; ten
+# million samples keeps each near 160 MB.
 _MAX_FRAME_SAMPLES = 10_000_000
 
 #: Time-bandwidth products of the sounding study's probe chirps.
@@ -310,6 +313,12 @@ class Scenario:
                 )
         if self.trials < 1:
             raise ConfigurationError("trials must be >= 1")
+        kernel_samples = self.trials * self.rsm.num_rx**2 * (2 * num_taps - 1)
+        if kernel_samples > _MAX_FRAME_SAMPLES:
+            raise ConfigurationError(
+                f"trials {self.trials} at num_rx={self.rsm.num_rx} and num_taps={num_taps} "
+                f"hold {kernel_samples} pulse-response samples; the cap is {_MAX_FRAME_SAMPLES}"
+            )
         if self.master_seed < 0:
             raise ConfigurationError(f"master_seed must be >= 0, got {self.master_seed}")
         if self.sounding is not None:

@@ -3,6 +3,7 @@
 import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +23,10 @@ from trlink.channel import (
 )
 from trlink.dsp import NUMERIC_RTOL, _fast_len, chirp_gram, complex_noise, make_chirp
 from trlink.errors import ConfigurationError, DomainError
-from trlink.harness import grid_positions
+from trlink.harness import SOUNDING_TB_VALUES, grid_positions, load_scenario
+
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 class TestCavityParams:
@@ -454,8 +458,8 @@ class TestSoundingBatch:
     def test_estimates_do_not_depend_on_the_block_size(self, monkeypatch, num_taps, chirp_len):
         cirs, cfgs = _mixed_batch(num_taps, chirp_len)
         one_block = sound_cir(cirs, cfgs, 4e9)
-        # the longer of the lag-domain and the received transform lengths
-        widest = max(_fast_len(3 * num_taps - 2), _fast_len(chirp_len + num_taps - 1))
+        # the received transform length, the one that sizes the blocks
+        widest = _fast_len(chirp_len + num_taps - 1)
         # one row per block, then two and three rows per block
         for budget in (1, 2 * widest, 3 * widest):
             monkeypatch.setattr(channel, "_BLOCK_SAMPLES", budget)
@@ -488,6 +492,13 @@ def _dense_chirp_gram(num_taps: int, chirp_len: float) -> np.ndarray:
     return conv.conj().T @ conv / np.sum(np.abs(chirp) ** 2)
 
 
+def _closed_form_gram(lags: np.ndarray, phase_step: float) -> np.ndarray:
+    """The dense ``G[r, c] = exp(1j * phase_step * (r - c)) * lags[|r - c|]``."""
+    lag = np.arange(lags.size)
+    offset = lag[:, None] - lag[None, :]
+    return np.exp(1j * phase_step * offset) * lags[np.abs(offset)]
+
+
 GRAM_TAPS = [1, 2, 3, 4, 5, 64, 65, 256, 257]
 
 
@@ -505,12 +516,9 @@ class TestChirpGram:
         assert lags.dtype == np.float64 and lags.shape == (num_taps,)
         gram = _dense_chirp_gram(num_taps, chirp_len)
         # the first column, then every entry: G[r, c] = exp(i step (r - c)) lags[|r - c|]
-        lag = np.arange(num_taps)
-        first_column = np.exp(1j * phase_step * lag) * lags
+        first_column = np.exp(1j * phase_step * np.arange(num_taps)) * lags
         np.testing.assert_allclose(gram[:, 0], first_column, rtol=0, atol=1e-13)
-        offset = lag[:, None] - lag[None, :]
-        closed = np.exp(1j * phase_step * offset) * lags[np.abs(offset)]
-        np.testing.assert_allclose(gram, closed, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(gram, _closed_form_gram(lags, phase_step), rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("num_taps", GRAM_TAPS)
     @pytest.mark.parametrize("chirp_scale", ["shorter", "longer"])
@@ -553,6 +561,25 @@ class TestToeplitzSolve:
         reference = np.linalg.solve(gram, rhs.T).T
         for x, y in zip(solved, reference):
             assert np.linalg.norm(x - y) <= NUMERIC_RTOL * np.linalg.norm(y)
+
+    @pytest.mark.parametrize("tb", SOUNDING_TB_VALUES)
+    def test_recovers_the_focus_grid_truths_at_rounding_level(self, tb):
+        # the sounding study's truths, toward the first target; noiseless
+        # sounding no longer solves, so this holds the solve to its rounding
+        scenario = load_scenario(ROOT / "scenarios" / "focus_grid.json")
+        target = scenario.target_indices[0]
+        truths = np.stack(
+            [scenario.ensemble_for_trial(t).taps[target] for t in range(scenario.trials)]
+        )
+        num_taps = truths.shape[1]
+        bandwidth = scenario.cavity.bandwidth_hz
+        lags, phase_step = chirp_gram(bandwidth, tb / bandwidth, num_taps)
+        modulation = np.exp(1j * phase_step * np.arange(num_taps))
+        # the dense closed-form Gram: the solve must undo exactly this G
+        gram = _closed_form_gram(lags, phase_step)
+        solved = channel._toeplitz_solve(lags, modulation, (gram @ truths.T).T)
+        for x, h in zip(solved, truths):
+            assert np.linalg.norm(x - h) <= 1e-14 * np.linalg.norm(h)
 
 
 class TestEnsembleExportImport:

@@ -544,6 +544,18 @@ class TestBerSweep:
         for g, s in zip(genie_records, sounded_records):
             assert abs(g.ber - s.ber) <= 5 / g.bits_sent
 
+    @pytest.mark.parametrize("chirp_len", [32, 512])
+    def test_noiseless_sounding_is_the_genie(self, chirp_len):
+        # chirps shorter and longer than the 64 taps; a noiseless estimate is
+        # the truth bit for bit, so the precoder sees exactly the genie's taps
+        genie = small_scenario(trials=2)
+        sounded = small_scenario(trials=2, sounding={"duration_s": chirp_len / 4.0e9})
+        for trial in range(genie.trials):
+            assert np.array_equal(
+                harness._trial_kernels(sounded, trial), harness._trial_kernels(genie, trial)
+            )
+        assert run_ber_sweep(sounded) == run_ber_sweep(genie)
+
     def test_interference_free_limit_is_error_free(self):
         scenario = small_scenario(
             snr_grid_db=[60.0],
@@ -744,8 +756,8 @@ class TestCommittedSounding:
         _assert_sounding_rows_match(_committed_sounding_rows(), full_length)
 
     def test_noiseless_rows_stay_at_rounding_level(self):
-        # ~4e-16 today; the 1e-9 bounds elsewhere would let a 1000x accuracy
-        # loss of the Toeplitz solve through
+        # 0.0: a noiseless estimate is its taps. The Toeplitz solve's own
+        # rounding is held by TestToeplitzSolve on these truths.
         scenario = load_scenario(ROOT / "scenarios" / "focus_grid.json")
         noiseless = [err for _, snr, err in run_sounding_study(scenario) if math.isinf(snr)]
         assert len(noiseless) == len(harness.SOUNDING_TB_VALUES)
@@ -1069,6 +1081,8 @@ class TestCli:
             pytest.param(("d_values",), [2], [], "d_values", id="spacing-overlaps"),
             pytest.param(("d_values",), [15, 15], [], "d_values", id="d-values-repeated"),
             pytest.param(("trials",), 1.9, [], "trials", id="trials-float"),
+            # 4 * 127 pulse-response samples per trial at num_taps 64, num_rx 2
+            pytest.param(("trials",), 10**6, [], "trials", id="trials-above-the-kernel-cap"),
             pytest.param(("cavity", "num_taps"), 256.7, [], "num_taps", id="taps-float"),
             pytest.param(("version",), True, [], "version", id="version-bool"),
             pytest.param(
