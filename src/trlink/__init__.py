@@ -5,7 +5,6 @@ on a non-coherent power-detector receiver.
 
 from .channel import (
     CavityParams,
-    Cir,
     SoundingConfig,
     SpatialChannelEnsemble,
     export_ensemble,
@@ -13,7 +12,7 @@ from .channel import (
     sound_cir,
     synth_cavity_ensemble,
 )
-from .dsp import NUMERIC_RTOL, convolve, make_chirp, xcorr
+from .dsp import NUMERIC_RTOL, make_chirp
 from .errors import ConfigurationError, DomainError, TrLinkError
 from .harness import (
     BerRecord,
@@ -43,8 +42,6 @@ from .precoding import (
     propagate,
     pulse_responses,
     received_at,
-    tr_kernel,
-    tr_precode,
 )
 
 __version__ = "0.1.0"
@@ -52,7 +49,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BerRecord",
     "CavityParams",
-    "Cir",
     "ConfigurationError",
     "DetectionWindow",
     "DomainError",
@@ -67,7 +63,6 @@ __all__ = [
     "SpatialChannelEnsemble",
     "TrLinkError",
     "calibrate_threshold",
-    "convolve",
     "derive_seed",
     "erask_modulate",
     "export_ensemble",
@@ -87,7 +82,4 @@ __all__ = [
     "run_sounding_study",
     "sound_cir",
     "synth_cavity_ensemble",
-    "tr_kernel",
-    "tr_precode",
-    "xcorr",
 ]

@@ -14,7 +14,8 @@ caller: precoding from the target's energy (:func:`energy`), computed
 anyway; sounding and propagation by one scan of their block, cheap next to
 their transforms. ``SpatialChannelEnsemble.cirs``
 still builds one :class:`Cir` per row on access, for the benchmark's focus
-oracle; nothing in trlink reads it.
+oracle; nothing in trlink reads it, and ``trlink`` does not export
+:class:`Cir`.
 
 The physical channel is a leaking metallic cavity probed across a 1-D
 receive axis. No field solver is involved; instead each impulse response is
@@ -204,9 +205,10 @@ class CavityParams:
     ``num_taps`` is 1 to ``_MAX_TAPS``; the bandwidth and the carrier are
     finite and positive. ``decay_time_s`` defaults to
     ``num_taps / (3 * bandwidth_hz)`` so that most of the reverberant energy
-    falls inside the simulated tap window; ``math.inf`` is accepted and
-    yields a flat power-delay profile. The carrier frequency only enters
-    through the spatial-correlation wavelength.
+    falls inside the simulated tap window (a bandwidth that makes it 0 is a
+    ``ConfigurationError`` naming ``bandwidth_hz``); ``math.inf`` is
+    accepted and yields a flat power-delay profile. The carrier frequency
+    only enters through the spatial-correlation wavelength.
     """
 
     num_taps: int = 256
@@ -227,9 +229,13 @@ class CavityParams:
             if not (math.isfinite(value) and value > 0):
                 raise ConfigurationError(f"{name} must be finite and > 0, got {value}")
         if math.isnan(self.decay_time_s):
-            object.__setattr__(
-                self, "decay_time_s", self.num_taps / (3.0 * self.bandwidth_hz)
-            )
+            default = self.num_taps / (3.0 * self.bandwidth_hz)
+            if not default > 0:
+                raise ConfigurationError(
+                    f"bandwidth_hz {self.bandwidth_hz} is too large: the default decay_time_s, "
+                    f"num_taps / (3 * bandwidth_hz), is 0"
+                )
+            object.__setattr__(self, "decay_time_s", default)
         if not self.decay_time_s > 0:
             raise ConfigurationError(f"decay_time_s must be > 0, got {self.decay_time_s}")
 
@@ -247,8 +253,15 @@ class CavityParams:
         return _diffuse_correlation(distance_mm, self.wavelength_mm)
 
     def power_delay_profile(self) -> np.ndarray:
-        """Expected tap powers, exponentially decaying, unit total energy."""
-        decay = self.bandwidth_hz * self.decay_time_s
+        """Expected tap powers, exponentially decaying, unit total energy.
+
+        A decay shorter than a thousandth of a tap gives the one-tap
+        profile ``[1, 0, ...]``.
+        """
+        # exp(-1000) is 0 in doubles, so below 1e-3 taps every weight after
+        # the first is 0 either way; the floor keeps a subnormal (or zero)
+        # decay from overflowing the division
+        decay = max(self.bandwidth_hz * self.decay_time_s, 1e-3)
         weights = np.exp(-np.arange(self.num_taps) / decay)
         return weights / weights.sum()
 

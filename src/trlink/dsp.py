@@ -1,10 +1,11 @@
 """The DSP primitives: convolution, correlation, noise and the probe chirp.
 
-Precoding, propagation and the TR kernel are built on the full-support
-convolution and correlation here. Chirp sounding (``channel.sound_cir``)
-takes its chirp, the chirp's Gram, its noise draw, the transform length
-and one correlation from this module. :func:`xcorr` gives each noisy
-row's taps' autocorrelation, which with the Gram gives its probe power.
+Propagation (``precoding.propagate``, which builds every received unit
+pulse) is the full-support convolution here. Chirp sounding
+(``channel.sound_cir``) takes its chirp, the chirp's Gram, its noise draw,
+the transform length and one correlation from this module. :func:`xcorr`
+gives each noisy row's taps' autocorrelation, which with the Gram gives
+its probe power.
 The noise's correlation with the chirp is read at ``L`` lags only, so
 sounding transforms the chirp and the noise at the received signal's
 length instead of the full correlation's. The
@@ -19,9 +20,10 @@ bandwidth) and every emission share it.
 Carrier up/down-conversion is treated as ideal, so nothing here models a
 passband. The functions here neither copy nor re-check their inputs: the
 arrays come from validated boundaries (an ensemble's ``(P, L)`` taps block,
-checked finite once where it was built, and the symbol matrix that
-``tr_precode`` checks) or from earlier steps of the pipeline; convolution
-and correlation reject only empty inputs.
+checked finite once where it was built) or from earlier steps of the
+pipeline; convolution and correlation reject only empty inputs. Neither
+is exported from ``trlink``: each has one pipeline caller, and the test
+suite reaches them here.
 
 ``convolve``'s second operand may also be a ``(P, Lb)`` stack of ``P``
 signals of one length, which convolves the same first signal with every

@@ -70,10 +70,10 @@ to neither, since its responses are never correlated across positions.
 Channels pass between the stages as row selections of the trial's
 ensemble ``taps``, one ``(P, L)`` block checked when it was built; no
 experiment builds a per-position :class:`~trlink.channel.Cir` (that
-accessor, ``SpatialChannelEnsemble.cirs``, is kept for the benchmark's
-focus oracle only). Every trial of a synthesised scenario draws over one
-grid at one carrier, so the kernel root its draws share is factorised once
-and memoised (:func:`trlink.channel.synth_cavity_ensemble`).
+unexported class and its accessor, ``SpatialChannelEnsemble.cirs``, are
+kept for the benchmark's focus oracle only). Every trial of a synthesised
+scenario draws over one grid at one carrier, so the kernel root its draws
+share is factorised once and memoised (:func:`trlink.channel.synth_cavity_ensemble`).
 
 Each trial's pulse responses (:func:`trlink.precoding.pulse_responses`)
 are built once, before the first cell, and every data and pilot frame of

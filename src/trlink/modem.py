@@ -20,6 +20,10 @@ samples: an ``(N, M, 2w+1)`` array holding each antenna's received samples
 at :attr:`DetectionWindow.lags`, as :func:`trlink.precoding.received_at`
 evaluates them, never a full received signal. Those lags derive from the
 frame's three integers alone, so this module says where the detector reads.
+The detector and the threshold calibration take the frame as a
+:class:`DetectionWindow`, whose ``half_width`` and ``num_symbols`` the
+benchmark's sample counter reads; it stays their second argument until the
+benchmark changes.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """Time-reversal precoding, propagation, and spatiotemporal focusing analysis.
 
 A single-antenna transmitter serves ``N`` receive positions. The data are
-one ``(N, M)`` complex amplitude matrix ``x`` (row ``i`` is user ``i``,
+one ``(N, M)`` amplitude matrix ``x`` (row ``i`` is user ``i``,
 column ``l`` is symbol slot ``l``; an untargeted slot is a zero) and one
 pulse spacing ``D`` in taps, shared by all users. For each user the
 emission is the conjugated, time-reversed impulse response toward that
@@ -9,11 +9,11 @@ user, scaled so every unit-amplitude data pulse carries unit emitted energy:
 
     s[k] = sum_i sum_l x[i, l] * conj(h_i)[L-1 - (k - l*D)] / sqrt(E_i)
 
-with ``E_i = sum_l |h_i[l]|^2``. :func:`received_at` and its full-signal
-reference :func:`tr_precode` are where the matrix enters: both check its
-shape against the users, the spacing, and that every amplitude is finite.
-:func:`tr_precode` takes complex amplitudes; :func:`received_at` takes the
-real ones both modulators emit and refuses a nonzero imaginary part.
+with ``E_i = sum_l |h_i[l]|^2``. :func:`received_at` is where the matrix
+enters: it checks its shape against the users, the spacing, and that every
+amplitude is finite. It takes the real amplitudes both modulators emit and
+refuses a nonzero imaginary part. Nothing here builds ``s`` itself: the
+link is computed from its unit pulses, below.
 
 Channels are ``(P, L)`` tap blocks, one row per channel, as
 :class:`~trlink.channel.SpatialChannelEnsemble` holds them; a user or a
@@ -31,13 +31,11 @@ of a pulse placed in symbol slot ``l`` forms at received sample index
 ``L - 1 + l*D``, the peak of :class:`~trlink.modem.DetectionWindow`.
 
 :func:`propagate` is the one receive path: one emission, one row per
-receiver, one stacked :func:`~trlink.dsp.convolve`, and row ``n``'s noise
-seeded ``[*seed_path, n]`` (seed/noise contract v1). :func:`pulse_responses`
-receives each ``conj(h_i[::-1]) / sqrt(E_i)`` through it as ``K_ni``, the
-noiseless field at receiver ``n`` of one unit pulse toward user ``i``
-(``2L - 1`` samples): the focusing maps read it over the grid, the BER
-sweep at its antennas. :func:`tr_kernel` is its closed form, kept as the
-test oracle.
+receiver, one stacked :func:`~trlink.dsp.convolve`, no noise.
+:func:`pulse_responses` receives each ``conj(h_i[::-1]) / sqrt(E_i)``
+through it as ``K_ni``, the noiseless field at receiver ``n`` of one unit
+pulse toward user ``i`` (``2L - 1`` samples): the focusing maps read it
+over the grid, the BER sweep at its antennas.
 
 :func:`focusing_report` is measured from those fields alone: it takes its
 target's column over the grid and, for two users, the interferer's column,
@@ -49,7 +47,12 @@ K_ni``, so :func:`received_at` gives the BER sweep the samples at the
 detector's windows only, never the ``(M-1)*D + 2L - 1``-sample signal:
 each window is the few real symbol amplitudes whose pulses reach it times
 a fixed matrix of ``K_ni`` samples, computed as blocked real matrix products.
-Its noise is drawn at that full length from the same seeds and indexed.
+Its noise is drawn at that full length, antenna ``n``'s seeded
+``[*seed_path, n]`` (seed/noise contract v1), and indexed.
+
+The full-signal references the tests hold these paths to (the emission
+``s``, ``K_ni`` as a correlation, and the whole noisy received signal) live
+with the tests, in ``tests/oracles.py``.
 
 Everything here is pure and deterministic given the seed, and safe to fan
 out across positions, seeds, and SNR points.
@@ -66,7 +69,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .channel import SpatialChannelEnsemble, as_taps, energy
-from .dsp import complex_noise, convolve, xcorr
+from .dsp import complex_noise, convolve
 from .errors import ConfigurationError, DomainError
 from .modem import WINDOW_HALF_WIDTH, DetectionWindow
 from .output import write_csv
@@ -108,88 +111,26 @@ def _target_energy(h: np.ndarray) -> float:
     return e
 
 
-def _receiver_noise(num_rx: int, size: int, sigma: float, seed_path, at=None) -> np.ndarray:
-    """Row ``n`` is receiver ``n``'s noise, seeded ``[*seed_path, n]`` (contract v1)."""
+def _receiver_noise(num_rx: int, size: int, sigma: float, seed_path, at) -> np.ndarray:
+    """Row ``n``: receiver ``n``'s noise, seeded ``[*seed_path, n]`` (contract v1), at ``at``."""
     return np.stack([complex_noise(size, sigma, [*seed_path, n], at) for n in range(num_rx)])
 
 
-def tr_kernel(h_j: np.ndarray, h_i: np.ndarray) -> np.ndarray:
-    """Closed-form correlation kernel of taps ``h_j`` against the precoding target's ``h_i``.
-
-    The kernel spans all lags ``-(L-1) .. L-1`` with lag 0 at index
-    ``L - 1``; entry ``L - 1 + m`` is
-    ``sum_k conj(h_i[k - m]) * h_j[k] / sqrt(E_i)``. For the
-    autocorrelation case the lag-0 value is ``sqrt(E_i)``, real and
-    positive, and dominates every other lag in magnitude. It is the test
-    oracle for :func:`pulse_responses`, the one production builder of
-    ``K_ni``: it equals ``pulse_responses([h_j], [h_i])[0, 0]`` to
-    ``NUMERIC_RTOL``.
-    """
-    h_j, h_i = as_taps([h_j, h_i], "kernel CIRs")
-    scale = math.sqrt(_target_energy(h_i))
-    return xcorr(h_i, h_j) / scale
-
-
-def tr_precode(symbols: np.ndarray, taps: np.ndarray, spacing: int) -> np.ndarray:
-    """Assemble the multi-user time-reversal emission.
-
-    ``symbols`` is the ``(N, M)`` amplitude matrix: row ``i`` holds user
-    ``i``'s pulse amplitudes, one per symbol slot, and row ``i`` of the
-    ``(N, L)`` block ``taps`` is the channel toward that user. Each
-    amplitude row is upsampled by ``spacing`` taps and convolved with the
-    user's conjugated, time-reversed response, scaled by ``1/sqrt(E_i)``;
-    the users' contributions are summed. Pulse ``l`` of any user focuses at
-    received index ``L - 1 + l*spacing``. ``M == 0`` gives an empty
-    emission. A user whose energy is zero or not finite (a non-finite tap)
-    is a ``DomainError``.
-    """
-    symbols = _check_symbols(symbols, len(taps), spacing)
-    taps = as_taps(taps, "users")
-    num_symbols = symbols.shape[1]
-    # One fresh train and one convolution per user, then one sum: reusing a
-    # train buffer or preallocating the sum measured slower (page faults).
-    contributions: list[np.ndarray] = []
-    for row, h in zip(symbols, taps):
-        e = _target_energy(h)
-        if num_symbols == 0:
-            continue
-        train = np.zeros((num_symbols - 1) * spacing + 1, dtype=np.complex128)
-        train[::spacing] = row
-        flipped = np.conj(h[::-1]) / math.sqrt(e)
-        contributions.append(convolve(train, flipped))
-
-    combined = np.zeros(contributions[0].size if contributions else 0, dtype=np.complex128)
-    for part in contributions:
-        combined += part
-    return combined
-
-
-def propagate(
-    signal: np.ndarray,
-    taps: np.ndarray,
-    noise_sigma: float,
-    seed_path: Sequence[int] = (),
-) -> np.ndarray:
-    """Receive one emission at a list of receivers, with additive white noise.
+def propagate(signal: np.ndarray, taps: np.ndarray) -> np.ndarray:
+    """Receive one emission, noiselessly, at a list of receivers.
 
     Row ``n`` is the full linear convolution of the emission with row ``n``
-    of the ``(R, L)`` block ``taps`` plus zero-mean circular complex
-    Gaussian noise whose per-sample standard deviation is ``noise_sigma``
-    (``E|n|^2 = sigma^2``), seeded ``[*seed_path, n]``. The block is
-    received in one stacked convolution; each row equals the convolution
-    with that channel alone bit for bit. Returns shape ``(R, len(signal) +
-    L - 1)``. A non-finite tap in ``taps`` is a ``DomainError``.
+    of the ``(R, L)`` block ``taps``. The block is received in one stacked
+    convolution; each row equals the convolution with that channel alone
+    bit for bit. Returns shape ``(R, len(signal) + L - 1)``. A non-finite
+    tap in ``taps`` is a ``DomainError``.
     """
-    _check_noise_sigma(noise_sigma)
     if len(taps) == 0:
         raise ConfigurationError("propagate needs at least one receive channel")
     taps = as_taps(taps, "receive channels")
     if not np.all(np.isfinite(taps)):
         raise DomainError("receive channel taps must be finite")
-    received = convolve(signal, taps)
-    if noise_sigma > 0.0:
-        received += _receiver_noise(len(taps), received.shape[1], noise_sigma, seed_path)
-    return received
+    return convolve(signal, taps)
 
 
 def pulse_responses(true_taps: np.ndarray, known_taps: np.ndarray) -> np.ndarray:
@@ -197,9 +138,9 @@ def pulse_responses(true_taps: np.ndarray, known_taps: np.ndarray) -> np.ndarray
 
     ``true_taps`` is the ``(N, L)`` block of receivers, ``known_taps`` the
     ``(U, L)`` block of the precoder's channel knowledge. Entry ``[:, i]``
-    is user ``i``'s unit-pulse emission ``conj(h_i[::-1]) / sqrt(E_i)`` (one
-    pulse of :func:`tr_precode`) received through the ``N`` true channels by
-    :func:`propagate`. A zero-energy or non-finite user is a ``DomainError``.
+    is user ``i``'s unit-pulse emission ``conj(h_i[::-1]) / sqrt(E_i)``
+    received through the ``N`` true channels by :func:`propagate`. A
+    zero-energy or non-finite user is a ``DomainError``.
     """
     if len(true_taps) == 0 or len(known_taps) == 0:
         raise ConfigurationError("pulse responses need at least one receiver and one user")
@@ -208,7 +149,7 @@ def pulse_responses(true_taps: np.ndarray, known_taps: np.ndarray) -> np.ndarray
     if true_taps.shape[1] != known_taps.shape[1]:
         raise ConfigurationError("receivers and users must share one CIR length")
     emissions = [np.conj(h_i[::-1]) / math.sqrt(_target_energy(h_i)) for h_i in known_taps]
-    return np.stack([propagate(e, true_taps, 0.0) for e in emissions], axis=1)
+    return np.stack([propagate(e, true_taps) for e in emissions], axis=1)
 
 
 def received_at(
@@ -223,23 +164,24 @@ def received_at(
     ``kernels`` is ``pulse_responses(true_taps, known_taps)``, shape ``(N, U,
     2L-1)``. With ``w = WINDOW_HALF_WIDTH``, entry ``[n, m, w + o]`` equals,
     to ``NUMERIC_RTOL``, sample ``L-1 + m*spacing + o`` (``|o| <= w``: the
-    ``DetectionWindow(M, L, spacing).lags``) of row ``n`` of the reference:
-    :func:`tr_precode` of ``symbols`` toward ``known_taps``, received by
-    :func:`propagate` through ``true_taps`` with the same noise. A read past
-    either end of that ``(M-1)*spacing + 2L - 1``-sample signal reads the
-    end sample.
+    ``DetectionWindow(M, L, spacing).lags``) of antenna ``n``'s received
+    signal: the emission toward ``known_taps`` received through
+    ``true_taps``, plus white circular complex Gaussian noise of per-sample
+    standard deviation ``noise_sigma`` seeded ``[*seed_path, n]``. A read
+    past either end of that ``(M-1)*spacing + 2L - 1``-sample signal reads
+    the end sample.
 
     Only those samples are computed. Pulse ``m - s`` reaches window ``m``
     only for ``|s| <= S = (L-1 + w) // spacing``, so user ``i`` adds to
     window ``m`` its ``2S+1`` amplitudes around slot ``m`` (zero outside the
     frame) times one ``(2S+1, N(2w+1))`` matrix of ``K_ni`` samples. The
     amplitudes must be real, as both modulators' are; a nonzero imaginary
-    part is a ``DomainError`` (:func:`tr_precode` takes complex ones). So
-    the arithmetic is real: each matrix is stored with real and imaginary
-    parts interleaved, the users' windows sit side by side, and one real
-    matrix product per block of at most ``_BLOCK_ELEMENTS`` window entries
-    gives those windows' samples. The noise is drawn at the full length
-    from the seeds :func:`propagate` uses and indexed (noise contract v1).
+    part is a ``DomainError``. So the arithmetic is real: each matrix is
+    stored with real and imaginary parts interleaved, the users' windows
+    sit side by side, and one real matrix product per block of at most
+    ``_BLOCK_ELEMENTS`` window entries gives those windows' samples. The
+    noise is drawn at the full length and indexed (noise contract v1). The
+    full-signal reference is ``tests/oracles.py``'s ``received_signal``.
     Returns shape ``(N, M, 2w+1)``.
     """
     kernels = np.asarray(kernels)
@@ -247,7 +189,7 @@ def received_at(
         raise DomainError(f"kernels must be an (N, U, 2L-1) array, got shape {kernels.shape}")
     symbols = _check_symbols(symbols, kernels.shape[1], spacing)
     if np.any(symbols.imag):
-        raise DomainError("received_at takes real amplitudes; use tr_precode for complex ones")
+        raise DomainError("received_at takes real amplitudes")
     _check_noise_sigma(noise_sigma)
     num_rx, num_users, size = kernels.shape
     num_symbols = symbols.shape[1]

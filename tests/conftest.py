@@ -1,7 +1,7 @@
-"""Shared test helpers: seeded generators and direct-summation oracles.
+"""Shared test helpers: seeded generators, channel rows and error measures.
 
-The double-loop oracles below are deliberately naive O(n*m) implementations,
-independent of the transform-domain fast paths they are used to check.
+The slow reference implementations the tests check against live in
+``oracles.py``.
 """
 
 import numpy as np
@@ -65,30 +65,6 @@ def measure_focusing(
     fields = pulse_responses(ensemble.taps, ensemble.taps[users])
     other = None if other_index is None else fields[:, 1]
     return focusing_report(ensemble, fields[:, 0], other, target_index, other_index, spacing)
-
-
-def direct_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Textbook double-loop full convolution."""
-    out = np.zeros(len(a) + len(b) - 1, dtype=complex)
-    for i, av in enumerate(a):
-        for j, bv in enumerate(b):
-            out[i + j] += av * bv
-    return out
-
-
-def direct_xcorr(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Double-loop cross-correlation, lag 0 at output index len(a) - 1."""
-    la, lb = len(a), len(b)
-    out = np.zeros(la + lb - 1, dtype=complex)
-    for j in range(out.size):
-        lag = j - (la - 1)
-        acc = 0.0 + 0.0j
-        for k in range(lb):
-            i = k - lag
-            if 0 <= i < la:
-                acc += np.conj(a[i]) * b[k]
-        out[j] = acc
-    return out
 
 
 def max_rel_error(actual: np.ndarray, expected: np.ndarray) -> float:

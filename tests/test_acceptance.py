@@ -16,11 +16,12 @@ import numpy as np
 import pytest
 
 from conftest import energy, measure_focusing
+from oracles import tr_kernel, tr_precode
 from trlink.channel import CavityParams, SoundingConfig, sound_cir, synth_cavity_ensemble
 from trlink.cli import main as cli_main
 from trlink.dsp import convolve, make_chirp, xcorr
 from trlink.harness import grid_positions, load_scenario, run_ber_sweep
-from trlink.precoding import focusing_report, propagate, pulse_responses, tr_kernel, tr_precode
+from trlink.precoding import focusing_report, propagate, pulse_responses
 
 UNIT_PULSE = np.ones((1, 1), dtype=complex)
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
@@ -57,7 +58,7 @@ def test_criterion_2_matched_peak_law():
     for seed in range(1000):
         cir = _ensemble_cir(seed)
         waveform = tr_precode(UNIT_PULSE, [cir], 15)
-        [received] = propagate(waveform, [cir], 0.0)
+        [received] = propagate(waveform, [cir])
         peak_idx = int(np.argmax(np.abs(received)))
         aligned &= peak_idx == cir.size - 1
         expected = math.sqrt(energy(cir))
@@ -81,7 +82,7 @@ def test_criterion_3_received_field_equals_kernel_expansion():
             for _ in range(2)
         ])
         waveform = tr_precode(symbols, cirs, spacing)
-        for j, received in enumerate(propagate(waveform, cirs, 0.0)):
+        for j, received in enumerate(propagate(waveform, cirs)):
             expansion = np.zeros_like(received)
             for i in range(2):
                 kernel = tr_kernel(cirs[j], cirs[i])
@@ -307,4 +308,57 @@ def test_criterion_12_closed_form_focusing_moments():
     detail += f", {elapsed:.2f}s"
     _report(12, "closed-form focusing moments", ok, detail)
     assert worst_peak <= 1e-9
+    assert abs(z[worst]) <= 4.0, z
+
+
+def test_criterion_13_sounding_error_law():
+    """Chirp-sounding error against its closed-form law over 400 seeds.
+
+    For the ``n``-sample chirp's ``(n + L - 1, L)`` convolution matrix
+    ``C``, of energy ``E``, and receiver noise ``w ~ CN(0, sigma^2 I)``, the
+    least-squares error is ``e = G^-1 C^H w / E`` with ``G = C^H C / E``, so
+    ``Cov(e) = (sigma^2 / E) G^-1`` (Kay, *Fundamentals of Statistical
+    Signal Processing: Estimation Theory*, ch. 4, the linear model). With
+    ``lambda_k`` the eigenvalues of ``G^-1`` (which ``chirp_gram``'s real
+    Toeplitz ``S`` shares, since ``G = D S D^H`` for a unitary ``D``),
+    ``x = ||e||^2 E / sigma^2`` is ``sum_k lambda_k |z_k|^2`` for iid
+    ``z_k ~ CN(0, 1)``:
+
+    * ``E[x] = tr(S^-1) = sum lambda`` and ``Var[x] = ||S^-1||_F^2 = sum lambda**2``;
+    * ``Var[(x - E[x])**2] = 6 sum lambda**4 + 2 (sum lambda**2)**2``.
+
+    ``C^H C`` and each row's probe power ``||C h||^2 / (n + L - 1)``, which
+    sets ``sigma^2`` at the probe SNR, are computed here from the chirp by
+    direct sums, not by the code under test. Each seed gives one ``x``; one
+    z for the mean and one for the variance per time-bandwidth product.
+    """
+    start = time.monotonic()
+    bandwidth, num_taps, snr_db, seeds = 4e9, 256, 30.0, 400
+    truths = np.stack([_ensemble_cir(seed, num_taps) for seed in range(seeds)])
+    lag = np.subtract.outer(np.arange(num_taps), np.arange(num_taps))
+    z = {}
+    for tb in (100, 1000, 10_000):
+        duration = tb / bandwidth
+        chirp = make_chirp(bandwidth, duration)
+        n = chirp.size
+        # (C^H C)[r, c] is the chirp's autocorrelation at lag r - c
+        acf = np.zeros(num_taps, dtype=complex)
+        for k in range(min(n, num_taps)):
+            acf[k] = np.vdot(chirp[: n - k], chirp[k:])
+        gram = np.where(lag >= 0, acf[np.abs(lag)], np.conj(acf[np.abs(lag)]))
+        chirp_energy = acf[0].real
+        power = np.sum((truths.conj() @ gram) * truths, axis=1).real / (n + num_taps - 1)
+        sigma2 = power / 10.0 ** (snr_db / 10.0)
+        cfgs = [SoundingConfig(duration, snr_db, rng_seed=10_000 + seed) for seed in range(seeds)]
+        errors = sound_cir(truths, cfgs, bandwidth) - truths
+        x = np.sum(np.abs(errors) ** 2, axis=1) * chirp_energy / sigma2
+        lam = 1.0 / np.linalg.eigvalsh(gram / chirp_energy)
+        m1, m2, m4 = lam.sum(), np.sum(lam**2), np.sum(lam**4)
+        z[f"mean TB={tb}"] = (x.mean() - m1) / math.sqrt(m2 / seeds)
+        spread = math.sqrt((6.0 * m4 + 2.0 * m2**2) / seeds)
+        z[f"variance TB={tb}"] = (np.mean((x - m1) ** 2) - m2) / spread
+    worst = max(z, key=lambda name: abs(z[name]))
+    elapsed = time.monotonic() - start
+    ok = abs(z[worst]) <= 4.0
+    _report(13, "sounding error law", ok, f"max |z|={abs(z[worst]):.2f} ({worst}), {elapsed:.2f}s")
     assert abs(z[worst]) <= 4.0, z

@@ -64,6 +64,16 @@ class TestCavityParams:
         params = CavityParams(num_taps=8, decay_time_s=math.inf)
         np.testing.assert_array_equal(params.power_delay_profile(), np.full(8, 1 / 8))
 
+    def test_vanishing_decay_gives_the_one_tap_profile(self):
+        # 4e9 * 1e-320 taps is subnormal: dividing the tap indices by it
+        # overflowed, a RuntimeWarning (an error here) on the way to [1, 0, ...]
+        params = CavityParams(num_taps=8, decay_time_s=1e-320)
+        np.testing.assert_array_equal(params.power_delay_profile(), np.eye(1, 8)[0])
+
+    def test_bandwidth_that_zeroes_the_default_decay_is_named(self):
+        with pytest.raises(ConfigurationError, match=r"^bandwidth_hz 1e\+308 is too large"):
+            CavityParams(bandwidth_hz=1e308)
+
 
 class TestEnsembleSynthesis:
     def test_regular_grid_has_42_positions_sharing_length(self):

@@ -414,7 +414,7 @@ class TestBerSweep:
 
     @pytest.mark.parametrize("sounding", ["genie", {"duration_s": 6.4e-8, "snr_db": 20.0}])
     def test_pulse_responses_are_built_once_per_trial(self, monkeypatch, sounding):
-        calls = {"tr_precode": 0, "propagate": 0}
+        calls = {"propagate": 0}
 
         def counting(name):
             real = getattr(precoding, name)
@@ -432,9 +432,9 @@ class TestBerSweep:
         )
         records = run_ber_sweep(scenario)
         assert len(records) == 2 * 2 * 2 * 3  # schemes x D x SNR x trials
-        # each user's unit-pulse emission is built from its taps, not precoded
+        # one propagation per user's unit-pulse emission, built from its taps
         per_trial = scenario.trials * scenario.rsm.num_rx
-        assert calls == {"tr_precode": 0, "propagate": per_trial}
+        assert calls == {"propagate": per_trial}
 
     def test_sounding_seeds_follow_the_target_grid_index(self, monkeypatch):
         # the sweep seeds each target's probe noise as run_sounding_study does
@@ -816,6 +816,18 @@ class TestCli:
             rows = (out / f"ber_{scheme}_D15.csv").read_text(encoding="utf-8").splitlines()
             assert len(rows) == 3
 
+    @pytest.mark.parametrize("command", ["focus", "sound", "ber"])
+    def test_vanishing_decay_runs_without_a_warning(self, tmp_path, capsys, command):
+        # a subnormal bandwidth * decay_time_s is the one-tap profile; pytest
+        # turns the overflow warning it used to raise into an error
+        path = write_scenario(tmp_path, cavity={
+            "num_taps": 64, "bandwidth_hz": 4.0e9, "carrier_freq_hz": 2.736e11,
+            "decay_time_s": 1e-320,
+        })
+        out = tmp_path / "results"
+        assert cli_main([command, "--scenario", str(path), "--out", str(out)]) == 0
+        assert any(out.iterdir())
+
     def test_focus_writes_profiles(self, tmp_path, capsys):
         path = write_scenario(tmp_path)
         out = tmp_path / "results"
@@ -1084,6 +1096,10 @@ class TestCli:
             # 4 * 127 pulse-response samples per trial at num_taps 64, num_rx 2
             pytest.param(("trials",), 10**6, [], "trials", id="trials-above-the-kernel-cap"),
             pytest.param(("cavity", "num_taps"), 256.7, [], "num_taps", id="taps-float"),
+            pytest.param(
+                ("cavity", "bandwidth_hz"), 1e308, [], "cavity.bandwidth_hz",
+                id="bandwidth-zeroes-the-default-decay",
+            ),
             pytest.param(("version",), True, [], "version", id="version-bool"),
             pytest.param(
                 ("sounding",), {"duration_s": 1e-12}, [], "sounding.duration_s", id="chirp-too-short"

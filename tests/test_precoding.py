@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import cir, energy, measure_focusing, random_cir
+from oracles import received_signal, tr_kernel, tr_precode
 from trlink import precoding
 from trlink.channel import (
     CavityParams,
@@ -26,8 +27,6 @@ from trlink.precoding import (
     propagate,
     pulse_responses,
     received_at,
-    tr_kernel,
-    tr_precode,
 )
 
 UNIT_PULSE = np.ones((1, 1), dtype=complex)
@@ -92,7 +91,7 @@ class TestTrKernel:
         rng = np.random.default_rng(num_taps)
         h_i, h_j = random_cir(rng, num_taps), random_cir(rng, num_taps)
         for target, receiver in ((h_i, h_i), (h_i, h_j)):
-            [chain] = propagate(tr_precode(UNIT_PULSE, [target], 1), [receiver], 0.0)
+            [chain] = propagate(tr_precode(UNIT_PULSE, [target], 1), [receiver])
             kernel = tr_kernel(receiver, target)
             assert kernel.shape == chain.shape
             assert np.max(np.abs(kernel - chain)) <= NUMERIC_RTOL * np.max(np.abs(chain))
@@ -135,7 +134,7 @@ class TestPulseResponses:
                 known_taps[:, 0] = 1.0 - 0.5j  # keep every user's energy nonzero
             kernels = pulse_responses(true_taps, known_taps)
             for i in range(len(known_taps)):
-                chain = propagate(tr_precode(UNIT_PULSE, known_taps[[i]], 1), true_taps, 0.0)
+                chain = propagate(tr_precode(UNIT_PULSE, known_taps[[i]], 1), true_taps)
                 assert np.array_equal(kernels[:, i], chain), (num_taps, case, i)
 
 
@@ -209,53 +208,27 @@ class TestPropagate:
         rng = np.random.default_rng(5)
         h = random_cir(rng, 96)
         waveform = tr_precode(UNIT_PULSE, [h], 4)
-        [received] = propagate(waveform, [h], 0.0)
+        [received] = propagate(waveform, [h])
         peak_idx = int(np.argmax(np.abs(received)))
         assert peak_idx == h.size - 1
         expected = math.sqrt(energy(h))
         assert abs(abs(received[peak_idx]) - expected) <= NUMERIC_RTOL * expected
 
-    def test_noise_only_variance(self):
-        zeros = np.zeros(100_000, dtype=complex)
-        [received] = propagate(zeros, [cir([1.0])], 1.0, [6])
-        variance = float(np.mean(np.abs(received) ** 2))
-        assert variance == pytest.approx(1.0, rel=0.05)
-        assert abs(complex(np.mean(received))) <= 0.02
-
-    def test_deterministic_given_seed(self):
-        rng = np.random.default_rng(7)
-        h = random_cir(rng, 16)
-        waveform = tr_precode(UNIT_PULSE, [h], 2)
-        first = propagate(waveform, [h, h], 0.5, [123])
-        second = propagate(waveform, [h, h], 0.5, [123])
-        assert np.array_equal(first, second)
-
-    def test_rejects_negative_sigma(self):
-        h = cir([1.0])
-        waveform = tr_precode(UNIT_PULSE, [h], 1)
-        with pytest.raises(DomainError):
-            propagate(waveform, [h], -0.1)
-
     def test_rejects_no_channels_and_mixed_tap_counts(self):
         waveform = tr_precode(UNIT_PULSE, [cir(np.ones(4))], 1)
         with pytest.raises(ConfigurationError, match="at least one"):
-            propagate(waveform, [], 0.0)
+            propagate(waveform, [])
         with pytest.raises(ConfigurationError, match="share"):
-            propagate(waveform, [cir(np.ones(4)), cir(np.ones(5))], 0.0)
+            propagate(waveform, [cir(np.ones(4)), cir(np.ones(5))])
 
-    @pytest.mark.parametrize("sigma", [0.0, 0.3])
-    def test_each_row_is_its_channel_plus_its_seeded_noise(self, sigma):
-        # the per-antenna seed rule: row n's noise is seeded [*seed_path, n]
+    def test_each_row_is_its_channels_convolution(self):
         rng = np.random.default_rng(9)
         cirs = [random_cir(rng, 32) for _ in range(3)]
         waveform = tr_precode(np.ones((1, 4)), cirs[:1], 5)
-        received = propagate(waveform, cirs, sigma, [7, 1])
+        received = propagate(waveform, cirs)
         assert received.shape == (3, waveform.size + 31)
         for n, h in enumerate(cirs):
-            expected = convolve(waveform, h)
-            if sigma > 0.0:
-                expected = expected + complex_noise(expected.size, sigma, [7, 1, n])
-            assert np.array_equal(received[n], expected)
+            assert np.array_equal(received[n], convolve(waveform, h))
 
     def test_equals_kernel_expansion(self):
         rng = np.random.default_rng(8)
@@ -264,7 +237,7 @@ class TestPropagate:
             rng.standard_normal(5) + 1j * rng.standard_normal(5) for _ in range(2)
         ])
         waveform = tr_precode(symbols, cirs, 9)
-        for j, received in enumerate(propagate(waveform, cirs, 0.0)):
+        for j, received in enumerate(propagate(waveform, cirs)):
             expected = kernel_expansion(symbols, cirs, 9, j)
             scale = np.max(np.abs(expected))
             assert np.max(np.abs(received - expected)) <= NUMERIC_RTOL * scale
@@ -272,8 +245,7 @@ class TestPropagate:
 
 def windowed_reference(symbols, true_cirs, known_cirs, spacing, lags, sigma, seed_path):
     """The full-length chain, indexed at the (clipped) lags afterwards."""
-    waveform = tr_precode(symbols, known_cirs, spacing)
-    received = propagate(waveform, true_cirs, sigma, seed_path)
+    received = received_signal(symbols, known_cirs, true_cirs, spacing, sigma, seed_path)
     return received[:, np.clip(lags, 0, received.shape[1] - 1)]
 
 
@@ -316,7 +288,7 @@ class TestNonFiniteTaps:
     def test_receiving_through_it(self, bad):
         good, broken = self._rows(bad)
         with pytest.raises(DomainError, match="finite"):
-            propagate(tr_precode(UNIT_PULSE, [good], 1), [good, broken], 0.0)
+            propagate(tr_precode(UNIT_PULSE, [good], 1), [good, broken])
         with pytest.raises(DomainError, match="finite"):
             pulse_responses([good, broken], [good])
 
@@ -393,6 +365,35 @@ class TestReceivedAt:
         assert noisy[2, 1] == noisy[2, 2]
         assert noisy[0, 0] != noisy[2, 2]
 
+    def test_noise_only_variance(self):
+        # all-zero symbols leave only the noise; with two taps and spacing 3
+        # the 33,334 windows tile the 100,002-sample signal once
+        h = cir([1.0, 0.0])
+        field = received_at(np.zeros((1, 33_334)), pulse_responses([h], [h]), 3, 1.0, [6])
+        samples = field.ravel()
+        variance = float(np.mean(np.abs(samples) ** 2))
+        assert variance == pytest.approx(1.0, rel=0.05)
+        assert abs(complex(np.mean(samples))) <= 0.02
+
+    def test_each_row_is_its_seeded_noise_at_the_windows(self):
+        # the per-antenna seed rule: antenna n's noise is seeded
+        # [*seed_path, n], drawn over the whole signal and read at the lags
+        rng = np.random.default_rng(9)
+        cirs = [random_cir(rng, 32) for _ in range(3)]
+        field = received_at(np.zeros((1, 4)), pulse_responses(cirs, cirs[:1]), 5, 0.3, [7, 1])
+        lags = DetectionWindow(4, 32, 5).lags
+        length = 3 * 5 + 2 * 32 - 1
+        for n in range(3):
+            assert np.array_equal(field[n], complex_noise(length, 0.3, [7, 1, n])[lags])
+
+    def test_deterministic_given_seed(self):
+        rng = np.random.default_rng(7)
+        h = random_cir(rng, 16)
+        kernels = pulse_responses([h, h], [h])
+        first = received_at(UNIT_PULSE, kernels, 2, 0.5, [123])
+        second = received_at(UNIT_PULSE, kernels, 2, 0.5, [123])
+        assert np.array_equal(first, second)
+
     def test_empty_frame_gives_no_samples(self):
         h = cir(np.ones(4))
         field = received_at(np.zeros((2, 0)), pulse_responses([h, h], [h, h]), 5, 0.1, [0])
@@ -424,7 +425,7 @@ class TestFocusingGain:
                 params = CavityParams(num_taps=num_taps, rng_seed=seed)
                 h = synth_cavity_ensemble(params, [0.0]).taps[0]
                 waveform = tr_precode(UNIT_PULSE, [h], 4)
-                field = np.abs(propagate(waveform, [h], 0.0)[0])
+                field = np.abs(propagate(waveform, [h])[0])
                 peak_idx = int(np.argmax(field))
                 mask = np.ones(field.size, dtype=bool)
                 mask[max(0, peak_idx - 1) : peak_idx + 2] = False
@@ -517,7 +518,7 @@ class TestFocusingReport:
         for _ in range(seeds):
             ensemble = draw_ensemble()
             waveform = tr_precode(UNIT_PULSE, ensemble.taps[[target]], 1)
-            mean_field += propagate(waveform, ensemble.taps, 0.0)[:, 0]
+            mean_field += propagate(waveform, ensemble.taps)[:, 0]
         mean_field /= seeds
         assert abs(mean_field[target] - 1.0) <= 0.05
         assert abs(mean_field[0]) <= 0.05
