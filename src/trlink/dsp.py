@@ -26,10 +26,15 @@ is exported from ``trlink``: each has one pipeline caller, and the test
 suite reaches them here.
 
 ``convolve``'s second operand may also be a ``(P, Lb)`` stack of ``P``
-signals of one length, which convolves the same first signal with every
-row: one emission received through ``P`` channels. The first signal is
-transformed once and the stack in one batched transform along its last
-axis; row ``p`` of the result equals ``convolve(a, b[p])`` bit for bit.
+signals of one length, which convolves the first operand with every row:
+one emission received through ``P`` channels. The first operand may in turn
+be a ``(U, La)`` stack, ``U`` emissions, and the result is then their outer
+stack, ``(P, U, La + Lb - 1)``: every emission through every channel. Each
+operand is transformed once, in one batched transform along its last axis,
+and the products take one inverse transform; entry ``[p, u]`` equals
+``convolve(a[u], b[p])`` bit for bit. The first operand's spectrum stays
+the left factor of the product, as in the one-signal case, because the
+complex multiply does not round the same with its factors swapped.
 
 Convolution and correlation are full-support linear operations. They are
 computed with transform-domain fast convolution, but the contract is the
@@ -72,23 +77,27 @@ def _fast_len(n: int) -> int:
 
 
 def _fftconvolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Full linear convolution via the FFT of a non-empty 1-D ``a`` with the
-    last axis of ``b``, one signal or a stack of them."""
-    if a.size == 1 or b.shape[-1] == 1:
+    """Full linear convolution via the FFT of the last axis of ``a`` with the
+    last axis of ``b``, each one signal or a stack; ``b``'s stack is outer."""
+    # b's rows broadcast against all of a's: b's stack axes, then a's
+    b = b.reshape(b.shape[:-1] + (1,) * (a.ndim - 1) + b.shape[-1:])
+    if a.shape[-1] == 1 or b.shape[-1] == 1:
         return a * b
-    n = a.size + b.shape[-1] - 1
+    n = a.shape[-1] + b.shape[-1] - 1
     m = _fast_len(n)
-    return np.fft.ifft(np.fft.fft(a, m) * np.fft.fft(b, m, axis=-1), axis=-1)[..., :n]
+    return np.fft.ifft(np.fft.fft(a, m) * np.fft.fft(b, m), axis=-1)[..., :n]
 
 
 def convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Full linear convolution of a signal with one signal or a stack.
+    """Full linear convolution of one signal or a stack with one signal or a stack.
 
-    ``b`` is one signal of length ``Lb`` or a ``(P, Lb)`` stack; the output
-    is ``len(a) + Lb - 1`` samples long, with one row per stacked signal.
-    Uses FFT-based fast convolution internally; agrees with the direct sum
-    to ``NUMERIC_RTOL``, and each row of a stacked result equals the
-    convolution with that row alone bit for bit.
+    ``a`` is one signal of length ``La`` or a ``(U, La)`` stack, ``b`` one
+    signal of length ``Lb`` or a ``(P, Lb)`` stack. The output is ``La + Lb
+    - 1`` samples long, with shape ``(P, U, La + Lb - 1)`` for two stacks:
+    ``b``'s stack outer, ``a``'s inner, one-signal axes dropped. Uses
+    FFT-based fast convolution internally; agrees with the direct sum to
+    ``NUMERIC_RTOL``, and each entry of a stacked result equals the
+    convolution of its two signals alone bit for bit.
     """
     if a.size == 0 or b.size == 0:
         raise DomainError("convolve: inputs must be non-empty")

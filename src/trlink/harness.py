@@ -60,8 +60,10 @@ positive finite double (about ``|q| <= 3080`` dB). Sizes are capped at load:
 ``num_taps`` at 4096, and a BER frame of ``(M-1)*max(d_values) + 2*num_taps
 - 1`` samples at 10,000,000, where ``M`` is ``bits_per_point`` for RASK,
 ``ceil(bits_per_point / num_rx)`` for ERASK and ``num_pilots`` for a pilot
-frame, and the ``trials * num_rx**2 * (2*num_taps - 1)`` pulse-response
-samples a sweep holds at the same 10,000,000. A synthesised grid
+frame, the ``trials * num_rx**2 * (2*num_taps - 1)`` pulse-response
+samples a sweep holds, and the ``P * num_rx * (2*num_taps - 1)``
+focusing-field samples over a grid of ``P`` positions (imported or
+synthesised) at the same 10,000,000. A synthesised grid
 (``grid_mm`` or ``positions_mm``) holds at most 10,000 positions and must
 keep the spatial-correlation argument
 ``2*pi*2*(last - first)/wavelength`` finite; an imported ensemble is held
@@ -75,7 +77,8 @@ kept for the benchmark's focus oracle only). Every trial of a synthesised
 scenario draws over one grid at one carrier, so the kernel root its draws
 share is factorised once and memoised (:func:`trlink.channel.synth_cavity_ensemble`).
 
-Each trial's pulse responses (:func:`trlink.precoding.pulse_responses`)
+Each trial's pulse responses (:func:`trlink.precoding.pulse_responses`,
+one :func:`~trlink.precoding.propagate` of all its users' emissions)
 are built once, before the first cell, and every data and pilot frame of
 that trial reuses them. Each BER cell evaluates the received field only at
 its detector's window samples (:func:`trlink.precoding.received_at`) as
@@ -137,8 +140,10 @@ from .modem import (
 from .output import write_csv
 from .precoding import (
     FocusingReport,
-    focusing_report,
-    focusing_report_to_csv,
+    _check_report,
+    _report_at,
+    _target_focus,
+    _write_focusing_csvs,
     pulse_responses,
     received_at,
 )
@@ -160,9 +165,11 @@ BER_CSV_HEADER = ["scheme", "D", "snr_db", "bits_sent", "bit_errors", "ber", "se
 _MAX_GRID_POSITIONS = 10_000
 
 # A BER frame of (M-1)*max(d_values) + 2L - 1 samples sets the length of the
-# full-length noise draw per antenna (noise contract v1), and a sweep holds
-# every trial's (N, N, 2L - 1) pulse responses before its first cell; ten
-# million samples keeps each near 160 MB.
+# full-length noise draw per antenna (noise contract v1), a sweep holds
+# every trial's (N, N, 2L - 1) pulse responses before its first cell, and a
+# focusing experiment holds the (P, N, 2L - 1) field of every target over
+# the grid, with transform buffers of about that size; ten million samples
+# keeps each near 160 MB.
 _MAX_FRAME_SAMPLES = 10_000_000
 
 #: Time-bandwidth products of the sounding study's probe chirps.
@@ -318,6 +325,13 @@ class Scenario:
             raise ConfigurationError(
                 f"trials {self.trials} at num_rx={self.rsm.num_rx} and num_taps={num_taps} "
                 f"hold {kernel_samples} pulse-response samples; the cap is {_MAX_FRAME_SAMPLES}"
+            )
+        field_samples = positions.size * len(self.target_indices) * (2 * num_taps - 1)
+        if field_samples > _MAX_FRAME_SAMPLES:
+            raise ConfigurationError(
+                f"{positions.size} positions, {len(self.target_indices)} targets and "
+                f"num_taps={num_taps} hold {field_samples} focusing-field samples; the cap is "
+                f"{_MAX_FRAME_SAMPLES}"
             )
         if self.master_seed < 0:
             raise ConfigurationError(f"master_seed must be >= 0, got {self.master_seed}")
@@ -638,13 +652,19 @@ def run_focusing_experiment(
     two-user interference decomposition (first two targets, both roles) is
     produced for every spacing in ``d_values``. Focusing is measured on
     trial 0's true channels: the scenario's ``sounding`` block is ignored.
-    One :func:`~trlink.precoding.pulse_responses` call gives every target's
-    field over the whole grid, and each report is
+    One :func:`~trlink.precoding.pulse_responses` call, one
+    :func:`~trlink.precoding.propagate` of every target's emission, gives
+    every target's field over the whole grid. Each report equals
     :func:`~trlink.precoding.focusing_report` of views of its columns: its
     target's field at every position and, for two users, the interferer's,
-    which the report reads at the target. The spacing only picks which taps
-    are read. Every report is computed before the first CSV (one per report)
-    is written.
+    which the report reads at the target. Every report gets that function's
+    index, spacing and shape checks; the part of a report that its target's
+    own field fixes alone (peak, sidelobe ratio, temporal width, spatial
+    profile and width) is computed once per target, and the slot sums once
+    per report, since the spacing only picks which taps are summed. Every
+    report is computed before the first CSV (one per report) is written;
+    each CSV is what :func:`~trlink.precoding.focusing_report_to_csv` writes
+    for its report, with its target's profile rows rendered once.
     """
     ensemble = scenario.ensemble_for_trial(0)
     targets = scenario.target_indices
@@ -666,13 +686,15 @@ def run_focusing_experiment(
     except (ConfigurationError, DomainError) as exc:
         raise type(exc)(f"focusing at target indices {list(targets)}: {exc}") from exc
     responses = {target: fields[:, k] for k, target in enumerate(targets)}
+    for _, target, other, spacing in jobs:
+        _check_report(ensemble, responses[target], responses.get(other), target, other, spacing)
+    focus = {target: _target_focus(ensemble, responses[target], target) for target in targets}
     reports = [
-        focusing_report(ensemble, responses[target], responses.get(other), target, other, spacing)
+        _report_at(ensemble, focus[target], responses[target], responses.get(other), other, spacing)
         for _, target, other, spacing in jobs
     ]
     if out_dir is not None:
-        for (name, *_), report in zip(jobs, reports):
-            focusing_report_to_csv(report, Path(out_dir) / name)
+        _write_focusing_csvs(reports, [Path(out_dir) / name for name, *_ in jobs])
     return reports
 
 

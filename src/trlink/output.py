@@ -4,6 +4,12 @@
 to ``<name>.partial`` in that directory and renames it into place with
 ``os.replace``. A reader sees the old file or the complete new one; if
 anything raises, the partial file is deleted and the target keeps its bytes.
+
+A CSV is rendered as text first (:func:`csv_text`: ``# comment`` lines,
+then the header and rows) and written by :func:`write_text`;
+:func:`write_csv` is the two in one. Rendering apart from writing lets a
+caller render rows shared by several files once and give each file its own
+comment lines (:func:`comment_lines`) in front of them.
 """
 
 from __future__ import annotations
@@ -29,14 +35,23 @@ def write_text(path: str | Path, text: str) -> None:
         raise
 
 
-def write_csv(
-    path: str | Path, header: Iterable, rows: Iterable[Iterable], comments: Iterable[str] = ()
-) -> None:
-    """Write a CSV whole: ``# comment`` lines ending in ``\\n``, then the
-    header and rows as ``csv.writer`` rows ending in ``\\r\\n``."""
+def comment_lines(comments: Iterable[str]) -> str:
+    """``# comment`` lines, each ending in ``\\n``."""
+    return "".join(f"# {comment}\n" for comment in comments)
+
+
+def csv_text(header: Iterable, rows: Iterable[Iterable], comments: Iterable[str] = ()) -> str:
+    """A CSV as text: :func:`comment_lines`, then the header and rows as
+    ``csv.writer`` rows ending in ``\\r\\n``."""
     buffer = io.StringIO()
-    buffer.writelines(f"# {comment}\n" for comment in comments)
     writer = csv.writer(buffer)
     writer.writerow(header)
     writer.writerows(rows)
-    write_text(path, buffer.getvalue())
+    return comment_lines(comments) + buffer.getvalue()
+
+
+def write_csv(
+    path: str | Path, header: Iterable, rows: Iterable[Iterable], comments: Iterable[str] = ()
+) -> None:
+    """Write :func:`csv_text` whole with :func:`write_text`."""
+    write_text(path, csv_text(header, rows, comments))

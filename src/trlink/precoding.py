@@ -30,17 +30,20 @@ which for ``j == i`` peaks at lag 0 with amplitude ``sqrt(E_i)``. The peak
 of a pulse placed in symbol slot ``l`` forms at received sample index
 ``L - 1 + l*D``, the peak of :class:`~trlink.modem.DetectionWindow`.
 
-:func:`propagate` is the one receive path: one emission, one row per
-receiver, one stacked :func:`~trlink.dsp.convolve`, no noise.
-:func:`pulse_responses` receives each ``conj(h_i[::-1]) / sqrt(E_i)``
-through it as ``K_ni``, the noiseless field at receiver ``n`` of one unit
-pulse toward user ``i`` (``2L - 1`` samples): the focusing maps read it
-over the grid, the BER sweep at its antennas.
+:func:`propagate` is the one receive path: one emission or a block of
+them, one row per receiver, one stacked :func:`~trlink.dsp.convolve`, no
+noise. :func:`pulse_responses` receives every ``conj(h_i[::-1]) /
+sqrt(E_i)`` through it in one call as ``K_ni``, the noiseless field at
+receiver ``n`` of one unit pulse toward user ``i`` (``2L - 1`` samples):
+the focusing maps read it over the grid, the BER sweep at its antennas.
 
 :func:`focusing_report` is measured from those fields alone: it takes its
 target's column over the grid and, for two users, the interferer's column,
 which it reads at the target, so one :func:`pulse_responses` call serves
-every report of an experiment.
+every report of an experiment. A report joins what its target's own field
+fixes alone, which no spacing or interferer changes, to the slot sums at its
+spacing; an experiment computes the first part once per target and writes
+each target's profile rows, rendered once, into each of its files.
 
 By linearity the field at antenna ``n`` is ``sum_i upsample_D(x[i]) *
 K_ni``, so :func:`received_at` gives the BER sweep the samples at the
@@ -72,7 +75,7 @@ from .channel import SpatialChannelEnsemble, as_taps, energy
 from .dsp import complex_noise, convolve
 from .errors import ConfigurationError, DomainError
 from .modem import WINDOW_HALF_WIDTH, DetectionWindow
-from .output import write_csv
+from .output import comment_lines, csv_text, write_text
 
 # The window engine copies at most this many symbol-window entries (256 KiB
 # of doubles) into each block it multiplies, so memory does not grow with
@@ -117,13 +120,16 @@ def _receiver_noise(num_rx: int, size: int, sigma: float, seed_path, at) -> np.n
 
 
 def propagate(signal: np.ndarray, taps: np.ndarray) -> np.ndarray:
-    """Receive one emission, noiselessly, at a list of receivers.
+    """Receive one emission or a block of them, noiselessly, at a list of receivers.
 
-    Row ``n`` is the full linear convolution of the emission with row ``n``
-    of the ``(R, L)`` block ``taps``. The block is received in one stacked
-    convolution; each row equals the convolution with that channel alone
-    bit for bit. Returns shape ``(R, len(signal) + L - 1)``. A non-finite
-    tap in ``taps`` is a ``DomainError``.
+    ``signal`` is one emission of ``Ls`` samples or a ``(U, Ls)`` block of
+    emissions. Row ``n`` is the full linear convolution of the emission
+    with row ``n`` of the ``(R, L)`` block ``taps``, and entry ``[n, u]``
+    that of emission ``u``. Every emission and receiver is taken in one
+    stacked :func:`~trlink.dsp.convolve`; each entry equals propagating that
+    emission through that channel alone bit for bit. Returns shape ``(R,
+    Ls + L - 1)``, or ``(R, U, Ls + L - 1)`` for a block. A non-finite tap
+    in ``taps`` is a ``DomainError``.
     """
     if len(taps) == 0:
         raise ConfigurationError("propagate needs at least one receive channel")
@@ -139,7 +145,9 @@ def pulse_responses(true_taps: np.ndarray, known_taps: np.ndarray) -> np.ndarray
     ``true_taps`` is the ``(N, L)`` block of receivers, ``known_taps`` the
     ``(U, L)`` block of the precoder's channel knowledge. Entry ``[:, i]``
     is user ``i``'s unit-pulse emission ``conj(h_i[::-1]) / sqrt(E_i)``
-    received through the ``N`` true channels by :func:`propagate`. A
+    received through the ``N`` true channels. The ``(U, L)`` block of
+    emissions takes one :func:`propagate` call: one transform of the
+    receivers, one of the emissions and one inverse transform. A
     zero-energy or non-finite user is a ``DomainError``.
     """
     if len(true_taps) == 0 or len(known_taps) == 0:
@@ -148,8 +156,10 @@ def pulse_responses(true_taps: np.ndarray, known_taps: np.ndarray) -> np.ndarray
     known_taps = as_taps(known_taps, "users")
     if true_taps.shape[1] != known_taps.shape[1]:
         raise ConfigurationError("receivers and users must share one CIR length")
-    emissions = [np.conj(h_i[::-1]) / math.sqrt(_target_energy(h_i)) for h_i in known_taps]
-    return np.stack([propagate(e, true_taps) for e in emissions], axis=1)
+    emissions = np.stack(
+        [np.conj(h_i[::-1]) / math.sqrt(_target_energy(h_i)) for h_i in known_taps]
+    )
+    return propagate(emissions, true_taps)
 
 
 def received_at(
@@ -316,25 +326,15 @@ def _slot_indices(peak_lag: int, spacing: int, length: int) -> np.ndarray:
     return peak_lag + offsets * spacing
 
 
-def focusing_report(
+def _check_report(
     ensemble: SpatialChannelEnsemble,
     own: np.ndarray,
     other: np.ndarray | None,
     target_index: int,
     other_index: int | None,
     spacing: int,
-) -> FocusingReport:
-    """Measure spatiotemporal focusing and interference from received pulse responses.
-
-    ``own`` and ``other`` are the target's and the interfering user's
-    noiseless pulse responses at every ensemble position, shape ``(P, 2L -
-    1)``: columns of ``pulse_responses(ensemble.taps, users)``, where each
-    user's unit pulse is normalised by its own channel energy so the
-    intended received peak powers are statistically identical. ``other`` is
-    ``None`` for a single user and is read only at the target position. The
-    metrics described on :class:`FocusingReport` are measured from the
-    target's field over the grid and the interferer's field at the target.
-    """
+) -> None:
+    """:func:`focusing_report`'s checks of its indices, spacing and pulse-response shapes."""
     num_positions = len(ensemble)
     if not 0 <= target_index < num_positions:
         raise DomainError(f"target index {target_index} outside ensemble of {num_positions}")
@@ -352,13 +352,34 @@ def focusing_report(
     if other is not None and np.shape(other) != shape:
         raise DomainError(f"other must have own's shape {shape}, got {np.shape(other)}")
 
+
+@dataclass(frozen=True, eq=False)
+class _TargetFocus:
+    """The part of a target's :class:`FocusingReport` fixed by its own field alone.
+
+    It depends on neither the spacing nor the interferer, so every report
+    of one target shares it, down to the one ``spatial_profile`` tuple.
+    """
+
+    target_index: int
+    peak_amplitude: float
+    peak_lag: int
+    temporal_sidelobe_ratio_db: float
+    temporal_fwhm_s: float
+    spatial_profile: tuple[tuple[float, float], ...]
+    spatial_fwhm_mm: float | None
+
+
+def _target_focus(
+    ensemble: SpatialChannelEnsemble, own: np.ndarray, target_index: int
+) -> _TargetFocus:
+    """Peak, sidelobe ratio, temporal FWHM, spatial profile and spatial FWHM
+    of the target's field ``own``, which :func:`_check_report` accepted."""
     own_at_target = own[target_index]
-    other_at_target = None if other is None else other[target_index]
-
-    peak_lag = int(np.argmax(np.abs(own_at_target)))
-    peak_amplitude = float(np.abs(own_at_target[peak_lag]))
-
     magnitude = np.abs(own_at_target)
+    peak_lag = int(np.argmax(magnitude))
+    peak_amplitude = float(magnitude[peak_lag])
+
     outside = np.ones(magnitude.size, dtype=bool)
     lo = max(0, peak_lag - 1)
     outside[lo : peak_lag + 2] = False
@@ -380,11 +401,34 @@ def focusing_report(
         if int(np.argmax(profile_values)) == target_index
         else None
     )
+    return _TargetFocus(
+        target_index=target_index,
+        peak_amplitude=peak_amplitude,
+        peak_lag=peak_lag,
+        temporal_sidelobe_ratio_db=sidelobe_ratio_db,
+        temporal_fwhm_s=temporal_fwhm_s,
+        spatial_profile=spatial_profile,
+        spatial_fwhm_mm=spatial_fwhm_mm,
+    )
 
-    slots = _slot_indices(peak_lag, spacing, magnitude.size)
-    if other_at_target is not None:
+
+def _report_at(
+    ensemble: SpatialChannelEnsemble,
+    focus: _TargetFocus,
+    own: np.ndarray,
+    other: np.ndarray | None,
+    other_index: int | None,
+    spacing: int,
+) -> FocusingReport:
+    """``focus``'s target's report at ``spacing``, with or without the
+    interferer: its slot sums (ISI, IUI, self and other ISI) added to
+    ``focus``. The arguments are ones :func:`_check_report` accepted."""
+    own_at_target = own[focus.target_index]
+    slots = _slot_indices(focus.peak_lag, spacing, own_at_target.size)
+    if other is not None:
+        other_at_target = other[focus.target_index]
         total_at_target = own_at_target + other_at_target
-        iui_power = float(np.abs(other_at_target[peak_lag]) ** 2)
+        iui_power = float(np.abs(other_at_target[focus.peak_lag]) ** 2)
         isi_other = float(np.sum(np.abs(other_at_target[slots]) ** 2))
     else:
         total_at_target = own_at_target
@@ -395,17 +439,17 @@ def focusing_report(
 
     positions = ensemble.positions_mm
     return FocusingReport(
-        target_index=target_index,
-        target_mm=float(positions[target_index]),
+        target_index=focus.target_index,
+        target_mm=float(positions[focus.target_index]),
         other_index=other_index,
         other_mm=float(positions[other_index]) if other_index is not None else None,
         spacing=spacing,
-        peak_amplitude=peak_amplitude,
-        peak_lag=peak_lag,
-        temporal_sidelobe_ratio_db=sidelobe_ratio_db,
-        temporal_fwhm_s=temporal_fwhm_s,
-        spatial_profile=spatial_profile,
-        spatial_fwhm_mm=spatial_fwhm_mm,
+        peak_amplitude=focus.peak_amplitude,
+        peak_lag=focus.peak_lag,
+        temporal_sidelobe_ratio_db=focus.temporal_sidelobe_ratio_db,
+        temporal_fwhm_s=focus.temporal_fwhm_s,
+        spatial_profile=focus.spatial_profile,
+        spatial_fwhm_mm=focus.spatial_fwhm_mm,
         isi_power=isi_power,
         iui_power=iui_power,
         isi_self_power=isi_self,
@@ -413,14 +457,42 @@ def focusing_report(
     )
 
 
-def focusing_report_to_csv(report: FocusingReport, path: str | Path) -> None:
-    """Serialise a report: '#'-prefixed scalar metrics, then the profile.
+def focusing_report(
+    ensemble: SpatialChannelEnsemble,
+    own: np.ndarray,
+    other: np.ndarray | None,
+    target_index: int,
+    other_index: int | None,
+    spacing: int,
+) -> FocusingReport:
+    """Measure spatiotemporal focusing and interference from received pulse responses.
 
-    The data section has columns ``position_mm,peak_abs``, one row per grid
-    position. An undefined spatial width is written as ``nan`` with
-    ``spatial_fwhm_defined=0`` so downstream tooling can tell it apart from
-    a measured value.
+    ``own`` and ``other`` are the target's and the interfering user's
+    noiseless pulse responses at every ensemble position, shape ``(P, 2L -
+    1)``: columns of ``pulse_responses(ensemble.taps, users)``, where each
+    user's unit pulse is normalised by its own channel energy so the
+    intended received peak powers are statistically identical. ``other`` is
+    ``None`` for a single user and is read only at the target position. The
+    metrics described on :class:`FocusingReport` are measured from the
+    target's field over the grid and the interferer's field at the target.
+
+    A report is built from two parts, after its index, spacing and shape
+    checks: what the target's own field fixes alone (peak, sidelobe ratio,
+    temporal width, spatial profile and spatial width), and the slot sums at
+    the spacing (ISI, IUI, self and other ISI).
+    :func:`~trlink.harness.run_focusing_experiment` computes the first part
+    once per target and shares it between that target's reports.
     """
+    _check_report(ensemble, own, other, target_index, other_index, spacing)
+    focus = _target_focus(ensemble, own, target_index)
+    return _report_at(ensemble, focus, own, other, other_index, spacing)
+
+
+_PROFILE_HEADER = ("position_mm", "peak_abs")
+
+
+def _report_comments(report: FocusingReport) -> list[str]:
+    """A report's ``# key=value`` lines: the schema, then its scalar metrics."""
     fwhm_defined = report.spatial_fwhm_mm is not None
     scalars = [
         ("target_index", report.target_index),
@@ -439,5 +511,33 @@ def focusing_report_to_csv(report: FocusingReport, path: str | Path) -> None:
         ("isi_self_power", report.isi_self_power),
         ("isi_other_power", report.isi_other_power),
     ]
-    comments = ["schema=trlink.focusing/1", *(f"{name}={value}" for name, value in scalars)]
-    write_csv(path, ["position_mm", "peak_abs"], report.spatial_profile, comments)
+    return ["schema=trlink.focusing/1", *(f"{name}={value}" for name, value in scalars)]
+
+
+def _write_focusing_csvs(
+    reports: Sequence[FocusingReport], paths: Sequence[str | Path]
+) -> None:
+    """Write each report to its path as :func:`focusing_report_to_csv` does.
+
+    Each file is its report's ``# key=value`` lines followed by the CSV of
+    its spatial profile. Reports that hold one profile object, as one
+    target's reports from :func:`~trlink.harness.run_focusing_experiment`
+    do, share its CSV, rendered once.
+    """
+    profiles: dict[int, str] = {}
+    for report, path in zip(reports, paths, strict=True):
+        key = id(report.spatial_profile)
+        if key not in profiles:
+            profiles[key] = csv_text(_PROFILE_HEADER, report.spatial_profile)
+        write_text(path, comment_lines(_report_comments(report)) + profiles[key])
+
+
+def focusing_report_to_csv(report: FocusingReport, path: str | Path) -> None:
+    """Serialise a report: '#'-prefixed scalar metrics, then the profile.
+
+    The data section has columns ``position_mm,peak_abs``, one row per grid
+    position. An undefined spatial width is written as ``nan`` with
+    ``spatial_fwhm_defined=0`` so downstream tooling can tell it apart from
+    a measured value.
+    """
+    _write_focusing_csvs([report], [path])

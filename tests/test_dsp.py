@@ -118,9 +118,32 @@ class TestFastPath:
         assert np.array_equal(out, np.stack([convolve(a, row) for row in stack]))
         assert max_rel_error(out[-1], direct_convolve(a, stack[-1])) <= NUMERIC_RTOL
 
+    @pytest.mark.parametrize("num_signals, num_rows", [(1, 1), (2, 3), (4, 43)])
+    @pytest.mark.parametrize("a_len, row_len", [(256, 256), (511, 256), (1, 256), (511, 1), (1, 1)])
+    def test_outer_stack_entries_equal_single_pairs_bit_for_bit(
+        self, num_signals, num_rows, a_len, row_len
+    ):
+        # pulse_responses convolves a stack of emissions with a stack of
+        # channels; entry [p, u] must be the one-pair convolution exactly
+        rng = np.random.default_rng(1000 * a_len + row_len + 7 * num_signals + num_rows)
+        signals = complex_gaussian(rng, num_signals * a_len).reshape(num_signals, a_len)
+        stack = complex_gaussian(rng, num_rows * row_len).reshape(num_rows, row_len)
+        out = convolve(signals, stack)
+        assert out.shape == (num_rows, num_signals, a_len + row_len - 1)
+        for p in range(num_rows):
+            for u in range(num_signals):
+                assert np.array_equal(out[p, u], convolve(signals[u], stack[p])), (p, u)
+        single = convolve(signals, stack[0])
+        assert single.shape == (num_signals, a_len + row_len - 1)
+        assert np.array_equal(single, out[0])
+
     def test_empty_stack_is_rejected(self):
         with pytest.raises(DomainError):
             convolve(sig([1.0, 2.0]), np.zeros((0, 4), dtype=complex))
+        with pytest.raises(DomainError):
+            convolve(np.zeros((0, 2), dtype=complex), sig([1.0, 2.0]))
+        with pytest.raises(DomainError):
+            convolve(np.ones((2, 2), dtype=complex), np.zeros((0, 4), dtype=complex))
 
     def test_import_loads_no_package_but_numpy(self):
         src = str(Path(__file__).resolve().parents[1] / "src")

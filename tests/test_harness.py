@@ -40,7 +40,7 @@ from trlink.harness import (
     scenario_from_dict,
 )
 from trlink.modem import FixedThreshold, PilotThreshold, RsmConfig, Scheme
-from trlink.precoding import FocusingReport
+from trlink.precoding import FocusingReport, focusing_report_to_csv
 
 ROOT = Path(__file__).resolve().parents[1]
 TWO_USER = json.loads((ROOT / "scenarios" / "two_user.json").read_text(encoding="utf-8"))
@@ -432,9 +432,8 @@ class TestBerSweep:
         )
         records = run_ber_sweep(scenario)
         assert len(records) == 2 * 2 * 2 * 3  # schemes x D x SNR x trials
-        # one propagation per user's unit-pulse emission, built from its taps
-        per_trial = scenario.trials * scenario.rsm.num_rx
-        assert calls == {"propagate": per_trial}
+        # one propagation per trial, of every user's unit-pulse emission at once
+        assert calls == {"propagate": scenario.trials}
 
     def test_sounding_seeds_follow_the_target_grid_index(self, monkeypatch):
         # the sweep seeds each target's probe noise as run_sounding_study does
@@ -615,7 +614,27 @@ class TestFocusingExperiment:
         scenario = small_scenario(d_values=[15, 30])
         assert len(run_focusing_experiment(scenario)) == 2 + 2 * 2
         assert calls.count("pulse_responses") == 1
-        assert calls.count("propagate") == len(scenario.target_indices)
+        assert calls.count("propagate") == 1
+
+    def test_csvs_equal_the_public_serialiser_and_rewrite_in_place(self, tmp_path):
+        # two spacings: each target has a single-user and two two-user reports,
+        # which share one rendering of its profile rows
+        scenario = small_scenario(d_values=[15, 30])
+        out = tmp_path / "focus"
+        reports = run_focusing_experiment(scenario, out_dir=out)
+        written = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert len(written) == len(reports) == 2 + 2 * 2
+        for report in reports:
+            alone = tmp_path / "alone.csv"
+            focusing_report_to_csv(report, alone)
+            if report.other_index is None:
+                name = f"focus_single_t{scenario.target_indices.index(report.target_index)}.csv"
+            else:
+                role = scenario.target_indices.index(report.target_index)
+                name = f"focus_two_user_D{report.spacing}_t{role}.csv"
+            assert written[name] == alone.read_bytes(), name
+        run_focusing_experiment(scenario, out_dir=out)
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == written
 
     def test_single_position_flagged_undefined(self, tmp_path):
         scenario = Scenario(
@@ -1078,6 +1097,58 @@ class TestCli:
         assert cli_main(["focus", "--scenario", str(scenario_path), "--out", str(out)]) == 2
         assert "positions_mm has 10001 positions" in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
+
+    def test_focusing_field_above_the_cap_exits_2_before_drawing(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def never(*args, **kwargs):
+            raise AssertionError("a field above the cap must be refused before it is drawn")
+
+        monkeypatch.setattr(harness, "synth_cavity_ensemble", never)
+        # 2 targets x (2 * 4096 - 1) samples per position: 610 positions hold
+        # 9,993,020 field samples, 611 hold 10,009,402
+        positions = [k * 1e-3 for k in range(611)]
+        doc = scenario_dict(positions_mm=positions[:610], targets_mm=positions[:2])
+        doc["cavity"]["num_taps"] = 4096
+        del doc["grid_mm"]
+        assert scenario_from_dict(doc).positions_mm.size == 610
+        doc["positions_mm"] = positions
+        scenario_path = tmp_path / "scenario.json"
+        scenario_path.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "results"
+        assert cli_main(["focus", "--scenario", str(scenario_path), "--out", str(out)]) == 2
+        assert "hold 10009402 focusing-field samples" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_imported_ensemble_is_held_to_the_focusing_field_cap(self):
+        # 10 targets x (2 * 4096 - 1) samples per position: 122 positions
+        # hold 9,993,020 field samples, 123 hold 10,074,930
+        params = CavityParams(num_taps=4096)
+        taps = np.zeros((123, 4096), dtype=complex)
+        taps[:, 0] = 1.0
+
+        def scenario(num_positions):
+            ensemble = SpatialChannelEnsemble(
+                np.arange(float(num_positions)), taps[:num_positions], params
+            )
+            return Scenario(
+                cavity=params,
+                positions_mm=ensemble.positions_mm,
+                target_indices=tuple(range(10)),
+                rsm=RsmConfig(num_rx=10, threshold_policy=FixedThreshold(0.5)),
+                schemes=(Scheme.ERASK,),
+                d_values=(15,),
+                snr_grid_db=(10.0,),
+                bits_per_point=10,
+                trials=1,
+                sounding=None,
+                master_seed=0,
+                imported_ensemble=ensemble,
+            )
+
+        assert len(scenario(122).positions_mm) == 122
+        with pytest.raises(ConfigurationError, match="hold 10074930 focusing-field samples"):
+            scenario(123)
 
     @pytest.mark.parametrize(
         "path, value, extra_args, field",

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import cir, energy, measure_focusing, random_cir
+from conftest import cir, complex_gaussian, energy, measure_focusing, random_cir
 from oracles import received_signal, tr_kernel, tr_precode
 from trlink import precoding
 from trlink.channel import (
@@ -230,6 +230,28 @@ class TestPropagate:
         for n, h in enumerate(cirs):
             assert np.array_equal(received[n], convolve(waveform, h))
 
+    @pytest.mark.parametrize("num_taps", [1, 64])
+    def test_emission_block_entries_equal_single_emissions_bit_for_bit(self, num_taps):
+        rng = np.random.default_rng(30 + num_taps)
+        taps = np.stack([random_cir(rng, num_taps) for _ in range(5)])
+        emissions = np.stack([complex_gaussian(rng, 2 * num_taps + 3) for _ in range(3)])
+        received = propagate(emissions, taps)
+        assert received.shape == (5, 3, emissions.shape[1] + num_taps - 1)
+        for u, emission in enumerate(emissions):
+            alone = propagate(emission, taps)
+            for n in range(len(taps)):
+                assert np.array_equal(received[n, u], alone[n]), (n, u)
+
+    def test_emission_block_is_refused_as_one_emission_is(self):
+        emissions = np.ones((2, 4), dtype=complex)
+        for signal in (emissions, emissions[0]):
+            with pytest.raises(ConfigurationError, match="at least one receive channel"):
+                propagate(signal, [])
+        with pytest.raises(DomainError, match="non-empty"):
+            propagate(np.ones((0, 4), dtype=complex), [cir(np.ones(4))])
+        with pytest.raises(DomainError, match="non-empty"):
+            propagate(np.ones(0, dtype=complex), [cir(np.ones(4))])
+
     def test_equals_kernel_expansion(self):
         rng = np.random.default_rng(8)
         cirs = [random_cir(rng, 64, flat=False) for _ in range(2)]
@@ -289,6 +311,8 @@ class TestNonFiniteTaps:
         good, broken = self._rows(bad)
         with pytest.raises(DomainError, match="finite"):
             propagate(tr_precode(UNIT_PULSE, [good], 1), [good, broken])
+        with pytest.raises(DomainError, match="receive channel taps must be finite"):
+            propagate(np.stack([good, good]), [good, broken])
         with pytest.raises(DomainError, match="finite"):
             pulse_responses([good, broken], [good])
 
