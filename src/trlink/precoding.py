@@ -517,7 +517,7 @@ def _report_comments(report: FocusingReport) -> list[str]:
 def _write_focusing_csvs(
     reports: Sequence[FocusingReport], paths: Sequence[str | Path]
 ) -> None:
-    """Write each report to its path as :func:`focusing_report_to_csv` does.
+    """Write each report to its path, through :func:`~trlink.output.write_text`.
 
     Each file is its report's ``# key=value`` lines followed by the CSV of
     its spatial profile. Reports that hold one profile object, as one
