@@ -60,14 +60,17 @@ positive finite double (about ``|q| <= 3080`` dB). Sizes are capped at load:
 ``num_taps`` at 4096, and a BER frame of ``(M-1)*max(d_values) + 2*num_taps
 - 1`` samples at 10,000,000, where ``M`` is ``bits_per_point`` for RASK,
 ``ceil(bits_per_point / num_rx)`` for ERASK and ``num_pilots`` for a pilot
-frame, the ``trials * num_rx**2 * (2*num_taps - 1)`` pulse-response
-samples a sweep holds, and the ``P * num_rx * (2*num_taps - 1)``
-focusing-field samples over a grid of ``P`` positions (imported or
-synthesised) at the same 10,000,000. A synthesised grid
+frame, and the ``trials * num_rx**2 * (2*num_taps - 1)`` pulse-response
+samples a sweep holds at the same 10,000,000. A synthesised grid
 (``grid_mm`` or ``positions_mm``) holds at most 10,000 positions and must
 keep the spatial-correlation argument
 ``2*pi*2*(last - first)/wavelength`` finite; an imported ensemble is held
 to neither, since its responses are never correlated across positions.
+A focusing experiment alone holds the ``P * num_rx * (2*num_taps - 1)``
+field samples over a grid of ``P`` positions (imported or synthesised);
+:func:`run_focusing_experiment` caps them at the same 10,000,000 before
+anything is drawn, so a grid that ``ber`` and ``sound`` run may be too
+large for ``focus``.
 
 Channels pass between the stages as row selections of the trial's
 ensemble ``taps``, one ``(P, L)`` block checked when it was built; no
@@ -138,15 +141,7 @@ from .modem import (
     rask_modulate,
 )
 from .output import write_csv
-from .precoding import (
-    FocusingReport,
-    _check_report,
-    _report_at,
-    _target_focus,
-    _write_focusing_csvs,
-    pulse_responses,
-    received_at,
-)
+from .precoding import FocusingReport, focusing_reports, pulse_responses, received_at
 
 _STREAM_ENSEMBLE = 0
 _STREAM_CELL = 1
@@ -325,13 +320,6 @@ class Scenario:
             raise ConfigurationError(
                 f"trials {self.trials} at num_rx={self.rsm.num_rx} and num_taps={num_taps} "
                 f"hold {kernel_samples} pulse-response samples; the cap is {_MAX_FRAME_SAMPLES}"
-            )
-        field_samples = positions.size * len(self.target_indices) * (2 * num_taps - 1)
-        if field_samples > _MAX_FRAME_SAMPLES:
-            raise ConfigurationError(
-                f"{positions.size} positions, {len(self.target_indices)} targets and "
-                f"num_taps={num_taps} hold {field_samples} focusing-field samples; the cap is "
-                f"{_MAX_FRAME_SAMPLES}"
             )
         if self.master_seed < 0:
             raise ConfigurationError(f"master_seed must be >= 0, got {self.master_seed}")
@@ -654,20 +642,27 @@ def run_focusing_experiment(
     trial 0's true channels: the scenario's ``sounding`` block is ignored.
     One :func:`~trlink.precoding.pulse_responses` call, one
     :func:`~trlink.precoding.propagate` of every target's emission, gives
-    every target's field over the whole grid. Each report equals
-    :func:`~trlink.precoding.focusing_report` of views of its columns: its
-    target's field at every position and, for two users, the interferer's,
-    which the report reads at the target. Every report gets that function's
-    index, spacing and shape checks; the part of a report that its target's
-    own field fixes alone (peak, sidelobe ratio, temporal width, spatial
-    profile and width) is computed once per target, and the slot sums once
-    per report, since the spacing only picks which taps are summed. Every
-    report is computed before the first CSV (one per report) is written;
-    each CSV is what :func:`~trlink.precoding.focusing_report_to_csv` writes
-    for its report, with its target's profile rows rendered once.
+    every target's field over the whole grid, and one
+    :func:`~trlink.precoding.focusing_reports` call measures every report
+    from those fields and writes one CSV per report. Each report equals
+    :func:`~trlink.precoding.focusing_report` of views of its columns, and
+    each CSV what :func:`~trlink.precoding.focusing_report_to_csv` writes
+    for it.
+
+    The ``P * num_rx * (2*num_taps - 1)`` field samples are capped at
+    10,000,000, the cap of a BER frame; a larger field is refused before
+    trial 0's channels are drawn.
     """
-    ensemble = scenario.ensemble_for_trial(0)
     targets = scenario.target_indices
+    num_positions = scenario.positions_mm.size
+    num_taps = scenario.cavity.num_taps
+    field_samples = num_positions * len(targets) * (2 * num_taps - 1)
+    if field_samples > _MAX_FRAME_SAMPLES:
+        raise ConfigurationError(
+            f"{num_positions} positions, {len(targets)} targets and num_taps={num_taps} "
+            f"hold {field_samples} focusing-field samples; the cap is {_MAX_FRAME_SAMPLES}"
+        )
+    ensemble = scenario.ensemble_for_trial(0)
     # (file name, target, interfering user, spacing) per report, in output order
     jobs = [
         (f"focus_single_t{k}.csv", target, None, scenario.d_values[0])
@@ -685,17 +680,12 @@ def run_focusing_experiment(
         fields = pulse_responses(ensemble.taps, ensemble.taps[list(targets)])
     except (ConfigurationError, DomainError) as exc:
         raise type(exc)(f"focusing at target indices {list(targets)}: {exc}") from exc
-    responses = {target: fields[:, k] for k, target in enumerate(targets)}
-    for _, target, other, spacing in jobs:
-        _check_report(ensemble, responses[target], responses.get(other), target, other, spacing)
-    focus = {target: _target_focus(ensemble, responses[target], target) for target in targets}
-    reports = [
-        _report_at(ensemble, focus[target], responses[target], responses.get(other), other, spacing)
-        for _, target, other, spacing in jobs
-    ]
-    if out_dir is not None:
-        _write_focusing_csvs(reports, [Path(out_dir) / name for name, *_ in jobs])
-    return reports
+    return focusing_reports(
+        ensemble,
+        {target: fields[:, k] for k, target in enumerate(targets)},
+        [job[1:] for job in jobs],
+        None if out_dir is None else [Path(out_dir) / name for name, *_ in jobs],
+    )
 
 
 def run_sounding_study(

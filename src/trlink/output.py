@@ -5,11 +5,11 @@ to ``<name>.partial`` in that directory and renames it into place with
 ``os.replace``. A reader sees the old file or the complete new one; if
 anything raises, the partial file is deleted and the target keeps its bytes.
 
-A CSV is rendered as text first (:func:`csv_text`: ``# comment`` lines,
-then the header and rows) and written by :func:`write_text`;
-:func:`write_csv` is the two in one. Rendering apart from writing lets a
-caller render rows shared by several files once and give each file its own
-comment lines (:func:`comment_lines`) in front of them.
+A CSV is rendered as text first (:func:`csv_text`: the header and rows)
+and written by :func:`write_text`; :func:`write_csv` is the two in one.
+Rendering apart from writing lets a caller render rows shared by several
+files once and put each file's own ``# comment`` lines
+(:func:`comment_lines`) in front of them.
 """
 
 from __future__ import annotations
@@ -40,18 +40,15 @@ def comment_lines(comments: Iterable[str]) -> str:
     return "".join(f"# {comment}\n" for comment in comments)
 
 
-def csv_text(header: Iterable, rows: Iterable[Iterable], comments: Iterable[str] = ()) -> str:
-    """A CSV as text: :func:`comment_lines`, then the header and rows as
-    ``csv.writer`` rows ending in ``\\r\\n``."""
+def csv_text(header: Iterable, rows: Iterable[Iterable]) -> str:
+    """A CSV as text: the header and rows as ``csv.writer`` rows ending in ``\\r\\n``."""
     buffer = io.StringIO()
     writer = csv.writer(buffer)
     writer.writerow(header)
     writer.writerows(rows)
-    return comment_lines(comments) + buffer.getvalue()
+    return buffer.getvalue()
 
 
-def write_csv(
-    path: str | Path, header: Iterable, rows: Iterable[Iterable], comments: Iterable[str] = ()
-) -> None:
+def write_csv(path: str | Path, header: Iterable, rows: Iterable[Iterable]) -> None:
     """Write :func:`csv_text` whole with :func:`write_text`."""
-    write_text(path, csv_text(header, rows, comments))
+    write_text(path, csv_text(header, rows))

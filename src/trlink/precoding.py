@@ -42,8 +42,9 @@ target's column over the grid and, for two users, the interferer's column,
 which it reads at the target, so one :func:`pulse_responses` call serves
 every report of an experiment. A report joins what its target's own field
 fixes alone, which no spacing or interferer changes, to the slot sums at its
-spacing; an experiment computes the first part once per target and writes
-each target's profile rows, rendered once, into each of its files.
+spacing; :func:`focusing_reports` measures an experiment's reports at once,
+the first part once per target, and writes each target's profile rows,
+rendered once, into each of its files.
 
 By linearity the field at antenna ``n`` is ``sum_i upsample_D(x[i]) *
 K_ni``, so :func:`received_at` gives the BER sweep the samples at the
@@ -64,7 +65,7 @@ out across positions, seeds, and SNR points.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -457,6 +458,49 @@ def _report_at(
     )
 
 
+def focusing_reports(
+    ensemble: SpatialChannelEnsemble,
+    fields: Mapping[int | None, np.ndarray | None],
+    jobs: Sequence[tuple[int, int | None, int]],
+    paths: Sequence[str | Path] | None = None,
+) -> list[FocusingReport]:
+    """The reports of ``jobs``, one :func:`focusing_report` each, from one set of fields.
+
+    ``fields`` maps a position index to the ``(P, 2L - 1)`` field of a unit
+    pulse toward that position, as :func:`focusing_report` takes its
+    ``own`` and ``other``; each job is a ``(target_index, other_index,
+    spacing)`` triple, ``other_index`` ``None`` for a single user. Every
+    job gets :func:`focusing_report`'s index, spacing and shape checks
+    before anything is computed. What a target's own field fixes alone
+    (peak, sidelobe ratio, temporal width, spatial profile and spatial
+    width) is computed once per target and shared by its reports; the slot
+    sums at the spacing (ISI, IUI, self and other ISI) once per report.
+
+    With ``paths``, one per job, every report is computed before the first
+    file is written, and each file holds what :func:`focusing_report_to_csv`
+    writes for its report, its target's profile rows rendered once.
+    """
+    checked = []
+    for target_index, other_index, spacing in jobs:
+        own = fields.get(target_index)
+        other = fields.get(other_index)
+        _check_report(ensemble, own, other, target_index, other_index, spacing)
+        checked.append((own, other, target_index, other_index, spacing))
+    focus: dict[int, _TargetFocus] = {}
+    reports = []
+    for own, other, target_index, other_index, spacing in checked:
+        if target_index not in focus:
+            focus[target_index] = _target_focus(ensemble, own, target_index)
+        reports.append(_report_at(ensemble, focus[target_index], own, other, other_index, spacing))
+    if paths is not None:
+        profiles: dict[int, str] = {}
+        for report, path in zip(reports, paths, strict=True):
+            if report.target_index not in profiles:
+                profiles[report.target_index] = csv_text(_PROFILE_HEADER, report.spatial_profile)
+            write_text(path, _report_csv(report, profiles[report.target_index]))
+    return reports
+
+
 def focusing_report(
     ensemble: SpatialChannelEnsemble,
     own: np.ndarray,
@@ -476,16 +520,17 @@ def focusing_report(
     metrics described on :class:`FocusingReport` are measured from the
     target's field over the grid and the interferer's field at the target.
 
-    A report is built from two parts, after its index, spacing and shape
-    checks: what the target's own field fixes alone (peak, sidelobe ratio,
-    temporal width, spatial profile and spatial width), and the slot sums at
-    the spacing (ISI, IUI, self and other ISI).
-    :func:`~trlink.harness.run_focusing_experiment` computes the first part
-    once per target and shares it between that target's reports.
+    This is the one-job case of :func:`focusing_reports`, which builds a
+    report from two parts after its index, spacing and shape checks: what
+    the target's own field fixes alone (peak, sidelobe ratio, temporal
+    width, spatial profile and spatial width), and the slot sums at the
+    spacing (ISI, IUI, self and other ISI).
     """
-    _check_report(ensemble, own, other, target_index, other_index, spacing)
-    focus = _target_focus(ensemble, own, target_index)
-    return _report_at(ensemble, focus, own, other, other_index, spacing)
+    # the target's own field is keyed last, so it is never displaced; an
+    # ``other`` given without ``other_index`` sits under None, which the
+    # checks refuse
+    fields = {other_index: other, target_index: own}
+    return focusing_reports(ensemble, fields, [(target_index, other_index, spacing)])[0]
 
 
 _PROFILE_HEADER = ("position_mm", "peak_abs")
@@ -514,22 +559,10 @@ def _report_comments(report: FocusingReport) -> list[str]:
     return ["schema=trlink.focusing/1", *(f"{name}={value}" for name, value in scalars)]
 
 
-def _write_focusing_csvs(
-    reports: Sequence[FocusingReport], paths: Sequence[str | Path]
-) -> None:
-    """Write each report to its path, through :func:`~trlink.output.write_text`.
-
-    Each file is its report's ``# key=value`` lines followed by the CSV of
-    its spatial profile. Reports that hold one profile object, as one
-    target's reports from :func:`~trlink.harness.run_focusing_experiment`
-    do, share its CSV, rendered once.
-    """
-    profiles: dict[int, str] = {}
-    for report, path in zip(reports, paths, strict=True):
-        key = id(report.spatial_profile)
-        if key not in profiles:
-            profiles[key] = csv_text(_PROFILE_HEADER, report.spatial_profile)
-        write_text(path, comment_lines(_report_comments(report)) + profiles[key])
+def _report_csv(report: FocusingReport, profile_csv: str) -> str:
+    """A report's file: its ``# key=value`` lines, then ``profile_csv``, the
+    CSV of its spatial profile."""
+    return comment_lines(_report_comments(report)) + profile_csv
 
 
 def focusing_report_to_csv(report: FocusingReport, path: str | Path) -> None:
@@ -540,4 +573,4 @@ def focusing_report_to_csv(report: FocusingReport, path: str | Path) -> None:
     ``spatial_fwhm_defined=0`` so downstream tooling can tell it apart from
     a measured value.
     """
-    _write_focusing_csvs([report], [path])
+    write_text(path, _report_csv(report, csv_text(_PROFILE_HEADER, report.spatial_profile)))

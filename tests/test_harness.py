@@ -1108,21 +1108,25 @@ class TestCli:
         # 2 targets x (2 * 4096 - 1) samples per position: 610 positions hold
         # 9,993,020 field samples, 611 hold 10,009,402
         positions = [k * 1e-3 for k in range(611)]
-        doc = scenario_dict(positions_mm=positions[:610], targets_mm=positions[:2])
+        doc = scenario_dict(positions_mm=positions, targets_mm=positions[:2])
         doc["cavity"]["num_taps"] = 4096
         del doc["grid_mm"]
-        assert scenario_from_dict(doc).positions_mm.size == 610
-        doc["positions_mm"] = positions
+        # the scenario loads: only the focusing experiment builds the field
+        assert scenario_from_dict(doc).positions_mm.size == 611
         scenario_path = tmp_path / "scenario.json"
         scenario_path.write_text(json.dumps(doc), encoding="utf-8")
         out = tmp_path / "results"
         assert cli_main(["focus", "--scenario", str(scenario_path), "--out", str(out)]) == 2
         assert "hold 10009402 focusing-field samples" in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
+        doc["positions_mm"] = positions[:610]
+        with pytest.raises(AssertionError, match="before it is drawn"):
+            run_focusing_experiment(scenario_from_dict(doc))
 
-    def test_imported_ensemble_is_held_to_the_focusing_field_cap(self):
+    def test_imported_ensemble_is_held_to_the_focusing_field_cap(self, tmp_path):
         # 10 targets x (2 * 4096 - 1) samples per position: 122 positions
-        # hold 9,993,020 field samples, 123 hold 10,074,930
+        # hold 9,993,020 field samples, 123 hold 10,074,930; the sweep holds
+        # 10 x 10 x 8191 pulse-response samples, far below its own cap
         params = CavityParams(num_taps=4096)
         taps = np.zeros((123, 4096), dtype=complex)
         taps[:, 0] = 1.0
@@ -1146,9 +1150,20 @@ class TestCli:
                 imported_ensemble=ensemble,
             )
 
-        assert len(scenario(122).positions_mm) == 122
+        def refuse(*args, **kwargs):
+            raise AssertionError("a field above the cap must be refused before it is built")
+
+        above = scenario(123)
         with pytest.raises(ConfigurationError, match="hold 10074930 focusing-field samples"):
-            scenario(123)
+            run_focusing_experiment(above, out_dir=tmp_path / "focus")
+        assert not (tmp_path / "focus").exists()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(harness, "pulse_responses", refuse)
+            with pytest.raises(AssertionError, match="before it is built"):
+                run_focusing_experiment(scenario(122))
+        # a BER sweep never builds the field, so the same scenario runs
+        (record,) = run_ber_sweep(above)
+        assert record.bits_sent == 10
 
     @pytest.mark.parametrize(
         "path, value, extra_args, field",

@@ -22,7 +22,9 @@ def test_failed_replace_keeps_the_old_file(tmp_path, monkeypatch):
 
     monkeypatch.setattr(output.os, "replace", refuse)
     with pytest.raises(OSError, match="replace refused"):
-        output.write_csv(target, ["a", "b"], [[1, 2.5]], comments=["schema=x"])
+        output.write_text(
+            target, output.comment_lines(["schema=x"]) + output.csv_text(["a", "b"], [[1, 2.5]])
+        )
     assert target.read_bytes() == b"old,bytes\r\n"
     assert [p.name for p in tmp_path.iterdir()] == ["table.csv"]
 
@@ -38,3 +40,11 @@ def test_only_the_output_module_writes_files():
     ]
     assert sites == []
     assert WRITE_SITE.search((package / "output.py").read_text(encoding="utf-8"))
+
+
+def test_comment_lines_then_csv_text(tmp_path):
+    target = tmp_path / "table.csv"
+    output.write_text(
+        target, output.comment_lines(["schema=x", "n=1"]) + output.csv_text(["a", "b"], [[1, 2.5]])
+    )
+    assert target.read_bytes() == b"# schema=x\n# n=1\na,b\r\n1,2.5\r\n"

@@ -1,6 +1,7 @@
 """Precoding kernel, emission normalisation, propagation, focusing metrics."""
 
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from trlink.modem import DetectionWindow, erask_modulate, rask_modulate
 from trlink.precoding import (
     focusing_report,
     focusing_report_to_csv,
+    focusing_reports,
     full_width_half_max,
     propagate,
     pulse_responses,
@@ -590,6 +592,27 @@ class TestFocusingReport:
         first_pos, first_val = data[1].split(",")
         assert float(first_pos) == report.spatial_profile[0][0]
         assert float(first_val) == report.spatial_profile[0][1]
+
+
+    def test_batch_checks_every_report_before_writing(self, tmp_path):
+        ensemble = _dense_grid_ensemble(0)
+        fields = pulse_responses(ensemble.taps, ensemble.taps[[3, 5]])
+        by_index = {3: fields[:, 0], 5: fields[:, 1]}
+        paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
+        with pytest.raises(ConfigurationError, match="spacing"):
+            focusing_reports(ensemble, by_index, [(3, None, 15), (3, 5, 0)], paths)
+        with pytest.raises(DomainError, match="exactly when"):
+            focusing_reports(ensemble, by_index, [(3, None, 15), (3, 7, 15)], paths)
+        assert list(tmp_path.iterdir()) == []
+        reports = focusing_reports(ensemble, by_index, [(3, None, 15), (3, 5, 30)], paths)
+        assert [astuple(report) for report in reports] == [
+            astuple(focusing_report(ensemble, fields[:, 0], None, 3, None, 15)),
+            astuple(focusing_report(ensemble, fields[:, 0], fields[:, 1], 3, 5, 30)),
+        ]
+        for report, path in zip(reports, paths):
+            alone = tmp_path / "alone.csv"
+            focusing_report_to_csv(report, alone)
+            assert path.read_bytes() == alone.read_bytes()
 
 
 class TestFullWidthHalfMax:
