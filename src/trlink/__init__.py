@@ -37,8 +37,6 @@ from .modem import (
 )
 from .precoding import (
     FocusingReport,
-    focusing_report,
-    focusing_report_to_csv,
     propagate,
     pulse_responses,
     received_at,
@@ -66,8 +64,6 @@ __all__ = [
     "derive_seed",
     "erask_modulate",
     "export_ensemble",
-    "focusing_report",
-    "focusing_report_to_csv",
     "grid_positions",
     "load_ensemble",
     "load_scenario",

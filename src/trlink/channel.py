@@ -83,6 +83,7 @@ from .errors import (
     read_list,
     read_number,
     require_keys,
+    unique_keys,
 )
 from .output import write_csv, write_text
 
@@ -573,12 +574,12 @@ def load_ensemble(json_path: str | Path) -> SpatialChannelEnsemble:
     """Load an ensemble previously written by :func:`export_ensemble`.
 
     Every JSON field is read strictly (integers as JSON integers, numbers
-    finite, no unknown keys); ``decay_time_s`` also accepts the
+    finite, no unknown or repeated keys); ``decay_time_s`` also accepts the
     ``Infinity`` written for a flat power-delay profile.
     """
     json_path = Path(json_path)
     try:
-        meta = json.loads(json_path.read_text(encoding="utf-8"))
+        meta = json.loads(json_path.read_text(encoding="utf-8"), object_pairs_hook=unique_keys)
     except (FileNotFoundError, IsADirectoryError):
         raise ConfigurationError(f"ensemble file not found: {json_path}") from None
     except ValueError as exc:  # JSONDecodeError, or an integer literal too long to parse

@@ -31,6 +31,17 @@ def require_keys(obj: dict, allowed: set[str], required: set[str], where: str) -
         raise ConfigurationError(f"missing keys in {where}: {sorted(missing)}")
 
 
+def unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object's ``(key, value)`` pairs as a dict; ``json.loads``'s
+    ``object_pairs_hook``, so a repeated key is an error, not a last value."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ConfigurationError(f"duplicate key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def read_integer(value, name: str) -> int:
     """A JSON integer. Booleans and floats such as ``15.7`` are rejected, not coerced."""
     if isinstance(value, bool) or not isinstance(value, int):

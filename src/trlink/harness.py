@@ -1,7 +1,7 @@
 """Scenario-driven experiment engine: focusing maps, BER sweeps, CSV output.
 
-Scenarios are versioned UTF-8 JSON files (schema below); unknown keys are
-rejected so typos fail fast. All randomness derives from one master seed
+Scenarios are versioned UTF-8 JSON files (schema below); unknown and
+repeated keys are rejected so typos fail fast. All randomness derives from one master seed
 through a documented counter scheme, so identical scenario + seed produce
 byte-identical CSV artifacts regardless of how the work is split up, with
 one qualification: the Toeplitz solve of chirp sounding rounds with the
@@ -45,7 +45,8 @@ Scenario JSON schema (version 1)::
       "sounding": "genie" | {"duration_s": .., "snr_db": .. (optional)},
                                          # chirp of 2 .. 1_000_000 samples
                                          #   at bandwidth_hz, the one sample
-                                         #   rate of taps and signals
+                                         #   rate of taps and signals; with
+                                         #   no snr_db the probe is noiseless
       "master_seed": ..                  # >= 0
     }
 
@@ -127,6 +128,7 @@ from .errors import (
     read_list,
     read_number,
     require_keys,
+    unique_keys,
 )
 from .modem import (
     WINDOW_HALF_WIDTH,
@@ -141,7 +143,7 @@ from .modem import (
     rask_modulate,
 )
 from .output import write_csv
-from .precoding import FocusingReport, focusing_reports, pulse_responses, received_at
+from .precoding import FocusingReport, focusing_report, pulse_responses, received_at
 
 _STREAM_ENSEMBLE = 0
 _STREAM_CELL = 1
@@ -260,12 +262,16 @@ class Scenario:
         for idx in self.target_indices:
             if not 0 <= idx < positions.size:
                 raise ConfigurationError(f"target index {idx} is off the grid")
-            if (
-                self.imported_ensemble is not None
-                and energy(self.imported_ensemble.taps[idx]) == 0
-            ):
+            if imported is None:
+                continue
+            # finite taps can still hold more energy than a double: that is
+            # an inf here, not an overflow warning
+            with np.errstate(over="ignore"):
+                target_energy = energy(imported.taps[idx])
+            if not 0.0 < target_energy < math.inf:
+                what = "zero-energy CIR" if target_energy == 0 else "CIR with overflowing energy"
                 raise ConfigurationError(
-                    f"target {float(positions[idx])} mm has a zero-energy CIR in the imported "
+                    f"target {float(positions[idx])} mm has a {what} in the imported "
                     "ensemble; cannot precode toward it"
                 )
         if not self.schemes:
@@ -467,10 +473,13 @@ def scenario_from_dict(data: dict, base_dir: Path | None = None) -> Scenario:
         sounding = None
     elif isinstance(sounding_obj, dict):
         require_keys(sounding_obj, {"duration_s", "snr_db"}, {"duration_s"}, "sounding")
-        snr = sounding_obj.get("snr_db")
         sounding = SoundingConfig(
             duration_s=read_number(sounding_obj["duration_s"], "sounding.duration_s"),
-            probe_snr_db=math.inf if snr is None else read_number(snr, "sounding.snr_db"),
+            probe_snr_db=(
+                read_number(sounding_obj["snr_db"], "sounding.snr_db")
+                if "snr_db" in sounding_obj
+                else math.inf
+            ),
         )
     else:
         raise ConfigurationError("sounding must be \"genie\" or an object")
@@ -500,7 +509,7 @@ def load_scenario(path: str | Path) -> Scenario:
     except UnicodeDecodeError as exc:
         raise ConfigurationError(f"scenario file {path} is not UTF-8: {exc}") from None
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=unique_keys)
     except ValueError as exc:  # JSONDecodeError, or an integer literal too long to parse
         raise ConfigurationError(f"scenario JSON is invalid: {exc}") from None
     return scenario_from_dict(data, base_dir=path.parent)
@@ -643,11 +652,11 @@ def run_focusing_experiment(
     One :func:`~trlink.precoding.pulse_responses` call, one
     :func:`~trlink.precoding.propagate` of every target's emission, gives
     every target's field over the whole grid, and one
-    :func:`~trlink.precoding.focusing_reports` call measures every report
-    from those fields and writes one CSV per report. Each report equals
-    :func:`~trlink.precoding.focusing_report` of views of its columns, and
-    each CSV what :func:`~trlink.precoding.focusing_report_to_csv` writes
-    for it.
+    :func:`~trlink.precoding.focusing_report` call measures every report
+    from that block and writes one CSV per report. Nothing is re-checked on
+    the way: the scenario has refused off-grid and coincident targets,
+    imported targets of zero or overflowing energy, and spacings below 3
+    taps, at load.
 
     The ``P * num_rx * (2*num_taps - 1)`` field samples are capped at
     10,000,000, the cap of a BER frame; a larger field is refused before
@@ -663,26 +672,19 @@ def run_focusing_experiment(
             f"hold {field_samples} focusing-field samples; the cap is {_MAX_FRAME_SAMPLES}"
         )
     ensemble = scenario.ensemble_for_trial(0)
-    # (file name, target, interfering user, spacing) per report, in output order
-    jobs = [
-        (f"focus_single_t{k}.csv", target, None, scenario.d_values[0])
-        for k, target in enumerate(targets)
-    ]
+    # (file name, target column, interfering column, spacing) per report, in
+    # output order
+    jobs = [(f"focus_single_t{k}.csv", k, None, scenario.d_values[0]) for k in range(len(targets))]
     if len(targets) >= 2:
-        first, second = targets[:2]
         jobs += [
-            (f"focus_two_user_D{spacing}_t{k}.csv", tgt, other, spacing)
+            (f"focus_two_user_D{spacing}_t{k}.csv", k, 1 - k, spacing)
             for spacing in scenario.d_values
-            for k, (tgt, other) in enumerate(((first, second), (second, first)))
+            for k in (0, 1)
         ]
-
-    try:
-        fields = pulse_responses(ensemble.taps, ensemble.taps[list(targets)])
-    except (ConfigurationError, DomainError) as exc:
-        raise type(exc)(f"focusing at target indices {list(targets)}: {exc}") from exc
-    return focusing_reports(
+    return focusing_report(
         ensemble,
-        {target: fields[:, k] for k, target in enumerate(targets)},
+        pulse_responses(ensemble.taps, ensemble.taps[list(targets)]),
+        targets,
         [job[1:] for job in jobs],
         None if out_dir is None else [Path(out_dir) / name for name, *_ in jobs],
     )

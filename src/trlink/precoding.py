@@ -37,14 +37,17 @@ sqrt(E_i)`` through it in one call as ``K_ni``, the noiseless field at
 receiver ``n`` of one unit pulse toward user ``i`` (``2L - 1`` samples):
 the focusing maps read it over the grid, the BER sweep at its antennas.
 
-:func:`focusing_report` is measured from those fields alone: it takes its
-target's column over the grid and, for two users, the interferer's column,
-which it reads at the target, so one :func:`pulse_responses` call serves
-every report of an experiment. A report joins what its target's own field
-fixes alone, which no spacing or interferer changes, to the slot sums at its
-spacing; :func:`focusing_reports` measures an experiment's reports at once,
-the first part once per target, and writes each target's profile rows,
-rendered once, into each of its files.
+:func:`focusing_report` measures a focusing experiment from the
+``(P, U, 2L - 1)`` block of those fields alone: each report reads its
+target's column over the grid and, for two users, the interferer's column at
+the target, so one :func:`pulse_responses` call serves every report. A
+report joins what its target's own field fixes alone, which no spacing or
+interferer changes and which is computed once per target, to the slot sums
+at its spacing. Given paths, it writes each report's file, each target's
+profile rows rendered once. It checks nothing: its caller,
+:func:`~trlink.harness.run_focusing_experiment`, measures a
+:class:`~trlink.harness.Scenario` that has already refused every target and
+spacing it could not measure.
 
 By linearity the field at antenna ``n`` is ``sum_i upsample_D(x[i]) *
 K_ni``, so :func:`received_at` gives the BER sweep the samples at the
@@ -65,7 +68,7 @@ out across positions, seeds, and SNR points.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -327,55 +330,10 @@ def _slot_indices(peak_lag: int, spacing: int, length: int) -> np.ndarray:
     return peak_lag + offsets * spacing
 
 
-def _check_report(
-    ensemble: SpatialChannelEnsemble,
-    own: np.ndarray,
-    other: np.ndarray | None,
-    target_index: int,
-    other_index: int | None,
-    spacing: int,
-) -> None:
-    """:func:`focusing_report`'s checks of its indices, spacing and pulse-response shapes."""
-    num_positions = len(ensemble)
-    if not 0 <= target_index < num_positions:
-        raise DomainError(f"target index {target_index} outside ensemble of {num_positions}")
-    if other_index is not None and not 0 <= other_index < num_positions:
-        raise DomainError(f"other index {other_index} outside ensemble of {num_positions}")
-    if other_index == target_index:
-        raise DomainError("target and interfering user must be distinct positions")
-    if spacing < 1:
-        raise ConfigurationError(f"pulse spacing must be >= 1, got {spacing}")
-    shape = (num_positions, 2 * ensemble.taps.shape[1] - 1)
-    if np.shape(own) != shape:
-        raise DomainError(f"own must be the {shape} pulse responses, got shape {np.shape(own)}")
-    if (other is None) != (other_index is None):
-        raise DomainError("other pulse responses must be given exactly when other_index is")
-    if other is not None and np.shape(other) != shape:
-        raise DomainError(f"other must have own's shape {shape}, got {np.shape(other)}")
-
-
-@dataclass(frozen=True, eq=False)
-class _TargetFocus:
-    """The part of a target's :class:`FocusingReport` fixed by its own field alone.
-
-    It depends on neither the spacing nor the interferer, so every report
-    of one target shares it, down to the one ``spatial_profile`` tuple.
-    """
-
-    target_index: int
-    peak_amplitude: float
-    peak_lag: int
-    temporal_sidelobe_ratio_db: float
-    temporal_fwhm_s: float
-    spatial_profile: tuple[tuple[float, float], ...]
-    spatial_fwhm_mm: float | None
-
-
-def _target_focus(
-    ensemble: SpatialChannelEnsemble, own: np.ndarray, target_index: int
-) -> _TargetFocus:
-    """Peak, sidelobe ratio, temporal FWHM, spatial profile and spatial FWHM
-    of the target's field ``own``, which :func:`_check_report` accepted."""
+def _target_focus(ensemble: SpatialChannelEnsemble, own: np.ndarray, target_index: int) -> dict:
+    """What the target's field ``own`` fixes alone, as :class:`FocusingReport`
+    fields: peak, sidelobe ratio, temporal FWHM, spatial profile and spatial
+    FWHM. No spacing or interferer changes it."""
     own_at_target = own[target_index]
     magnitude = np.abs(own_at_target)
     peak_lag = int(np.argmax(magnitude))
@@ -402,135 +360,91 @@ def _target_focus(
         if int(np.argmax(profile_values)) == target_index
         else None
     )
-    return _TargetFocus(
-        target_index=target_index,
-        peak_amplitude=peak_amplitude,
-        peak_lag=peak_lag,
-        temporal_sidelobe_ratio_db=sidelobe_ratio_db,
-        temporal_fwhm_s=temporal_fwhm_s,
-        spatial_profile=spatial_profile,
-        spatial_fwhm_mm=spatial_fwhm_mm,
-    )
-
-
-def _report_at(
-    ensemble: SpatialChannelEnsemble,
-    focus: _TargetFocus,
-    own: np.ndarray,
-    other: np.ndarray | None,
-    other_index: int | None,
-    spacing: int,
-) -> FocusingReport:
-    """``focus``'s target's report at ``spacing``, with or without the
-    interferer: its slot sums (ISI, IUI, self and other ISI) added to
-    ``focus``. The arguments are ones :func:`_check_report` accepted."""
-    own_at_target = own[focus.target_index]
-    slots = _slot_indices(focus.peak_lag, spacing, own_at_target.size)
-    if other is not None:
-        other_at_target = other[focus.target_index]
-        total_at_target = own_at_target + other_at_target
-        iui_power = float(np.abs(other_at_target[focus.peak_lag]) ** 2)
-        isi_other = float(np.sum(np.abs(other_at_target[slots]) ** 2))
-    else:
-        total_at_target = own_at_target
-        iui_power = 0.0
-        isi_other = 0.0
-    isi_self = float(np.sum(np.abs(own_at_target[slots]) ** 2))
-    isi_power = float(np.sum(np.abs(total_at_target[slots]) ** 2))
-
-    positions = ensemble.positions_mm
-    return FocusingReport(
-        target_index=focus.target_index,
-        target_mm=float(positions[focus.target_index]),
-        other_index=other_index,
-        other_mm=float(positions[other_index]) if other_index is not None else None,
-        spacing=spacing,
-        peak_amplitude=focus.peak_amplitude,
-        peak_lag=focus.peak_lag,
-        temporal_sidelobe_ratio_db=focus.temporal_sidelobe_ratio_db,
-        temporal_fwhm_s=focus.temporal_fwhm_s,
-        spatial_profile=focus.spatial_profile,
-        spatial_fwhm_mm=focus.spatial_fwhm_mm,
-        isi_power=isi_power,
-        iui_power=iui_power,
-        isi_self_power=isi_self,
-        isi_other_power=isi_other,
-    )
-
-
-def focusing_reports(
-    ensemble: SpatialChannelEnsemble,
-    fields: Mapping[int | None, np.ndarray | None],
-    jobs: Sequence[tuple[int, int | None, int]],
-    paths: Sequence[str | Path] | None = None,
-) -> list[FocusingReport]:
-    """The reports of ``jobs``, one :func:`focusing_report` each, from one set of fields.
-
-    ``fields`` maps a position index to the ``(P, 2L - 1)`` field of a unit
-    pulse toward that position, as :func:`focusing_report` takes its
-    ``own`` and ``other``; each job is a ``(target_index, other_index,
-    spacing)`` triple, ``other_index`` ``None`` for a single user. Every
-    job gets :func:`focusing_report`'s index, spacing and shape checks
-    before anything is computed. What a target's own field fixes alone
-    (peak, sidelobe ratio, temporal width, spatial profile and spatial
-    width) is computed once per target and shared by its reports; the slot
-    sums at the spacing (ISI, IUI, self and other ISI) once per report.
-
-    With ``paths``, one per job, every report is computed before the first
-    file is written, and each file holds what :func:`focusing_report_to_csv`
-    writes for its report, its target's profile rows rendered once.
-    """
-    checked = []
-    for target_index, other_index, spacing in jobs:
-        own = fields.get(target_index)
-        other = fields.get(other_index)
-        _check_report(ensemble, own, other, target_index, other_index, spacing)
-        checked.append((own, other, target_index, other_index, spacing))
-    focus: dict[int, _TargetFocus] = {}
-    reports = []
-    for own, other, target_index, other_index, spacing in checked:
-        if target_index not in focus:
-            focus[target_index] = _target_focus(ensemble, own, target_index)
-        reports.append(_report_at(ensemble, focus[target_index], own, other, other_index, spacing))
-    if paths is not None:
-        profiles: dict[int, str] = {}
-        for report, path in zip(reports, paths, strict=True):
-            if report.target_index not in profiles:
-                profiles[report.target_index] = csv_text(_PROFILE_HEADER, report.spatial_profile)
-            write_text(path, _report_csv(report, profiles[report.target_index]))
-    return reports
+    return {
+        "peak_amplitude": peak_amplitude,
+        "peak_lag": peak_lag,
+        "temporal_sidelobe_ratio_db": sidelobe_ratio_db,
+        "temporal_fwhm_s": temporal_fwhm_s,
+        "spatial_profile": spatial_profile,
+        "spatial_fwhm_mm": spatial_fwhm_mm,
+    }
 
 
 def focusing_report(
     ensemble: SpatialChannelEnsemble,
-    own: np.ndarray,
-    other: np.ndarray | None,
-    target_index: int,
-    other_index: int | None,
-    spacing: int,
-) -> FocusingReport:
-    """Measure spatiotemporal focusing and interference from received pulse responses.
+    fields: np.ndarray,
+    users: Sequence[int],
+    jobs: Sequence[tuple[int, int | None, int]],
+    paths: Sequence[str | Path] | None = None,
+) -> list[FocusingReport]:
+    """Measure spatiotemporal focusing and interference: one report per job.
 
-    ``own`` and ``other`` are the target's and the interfering user's
-    noiseless pulse responses at every ensemble position, shape ``(P, 2L -
-    1)``: columns of ``pulse_responses(ensemble.taps, users)``, where each
-    user's unit pulse is normalised by its own channel energy so the
-    intended received peak powers are statistically identical. ``other`` is
-    ``None`` for a single user and is read only at the target position. The
-    metrics described on :class:`FocusingReport` are measured from the
-    target's field over the grid and the interferer's field at the target.
+    ``fields`` is ``pulse_responses(ensemble.taps, ensemble.taps[users])``,
+    shape ``(P, U, 2L - 1)``: column ``k`` is the noiseless field over the
+    grid of a unit pulse toward position ``users[k]``, normalised by that
+    channel's energy so the intended received peak powers are statistically
+    identical. Each job is a ``(column, other column or None, spacing)``
+    triple: its target is ``users[column]``, and the interfering user's
+    field, for two users, is read at the target only. A report joins what
+    its target's own field fixes alone (peak, sidelobe ratio, temporal
+    width, spatial profile and spatial width), computed once per column, to
+    the slot sums at its spacing (ISI, IUI, self and other ISI); the
+    metrics are described on :class:`FocusingReport`.
 
-    This is the one-job case of :func:`focusing_reports`, which builds a
-    report from two parts after its index, spacing and shape checks: what
-    the target's own field fixes alone (peak, sidelobe ratio, temporal
-    width, spatial profile and spatial width), and the slot sums at the
-    spacing (ISI, IUI, self and other ISI).
+    Nothing is checked here. The columns of a job must be distinct and the
+    spacing at least 1 tap, as :class:`~trlink.harness.Scenario` ensures for
+    :func:`~trlink.harness.run_focusing_experiment`, the one caller.
+
+    With ``paths``, one per job, every report is computed before the first
+    file is written through :func:`~trlink.output.write_text`. A file holds
+    its report's scalar metrics as ``# key=value`` lines, then the spatial
+    profile with columns ``position_mm,peak_abs``, one row per grid
+    position, rendered once per target. An undefined spatial width is
+    written as ``nan`` with ``spatial_fwhm_defined=0``, so downstream
+    tooling can tell it apart from a measured value.
     """
-    # the target's own field is keyed last, so it is never displaced; an
-    # ``other`` given without ``other_index`` sits under None, which the
-    # checks refuse
-    fields = {other_index: other, target_index: own}
-    return focusing_reports(ensemble, fields, [(target_index, other_index, spacing)])[0]
+    positions = ensemble.positions_mm
+    focus: dict[int, dict] = {}
+    reports = []
+    for column, other_column, spacing in jobs:
+        target_index = users[column]
+        if column not in focus:
+            focus[column] = _target_focus(ensemble, fields[:, column], target_index)
+        peak_lag = focus[column]["peak_lag"]
+        own_at_target = fields[target_index, column]
+        slots = _slot_indices(peak_lag, spacing, own_at_target.size)
+        if other_column is not None:
+            other_index = users[other_column]
+            other_at_target = fields[target_index, other_column]
+            total_at_target = own_at_target + other_at_target
+            iui_power = float(np.abs(other_at_target[peak_lag]) ** 2)
+            isi_other = float(np.sum(np.abs(other_at_target[slots]) ** 2))
+        else:
+            other_index = None
+            total_at_target = own_at_target
+            iui_power = 0.0
+            isi_other = 0.0
+        reports.append(
+            FocusingReport(
+                target_index=target_index,
+                target_mm=float(positions[target_index]),
+                other_index=other_index,
+                other_mm=float(positions[other_index]) if other_index is not None else None,
+                spacing=spacing,
+                isi_power=float(np.sum(np.abs(total_at_target[slots]) ** 2)),
+                iui_power=iui_power,
+                isi_self_power=float(np.sum(np.abs(own_at_target[slots]) ** 2)),
+                isi_other_power=isi_other,
+                **focus[column],
+            )
+        )
+    if paths is not None:
+        profiles: dict[int, str] = {}
+        for (column, _, _), report, path in zip(jobs, reports, paths, strict=True):
+            if column not in profiles:
+                profiles[column] = csv_text(_PROFILE_HEADER, report.spatial_profile)
+            write_text(path, comment_lines(_report_comments(report)) + profiles[column])
+    return reports
 
 
 _PROFILE_HEADER = ("position_mm", "peak_abs")
@@ -557,20 +471,3 @@ def _report_comments(report: FocusingReport) -> list[str]:
         ("isi_other_power", report.isi_other_power),
     ]
     return ["schema=trlink.focusing/1", *(f"{name}={value}" for name, value in scalars)]
-
-
-def _report_csv(report: FocusingReport, profile_csv: str) -> str:
-    """A report's file: its ``# key=value`` lines, then ``profile_csv``, the
-    CSV of its spatial profile."""
-    return comment_lines(_report_comments(report)) + profile_csv
-
-
-def focusing_report_to_csv(report: FocusingReport, path: str | Path) -> None:
-    """Serialise a report: '#'-prefixed scalar metrics, then the profile.
-
-    The data section has columns ``position_mm,peak_abs``, one row per grid
-    position. An undefined spatial width is written as ``nan`` with
-    ``spatial_fwhm_defined=0`` so downstream tooling can tell it apart from
-    a measured value.
-    """
-    write_text(path, _report_csv(report, csv_text(_PROFILE_HEADER, report.spatial_profile)))

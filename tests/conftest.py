@@ -58,13 +58,14 @@ def measure_focusing(
 ) -> FocusingReport:
     """The focusing report of one target, alone or with one interfering user.
 
-    Builds the users' pulse responses at every ensemble position and passes
-    their columns to :func:`focusing_report`.
+    Builds the users' pulse responses at every ensemble position and
+    measures the one report from that block with :func:`focusing_report`.
     """
     users = [target_index] if other_index is None else [target_index, other_index]
     fields = pulse_responses(ensemble.taps, ensemble.taps[users])
-    other = None if other_index is None else fields[:, 1]
-    return focusing_report(ensemble, fields[:, 0], other, target_index, other_index, spacing)
+    other_column = None if other_index is None else 1
+    (report,) = focusing_report(ensemble, fields, users, [(0, other_column, spacing)])
+    return report
 
 
 def max_rel_error(actual: np.ndarray, expected: np.ndarray) -> float:

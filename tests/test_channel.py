@@ -628,6 +628,17 @@ class TestEnsembleExportImport:
         with pytest.raises(ConfigurationError):
             load_ensemble(tmp_path / "nope.json")
 
+    def test_repeated_key_is_refused(self, tmp_path):
+        # the last value would otherwise win: the ensemble would load at seed 1
+        ensemble = synth_cavity_ensemble(CavityParams(num_taps=4, rng_seed=5), [0.0, 0.3])
+        json_path = tmp_path / "ensemble.json"
+        export_ensemble(ensemble, json_path)
+        text = json_path.read_text(encoding="utf-8")
+        assert text.count('"rng_seed": 5') == 1
+        json_path.write_text(text.replace('"rng_seed": 5', '"rng_seed": 5, "rng_seed": 1'), "utf-8")
+        with pytest.raises(ConfigurationError, match="duplicate key 'rng_seed'"):
+            load_ensemble(json_path)
+
     def test_schema_mismatch_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"schema": "other/1"}', encoding="utf-8")

@@ -40,7 +40,7 @@ from trlink.harness import (
     scenario_from_dict,
 )
 from trlink.modem import FixedThreshold, PilotThreshold, RsmConfig, Scheme
-from trlink.precoding import FocusingReport, focusing_report_to_csv
+from trlink.precoding import FocusingReport, focusing_report, pulse_responses
 
 ROOT = Path(__file__).resolve().parents[1]
 TWO_USER = json.loads((ROOT / "scenarios" / "two_user.json").read_text(encoding="utf-8"))
@@ -602,8 +602,14 @@ class TestFocusingExperiment:
                 assert got == want or (got != got and want != want), field.name
 
     def test_each_target_is_propagated_once(self, monkeypatch):
+        # focusing_report is counted under the name harness binds, the name
+        # the benchmark's precoding.focusing_report span wraps
         calls = []
-        for module, name in ((harness, "pulse_responses"), (precoding, "propagate")):
+        for module, name in (
+            (harness, "pulse_responses"),
+            (precoding, "propagate"),
+            (harness, "focusing_report"),
+        ):
             real = getattr(module, name)
 
             def counting(*args, _real=real, _name=name, **kwargs):
@@ -615,6 +621,7 @@ class TestFocusingExperiment:
         assert len(run_focusing_experiment(scenario)) == 2 + 2 * 2
         assert calls.count("pulse_responses") == 1
         assert calls.count("propagate") == 1
+        assert calls.count("focusing_report") == 1
 
     def test_csvs_equal_the_public_serialiser_and_rewrite_in_place(self, tmp_path):
         # two spacings: each target has a single-user and two two-user reports,
@@ -624,9 +631,15 @@ class TestFocusingExperiment:
         reports = run_focusing_experiment(scenario, out_dir=out)
         written = {p.name: p.read_bytes() for p in out.iterdir()}
         assert len(written) == len(reports) == 2 + 2 * 2
+        ensemble = scenario.ensemble_for_trial(0)
+        targets = scenario.target_indices
+        block = pulse_responses(ensemble.taps, ensemble.taps[list(targets)])
         for report in reports:
+            # each file equals the one-job call's, which renders its own profile rows
+            column = targets.index(report.target_index)
+            other = None if report.other_index is None else targets.index(report.other_index)
             alone = tmp_path / "alone.csv"
-            focusing_report_to_csv(report, alone)
+            focusing_report(ensemble, block, targets, [(column, other, report.spacing)], [alone])
             if report.other_index is None:
                 name = f"focus_single_t{scenario.target_indices.index(report.target_index)}.csv"
             else:
@@ -946,6 +959,39 @@ class TestCli:
         assert message in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
 
+    @pytest.mark.parametrize("command", ["focus", "ber", "sound"])
+    def test_target_energy_overflowing_a_double_exits_2_before_writing(
+        self, tmp_path, capsys, command
+    ):
+        # taps of 1e200 are finite, but sum |h|^2 is not; pytest turns an
+        # overflow warning into an error, so the refusal must raise none
+        taps = np.full((2, 8), 1e-3, dtype=complex)
+        taps[1] = 1e200
+        ensemble = SpatialChannelEnsemble(np.array([-2.7, -1.8]), taps, CavityParams(num_taps=8))
+        export_ensemble(ensemble, tmp_path / "measured.json")
+        doc = scenario_dict(ensemble_file="measured.json")
+        del doc["cavity"], doc["grid_mm"]
+        scenario_path = tmp_path / "scenario.json"
+        scenario_path.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "results"
+        assert cli_main([command, "--scenario", str(scenario_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error: target -1.8 mm has a CIR with overflowing energy" in err
+        assert not out.exists()
+
+    def test_repeated_scenario_key_exits_2_before_writing(self, tmp_path, capsys):
+        # the last value would otherwise win: trials would load as 1
+        text = json.dumps(scenario_dict(trials=3))
+        assert text.count('"trials": 3') == 1
+        scenario_path = tmp_path / "scenario.json"
+        scenario_path.write_text(text.replace('"trials": 3', '"trials": 3, "trials": 1'), "utf-8")
+        with pytest.raises(ConfigurationError, match="duplicate key 'trials'"):
+            load_scenario(scenario_path)
+        out = tmp_path / "results"
+        assert cli_main(["ber", "--scenario", str(scenario_path), "--out", str(out)]) == 2
+        assert "duplicate key 'trials'" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "edit, field",
         [
@@ -1202,6 +1248,10 @@ class TestCli:
             pytest.param(
                 ("sounding",), {"duration_s": 6.4e-8, "snr_db": -4000}, [], "sounding.snr_db",
                 id="sounding-snr-underflows",
+            ),
+            pytest.param(
+                ("sounding",), {"duration_s": 6.4e-8, "snr_db": None}, [], "sounding.snr_db",
+                id="sounding-snr-null",
             ),
             pytest.param(("rsm", "scheme"), "RASK", [], "rsm.scheme", id="scheme-upper-case"),
             pytest.param(("rsm", "scheme"), ["rask"], [], "rsm.scheme", id="scheme-list"),

