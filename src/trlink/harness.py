@@ -1,11 +1,11 @@
 """Scenario-driven experiment engine: focusing maps, BER sweeps, CSV output.
 
 Scenarios are versioned UTF-8 JSON files (schema below); unknown and
-repeated keys are rejected so typos fail fast. All randomness derives from one master seed
-through a documented counter scheme, so identical scenario + seed produce
-byte-identical CSV artifacts regardless of how the work is split up, with
-one qualification: the Toeplitz solve of chirp sounding rounds with the
-number of BLAS threads, so ``trlink sound`` and sweeps with a sounded
+repeated keys are rejected so typos fail fast. All randomness derives from
+one master seed through a documented counter scheme, so identical scenario +
+seed produce byte-identical CSV artifacts regardless of how the work is split
+up, with one qualification: the Toeplitz solve of chirp sounding rounds with
+the number of BLAS threads, so ``trlink sound`` and sweeps with a sounded
 ``sounding`` block are byte-reproducible for a fixed BLAS thread count
 (``results/sound`` was made with ``OPENBLAS_NUM_THREADS=1``). The seeds are:
 

@@ -640,11 +640,10 @@ class TestFocusingExperiment:
             other = None if report.other_index is None else targets.index(report.other_index)
             alone = tmp_path / "alone.csv"
             focusing_report(ensemble, block, targets, [(column, other, report.spacing)], [alone])
-            if report.other_index is None:
-                name = f"focus_single_t{scenario.target_indices.index(report.target_index)}.csv"
+            if other is None:
+                name = f"focus_single_t{column}.csv"
             else:
-                role = scenario.target_indices.index(report.target_index)
-                name = f"focus_two_user_D{report.spacing}_t{role}.csv"
+                name = f"focus_two_user_D{report.spacing}_t{column}.csv"
             assert written[name] == alone.read_bytes(), name
         run_focusing_experiment(scenario, out_dir=out)
         assert {p.name: p.read_bytes() for p in out.iterdir()} == written
@@ -1224,6 +1223,10 @@ class TestCli:
             pytest.param(("d_values",), [15.7], [], "d_values", id="spacing-float"),
             pytest.param(("d_values",), [2], [], "d_values", id="spacing-overlaps"),
             pytest.param(("d_values",), [15, 15], [], "d_values", id="d-values-repeated"),
+            pytest.param(
+                ("targets_mm",), [-2.7, -2.7], [], "targets must be distinct",
+                id="targets-coincident",
+            ),
             pytest.param(("trials",), 1.9, [], "trials", id="trials-float"),
             # 4 * 127 pulse-response samples per trial at num_taps 64, num_rx 2
             pytest.param(("trials",), 10**6, [], "trials", id="trials-above-the-kernel-cap"),
