@@ -117,20 +117,16 @@ def xcorr(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _fftconvolve(np.conj(a[::-1]), b)
 
 
-def complex_noise(
-    size: int,
-    sigma: float,
-    rng_seed: int | list[int] | None,
-    at: np.ndarray | None = None,
-) -> np.ndarray:
+def complex_noise(size: int, sigma: float, rng_seed: int | list[int] | None) -> np.ndarray:
     """White circular complex Gaussian noise, ``E|n|^2 = sigma^2`` (seed/noise contract v1).
 
-    The draw always spans ``size`` samples. Given an index array ``at``, only
-    those samples are returned, equal bit for bit to indexing the full draw.
+    The generator draws the ``size`` real parts, then the ``size`` imaginary
+    parts, each scaled by ``sigma / sqrt(2)``. The BER engine reads this
+    draw at its windows without holding it whole
+    (:func:`trlink.precoding.received_at`); sounding and the test oracles
+    take it whole.
     """
     z = np.random.default_rng(rng_seed).standard_normal((2, size))
-    if at is not None:
-        z = z[:, at]
     return sigma / np.sqrt(2.0) * (z[0] + 1j * z[1])
 
 

@@ -89,7 +89,8 @@ its detector's window samples (:func:`trlink.precoding.received_at`) as
 blocked real matrix products, so a cell costs ``2*(2*(L // D) + 1)`` real
 multiply-adds per user for each sample the detector reads, plus one
 full-length noise draw per antenna and frame (noise contract v1,
-unchanged).
+unchanged), streamed through a fixed buffer and read at the windows, so
+the cell's memory does not grow with the frame.
 
 BER CSV columns are fixed: ``scheme,D,snr_db,bits_sent,bit_errors,ber,seed``
 with one file per (scheme, spacing) and one row per (SNR point, trial).
@@ -161,12 +162,13 @@ BER_CSV_HEADER = ["scheme", "D", "snr_db", "bits_sent", "bit_errors", "ber", "se
 # positions_mm list to the same cap.
 _MAX_GRID_POSITIONS = 10_000
 
-# A BER frame of (M-1)*max(d_values) + 2L - 1 samples sets the length of the
-# full-length noise draw per antenna (noise contract v1), a sweep holds
-# every trial's (N, N, 2L - 1) pulse responses before its first cell, and a
-# focusing experiment holds the (P, N, 2L - 1) field of every target over
-# the grid, with transform buffers of about that size; ten million samples
-# keeps each near 160 MB.
+# A BER frame of (M-1)*max(d_values) + 2L - 1 samples sets the length of
+# each antenna's noise draw (noise contract v1), which is streamed, so it
+# bounds the draw's time, not its memory; a sweep holds every trial's
+# (N, N, 2L - 1) pulse responses before its first cell, and a focusing
+# experiment holds the (P, N, 2L - 1) field of every target over the grid,
+# with transform buffers of about that size; ten million samples keeps each
+# of those near 160 MB.
 _MAX_FRAME_SAMPLES = 10_000_000
 
 #: Time-bandwidth products of the sounding study's probe chirps.

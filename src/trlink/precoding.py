@@ -54,8 +54,9 @@ K_ni``, so :func:`received_at` gives the BER sweep the samples at the
 detector's windows only, never the ``(M-1)*D + 2L - 1``-sample signal:
 each window is the few real symbol amplitudes whose pulses reach it times
 a fixed matrix of ``K_ni`` samples, computed as blocked real matrix products.
-Its noise is drawn at that full length, antenna ``n``'s seeded
-``[*seed_path, n]`` (seed/noise contract v1), and indexed.
+Its noise is antenna ``n``'s full-length draw seeded ``[*seed_path, n]``
+(seed/noise contract v1) read at the windows, streamed through one small
+buffer and added in place, so no frame's draw is ever held whole.
 
 The full-signal references the tests hold these paths to (the emission
 ``s``, ``K_ni`` as a correlation, and the whole noisy received signal) live
@@ -76,7 +77,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .channel import SpatialChannelEnsemble, as_taps, energy
-from .dsp import complex_noise, convolve
+from .dsp import convolve
 from .errors import ConfigurationError, DomainError
 from .modem import WINDOW_HALF_WIDTH, DetectionWindow
 from .output import comment_lines, csv_text, write_text
@@ -85,6 +86,12 @@ from .output import comment_lines, csv_text, write_text
 # of doubles) into each block it multiplies, so memory does not grow with
 # the frame.
 _BLOCK_ELEMENTS = 2**15
+
+# The receiver noise is drawn through one buffer of this many doubles (64
+# KiB). It and every temporary of the noise path stay below glibc's 128 KiB
+# mmap threshold, so they come from the heap and are not mapped, and faulted
+# in, again on every call.
+_NOISE_BLOCK = 8192
 
 
 def _check_symbols(symbols: np.ndarray, num_users: int, spacing: int) -> np.ndarray:
@@ -118,9 +125,45 @@ def _target_energy(h: np.ndarray) -> float:
     return e
 
 
-def _receiver_noise(num_rx: int, size: int, sigma: float, seed_path, at) -> np.ndarray:
-    """Row ``n``: receiver ``n``'s noise, seeded ``[*seed_path, n]`` (contract v1), at ``at``."""
-    return np.stack([complex_noise(size, sigma, [*seed_path, n], at) for n in range(num_rx)])
+def _add_window_noise(
+    field: np.ndarray, peak: int, spacing: int, length: int, sigma: float, seed_path
+) -> None:
+    """Add each antenna's contract-v1 noise to its ``(M, 2w+1)`` windows, in place.
+
+    Antenna ``n``'s noise is ``complex_noise(length, sigma, [*seed_path, n])``
+    read at the window lags, a read past either end reading the end sample:
+    its generator draws ``length`` real parts, then the imaginary parts. The
+    stream is drawn in blocks of ``_NOISE_BLOCK`` into one buffer and never
+    held whole, and the imaginary parts stop after the last lag. Offset
+    ``k``'s lags ``peak - w + k + m*spacing`` fall in a block as one strided
+    slice of it, scaled by ``sigma / sqrt(2)`` and added to the field's real
+    or imaginary parts, which is ``complex_noise``'s arithmetic bit for bit.
+    """
+    num_rx, num_symbols, width = field.shape
+    firsts = [peak - width // 2 + k for k in range(width)]  # offset k's lag at m = 0
+    stop = min(firsts[-1] + (num_symbols - 1) * spacing, length - 1) + 1
+    scale = sigma / np.sqrt(2.0)
+    buffer = np.empty(_NOISE_BLOCK)
+    for n in range(num_rx):
+        rng = np.random.default_rng([*seed_path, n])
+        for part, drawn in ((field[n].real, length), (field[n].imag, stop)):
+            for start in range(0, drawn, _NOISE_BLOCK):
+                end = min(start + _NOISE_BLOCK, drawn)
+                block = rng.standard_normal(out=buffer[: end - start])
+                if start >= stop:
+                    continue
+                for k, first in enumerate(firsts):
+                    # m in [lo, hi) reads the block; a clipped lag, m in
+                    # [0, lo) or [hi, M), reads the signal's end sample
+                    lo = max(0, -((first - start) // spacing))
+                    hi = min(num_symbols, -((first - end) // spacing))
+                    if lo < hi:
+                        at = first + lo * spacing - start
+                        part[lo:hi, k] += scale * block[at::spacing][: hi - lo]
+                    if start == 0 and lo > 0:
+                        part[:lo, k] += scale * block[0]
+                    if end == length and hi < num_symbols:
+                        part[hi:, k] += scale * block[-1]
 
 
 def propagate(signal: np.ndarray, taps: np.ndarray) -> np.ndarray:
@@ -194,8 +237,10 @@ def received_at(
     stored with real and imaginary parts interleaved, the users' windows
     sit side by side, and one real matrix product per block of at most
     ``_BLOCK_ELEMENTS`` window entries gives those windows' samples. The
-    noise is drawn at the full length and indexed (noise contract v1). The
-    full-signal reference is ``tests/oracles.py``'s ``received_signal``.
+    noise (contract v1) is each antenna's full-length draw read at the
+    windows, streamed ``_NOISE_BLOCK`` samples at a time and added in place,
+    so its memory does not grow with the frame. The full-signal reference is
+    ``tests/oracles.py``'s ``received_signal``.
     Returns shape ``(N, M, 2w+1)``.
     """
     kernels = np.asarray(kernels)
@@ -237,14 +282,13 @@ def received_at(
     field = np.ascontiguousarray(field.transpose(1, 0, 2))
 
     length = (num_symbols - 1) * spacing + size
-    lags = DetectionWindow(num_symbols, peak + 1, spacing).lags
     if peak < WINDOW_HALF_WIDTH:
         # the first and last windows reach past the signal's end samples
+        lags = DetectionWindow(num_symbols, peak + 1, spacing).lags
         field[:, lags < 0] = (kernels[:, :, 0] @ symbols[:, 0])[:, None]
         field[:, lags >= length] = (kernels[:, :, -1] @ symbols[:, -1])[:, None]
     if noise_sigma > 0.0:
-        index = np.clip(lags, 0, length - 1)
-        field += _receiver_noise(num_rx, length, noise_sigma, seed_path, at=index)
+        _add_window_noise(field, peak, spacing, length, noise_sigma, seed_path)
     return field
 
 

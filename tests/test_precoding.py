@@ -1,6 +1,7 @@
 """Precoding kernel, emission normalisation, propagation, focusing metrics."""
 
 import math
+import tracemalloc
 from dataclasses import astuple
 
 import numpy as np
@@ -409,6 +410,45 @@ class TestReceivedAt:
         length = 3 * 5 + 2 * 32 - 1
         for n in range(3):
             assert np.array_equal(field[n], complex_noise(length, 0.3, [7, 1, n])[lags])
+
+    @pytest.mark.parametrize("num_taps, spacing", [(1, 1), (1, 4), (32, 1), (32, 5)])
+    @pytest.mark.parametrize("frame", ["one-block", "one-over", "many-blocks"])
+    def test_streamed_noise_is_the_full_draw_across_blocks(self, num_taps, spacing, frame):
+        # the noise is drawn in blocks of _NOISE_BLOCK samples: frames of
+        # exactly one block, one sample over and several (exact at spacing
+        # 1) still read the whole draw at the lags; with one tap the end
+        # windows clip, and both the real and imaginary draws end at a lag
+        block = precoding._NOISE_BLOCK
+        target = {"one-block": block, "one-over": block + 1}.get(frame, 4 * block + 7)
+        num_symbols = (target - (2 * num_taps - 1)) // spacing + 1
+        length = (num_symbols - 1) * spacing + 2 * num_taps - 1
+        rng = np.random.default_rng(9)
+        cirs = [random_cir(rng, num_taps) for _ in range(2)]
+        kernels = pulse_responses(cirs, cirs[:1])
+        field = received_at(np.zeros((1, num_symbols)), kernels, spacing, 0.3, [7, 1])
+        lags = np.clip(DetectionWindow(num_symbols, num_taps, spacing).lags, 0, length - 1)
+        for n in range(2):
+            assert np.array_equal(field[n], complex_noise(length, 0.3, [7, 1, n])[lags])
+
+    def test_noise_memory_does_not_grow_with_the_frame(self):
+        # one two-antenna RASK frame of 10,000 symbols at L = 256: the D = 30
+        # frame is six times the D = 5 one, and its noise is never held whole
+        rng = np.random.default_rng(0)
+        cirs = [random_cir(rng, 256) for _ in range(2)]
+        kernels = pulse_responses(cirs, cirs)
+        symbols = rask_modulate(rng.integers(0, 2, 10_000))
+        peaks = {}
+        for spacing in (5, 30):
+            received_at(symbols, kernels, spacing, 0.5, [1, 2])
+            tracemalloc.start()
+            try:
+                received_at(symbols, kernels, spacing, 0.5, [1, 2])
+                peaks[spacing] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        full_draw = 2 * ((symbols.shape[1] - 1) * 30 + 2 * 256 - 1) * 8
+        assert peaks[30] <= peaks[5]
+        assert peaks[30] < full_draw
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(7)
