@@ -102,10 +102,10 @@ POSITION_TOL_MM = 1e-6
 # their O(L^3) factorisations.
 _MAX_TAPS = 4096
 
-# Sounding pulse-compresses a block of noisy rows at a time, at most this
-# many complex samples per buffer (16 MB), so the transforms do not grow
-# with the batch: each noisy row's noise at the received signal's length
-# _fast_len(n + L - 1).
+# Sounding pulse-compresses a block of noisy rows at a time in one buffer
+# of at most this many complex samples (16 MB), so the transforms do not
+# grow with the batch: each noisy row's noise at the received signal's
+# length _fast_len(n + L - 1).
 _BLOCK_SAMPLES = 2**20
 
 _SQRT_HALF = math.sqrt(0.5)
@@ -421,7 +421,11 @@ def sound_cir(
     linear ones.
 
     The noisy rows are compressed as stacks, in blocks of at most
-    ``_BLOCK_SAMPLES`` samples per buffer, and share one Gram. Demodulated
+    ``_BLOCK_SAMPLES`` samples, and share one Gram. Each block's noise is
+    drawn into one zero-padded ``(rows, m)`` buffer, which the forward
+    transform, the product with the conjugated chirp spectrum (itself
+    transformed in one zero-padded ``m``-sample buffer) and the inverse
+    transform overwrite in place; one buffer serves every block. Demodulated
     by ``conj(d)``, their windows are solved against the real symmetric
     centrosymmetric ``S``, which one fold splits into two real systems of
     half the size (:func:`_toeplitz_solve`); each half's one LU
@@ -466,19 +470,23 @@ def sound_cir(
             noisy.append((row, sigma, cfg.rng_seed))
     if noisy:
         m = _fast_len(received_len)
-        chirp_spectrum = np.fft.fft(chirp, m)
-        block = max(1, _BLOCK_SAMPLES // m)
-        windows = []
-        for start in range(0, len(noisy), block):
-            noise = np.stack([
-                complex_noise(received_len, sigma, seed)
-                for _, sigma, seed in noisy[start : start + block]
-            ])
-            spectrum = np.conj(chirp_spectrum) * np.fft.fft(noise, m, axis=-1)
-            compressed = np.fft.ifft(spectrum, axis=-1)
-            windows.append(compressed[:, :num_taps] / chirp_energy)
+        matched = np.zeros(m, dtype=np.complex128)
+        matched[: len(chirp)] = chirp
+        np.fft.fft(matched, out=matched)
+        np.conj(matched, out=matched)
+        buffer = np.empty((min(len(noisy), max(1, _BLOCK_SAMPLES // m)), m), dtype=np.complex128)
+        windows = np.empty((len(noisy), num_taps), dtype=np.complex128)
+        for start in range(0, len(noisy), len(buffer)):
+            block = buffer[: len(noisy) - start]
+            for noise, (_, sigma, seed) in zip(block, noisy[start : start + len(block)]):
+                noise[:received_len] = complex_noise(received_len, sigma, seed)
+            block[:, received_len:] = 0.0
+            np.fft.fft(block, axis=-1, out=block)
+            np.multiply(matched, block, out=block)
+            np.fft.ifft(block, axis=-1, out=block)
+            np.divide(block[:, :num_taps], chirp_energy, out=windows[start : start + len(block)])
         rows = [row for row, _, _ in noisy]
-        estimates[rows] += _toeplitz_solve(real_lags, modulation, np.concatenate(windows))
+        estimates[rows] += _toeplitz_solve(real_lags, modulation, windows)
     estimates.flags.writeable = False
     return estimates
 

@@ -127,12 +127,16 @@ def complex_noise(size: int, sigma: float, rng_seed: int | list[int] | None) -> 
     take it whole.
     """
     z = np.random.default_rng(rng_seed).standard_normal((2, size))
-    return sigma / np.sqrt(2.0) * (z[0] + 1j * z[1])
+    noise = np.empty(size, dtype=np.complex128)
+    noise.real = z[0]
+    noise.imag = z[1]
+    noise *= sigma / np.sqrt(2.0)
+    return noise
 
 
 # A sounding chirp is transformed with each noisy row's noise at the
-# received length, several complex buffers at a time; a million samples
-# (time-bandwidth product 1e6) keeps each near 16 MB.
+# received length, in one complex buffer per block of noisy rows; a million
+# samples (time-bandwidth product 1e6) keeps each row near 16 MB.
 _MAX_CHIRP_SAMPLES = 1_000_000
 
 
@@ -171,9 +175,20 @@ def make_chirp(bandwidth: float, duration: float) -> np.ndarray:
             ``_MAX_CHIRP_SAMPLES``.
     """
     num_samples = _chirp_samples(bandwidth, duration)
-    t = np.arange(num_samples) / bandwidth
-    phase = 2.0 * np.pi * (-0.5 * bandwidth * t + bandwidth / (2.0 * duration) * t**2)
-    return np.exp(1j * phase)
+    # phase = 2 pi (-bandwidth t / 2 + bandwidth t^2 / (2 duration)) at the
+    # sample times t, built term by term in place; the returned array's real
+    # half holds the quadratic term meanwhile
+    phase = np.arange(num_samples, dtype=np.float64)
+    phase /= bandwidth
+    chirp = np.empty(num_samples, dtype=np.complex128)
+    quadratic = np.square(phase, out=chirp.real)
+    quadratic *= bandwidth / (2.0 * duration)
+    phase *= -0.5 * bandwidth
+    phase += quadratic
+    phase *= 2.0 * np.pi
+    chirp.real = 0.0
+    chirp.imag = phase
+    return np.exp(chirp, out=chirp)
 
 
 def chirp_gram(bandwidth: float, duration: float, num_taps: int) -> tuple[np.ndarray, float]:

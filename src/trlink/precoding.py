@@ -260,8 +260,8 @@ def received_at(
         return np.zeros((num_rx, 0, offsets.size), dtype=np.complex128)
 
     # gathered[i, c, n, o] = K_ni[L-1 + (span - c)*spacing + o], zero off the
-    # kernel; viewed as float64 it is user i's real matrix, and the product's
-    # interleaved (re, im) columns view back as the complex field.
+    # kernel; viewed as float64 it is user i's real matrix, and antenna n's
+    # interleaved (re, im) columns are the field's row n viewed as float64.
     taps = peak + np.arange(span, -span - 1, -1)[:, None] * spacing + offsets
     gathered = np.where((taps >= 0) & (taps < size), kernels[:, :, np.clip(taps, 0, size - 1)], 0)
     gathered = np.ascontiguousarray(gathered.transpose(1, 2, 0, 3), dtype=np.complex128)
@@ -270,16 +270,18 @@ def received_at(
     padded[:, span : span + num_symbols] = symbols.real
     windows = sliding_window_view(padded, width, axis=1)
 
-    product = np.empty((num_symbols, matrix.shape[1]))
+    # antennas[n] is antenna n's columns; each block of windows is written
+    # straight into the field, one matrix product per antenna
+    antennas = matrix.reshape(matrix.shape[0], num_rx, -1).transpose(1, 0, 2)
+    field = np.empty((num_rx, num_symbols, offsets.size), dtype=np.complex128)
+    columns = field.view(np.float64)
     rows = max(1, _BLOCK_ELEMENTS // matrix.shape[0])
     for start in range(0, num_symbols, rows):
         stop = min(start + rows, num_symbols)
         # one user's reshape is still a view of overlapping windows, which
         # numpy's matmul cannot hand to BLAS; two or more are copied anyway
         block = windows[:, start:stop].transpose(1, 0, 2).reshape(stop - start, -1)
-        np.matmul(np.ascontiguousarray(block), matrix, out=product[start:stop])
-    field = product.view(np.complex128).reshape(num_symbols, num_rx, offsets.size)
-    field = np.ascontiguousarray(field.transpose(1, 0, 2))
+        np.matmul(np.ascontiguousarray(block), antennas, out=columns[:, start:stop])
 
     length = (num_symbols - 1) * spacing + size
     if peak < WINDOW_HALF_WIDTH:

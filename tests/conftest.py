@@ -4,6 +4,8 @@ The slow reference implementations the tests check against live in
 ``oracles.py``.
 """
 
+import tracemalloc
+
 import numpy as np
 from hypothesis import HealthCheck, settings
 
@@ -21,6 +23,17 @@ settings.load_profile("trlink")
 
 def complex_gaussian(rng: np.random.Generator, n: int) -> np.ndarray:
     return (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2.0)
+
+
+def traced_peak(call) -> int:
+    """``tracemalloc``'s peak, in bytes, over one ``call()`` after a warm-up call."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def cir(taps) -> np.ndarray:

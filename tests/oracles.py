@@ -12,7 +12,10 @@ instead, the way the link is described:
   noiseless ``propagate``, then receiver ``n``'s noise seeded
   ``[*seed_path, n]`` (seed/noise contract v1);
 * :func:`direct_convolve` and :func:`direct_xcorr` - textbook double-loop
-  sums, independent of the transform-domain fast paths in ``trlink.dsp``.
+  sums, independent of the transform-domain fast paths in ``trlink.dsp``;
+* :func:`noise_expression` and :func:`chirp_expression` - contract v1's
+  noise and the probe chirp as one expression each, which ``trlink.dsp``
+  builds in place with the same arithmetic, bit for bit.
 """
 
 import math
@@ -20,7 +23,7 @@ import math
 import numpy as np
 
 from trlink.channel import as_taps
-from trlink.dsp import complex_noise, convolve, xcorr
+from trlink.dsp import _chirp_samples, complex_noise, convolve, xcorr
 from trlink.precoding import _check_symbols, _target_energy, propagate
 
 
@@ -107,3 +110,16 @@ def direct_xcorr(a: np.ndarray, b: np.ndarray) -> np.ndarray:
                 acc += np.conj(a[i]) * b[k]
         out[j] = acc
     return out
+
+
+def noise_expression(size: int, sigma: float, rng_seed) -> np.ndarray:
+    """``complex_noise`` as one expression over its ``(2, size)`` draw."""
+    z = np.random.default_rng(rng_seed).standard_normal((2, size))
+    return sigma / np.sqrt(2.0) * (z[0] + 1j * z[1])
+
+
+def chirp_expression(bandwidth: float, duration: float) -> np.ndarray:
+    """``make_chirp`` as one expression over the sample times ``t``."""
+    t = np.arange(_chirp_samples(bandwidth, duration)) / bandwidth
+    phase = 2.0 * np.pi * (-0.5 * bandwidth * t + bandwidth / (2.0 * duration) * t**2)
+    return np.exp(1j * phase)

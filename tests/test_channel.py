@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import trlink.channel as channel
-from conftest import cir, energy
+from conftest import cir, energy, traced_peak
 from trlink.channel import (
     CavityParams,
     SoundingConfig,
@@ -476,6 +476,13 @@ class TestSoundingBatch:
             blocked = sound_cir(cirs, cfgs, 4e9)
             for x, y in zip(blocked, one_block):
                 assert np.array_equal(x, y)
+
+    def test_memory_is_one_buffer_per_block(self):
+        # two noisy rows at TB 10^4: their noise transforms in one (2, m)
+        # buffer, m = _fast_len(10,255) = 10,290, about 0.31 MiB
+        cirs = [_synth_cir(41, 256), _synth_cir(42, 256)]
+        cfgs = [SoundingConfig(10_000 / 4e9, 20.0, rng_seed=seed) for seed in (1, 2)]
+        assert traced_peak(lambda: sound_cir(cirs, cfgs, 4e9)) <= 1.25 * 2**20
 
     def test_rejects_malformed_batches(self):
         cirs, cfgs = _mixed_batch(8, 32)

@@ -10,11 +10,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import complex_gaussian, max_rel_error
-from oracles import direct_convolve, direct_xcorr
+from conftest import complex_gaussian, max_rel_error, traced_peak
+from oracles import chirp_expression, direct_convolve, direct_xcorr, noise_expression
 from trlink.dsp import (
     NUMERIC_RTOL,
     _fast_len,
+    complex_noise,
     convolve,
     make_chirp,
     xcorr,
@@ -196,6 +197,31 @@ class TestMakeChirp:
     def test_rejects_a_chirp_just_past_the_cap(self):
         with pytest.raises(ConfigurationError, match="the cap is 1000000"):
             make_chirp(4e9, 1_000_001 / 4e9)
+
+    # duration * bandwidth = n' both an integer and not one
+    @pytest.mark.parametrize("n_prime", [100.0, 100.4, 10_000.0, 12_345.6])
+    def test_equals_the_one_expression_bit_for_bit(self, n_prime):
+        chirp = make_chirp(4e9, n_prime / 4e9)
+        assert chirp.tobytes() == chirp_expression(4e9, n_prime / 4e9).tobytes()
+
+    def test_memory_is_at_most_twice_the_chirp(self):
+        num_samples = 10_000
+        peak = traced_peak(lambda: make_chirp(4e9, num_samples / 4e9))
+        assert peak <= 2.1 * 16 * num_samples
+
+
+class TestComplexNoise:
+    # sizes on both sides of 16,384 samples, and sigma across six decades and 0
+    @pytest.mark.parametrize("size", [1, 1_000, 16_383, 16_385, 100_000])
+    @pytest.mark.parametrize("sigma", [0.0, 1e-3, 1.0, 1e3])
+    def test_equals_the_one_expression_bit_for_bit(self, size, sigma):
+        noise = complex_noise(size, sigma, [5, size])
+        assert noise.tobytes() == noise_expression(size, sigma, [5, size]).tobytes()
+
+    def test_memory_is_at_most_twice_the_noise(self):
+        size = 10_000
+        peak = traced_peak(lambda: complex_noise(size, 1.0, 3))
+        assert peak <= 2.1 * 16 * size
 
 
 length = st.integers(min_value=1, max_value=200)
