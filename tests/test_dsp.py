@@ -218,7 +218,7 @@ class TestComplexNoise:
         noise = complex_noise(size, sigma, [5, size])
         assert noise.tobytes() == noise_expression(size, sigma, [5, size]).tobytes()
 
-    def test_memory_is_at_most_twice_the_noise(self):
+    def test_memory_is_about_twice_the_noise(self):
         size = 10_000
         peak = traced_peak(lambda: complex_noise(size, 1.0, 3))
         assert peak <= 2.1 * 16 * size
