@@ -1,15 +1,17 @@
 """The one place an output file comes into being.
 
-:func:`write_text` creates the target directory, writes the whole content
-to ``<name>.partial`` in that directory and renames it into place with
-``os.replace``. A reader sees the old file or the complete new one; if
-anything raises, the partial file is deleted and the target keeps its bytes.
+:func:`write_text` writes the whole content, encoded as UTF-8 with its
+newlines untranslated, to ``<name>.partial`` beside the target and renames
+it into place with ``os.replace``. A reader sees the old file or the
+complete new one; if anything raises, the partial file is deleted and the
+target keeps its bytes. The target's directory is created, with any
+missing parents, only when it does not exist yet.
 
-A CSV is rendered as text first (:func:`csv_text`: the header and rows)
-and written by :func:`write_text`; :func:`write_csv` is the two in one.
-Rendering apart from writing lets a caller render rows shared by several
-files once and put each file's own ``# comment`` lines
-(:func:`comment_lines`) in front of them.
+A CSV is rendered as text (:func:`csv_text`: the header and rows) and
+written by :func:`write_text`; :func:`write_csv` is the two in one. A
+caller that renders its own rows puts a file's ``# comment`` lines
+(:func:`comment_lines`) in front of them and writes the text with
+:func:`write_text`.
 """
 
 from __future__ import annotations
@@ -20,18 +22,29 @@ import os
 from collections.abc import Iterable
 from pathlib import Path
 
+# A new or truncated file, opened for writing bytes as they are.
+_CREATE = os.O_WRONLY | os.O_CREAT | os.O_TRUNC | getattr(os, "O_BINARY", 0)
+
 
 def write_text(path: str | Path, text: str) -> None:
     """Atomically replace ``path`` with ``text`` (UTF-8, newlines untranslated)."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    partial = path.with_name(path.name + ".partial")
+    data = text.encode("utf-8")
+    partial = os.fspath(path) + ".partial"
     try:
-        with open(partial, "w", newline="", encoding="utf-8") as f:
-            f.write(text)
+        fd = os.open(partial, _CREATE, 0o666)
+    except FileNotFoundError:
+        os.makedirs(os.path.dirname(partial), exist_ok=True)
+        fd = os.open(partial, _CREATE, 0o666)
+    try:
+        try:
+            view = memoryview(data)
+            while view:
+                view = view[os.write(fd, view) :]
+        finally:
+            os.close(fd)
         os.replace(partial, path)
     except BaseException:
-        partial.unlink(missing_ok=True)
+        Path(partial).unlink(missing_ok=True)
         raise
 
 

@@ -80,7 +80,7 @@ from .channel import SpatialChannelEnsemble, as_taps, energy
 from .dsp import convolve
 from .errors import ConfigurationError, DomainError
 from .modem import WINDOW_HALF_WIDTH, DetectionWindow
-from .output import comment_lines, csv_text, write_text
+from .output import comment_lines, write_text
 
 # The window engine copies at most this many symbol-window entries (256 KiB
 # of doubles) into each block it multiplies, so memory does not grow with
@@ -488,12 +488,12 @@ def focusing_report(
         profiles: dict[int, str] = {}
         for (column, _, _), report, path in zip(jobs, reports, paths, strict=True):
             if column not in profiles:
-                profiles[column] = csv_text(_PROFILE_HEADER, report.spatial_profile)
+                # the rows csv.writer writes for floats: repr, comma, CRLF
+                profiles[column] = "position_mm,peak_abs\r\n" + "".join(
+                    f"{position!r},{value!r}\r\n" for position, value in report.spatial_profile
+                )
             write_text(path, comment_lines(_report_comments(report)) + profiles[column])
     return reports
-
-
-_PROFILE_HEADER = ("position_mm", "peak_abs")
 
 
 def _report_comments(report: FocusingReport) -> list[str]:

@@ -22,6 +22,7 @@ from trlink.dsp import NUMERIC_RTOL, complex_noise, convolve
 from trlink.errors import ConfigurationError, DomainError
 from trlink.harness import _pilot_targets, grid_positions
 from trlink.modem import DetectionWindow, erask_modulate, rask_modulate
+from trlink.output import csv_text
 from trlink.precoding import (
     focusing_report,
     full_width_half_max,
@@ -602,6 +603,31 @@ class TestFocusingReport:
         first_pos, first_val = data[1].split(",")
         assert float(first_pos) == report.spatial_profile[0][0]
         assert float(first_val) == report.spatial_profile[0][1]
+
+    def test_profile_rows_match_the_csv_writer(self, tmp_path, monkeypatch):
+        # the profile block is rendered without csv.writer; output.csv_text,
+        # which write_csv uses, is the oracle for floats that print oddly
+        awkward = (
+            (5e-324, 1.7976931348623157e308),
+            (-0.0, math.nan),
+            (math.inf, 0.1 + 0.2),
+            (-math.inf, -0.0),
+            (0.1 + 0.2, 5e-324),
+        )
+        target_focus = precoding._target_focus
+
+        def with_awkward_profile(*args):
+            return {**target_focus(*args), "spatial_profile": awkward}
+
+        monkeypatch.setattr(precoding, "_target_focus", with_awkward_profile)
+        ensemble = _dense_grid_ensemble(4)
+        target = grid_index(ensemble.positions_mm, -1.8)
+        fields = pulse_responses(ensemble.taps, ensemble.taps[[target]])
+        path = tmp_path / "report.csv"
+        focusing_report(ensemble, fields, [target], [(0, None, 15)], [path])
+        text = path.read_bytes().decode("utf-8")
+        block = text[text.index("position_mm") :]
+        assert block == csv_text(("position_mm", "peak_abs"), awkward)
 
 
 class TestFullWidthHalfMax:
