@@ -1,6 +1,7 @@
 """Scenario schema, seeded BER sweeps, focusing experiment, CLI contract."""
 
 import copy
+import hashlib
 import json
 import math
 import os
@@ -446,7 +447,9 @@ class TestBerSweep:
 
         monkeypatch.setattr(harness, "sound_cir", recording)
         scenario = small_scenario(
-            targets_mm=[-1.8, -2.7], bits_per_point=20, sounding={"duration_s": 6.4e-8}
+            targets_mm=[-1.8, -2.7],
+            bits_per_point=20,
+            sounding={"duration_s": 6.4e-8, "snr_db": 20.0},
         )
         run_ber_sweep(scenario)
         assert scenario.target_indices == (15, 12)
@@ -725,16 +728,35 @@ class TestCommittedResults:
     def test_sounding_reproduces_committed_csv(self, tmp_path):
         # The committed file was made with one BLAS thread: a threaded LU
         # rounds the Toeplitz solve differently, in the last digits.
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-        src = str(ROOT / "src")
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-        subprocess.run(
-            [sys.executable, "-m", "trlink", "sound",
-             "--scenario", str(ROOT / "scenarios" / "focus_grid.json"), "--out", str(tmp_path)],
-            env=env, capture_output=True, check=True,
-        )
+        _run_one_blas_thread("sound", ROOT / "scenarios" / "focus_grid.json", tmp_path)
         name = "sounding_error.csv"
         assert (tmp_path / name).read_bytes() == (ROOT / "results" / "sound" / name).read_bytes()
+
+    def test_sounded_ber_sweep_reproduces_pinned_csvs(self, tmp_path):
+        # sounding -> precoding -> BER: the two_user link precoding with
+        # noisy sounded estimates instead of the truth, at one BLAS thread
+        doc = dict(
+            TWO_USER,
+            sounding={"duration_s": 2.5e-8, "snr_db": 20},
+            trials=2,
+            snr_grid_db=[10, 30],
+            bits_per_point=2000,
+        )
+        scenario_path = tmp_path / "sounded.json"
+        scenario_path.write_text(json.dumps(doc), encoding="utf-8")
+        _run_one_blas_thread("ber", scenario_path, tmp_path / "ber")
+        digests = {
+            path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in (tmp_path / "ber").iterdir()
+        }
+        assert digests == {
+            "ber_erask_D5.csv": "417d0a00e6f79701481036bb0fa77986971ac0e04a7ec153fa81557e755faef9",
+            "ber_erask_D15.csv": "02d5d599366c0cd80cf987c42649651098653ac159f104abf0cfe092f2173425",
+            "ber_erask_D30.csv": "aa4636f2bfa82b1ee6a53013bd4dea096f761348d2b8bf2d8d1ab70cae9758be",
+            "ber_rask_D5.csv": "3ec6cf1098c546ec2ad57b131d1c44ede05e48f64556b0b9b54ae5c2de7cd1b2",
+            "ber_rask_D15.csv": "b7decf0b74f203f52994fd6570d66c61cc3fb3aa6a52d951935d7d12f1055bde",
+            "ber_rask_D30.csv": "b0db94826d741cad6ad9520c5543e970f57d42d9b2bb2222e02e6185eb053d9f",
+        }
 
     def test_focusing_from_the_exported_ensemble_reproduces_committed_csvs(self, tmp_path):
         # synth exports trial 0's ensemble, and a scenario importing it sees
@@ -753,6 +775,18 @@ class TestCommittedResults:
         assert [p.name for p in committed] == sorted(p.name for p in out.iterdir())
         for path in committed:
             assert (out / path.name).read_bytes() == path.read_bytes(), path.name
+
+
+def _run_one_blas_thread(command: str, scenario_path: Path, out: Path) -> None:
+    """``python -m trlink <command>`` in a child process limited to one BLAS thread."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    src = str(ROOT / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    subprocess.run(
+        [sys.executable, "-m", "trlink", command,
+         "--scenario", str(scenario_path), "--out", str(out)],
+        env=env, capture_output=True, check=True,
+    )
 
 
 def _committed_sounding_rows() -> list[tuple[int, float, float]]:
