@@ -42,16 +42,16 @@ memoised with one entry (:func:`_kernel_sqrt`): repeated draws over one
 grid, such as a scenario's trials, factorise the kernel once. The cached
 root is read-only and equals a fresh one bit for bit.
 
-Sounding (:func:`sound_cir`) estimates a batch of responses that share one
-probe chirp, built from the batch's one ``duration_s``; each row keeps its
-own probe SNR and noise seed. The least-squares estimate from a noisy
-recording is the truth plus the noise solved through the chirp's Gram, and
-sounding computes it in that form. A noiseless row is its taps, bit for
-bit. A noisy row's probe power is a quadratic form in the Gram, which is
-built in closed form (:func:`~trlink.dsp.chirp_gram`), and only its noise
-is correlated with the chirp, at the received signal's transform length,
-the smallest fast length holding its ``n + L - 1`` samples, which holds
-lags ``0 .. L - 1`` without aliasing. The Gram is a unitary diagonal
+Sounding (:func:`sound_cir`) estimates a batch of responses under one
+:class:`SoundingConfig`, the probe chirp's duration and SNR; each row has
+its own noise seed. The least-squares estimate from a noisy recording is
+the truth plus the noise solved through the chirp's Gram, and sounding
+computes it in that form. A noiseless batch is its taps, bit for bit,
+with no chirp built. A noisy row's probe power is a quadratic form in the
+Gram, which is built in closed form (:func:`~trlink.dsp.chirp_gram`), and
+only its noise is correlated with the chirp, at the received signal's
+transform length, the smallest fast length holding its ``n + L - 1``
+samples, which holds lags ``0 .. L - 1`` without aliasing. The Gram is a unitary diagonal
 modulation of a real symmetric centrosymmetric Toeplitz matrix, which one
 fold splits into two real systems of half the size, so two real LUs of
 half the size solve every noisy row. The factorisations and solves run in
@@ -74,7 +74,7 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .dsp import _fast_len, chirp_gram, complex_noise, make_chirp, xcorr
+from .dsp import _fast_len, chirp_gram, chirp_length, complex_noise, make_chirp, xcorr
 from .errors import (
     ConfigurationError,
     DomainError,
@@ -316,7 +316,7 @@ class SpatialChannelEnsemble:
 
 @dataclass(frozen=True)
 class SoundingConfig:
-    """Chirp-sounding parameters.
+    """Chirp-sounding parameters: a scenario's ``sounding`` block.
 
     ``probe_snr_db`` is the power ratio of the noiseless received chirp to
     the additive noise: ``math.inf`` (noiseless probing) or a ``q`` whose
@@ -325,7 +325,6 @@ class SoundingConfig:
 
     duration_s: float
     probe_snr_db: float = math.inf
-    rng_seed: int = 0
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.duration_s) and self.duration_s > 0):
@@ -382,36 +381,38 @@ def synth_cavity_ensemble(
 
 
 def sound_cir(
-    true_taps: np.ndarray, cfgs: Sequence[SoundingConfig], bandwidth_hz: float
+    true_taps: np.ndarray, sounding: SoundingConfig, seeds: Sequence[int], bandwidth_hz: float
 ) -> np.ndarray:
-    """Estimate CIRs by chirp sounding, one estimate per ``(true_taps[k], cfgs[k])``.
+    """Estimate CIRs by chirp sounding, one estimate per ``(true_taps[k], seeds[k])``.
 
     ``true_taps`` is an ``(R, L)`` block (:func:`as_taps`); the estimates
     are returned as another, read-only and C-contiguous. A non-finite tap
-    is a ``DomainError``.
+    is a ``DomainError``, and a seed count other than ``R`` a
+    ``ConfigurationError``.
 
-    The probe is ``make_chirp(bandwidth_hz, duration_s)``, sampled at the
-    taps' rate, the bandwidth; every row must share one ``duration_s``. The
-    chirp is transmitted through each channel (full linear convolution),
-    white circular complex Gaussian noise is added at that row's probe SNR
-    and seed, and the recording is correlated with the chirp (pulse
-    compression, normalised by the chirp energy). Because the chirp's own
-    correlation sidelobes leak between taps, the compressed output over the
-    aligned ``L``-tap window is then deconvolved by solving the Toeplitz
-    normal-equation system built from the chirp's known autocorrelation,
-    which makes the whole procedure the least-squares channel estimate.
+    The probe is ``make_chirp(bandwidth_hz, sounding.duration_s)``, sampled
+    at the taps' rate, the bandwidth. The chirp is transmitted through each
+    channel (full linear convolution), white circular complex Gaussian noise
+    is added at ``sounding.probe_snr_db`` and that row's seed, and the
+    recording is correlated with the chirp (pulse compression, normalised
+    by the chirp energy). Because the chirp's own correlation sidelobes
+    leak between taps, the compressed output over the aligned ``L``-tap
+    window is then deconvolved by solving the Toeplitz normal-equation
+    system built from the chirp's known autocorrelation, which makes the
+    whole procedure the least-squares channel estimate.
 
     That estimate is computed as what it equals. For the ``(n + L - 1, L)``
     convolution matrix ``C`` of an ``n``-sample chirp of energy ``E``, the
     received signal is ``C h + w`` and the least-squares estimate is
     ``h + G^-1 (C^H w / E)`` with the Gram ``G = C^H C / E``: the truth plus
-    the solved noise. So a noiseless row (``probe_snr_db = inf``), or one
-    whose received power is zero, returns its taps bit for bit, with no
-    transform and no solve; with noise the error falls as the
-    time-bandwidth product grows. The Gram is the closed form of
-    :func:`~trlink.dsp.chirp_gram`, ``G[r, c] = d[r] conj(d[c]) S[|r - c|]``
-    for its real lags ``S`` and the modulation ``d[r] = exp(1j * step *
-    r)``. A noisy row's probe power, the mean power of its ``n + L - 1``
+    the solved noise. So a noiseless batch (``probe_snr_db = inf``) returns
+    its taps bit for bit once the chirp's length is checked
+    (:func:`~trlink.dsp.chirp_length`), with no chirp, Gram, transform or
+    solve; so does a row whose received power is zero. With noise the
+    error falls as the time-bandwidth product grows. The Gram is the closed
+    form of :func:`~trlink.dsp.chirp_gram`, ``G[r, c] = d[r] conj(d[c])
+    S[|r - c|]`` for its real lags ``S`` and the modulation ``d[r] =
+    exp(1j * step * r)``. A noisy row's probe power, the mean power of its ``n + L - 1``
     noiseless received samples, is ``E * Re(u^H S u) / (n + L - 1)`` for the
     demodulated taps ``u = conj(d) * h``: the two-sided lags of ``S`` dotted
     with ``u``'s autocorrelation (:func:`~trlink.dsp.xcorr`). Its noise is
@@ -438,36 +439,33 @@ def sound_cir(
     Timing is assumed known (transmitter and recorder share a clock), so the
     window position is not estimated.
     """
-    if len(true_taps) == 0:
-        raise DomainError("sound_cir needs at least one CIR")
     taps = as_taps(true_taps, "a sounding batch")
     if not np.all(np.isfinite(taps)):
         raise DomainError("sounding batch taps must be finite")
-    if len(cfgs) != len(taps):
-        raise ConfigurationError(f"{len(taps)} CIRs but {len(cfgs)} sounding configurations")
-    durations = sorted({cfg.duration_s for cfg in cfgs})
-    if len(durations) > 1:
-        raise ConfigurationError(f"a sounding batch must share one duration_s, got {durations}")
-    chirp = make_chirp(bandwidth_hz, durations[0])
-
+    if len(seeds) != len(taps):
+        raise ConfigurationError(f"{len(taps)} CIRs but {len(seeds)} noise seeds")
     estimates = taps.copy()
+    if math.isinf(sounding.probe_snr_db):
+        chirp_length(sounding.duration_s, bandwidth_hz)
+        estimates.flags.writeable = False
+        return estimates
+    chirp = make_chirp(bandwidth_hz, sounding.duration_s)
+
     num_taps = taps.shape[1]
     received_len = len(chirp) + num_taps - 1
     chirp_energy = energy(chirp)
-    real_lags, phase_step = chirp_gram(bandwidth_hz, durations[0], num_taps)
+    real_lags, phase_step = chirp_gram(bandwidth_hz, sounding.duration_s, num_taps)
     modulation = np.exp(1j * phase_step * np.arange(num_taps))
     # S at lags -(L - 1) .. L - 1, the order of xcorr's output
     even_lags = np.concatenate((real_lags[:0:-1], real_lags))
+    snr = 10.0 ** (sounding.probe_snr_db / 10.0)
     noisy = []
-    for row, cfg in enumerate(cfgs):
-        if math.isinf(cfg.probe_snr_db):
-            continue
+    for row, seed in enumerate(seeds):
         demodulated = np.conj(modulation) * taps[row]
         autocorrelation = xcorr(demodulated, demodulated).real
         rx_power = chirp_energy * float(np.dot(even_lags, autocorrelation)) / received_len
         if rx_power > 0.0:
-            sigma = math.sqrt(rx_power / 10.0 ** (cfg.probe_snr_db / 10.0))
-            noisy.append((row, sigma, cfg.rng_seed))
+            noisy.append((row, math.sqrt(rx_power / snr), seed))
     if noisy:
         m = _fast_len(received_len)
         matched = np.zeros(m, dtype=np.complex128)

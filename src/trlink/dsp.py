@@ -143,8 +143,12 @@ _MAX_CHIRP_SAMPLES = 1_000_000
 def chirp_length(duration: float, sample_rate: float) -> int:
     """Samples in a chirp of ``duration`` seconds: 2 to ``_MAX_CHIRP_SAMPLES``.
 
-    A ConfigurationError outside that range, before anything is allocated.
+    A ConfigurationError for a ``sample_rate`` (the bandwidth) that is not
+    finite and positive, or a count outside that range, before anything is
+    allocated.
     """
+    if not (math.isfinite(sample_rate) and sample_rate > 0):
+        raise ConfigurationError(f"bandwidth must be finite and > 0, got {sample_rate}")
     if not (math.isfinite(duration) and duration > 0):
         raise ConfigurationError(f"duration must be positive, got {duration}")
     product = duration * sample_rate
@@ -174,7 +178,7 @@ def make_chirp(bandwidth: float, duration: float) -> np.ndarray:
             the requested duration yields fewer than 2 samples or more than
             ``_MAX_CHIRP_SAMPLES``.
     """
-    num_samples = _chirp_samples(bandwidth, duration)
+    num_samples = chirp_length(duration, bandwidth)
     # phase = 2 pi (-bandwidth t / 2 + bandwidth t^2 / (2 duration)) at the
     # sample times t, built term by term in place; the returned array's real
     # half holds the quadratic term meanwhile
@@ -206,17 +210,10 @@ def chirp_gram(bandwidth: float, duration: float, num_taps: int) -> tuple[np.nda
 
     Returns ``(lags, phase_step)``; raises what :func:`make_chirp` raises.
     """
-    n = _chirp_samples(bandwidth, duration)
+    n = chirp_length(duration, bandwidth)
     n_prime = duration * bandwidth
     lags = np.zeros(num_taps)
     lags[0] = 1.0
     k = np.arange(1, min(num_taps, n))
     lags[1 : k.size + 1] = np.sin(np.pi * k * (n - k) / n_prime) / (n * np.sin(np.pi * k / n_prime))
     return lags, math.pi * ((n - 1) / n_prime - 1.0)
-
-
-def _chirp_samples(bandwidth: float, duration: float) -> int:
-    """The probe's sample count, after checking that ``bandwidth`` is finite and positive."""
-    if not (math.isfinite(bandwidth) and bandwidth > 0):
-        raise ConfigurationError(f"bandwidth must be finite and > 0, got {bandwidth}")
-    return chirp_length(duration, bandwidth)

@@ -526,14 +526,11 @@ def _trial_kernels(scenario: Scenario, trial: int) -> np.ndarray:
     true_taps = scenario.ensemble_for_trial(trial).taps[list(scenario.target_indices)]
     known_taps = true_taps
     if scenario.sounding is not None:
-        cfgs = [
-            replace(
-                scenario.sounding,
-                rng_seed=derive_seed(scenario.master_seed, _STREAM_SOUNDING, trial, g),
-            )
+        seeds = [
+            derive_seed(scenario.master_seed, _STREAM_SOUNDING, trial, g)
             for g in scenario.target_indices
         ]
-        known_taps = sound_cir(true_taps, cfgs, scenario.cavity.bandwidth_hz)
+        known_taps = sound_cir(true_taps, scenario.sounding, seeds, scenario.cavity.bandwidth_hz)
     return pulse_responses(true_taps, known_taps)
 
 
@@ -701,8 +698,10 @@ def run_sounding_study(
     bandwidth`` seconds; the normalized error ``||est - true|| / ||true||``
     toward the first target is reported as a median over the scenario's
     trials, once noiseless and once at the scenario's probe SNR (20 dB when
-    sounding is "genie"). Returns (tb, probe_snr_db, median_error) rows and
-    writes ``sounding_error.csv`` when ``out_dir`` is given.
+    sounding is "genie"). Each (TB, SNR point) is one :func:`sound_cir`
+    batch of the trials' truths, each trial's noise seeded as the BER
+    sweep seeds that target's. Returns (tb, probe_snr_db, median_error)
+    rows and writes ``sounding_error.csv`` when ``out_dir`` is given.
     """
     probe_snr = (
         scenario.sounding.probe_snr_db if scenario.sounding is not None else 20.0
@@ -722,18 +721,12 @@ def run_sounding_study(
     rows: list[tuple[int, float, float]] = []
     for tb in SOUNDING_TB_VALUES:
         duration = tb / scenario.cavity.bandwidth_hz
-        cfgs = [
-            SoundingConfig(duration_s=duration, probe_snr_db=snr_db, rng_seed=seed)
-            for snr_db in snr_points
-            for seed in seeds
-        ]
-        estimates = sound_cir(
-            np.tile(truths, (len(snr_points), 1)), cfgs, scenario.cavity.bandwidth_hz
-        )
-        for k, snr_db in enumerate(snr_points):
+        for snr_db in snr_points:
+            sounding = SoundingConfig(duration_s=duration, probe_snr_db=snr_db)
+            estimates = sound_cir(truths, sounding, seeds, scenario.cavity.bandwidth_hz)
             errors = [
                 float(np.linalg.norm(estimate - truth) / np.linalg.norm(truth))
-                for estimate, truth in zip(estimates[k * len(truths) :], truths)
+                for estimate, truth in zip(estimates, truths)
             ]
             rows.append((tb, float(snr_db), float(np.median(errors))))
 

@@ -23,7 +23,7 @@ import math
 import numpy as np
 
 from trlink.channel import as_taps
-from trlink.dsp import _chirp_samples, complex_noise, convolve, xcorr
+from trlink.dsp import chirp_length, complex_noise, convolve, xcorr
 from trlink.precoding import _check_symbols, _target_energy, propagate
 
 
@@ -120,6 +120,6 @@ def noise_expression(size: int, sigma: float, rng_seed) -> np.ndarray:
 
 def chirp_expression(bandwidth: float, duration: float) -> np.ndarray:
     """``make_chirp`` as one expression over the sample times ``t``."""
-    t = np.arange(_chirp_samples(bandwidth, duration)) / bandwidth
+    t = np.arange(chirp_length(duration, bandwidth)) / bandwidth
     phase = 2.0 * np.pi * (-0.5 * bandwidth * t + bandwidth / (2.0 * duration) * t**2)
     return np.exp(1j * phase)

@@ -198,7 +198,7 @@ def test_criterion_9_sounding_fidelity_at_tb_100():
     cfg = SoundingConfig(duration_s=100 / bandwidth)
     chirp = make_chirp(bandwidth, cfg.duration_s)
     assert len(chirp) == 100  # time-bandwidth product
-    [estimate] = sound_cir([truth], [cfg], bandwidth)
+    [estimate] = sound_cir([truth], cfg, [0], bandwidth)
     error = float(np.linalg.norm(estimate - truth) / np.linalg.norm(truth))
     ok = error <= 0.01
     _report(9, "chirp sounding fidelity", ok, f"normalized error={error:.2e} at TB=100")
@@ -349,8 +349,8 @@ def test_criterion_13_sounding_error_law():
         chirp_energy = acf[0].real
         power = np.sum((truths.conj() @ gram) * truths, axis=1).real / (n + num_taps - 1)
         sigma2 = power / 10.0 ** (snr_db / 10.0)
-        cfgs = [SoundingConfig(duration, snr_db, rng_seed=10_000 + seed) for seed in range(seeds)]
-        errors = sound_cir(truths, cfgs, bandwidth) - truths
+        cfg = SoundingConfig(duration, snr_db)
+        errors = sound_cir(truths, cfg, range(10_000, 10_000 + seeds), bandwidth) - truths
         x = np.sum(np.abs(errors) ** 2, axis=1) * chirp_energy / sigma2
         lam = 1.0 / np.linalg.eigvalsh(gram / chirp_energy)
         m1, m2, m4 = lam.sum(), np.sum(lam**2), np.sum(lam**4)

@@ -324,8 +324,10 @@ def _synth_cir(seed: int, num_taps: int, bandwidth: float = 4e9) -> np.ndarray:
     return synth_cavity_ensemble(params, [0.0]).taps[0]
 
 
-def _estimate_error(true_cir: np.ndarray, cfg: SoundingConfig, bandwidth: float = 4e9) -> float:
-    [estimate] = sound_cir([true_cir], [cfg], bandwidth)
+def _estimate_error(
+    true_cir: np.ndarray, cfg: SoundingConfig, seed: int = 0, bandwidth: float = 4e9
+) -> float:
+    [estimate] = sound_cir([true_cir], cfg, [seed], bandwidth)
     return float(
         np.linalg.norm(estimate - true_cir) / np.linalg.norm(true_cir)
     )
@@ -335,7 +337,7 @@ class TestSounding:
     def test_zero_channel_yields_zero_estimate(self):
         dead = cir(np.zeros(32))
         cfg = SoundingConfig(duration_s=128 / 4e9)
-        [estimate] = sound_cir([dead], [cfg], 4e9)
+        [estimate] = sound_cir([dead], cfg, [0], 4e9)
         assert energy(estimate) == 0.0
 
     def test_noiseless_high_tb_recovers_channel(self):
@@ -355,8 +357,8 @@ class TestSounding:
             errors = []
             for seed in range(15):
                 h = _synth_cir(100 + seed, 64)
-                cfg = SoundingConfig(duration_s=tb / 4e9, probe_snr_db=20.0, rng_seed=seed)
-                errors.append(_estimate_error(h, cfg))
+                cfg = SoundingConfig(duration_s=tb / 4e9, probe_snr_db=20.0)
+                errors.append(_estimate_error(h, cfg, seed))
             medians.append(np.median(errors))
         assert medians[0] > medians[1] > medians[2]
 
@@ -365,7 +367,7 @@ class TestSounding:
         cfg = SoundingConfig(duration_s=16 / 4e9)
         rows = [cir(np.ones(8)), cir([1.0, bad, *np.zeros(6)])]
         with pytest.raises(DomainError, match="taps must be finite"):
-            sound_cir(rows, [cfg, cfg], 4e9)
+            sound_cir(rows, cfg, [0, 1], 4e9)
 
     @pytest.mark.parametrize("snr_db", [4000.0, -4000.0, 1e308])
     def test_rejects_snr_outside_the_power_ratios(self, snr_db):
@@ -385,33 +387,33 @@ class TestSounding:
         h = _synth_cir(1, 8)
         cfg = SoundingConfig(duration_s=1 / 4e9)
         with pytest.raises(ConfigurationError, match="need at least 2"):
-            sound_cir([h], [cfg], 4e9)
+            sound_cir([h], cfg, [0], 4e9)
 
     def test_rejects_a_chirp_just_past_the_cap(self):
         h = _synth_cir(1, 8)
         cfg = SoundingConfig(duration_s=1_000_001 / 4e9)
         with pytest.raises(ConfigurationError, match="the cap is 1000000"):
-            sound_cir([h], [cfg], 4e9)
+            sound_cir([h], cfg, [0], 4e9)
 
 
-def _mixed_batch(
+def _batches(
     num_taps: int, chirp_len: int
-) -> tuple[list[np.ndarray], list[SoundingConfig]]:
-    """Noiseless and noisy rows, one truth sounded three times and a dead
-    channel, all with a ``chirp_len``-sample chirp at 4 GHz."""
+) -> list[tuple[list[np.ndarray], SoundingConfig, list[int]]]:
+    """One ``(cirs, sounding, seeds)`` batch per probe SNR, all with a
+    ``chirp_len``-sample chirp at 4 GHz: a noiseless batch, a noisy one
+    that sounds one truth twice around a dead channel, and a one-row noisy
+    one. The first truth is sounded three times in all."""
     first, second = _synth_cir(31, num_taps), _synth_cir(32, num_taps)
     dead = cir(np.zeros(num_taps))
-    rows = [
-        (first, math.inf, 0),
-        (first, 20.0, 1),
-        (second, 10.0, 2),
-        (dead, 20.0, 3),
-        (first, 20.0, 4),
-        (second, math.inf, 5),
+    batches = {
+        math.inf: [(first, 0), (second, 5)],
+        20.0: [(first, 1), (dead, 3), (first, 4)],
+        10.0: [(second, 2)],
+    }
+    return [
+        ([h for h, _ in rows], SoundingConfig(chirp_len / 4e9, snr_db), [seed for _, seed in rows])
+        for snr_db, rows in batches.items()
     ]
-    cirs = [h for h, _, _ in rows]
-    cfgs = [SoundingConfig(chirp_len / 4e9, snr_db, rng_seed=seed) for _, snr_db, seed in rows]
-    return cirs, cfgs
 
 
 # (num_taps, chirp samples): chirps both shorter and longer than the
@@ -420,7 +422,9 @@ def _mixed_batch(
 BATCH_SHAPES = [(1, 2), (1, 100), (64, 16), (64, 200), (65, 16)]
 
 
-def _least_squares_estimate(h: np.ndarray, cfg: SoundingConfig, chirp: np.ndarray) -> np.ndarray:
+def _least_squares_estimate(
+    h: np.ndarray, cfg: SoundingConfig, seed: int, chirp: np.ndarray
+) -> np.ndarray:
     """The sounding estimate from the dense convolution matrix of the chirp."""
     n, num_taps = chirp.size, h.size
     conv = np.zeros((n + num_taps - 1, num_taps), dtype=np.complex128)
@@ -430,73 +434,100 @@ def _least_squares_estimate(h: np.ndarray, cfg: SoundingConfig, chirp: np.ndarra
     rx_power = float(np.mean(np.abs(received) ** 2))
     if not (math.isinf(cfg.probe_snr_db) or rx_power == 0.0):
         sigma = math.sqrt(rx_power / 10.0 ** (cfg.probe_snr_db / 10.0))
-        received = received + complex_noise(received.size, sigma, cfg.rng_seed)
+        received = received + complex_noise(received.size, sigma, seed)
     return np.linalg.lstsq(conv, received, rcond=None)[0]
 
 
 class TestSoundingBatch:
     @pytest.mark.parametrize("num_taps, chirp_len", BATCH_SHAPES)
     def test_each_row_matches_its_singleton_call(self, num_taps, chirp_len):
-        cirs, cfgs = _mixed_batch(num_taps, chirp_len)
-        for h, cfg, estimate in zip(cirs, cfgs, sound_cir(cirs, cfgs, 4e9)):
-            [single] = sound_cir([h], [cfg], 4e9)
-            error = np.linalg.norm(estimate - single)
-            assert error <= NUMERIC_RTOL * np.linalg.norm(single)
+        for cirs, cfg, seeds in _batches(num_taps, chirp_len):
+            for h, seed, estimate in zip(cirs, seeds, sound_cir(cirs, cfg, seeds, 4e9)):
+                [single] = sound_cir([h], cfg, [seed], 4e9)
+                error = np.linalg.norm(estimate - single)
+                assert error <= NUMERIC_RTOL * np.linalg.norm(single)
 
     # and a chirp of duration * bandwidth = 100.4, which the Gram's phase law reads unrounded
     @pytest.mark.parametrize("num_taps, chirp_len", [*BATCH_SHAPES, (64, 100.4)])
     def test_rows_match_the_dense_least_squares_oracle(self, num_taps, chirp_len):
-        cirs, cfgs = _mixed_batch(num_taps, chirp_len)
         chirp = make_chirp(4e9, chirp_len / 4e9)
-        for h, cfg, estimate in zip(cirs, cfgs, sound_cir(cirs, cfgs, 4e9)):
-            reference = _least_squares_estimate(h, cfg, chirp)
-            error = np.linalg.norm(estimate - reference)
-            assert error <= NUMERIC_RTOL * np.linalg.norm(reference)
+        for cirs, cfg, seeds in _batches(num_taps, chirp_len):
+            for h, seed, estimate in zip(cirs, seeds, sound_cir(cirs, cfg, seeds, 4e9)):
+                reference = _least_squares_estimate(h, cfg, seed, chirp)
+                error = np.linalg.norm(estimate - reference)
+                assert error <= NUMERIC_RTOL * np.linalg.norm(reference)
 
     @pytest.mark.parametrize("num_taps, chirp_len", BATCH_SHAPES)
     def test_noiseless_rows_recover_the_truth(self, num_taps, chirp_len):
-        cirs, cfgs = _mixed_batch(num_taps, chirp_len)
-        estimates = sound_cir(cirs, cfgs, 4e9)
-        for h, cfg, estimate in zip(cirs, cfgs, estimates):
-            if energy(h) == 0:
-                assert energy(estimate) == 0.0
-            elif math.isinf(cfg.probe_snr_db):
-                error = np.linalg.norm(estimate - h) / np.linalg.norm(h)
-                assert error <= 1e-9
+        for cirs, cfg, seeds in _batches(num_taps, chirp_len):
+            for h, estimate in zip(cirs, sound_cir(cirs, cfg, seeds, 4e9)):
+                if energy(h) == 0:
+                    assert energy(estimate) == 0.0
+                elif math.isinf(cfg.probe_snr_db):
+                    error = np.linalg.norm(estimate - h) / np.linalg.norm(h)
+                    assert error <= 1e-9
 
     @pytest.mark.parametrize("num_taps, chirp_len", BATCH_SHAPES)
     def test_estimates_do_not_depend_on_the_block_size(self, monkeypatch, num_taps, chirp_len):
-        cirs, cfgs = _mixed_batch(num_taps, chirp_len)
-        one_block = sound_cir(cirs, cfgs, 4e9)
+        batches = _batches(num_taps, chirp_len)
+        one_block = [sound_cir(cirs, cfg, seeds, 4e9) for cirs, cfg, seeds in batches]
         # the received transform length, the one that sizes the blocks
         widest = _fast_len(chirp_len + num_taps - 1)
         # one row per block, then two and three rows per block
         for budget in (1, 2 * widest, 3 * widest):
             monkeypatch.setattr(channel, "_BLOCK_SAMPLES", budget)
-            blocked = sound_cir(cirs, cfgs, 4e9)
-            for x, y in zip(blocked, one_block):
-                assert np.array_equal(x, y)
+            for (cirs, cfg, seeds), expected in zip(batches, one_block):
+                blocked = sound_cir(cirs, cfg, seeds, 4e9)
+                for x, y in zip(blocked, expected):
+                    assert np.array_equal(x, y)
 
     def test_memory_is_one_buffer_per_block(self):
         # two noisy rows at TB 10^4: their noise transforms in one (2, m)
         # buffer, m = _fast_len(10,255) = 10,290, about 0.31 MiB
         cirs = [_synth_cir(41, 256), _synth_cir(42, 256)]
-        cfgs = [SoundingConfig(10_000 / 4e9, 20.0, rng_seed=seed) for seed in (1, 2)]
-        assert traced_peak(lambda: sound_cir(cirs, cfgs, 4e9)) <= 1.25 * 2**20
+        cfg = SoundingConfig(10_000 / 4e9, 20.0)
+        assert traced_peak(lambda: sound_cir(cirs, cfg, [1, 2], 4e9)) <= 1.25 * 2**20
 
     def test_rejects_malformed_batches(self):
-        cirs, cfgs = _mixed_batch(8, 32)
+        _, (cirs, cfg, seeds), _ = _batches(8, 32)
         with pytest.raises(DomainError):
-            sound_cir([], [], 4e9)
+            sound_cir([], cfg, [], 4e9)
         with pytest.raises(ConfigurationError):
-            sound_cir(cirs, cfgs[:-1], 4e9)
+            sound_cir(cirs, cfg, seeds[:-1], 4e9)
         with pytest.raises(ConfigurationError):
-            sound_cir([cirs[0], _synth_cir(33, 9)], cfgs[:2], 4e9)
+            sound_cir([cirs[0], _synth_cir(33, 9)], cfg, seeds[:2], 4e9)
         # a bandwidth at which the chirp holds one sample
         with pytest.raises(ConfigurationError, match="need at least 2"):
-            sound_cir(cirs, cfgs, 1 / cfgs[0].duration_s)
-        with pytest.raises(ConfigurationError, match="share one duration_s"):
-            sound_cir(cirs[:2], [cfgs[0], replace(cfgs[1], duration_s=64 / 4e9)], 4e9)
+            sound_cir(cirs, cfg, seeds, 1 / cfg.duration_s)
+
+    @pytest.mark.parametrize("snr_db", [math.inf, 20.0])
+    def test_rejects_a_seed_count_other_than_the_row_count(self, snr_db):
+        cirs = [_synth_cir(1, 8), _synth_cir(2, 8)]
+        cfg = SoundingConfig(32 / 4e9, snr_db)
+        for seeds in ([], [1], [1, 2, 3]):
+            with pytest.raises(ConfigurationError, match=f"2 CIRs but {len(seeds)} noise seeds"):
+                sound_cir(cirs, cfg, seeds, 4e9)
+
+    def test_a_noiseless_batch_builds_no_chirp(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a noiseless batch built the chirp or its Gram")
+
+        monkeypatch.setattr(channel, "make_chirp", refuse)
+        monkeypatch.setattr(channel, "chirp_gram", refuse)
+        cirs, cfg, seeds = _batches(64, 200)[0]
+        assert math.isinf(cfg.probe_snr_db)
+        estimates = sound_cir(cirs, cfg, seeds, 4e9)
+        assert not estimates.flags.writeable
+        for h, estimate in zip(cirs, estimates):
+            assert np.array_equal(estimate, h)
+        # the chirp is still checked: one sample, one past the cap, no rate
+        for duration_s, bandwidth, message in [
+            (1 / 4e9, 4e9, "need at least 2"),
+            (1_000_001 / 4e9, 4e9, "the cap is 1000000"),
+            (cfg.duration_s, math.nan, "bandwidth must be finite"),
+        ]:
+            with pytest.raises(ConfigurationError, match=message):
+                sound_cir(cirs, SoundingConfig(duration_s), seeds, bandwidth)
 
 
 def _dense_chirp_gram(num_taps: int, chirp_len: float) -> np.ndarray:

@@ -441,9 +441,9 @@ class TestBerSweep:
         seeds = []
         real = harness.sound_cir
 
-        def recording(true_taps, cfgs, bandwidth_hz):
-            seeds.append([cfg.rng_seed for cfg in cfgs])
-            return real(true_taps, cfgs, bandwidth_hz)
+        def recording(true_taps, sounding, noise_seeds, bandwidth_hz):
+            seeds.append(list(noise_seeds))
+            return real(true_taps, sounding, noise_seeds, bandwidth_hz)
 
         monkeypatch.setattr(harness, "sound_cir", recording)
         scenario = small_scenario(

@@ -337,11 +337,8 @@ class TestReceivedAt:
             true_cirs = synth_cavity_ensemble(params, positions).taps
             known_cirs = true_cirs
             if csi == "sounded":
-                cfgs = [
-                    SoundingConfig(64 / params.bandwidth_hz, 20.0, rng_seed=j)
-                    for j in range(num_rx)
-                ]
-                known_cirs = sound_cir(true_cirs, cfgs, params.bandwidth_hz)
+                cfg = SoundingConfig(64 / params.bandwidth_hz, 20.0)
+                known_cirs = sound_cir(true_cirs, cfg, range(num_rx), params.bandwidth_hz)
             kernels = pulse_responses(true_cirs, known_cirs)
             frames = _frames(rng, num_rx)
             if num_rx == 1:
