@@ -401,13 +401,14 @@ def _batches(
 ) -> list[tuple[list[np.ndarray], SoundingConfig, list[int]]]:
     """One ``(cirs, sounding, seeds)`` batch per probe SNR, all with a
     ``chirp_len``-sample chirp at 4 GHz: a noiseless batch, a noisy one
-    that sounds one truth twice around a dead channel, and a one-row noisy
-    one. The first truth is sounded three times in all."""
+    with three noisy rows (one truth twice, around a dead channel, then the
+    other truth), and a one-row noisy one. The first truth is sounded three
+    times in all."""
     first, second = _synth_cir(31, num_taps), _synth_cir(32, num_taps)
     dead = cir(np.zeros(num_taps))
     batches = {
         math.inf: [(first, 0), (second, 5)],
-        20.0: [(first, 1), (dead, 3), (first, 4)],
+        20.0: [(first, 1), (dead, 3), (first, 4), (second, 6)],
         10.0: [(second, 2)],
     }
     return [
@@ -473,7 +474,8 @@ class TestSoundingBatch:
         one_block = [sound_cir(cirs, cfg, seeds, 4e9) for cirs, cfg, seeds in batches]
         # the received transform length, the one that sizes the blocks
         widest = _fast_len(chirp_len + num_taps - 1)
-        # one row per block, then two and three rows per block
+        # one row per block, then two and three rows per block: the 20 dB
+        # batch's three noisy rows fill blocks of 2 and a ragged 1, then one 3
         for budget in (1, 2 * widest, 3 * widest):
             monkeypatch.setattr(channel, "_BLOCK_SAMPLES", budget)
             for (cirs, cfg, seeds), expected in zip(batches, one_block):
@@ -489,24 +491,19 @@ class TestSoundingBatch:
         assert traced_peak(lambda: sound_cir(cirs, cfg, [1, 2], 4e9)) <= 1.25 * 2**20
 
     def test_rejects_malformed_batches(self):
-        _, (cirs, cfg, seeds), _ = _batches(8, 32)
+        noiseless, (cirs, cfg, seeds), _ = _batches(8, 32)
         with pytest.raises(DomainError):
             sound_cir([], cfg, [], 4e9)
-        with pytest.raises(ConfigurationError):
-            sound_cir(cirs, cfg, seeds[:-1], 4e9)
+        # one seed short, checked before a noiseless batch returns
+        for rows, sounding, row_seeds in (noiseless, (cirs, cfg, seeds)):
+            message = f"{len(rows)} CIRs but {len(rows) - 1} noise seeds"
+            with pytest.raises(ConfigurationError, match=message):
+                sound_cir(rows, sounding, row_seeds[:-1], 4e9)
         with pytest.raises(ConfigurationError):
             sound_cir([cirs[0], _synth_cir(33, 9)], cfg, seeds[:2], 4e9)
         # a bandwidth at which the chirp holds one sample
         with pytest.raises(ConfigurationError, match="need at least 2"):
             sound_cir(cirs, cfg, seeds, 1 / cfg.duration_s)
-
-    @pytest.mark.parametrize("snr_db", [math.inf, 20.0])
-    def test_rejects_a_seed_count_other_than_the_row_count(self, snr_db):
-        cirs = [_synth_cir(1, 8), _synth_cir(2, 8)]
-        cfg = SoundingConfig(32 / 4e9, snr_db)
-        for seeds in ([], [1], [1, 2, 3]):
-            with pytest.raises(ConfigurationError, match=f"2 CIRs but {len(seeds)} noise seeds"):
-                sound_cir(cirs, cfg, seeds, 4e9)
 
     def test_a_noiseless_batch_builds_no_chirp(self, monkeypatch):
         def refuse(*args):
