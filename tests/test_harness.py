@@ -758,6 +758,49 @@ class TestCommittedResults:
             "ber_rask_D30.csv": "b0db94826d741cad6ad9520c5543e970f57d42d9b2bb2222e02e6185eb053d9f",
         }
 
+    @pytest.mark.parametrize(
+        "sounding, expected",
+        [
+            pytest.param("genie", {
+                "ber_erask_D3.csv": "eee5284b9b54ebc1d10b744d2bfb7738a1ae3c91384d3a1f72c15285546fcf31",
+                "ber_erask_D4.csv": "507489b2082a4a522a27639e618b905efe17e1b4acc40daf501bab7874f58ae7",
+                "ber_erask_D7.csv": "3cce2c5710ff7d67a11e9aa76cd4f91700824144dffa99459bf22a3ddff13fe8",
+                "ber_rask_D3.csv": "69b2dc61cef69f3e3310dbee9db6bc21cec698121ca1189c977ab03cdd87ba9d",
+                "ber_rask_D4.csv": "78fc82432d86d74986518414debca8e3a02f87c93dc5af678dbddded6e61fb72",
+                "ber_rask_D7.csv": "61739b89f82903c89e20e480f211ca6e050f24a496d6b7946fe4990702380bb6",
+            }, id="genie"),
+            pytest.param({"duration_s": 2.5e-8, "snr_db": 10}, {
+                "ber_erask_D3.csv": "d55a7323888af83d6a3d606934e6fccaa82077c515ab90f3147b3ecb0e1b1967",
+                "ber_erask_D4.csv": "a7d5e08c577c5ff337b5c9340c824ffa17d180d93588269e21dcd12cfa86cda1",
+                "ber_erask_D7.csv": "4e5d3de274e37f93e9533c6cc32b7e604d76ae4ba092ed6241bd5b67d32d3358",
+                "ber_rask_D3.csv": "7dc4a04e429cef2ff6956ad39ba632e104a2f422fee1c4c71aca3ffaf142fb2b",
+                "ber_rask_D4.csv": "e30e72607e199e9f946d96a3ed19f34831edf08443d4fb1e21504d1fc6b75297",
+                "ber_rask_D7.csv": "3bc8cce9775d2a39de44e9d8a1f57ceb1988ce3f9e6d10669157a1863b9b1485",
+            }, id="sounded"),
+        ],
+    )
+    def test_single_tap_ber_sweep_reproduces_pinned_csvs(self, tmp_path, sounding, expected):
+        # One tap: the first and last windows reach a sample past the frame,
+        # which holds neither signal nor noise. Spacings 3, 4 and 7 put the
+        # streamed noise draw's block edges at different window offsets.
+        doc = dict(
+            TWO_USER,
+            cavity={**TWO_USER["cavity"], "num_taps": 1},
+            d_values=[3, 4, 7],
+            snr_grid_db=[-5, 0, 5, 10],
+            bits_per_point=3001,
+            trials=3,
+            sounding=sounding,
+        )
+        scenario_path = tmp_path / "single_tap.json"
+        scenario_path.write_text(json.dumps(doc), encoding="utf-8")
+        _run_one_blas_thread("ber", scenario_path, tmp_path / "ber")
+        digests = {
+            path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in (tmp_path / "ber").iterdir()
+        }
+        assert digests == expected
+
     def test_focusing_from_the_exported_ensemble_reproduces_committed_csvs(self, tmp_path):
         # synth exports trial 0's ensemble, and a scenario importing it sees
         # the same channels through the JSON/CSV pair
