@@ -588,7 +588,7 @@ def load_ensemble(json_path: str | Path) -> SpatialChannelEnsemble:
         meta = json.loads(json_path.read_text(encoding="utf-8"), object_pairs_hook=unique_keys)
     except (FileNotFoundError, IsADirectoryError):
         raise ConfigurationError(f"ensemble file not found: {json_path}") from None
-    except ValueError as exc:  # JSONDecodeError, or an integer literal too long to parse
+    except (ValueError, RecursionError) as exc:  # bad JSON, an overlong integer, deep nesting
         raise ConfigurationError(f"ensemble JSON {json_path.name} is invalid: {exc}") from None
     require_keys(
         meta, _ENSEMBLE_KEYS, _ENSEMBLE_KEYS - {"decay_time_s", "rng_seed"},
@@ -650,6 +650,10 @@ def load_ensemble(json_path: str | Path) -> SpatialChannelEnsemble:
                 rows.append(values[1::2] + 1j * values[2::2])
     except UnicodeDecodeError as exc:
         raise ConfigurationError(f"ensemble CSV {csv_path.name} is not UTF-8: {exc}") from None
+    except csv.Error as exc:  # a cell longer than the csv module's field size limit
+        raise ConfigurationError(
+            f"ensemble CSV {csv_path.name} line {reader.line_num} is unreadable: {exc}"
+        ) from None
     if len(rows) != positions.size:
         raise ConfigurationError(
             f"ensemble CSV has {len(rows)} rows for {positions.size} positions"

@@ -512,7 +512,7 @@ def load_scenario(path: str | Path) -> Scenario:
         raise ConfigurationError(f"scenario file {path} is not UTF-8: {exc}") from None
     try:
         data = json.loads(text, object_pairs_hook=unique_keys)
-    except ValueError as exc:  # JSONDecodeError, or an integer literal too long to parse
+    except (ValueError, RecursionError) as exc:  # bad JSON, an overlong integer, deep nesting
         raise ConfigurationError(f"scenario JSON is invalid: {exc}") from None
     return scenario_from_dict(data, base_dir=path.parent)
 
@@ -555,8 +555,8 @@ def run_ber_point(
     ``kernels`` is the trial's :func:`~trlink.precoding.pulse_responses`;
     the data frame and an ERASK pilot frame both reuse them. The data
     frame's window samples are :func:`~trlink.precoding.received_at` with
-    noise seeded ``[cell_seed, 1, n]``, detected at ``DetectionWindow(M, L,
-    spacing)``. An ERASK threshold comes from the policy: a
+    noise seeded ``[cell_seed, 1, n]``, detected over its ``M`` symbol
+    windows. An ERASK threshold comes from the policy: a
     :class:`FixedThreshold`'s value, or a :class:`PilotThreshold`
     calibrated on a pilot frame received with noise seeded ``[cell_seed, 2,
     n]``; without a policy :func:`~trlink.modem.power_detect` refuses the
@@ -572,8 +572,6 @@ def run_ber_point(
         symbols = erask_modulate(bits, rsm.num_rx)
 
     sigma = 10.0 ** (-snr_db / 20.0)
-    # A pulse response of an L-tap channel has 2L - 1 samples.
-    num_taps = (kernels.shape[-1] + 1) // 2
     received = received_at(symbols, kernels, spacing, sigma, [cell_seed, 1])
     threshold = None
     if scheme is Scheme.ERASK:
@@ -583,9 +581,9 @@ def run_ber_point(
         elif isinstance(policy, PilotThreshold):
             targeted = _pilot_targets(rsm.num_rx, policy.num_pilots)
             pilots = received_at(targeted, kernels, spacing, sigma, [cell_seed, 2])
-            pilot_windows = DetectionWindow(policy.num_pilots, num_taps, spacing)
+            pilot_windows = DetectionWindow(policy.num_pilots)
             threshold = calibrate_threshold(pilots, pilot_windows, targeted)
-    windows = DetectionWindow(symbols.shape[1], num_taps, spacing)
+    windows = DetectionWindow(symbols.shape[1])
     detected = power_detect(received, windows, scheme, threshold)
     errors = int(np.sum(detected != bits))
     return bits.size, errors

@@ -17,11 +17,11 @@ The receiver is non-coherent: only magnitudes inside small windows around
 the expected focusing peaks are used, so no phase reference or inter-antenna
 synchronisation is required. The detector therefore takes just those
 samples: an ``(N, M, 2w+1)`` array holding each antenna's received samples
-at :attr:`DetectionWindow.lags`, as :func:`trlink.precoding.received_at`
-evaluates them, never a full received signal. Those lags derive from the
-frame's three integers alone, so this module says where the detector reads.
-The detector and the threshold calibration take the frame as a
-:class:`DetectionWindow`, whose ``half_width`` and ``num_symbols`` the
+in the ``2w+1``-sample window around each symbol's peak, never a full
+received signal. Where those windows sit is
+:func:`trlink.precoding.received_at`'s contract, which evaluates them.
+The detector and the threshold calibration take the frame's symbol count
+as a :class:`DetectionWindow`, whose ``half_width`` and ``num_symbols`` the
 benchmark's sample counter reads; it stays their second argument until the
 benchmark changes.
 """
@@ -88,37 +88,23 @@ class RsmConfig:
 
 @dataclass(frozen=True)
 class DetectionWindow:
-    """A frame of ``num_symbols`` pulses ``spacing`` taps apart through
-    ``num_taps``-tap channels: symbol ``l`` peaks at ``num_taps - 1 + l*spacing``.
+    """A frame of ``num_symbols`` detection windows, one per symbol.
 
-    Each window spans ``WINDOW_HALF_WIDTH`` taps on either side of its peak,
-    so windows of distinct symbols are disjoint whenever the spacing exceeds
-    twice the half-width.
+    Each window spans ``WINDOW_HALF_WIDTH`` taps on either side of its
+    symbol's focusing peak, so windows of distinct symbols are disjoint
+    whenever the pulse spacing exceeds twice the half-width.
     """
 
     num_symbols: int
-    num_taps: int
-    spacing: int
 
     def __post_init__(self) -> None:
         if self.num_symbols < 0:
             raise DomainError(f"num_symbols must be >= 0, got {self.num_symbols}")
-        if self.num_taps < 1:
-            raise DomainError(f"num_taps must be >= 1, got {self.num_taps}")
-        if self.spacing < 1:
-            raise DomainError(f"spacing must be >= 1, got {self.spacing}")
 
     @property
     def half_width(self) -> int:
         """Taps read on each side of a peak: always ``WINDOW_HALF_WIDTH``."""
         return WINDOW_HALF_WIDTH
-
-    @property
-    def lags(self) -> np.ndarray:
-        """``(M, 2*half_width + 1)`` received sample indices the detector reads."""
-        peaks = self.num_taps - 1 + np.arange(self.num_symbols, dtype=np.int64) * self.spacing
-        offsets = np.arange(-self.half_width, self.half_width + 1)
-        return peaks[:, None] + offsets[None, :]
 
 
 def _as_bit_array(bits) -> np.ndarray:
@@ -149,8 +135,9 @@ def erask_modulate(bits, num_rx: int) -> np.ndarray:
 def window_peak_powers(received: np.ndarray, windows: DetectionWindow) -> np.ndarray:
     """Max |y|^2 inside each symbol window, per antenna: shape (N, M).
 
-    ``received`` holds each antenna's samples at ``windows.lags``: shape
-    ``(N, M, 2*half_width + 1)``.
+    ``received`` holds each antenna's samples in each symbol's window, as
+    :func:`trlink.precoding.received_at` returns them: shape ``(N, M,
+    2*half_width + 1)``.
     """
     received = np.asarray(received)
     expected = (windows.num_symbols, 2 * windows.half_width + 1)

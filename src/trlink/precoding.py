@@ -28,7 +28,7 @@ single unit pulse toward user ``i`` arrives at position ``j`` as the
 cross-correlation of ``h_j`` with ``h_i`` (normalised by ``sqrt(E_i)``),
 which for ``j == i`` peaks at lag 0 with amplitude ``sqrt(E_i)``. The peak
 of a pulse placed in symbol slot ``l`` forms at received sample index
-``L - 1 + l*D``, the peak of :class:`~trlink.modem.DetectionWindow`.
+``L - 1 + l*D``, the centre of symbol ``l``'s detection window.
 
 :func:`propagate` is the one receive path: one emission or a block of
 them, one row per receiver, one stacked :func:`~trlink.dsp.convolve`, no
@@ -79,7 +79,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .channel import SpatialChannelEnsemble, as_taps, energy
 from .dsp import convolve
 from .errors import ConfigurationError, DomainError
-from .modem import WINDOW_HALF_WIDTH, DetectionWindow
+from .modem import WINDOW_HALF_WIDTH
 from .output import comment_lines, write_text
 
 # The window engine copies at most this many symbol-window entries (256 KiB
@@ -131,10 +131,10 @@ def _add_window_noise(
     """Add each antenna's contract-v1 noise to its ``(M, 2w+1)`` windows, in place.
 
     Antenna ``n``'s noise is ``complex_noise(length, sigma, [*seed_path, n])``
-    read at the window lags, a read past either end reading the end sample:
-    its generator draws ``length`` real parts, then the imaginary parts. The
-    stream is drawn in blocks of ``_NOISE_BLOCK`` into one buffer and never
-    held whole, and the imaginary parts stop after the last lag. Offset
+    read at the window lags; a lag past either end gets none. Its generator
+    draws ``length`` real parts, then the imaginary parts. The stream is
+    drawn in blocks of ``_NOISE_BLOCK`` into one buffer and never held
+    whole, and the imaginary parts stop after the last lag. Offset
     ``k``'s lags ``peak - w + k + m*spacing`` fall in a block as one strided
     slice of it, scaled by ``sigma / sqrt(2)`` and added to the field's real
     or imaginary parts, which is ``complex_noise``'s arithmetic bit for bit.
@@ -153,17 +153,12 @@ def _add_window_noise(
                 if start >= stop:
                     continue
                 for k, first in enumerate(firsts):
-                    # m in [lo, hi) reads the block; a clipped lag, m in
-                    # [0, lo) or [hi, M), reads the signal's end sample
+                    # m in [lo, hi) reads the block
                     lo = max(0, -((first - start) // spacing))
                     hi = min(num_symbols, -((first - end) // spacing))
                     if lo < hi:
                         at = first + lo * spacing - start
                         part[lo:hi, k] += scale * block[at::spacing][: hi - lo]
-                    if start == 0 and lo > 0:
-                        part[:lo, k] += scale * block[0]
-                    if end == length and hi < num_symbols:
-                        part[hi:, k] += scale * block[-1]
 
 
 def propagate(signal: np.ndarray, taps: np.ndarray) -> np.ndarray:
@@ -220,13 +215,14 @@ def received_at(
 
     ``kernels`` is ``pulse_responses(true_taps, known_taps)``, shape ``(N, U,
     2L-1)``. With ``w = WINDOW_HALF_WIDTH``, entry ``[n, m, w + o]`` equals,
-    to ``NUMERIC_RTOL``, sample ``L-1 + m*spacing + o`` (``|o| <= w``: the
-    ``DetectionWindow(M, L, spacing).lags``) of antenna ``n``'s received
-    signal: the emission toward ``known_taps`` received through
-    ``true_taps``, plus white circular complex Gaussian noise of per-sample
-    standard deviation ``noise_sigma`` seeded ``[*seed_path, n]``. A read
-    past either end of that ``(M-1)*spacing + 2L - 1``-sample signal reads
-    the end sample.
+    to ``NUMERIC_RTOL``, sample ``L-1 + m*spacing + o`` (``|o| <= w``; these
+    are the lags the detector reads) of antenna ``n``'s received signal: the
+    emission toward ``known_taps`` received through ``true_taps``, plus
+    white circular complex Gaussian noise of per-sample standard deviation
+    ``noise_sigma`` seeded ``[*seed_path, n]``. A lag past either end of
+    that ``(M-1)*spacing + 2L - 1``-sample signal, which a one-tap channel's
+    first and last windows reach, is exactly 0: nothing is received there,
+    neither signal nor noise.
 
     Only those samples are computed. Pulse ``m - s`` reaches window ``m``
     only for ``|s| <= S = (L-1 + w) // spacing``, so user ``i`` adds to
@@ -283,13 +279,8 @@ def received_at(
         block = windows[:, start:stop].transpose(1, 0, 2).reshape(stop - start, -1)
         np.matmul(np.ascontiguousarray(block), antennas, out=columns[:, start:stop])
 
-    length = (num_symbols - 1) * spacing + size
-    if peak < WINDOW_HALF_WIDTH:
-        # the first and last windows reach past the signal's end samples
-        lags = DetectionWindow(num_symbols, peak + 1, spacing).lags
-        field[:, lags < 0] = (kernels[:, :, 0] @ symbols[:, 0])[:, None]
-        field[:, lags >= length] = (kernels[:, :, -1] @ symbols[:, -1])[:, None]
     if noise_sigma > 0.0:
+        length = (num_symbols - 1) * spacing + size
         _add_window_noise(field, peak, spacing, length, noise_sigma, seed_path)
     return field
 

@@ -11,6 +11,8 @@ instead, the way the link is described:
 * :func:`received_signal` - the whole received signal: :func:`tr_precode`,
   noiseless ``propagate``, then receiver ``n``'s noise seeded
   ``[*seed_path, n]`` (seed/noise contract v1);
+* :func:`window_lags` and :func:`read_at` - where the detector reads that
+  signal, and the read itself, 0 past either end;
 * :func:`direct_convolve` and :func:`direct_xcorr` - textbook double-loop
   sums, independent of the transform-domain fast paths in ``trlink.dsp``;
 * :func:`noise_expression` and :func:`chirp_expression` - contract v1's
@@ -24,6 +26,7 @@ import numpy as np
 
 from trlink.channel import as_taps
 from trlink.dsp import chirp_length, complex_noise, convolve, xcorr
+from trlink.modem import WINDOW_HALF_WIDTH
 from trlink.precoding import _check_symbols, _target_energy, propagate
 
 
@@ -86,6 +89,22 @@ def received_signal(symbols, known_taps, true_taps, spacing, noise_sigma, seed_p
     for n, row in enumerate(received):
         row += complex_noise(row.size, noise_sigma, [*seed_path, n])
     return received
+
+
+def window_lags(num_symbols: int, num_taps: int, spacing: int) -> np.ndarray:
+    """``(M, 2w+1)`` received sample indices the detector reads.
+
+    Symbol ``m``'s window is ``L-1 + m*spacing + o`` for ``|o| <= w``, with
+    ``w = WINDOW_HALF_WIDTH``: its focusing peak and ``w`` samples each side.
+    """
+    peaks = num_taps - 1 + np.arange(num_symbols) * spacing
+    return peaks[:, None] + np.arange(-WINDOW_HALF_WIDTH, WINDOW_HALF_WIDTH + 1)
+
+
+def read_at(signal: np.ndarray, lags: np.ndarray) -> np.ndarray:
+    """``signal[..., lags]``, reading 0 at a lag past either end of the signal."""
+    pad = [(0, 0)] * (signal.ndim - 1) + [(WINDOW_HALF_WIDTH, WINDOW_HALF_WIDTH)]
+    return np.pad(signal, pad)[..., lags + WINDOW_HALF_WIDTH]
 
 
 def direct_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:

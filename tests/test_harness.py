@@ -1013,6 +1013,12 @@ class TestCli:
                 "target -1.8 mm has a zero-energy CIR",
                 id="zero-energy-target",
             ),
+            pytest.param(
+                # longer than the csv module's 131,072-character field limit
+                lambda row: row[:3] + ["1" * 200_000] + row[4:],
+                "measured.csv line 3 is unreadable",
+                id="oversized-cell",
+            ),
         ],
     )
     def test_malformed_ensemble_row_exits_2_before_writing(
@@ -1098,6 +1104,11 @@ class TestCli:
             pytest.param(lambda doc: {**doc, "num_taps": 10**400}, "num_taps", id="taps-huge"),
             pytest.param(lambda doc: {**doc, "extra": 1}, "extra", id="unknown-key"),
             pytest.param(lambda doc: [doc], "must be an object", id="not-an-object"),
+            pytest.param(
+                lambda doc: "[" * 100_000,
+                "measured.json is invalid: maximum recursion depth",
+                id="nested-too-deep",
+            ),
         ],
     )
     def test_malformed_ensemble_json_exits_2_before_writing(self, tmp_path, capsys, edit, field):
@@ -1118,6 +1129,15 @@ class TestCli:
         assert cli_main(["ber", "--scenario", str(scenario_path), "--out", str(out)]) == 2
         assert field in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
+
+    def test_deeply_nested_scenario_exits_2_before_writing(self, tmp_path, capsys):
+        # nesting past the interpreter's recursion limit stops json.loads
+        scenario_path = tmp_path / "scenario.json"
+        scenario_path.write_text("[" * 100_000, encoding="utf-8")
+        out = tmp_path / "results"
+        assert cli_main(["ber", "--scenario", str(scenario_path), "--out", str(out)]) == 2
+        assert "scenario JSON is invalid: maximum recursion depth" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "corrupted, message",

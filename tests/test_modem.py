@@ -42,7 +42,7 @@ def orthogonal_cirs():
     return [cir(first), cir(second)]
 
 
-def ideal_received(powers, spacing=7, num_taps=7):
+def ideal_received(powers):
     """Directly constructed window samples: a diagonal channel matrix.
 
     Window ``l`` of antenna ``n`` holds one pulse of power ``powers[n][l]``
@@ -50,7 +50,7 @@ def ideal_received(powers, spacing=7, num_taps=7):
     cross-talk at all (interference-free detector check).
     """
     powers = np.asarray(powers, dtype=float)
-    windows = DetectionWindow(powers.shape[1], num_taps, spacing)
+    windows = DetectionWindow(powers.shape[1])
     samples = np.zeros((*powers.shape, 2 * windows.half_width + 1), dtype=complex)
     samples[:, :, windows.half_width] = np.sqrt(powers)
     return samples, windows
@@ -61,7 +61,7 @@ def transmit(bits, scheme, cirs, sigma=0.0, seed=0):
         symbols = rask_modulate(bits)
     else:
         symbols = erask_modulate(bits, len(cirs))
-    windows = DetectionWindow(symbols.shape[1], len(cirs[0]), SPACING)
+    windows = DetectionWindow(symbols.shape[1])
     kernels = pulse_responses(cirs, cirs)
     received = received_at(symbols, kernels, SPACING, sigma, [seed])
     return received, windows
@@ -151,27 +151,29 @@ class TestConfigValidation:
 
 class TestDetectionWindows:
     def test_peaks_follow_symbol_slots(self):
-        windows = DetectionWindow(3, num_taps=16, spacing=5)
-        np.testing.assert_array_equal(windows.lags[:, windows.half_width], [15, 20, 25])
+        # a one-path channel focuses each pulse in one sample: the centre of
+        # its symbol's window, with nothing on either side
+        taps = np.zeros(16, dtype=complex)
+        taps[4] = 1.0
+        kernels = pulse_responses([cir(taps)], [cir(taps)])
+        field = received_at(np.array([[1.0, 2.0, 3.0]]), kernels, 5, 0.0, [0])[0]
+        expected = np.zeros((3, 2 * WINDOW_HALF_WIDTH + 1))
+        expected[:, WINDOW_HALF_WIDTH] = [1.0, 2.0, 3.0]
+        np.testing.assert_allclose(field, expected, rtol=0, atol=1e-15)
 
     @given(st.integers(2 * WINDOW_HALF_WIDTH + 1, 40))
     def test_windows_disjoint_when_spacing_exceeds_twice_half_width(self, spacing):
-        windows = DetectionWindow(4, num_taps=8, spacing=spacing)
-        assert windows.half_width == WINDOW_HALF_WIDTH
-        spans = [set(row.tolist()) for row in windows.lags]
-        for i in range(len(spans)):
-            for j in range(i + 1, len(spans)):
-                assert not (spans[i] & spans[j])
+        # noise alone: a sample read by two windows would appear twice
+        rng = np.random.default_rng(spacing)
+        taps = cir(rng.standard_normal(8) + 1j * rng.standard_normal(8))
+        kernels = pulse_responses([taps], [taps])
+        field = received_at(np.zeros((1, 4)), kernels, spacing, 1.0, [spacing])
+        assert DetectionWindow(4).half_width == WINDOW_HALF_WIDTH
+        assert len(set(field.ravel().tolist())) == field.size
 
-
-    @pytest.mark.parametrize("num_symbols, num_taps, spacing", [
-        (3, 0, 5),
-        (3, 16, 0),
-        (-1, 16, 5),
-    ])
-    def test_rejects_out_of_range_integers(self, num_symbols, num_taps, spacing):
+    def test_rejects_a_negative_symbol_count(self):
         with pytest.raises(DomainError, match="must be >="):
-            DetectionWindow(num_symbols, num_taps, spacing)
+            DetectionWindow(-1)
 
 
 class TestPowerDetect:
@@ -192,7 +194,7 @@ class TestPowerDetect:
     def test_tie_breaks_to_first_antenna(self):
         samples = np.zeros((1, 3), dtype=complex)
         samples[0, 1] = 1.0
-        windows = DetectionWindow(1, num_taps=4, spacing=SPACING)
+        windows = DetectionWindow(1)
         detected = power_detect(np.stack([samples, samples]), windows, RASK)
         np.testing.assert_array_equal(detected, [0])
 
@@ -206,7 +208,7 @@ class TestPowerDetect:
     @pytest.mark.parametrize("shape", [(2, 500, 3), (3, 40, 3), (2, 0, 3)])
     def test_window_peak_powers_equal_the_max_reduction(self, shape):
         rng = np.random.default_rng(11)
-        windows = DetectionWindow(shape[1], 4, SPACING)
+        windows = DetectionWindow(shape[1])
         frame = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         # exact ties between window columns, sign flips included
         frame[:, ::3, 2] = frame[:, ::3, 0]
@@ -352,7 +354,7 @@ class TestEndToEnd:
             targeted = _pilot_targets(2, 32)
             calibrated = calibrate_threshold(
                 received_at(targeted, kernels, 15, sigma, [trial, 2]),
-                DetectionWindow(32, 128, 15),
+                DetectionWindow(32),
                 targeted,
             )
             for label, value in (

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import cir, complex_gaussian, energy, measure_focusing, random_cir
-from oracles import received_signal, tr_kernel, tr_precode
+from oracles import read_at, received_signal, tr_kernel, tr_precode, window_lags
 from trlink import precoding
 from trlink.channel import (
     CavityParams,
@@ -21,7 +21,7 @@ from trlink.channel import (
 from trlink.dsp import NUMERIC_RTOL, complex_noise, convolve
 from trlink.errors import ConfigurationError, DomainError
 from trlink.harness import _pilot_targets, grid_positions
-from trlink.modem import DetectionWindow, erask_modulate, rask_modulate
+from trlink.modem import erask_modulate, rask_modulate
 from trlink.output import csv_text
 from trlink.precoding import (
     focusing_report,
@@ -268,9 +268,9 @@ class TestPropagate:
 
 
 def windowed_reference(symbols, true_cirs, known_cirs, spacing, lags, sigma, seed_path):
-    """The full-length chain, indexed at the (clipped) lags afterwards."""
+    """The full-length chain, read at the lags afterwards (0 past either end)."""
     received = received_signal(symbols, known_cirs, true_cirs, spacing, sigma, seed_path)
-    return received[:, np.clip(lags, 0, received.shape[1] - 1)]
+    return read_at(received, lags)
 
 
 def _frames(rng, num_rx=2):
@@ -345,7 +345,7 @@ class TestReceivedAt:
                 del frames["rask"]  # RASK needs two antennas
             for name, symbols in frames.items():
                 for spacing in spacings:
-                    lags = DetectionWindow(symbols.shape[1], num_taps, spacing).lags
+                    lags = window_lags(symbols.shape[1], num_taps, spacing)
                     for sigma in (0.0, 0.3):
                         actual = received_at(symbols, kernels, spacing, sigma, [5, 1])
                         expected = windowed_reference(
@@ -375,18 +375,22 @@ class TestReceivedAt:
             scale = np.max(np.abs(default[name]))
             assert np.max(np.abs(actual - default[name])) <= NUMERIC_RTOL * scale, name
 
-    def test_single_tap_reads_clip_to_the_signal_ends(self):
+    def test_single_tap_reads_zero_past_the_signal_ends(self):
         # with L = 1 the field is zero between pulses; the first window's
-        # left sample and the last window's right sample clip to the ends
+        # left sample and the last window's right sample lie outside the
+        # signal, where nothing is received: no signal and no noise
         h = cir([0.6 + 0.8j])
         symbols = np.array([[1.0, 2.0, 3.0]], dtype=complex)
         kernels = pulse_responses([h], [h])
         field = received_at(symbols, kernels, 4, 0.0, [0])[0]
-        np.testing.assert_allclose(field, [[1, 1, 0], [0, 2, 0], [0, 3, 3]], atol=1e-15)
+        np.testing.assert_allclose(field, [[0, 1, 0], [0, 2, 0], [0, 3, 0]], atol=1e-15)
+        assert field[0, 0] == 0 and field[2, 2] == 0
         noisy = received_at(symbols, kernels, 4, 0.5, [0])[0]
-        assert noisy[0, 0] == noisy[0, 1]
-        assert noisy[2, 1] == noisy[2, 2]
-        assert noisy[0, 0] != noisy[2, 2]
+        assert noisy[0, 0] == 0 and noisy[2, 2] == 0
+        inside = np.ones(noisy.shape, dtype=bool)
+        inside[0, 0] = inside[2, 2] = False
+        assert np.all(noisy[inside].real != field[inside].real)
+        assert np.all(noisy[inside].imag != field[inside].imag)
 
     def test_noise_only_variance(self):
         # all-zero symbols leave only the noise; with two taps and spacing 3
@@ -404,7 +408,7 @@ class TestReceivedAt:
         rng = np.random.default_rng(9)
         cirs = [random_cir(rng, 32) for _ in range(3)]
         field = received_at(np.zeros((1, 4)), pulse_responses(cirs, cirs[:1]), 5, 0.3, [7, 1])
-        lags = DetectionWindow(4, 32, 5).lags
+        lags = window_lags(4, 32, 5)
         length = 3 * 5 + 2 * 32 - 1
         for n in range(3):
             assert np.array_equal(field[n], complex_noise(length, 0.3, [7, 1, n])[lags])
@@ -415,7 +419,8 @@ class TestReceivedAt:
         # the noise is drawn in blocks of _NOISE_BLOCK samples: frames of
         # exactly one block, one sample over and several (exact at spacing
         # 1) still read the whole draw at the lags; with one tap the end
-        # windows clip, and both the real and imaginary draws end at a lag
+        # windows reach past the signal, where they read no noise, and both
+        # the real and imaginary draws end at a lag
         block = precoding._NOISE_BLOCK
         target = {"one-block": block, "one-over": block + 1}.get(frame, 4 * block + 7)
         num_symbols = (target - (2 * num_taps - 1)) // spacing + 1
@@ -424,9 +429,9 @@ class TestReceivedAt:
         cirs = [random_cir(rng, num_taps) for _ in range(2)]
         kernels = pulse_responses(cirs, cirs[:1])
         field = received_at(np.zeros((1, num_symbols)), kernels, spacing, 0.3, [7, 1])
-        lags = np.clip(DetectionWindow(num_symbols, num_taps, spacing).lags, 0, length - 1)
+        lags = window_lags(num_symbols, num_taps, spacing)
         for n in range(2):
-            assert np.array_equal(field[n], complex_noise(length, 0.3, [7, 1, n])[lags])
+            assert np.array_equal(field[n], read_at(complex_noise(length, 0.3, [7, 1, n]), lags))
 
     def test_noise_memory_does_not_grow_with_the_frame(self):
         # one two-antenna RASK frame of 10,000 symbols at L = 256: the D = 30
@@ -468,6 +473,8 @@ class TestReceivedAt:
             received_at(np.ones((1, 2)), kernels, 5, -1.0, [0])
         with pytest.raises(ConfigurationError, match="symbol rows"):
             received_at(np.ones((2, 2)), kernels, 5, 0.0, [0])
+        with pytest.raises(ConfigurationError, match="spacing must be >= 1"):
+            received_at(np.ones((1, 2)), kernels, 0, 0.0, [0])
         with pytest.raises(DomainError, match="2L-1"):
             received_at(np.ones((1, 2)), kernels[..., 1:], 5, 0.0, [0])
         with pytest.raises(DomainError, match="real amplitudes"):
