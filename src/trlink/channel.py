@@ -35,7 +35,11 @@ the uncorrelated field are drawn first as ``rng.standard_normal((L, P))``
 (tap-major, C order), then the imaginary parts by a second identical call;
 the complex field is scaled by ``1/sqrt(2)``, correlated across positions by
 right-multiplying with the symmetric square root of the kernel matrix, and
-finally scaled per tap by ``sqrt(PDP[l])``.
+finally scaled per tap by ``sqrt(PDP[l])``. Each draw is written straight
+into one complex array times ``1 / sqrt(2)``, which is what numpy's
+complex-by-real division computes, and the correlated taps are scaled in
+place, so the result equals ``(sqrt(PDP)[:, None] * (((re + 1j * im) /
+sqrt(2)) @ root)).T`` bit for bit without that expression's temporaries.
 
 That square root depends only on the positions and the wavelength, so it is
 memoised with one entry (:func:`_kernel_sqrt`): repeated draws over one
@@ -83,6 +87,7 @@ from .errors import (
     read_list,
     read_number,
     require_keys,
+    shown,
     unique_keys,
 )
 from .output import write_csv, write_text
@@ -125,7 +130,7 @@ def check_positions(values, name: str = "positions") -> np.ndarray:
         raise ConfigurationError(f"{name} needs at least one position")
     if not np.all(positions[1:] > positions[:-1]):
         raise ConfigurationError(
-            f"{name} must be strictly increasing, got {positions.tolist()}"
+            f"{name} must be strictly increasing, got {shown(positions.tolist())}"
         )
     return positions
 
@@ -372,11 +377,13 @@ def synth_cavity_ensemble(
     sqrt_kernel = _kernel_sqrt(params.wavelength_mm, positions.tobytes())
 
     rng = np.random.default_rng(params.rng_seed)
-    re = rng.standard_normal((num_taps, num_pos))
-    im = rng.standard_normal((num_taps, num_pos))
-    white = (re + 1j * im) / np.sqrt(2.0)
-    correlated = white @ sqrt_kernel
-    taps = np.sqrt(pdp)[:, None] * correlated
+    white = np.empty((num_taps, num_pos), dtype=np.complex128)
+    # complex-by-real division multiplies by the reciprocal, bit for bit
+    scale = 1.0 / np.sqrt(2.0)
+    np.multiply(rng.standard_normal((num_taps, num_pos)), scale, out=white.real)
+    np.multiply(rng.standard_normal((num_taps, num_pos)), scale, out=white.imag)
+    taps = white @ sqrt_kernel
+    taps *= np.sqrt(pdp)[:, None]
     return SpatialChannelEnsemble(positions, taps.T, params)
 
 
@@ -596,7 +603,7 @@ def load_ensemble(json_path: str | Path) -> SpatialChannelEnsemble:
     )
     if meta["schema"] != _ENSEMBLE_SCHEMA:
         raise ConfigurationError(
-            f"unsupported ensemble schema {meta['schema']!r} in {json_path}"
+            f"unsupported ensemble schema {shown(meta['schema'])} in {json_path}"
         )
     decay = meta.get("decay_time_s", math.nan)
     if "decay_time_s" in meta and decay != math.inf:
@@ -612,7 +619,7 @@ def load_ensemble(json_path: str | Path) -> SpatialChannelEnsemble:
         read_list(meta["positions_mm"], "positions_mm", read_number), "positions_mm"
     )
     if not isinstance(meta["csv"], str):
-        raise ConfigurationError(f"csv must be a file name string, got {meta['csv']!r}")
+        raise ConfigurationError(f"csv must be a file name string, got {shown(meta['csv'])}")
 
     csv_path = json_path.parent / meta["csv"]
     if not csv_path.is_file():

@@ -31,7 +31,8 @@ one emission received through ``P`` channels. The first operand may in turn
 be a ``(U, La)`` stack, ``U`` emissions, and the result is then their outer
 stack, ``(P, U, La + Lb - 1)``: every emission through every channel. Each
 operand is transformed once, in one batched transform along its last axis,
-and the products take one inverse transform; entry ``[p, u]`` equals
+and the products, multiplied into one array, take one inverse transform
+that overwrites that array in place; entry ``[p, u]`` equals
 ``convolve(a[u], b[p])`` bit for bit. The first operand's spectrum stays
 the left factor of the product, as in the one-signal case, because the
 complex multiply does not round the same with its factors swapped.
@@ -85,7 +86,8 @@ def _fftconvolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return a * b
     n = a.shape[-1] + b.shape[-1] - 1
     m = _fast_len(n)
-    return np.fft.ifft(np.fft.fft(a, m) * np.fft.fft(b, m), axis=-1)[..., :n]
+    product = np.fft.fft(a, m) * np.fft.fft(b, m)
+    return np.fft.ifft(product, axis=-1, out=product)[..., :n]
 
 
 def convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:

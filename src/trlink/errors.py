@@ -1,6 +1,8 @@
 """Exception hierarchy shared by all simulator modules, the strict readers
 that turn malformed JSON input (scenarios, ensemble files) into a
 ``ConfigurationError`` naming the field, and the range check of a dB value.
+An error echoes the offending value through :func:`shown`, so a message
+stays short whatever the input holds.
 """
 
 import math
@@ -19,13 +21,24 @@ class DomainError(TrLinkError, ValueError):
     """Input outside an operation's domain: empty signal, zero-energy channel, ..."""
 
 
+_SHOWN_CHARACTERS = 40
+
+
+def shown(value) -> str:
+    """``repr(value)``, or its first ``_SHOWN_CHARACTERS`` characters and its length."""
+    text = repr(value)
+    if len(text) <= _SHOWN_CHARACTERS:
+        return text
+    return f"{text[:_SHOWN_CHARACTERS]}... ({len(text)} characters)"
+
+
 def require_keys(obj: dict, allowed: set[str], required: set[str], where: str) -> None:
     """``obj`` is a JSON object with every ``required`` key and no key outside ``allowed``."""
     if not isinstance(obj, dict):
-        raise ConfigurationError(f"{where} must be an object, got {obj!r}")
+        raise ConfigurationError(f"{where} must be an object, got {shown(obj)}")
     unknown = set(obj) - allowed
     if unknown:
-        raise ConfigurationError(f"unknown keys in {where}: {sorted(unknown)}")
+        raise ConfigurationError(f"unknown keys in {where}: {shown(sorted(unknown))}")
     missing = required - set(obj)
     if missing:
         raise ConfigurationError(f"missing keys in {where}: {sorted(missing)}")
@@ -37,7 +50,7 @@ def unique_keys(pairs: list[tuple[str, object]]) -> dict:
     obj = {}
     for key, value in pairs:
         if key in obj:
-            raise ConfigurationError(f"duplicate key {key!r}")
+            raise ConfigurationError(f"duplicate key {shown(key)}")
         obj[key] = value
     return obj
 
@@ -45,7 +58,7 @@ def unique_keys(pairs: list[tuple[str, object]]) -> dict:
 def read_integer(value, name: str) -> int:
     """A JSON integer. Booleans and floats such as ``15.7`` are rejected, not coerced."""
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+        raise ConfigurationError(f"{name} must be an integer, got {shown(value)}")
     return value
 
 
@@ -57,7 +70,7 @@ def read_number(value, name: str) -> float:
                 return float(value)
         except OverflowError:  # an integer beyond the float range
             pass
-    raise ConfigurationError(f"{name} must be a finite number, got {value!r}")
+    raise ConfigurationError(f"{name} must be a finite number, got {shown(value)}")
 
 
 def check_power_ratio(db: float, what: str) -> None:
@@ -76,5 +89,5 @@ def check_power_ratio(db: float, what: str) -> None:
 def read_list(value, name: str, read: Callable) -> list:
     """A JSON list whose items each pass ``read``."""
     if not isinstance(value, list):
-        raise ConfigurationError(f"{name} must be a list, got {value!r}")
+        raise ConfigurationError(f"{name} must be a list, got {shown(value)}")
     return [read(item, f"{name}[{i}]") for i, item in enumerate(value)]

@@ -129,6 +129,7 @@ from .errors import (
     read_list,
     read_number,
     require_keys,
+    shown,
     unique_keys,
 )
 from .modem import (
@@ -363,7 +364,7 @@ def _parse_threshold(obj) -> FixedThreshold | PilotThreshold:
     if policy == "pilot":
         require_keys(obj, {"policy", "num_pilots"}, {"policy"}, "rsm.threshold")
         return PilotThreshold(read_integer(obj.get("num_pilots", 32), "rsm.threshold.num_pilots"))
-    raise ConfigurationError(f"unknown threshold policy {policy!r}")
+    raise ConfigurationError(f"unknown threshold policy {shown(policy)}")
 
 
 def scenario_from_dict(data: dict, base_dir: Path | None = None) -> Scenario:
@@ -391,7 +392,7 @@ def scenario_from_dict(data: dict, base_dir: Path | None = None) -> Scenario:
         "scenario",
     )
     if read_integer(data["version"], "version") != 1:
-        raise ConfigurationError(f"unsupported scenario version {data['version']!r}")
+        raise ConfigurationError(f"unsupported scenario version {shown(data['version'])}")
 
     grid_keys = [k for k in ("grid_mm", "positions_mm", "ensemble_file") if k in data]
     if len(grid_keys) != 1:
@@ -405,7 +406,7 @@ def scenario_from_dict(data: dict, base_dir: Path | None = None) -> Scenario:
             raise ConfigurationError("ensemble_file scenarios must not also define cavity")
         if not isinstance(data["ensemble_file"], str):
             raise ConfigurationError(
-                f"ensemble_file must be a path string, got {data['ensemble_file']!r}"
+                f"ensemble_file must be a path string, got {shown(data['ensemble_file'])}"
             )
         path = Path(data["ensemble_file"])
         if base_dir is not None and not path.is_absolute():
@@ -457,7 +458,7 @@ def scenario_from_dict(data: dict, base_dir: Path | None = None) -> Scenario:
         schemes = (Scheme(scheme_name),)
     else:
         raise ConfigurationError(
-            f'rsm.scheme must be "rask", "erask" or "both", got {scheme_name!r}'
+            f'rsm.scheme must be "rask", "erask" or "both", got {shown(scheme_name)}'
         )
     threshold = _parse_threshold(rsm_obj["threshold"]) if "threshold" in rsm_obj else None
     rsm = RsmConfig(
@@ -687,6 +688,21 @@ def run_focusing_experiment(
     )
 
 
+def _median(values: list[float]) -> float:
+    """``float(np.median(values))`` bit for bit, for one or more floats.
+
+    The middle of the sorted values, or ``(a + b) / 2`` of the middle two,
+    numpy's own arithmetic; NaN if any value is NaN, as numpy gives.
+    """
+    if any(math.isnan(value) for value in values):
+        return math.nan
+    ordered = sorted(values)
+    half = len(ordered) // 2
+    if len(ordered) % 2:
+        return ordered[half]
+    return (ordered[half - 1] + ordered[half]) / 2
+
+
 def run_sounding_study(
     scenario: Scenario, out_dir: str | Path | None = None
 ) -> list[tuple[int, float, float]]:
@@ -695,11 +711,12 @@ def run_sounding_study(
     For each TB in ``SOUNDING_TB_VALUES`` the probe chirp lasts ``TB /
     bandwidth`` seconds; the normalized error ``||est - true|| / ||true||``
     toward the first target is reported as a median over the scenario's
-    trials, once noiseless and once at the scenario's probe SNR (20 dB when
-    sounding is "genie"). Each (TB, SNR point) is one :func:`sound_cir`
-    batch of the trials' truths, each trial's noise seeded as the BER
-    sweep seeds that target's. Returns (tb, probe_snr_db, median_error)
-    rows and writes ``sounding_error.csv`` when ``out_dir`` is given.
+    trials (:func:`_median`), once noiseless and once at the scenario's
+    probe SNR (20 dB when sounding is "genie"). Each trial's ``||true||``
+    is computed once. Each (TB, SNR point) is one :func:`sound_cir` batch
+    of the trials' truths, each trial's noise seeded as the BER sweep seeds
+    that target's. Returns (tb, probe_snr_db, median_error) rows and writes
+    ``sounding_error.csv`` when ``out_dir`` is given.
     """
     probe_snr = (
         scenario.sounding.probe_snr_db if scenario.sounding is not None else 20.0
@@ -712,6 +729,7 @@ def run_sounding_study(
     truths = np.stack(
         [scenario.ensemble_for_trial(trial).taps[target] for trial in range(scenario.trials)]
     )
+    truth_norms = [np.linalg.norm(truth) for truth in truths]
     seeds = [
         derive_seed(scenario.master_seed, _STREAM_SOUNDING, trial, target)
         for trial in range(scenario.trials)
@@ -723,10 +741,10 @@ def run_sounding_study(
             sounding = SoundingConfig(duration_s=duration, probe_snr_db=snr_db)
             estimates = sound_cir(truths, sounding, seeds, scenario.cavity.bandwidth_hz)
             errors = [
-                float(np.linalg.norm(estimate - truth) / np.linalg.norm(truth))
-                for estimate, truth in zip(estimates, truths)
+                float(np.linalg.norm(estimate - truth) / norm)
+                for estimate, truth, norm in zip(estimates, truths, truth_norms)
             ]
-            rows.append((tb, float(snr_db), float(np.median(errors))))
+            rows.append((tb, float(snr_db), _median(errors)))
 
     if out_dir is not None:
         write_csv(

@@ -17,15 +17,19 @@ instead, the way the link is described:
   sums, independent of the transform-domain fast paths in ``trlink.dsp``;
 * :func:`noise_expression` and :func:`chirp_expression` - contract v1's
   noise and the probe chirp as one expression each, which ``trlink.dsp``
-  builds in place with the same arithmetic, bit for bit.
+  builds in place with the same arithmetic, bit for bit;
+* :func:`convolve_expression` and :func:`ensemble_expression` - the fast
+  convolution and the cavity ensemble's taps as out-of-place expressions,
+  which ``trlink.dsp`` and ``trlink.channel`` compute with fewer
+  temporaries and the same arithmetic, bit for bit.
 """
 
 import math
 
 import numpy as np
 
-from trlink.channel import as_taps
-from trlink.dsp import chirp_length, complex_noise, convolve, xcorr
+from trlink.channel import CavityParams, _kernel_sqrt, as_taps, check_positions
+from trlink.dsp import _fast_len, chirp_length, complex_noise, convolve, xcorr
 from trlink.modem import WINDOW_HALF_WIDTH
 from trlink.precoding import _check_symbols, _target_energy, propagate
 
@@ -142,3 +146,25 @@ def chirp_expression(bandwidth: float, duration: float) -> np.ndarray:
     t = np.arange(chirp_length(duration, bandwidth)) / bandwidth
     phase = 2.0 * np.pi * (-0.5 * bandwidth * t + bandwidth / (2.0 * duration) * t**2)
     return np.exp(1j * phase)
+
+
+def convolve_expression(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``convolve`` with an out-of-place inverse transform of the spectra's product."""
+    b = b.reshape(b.shape[:-1] + (1,) * (a.ndim - 1) + b.shape[-1:])
+    if a.shape[-1] == 1 or b.shape[-1] == 1:
+        return a * b
+    n = a.shape[-1] + b.shape[-1] - 1
+    m = _fast_len(n)
+    return np.fft.ifft(np.fft.fft(a, m) * np.fft.fft(b, m), axis=-1)[..., :n]
+
+
+def ensemble_expression(params: CavityParams, positions_mm) -> np.ndarray:
+    """``synth_cavity_ensemble(params, positions_mm).taps`` as one expression
+    over its two draws: real parts, then imaginary parts, ``(L, P)`` each."""
+    positions = check_positions(positions_mm)
+    rng = np.random.default_rng(params.rng_seed)
+    shape = (params.num_taps, positions.size)
+    re, im = rng.standard_normal(shape), rng.standard_normal(shape)
+    root = _kernel_sqrt(params.wavelength_mm, positions.tobytes())
+    pdp = params.power_delay_profile()
+    return (np.sqrt(pdp)[:, None] * (((re + 1j * im) / np.sqrt(2.0)) @ root)).T

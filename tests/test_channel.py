@@ -10,6 +10,7 @@ import pytest
 
 import trlink.channel as channel
 from conftest import cir, energy, traced_peak
+from oracles import ensemble_expression
 from trlink.channel import (
     CavityParams,
     SoundingConfig,
@@ -97,6 +98,29 @@ class TestEnsembleSynthesis:
             params = CavityParams(num_taps=16, rng_seed=seed)
             ensemble = synth_cavity_ensemble(params, [0.0, 0.5])
             assert all(energy(row) > 0 for row in ensemble.taps)
+
+    # one position, one tap, a flat profile and the focus grid's shape
+    @pytest.mark.parametrize(
+        "num_taps, num_positions, decay_time_s",
+        [(16, 1, None), (1, 5, None), (8, 7, math.inf), (256, 43, None), (64, 42, math.inf)],
+    )
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_equals_the_one_expression_bit_for_bit(self, num_taps, num_positions, decay_time_s, seed):
+        decay = {} if decay_time_s is None else {"decay_time_s": decay_time_s}
+        params = CavityParams(num_taps=num_taps, rng_seed=seed, **decay)
+        positions = np.arange(num_positions) * 0.3 - 6.3
+        taps = synth_cavity_ensemble(params, positions).taps
+        assert taps.tobytes() == ensemble_expression(params, positions).tobytes()
+
+    def test_memory_is_a_small_multiple_of_the_taps(self):
+        # the white field, the correlated taps and the ensemble's frozen
+        # copy of them, each 16 P L bytes; the sum of the draws, the scaled
+        # field and the scaled taps were three more
+        scenario = load_scenario(ROOT / "scenarios" / "focus_grid.json")
+        params, positions = scenario.cavity, scenario.positions_mm
+        taps_bytes = 16 * params.num_taps * positions.size
+        peak = traced_peak(lambda: synth_cavity_ensemble(params, positions))
+        assert peak <= 3.5 * taps_bytes
 
     def test_rejects_non_increasing_positions(self):
         params = CavityParams(num_taps=4)

@@ -1,5 +1,6 @@
 """Convolution/correlation contracts, chirp synthesis."""
 
+import math
 import os
 import subprocess
 import sys
@@ -11,7 +12,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import complex_gaussian, max_rel_error, traced_peak
-from oracles import chirp_expression, direct_convolve, direct_xcorr, noise_expression
+from oracles import (
+    chirp_expression,
+    convolve_expression,
+    direct_convolve,
+    direct_xcorr,
+    noise_expression,
+)
 from trlink.dsp import (
     NUMERIC_RTOL,
     _fast_len,
@@ -137,6 +144,30 @@ class TestFastPath:
         single = convolve(signals, stack[0])
         assert single.shape == (num_signals, a_len + row_len - 1)
         assert np.array_equal(single, out[0])
+
+    # one signal and stacks on either side, and length-1 operands
+    @pytest.mark.parametrize(
+        "a_shape, b_shape",
+        [
+            ((256,), (256,)), ((511,), (43, 256)), ((2, 256), (256,)), ((2, 256), (43, 256)),
+            ((4, 511), (3, 17)), ((1,), (256,)), ((3, 1), (43, 256)), ((2, 256), (5, 1)),
+        ],
+    )
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_equals_the_out_of_place_expression_bit_for_bit(self, a_shape, b_shape, seed):
+        rng = np.random.default_rng([seed, *a_shape, *b_shape])
+        a = complex_gaussian(rng, math.prod(a_shape)).reshape(a_shape)
+        b = complex_gaussian(rng, math.prod(b_shape)).reshape(b_shape)
+        assert convolve(a, b).tobytes() == convolve_expression(a, b).tobytes()
+
+    def test_memory_holds_one_product_of_the_spectra(self):
+        # the out-of-place inverse transform held the product and its
+        # transform at once, twice the output; now the product is transformed in place
+        rng = np.random.default_rng(6)
+        a = complex_gaussian(rng, 2 * 256).reshape(2, 256)
+        b = complex_gaussian(rng, 43 * 256).reshape(43, 256)
+        output_bytes = 16 * 43 * 2 * 511
+        assert traced_peak(lambda: convolve(a, b)) <= 1.95 * output_bytes
 
     def test_empty_stack_is_rejected(self):
         with pytest.raises(DomainError):

@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
 from dataclasses import fields, replace
@@ -44,6 +45,7 @@ from trlink.modem import FixedThreshold, PilotThreshold, RsmConfig, Scheme
 from trlink.precoding import FocusingReport, focusing_report, pulse_responses
 
 ROOT = Path(__file__).resolve().parents[1]
+finite_floats = st.floats(allow_nan=False, allow_infinity=False)
 TWO_USER = json.loads((ROOT / "scenarios" / "two_user.json").read_text(encoding="utf-8"))
 FOCUS_GRID = json.loads((ROOT / "scenarios" / "focus_grid.json").read_text(encoding="utf-8"))
 
@@ -697,6 +699,19 @@ class TestSoundingStudy:
         run_sounding_study(scenario)
         assert len(calls) == scenario.trials
 
+    # any sign but no -0.0, which no norm gives: np.partition may place
+    # -0.0 and 0.0 in either order, where sorted() keeps them in input order
+    @given(st.lists(finite_floats.map(lambda value: value + 0.0), min_size=1, max_size=40))
+    def test_median_is_numpys_bit_for_bit(self, values):
+        with np.errstate(over="ignore"):  # the middle two's sum may overflow, to inf in both
+            expected = float(np.median(values))
+        assert struct.pack("<d", harness._median(values)) == struct.pack("<d", expected)
+
+    @given(st.lists(finite_floats, max_size=39), st.integers(min_value=0, max_value=39))
+    def test_median_of_values_with_a_nan_is_nan(self, values, index):
+        values.insert(index, math.nan)
+        assert math.isnan(harness._median(values))
+
 
 class TestCommittedResults:
     """The committed ``results/`` files are the behavioural oracle."""
@@ -1060,6 +1075,37 @@ class TestCli:
         err = capsys.readouterr().err
         assert "configuration error: target -1.8 mm has a CIR with overflowing energy" in err
         assert not out.exists()
+
+    def test_an_overlong_value_is_named_in_a_short_message(self, tmp_path, capsys):
+        path = write_scenario(tmp_path, version="v" * 5_000_000)
+        out = tmp_path / "results"
+        assert cli_main(["ber", "--scenario", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.encode("utf-8")) < 1024
+        assert "version must be an integer" in err
+        assert "5000002 characters" in err
+        assert not out.exists()
+
+    def test_commands_do_not_import_numpy_ma(self, tmp_path):
+        # numpy.ma, which np.median imports, is ~10 ms and ~2 MiB of a
+        # one-shot run that no command needs
+        ber = write_scenario(tmp_path, trials=1, bits_per_point=40)
+        script = (
+            "import sys\n"
+            "from trlink.cli import main\n"
+            "scenario, ber, out = sys.argv[1:]\n"
+            "for command, path in [('sound', scenario), ('focus', scenario), ('ber', ber)]:\n"
+            "    assert main([command, '--scenario', path, '--out', f'{out}/{command}']) == 0\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
+        result = subprocess.run(
+            [sys.executable, "-c", script,
+             str(ROOT / "scenarios" / "focus_grid.json"), str(ber), str(tmp_path / "out")],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        assert result.stdout.splitlines()[-1] == "False"
 
     def test_repeated_scenario_key_exits_2_before_writing(self, tmp_path, capsys):
         # the last value would otherwise win: trials would load as 1
