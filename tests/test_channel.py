@@ -114,8 +114,8 @@ class TestEnsembleSynthesis:
 
     def test_memory_is_a_small_multiple_of_the_taps(self):
         # the white field, the correlated taps and the ensemble's frozen
-        # copy of them, each 16 P L bytes; the sum of the draws, the scaled
-        # field and the scaled taps were three more
+        # copy of them, each 16 P L bytes, and one real draw of half that;
+        # a complex temporary per arithmetic step would hold five or more
         scenario = load_scenario(ROOT / "scenarios" / "focus_grid.json")
         params, positions = scenario.cavity, scenario.positions_mm
         taps_bytes = 16 * params.num_taps * positions.size

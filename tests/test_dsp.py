@@ -161,8 +161,8 @@ class TestFastPath:
         assert convolve(a, b).tobytes() == convolve_expression(a, b).tobytes()
 
     def test_memory_holds_one_product_of_the_spectra(self):
-        # the out-of-place inverse transform held the product and its
-        # transform at once, twice the output; now the product is transformed in place
+        # the spectra's product is the output, padded to the transform
+        # length; an inverse transform out of place would hold it twice
         rng = np.random.default_rng(6)
         a = complex_gaussian(rng, 2 * 256).reshape(2, 256)
         b = complex_gaussian(rng, 43 * 256).reshape(43, 256)
