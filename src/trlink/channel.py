@@ -107,12 +107,6 @@ POSITION_TOL_MM = 1e-6
 # their O(L^3) factorisations.
 _MAX_TAPS = 4096
 
-# Sounding pulse-compresses a block of noisy rows at a time in one buffer
-# of at most this many complex samples (16 MB), so the transforms do not
-# grow with the batch: each noisy row's noise at the received signal's
-# length _fast_len(n + L - 1).
-_BLOCK_SAMPLES = 2**20
-
 _SQRT_HALF = math.sqrt(0.5)
 
 
@@ -428,20 +422,20 @@ def sound_cir(
     holds the whole received signal, so those circular lags equal the
     linear ones.
 
-    The noisy rows are compressed as stacks, in blocks of at most
-    ``_BLOCK_SAMPLES`` samples, and share one Gram. Each block's noise is
-    drawn into one zero-padded ``(rows, m)`` buffer, which the forward
-    transform, the product with the conjugated chirp spectrum (itself
-    transformed in one zero-padded ``m``-sample buffer) and the inverse
-    transform overwrite in place; one buffer serves every block. Demodulated
+    Each row is handled in one pass: its probe power, then, for a noisy
+    row, its noise drawn into one zero-padded ``m``-sample row, which the
+    forward transform, the product with the conjugated chirp spectrum
+    (itself transformed in one zero-padded ``m``-sample buffer) and the
+    inverse transform overwrite in place; that row's first ``L`` lags are
+    its window, and one row serves every noisy row, so the transforms do
+    not grow with the batch. The noisy rows share one Gram. Demodulated
     by ``conj(d)``, their windows are solved against the real symmetric
     centrosymmetric ``S``, which one fold splits into two real systems of
     half the size (:func:`_toeplitz_solve`); each half's one LU
     factorisation takes every noisy row as a right-hand side. Nothing is
-    kept between calls. Estimates do not depend on the block size. With one
-    BLAS thread each estimate equals that row's singleton batch bit for
-    bit; with more, the threaded LU rounds with the number of noisy rows,
-    within ``NUMERIC_RTOL``.
+    kept between calls. With one BLAS thread each estimate equals that
+    row's singleton batch bit for bit; with more, the threaded LU rounds
+    with the number of noisy rows, within ``NUMERIC_RTOL``.
 
     Timing is assumed known (transmitter and recorder share a clock), so the
     window position is not estimated.
@@ -466,32 +460,27 @@ def sound_cir(
     # S at lags -(L - 1) .. L - 1, the order of xcorr's output
     even_lags = np.concatenate((real_lags[:0:-1], real_lags))
     snr = 10.0 ** (sounding.probe_snr_db / 10.0)
-    noisy = []
+    m = _fast_len(received_len)
+    matched = np.zeros(m, dtype=np.complex128)
+    matched[: len(chirp)] = chirp
+    np.fft.fft(matched, out=matched)
+    np.conj(matched, out=matched)
+    noise = np.empty(m, dtype=np.complex128)
+    rows, windows = [], np.empty_like(taps)
     for row, seed in enumerate(seeds):
         demodulated = np.conj(modulation) * taps[row]
         autocorrelation = xcorr(demodulated, demodulated).real
         rx_power = chirp_energy * float(np.dot(even_lags, autocorrelation)) / received_len
         if rx_power > 0.0:
-            noisy.append((row, math.sqrt(rx_power / snr), seed))
-    if noisy:
-        m = _fast_len(received_len)
-        matched = np.zeros(m, dtype=np.complex128)
-        matched[: len(chirp)] = chirp
-        np.fft.fft(matched, out=matched)
-        np.conj(matched, out=matched)
-        buffer = np.empty((min(len(noisy), max(1, _BLOCK_SAMPLES // m)), m), dtype=np.complex128)
-        windows = np.empty((len(noisy), num_taps), dtype=np.complex128)
-        for start in range(0, len(noisy), len(buffer)):
-            block = buffer[: len(noisy) - start]
-            for noise, (_, sigma, seed) in zip(block, noisy[start : start + len(block)]):
-                noise[:received_len] = complex_noise(received_len, sigma, seed)
-            block[:, received_len:] = 0.0
-            np.fft.fft(block, axis=-1, out=block)
-            np.multiply(matched, block, out=block)
-            np.fft.ifft(block, axis=-1, out=block)
-            np.divide(block[:, :num_taps], chirp_energy, out=windows[start : start + len(block)])
-        rows = [row for row, _, _ in noisy]
-        estimates[rows] += _toeplitz_solve(real_lags, modulation, windows)
+            noise[:received_len] = complex_noise(received_len, math.sqrt(rx_power / snr), seed)
+            noise[received_len:] = 0.0
+            np.fft.fft(noise, out=noise)
+            np.multiply(matched, noise, out=noise)
+            np.fft.ifft(noise, out=noise)
+            np.divide(noise[:num_taps], chirp_energy, out=windows[len(rows)])
+            rows.append(row)
+    if rows:
+        estimates[rows] += _toeplitz_solve(real_lags, modulation, windows[: len(rows)])
     estimates.flags.writeable = False
     return estimates
 

@@ -137,8 +137,8 @@ def complex_noise(size: int, sigma: float, rng_seed: int | list[int] | None) -> 
 
 
 # A sounding chirp is transformed with each noisy row's noise at the
-# received length, in one complex buffer per block of noisy rows; a million
-# samples (time-bandwidth product 1e6) keeps each row near 16 MB.
+# received length, in one complex transform row; a million samples
+# (time-bandwidth product 1e6) keeps that row near 16 MB.
 _MAX_CHIRP_SAMPLES = 1_000_000
 
 

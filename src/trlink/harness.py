@@ -189,12 +189,14 @@ def grid_positions(start_mm: float, stop_mm: float, step_mm: float) -> np.ndarra
     if stop_mm < start_mm:
         raise ConfigurationError("grid stop must be >= start")
     span = (stop_mm - start_mm) / step_mm
-    if not span < _MAX_GRID_POSITIONS:
+    # an infinite or NaN span fails the first test; the tolerance that keeps
+    # a stop on the grid can still add the position past the cap
+    count = int(math.floor(span + 1e-9)) + 1 if span < _MAX_GRID_POSITIONS else math.inf
+    if count > _MAX_GRID_POSITIONS:
         raise ConfigurationError(
             f"grid from {start_mm} to {stop_mm} mm in steps of {step_mm} mm has more "
             f"than {_MAX_GRID_POSITIONS} positions"
         )
-    count = int(math.floor(span + 1e-9)) + 1
     return start_mm + step_mm * np.arange(count)
 
 

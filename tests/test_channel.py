@@ -492,27 +492,17 @@ class TestSoundingBatch:
                     error = np.linalg.norm(estimate - h) / np.linalg.norm(h)
                     assert error <= 1e-9
 
-    @pytest.mark.parametrize("num_taps, chirp_len", BATCH_SHAPES)
-    def test_estimates_do_not_depend_on_the_block_size(self, monkeypatch, num_taps, chirp_len):
-        batches = _batches(num_taps, chirp_len)
-        one_block = [sound_cir(cirs, cfg, seeds, 4e9) for cirs, cfg, seeds in batches]
-        # the received transform length, the one that sizes the blocks
-        widest = _fast_len(chirp_len + num_taps - 1)
-        # one row per block, then two and three rows per block: the 20 dB
-        # batch's three noisy rows fill blocks of 2 and a ragged 1, then one 3
-        for budget in (1, 2 * widest, 3 * widest):
-            monkeypatch.setattr(channel, "_BLOCK_SAMPLES", budget)
-            for (cirs, cfg, seeds), expected in zip(batches, one_block):
-                blocked = sound_cir(cirs, cfg, seeds, 4e9)
-                for x, y in zip(blocked, expected):
-                    assert np.array_equal(x, y)
-
-    def test_memory_is_one_buffer_per_block(self):
-        # two noisy rows at TB 10^4: their noise transforms in one (2, m)
-        # buffer, m = _fast_len(10,255) = 10,290, about 0.31 MiB
-        cirs = [_synth_cir(41, 256), _synth_cir(42, 256)]
+    def test_memory_is_one_transform_row(self):
+        # TB 10^4: each noisy row's noise transforms in one m-sample row,
+        # m = _fast_len(10,255) = 10,290, which six more noisy rows reuse
+        m = _fast_len(10_000 + 256 - 1)
         cfg = SoundingConfig(10_000 / 4e9, 20.0)
-        assert traced_peak(lambda: sound_cir(cirs, cfg, [1, 2], 4e9)) <= 1.25 * 2**20
+        cirs = [_synth_cir(41 + k, 256) for k in range(8)]
+        peaks = [
+            traced_peak(lambda rows=rows: sound_cir(cirs[:rows], cfg, list(range(rows)), 4e9))
+            for rows in (2, 8)
+        ]
+        assert peaks[1] - peaks[0] < 16 * m
 
     def test_rejects_malformed_batches(self):
         noiseless, (cirs, cfg, seeds), _ = _batches(8, 32)

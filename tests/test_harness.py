@@ -203,6 +203,12 @@ class TestGridPositions:
             with pytest.raises(ConfigurationError, match="more than"):
                 grid_positions(start, stop, step)
 
+    def test_caps_the_count_the_stop_tolerance_reaches(self):
+        # a span just under the cap whose stop the tolerance rounds onto the grid
+        with pytest.raises(ConfigurationError, match="to 9999.9999999995 mm .* more than 10000"):
+            grid_positions(0, 9999.9999999995, 1)
+        assert grid_positions(0, 9999, 1).size == 10_000
+
 
 class TestDeriveSeed:
     def test_deterministic(self):
@@ -387,6 +393,23 @@ class TestBerPoint:
         rsm = RsmConfig(num_rx=2, threshold_policy=policy)
         harness.run_ber_point(scheme, rsm, self._kernels(), 15, 20.0, 100, cell_seed=7)
         assert reads == expected
+
+    @pytest.mark.parametrize("snr_db", [-3.0, 0.0, 7.5, 30.0])
+    def test_noise_power_is_the_inverse_snr(self, monkeypatch, snr_db):
+        # the README's SNR: per-sample noise variance 10**(-q/10) at q dB,
+        # in the data frame and in the pilot frame
+        variances = {}
+        real = harness.received_at
+
+        def recording(symbols, kernels, spacing, noise_sigma, seed_path):
+            variances[seed_path[1]] = noise_sigma**2
+            return real(symbols, kernels, spacing, noise_sigma, seed_path)
+
+        monkeypatch.setattr(harness, "received_at", recording)
+        rsm = RsmConfig(num_rx=2, threshold_policy=PilotThreshold(16))
+        harness.run_ber_point(Scheme.ERASK, rsm, self._kernels(), 15, snr_db, 100, cell_seed=7)
+        expected = pytest.approx(10 ** (-snr_db / 10), rel=1e-12)
+        assert variances == {1: expected, 2: expected}
 
     def test_erask_without_a_policy_is_refused_by_the_detector(self):
         with pytest.raises(ConfigurationError, match="requires a threshold"):
