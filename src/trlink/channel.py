@@ -6,16 +6,12 @@ rate kept in :class:`CavityParams`, the bandwidth. A set enters the
 pipeline as :class:`SpatialChannelEnsemble` ``.taps``, built by
 :func:`synth_cavity_ensemble` and :func:`load_ensemble`; its constructor
 checks the block once (shape, row count, tap count, every tap finite) and
-keeps a frozen copy. The functions that take taps (:func:`sound_cir` here,
-the precoder's in :mod:`trlink.precoding`) convert them with
-:func:`as_taps`, which checks the shape and passes a block through without
-a copy, so a row is a view. They still refuse non-finite taps from any
-caller: precoding from the target's energy (:func:`energy`), computed
-anyway; sounding and propagation by one scan of their block, cheap next to
-their transforms. ``SpatialChannelEnsemble.cirs``
-still builds one :class:`Cir` per row on access, for the benchmark's focus
-oracle; nothing in trlink reads it, and ``trlink`` does not export
-:class:`Cir`.
+keeps a frozen copy. That is the one check a channel set gets: the stage
+functions that take taps (:func:`sound_cir` here, the precoder's in
+:mod:`trlink.precoding`) trust their arguments, and a row they get is a
+view of a checked block. ``SpatialChannelEnsemble.cirs`` still builds one
+:class:`Cir` per row on access, for the benchmark's focus oracle; nothing
+in trlink reads it, and ``trlink`` does not export :class:`Cir`.
 
 The physical channel is a leaking metallic cavity probed across a 1-D
 receive axis. No field solver is involved; instead each impulse response is
@@ -150,28 +146,6 @@ def energy(taps: np.ndarray) -> float:
     return float(np.sum(np.abs(taps) ** 2))
 
 
-def as_taps(values, what: str, copy: bool = False) -> np.ndarray:
-    """``values`` as a C-contiguous ``(P, L)`` complex128 block, ``P, L >= 1``.
-
-    Rows of different lengths are a ``ConfigurationError`` (``what`` must
-    share one CIR length); any other shape is a ``DomainError``. Only the
-    shape is checked. A block that already is one is returned as it is,
-    unless ``copy`` is true.
-    """
-    convert = np.array if copy else np.asarray
-    try:
-        taps = convert(values, dtype=np.complex128, order="C")
-    except ValueError as exc:
-        if "inhomogeneous" not in str(exc):  # not ragged rows, e.g. a string cell
-            raise
-        raise ConfigurationError(f"{what} must share one CIR length") from None
-    if taps.ndim != 2 or 0 in taps.shape:
-        raise DomainError(
-            f"{what} must be a (P, L) block with at least one tap, got shape {taps.shape}"
-        )
-    return taps
-
-
 @dataclass(frozen=True, eq=False)
 class Cir:
     """One channel impulse response: complex tap gains at the bandwidth's rate.
@@ -284,7 +258,17 @@ class SpatialChannelEnsemble:
 
     def __post_init__(self) -> None:
         positions = check_positions(self.positions_mm)
-        taps = as_taps(self.taps, "ensemble CIRs", copy=True)
+        try:
+            taps = np.array(self.taps, dtype=np.complex128, order="C")
+        except ValueError as exc:
+            if "inhomogeneous" not in str(exc):  # not ragged rows, e.g. a string cell
+                raise
+            raise ConfigurationError("ensemble CIRs must share one CIR length") from None
+        if taps.ndim != 2 or 0 in taps.shape:
+            raise DomainError(
+                "ensemble CIRs must be a (P, L) block with at least one tap, "
+                f"got shape {taps.shape}"
+            )
         if len(taps) != positions.size:
             raise ConfigurationError(f"{len(taps)} CIRs for {positions.size} positions")
         if taps.shape[1] != self.params.num_taps:
@@ -360,11 +344,12 @@ def synth_cavity_ensemble(
 ) -> SpatialChannelEnsemble:
     """Draw one ensemble realisation over the given receive positions.
 
-    Positions must be strictly increasing (millimetres). The result is a
-    deterministic function of ``(params, positions_mm)``; see the module
-    docstring for the exact random-draw order.
+    Positions must be strictly increasing (millimetres), as the returned
+    ensemble's constructor checks. The result is a deterministic function of
+    ``(params, positions_mm)``; see the module docstring for the exact
+    random-draw order.
     """
-    positions = check_positions(positions_mm)
+    positions = np.asarray(positions_mm, dtype=float)
     num_taps = params.num_taps
     num_pos = positions.size
     pdp = params.power_delay_profile()
@@ -386,10 +371,9 @@ def sound_cir(
 ) -> np.ndarray:
     """Estimate CIRs by chirp sounding, one estimate per ``(true_taps[k], seeds[k])``.
 
-    ``true_taps`` is an ``(R, L)`` block (:func:`as_taps`); the estimates
-    are returned as another, read-only and C-contiguous. A non-finite tap
-    is a ``DomainError``, and a seed count other than ``R`` a
-    ``ConfigurationError``.
+    ``true_taps`` is an ``(R, L)`` block of finite taps and ``seeds`` holds
+    one noise seed per row; the estimates are returned as another block,
+    read-only and C-contiguous.
 
     The probe is ``make_chirp(bandwidth_hz, sounding.duration_s)``, sampled
     at the taps' rate, the bandwidth. The chirp is transmitted through each
@@ -440,19 +424,14 @@ def sound_cir(
     Timing is assumed known (transmitter and recorder share a clock), so the
     window position is not estimated.
     """
-    taps = as_taps(true_taps, "a sounding batch")
-    if not np.all(np.isfinite(taps)):
-        raise DomainError("sounding batch taps must be finite")
-    if len(seeds) != len(taps):
-        raise ConfigurationError(f"{len(taps)} CIRs but {len(seeds)} noise seeds")
-    estimates = taps.copy()
+    estimates = true_taps.copy()
     if math.isinf(sounding.probe_snr_db):
         chirp_length(sounding.duration_s, bandwidth_hz)
         estimates.flags.writeable = False
         return estimates
     chirp = make_chirp(bandwidth_hz, sounding.duration_s)
 
-    num_taps = taps.shape[1]
+    num_taps = true_taps.shape[1]
     received_len = len(chirp) + num_taps - 1
     chirp_energy = energy(chirp)
     real_lags, phase_step = chirp_gram(bandwidth_hz, sounding.duration_s, num_taps)
@@ -466,9 +445,9 @@ def sound_cir(
     np.fft.fft(matched, out=matched)
     np.conj(matched, out=matched)
     noise = np.empty(m, dtype=np.complex128)
-    rows, windows = [], np.empty_like(taps)
+    rows, windows = [], np.empty_like(true_taps)
     for row, seed in enumerate(seeds):
-        demodulated = np.conj(modulation) * taps[row]
+        demodulated = np.conj(modulation) * true_taps[row]
         autocorrelation = xcorr(demodulated, demodulated).real
         rx_power = chirp_energy * float(np.dot(even_lags, autocorrelation)) / received_len
         if rx_power > 0.0:

@@ -18,12 +18,14 @@ samples at one rate, the simulated bandwidth, so no rate travels with it:
 channel taps, the probe chirp (:func:`make_chirp` samples at its
 bandwidth) and every emission share it.
 Carrier up/down-conversion is treated as ideal, so nothing here models a
-passband. The functions here neither copy nor re-check their inputs: the
+passband. The functions here neither copy nor check their inputs: the
 arrays come from validated boundaries (an ensemble's ``(P, L)`` taps block,
-checked finite once where it was built) or from earlier steps of the
-pipeline; convolution and correlation reject only empty inputs. Neither
-is exported from ``trlink``: each has one pipeline caller, and the test
-suite reaches them here.
+checked once where it was built, at least one position by at least one
+tap) or from earlier steps of the pipeline. The checks live at load:
+:func:`chirp_length`, which a scenario's ``sounding`` block passes through
+when it loads, is the one check here. Of this module, ``trlink`` exports
+only :data:`NUMERIC_RTOL`; the pipeline and the test suite reach the rest
+here.
 
 ``convolve``'s second operand may also be a ``(P, Lb)`` stack of ``P``
 signals of one length, which convolves the first operand with every row:
@@ -57,7 +59,7 @@ import math
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError
 
 #: Relative tolerance for "numerically exact" identities (energy
 #: normalisation, fast-vs-direct agreement, kernel peak values).
@@ -101,8 +103,6 @@ def convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     ``NUMERIC_RTOL``, and each entry of a stacked result equals the
     convolution of its two signals alone bit for bit.
     """
-    if a.size == 0 or b.size == 0:
-        raise DomainError("convolve: inputs must be non-empty")
     return _fftconvolve(a, b)
 
 
@@ -114,8 +114,6 @@ def xcorr(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     plain inner product ``sum(conj(a) * b)``. Equivalent to convolving the
     conjugated time-reversed ``a`` with ``b``.
     """
-    if a.size == 0 or b.size == 0:
-        raise DomainError("xcorr: inputs must be non-empty")
     return _fftconvolve(np.conj(a[::-1]), b)
 
 

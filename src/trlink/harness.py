@@ -25,6 +25,31 @@ noise power: a grid point of ``q`` dB means per-sample noise variance
 ``sigma^2 = 10**(-q/10)`` against the unit per-pulse emitted energy of the
 precoder.
 
+How low ``q`` may go is set by the largest number the detector forms. A
+window power ``|y|^2`` is about ``sigma^2 |z|^2`` once the noise dominates,
+for the per-sample noise ``sigma * z``: each of ``z``'s parts is a
+``standard_normal`` draw over ``sqrt(2)``, and numpy's ziggurat never draws
+one beyond 12.23 in magnitude (a tail draw is ``3.655 + x``, accepted only
+where ``x**2 < 2 * 36.74``, twice the largest ``-log(1 - u)`` of a 53-bit
+uniform ``u``), so ``|z|^2 < 151``. The ERASK pilot calibration sums each
+power class, at most ``num_rx * num_pilots`` window powers, and adds the
+two class means; RASK and a fixed threshold sum none. A factor of 2 for
+the means' sum and 2 for the signal's share of a window (``|s + n|^2 <=
+2|s|^2 + 2|n|^2``, the signal of order one at the unit emitted energy per
+pulse) take the 151 to 604, and ``_NOISE_HEADROOM`` rounds it up to 1024.
+So a scenario refuses a grid point whose ``sigma^2 * 1024 * cells``
+overflows a double, with ``cells`` that largest sum's count of window
+powers, 1 without a pilot sum: about ``q < -3034`` dB for 2 antennas and
+32 pilots, ``q < -3052`` dB with no sum. The signal part of a window
+sample is at most ``num_rx * L * sqrt(E)`` for the receiving target's
+energy ``E`` (per user, its pulses read distinct lags of ``K_ni``, whose
+magnitudes sum to at most ``L * sqrt(E)`` by Cauchy-Schwarz). A
+synthesised channel's ``E`` is of order one, but an imported target's is
+held to ``16 * cells * (num_rx * L)**2 * E`` below the largest double, so
+its share of a sum stays below a sixteenth of it. Every window power,
+pilot sum and threshold is then finite, and an ERASK threshold is finite
+and > 0.
+
 Scenario JSON schema (version 1)::
 
     {
@@ -55,9 +80,15 @@ Counts, spacings and seeds (``num_taps``, ``num_rx``, ``num_pilots``,
 must be JSON integers; every other number must be finite. Nothing is
 coerced: ``15.7``, ``"15"`` or ``true`` in an integer field is an error,
 and ``rsm.scheme`` is one of the three lower-case strings shown. Each
-``snr_grid_db`` entry must give a noise power ``10**(-q/10)``, and a
-finite ``sounding.snr_db`` a probe power ratio ``10**(q/10)``, that is a
-positive finite double (about ``|q| <= 3080`` dB). Sizes are capped at load:
+``snr_grid_db`` entry must give a positive noise power ``10**(-q/10)``
+(``q`` below about 3233 dB) that the detector can sum (above about -3034
+dB; see the bound above), and a finite ``sounding.snr_db`` a probe power
+ratio ``10**(q/10)`` that is a positive finite double (about ``|q| <=
+3080`` dB). A probe SNR far below 0 dB can still give channel estimates
+whose energy overflows a double, at a bound that depends on the chirp and
+the taps; the sweep and the sounding study refuse those with a
+``ConfigurationError`` naming ``sounding.snr_db`` once the estimates are
+made, before any output file is opened. Sizes are capped at load:
 ``num_taps`` at 4096, and a BER frame of ``(M-1)*max(d_values) + 2*num_taps
 - 1`` samples at 10,000,000, where ``M`` is ``bits_per_point`` for RASK,
 ``ceil(bits_per_point / num_rx)`` for ERASK and ``num_pilots`` for a pilot
@@ -103,6 +134,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import astuple, dataclass, replace
 from pathlib import Path
 from typing import Callable
@@ -155,6 +187,11 @@ _SCHEME_INDEX = {Scheme.RASK: 0, Scheme.ERASK: 1}
 
 # One column per ``BerRecord`` field, in field order.
 BER_CSV_HEADER = ["scheme", "D", "snr_db", "bits_sent", "bit_errors", "ber", "seed"]
+
+# sigma^2 |z|^2 bounds a noise-dominated window power within this factor
+# (see the module docstring); a noise power that many times the largest
+# pilot sum's count of window powers must stay below the largest double.
+_NOISE_HEADROOM = 1024
 
 # Each grid position adds a row and a column to the dense spatial-correlation
 # kernel that the ensemble draw factorises, so a synthesised grid is capped
@@ -267,18 +304,6 @@ class Scenario:
         for idx in self.target_indices:
             if not 0 <= idx < positions.size:
                 raise ConfigurationError(f"target index {idx} is off the grid")
-            if imported is None:
-                continue
-            # finite taps can still hold more energy than a double: that is
-            # an inf here, not an overflow warning
-            with np.errstate(over="ignore"):
-                target_energy = energy(imported.taps[idx])
-            if not 0.0 < target_energy < math.inf:
-                what = "zero-energy CIR" if target_energy == 0 else "CIR with overflowing energy"
-                raise ConfigurationError(
-                    f"target {float(positions[idx])} mm has a {what} in the imported "
-                    "ensemble; cannot precode toward it"
-                )
         if not self.schemes:
             raise ConfigurationError("scenario needs at least one scheme")
         if Scheme.RASK in self.schemes and self.rsm.num_rx != 2:
@@ -332,6 +357,30 @@ class Scenario:
                 f"trials {self.trials} at num_rx={self.rsm.num_rx} and num_taps={num_taps} "
                 f"hold {kernel_samples} pulse-response samples; the cap is {_MAX_FRAME_SAMPLES}"
             )
+        # The detector's largest number (module docstring): a sum of ``cells``
+        # window powers, each at most 2|s|^2 + 2|n|^2. Counts are capped by now.
+        pilot_sum = Scheme.ERASK in self.schemes and isinstance(policy, PilotThreshold)
+        cells = self.rsm.num_rx * policy.num_pilots if pilot_sum else 1
+        lowest_snr_db = -10.0 * math.log10(sys.float_info.max / (_NOISE_HEADROOM * cells))
+        for snr_db in self.snr_grid_db:
+            if snr_db < lowest_snr_db:
+                raise ConfigurationError(
+                    f"snr_grid_db entry {snr_db} dB is below {lowest_snr_db:.1f} dB: the "
+                    "detector's window powers at that noise power would overflow a double"
+                )
+        max_energy = sys.float_info.max / (16 * cells * (self.rsm.num_rx * num_taps) ** 2)
+        for idx in self.target_indices if imported is not None else ():
+            # finite taps can still hold more energy than a double: that is
+            # an inf here, not an overflow warning
+            with np.errstate(over="ignore"):
+                target_energy = energy(imported.taps[idx])
+            if not 0.0 < target_energy < max_energy:
+                what = "zero-energy CIR" if target_energy == 0 else "CIR with overflowing energy"
+                raise ConfigurationError(
+                    f"target {float(positions[idx])} mm has a {what} in the imported "
+                    f"ensemble (the detector's window powers need an energy in (0, "
+                    f"{max_energy:.3g})); cannot precode toward it"
+                )
         if self.master_seed < 0:
             raise ConfigurationError(f"master_seed must be >= 0, got {self.master_seed}")
         if self.sounding is not None:
@@ -533,8 +582,34 @@ def _trial_kernels(scenario: Scenario, trial: int) -> np.ndarray:
             derive_seed(scenario.master_seed, _STREAM_SOUNDING, trial, g)
             for g in scenario.target_indices
         ]
-        known_taps = sound_cir(true_taps, scenario.sounding, seeds, scenario.cavity.bandwidth_hz)
+        known_taps = _sound(true_taps, scenario.sounding, seeds, scenario.cavity.bandwidth_hz)
     return pulse_responses(true_taps, known_taps)
+
+
+def _sound(
+    truths: np.ndarray, sounding: SoundingConfig, seeds: list[int], bandwidth_hz: float
+) -> np.ndarray:
+    """:func:`~trlink.channel.sound_cir`'s estimates of ``truths``, refused
+    unless each estimate's energy and error energy are finite doubles.
+
+    A probe SNR of ``q`` dB far below 0 scales the probe noise by
+    ``10**(-q/20)``, and solving through the chirp's Gram amplifies it
+    again by an amount that depends on ``L`` and the chirp, so no exact
+    load-time bound exists. The estimates are made with numpy's overflow
+    and invalid-value warnings off and checked here, before anything is
+    precoded toward them or written; a failure is a ``ConfigurationError``
+    naming ``sounding.snr_db``.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        estimates = sound_cir(truths, sounding, seeds, bandwidth_hz)
+        energies = np.sum(np.abs(estimates) ** 2, axis=1)
+        error_energies = np.sum(np.abs(estimates - truths) ** 2, axis=1)
+    if not (np.all(energies < math.inf) and np.all(error_energies < math.inf)):
+        raise ConfigurationError(
+            f"sounding.snr_db {sounding.probe_snr_db} dB gives channel estimates whose "
+            "energy overflows a double"
+        )
+    return estimates
 
 
 def _pilot_targets(num_rx: int, num_pilots: int) -> np.ndarray:
@@ -562,8 +637,8 @@ def run_ber_point(
     windows. An ERASK threshold comes from the policy: a
     :class:`FixedThreshold`'s value, or a :class:`PilotThreshold`
     calibrated on a pilot frame received with noise seeded ``[cell_seed, 2,
-    n]``; without a policy :func:`~trlink.modem.power_detect` refuses the
-    frame. For ERASK the payload is rounded up to a whole number of symbols.
+    n]``; :class:`Scenario` refuses an ERASK run without a policy. For
+    ERASK the payload is rounded up to a whole number of symbols.
     """
     rng_bits = np.random.default_rng([cell_seed, 0])
     if scheme is Scheme.RASK:
@@ -741,7 +816,7 @@ def run_sounding_study(
         duration = tb / scenario.cavity.bandwidth_hz
         for snr_db in snr_points:
             sounding = SoundingConfig(duration_s=duration, probe_snr_db=snr_db)
-            estimates = sound_cir(truths, sounding, seeds, scenario.cavity.bandwidth_hz)
+            estimates = _sound(truths, sounding, seeds, scenario.cavity.bandwidth_hz)
             errors = [
                 float(np.linalg.norm(estimate - truth) / norm)
                 for estimate, truth, norm in zip(estimates, truths, truth_norms)

@@ -24,6 +24,14 @@ The detector and the threshold calibration take the frame's symbol count
 as a :class:`DetectionWindow`, whose ``half_width`` and ``num_symbols`` the
 benchmark's sample counter reads; it stays their second argument until the
 benchmark changes.
+
+The threshold policies and :class:`RsmConfig` are a scenario's ``rsm``
+block and check their values when it loads. The functions here trust their
+arguments and check nothing: :class:`~trlink.harness.Scenario` has already
+refused a RASK run without exactly 2 antennas, an ERASK run without a
+threshold policy, and noise powers whose window powers or pilot sums would
+overflow, and the bits come from a generator of 0s and 1s, framed as whole
+symbols.
 """
 
 from __future__ import annotations
@@ -34,7 +42,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError
 
 
 #: Taps on each side of a focusing peak that the power detector reads.
@@ -97,55 +105,31 @@ class DetectionWindow:
 
     num_symbols: int
 
-    def __post_init__(self) -> None:
-        if self.num_symbols < 0:
-            raise DomainError(f"num_symbols must be >= 0, got {self.num_symbols}")
-
     @property
     def half_width(self) -> int:
         """Taps read on each side of a peak: always ``WINDOW_HALF_WIDTH``."""
         return WINDOW_HALF_WIDTH
 
 
-def _as_bit_array(bits) -> np.ndarray:
-    arr = np.asarray(bits, dtype=np.int64).ravel()
-    if arr.size and not np.all((arr == 0) | (arr == 1)):
-        raise DomainError("bits must be 0/1 valued")
-    return arr
-
-
 def rask_modulate(bits) -> np.ndarray:
-    """``(2, M)`` amplitudes, one symbol per bit: bit ``b`` pulses antenna ``b``."""
-    arr = _as_bit_array(bits)
-    return np.stack([arr == 0, arr == 1]).astype(np.complex128)
+    """``(2, M)`` amplitudes, one symbol per 0/1 bit: bit ``b`` pulses antenna ``b``."""
+    bits = np.asarray(bits)
+    return np.stack([bits == 0, bits == 1]).astype(np.float64)
 
 
 def erask_modulate(bits, num_rx: int) -> np.ndarray:
-    """``(num_rx, M)`` amplitudes: ``num_rx`` bits per symbol, bit ``n`` gates antenna ``n``."""
-    if num_rx < 1:
-        raise ConfigurationError(f"num_rx must be >= 1, got {num_rx}")
-    arr = _as_bit_array(bits)
-    if arr.size % num_rx != 0:
-        raise DomainError(
-            f"bit count {arr.size} is not a multiple of num_rx={num_rx} (framing)"
-        )
-    return arr.reshape(-1, num_rx).T.astype(np.complex128)
+    """``(num_rx, M)`` amplitudes from ``M * num_rx`` 0/1 bits: ``num_rx``
+    bits per symbol, bit ``n`` gates antenna ``n``."""
+    return np.asarray(bits).reshape(-1, num_rx).T.astype(np.float64)
 
 
-def window_peak_powers(received: np.ndarray, windows: DetectionWindow) -> np.ndarray:
+def window_peak_powers(received: np.ndarray) -> np.ndarray:
     """Max |y|^2 inside each symbol window, per antenna: shape (N, M).
 
     ``received`` holds each antenna's samples in each symbol's window, as
     :func:`trlink.precoding.received_at` returns them: shape ``(N, M,
-    2*half_width + 1)``.
+    2*WINDOW_HALF_WIDTH + 1)``.
     """
-    received = np.asarray(received)
-    expected = (windows.num_symbols, 2 * windows.half_width + 1)
-    if received.ndim != 3 or received.shape[1:] != expected:
-        raise DomainError(
-            f"window samples of shape {received.shape} do not match {expected[0]} "
-            f"windows of {expected[1]} samples per antenna"
-        )
     power = np.abs(received) ** 2
     # Elementwise maxima over the few window columns: numpy's max reduction
     # along a 3-sample trailing axis costs several times as much.
@@ -164,24 +148,15 @@ def power_detect(
     """Non-coherent detection of the transmitted bits.
 
     ``received`` holds the antennas' window samples (see
-    :func:`window_peak_powers`). RASK needs exactly 2 antennas and returns
+    :func:`window_peak_powers`). RASK takes exactly 2 antennas and returns
     one bit per symbol, the index of the strongest antenna (ties break to
     the lowest index, i.e. bit 0). ERASK returns one bit per antenna per
     symbol, antenna-major within each symbol, set where the windowed power
-    reaches the threshold, which must be finite and > 0.
+    reaches the threshold, which is finite and > 0.
     """
-    rask = Scheme(scheme) is Scheme.RASK
-    if rask and len(received) != 2:
-        raise ConfigurationError(
-            f"RASK needs exactly 2 receive antennas, got {len(received)}"
-        )
-    powers = window_peak_powers(received, windows)
-    if rask:
+    powers = window_peak_powers(received)
+    if scheme is Scheme.RASK:
         return np.argmax(powers, axis=0).astype(np.int64)
-    if threshold is None:
-        raise ConfigurationError("ERASK detection requires a threshold")
-    if not (math.isfinite(threshold) and threshold > 0.0):
-        raise DomainError(f"the ERASK threshold must be finite and > 0, got {threshold}")
     decisions = (powers >= threshold).astype(np.int64)
     return decisions.T.reshape(-1)
 
@@ -194,18 +169,12 @@ def calibrate_threshold(
     """Midpoint between the targeted and untargeted pilot power class means.
 
     ``pilot_received`` holds the pilot frame's window samples (see
-    :func:`window_peak_powers`). ``targeted`` is a boolean (num_rx,
+    :func:`window_peak_powers`). ``targeted`` is the boolean (num_rx,
     num_pilots) mask saying which antenna/symbol cells of the pilot frame
-    carried a pulse; both classes must be represented.
+    carried a pulse. Both classes are represented, as in every pilot
+    pattern of at least 2 pilots.
     """
-    mask = np.asarray(targeted, dtype=bool)
-    powers = window_peak_powers(pilot_received, windows)
-    if mask.shape != powers.shape:
-        raise ConfigurationError(
-            f"targeted mask shape {mask.shape} does not match pilot powers {powers.shape}"
-        )
-    if not mask.any() or mask.all():
-        raise ConfigurationError("pilot frame must contain both targeted and untargeted cells")
-    mean_on = float(powers[mask].mean())
-    mean_off = float(powers[~mask].mean())
+    powers = window_peak_powers(pilot_received)
+    mean_on = float(powers[targeted].mean())
+    mean_off = float(powers[~targeted].mean())
     return 0.5 * (mean_on + mean_off)

@@ -10,18 +10,19 @@ user, scaled so every unit-amplitude data pulse carries unit emitted energy:
     s[k] = sum_i sum_l x[i, l] * conj(h_i)[L-1 - (k - l*D)] / sqrt(E_i)
 
 with ``E_i = sum_l |h_i[l]|^2``. :func:`received_at` is where the matrix
-enters: it checks its shape against the users, the spacing, and that every
-amplitude is finite. It takes the real amplitudes both modulators emit and
-refuses a nonzero imaginary part. Nothing here builds ``s`` itself: the
-link is computed from its unit pulses, below.
+enters, as the real ``float64`` or boolean amplitudes that both modulators
+and the pilot pattern emit. Nothing here builds ``s`` itself: the link is
+computed from its unit pulses, below.
 
 Channels are ``(P, L)`` tap blocks, one row per channel, as
 :class:`~trlink.channel.SpatialChannelEnsemble` holds them; a user or a
 receiver is a row, and a subset of positions is a row selection. The
-functions here convert a block with :func:`~trlink.channel.as_taps`, which
-checks its shape and does not copy it. Non-finite taps are refused from any
-caller: a precoding target's by its energy ``E_i``, computed anyway, and a
-receive block's by one scan in :func:`propagate`.
+functions here trust their arguments and check nothing. Every block they
+get was checked once, at load: the ensemble's constructor refuses
+non-finite taps and ragged rows, :class:`~trlink.harness.Scenario` refuses
+targets of zero or overflowing energy, spacings below 3 taps and noise
+powers the detector cannot sum, and the harness refuses sounded estimates
+whose energy is not finite before it precodes toward them.
 
 After propagating through channel ``h_j`` the multipath echoes recombine: a
 single unit pulse toward user ``i`` arrives at position ``j`` as the
@@ -76,9 +77,8 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .channel import SpatialChannelEnsemble, as_taps, energy
+from .channel import SpatialChannelEnsemble, energy
 from .dsp import convolve
-from .errors import ConfigurationError, DomainError
 from .modem import WINDOW_HALF_WIDTH
 from .output import comment_lines, write_text
 
@@ -92,37 +92,6 @@ _BLOCK_ELEMENTS = 2**15
 # mmap threshold, so they come from the heap and are not mapped, and faulted
 # in, again on every call.
 _NOISE_BLOCK = 8192
-
-
-def _check_symbols(symbols: np.ndarray, num_users: int, spacing: int) -> np.ndarray:
-    """The ``(N, M)`` amplitude matrix as complex128, checked against its ``N`` users."""
-    symbols = np.asarray(symbols, dtype=np.complex128)
-    if symbols.ndim != 2:
-        raise DomainError(f"symbols must be an (N, M) matrix, got shape {symbols.shape}")
-    if symbols.shape[0] != num_users:
-        raise ConfigurationError(f"{symbols.shape[0]} symbol rows for {num_users} CIRs")
-    if num_users == 0:
-        raise ConfigurationError("need at least one user")
-    if spacing < 1:
-        raise ConfigurationError(f"pulse spacing must be >= 1 tap, got {spacing}")
-    if not np.all(np.isfinite(symbols)):
-        raise DomainError("symbols must be finite")
-    return symbols
-
-
-def _check_noise_sigma(noise_sigma: float) -> None:
-    if not (math.isfinite(noise_sigma) and noise_sigma >= 0.0):
-        raise DomainError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
-
-
-def _target_energy(h: np.ndarray) -> float:
-    """Energy ``E_i`` of a precoding target's taps, which must be finite and nonzero."""
-    e = energy(h)
-    if not math.isfinite(e):
-        raise DomainError("cannot precode toward a CIR with non-finite taps or energy")
-    if e <= 0.0:
-        raise DomainError("cannot precode toward a zero-energy CIR")
-    return e
 
 
 def _add_window_noise(
@@ -170,14 +139,8 @@ def propagate(signal: np.ndarray, taps: np.ndarray) -> np.ndarray:
     that of emission ``u``. Every emission and receiver is taken in one
     stacked :func:`~trlink.dsp.convolve`; each entry equals propagating that
     emission through that channel alone bit for bit. Returns shape ``(R,
-    Ls + L - 1)``, or ``(R, U, Ls + L - 1)`` for a block. A non-finite tap
-    in ``taps`` is a ``DomainError``.
+    Ls + L - 1)``, or ``(R, U, Ls + L - 1)`` for a block.
     """
-    if len(taps) == 0:
-        raise ConfigurationError("propagate needs at least one receive channel")
-    taps = as_taps(taps, "receive channels")
-    if not np.all(np.isfinite(taps)):
-        raise DomainError("receive channel taps must be finite")
     return convolve(signal, taps)
 
 
@@ -189,18 +152,11 @@ def pulse_responses(true_taps: np.ndarray, known_taps: np.ndarray) -> np.ndarray
     is user ``i``'s unit-pulse emission ``conj(h_i[::-1]) / sqrt(E_i)``
     received through the ``N`` true channels. The ``(U, L)`` block of
     emissions takes one :func:`propagate` call: one transform of the
-    receivers, one of the emissions and one inverse transform. A
-    zero-energy or non-finite user is a ``DomainError``.
+    receivers, one of the emissions and one inverse transform. Every user's
+    energy must be finite and nonzero, as the scenario and the harness
+    ensure.
     """
-    if len(true_taps) == 0 or len(known_taps) == 0:
-        raise ConfigurationError("pulse responses need at least one receiver and one user")
-    true_taps = as_taps(true_taps, "receivers")
-    known_taps = as_taps(known_taps, "users")
-    if true_taps.shape[1] != known_taps.shape[1]:
-        raise ConfigurationError("receivers and users must share one CIR length")
-    emissions = np.stack(
-        [np.conj(h_i[::-1]) / math.sqrt(_target_energy(h_i)) for h_i in known_taps]
-    )
+    emissions = np.stack([np.conj(h_i[::-1]) / math.sqrt(energy(h_i)) for h_i in known_taps])
     return propagate(emissions, true_taps)
 
 
@@ -213,8 +169,9 @@ def received_at(
 ) -> np.ndarray:
     """Received samples at the detector's windows, one slice per receive antenna.
 
-    ``kernels`` is ``pulse_responses(true_taps, known_taps)``, shape ``(N, U,
-    2L-1)``. With ``w = WINDOW_HALF_WIDTH``, entry ``[n, m, w + o]`` equals,
+    ``symbols`` is the ``(U, M)`` matrix of real amplitudes, ``float64`` or
+    boolean, and ``kernels`` is ``pulse_responses(true_taps, known_taps)``,
+    shape ``(N, U, 2L-1)``. With ``w = WINDOW_HALF_WIDTH``, entry ``[n, m, w + o]`` equals,
     to ``NUMERIC_RTOL``, sample ``L-1 + m*spacing + o`` (``|o| <= w``; these
     are the lags the detector reads) of antenna ``n``'s received signal: the
     emission toward ``known_taps`` received through ``true_taps``, plus
@@ -228,10 +185,9 @@ def received_at(
     only for ``|s| <= S = (L-1 + w) // spacing``, so user ``i`` adds to
     window ``m`` its ``2S+1`` amplitudes around slot ``m`` (zero outside the
     frame) times one ``(2S+1, N(2w+1))`` matrix of ``K_ni`` samples. The
-    amplitudes must be real, as both modulators' are; a nonzero imaginary
-    part is a ``DomainError``. So the arithmetic is real: each matrix is
-    stored with real and imaginary parts interleaved, the users' windows
-    sit side by side, and one real matrix product per block of at most
+    amplitudes are real, so the arithmetic is real: each matrix is stored
+    with real and imaginary parts interleaved, the users' windows sit side
+    by side, and one real matrix product per block of at most
     ``_BLOCK_ELEMENTS`` window entries gives those windows' samples. The
     noise (contract v1) is each antenna's full-length draw read at the
     windows, streamed ``_NOISE_BLOCK`` samples at a time and added in place,
@@ -239,13 +195,6 @@ def received_at(
     ``tests/oracles.py``'s ``received_signal``.
     Returns shape ``(N, M, 2w+1)``.
     """
-    kernels = np.asarray(kernels)
-    if kernels.ndim != 3 or kernels.shape[2] % 2 == 0:
-        raise DomainError(f"kernels must be an (N, U, 2L-1) array, got shape {kernels.shape}")
-    symbols = _check_symbols(symbols, kernels.shape[1], spacing)
-    if np.any(symbols.imag):
-        raise DomainError("received_at takes real amplitudes")
-    _check_noise_sigma(noise_sigma)
     num_rx, num_users, size = kernels.shape
     num_symbols = symbols.shape[1]
     peak = size // 2  # L - 1
@@ -263,7 +212,7 @@ def received_at(
     gathered = np.ascontiguousarray(gathered.transpose(1, 2, 0, 3), dtype=np.complex128)
     matrix = gathered.view(np.float64).reshape(num_users * width, -1)
     padded = np.zeros((num_users, num_symbols + 2 * span))
-    padded[:, span : span + num_symbols] = symbols.real
+    padded[:, span : span + num_symbols] = symbols
     windows = sliding_window_view(padded, width, axis=1)
 
     # antennas[n] is antenna n's columns; each block of windows is written

@@ -28,10 +28,15 @@ import math
 
 import numpy as np
 
-from trlink.channel import CavityParams, _kernel_sqrt, as_taps, check_positions
+from trlink.channel import CavityParams, _kernel_sqrt, check_positions
 from trlink.dsp import _fast_len, chirp_length, complex_noise, convolve, xcorr
 from trlink.modem import WINDOW_HALF_WIDTH
-from trlink.precoding import _check_symbols, _target_energy, propagate
+from trlink.precoding import propagate
+
+
+def _root_energy(h: np.ndarray) -> float:
+    """``sqrt(E) = sqrt(sum |h[l]|^2)`` of one row of taps."""
+    return math.sqrt(float(np.sum(np.abs(h) ** 2)))
 
 
 def tr_kernel(h_j: np.ndarray, h_i: np.ndarray) -> np.ndarray:
@@ -44,9 +49,8 @@ def tr_kernel(h_j: np.ndarray, h_i: np.ndarray) -> np.ndarray:
     positive, and dominates every other lag in magnitude. It equals
     ``pulse_responses([h_j], [h_i])[0, 0]`` to ``NUMERIC_RTOL``.
     """
-    h_j, h_i = as_taps([h_j, h_i], "kernel CIRs")
-    scale = math.sqrt(_target_energy(h_i))
-    return xcorr(h_i, h_j) / scale
+    h_j, h_i = np.asarray(h_j, dtype=np.complex128), np.asarray(h_i, dtype=np.complex128)
+    return xcorr(h_i, h_j) / _root_energy(h_i)
 
 
 def tr_precode(symbols: np.ndarray, taps: np.ndarray, spacing: int) -> np.ndarray:
@@ -59,20 +63,17 @@ def tr_precode(symbols: np.ndarray, taps: np.ndarray, spacing: int) -> np.ndarra
     user's conjugated, time-reversed response, scaled by ``1/sqrt(E_i)``;
     the users' contributions are summed. Pulse ``l`` of any user focuses at
     received index ``L - 1 + l*spacing``. ``M == 0`` gives an empty
-    emission. Amplitudes may be complex. A user whose energy is zero or not
-    finite (a non-finite tap) is a ``DomainError``.
+    emission. Amplitudes may be complex.
     """
-    symbols = _check_symbols(symbols, len(taps), spacing)
-    taps = as_taps(taps, "users")
+    symbols = np.asarray(symbols, dtype=np.complex128)
     num_symbols = symbols.shape[1]
     contributions: list[np.ndarray] = []
-    for row, h in zip(symbols, taps):
-        e = _target_energy(h)
+    for row, h in zip(symbols, np.asarray(taps, dtype=np.complex128)):
         if num_symbols == 0:
             continue
         train = np.zeros((num_symbols - 1) * spacing + 1, dtype=np.complex128)
         train[::spacing] = row
-        flipped = np.conj(h[::-1]) / math.sqrt(e)
+        flipped = np.conj(h[::-1]) / _root_energy(h)
         contributions.append(convolve(train, flipped))
 
     combined = np.zeros(contributions[0].size if contributions else 0, dtype=np.complex128)
@@ -89,7 +90,7 @@ def received_signal(symbols, known_taps, true_taps, spacing, noise_sigma, seed_p
     circular complex Gaussian noise of per-sample standard deviation
     ``noise_sigma``, seeded ``[*seed_path, n]`` (seed/noise contract v1).
     """
-    received = propagate(tr_precode(symbols, known_taps, spacing), true_taps)
+    received = propagate(tr_precode(symbols, known_taps, spacing), np.asarray(true_taps))
     for n, row in enumerate(received):
         row += complex_noise(row.size, noise_sigma, [*seed_path, n])
     return received

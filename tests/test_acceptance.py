@@ -58,7 +58,7 @@ def test_criterion_2_matched_peak_law():
     for seed in range(1000):
         cir = _ensemble_cir(seed)
         waveform = tr_precode(UNIT_PULSE, [cir], 15)
-        [received] = propagate(waveform, [cir])
+        [received] = propagate(waveform, cir[None])
         peak_idx = int(np.argmax(np.abs(received)))
         aligned &= peak_idx == cir.size - 1
         expected = math.sqrt(energy(cir))
@@ -198,7 +198,7 @@ def test_criterion_9_sounding_fidelity_at_tb_100():
     cfg = SoundingConfig(duration_s=100 / bandwidth)
     chirp = make_chirp(bandwidth, cfg.duration_s)
     assert len(chirp) == 100  # time-bandwidth product
-    [estimate] = sound_cir([truth], cfg, [0], bandwidth)
+    [estimate] = sound_cir(truth[None], cfg, [0], bandwidth)
     error = float(np.linalg.norm(estimate - truth) / np.linalg.norm(truth))
     ok = error <= 0.01
     _report(9, "chirp sounding fidelity", ok, f"normalized error={error:.2e} at TB=100")

@@ -27,7 +27,7 @@ from trlink.dsp import (
     make_chirp,
     xcorr,
 )
-from trlink.errors import ConfigurationError, DomainError
+from trlink.errors import ConfigurationError
 
 
 def sig(values):
@@ -53,10 +53,6 @@ class TestConvolve:
         out = convolve(a, b)
         assert out.size == 257 + 511 - 1
         assert max_rel_error(out, expected) <= NUMERIC_RTOL
-
-    def test_rejects_empty_input(self):
-        with pytest.raises(DomainError):
-            convolve(sig([]), sig([1.0]))
 
 
 class TestXcorr:
@@ -86,10 +82,6 @@ class TestXcorr:
             b = complex_gaussian(rng, m)
             expected = direct_xcorr(a, b)
             assert max_rel_error(xcorr(a, b), expected) <= NUMERIC_RTOL
-
-    def test_rejects_empty(self):
-        with pytest.raises(DomainError):
-            xcorr(sig([1.0]), sig([]))
 
 
 class TestFastPath:
@@ -168,14 +160,6 @@ class TestFastPath:
         b = complex_gaussian(rng, 43 * 256).reshape(43, 256)
         output_bytes = 16 * 43 * 2 * 511
         assert traced_peak(lambda: convolve(a, b)) <= 1.95 * output_bytes
-
-    def test_empty_stack_is_rejected(self):
-        with pytest.raises(DomainError):
-            convolve(sig([1.0, 2.0]), np.zeros((0, 4), dtype=complex))
-        with pytest.raises(DomainError):
-            convolve(np.zeros((0, 2), dtype=complex), sig([1.0, 2.0]))
-        with pytest.raises(DomainError):
-            convolve(np.ones((2, 2), dtype=complex), np.zeros((0, 4), dtype=complex))
 
     def test_import_loads_no_package_but_numpy(self):
         src = str(Path(__file__).resolve().parents[1] / "src")

@@ -410,11 +410,20 @@ class TestBerPoint:
         expected = pytest.approx(10 ** (-snr_db / 10), rel=1e-12)
         assert variances == {1: expected, 2: expected}
 
-    def test_erask_without_a_policy_is_refused_by_the_detector(self):
-        with pytest.raises(ConfigurationError, match="requires a threshold"):
-            harness.run_ber_point(
-                Scheme.ERASK, RsmConfig(num_rx=2), self._kernels(), 15, 20.0, 100, cell_seed=7
-            )
+
+def test_the_package_exports_the_experiment_boundary_only():
+    # scenarios and ensemble files are checked once, at load; the stage
+    # functions that trust their arguments stay in their modules
+    import trlink
+
+    assert sorted(trlink.__all__) == sorted({
+        "Scenario", "load_scenario", "run_ber_sweep", "run_focusing_experiment",
+        "run_sounding_study", "BerRecord", "FocusingReport", "export_ensemble",
+        "load_ensemble", "derive_seed", "grid_positions", "NUMERIC_RTOL",
+        "ConfigurationError", "DomainError", "TrLinkError",
+    })
+    for name in trlink.__all__:
+        assert hasattr(trlink, name), name
 
 
 class TestBerRecord:
@@ -436,6 +445,25 @@ class TestBerSweep:
             assert record.ber == record.bit_errors / record.bits_sent
         again = run_ber_sweep(scenario)
         assert records == again
+
+    @pytest.mark.parametrize(
+        "rsm, cells",
+        [
+            ({"scheme": "both", "threshold": {"policy": "pilot", "num_pilots": 16}}, 32),
+            ({"scheme": "rask", "threshold": {"policy": "pilot"}}, 1),
+            ({"scheme": "erask", "threshold": {"policy": "fixed", "value": 1.0}}, 1),
+        ],
+    )
+    def test_the_lowest_snr_the_scenario_allows_runs_without_overflow(self, rsm, cells):
+        # pytest turns every numpy overflow warning into an error; at the
+        # lowest grid point a scenario loads, every window power, pilot sum
+        # and threshold is a finite double, and just below it is refused
+        lowest = -10.0 * math.log10(sys.float_info.max / (harness._NOISE_HEADROOM * cells))
+        scenario = small_scenario(rsm=rsm, snr_grid_db=[lowest + 1e-9], trials=1)
+        for record in run_ber_sweep(scenario):
+            assert 0.0 <= record.ber <= 1.0
+        with pytest.raises(ConfigurationError, match="snr_grid_db entry"):
+            small_scenario(rsm=rsm, snr_grid_db=[lowest - 1e-9], trials=1)
 
     @pytest.mark.parametrize("sounding", ["genie", {"duration_s": 6.4e-8, "snr_db": 20.0}])
     def test_pulse_responses_are_built_once_per_trial(self, monkeypatch, sounding):
@@ -1051,6 +1079,12 @@ class TestCli:
                 id="zero-energy-target",
             ),
             pytest.param(
+                # a finite energy near 1e306, whose pilot sums would overflow
+                lambda row: row[:1] + [repr(float(cell) * 1e153) for cell in row[1:]],
+                "target -1.8 mm has a CIR with overflowing energy",
+                id="target-energy-overflows-the-detector",
+            ),
+            pytest.param(
                 # longer than the csv module's 131,072-character field limit
                 lambda row: row[:3] + ["1" * 200_000] + row[4:],
                 "measured.csv line 3 is unreadable",
@@ -1096,6 +1130,34 @@ class TestCli:
         assert cli_main([command, "--scenario", str(scenario_path), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert "configuration error: target -1.8 mm has a CIR with overflowing energy" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("reproducer", ["sounded-energy-overflows", "scaled-ensemble"])
+    def test_probe_snr_that_overflows_the_estimates_exits_2_before_writing(
+        self, tmp_path, capsys, reproducer
+    ):
+        # the probe noise, solved through the chirp's Gram, overflows the
+        # estimates' energy: with a 2-sample chirp at -3070 dB, and with
+        # taps scaled by 1e140 at -3000 dB; the harness refuses both before
+        # anything is precoded toward them or written, with no warning
+        doc = copy.deepcopy(TWO_USER)
+        command = "ber"
+        doc["sounding"] = {"duration_s": 5e-10, "snr_db": -3070}
+        if reproducer == "scaled-ensemble":
+            command = "sound"
+            ensemble = load_scenario(ROOT / "scenarios" / "two_user.json").ensemble_for_trial(0)
+            scaled = SpatialChannelEnsemble(
+                ensemble.positions_mm, ensemble.taps * 1e140, ensemble.params
+            )
+            export_ensemble(scaled, tmp_path / "measured.json")
+            del doc["cavity"], doc["grid_mm"]
+            doc["ensemble_file"] = "measured.json"
+            doc["sounding"] = {"duration_s": 2.5e-8, "snr_db": -3000}
+        scenario_path = tmp_path / "scenario.json"
+        scenario_path.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "results"
+        assert cli_main([command, "--scenario", str(scenario_path), "--out", str(out)]) == 2
+        assert "configuration error: sounding.snr_db" in capsys.readouterr().err
         assert not out.exists()
 
     def test_an_overlong_value_is_named_in_a_short_message(self, tmp_path, capsys):
@@ -1409,6 +1471,10 @@ class TestCli:
             ),
             pytest.param(("snr_grid_db",), [-1e308], [], "snr_grid_db", id="snr-noise-overflows"),
             pytest.param(("snr_grid_db",), [1e308], [], "snr_grid_db", id="snr-noise-underflows"),
+            # a finite noise power whose window powers and pilot sums are not
+            pytest.param(
+                ("snr_grid_db",), [-3075], [], "snr_grid_db entry -3075", id="snr-powers-overflow"
+            ),
             pytest.param(
                 ("sounding",), {"duration_s": 6.4e-8, "snr_db": 4000}, [], "sounding.snr_db",
                 id="sounding-snr-overflows",
@@ -1427,6 +1493,10 @@ class TestCli:
             pytest.param(
                 ("rsm", "threshold", "num_pilots"), 10**8, [], "rsm.threshold.num_pilots",
                 id="pilot-frame-too-long",
+            ),
+            pytest.param(
+                ("rsm", "threshold", "num_pilots"), 10**400, [], "rsm.threshold.num_pilots",
+                id="pilots-beyond-a-double",
             ),
             pytest.param(("cavity", "num_taps"), 4097, [], "cavity.num_taps", id="taps-above-cap"),
             pytest.param(
