@@ -368,19 +368,20 @@ class Scenario:
                     f"snr_grid_db entry {snr_db} dB is below {lowest_snr_db:.1f} dB: the "
                     "detector's window powers at that noise power would overflow a double"
                 )
-        max_energy = sys.float_info.max / (16 * cells * (self.rsm.num_rx * num_taps) ** 2)
-        for idx in self.target_indices if imported is not None else ():
-            # finite taps can still hold more energy than a double: that is
-            # an inf here, not an overflow warning
-            with np.errstate(over="ignore"):
-                target_energy = energy(imported.taps[idx])
-            if not 0.0 < target_energy < max_energy:
-                what = "zero-energy CIR" if target_energy == 0 else "CIR with overflowing energy"
-                raise ConfigurationError(
-                    f"target {float(positions[idx])} mm has a {what} in the imported "
-                    f"ensemble (the detector's window powers need an energy in (0, "
-                    f"{max_energy:.3g})); cannot precode toward it"
-                )
+        if imported is not None:
+            max_energy = sys.float_info.max / (16 * cells * (self.rsm.num_rx * num_taps) ** 2)
+            for idx in self.target_indices:
+                # finite taps can still hold more energy than a double: that
+                # is an inf here, not an overflow warning
+                with np.errstate(over="ignore"):
+                    target_energy = energy(imported.taps[idx])
+                if not 0.0 < target_energy < max_energy:
+                    what = "CIR with overflowing energy" if target_energy else "zero-energy CIR"
+                    raise ConfigurationError(
+                        f"target {float(positions[idx])} mm has a {what} in the imported "
+                        f"ensemble (the detector's window powers need an energy in (0, "
+                        f"{max_energy:.3g})); cannot precode toward it"
+                    )
         if self.master_seed < 0:
             raise ConfigurationError(f"master_seed must be >= 0, got {self.master_seed}")
         if self.sounding is not None:
