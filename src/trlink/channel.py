@@ -3,13 +3,17 @@
 A channel set is one read-only, C-contiguous ``(P, L)`` complex128 array
 of taps: row ``p`` is the response at position ``p``, at the one sample
 rate kept in :class:`CavityParams`, the bandwidth. A set enters the
-pipeline as :class:`SpatialChannelEnsemble` ``.taps``, built by
-:func:`synth_cavity_ensemble` and :func:`load_ensemble`; its constructor
-checks the block once (shape, row count, tap count, every tap finite) and
-keeps a frozen copy. That is the one check a channel set gets: the stage
+pipeline as :class:`SpatialChannelEnsemble` ``.taps`` by one of two
+entry points, and each is checked there once. :func:`load_ensemble`
+refuses a file whose header or row has the wrong column count, whose cell
+is non-numeric or non-finite, whose row count or a row's position is off
+its ``positions_mm``, or whose positions are not strictly increasing.
+:func:`synth_cavity_ensemble` draws over positions the scenario has
+checked, and its taps are finite normals times the finite kernel root and
+``sqrt(PDP)``. The constructor only keeps frozen copies; the stage
 functions that take taps (:func:`sound_cir` here, the precoder's in
 :mod:`trlink.precoding`) trust their arguments, and a row they get is a
-view of a checked block. ``SpatialChannelEnsemble.cirs`` still builds one
+view of such a block. ``SpatialChannelEnsemble.cirs`` still builds one
 :class:`Cir` per row on access, for the benchmark's focus oracle; nothing
 in trlink reads it, and ``trlink`` does not export :class:`Cir`.
 
@@ -77,7 +81,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .dsp import _fast_len, chirp_gram, chirp_length, complex_noise, make_chirp, xcorr
 from .errors import (
     ConfigurationError,
-    DomainError,
     check_power_ratio,
     read_integer,
     read_list,
@@ -158,12 +161,7 @@ class Cir:
     taps: np.ndarray
 
     def __post_init__(self) -> None:
-        taps = np.asarray(self.taps, dtype=np.complex128)
-        if taps.ndim != 1 or taps.size < 1:
-            raise DomainError("a CIR needs at least one tap")
-        if not np.all(np.isfinite(taps)):
-            raise DomainError("CIR taps must be finite")
-        taps = taps.copy()
+        taps = np.array(self.taps, dtype=np.complex128)
         taps.flags.writeable = False
         object.__setattr__(self, "taps", taps)
 
@@ -222,10 +220,6 @@ class CavityParams:
         """Carrier wavelength in millimetres; spatial correlation scale."""
         return 1e3 * SPEED_OF_LIGHT_M_S / self.carrier_freq_hz
 
-    def spatial_correlation(self, distance_mm: float | np.ndarray) -> float | np.ndarray:
-        """Diffuse-field correlation ``sin(x)/x`` with ``x = 2*pi*d/lambda``, elementwise."""
-        return _diffuse_correlation(distance_mm, self.wavelength_mm)
-
     def power_delay_profile(self) -> np.ndarray:
         """Expected tap powers, exponentially decaying, unit total energy.
 
@@ -245,11 +239,12 @@ class SpatialChannelEnsemble:
     """Impulse responses indexed by position on the 1-D receive axis.
 
     ``taps`` is the ``(P, L)`` block, row ``p`` at ``positions_mm[p]``,
-    with ``L = params.num_taps``. Construction is where a channel set is
-    checked: the block's shape, one row per position, its tap count and
-    that every tap is finite. Zero-energy rows are legal (a dead channel is
-    a valid sounding subject) but are rejected wherever a row is precoded
-    toward. Positions and taps are kept as frozen C-contiguous copies.
+    with ``L = params.num_taps``. Its two entry points,
+    :func:`load_ensemble` and :func:`synth_cavity_ensemble`, check the block
+    (see the module docstring); the constructor only keeps the positions
+    and taps as frozen C-contiguous copies. Zero-energy rows are legal (a
+    dead channel is a valid sounding subject) but are rejected wherever a
+    row is precoded toward.
     """
 
     positions_mm: np.ndarray
@@ -257,34 +252,12 @@ class SpatialChannelEnsemble:
     params: CavityParams
 
     def __post_init__(self) -> None:
-        positions = check_positions(self.positions_mm)
-        try:
-            taps = np.array(self.taps, dtype=np.complex128, order="C")
-        except ValueError as exc:
-            if "inhomogeneous" not in str(exc):  # not ragged rows, e.g. a string cell
-                raise
-            raise ConfigurationError("ensemble CIRs must share one CIR length") from None
-        if taps.ndim != 2 or 0 in taps.shape:
-            raise DomainError(
-                "ensemble CIRs must be a (P, L) block with at least one tap, "
-                f"got shape {taps.shape}"
-            )
-        if len(taps) != positions.size:
-            raise ConfigurationError(f"{len(taps)} CIRs for {positions.size} positions")
-        if taps.shape[1] != self.params.num_taps:
-            raise ConfigurationError(
-                f"ensemble CIRs have {taps.shape[1]} taps, but num_taps is {self.params.num_taps}"
-            )
-        if not np.all(np.isfinite(taps)):
-            raise DomainError("CIR taps must be finite")
+        taps = np.array(self.taps, dtype=np.complex128, order="C")
         taps.flags.writeable = False
-        positions = positions.copy()
+        positions = np.array(self.positions_mm, dtype=float)
         positions.flags.writeable = False
         object.__setattr__(self, "positions_mm", positions)
         object.__setattr__(self, "taps", taps)
-
-    def __len__(self) -> int:
-        return self.positions_mm.size
 
     @property
     def cirs(self) -> tuple[Cir, ...]:
@@ -344,10 +317,11 @@ def synth_cavity_ensemble(
 ) -> SpatialChannelEnsemble:
     """Draw one ensemble realisation over the given receive positions.
 
-    Positions must be strictly increasing (millimetres), as the returned
-    ensemble's constructor checks. The result is a deterministic function of
-    ``(params, positions_mm)``; see the module docstring for the exact
-    random-draw order.
+    Positions must be strictly increasing (millimetres) and keep the
+    kernel's argument finite, as :class:`~trlink.harness.Scenario` checks;
+    the taps are then finite, so nothing here checks them again. The result
+    is a deterministic function of ``(params, positions_mm)``; see the
+    module docstring for the exact random-draw order.
     """
     positions = np.asarray(positions_mm, dtype=float)
     num_taps = params.num_taps

@@ -18,7 +18,7 @@ class ConfigurationError(TrLinkError, ValueError):
 
 
 class DomainError(TrLinkError, ValueError):
-    """Input outside an operation's domain: empty signal, zero-energy channel, ..."""
+    """Input outside an operation's domain, such as a BER record whose counts disagree."""
 
 
 _SHOWN_CHARACTERS = 40

@@ -105,7 +105,9 @@ anything is drawn, so a grid that ``ber`` and ``sound`` run may be too
 large for ``focus``.
 
 Channels pass between the stages as row selections of the trial's
-ensemble ``taps``, one ``(P, L)`` block checked when it was built; no
+ensemble ``taps``, one ``(P, L)`` block checked where it entered: by
+:func:`~trlink.channel.load_ensemble` for a file, or over the positions
+checked here for a draw (:func:`~trlink.channel.synth_cavity_ensemble`); no
 experiment builds a per-position :class:`~trlink.channel.Cir` (that
 unexported class and its accessor, ``SpatialChannelEnsemble.cirs``, are
 kept for the benchmark's focus oracle only). Every trial of a synthesised
@@ -392,10 +394,6 @@ class Scenario:
         positions = positions.copy()
         positions.flags.writeable = False
         object.__setattr__(self, "positions_mm", positions)
-
-    @property
-    def target_positions_mm(self) -> tuple[float, ...]:
-        return tuple(float(self.positions_mm[i]) for i in self.target_indices)
 
     def ensemble_for_trial(self, trial: int) -> SpatialChannelEnsemble:
         """Trial ``t``'s channel: imported (fixed) or freshly synthesised."""

@@ -154,7 +154,8 @@ def test_criterion_6_ber_improves_with_pulse_spacing():
 def test_criterion_7_two_user_separation_at_high_snr():
     scenario = load_scenario(SCENARIO_DIR / "two_user.json")
     scenario = replace(scenario, snr_grid_db=(30.0,), d_values=(30,))
-    separation = scenario.target_positions_mm[1] - scenario.target_positions_mm[0]
+    first, second = scenario.positions_mm[list(scenario.target_indices)]
+    separation = second - first
     assert separation == pytest.approx(0.9)
     records = run_ber_sweep(scenario)
     ok = True

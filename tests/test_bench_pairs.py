@@ -102,3 +102,46 @@ class TestFailures:
                 {"attempted": 1, "failed": 1}]
         assert bench_pairs.failed_share(side) == {"attempted": 41, "failed": 3, "share": 3 / 41}
         assert bench_pairs.failed_share([])["share"] == 0.0
+
+
+class TestCheckoutPaths:
+    @staticmethod
+    def checkouts(tmp_path, parent_name, change_name):
+        spec = {"run_seconds": 1, "workloads": [{"name": "focus_map"}],
+                "end_to_end": list(RATE.values())}
+        sides = []
+        for name in (parent_name, change_name):
+            checkout = tmp_path / name
+            checkout.mkdir()
+            (checkout / "BENCHMARK.json").write_text(json.dumps(spec), encoding="utf-8")
+            sides.append(checkout)
+        return sides
+
+    def test_paths_of_different_lengths_are_refused_before_any_run(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        def never(*args):
+            raise AssertionError("no run may start")
+
+        monkeypatch.setattr(bench_pairs, "run_once", never)
+        parent, change = self.checkouts(tmp_path, "p", "change")
+        out = tmp_path / "BENCH.json"
+        with pytest.raises(SystemExit) as info:
+            bench_pairs.main(["--parent", str(parent), "--change", str(change), "--out", str(out)])
+        assert info.value.code == 2
+        assert "paths differ in length" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_the_record_keeps_both_resolved_paths(self, tmp_path, monkeypatch):
+        def fake_run(checkout, workload, seed, seconds):
+            return {"seed": seed, "correct": True, "attempted": 1, "failed": 0,
+                    "environment": "env", "metrics": {"work_per_s": 1.0}}
+
+        monkeypatch.setattr(bench_pairs, "run_once", fake_run)
+        parent, change = self.checkouts(tmp_path, "p", "c")
+        out = tmp_path / "BENCH.json"
+        monkeypatch.chdir(tmp_path)
+        assert bench_pairs.main(["--parent", "p", "--change", "c", "--out", str(out)]) == 0
+        record = json.loads(out.read_text(encoding="utf-8"))
+        assert record["parent"]["path"] == str(parent.resolve())
+        assert record["change"]["path"] == str(change.resolve())

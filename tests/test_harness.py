@@ -223,7 +223,8 @@ class TestScenarioLoading:
         scenario = load_scenario(write_scenario(tmp_path))
         assert scenario.positions_mm.size == 43
         assert scenario.target_indices == (12, 15)
-        assert scenario.target_positions_mm == (pytest.approx(-2.7), pytest.approx(-1.8))
+        targets = scenario.positions_mm[list(scenario.target_indices)]
+        assert targets.tolist() == pytest.approx([-2.7, -1.8])
         assert scenario.schemes == (Scheme.RASK, Scheme.ERASK)
         assert scenario.sounding is None
         assert isinstance(scenario.rsm.threshold_policy, PilotThreshold)
@@ -1016,7 +1017,7 @@ class TestCli:
         code = cli_main(["synth", "--scenario", str(path), "--out", str(out)])
         assert code == 0
         ensemble = load_ensemble(out / "ensemble.json")
-        assert len(ensemble) == 43
+        assert len(ensemble.taps) == 43
 
     def test_seed_override_changes_output(self, tmp_path, capsys):
         path = write_scenario(tmp_path)
@@ -1067,7 +1068,16 @@ class TestCli:
             pytest.param(
                 lambda row: row[:3] + ["nan"] + row[4:], "measured.csv line 3", id="non-finite-tap"
             ),
+            pytest.param(
+                lambda row: row[:3] + ["inf"] + row[4:], "measured.csv line 3", id="infinite-tap"
+            ),
+            pytest.param(
+                lambda row: row[:3] + ["0.0", "-inf"] + row[5:],
+                "measured.csv line 3",
+                id="complex-infinite-tap",
+            ),
             pytest.param(lambda row: row[:-1], "measured.csv line 3", id="short-row"),
+            pytest.param(lambda row: row + ["0.0"], "measured.csv line 3", id="long-row"),
             pytest.param(
                 lambda row: [repr(float(row[0]) + 0.3)] + row[1:],
                 "measured.csv line 3",
@@ -1228,6 +1238,19 @@ class TestCli:
             pytest.param(lambda doc: {**doc, "positions_mm": "abc"}, "positions_mm", id="pos-string"),
             pytest.param(
                 lambda doc: {**doc, "positions_mm": [-1.8, -2.7]}, "positions_mm", id="pos-order"
+            ),
+            pytest.param(
+                lambda doc: {**doc, "positions_mm": [-2.7, -2.7]},
+                "positions_mm must be strictly increasing",
+                id="pos-repeated",
+            ),
+            pytest.param(
+                lambda doc: {**doc, "positions_mm": [-2.7]}, "2 rows for 1 positions", id="rows-over"
+            ),
+            pytest.param(
+                lambda doc: {**doc, "positions_mm": [-2.7, -1.8, -0.9]},
+                "2 rows for 3 positions",
+                id="rows-under",
             ),
             pytest.param(lambda doc: {**doc, "csv": 5}, "csv", id="csv-number"),
             pytest.param(lambda doc: {**doc, "csv": "."}, "ensemble CSV not found", id="csv-dir"),

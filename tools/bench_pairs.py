@@ -8,7 +8,12 @@ Usage (from any directory; both checkouts need ``perfbench/``, ``src/`` and
 Make each side a fresh clone of its commit (``git clone``, then ``git
 checkout <rev>``) just before the run, never an older checkout reused: a
 reused clone of unchanged code has read ``setup_s`` about 1.18 times its
-fresh clone's, which passes for a change in the code.
+fresh clone's, which passes for a change in the code. Put the two clones
+at resolved paths of equal length (``../p`` and ``../c``, say): one source
+tree has read 325 or 565 minor page faults per two-trial sounding study,
+depending only on where its checkout lies, and ``sound_tb``'s time moves
+with them. Paths of different lengths are refused before any run, and
+the record keeps both.
 
 Every workload ``BENCHMARK.json`` lists is measured (or only those named
 with ``--workload``) over ``PAIRS`` pairs. Pair ``k`` runs
@@ -150,6 +155,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--first-seed", type=int, default=101)
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
+    args.parent, args.change = args.parent.resolve(), args.change.resolve()
+    if len(str(args.parent)) != len(str(args.change)):
+        parser.error(f"the checkouts' paths differ in length: {args.parent} has "
+                     f"{len(str(args.parent))} characters, {args.change} has "
+                     f"{len(str(args.change))}")
 
     spec = benchmark_spec(args.change)
     seconds = spec["run_seconds"]
@@ -167,8 +177,8 @@ def main(argv: list[str] | None = None) -> int:
                        "tools/bench_pairs.py; every run is kept under 'runs'.",
         "command": f"python3 perfbench/run.py --workload W --seed S --seconds {seconds:g} "
                    "--trace 0",
-        "parent": revision(args.parent),
-        "change": revision(args.change),
+        "parent": {"path": str(args.parent), **revision(args.parent)},
+        "change": {"path": str(args.change), **revision(args.change)},
         "seeds": seeds,
         "environments": {},
         "workloads": {},
