@@ -21,6 +21,6 @@ class TestPatch:
         with pytest.raises(mutants.PatchError, match=f"f.py: 'b = 2' occurs {count} times"):
             mutants.patch(text, "b = 2", "b = 3", "f.py")
 
-    @pytest.mark.parametrize("mutant", mutants.MUTANTS, ids=lambda m: m.name)
+    @pytest.mark.parametrize("mutant", mutants.MUTANTS, ids=lambda m: m.killer.split("::")[-1])
     def test_each_catalogued_mutant_matches_its_file_once(self, mutant):
         assert mutants.mutated(ROOT, mutant).count(mutant.new) == 1
