@@ -78,7 +78,7 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .dsp import _fast_len, chirp_gram, chirp_length, complex_noise, make_chirp, xcorr
+from .dsp import _fast_len, chirp_gram, complex_noise, make_chirp, xcorr
 from .errors import (
     ConfigurationError,
     check_power_ratio,
@@ -365,9 +365,11 @@ def sound_cir(
     received signal is ``C h + w`` and the least-squares estimate is
     ``h + G^-1 (C^H w / E)`` with the Gram ``G = C^H C / E``: the truth plus
     the solved noise. So a noiseless batch (``probe_snr_db = inf``) returns
-    its taps bit for bit once the chirp's length is checked
-    (:func:`~trlink.dsp.chirp_length`), with no chirp, Gram, transform or
-    solve; so does a row whose received power is zero. With noise the
+    its taps bit for bit, with no chirp, Gram, transform or solve; so does a
+    row whose received power is zero. The chirp's length is not checked
+    here: a duration comes from a scenario whose ``sounding`` block passed
+    :func:`~trlink.dsp.chirp_length` at load, or is one of the sounding
+    study's fixed time-bandwidth products. With noise the
     error falls as the time-bandwidth product grows. The Gram is the closed
     form of :func:`~trlink.dsp.chirp_gram`, ``G[r, c] = d[r] conj(d[c])
     S[|r - c|]`` for its real lags ``S`` and the modulation ``d[r] =
@@ -400,7 +402,6 @@ def sound_cir(
     """
     estimates = true_taps.copy()
     if math.isinf(sounding.probe_snr_db):
-        chirp_length(sounding.duration_s, bandwidth_hz)
         estimates.flags.writeable = False
         return estimates
     chirp = make_chirp(bandwidth_hz, sounding.duration_s)

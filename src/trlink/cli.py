@@ -18,7 +18,6 @@ from pathlib import Path
 from .channel import export_ensemble
 from .errors import ConfigurationError, TrLinkError
 from .harness import (
-    Scenario,
     load_scenario,
     run_ber_sweep,
     run_focusing_experiment,
@@ -50,13 +49,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(args: argparse.Namespace) -> Scenario:
-    scenario = load_scenario(args.scenario)
-    if args.seed is not None:
-        scenario = replace(scenario, master_seed=args.seed)
-    return scenario
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
@@ -65,7 +57,9 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
 
     try:
-        scenario = _load(args)
+        scenario = load_scenario(args.scenario)
+        if args.seed is not None:
+            scenario = replace(scenario, master_seed=args.seed)
         out_dir = Path(args.out)
 
         if args.command == "synth":
@@ -81,12 +75,10 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "focus":
             reports = run_focusing_experiment(scenario, out_dir)
             print(f"wrote {len(reports)} focusing CSVs to {out_dir}")
-        elif args.command == "ber":
+        else:  # "ber": argparse refuses any other command first
             records = run_ber_sweep(scenario, out_dir)
             files = {(r.scheme, r.d) for r in records}
             print(f"wrote {len(files)} BER CSVs ({len(records)} records) to {out_dir}")
-        else:  # pragma: no cover - argparse enforces the choices
-            raise ConfigurationError(f"unknown command {args.command!r}")
         return _EXIT_OK
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

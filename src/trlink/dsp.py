@@ -79,19 +79,6 @@ def _fast_len(n: int) -> int:
         m += 1
 
 
-def _fftconvolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Full linear convolution via the FFT of the last axis of ``a`` with the
-    last axis of ``b``, each one signal or a stack; ``b``'s stack is outer."""
-    # b's rows broadcast against all of a's: b's stack axes, then a's
-    b = b.reshape(b.shape[:-1] + (1,) * (a.ndim - 1) + b.shape[-1:])
-    if a.shape[-1] == 1 or b.shape[-1] == 1:
-        return a * b
-    n = a.shape[-1] + b.shape[-1] - 1
-    m = _fast_len(n)
-    product = np.fft.fft(a, m) * np.fft.fft(b, m)
-    return np.fft.ifft(product, axis=-1, out=product)[..., :n]
-
-
 def convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Full linear convolution of one signal or a stack with one signal or a stack.
 
@@ -103,7 +90,14 @@ def convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     ``NUMERIC_RTOL``, and each entry of a stacked result equals the
     convolution of its two signals alone bit for bit.
     """
-    return _fftconvolve(a, b)
+    # b's rows broadcast against all of a's: b's stack axes, then a's
+    b = b.reshape(b.shape[:-1] + (1,) * (a.ndim - 1) + b.shape[-1:])
+    if a.shape[-1] == 1 or b.shape[-1] == 1:
+        return a * b
+    n = a.shape[-1] + b.shape[-1] - 1
+    m = _fast_len(n)
+    product = np.fft.fft(a, m) * np.fft.fft(b, m)
+    return np.fft.ifft(product, axis=-1, out=product)[..., :n]
 
 
 def xcorr(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -111,10 +105,10 @@ def xcorr(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     Output index ``j`` holds lag ``j - (len(a) - 1)``, whose value is
     ``sum_k conj(a[k - lag]) * b[k]``; lag 0 (index ``len(a) - 1``) is the
-    plain inner product ``sum(conj(a) * b)``. Equivalent to convolving the
-    conjugated time-reversed ``a`` with ``b``.
+    plain inner product ``sum(conj(a) * b)``: the conjugated time-reversed
+    ``a`` convolved with ``b``.
     """
-    return _fftconvolve(np.conj(a[::-1]), b)
+    return convolve(np.conj(a[::-1]), b)
 
 
 def complex_noise(size: int, sigma: float, rng_seed: int | list[int] | None) -> np.ndarray:

@@ -178,7 +178,7 @@ from .modem import (
     power_detect,
     rask_modulate,
 )
-from .output import write_csv
+from .output import comment_lines, csv_text, write_csv, write_text
 from .precoding import FocusingReport, focusing_report, pulse_responses, received_at
 
 _STREAM_ENSEMBLE = 0
@@ -727,10 +727,18 @@ def run_focusing_experiment(
     :func:`~trlink.precoding.propagate` of every target's emission, gives
     every target's field over the whole grid, and one
     :func:`~trlink.precoding.focusing_report` call measures every report
-    from that block and writes one CSV per report. Nothing is re-checked on
-    the way: the scenario has refused off-grid and coincident targets,
-    imported targets of zero or overflowing energy, and spacings below 3
-    taps, at load.
+    from that block. Nothing is re-checked on the way: the scenario has
+    refused off-grid and coincident targets, imported targets of zero or
+    overflowing energy, and spacings below 3 taps, at load.
+
+    With ``out_dir``, every report is computed before the first file is
+    written, one CSV per report through :func:`~trlink.output.write_text`.
+    A file holds its report's scalar metrics as ``# key=value`` lines
+    (:func:`_report_comments`), then the spatial profile with columns
+    ``position_mm,peak_abs``, one row per grid position, rendered once per
+    target and shared by that target's files. An undefined spatial width is
+    written as ``nan`` with ``spatial_fwhm_defined=0``, so downstream
+    tooling can tell it apart from a measured value.
 
     The ``P * num_rx * (2*num_taps - 1)`` field samples are capped at
     10,000,000, the cap of a BER frame; a larger field is refused before
@@ -755,13 +763,44 @@ def run_focusing_experiment(
             for spacing in scenario.d_values
             for k in (0, 1)
         ]
-    return focusing_report(
+    reports = focusing_report(
         ensemble,
         pulse_responses(ensemble.taps, ensemble.taps[list(targets)]),
         targets,
         [job[1:] for job in jobs],
-        None if out_dir is None else [Path(out_dir) / name for name, *_ in jobs],
     )
+    if out_dir is not None:
+        profiles: dict[int, str] = {}
+        for (name, column, _, _), report in zip(jobs, reports):
+            if column not in profiles:
+                profiles[column] = csv_text(("position_mm", "peak_abs"), report.spatial_profile)
+            write_text(
+                Path(out_dir) / name, comment_lines(_report_comments(report)) + profiles[column]
+            )
+    return reports
+
+
+def _report_comments(report: FocusingReport) -> list[str]:
+    """A report's ``# key=value`` lines: the schema, then its scalar metrics."""
+    fwhm_defined = report.spatial_fwhm_mm is not None
+    scalars = [
+        ("target_index", report.target_index),
+        ("target_mm", report.target_mm),
+        ("other_index", report.other_index if report.other_index is not None else "none"),
+        ("other_mm", report.other_mm if report.other_mm is not None else "none"),
+        ("spacing_taps", report.spacing),
+        ("peak_amplitude", report.peak_amplitude),
+        ("peak_lag", report.peak_lag),
+        ("temporal_sidelobe_ratio_db", report.temporal_sidelobe_ratio_db),
+        ("temporal_fwhm_s", report.temporal_fwhm_s),
+        ("spatial_fwhm_mm", report.spatial_fwhm_mm if fwhm_defined else math.nan),
+        ("spatial_fwhm_defined", int(fwhm_defined)),
+        ("isi_power", report.isi_power),
+        ("iui_power", report.iui_power),
+        ("isi_self_power", report.isi_self_power),
+        ("isi_other_power", report.isi_other_power),
+    ]
+    return ["schema=trlink.focusing/1", *(f"{name}={value}" for name, value in scalars)]
 
 
 def _median(values: list[float]) -> float:

@@ -7,17 +7,14 @@ complete new one; if anything raises, the partial file is deleted and the
 target keeps its bytes. The target's directory is created, with any
 missing parents, only when it does not exist yet.
 
-A CSV is rendered as text (:func:`csv_text`: the header and rows) and
-written by :func:`write_text`; :func:`write_csv` is the two in one. A
-caller that renders its own rows puts a file's ``# comment`` lines
-(:func:`comment_lines`) in front of them and writes the text with
-:func:`write_text`.
+A CSV is rendered as text by :func:`csv_text`, the one place its rows are
+rendered, and written by :func:`write_text`; :func:`write_csv` is the two
+in one. A file with ``# comment`` lines (:func:`comment_lines`) puts them
+in front of the CSV text and writes the whole with :func:`write_text`.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import os
 from collections.abc import Iterable
 from pathlib import Path
@@ -54,12 +51,15 @@ def comment_lines(comments: Iterable[str]) -> str:
 
 
 def csv_text(header: Iterable, rows: Iterable[Iterable]) -> str:
-    """A CSV as text: the header and rows as ``csv.writer`` rows ending in ``\\r\\n``."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buffer.getvalue()
+    """A CSV as text: the header, then each row, as fields' ``str()`` joined by
+    commas, each line ending in ``\\r\\n``.
+
+    No field may hold a comma, a quote or a newline; trlink writes only
+    ints, floats (Python or numpy, ``inf``, ``nan`` and ``-0.0`` included)
+    and fixed identifiers, and for those this is what ``csv.writer`` writes,
+    byte for byte.
+    """
+    return "".join(",".join(map(str, row)) + "\r\n" for row in (header, *rows))
 
 
 def write_csv(path: str | Path, header: Iterable, rows: Iterable[Iterable]) -> None:

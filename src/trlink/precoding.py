@@ -18,8 +18,10 @@ Channels are ``(P, L)`` tap blocks, one row per channel, as
 :class:`~trlink.channel.SpatialChannelEnsemble` holds them; a user or a
 receiver is a row, and a subset of positions is a row selection. The
 functions here trust their arguments and check nothing. Every block they
-get was checked once, at load: the ensemble's constructor refuses
-non-finite taps and ragged rows, :class:`~trlink.harness.Scenario` refuses
+get was checked once, where it entered: :func:`~trlink.channel.load_ensemble`
+refuses an ensemble file's non-finite taps and ragged rows, and a draw
+(:func:`~trlink.channel.synth_cavity_ensemble`) is finite over the
+positions the scenario checked; :class:`~trlink.harness.Scenario` refuses
 targets of zero or overflowing energy, spacings below 3 taps and noise
 powers the detector cannot sum, and the harness refuses sounded estimates
 whose energy is not finite before it precodes toward them.
@@ -44,11 +46,10 @@ target's column over the grid and, for two users, the interferer's column at
 the target, so one :func:`pulse_responses` call serves every report. A
 report joins what its target's own field fixes alone, which no spacing or
 interferer changes and which is computed once per target, to the slot sums
-at its spacing. Given paths, it writes each report's file, each target's
-profile rows rendered once. It checks nothing: its caller,
+at its spacing. It returns the reports and writes nothing; its caller,
 :func:`~trlink.harness.run_focusing_experiment`, measures a
 :class:`~trlink.harness.Scenario` that has already refused every target and
-spacing it could not measure.
+spacing it could not measure, and writes their files.
 
 By linearity the field at antenna ``n`` is ``sum_i upsample_D(x[i]) *
 K_ni``, so :func:`received_at` gives the BER sweep the samples at the
@@ -72,7 +73,6 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -80,7 +80,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .channel import SpatialChannelEnsemble, energy
 from .dsp import convolve
 from .modem import WINDOW_HALF_WIDTH
-from .output import comment_lines, write_text
 
 # The window engine copies at most this many symbol-window entries (256 KiB
 # of doubles) into each block it multiplies, so memory does not grow with
@@ -170,7 +169,8 @@ def received_at(
     """Received samples at the detector's windows, one slice per receive antenna.
 
     ``symbols`` is the ``(U, M)`` matrix of real amplitudes, ``float64`` or
-    boolean, and ``kernels`` is ``pulse_responses(true_taps, known_taps)``,
+    boolean, with ``M >= 1`` (a frame holds at least one bit or two
+    pilots), and ``kernels`` is ``pulse_responses(true_taps, known_taps)``,
     shape ``(N, U, 2L-1)``. With ``w = WINDOW_HALF_WIDTH``, entry ``[n, m, w + o]`` equals,
     to ``NUMERIC_RTOL``, sample ``L-1 + m*spacing + o`` (``|o| <= w``; these
     are the lags the detector reads) of antenna ``n``'s received signal: the
@@ -201,8 +201,6 @@ def received_at(
     offsets = np.arange(-WINDOW_HALF_WIDTH, WINDOW_HALF_WIDTH + 1)
     span = (peak + WINDOW_HALF_WIDTH) // spacing
     width = 2 * span + 1
-    if num_symbols == 0:
-        return np.zeros((num_rx, 0, offsets.size), dtype=np.complex128)
 
     # gathered[i, c, n, o] = K_ni[L-1 + (span - c)*spacing + o], zero off the
     # kernel; viewed as float64 it is user i's real matrix, and antenna n's
@@ -361,7 +359,6 @@ def focusing_report(
     fields: np.ndarray,
     users: Sequence[int],
     jobs: Sequence[tuple[int, int | None, int]],
-    paths: Sequence[str | Path] | None = None,
 ) -> list[FocusingReport]:
     """Measure spatiotemporal focusing and interference: one report per job.
 
@@ -380,14 +377,6 @@ def focusing_report(
     Nothing is checked here. The columns of a job must be distinct and the
     spacing at least 1 tap, as :class:`~trlink.harness.Scenario` ensures for
     :func:`~trlink.harness.run_focusing_experiment`, the one caller.
-
-    With ``paths``, one per job, every report is computed before the first
-    file is written through :func:`~trlink.output.write_text`. A file holds
-    its report's scalar metrics as ``# key=value`` lines, then the spatial
-    profile with columns ``position_mm,peak_abs``, one row per grid
-    position, rendered once per target. An undefined spatial width is
-    written as ``nan`` with ``spatial_fwhm_defined=0``, so downstream
-    tooling can tell it apart from a measured value.
     """
     positions = ensemble.positions_mm
     focus: dict[int, dict] = {}
@@ -424,36 +413,4 @@ def focusing_report(
                 **focus[column],
             )
         )
-    if paths is not None:
-        profiles: dict[int, str] = {}
-        for (column, _, _), report, path in zip(jobs, reports, paths, strict=True):
-            if column not in profiles:
-                # the rows csv.writer writes for floats: repr, comma, CRLF
-                profiles[column] = "position_mm,peak_abs\r\n" + "".join(
-                    f"{position!r},{value!r}\r\n" for position, value in report.spatial_profile
-                )
-            write_text(path, comment_lines(_report_comments(report)) + profiles[column])
     return reports
-
-
-def _report_comments(report: FocusingReport) -> list[str]:
-    """A report's ``# key=value`` lines: the schema, then its scalar metrics."""
-    fwhm_defined = report.spatial_fwhm_mm is not None
-    scalars = [
-        ("target_index", report.target_index),
-        ("target_mm", report.target_mm),
-        ("other_index", report.other_index if report.other_index is not None else "none"),
-        ("other_mm", report.other_mm if report.other_mm is not None else "none"),
-        ("spacing_taps", report.spacing),
-        ("peak_amplitude", report.peak_amplitude),
-        ("peak_lag", report.peak_lag),
-        ("temporal_sidelobe_ratio_db", report.temporal_sidelobe_ratio_db),
-        ("temporal_fwhm_s", report.temporal_fwhm_s),
-        ("spatial_fwhm_mm", report.spatial_fwhm_mm if fwhm_defined else math.nan),
-        ("spatial_fwhm_defined", int(fwhm_defined)),
-        ("isi_power", report.isi_power),
-        ("iui_power", report.iui_power),
-        ("isi_self_power", report.isi_self_power),
-        ("isi_other_power", report.isi_other_power),
-    ]
-    return ["schema=trlink.focusing/1", *(f"{name}={value}" for name, value in scalars)]

@@ -43,6 +43,7 @@ from trlink.harness import (
     scenario_from_dict,
 )
 from trlink.modem import FixedThreshold, PilotThreshold, RsmConfig, Scheme
+from trlink.output import comment_lines, csv_text
 from trlink.precoding import FocusingReport, focusing_report, pulse_responses
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -691,16 +692,19 @@ class TestFocusingExperiment:
         targets = scenario.target_indices
         block = pulse_responses(ensemble.taps, ensemble.taps[list(targets)])
         for report in reports:
-            # each file equals the one-job call's, which renders its own profile rows
+            # each file equals its one-job report's comments and profile rows,
+            # rendered through the public serialiser on their own
             column = targets.index(report.target_index)
             other = None if report.other_index is None else targets.index(report.other_index)
-            alone = tmp_path / "alone.csv"
-            focusing_report(ensemble, block, targets, [(column, other, report.spacing)], [alone])
+            (alone,) = focusing_report(ensemble, block, targets, [(column, other, report.spacing)])
+            text = comment_lines(harness._report_comments(alone)) + csv_text(
+                ["position_mm", "peak_abs"], alone.spatial_profile
+            )
             if other is None:
                 name = f"focus_single_t{column}.csv"
             else:
                 name = f"focus_two_user_D{report.spacing}_t{column}.csv"
-            assert written[name] == alone.read_bytes(), name
+            assert written[name] == text.encode("utf-8"), name
         run_focusing_experiment(scenario, out_dir=out)
         assert {p.name: p.read_bytes() for p in out.iterdir()} == written
 
@@ -1491,6 +1495,11 @@ class TestCli:
             ),
             pytest.param(
                 ("sounding",), {"duration_s": 1.0}, [], "sounding.duration_s", id="chirp-too-long"
+            ),
+            # a noiseless probe of 1 sample at 4 GHz: sounding builds no chirp
+            pytest.param(
+                ("sounding",), {"duration_s": 2.5e-10}, [], "sounding.duration_s",
+                id="chirp-of-one-sample",
             ),
             pytest.param(("snr_grid_db",), [-1e308], [], "snr_grid_db", id="snr-noise-overflows"),
             pytest.param(("snr_grid_db",), [1e308], [], "snr_grid_db", id="snr-noise-underflows"),

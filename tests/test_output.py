@@ -1,12 +1,18 @@
 """The single write path: whole-file atomic replacement, and no other write site."""
 
+import csv
+import io
+import math
 import re
+from dataclasses import astuple
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import trlink
 from trlink import output
+from trlink.harness import BER_CSV_HEADER, BerRecord, derive_seed
 
 # What writing a file looks like in this code base: text writes, files opened
 # for writing in text or binary mode or at the descriptor level, descriptor
@@ -52,6 +58,44 @@ def test_comment_lines_then_csv_text(tmp_path):
         target, output.comment_lines(["schema=x", "n=1"]) + output.csv_text(["a", "b"], [[1, 2.5]])
     )
     assert target.read_bytes() == b"# schema=x\n# n=1\na,b\r\n1,2.5\r\n"
+
+
+def test_csv_text_matches_the_csv_writer():
+    # every kind of row trlink writes, and floats that print oddly: the
+    # focusing profile, a BER row with a 64-bit seed, a sounding row with
+    # inf, and an ensemble row of interleaved taps
+    seed = derive_seed(7, 1, 1, 2, 3, 4)
+    tables = [
+        (
+            ("position_mm", "peak_abs"),
+            [
+                (5e-324, 1.7976931348623157e308),
+                (-0.0, math.nan),
+                (math.inf, 0.1 + 0.2),
+                (-math.inf, -0.0),
+                (0.1 + 0.2, 5e-324),
+                (np.float64(-2.7), np.float64(2.2250738585072014e-308)),
+            ],
+        ),
+        (
+            BER_CSV_HEADER,
+            [
+                astuple(BerRecord("rask", 15, 25.0, 10_000, 31, 31 / 10_000, seed)),
+                astuple(BerRecord("erask", 30, -5.0, 2, 1, 0.5, 2**64 - 1)),
+            ],
+        ),
+        (["tb", "probe_snr_db", "normalized_error"], [(100, math.inf, 0.0123), (1000, 20.0, 1e-17)]),
+        (
+            ["position_mm", "tap0_re", "tap0_im", "tap1_re", "tap1_im"],
+            [[-6.3, *np.array([0.1 - 0.2j, -0.0 + 3e-310j]).view(np.float64).tolist()]],
+        ),
+    ]
+    for header, rows in tables:
+        buffer = io.StringIO()
+        writer = csv.writer(buffer)
+        writer.writerow(header)
+        writer.writerows(rows)
+        assert output.csv_text(header, rows) == buffer.getvalue()
 
 
 def test_write_site_guard_sees_binary_and_descriptor_writes():

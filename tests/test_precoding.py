@@ -22,11 +22,9 @@ from trlink.channel import (
 )
 from trlink.dsp import NUMERIC_RTOL, complex_noise, convolve
 from trlink.errors import ConfigurationError
-from trlink.harness import _pilot_targets, grid_positions
-from trlink.modem import erask_modulate, rask_modulate
-from trlink.output import csv_text
+from trlink.harness import Scenario, _pilot_targets, grid_positions, run_focusing_experiment
+from trlink.modem import PilotThreshold, RsmConfig, Scheme, erask_modulate, rask_modulate
 from trlink.precoding import (
-    focusing_report,
     full_width_half_max,
     propagate,
     pulse_responses,
@@ -407,11 +405,6 @@ class TestReceivedAt:
         second = received_at(UNIT_PULSE, kernels, 2, 0.5, [123])
         assert np.array_equal(first, second)
 
-    def test_empty_frame_gives_no_samples(self):
-        block = np.stack([cir(np.ones(4))] * 2)
-        field = received_at(np.zeros((2, 0)), pulse_responses(block, block), 5, 0.1, [0])
-        assert field.shape == (2, 0, 3)
-
 class TestFocusingGain:
     def test_peak_to_sidelobe_grows_with_channel_length(self):
         medians = []
@@ -516,11 +509,23 @@ class TestFocusingReport:
     def test_csv_round_trip(self, tmp_path):
         ensemble = _dense_grid_ensemble(4)
         target = grid_index(ensemble.positions_mm, -1.8)
-        fields = pulse_responses(ensemble.taps, ensemble.taps[[target]])
-        path = tmp_path / "report.csv"
-        (report,) = focusing_report(ensemble, fields, [target], [(0, None, 15)], [path])
+        scenario = Scenario(
+            cavity=ensemble.params,
+            positions_mm=ensemble.positions_mm,
+            target_indices=(target,),
+            rsm=RsmConfig(num_rx=1, threshold_policy=PilotThreshold(8)),
+            schemes=(Scheme.ERASK,),
+            d_values=(15,),
+            snr_grid_db=(10.0,),
+            bits_per_point=10,
+            trials=1,
+            sounding=None,
+            master_seed=0,
+            imported_ensemble=ensemble,
+        )
+        (report,) = run_focusing_experiment(scenario, tmp_path)
         assert astuple(report) == astuple(measure_focusing(ensemble, target, None, 15))
-        lines = path.read_text(encoding="utf-8").splitlines()
+        lines = (tmp_path / "focus_single_t0.csv").read_text(encoding="utf-8").splitlines()
         header = {
             line[2:].split("=", 1)[0]: line[2:].split("=", 1)[1]
             for line in lines
@@ -534,31 +539,6 @@ class TestFocusingReport:
         first_pos, first_val = data[1].split(",")
         assert float(first_pos) == report.spatial_profile[0][0]
         assert float(first_val) == report.spatial_profile[0][1]
-
-    def test_profile_rows_match_the_csv_writer(self, tmp_path, monkeypatch):
-        # the profile block is rendered without csv.writer; output.csv_text,
-        # which write_csv uses, is the oracle for floats that print oddly
-        awkward = (
-            (5e-324, 1.7976931348623157e308),
-            (-0.0, math.nan),
-            (math.inf, 0.1 + 0.2),
-            (-math.inf, -0.0),
-            (0.1 + 0.2, 5e-324),
-        )
-        target_focus = precoding._target_focus
-
-        def with_awkward_profile(*args):
-            return {**target_focus(*args), "spatial_profile": awkward}
-
-        monkeypatch.setattr(precoding, "_target_focus", with_awkward_profile)
-        ensemble = _dense_grid_ensemble(4)
-        target = grid_index(ensemble.positions_mm, -1.8)
-        fields = pulse_responses(ensemble.taps, ensemble.taps[[target]])
-        path = tmp_path / "report.csv"
-        focusing_report(ensemble, fields, [target], [(0, None, 15)], [path])
-        text = path.read_bytes().decode("utf-8")
-        block = text[text.index("position_mm") :]
-        assert block == csv_text(("position_mm", "peak_abs"), awkward)
 
 
 class TestFullWidthHalfMax:

@@ -97,6 +97,34 @@ MUTANTS = (
         "sigma = 1.05 * 10.0 ** (-snr_db / 20.0)",
         "tests/test_harness.py::TestBerPoint::test_noise_power_is_the_inverse_snr",
     ),
+    Mutant(
+        "emission normalised by E, not sqrt(E)",
+        "src/trlink/precoding.py",
+        "/ math.sqrt(energy(h_i))",
+        "/ energy(h_i)",
+        "tests/test_precoding.py::TestPulseResponses::test_equal_the_unit_pulse_chain_bit_for_bit",
+    ),
+    Mutant(
+        "emission reversed but not conjugated",
+        "src/trlink/precoding.py",
+        "np.stack([np.conj(h_i[::-1])",
+        "np.stack([h_i[::-1]",
+        "tests/test_precoding.py::TestTrKernel::test_closed_form_equals_the_unit_pulse_chain",
+    ),
+    Mutant(
+        "Gram phase step of the wrong sign",
+        "src/trlink/dsp.py",
+        "return lags, math.pi * ((n - 1) / n_prime - 1.0)",
+        "return lags, -math.pi * ((n - 1) / n_prime - 1.0)",
+        "tests/test_channel.py::TestChirpGram::test_matches_the_dense_gram",
+    ),
+    Mutant(
+        "RASK tie breaks to antenna 1",
+        "src/trlink/modem.py",
+        "return np.argmax(powers, axis=0).astype(np.int64)",
+        "return (1 - np.argmax(powers[::-1], axis=0)).astype(np.int64)",
+        "tests/test_modem.py::TestPowerDetect::test_tie_breaks_to_first_antenna",
+    ),
 )
 
 # names of mutants tier-1 is known not to kill; entries may only be removed
