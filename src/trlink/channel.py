@@ -78,10 +78,9 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .dsp import _fast_len, chirp_gram, complex_noise, make_chirp, xcorr
+from .dsp import _CHIRP_BANDWIDTHS_HZ, _fast_len, chirp_gram, complex_noise, make_chirp, xcorr
 from .errors import (
     ConfigurationError,
-    check_power_ratio,
     read_integer,
     read_list,
     read_number,
@@ -175,10 +174,11 @@ class CavityParams:
     """Statistical description of the reverberation cavity.
 
     ``num_taps`` is 1 to ``_MAX_TAPS``; the bandwidth and the carrier are
-    finite and positive. ``decay_time_s`` defaults to
+    finite and positive, the bandwidth within
+    :data:`~trlink.dsp._CHIRP_BANDWIDTHS_HZ`, where every chirp's phase is
+    finite: the one bandwidth check. ``decay_time_s`` defaults to
     ``num_taps / (3 * bandwidth_hz)`` so that most of the reverberant energy
-    falls inside the simulated tap window (a bandwidth that makes it 0 is a
-    ``ConfigurationError`` naming ``bandwidth_hz``); ``math.inf`` is
+    falls inside the simulated tap window; ``math.inf`` is
     accepted and yields a flat power-delay profile. The carrier frequency
     only enters through the spatial-correlation wavelength.
     """
@@ -200,14 +200,15 @@ class CavityParams:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ConfigurationError(f"{name} must be finite and > 0, got {value}")
+        low, high = _CHIRP_BANDWIDTHS_HZ
+        if not low <= self.bandwidth_hz <= high:
+            side = "large" if self.bandwidth_hz > high else "small"
+            raise ConfigurationError(
+                f"bandwidth_hz {self.bandwidth_hz:g} is too {side}: bandwidths from {low:.4g} "
+                f"to {high:.4g} Hz keep every chirp's phase finite"
+            )
         if math.isnan(self.decay_time_s):
-            default = self.num_taps / (3.0 * self.bandwidth_hz)
-            if not default > 0:
-                raise ConfigurationError(
-                    f"bandwidth_hz {self.bandwidth_hz} is too large: the default decay_time_s, "
-                    f"num_taps / (3 * bandwidth_hz), is 0"
-                )
-            object.__setattr__(self, "decay_time_s", default)
+            object.__setattr__(self, "decay_time_s", self.num_taps / (3.0 * self.bandwidth_hz))
         if not self.decay_time_s > 0:
             raise ConfigurationError(f"decay_time_s must be > 0, got {self.decay_time_s}")
 
@@ -272,24 +273,13 @@ class SpatialChannelEnsemble:
 
 @dataclass(frozen=True)
 class SoundingConfig:
-    """Chirp-sounding parameters: a scenario's ``sounding`` block.
-
-    ``probe_snr_db`` is the power ratio of the noiseless received chirp to
-    the additive noise: ``math.inf`` (noiseless probing) or a ``q`` whose
-    ``10**(q/10)`` is a positive finite double, about ``|q| <= 3080`` dB.
+    """Chirp-sounding parameters: a scenario's ``sounding`` block, which
+    :class:`~trlink.harness.Scenario` checks. ``probe_snr_db`` is the power
+    ratio of the noiseless received chirp to the noise, ``math.inf`` for none.
     """
 
     duration_s: float
     probe_snr_db: float = math.inf
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.duration_s) and self.duration_s > 0):
-            raise ConfigurationError(
-                f"sounding duration_s must be finite and > 0, got {self.duration_s}"
-            )
-        snr_db = self.probe_snr_db
-        if snr_db != math.inf:
-            check_power_ratio(snr_db, f"sounding.snr_db {snr_db} dB gives a power ratio")
 
 
 @functools.lru_cache(maxsize=1)
@@ -366,10 +356,8 @@ def sound_cir(
     ``h + G^-1 (C^H w / E)`` with the Gram ``G = C^H C / E``: the truth plus
     the solved noise. So a noiseless batch (``probe_snr_db = inf``) returns
     its taps bit for bit, with no chirp, Gram, transform or solve; so does a
-    row whose received power is zero. The chirp's length is not checked
-    here: a duration comes from a scenario whose ``sounding`` block passed
-    :func:`~trlink.dsp.chirp_length` at load, or is one of the sounding
-    study's fixed time-bandwidth products. With noise the
+    row whose received power is zero. Nothing is checked here: the probe is
+    a scenario's, checked when it was built, or the sounding study's. With noise the
     error falls as the time-bandwidth product grows. The Gram is the closed
     form of :func:`~trlink.dsp.chirp_gram`, ``G[r, c] = d[r] conj(d[c])
     S[|r - c|]`` for its real lags ``S`` and the modulation ``d[r] =

@@ -21,11 +21,11 @@ Carrier up/down-conversion is treated as ideal, so nothing here models a
 passband. The functions here neither copy nor check their inputs: the
 arrays come from validated boundaries (an ensemble's ``(P, L)`` taps block,
 checked once where it was built, at least one position by at least one
-tap) or from earlier steps of the pipeline. The checks live at load:
-:func:`chirp_length`, which a scenario's ``sounding`` block passes through
-when it loads, is the one check here. Of this module, ``trlink`` exports
-only :data:`NUMERIC_RTOL`; the pipeline and the test suite reach the rest
-here.
+tap) or from earlier steps of the pipeline. The checks live at load: the
+scenario holds its chirp to 2 .. ``_MAX_CHIRP_SAMPLES`` samples by
+:func:`chirp_length`'s rule, at a bandwidth ``CavityParams`` holds to
+``_CHIRP_BANDWIDTHS_HZ``. Of this module, ``trlink`` exports only
+:data:`NUMERIC_RTOL`; the pipeline and the test suite reach the rest here.
 
 ``convolve``'s second operand may also be a ``(P, Lb)`` stack of ``P``
 signals of one length, which convolves the first operand with every row:
@@ -58,8 +58,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-
-from .errors import ConfigurationError
 
 #: Relative tolerance for "numerically exact" identities (energy
 #: normalisation, fast-vs-direct agreement, kernel peak values).
@@ -133,30 +131,17 @@ def complex_noise(size: int, sigma: float, rng_seed: int | list[int] | None) -> 
 # (time-bandwidth product 1e6) keeps that row near 16 MB.
 _MAX_CHIRP_SAMPLES = 1_000_000
 
+# make_chirp squares k / bandwidth for 1 <= k < n <= _MAX_CHIRP_SAMPLES and
+# scales it by bandwidth**2 / (2 n') for n' = duration * bandwidth in [1.5,
+# _MAX_CHIRP_SAMPLES + 0.5]. Between these bandwidths k / bandwidth lies in
+# [2**-511, 2**511], so the square and the scale are normal doubles: every
+# chirp up to the cap has a finite phase, at full precision.
+_CHIRP_BANDWIDTHS_HZ = ((_MAX_CHIRP_SAMPLES - 1) * 2.0**-511, 2.0**511)
 
-def chirp_length(duration: float, sample_rate: float) -> int:
-    """Samples in a chirp of ``duration`` seconds: 2 to ``_MAX_CHIRP_SAMPLES``.
 
-    A ConfigurationError for a ``sample_rate`` (the bandwidth) that is not
-    finite and positive, or a count outside that range, before anything is
-    allocated.
-    """
-    if not (math.isfinite(sample_rate) and sample_rate > 0):
-        raise ConfigurationError(f"bandwidth must be finite and > 0, got {sample_rate}")
-    if not (math.isfinite(duration) and duration > 0):
-        raise ConfigurationError(f"duration must be positive, got {duration}")
-    product = duration * sample_rate
-    # clipped first: a product that overflows to inf has no integer
-    num_samples = int(round(min(product, _MAX_CHIRP_SAMPLES + 1)))
-    if num_samples < 2:
-        raise ConfigurationError(
-            f"duration * sample_rate = {product:.3g} gives {num_samples} samples; need at least 2"
-        )
-    if num_samples > _MAX_CHIRP_SAMPLES:
-        raise ConfigurationError(
-            f"duration * sample_rate = {product:.7g} samples; the cap is {_MAX_CHIRP_SAMPLES}"
-        )
-    return num_samples
+def chirp_length(duration: float, bandwidth: float) -> int:
+    """Samples in a chirp of ``duration`` seconds at ``bandwidth``: the one rounding rule."""
+    return round(duration * bandwidth)
 
 
 def make_chirp(bandwidth: float, duration: float) -> np.ndarray:
@@ -165,12 +150,7 @@ def make_chirp(bandwidth: float, duration: float) -> np.ndarray:
     The chirp is sampled at ``bandwidth``, the one sample rate of the
     simulated signals, and its instantaneous frequency sweeps linearly from
     ``-bandwidth/2`` to ``+bandwidth/2`` over ``duration``; the carrier is
-    implicit in the baseband-equivalent model.
-
-    Raises:
-        ConfigurationError: if ``bandwidth`` is not finite and positive, or
-            the requested duration yields fewer than 2 samples or more than
-            ``_MAX_CHIRP_SAMPLES``.
+    implicit in the baseband-equivalent model. Nothing is checked here.
     """
     num_samples = chirp_length(duration, bandwidth)
     # phase = 2 pi (-bandwidth t / 2 + bandwidth t^2 / (2 duration)) at the
@@ -202,7 +182,7 @@ def chirp_gram(bandwidth: float, duration: float, num_taps: int) -> tuple[np.nda
     (n sin(pi k / n'))`` for ``1 <= k < min(L, n)`` and ``0`` beyond.
     ``sin(pi k / n')`` is never 0 there, because ``k <= n - 1 < n'``.
 
-    Returns ``(lags, phase_step)``; raises what :func:`make_chirp` raises.
+    Returns ``(lags, phase_step)``; nothing is checked here.
     """
     n = chirp_length(duration, bandwidth)
     n_prime = duration * bandwidth

@@ -84,7 +84,9 @@ and ``rsm.scheme`` is one of the three lower-case strings shown. Each
 (``q`` below about 3233 dB) that the detector can sum (above about -3034
 dB; see the bound above), and a finite ``sounding.snr_db`` a probe power
 ratio ``10**(q/10)`` that is a positive finite double (about ``|q| <=
-3080`` dB). A probe SNR far below 0 dB can still give channel estimates
+3080`` dB); :class:`Scenario` checks both once, and the sounding stages
+nothing. ``bandwidth_hz``, here or in an ensemble file, lies between about
+1.5e-148 and 6.7e153 Hz, where every chirp's phase is finite. A probe SNR far below 0 dB can still give channel estimates
 whose energy overflows a double, at a bound that depends on the chirp and
 the taps; the sweep and the sounding study refuse those with a
 ``ConfigurationError`` naming ``sounding.snr_db`` once the estimates are
@@ -154,7 +156,7 @@ from .channel import (
     sound_cir,
     synth_cavity_ensemble,
 )
-from .dsp import chirp_length
+from .dsp import _MAX_CHIRP_SAMPLES, chirp_length
 from .errors import (
     ConfigurationError,
     DomainError,
@@ -387,10 +389,18 @@ class Scenario:
         if self.master_seed < 0:
             raise ConfigurationError(f"master_seed must be >= 0, got {self.master_seed}")
         if self.sounding is not None:
-            try:
-                chirp_length(self.sounding.duration_s, self.cavity.bandwidth_hz)
-            except ConfigurationError as exc:
-                raise ConfigurationError(f"sounding.duration_s: {exc}") from None
+            duration, snr_db = astuple(self.sounding)
+            if snr_db != math.inf:
+                check_power_ratio(snr_db, f"sounding.snr_db {snr_db} dB gives a power ratio")
+            bandwidth = self.cavity.bandwidth_hz
+            product = duration * bandwidth
+            # bounded first: a NaN or infinite product has no integer
+            if not (0 < product <= _MAX_CHIRP_SAMPLES + 1
+                    and 2 <= chirp_length(duration, bandwidth) <= _MAX_CHIRP_SAMPLES):
+                raise ConfigurationError(
+                    f"sounding.duration_s {duration} gives duration * bandwidth_hz = {product:.7g}"
+                    f" samples; a chirp holds 2 to {_MAX_CHIRP_SAMPLES}"
+                )
         positions = positions.copy()
         positions.flags.writeable = False
         object.__setattr__(self, "positions_mm", positions)
@@ -830,7 +840,8 @@ def run_sounding_study(
     probe SNR (20 dB when sounding is "genie"). Each trial's ``||true||``
     is computed once. Each (TB, SNR point) is one :func:`sound_cir` batch
     of the trials' truths, each trial's noise seeded as the BER sweep seeds
-    that target's. Returns (tb, probe_snr_db, median_error) rows and writes
+    that target's; its probes, fixed TBs at the checked SNR, are not checked
+    again. Returns (tb, probe_snr_db, median_error) rows and writes
     ``sounding_error.csv`` when ``out_dir`` is given.
     """
     probe_snr = (

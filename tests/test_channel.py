@@ -22,7 +22,14 @@ from trlink.channel import (
     sound_cir,
     synth_cavity_ensemble,
 )
-from trlink.dsp import NUMERIC_RTOL, _fast_len, chirp_gram, complex_noise, make_chirp
+from trlink.dsp import (
+    _CHIRP_BANDWIDTHS_HZ,
+    NUMERIC_RTOL,
+    _fast_len,
+    chirp_gram,
+    complex_noise,
+    make_chirp,
+)
 from trlink.errors import ConfigurationError
 from trlink.harness import SOUNDING_TB_VALUES, grid_positions, load_scenario
 
@@ -72,6 +79,24 @@ class TestCavityParams:
         params = CavityParams(num_taps=8, decay_time_s=1e-320)
         np.testing.assert_array_equal(params.power_delay_profile(), np.eye(1, 8)[0])
 
+    # every chirp up to the sample cap has a finite phase at either edge
+    # (TestMakeChirp); just past it, CavityParams refuses the bandwidth, and
+    # so does an ensemble file that holds it
+    @pytest.mark.parametrize("edge, past, side", [(0, 0.0, "small"), (1, math.inf, "large")])
+    def test_refuses_a_bandwidth_just_past_either_chirp_edge(self, tmp_path, edge, past, side):
+        inside = _CHIRP_BANDWIDTHS_HZ[edge]
+        outside = float(np.nextafter(inside, past))
+        assert CavityParams(bandwidth_hz=inside).bandwidth_hz == inside
+        with pytest.raises(ConfigurationError, match=f"^bandwidth_hz .* is too {side}"):
+            CavityParams(bandwidth_hz=outside)
+        ensemble = synth_cavity_ensemble(CavityParams(num_taps=4), [0.0])
+        export_ensemble(ensemble, tmp_path / "ensemble.json")
+        meta = json.loads((tmp_path / "ensemble.json").read_text(encoding="utf-8"))
+        meta["bandwidth_hz"] = outside
+        (tmp_path / "ensemble.json").write_text(json.dumps(meta), encoding="utf-8")
+        with pytest.raises(ConfigurationError, match=f"^bandwidth_hz .* is too {side}"):
+            load_ensemble(tmp_path / "ensemble.json")
+
     def test_bandwidth_that_zeroes_the_default_decay_is_named(self):
         with pytest.raises(ConfigurationError, match=r"^bandwidth_hz 1e\+308 is too large"):
             CavityParams(bandwidth_hz=1e308)
@@ -112,6 +137,20 @@ class TestEnsembleSynthesis:
         positions = np.arange(num_positions) * 0.3 - 6.3
         taps = synth_cavity_ensemble(params, positions).taps
         assert taps.tobytes() == ensemble_expression(params, positions).tobytes()
+
+    def test_the_kernel_root_squares_to_the_kernel(self):
+        # 60 positions 0.05 mm apart oversample half a wavelength about
+        # elevenfold: most eigenvalues are rounding-level, some below 0,
+        # and the clipped root still squares to the kernel
+        positions = np.arange(60) * 0.05
+        wavelength_mm = CavityParams().wavelength_mm
+        kernel = channel._diffuse_correlation(
+            np.abs(positions[:, None] - positions[None, :]), wavelength_mm
+        )
+        assert np.linalg.eigvalsh(kernel).min() < 0.0
+        root = channel._kernel_sqrt.__wrapped__(wavelength_mm, positions.tobytes())
+        assert np.all(np.isfinite(root))
+        assert np.max(np.abs(root @ root - kernel)) <= 1e-12
 
     def test_memory_is_a_small_multiple_of_the_taps(self):
         # the white field, the correlated taps and the ensemble's frozen
@@ -318,6 +357,12 @@ def _synth_cir(seed: int, num_taps: int, bandwidth: float = 4e9) -> np.ndarray:
     return synth_cavity_ensemble(params, [0.0]).taps[0]
 
 
+def _with_sounding(duration_s: float, probe_snr_db: float):
+    """The shipped two-user scenario (4 GHz) with its ``sounding`` record replaced."""
+    scenario = load_scenario(ROOT / "scenarios" / "two_user.json")
+    return replace(scenario, sounding=SoundingConfig(duration_s, probe_snr_db))
+
+
 def _estimate_error(
     true_cir: np.ndarray, cfg: SoundingConfig, seed: int = 0, bandwidth: float = 4e9
 ) -> float:
@@ -376,33 +421,31 @@ class TestSounding:
         with pytest.raises(ConfigurationError, match="line 3 has a non-finite cell"):
             load_scenario(path)
 
+    # SoundingConfig is a plain record and sound_cir checks nothing: the
+    # scenario that holds the record refuses it, for a 4 GHz cavity, on the
+    # library path as at load
     @pytest.mark.parametrize("snr_db", [4000.0, -4000.0, 1e308])
     def test_rejects_snr_outside_the_power_ratios(self, snr_db):
         # 10**(q/10) overflows or underflows to 0; sound_cir would then
         # raise OverflowError or ZeroDivisionError mid-run
         with pytest.raises(ConfigurationError, match="sounding.snr_db"):
-            SoundingConfig(1.0, snr_db)
-        assert SoundingConfig(1.0, math.inf).probe_snr_db == math.inf
-        assert SoundingConfig(1.0, -3000.0).probe_snr_db == -3000.0
+            _with_sounding(1.0, snr_db)
+        assert _with_sounding(64 / 4e9, math.inf).sounding.probe_snr_db == math.inf
+        assert _with_sounding(64 / 4e9, -3000.0).sounding.probe_snr_db == -3000.0
 
     @pytest.mark.parametrize("duration_s", [math.inf, -math.inf, math.nan, 0.0, -1.0])
     def test_rejects_a_duration_that_is_not_finite_and_positive(self, duration_s):
-        with pytest.raises(ConfigurationError, match="duration_s"):
-            SoundingConfig(duration_s)
+        with pytest.raises(ConfigurationError, match="sounding.duration_s"):
+            _with_sounding(duration_s, math.inf)
 
-    # a noisy probe builds its chirp, which refuses its length; a noiseless
-    # one builds none, and its scenario refuses the length at load
     def test_rejects_short_chirp(self):
-        h = _synth_cir(1, 8)
-        cfg = SoundingConfig(duration_s=1 / 4e9, probe_snr_db=20.0)
-        with pytest.raises(ConfigurationError, match="need at least 2"):
-            sound_cir(h[None], cfg, [0], 4e9)
+        with pytest.raises(ConfigurationError, match="= 1 samples; a chirp holds 2 to 1000000"):
+            _with_sounding(1 / 4e9, 20.0)
 
     def test_rejects_a_chirp_just_past_the_cap(self):
-        h = _synth_cir(1, 8)
-        cfg = SoundingConfig(duration_s=1_000_001 / 4e9, probe_snr_db=20.0)
-        with pytest.raises(ConfigurationError, match="the cap is 1000000"):
-            sound_cir(h[None], cfg, [0], 4e9)
+        with pytest.raises(ConfigurationError, match="= 1000001 samples; a chirp holds 2 to"):
+            _with_sounding(1_000_001 / 4e9, 20.0)
+        assert _with_sounding(1_000_000 / 4e9, 20.0).sounding.duration_s == 1_000_000 / 4e9
 
 
 def _batches(
@@ -489,13 +532,6 @@ class TestSoundingBatch:
         ]
         assert peaks[1] - peaks[0] < 16 * m
 
-    def test_rejects_malformed_batches(self):
-        # the chirp is the one thing sounding checks, when it builds one: a
-        # bandwidth at which it holds one sample refuses a noisy batch
-        _, (cirs, cfg, seeds), _ = _batches(8, 32)
-        with pytest.raises(ConfigurationError, match="need at least 2"):
-            sound_cir(cirs, cfg, seeds, 1 / cfg.duration_s)
-
     def test_a_noiseless_batch_builds_no_chirp(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("a noiseless batch built the chirp or its Gram")
@@ -561,16 +597,6 @@ class TestChirpGram:
         lags, _ = chirp_gram(4e9, chirp_len / 4e9, num_taps)
         n = round(chirp_len)
         assert np.all(lags[n:] == 0.0) and lags[0] == 1.0
-
-    @pytest.mark.parametrize("bandwidth, duration, match", [
-        (math.nan, 1.0, "bandwidth"),
-        (0.0, 1.0, "bandwidth"),
-        (4e9, 1 / 4e9, "need at least 2"),
-        (4e9, 1_000_001 / 4e9, "the cap is 1000000"),
-    ])
-    def test_rejects_what_make_chirp_rejects(self, bandwidth, duration, match):
-        with pytest.raises(ConfigurationError, match=match):
-            chirp_gram(bandwidth, duration, 8)
 
 
 class TestToeplitzSolve:

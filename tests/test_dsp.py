@@ -20,6 +20,8 @@ from oracles import (
     noise_expression,
 )
 from trlink.dsp import (
+    _CHIRP_BANDWIDTHS_HZ,
+    _MAX_CHIRP_SAMPLES,
     NUMERIC_RTOL,
     _fast_len,
     complex_noise,
@@ -27,7 +29,6 @@ from trlink.dsp import (
     make_chirp,
     xcorr,
 )
-from trlink.errors import ConfigurationError
 
 
 def sig(values):
@@ -200,18 +201,17 @@ class TestMakeChirp:
         width = right - left + 1
         assert 0.5 <= width <= 1.5
 
-    @pytest.mark.parametrize("bandwidth", [0.0, -4e9, np.inf, np.nan])
-    def test_rejects_a_bandwidth_that_is_not_finite_and_positive(self, bandwidth):
-        with pytest.raises(ConfigurationError, match="bandwidth"):
-            make_chirp(bandwidth, 1e-6)
-
-    def test_rejects_too_short(self):
-        with pytest.raises(ConfigurationError):
-            make_chirp(1e8, 1e-9)
-
-    def test_rejects_a_chirp_just_past_the_cap(self):
-        with pytest.raises(ConfigurationError, match="the cap is 1000000"):
-            make_chirp(4e9, 1_000_001 / 4e9)
+    # the two edges of the bandwidths CavityParams accepts, at TB 100 and at the cap;
+    # just past either, the chirp's phase is not held finite and the bandwidth is refused
+    @pytest.mark.parametrize("edge", [0, 1], ids=["lowest", "highest"])
+    @pytest.mark.parametrize("num_samples", [100, _MAX_CHIRP_SAMPLES])
+    def test_is_the_phase_law_at_either_edge_of_the_bandwidths(self, edge, num_samples):
+        bandwidth = _CHIRP_BANDWIDTHS_HZ[edge]
+        chirp = make_chirp(bandwidth, num_samples / bandwidth)
+        k = np.arange(num_samples, dtype=np.float64)
+        np.testing.assert_allclose(
+            chirp, np.exp(1j * np.pi * (k**2 / num_samples - k)), rtol=NUMERIC_RTOL, atol=0
+        )
 
     # duration * bandwidth = n' both an integer and not one
     @pytest.mark.parametrize("n_prime", [100.0, 100.4, 10_000.0, 12_345.6])

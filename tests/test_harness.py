@@ -28,7 +28,7 @@ from trlink.channel import (
     export_ensemble,
 )
 from trlink.cli import main as cli_main
-from trlink.dsp import NUMERIC_RTOL
+from trlink.dsp import _CHIRP_BANDWIDTHS_HZ, NUMERIC_RTOL
 from trlink.errors import ConfigurationError
 from trlink.harness import (
     BER_CSV_HEADER,
@@ -1174,6 +1174,47 @@ class TestCli:
         assert "configuration error: sounding.snr_db" in capsys.readouterr().err
         assert not out.exists()
 
+    # past the chirp's edges: at 1e200 and 1e-300 each chirp was NaN, so every
+    # noisy row returned its truth and both commands exited 0; at 1e-310 only
+    # the sounding study's own probe refused, at run time
+    @pytest.mark.parametrize("bandwidth", [1e200, 1e-300, 1e-310])
+    @pytest.mark.parametrize("command", ["sound", "ber"])
+    def test_a_bandwidth_past_the_chirp_edges_exits_2_before_writing(
+        self, tmp_path, capsys, command, bandwidth
+    ):
+        doc = copy.deepcopy(FOCUS_GRID)
+        doc["cavity"]["bandwidth_hz"] = bandwidth
+        # 64 samples, where that duration is a finite double
+        doc["sounding"] = {"duration_s": min(64 / bandwidth, sys.float_info.max), "snr_db": 30}
+        scenario_path = tmp_path / "scenario.json"
+        scenario_path.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "results"
+        assert cli_main([command, "--scenario", str(scenario_path), "--out", str(out)]) == 2
+        assert "configuration error: cavity.bandwidth_hz" in capsys.readouterr().err
+        assert not out.exists()
+
+    # sounding depends on the time-bandwidth products alone, so at either
+    # edge of the accepted bandwidths it finds the 4 GHz errors
+    @pytest.mark.parametrize("edge", [0, 1], ids=["lowest", "highest"])
+    def test_sounding_at_either_bandwidth_edge_finds_the_4_ghz_errors(
+        self, tmp_path, capsys, edge
+    ):
+        errors = {}
+        for bandwidth in (4e9, _CHIRP_BANDWIDTHS_HZ[edge]):
+            doc = copy.deepcopy(FOCUS_GRID)
+            doc["cavity"]["bandwidth_hz"] = bandwidth
+            doc["sounding"] = {"duration_s": 64 / bandwidth, "snr_db": 30}
+            scenario_path = tmp_path / "scenario.json"
+            scenario_path.write_text(json.dumps(doc), encoding="utf-8")
+            out = tmp_path / f"sound{bandwidth}"
+            assert cli_main(["sound", "--scenario", str(scenario_path), "--out", str(out)]) == 0
+            lines = (out / "sounding_error.csv").read_text(encoding="utf-8").splitlines()[1:]
+            errors[bandwidth] = [float(line.split(",")[2]) for line in lines]
+        assert min(errors[4e9][1::2]) > 0
+        np.testing.assert_allclose(
+            errors[_CHIRP_BANDWIDTHS_HZ[edge]], errors[4e9], rtol=NUMERIC_RTOL, atol=0
+        )
+
     def test_an_overlong_value_is_named_in_a_short_message(self, tmp_path, capsys):
         path = write_scenario(tmp_path, version="v" * 5_000_000)
         out = tmp_path / "results"
@@ -1495,6 +1536,18 @@ class TestCli:
             ),
             pytest.param(
                 ("sounding",), {"duration_s": 1.0}, [], "sounding.duration_s", id="chirp-too-long"
+            ),
+            pytest.param(
+                ("sounding",), {"duration_s": 1_000_001 / 4e9}, [], "sounding.duration_s",
+                id="chirp-one-sample-past-the-cap",
+            ),
+            pytest.param(
+                ("sounding",), {"duration_s": 0.0}, [], "sounding.duration_s",
+                id="chirp-of-zero-duration",
+            ),
+            pytest.param(
+                ("sounding",), {"duration_s": -6.4e-8}, [], "sounding.duration_s",
+                id="chirp-of-negative-duration",
             ),
             # a noiseless probe of 1 sample at 4 GHz: sounding builds no chirp
             pytest.param(

@@ -182,6 +182,12 @@ class TestDetectionWindows:
         assert DetectionWindow(4).half_width == WINDOW_HALF_WIDTH
         assert len(set(field.ravel().tolist())) == field.size
 
+    def test_three_taps_is_the_least_spacing(self):
+        # the schema's "each >= 3": a window is its peak and one tap either side
+        assert scenario_from_dict(scenario_doc(d_values=[3])).d_values == (3,)
+        with pytest.raises(ConfigurationError, match="spacings >= 3 taps"):
+            scenario_from_dict(scenario_doc(d_values=[2]))
+
     def test_rejects_a_negative_symbol_count(self):
         # a frame's window count is its payload's symbols or num_pilots,
         # each refused at load before it could fall below 1
@@ -213,6 +219,13 @@ class TestPowerDetect:
         windows = DetectionWindow(1)
         detected = power_detect(np.stack([samples, samples]), windows, RASK)
         np.testing.assert_array_equal(detected, [0])
+
+    def test_erask_power_equal_to_the_threshold_reaches_it(self):
+        # |0.5|^2 = 0.25 exactly, at a fixed threshold of 0.25
+        samples = np.zeros((2, 1, 3), dtype=complex)
+        samples[0, 0, 1] = 0.5
+        detected = power_detect(samples, DetectionWindow(1), ERASK, 0.25)
+        np.testing.assert_array_equal(detected, [1, 0])
 
     @pytest.mark.parametrize("shape", [(2, 500, 3), (3, 40, 3), (2, 0, 3)])
     def test_window_peak_powers_equal_the_max_reduction(self, shape):

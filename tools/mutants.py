@@ -125,6 +125,34 @@ MUTANTS = (
         "return (1 - np.argmax(powers[::-1], axis=0)).astype(np.int64)",
         "tests/test_modem.py::TestPowerDetect::test_tie_breaks_to_first_antenna",
     ),
+    Mutant(
+        "kernel root without the eigenvalue clip",
+        "src/trlink/channel.py",
+        "eigval = np.clip(eigval, 0.0, None)",
+        "eigval = eigval",
+        "tests/test_channel.py::TestEnsembleSynthesis::test_the_kernel_root_squares_to_the_kernel",
+    ),
+    Mutant(
+        "chirp energy E -> sqrt(E) in sounding",
+        "src/trlink/channel.py",
+        "chirp_energy = energy(chirp)",
+        "chirp_energy = math.sqrt(energy(chirp))",
+        "tests/test_channel.py::TestSoundingBatch::test_rows_match_the_dense_least_squares_oracle",
+    ),
+    Mutant(
+        "window half-width 1 -> 2",
+        "src/trlink/modem.py",
+        "WINDOW_HALF_WIDTH = 1",
+        "WINDOW_HALF_WIDTH = 2",
+        "tests/test_modem.py::TestDetectionWindows::test_three_taps_is_the_least_spacing",
+    ),
+    Mutant(
+        "ERASK power equal to the threshold does not reach it",
+        "src/trlink/modem.py",
+        "(powers >= threshold)",
+        "(powers > threshold)",
+        "tests/test_modem.py::TestPowerDetect::test_erask_power_equal_to_the_threshold_reaches_it",
+    ),
 )
 
 # names of mutants tier-1 is known not to kill; entries may only be removed
