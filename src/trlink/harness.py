@@ -84,10 +84,11 @@ and ``rsm.scheme`` is one of the three lower-case strings shown. Each
 (``q`` below about 3233 dB) that the detector can sum (above about -3034
 dB; see the bound above), and a finite ``sounding.snr_db`` a probe power
 ratio ``10**(q/10)`` that is a positive finite double (about ``|q| <=
-3080`` dB); :class:`Scenario` checks both once, and the sounding stages
-nothing. ``bandwidth_hz``, here or in an ensemble file, lies between about
-1.5e-148 and 6.7e153 Hz, where every chirp's phase is finite. A probe SNR far below 0 dB can still give channel estimates
-whose energy overflows a double, at a bound that depends on the chirp and
+3080`` dB). :class:`Scenario` checks that probe SNR and the chirp's length
+once; the sounding stages check nothing. ``bandwidth_hz``, here or in an
+ensemble file, lies between about 1.5e-148 and 6.7e153 Hz, where every
+chirp's phase is finite. A probe SNR far below 0 dB can still give channel
+estimates whose energy overflows a double, at a bound that depends on the chirp and
 the taps; the sweep and the sounding study refuse those with a
 ``ConfigurationError`` naming ``sounding.snr_db`` once the estimates are
 made, before any output file is opened. Sizes are capped at load:
