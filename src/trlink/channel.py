@@ -5,9 +5,10 @@ of taps: row ``p`` is the response at position ``p``, at the one sample
 rate kept in :class:`CavityParams`, the bandwidth. A set enters the
 pipeline as :class:`SpatialChannelEnsemble` ``.taps`` by one of two
 entry points, and each is checked there once. :func:`load_ensemble`
-refuses a file whose header or row has the wrong column count, whose cell
-is non-numeric or non-finite, whose row count or a row's position is off
-its ``positions_mm``, or whose positions are not strictly increasing.
+reads its JSON as a scenario's (:func:`read_cavity`) and refuses, naming the
+JSON or CSV file, a header other than the exported one, a row of the wrong
+width, a non-numeric or non-finite cell, a row count or position off its
+``positions_mm``, or positions that are not strictly increasing.
 :func:`synth_cavity_ensemble` draws over positions the scenario has
 checked, and its taps are finite normals times the finite kernel root and
 ``sqrt(PDP)``. The constructor only keeps frozen copies; the stage
@@ -82,21 +83,17 @@ from .dsp import _CHIRP_BANDWIDTHS_HZ, _fast_len, chirp_gram, complex_noise, mak
 from .errors import (
     ConfigurationError,
     read_integer,
+    read_json,
     read_list,
     read_number,
     require_keys,
     shown,
-    unique_keys,
 )
 from .output import write_csv, write_text
 
 SPEED_OF_LIGHT_M_S = 299792458.0
 
 _ENSEMBLE_SCHEMA = "trlink.ensemble/1"
-_ENSEMBLE_KEYS = {
-    "schema", "num_taps", "bandwidth_hz", "carrier_freq_hz", "decay_time_s", "rng_seed",
-    "positions_mm", "csv",
-}
 
 #: Two receive positions closer than this (mm) are the same grid point.
 POSITION_TOL_MM = 1e-6
@@ -179,8 +176,8 @@ class CavityParams:
     finite: the one bandwidth check. ``decay_time_s`` defaults to
     ``num_taps / (3 * bandwidth_hz)`` so that most of the reverberant energy
     falls inside the simulated tap window; ``math.inf`` is
-    accepted and yields a flat power-delay profile. The carrier frequency
-    only enters through the spatial-correlation wavelength.
+    accepted and yields a flat power-delay profile; ``rng_seed`` is >= 0.
+    The carrier only enters through the spatial-correlation wavelength.
     """
 
     num_taps: int = 256
@@ -211,6 +208,8 @@ class CavityParams:
             object.__setattr__(self, "decay_time_s", self.num_taps / (3.0 * self.bandwidth_hz))
         if not self.decay_time_s > 0:
             raise ConfigurationError(f"decay_time_s must be > 0, got {self.decay_time_s}")
+        if self.rng_seed < 0:
+            raise ConfigurationError(f"rng_seed must be >= 0, got {shown(self.rng_seed)}")
 
     @property
     def tap_spacing(self) -> float:
@@ -233,6 +232,27 @@ class CavityParams:
         decay = max(self.bandwidth_hz * self.decay_time_s, 1e-3)
         weights = np.exp(-np.arange(self.num_taps) / decay)
         return weights / weights.sum()
+
+
+# each CavityParams field's JSON reader; decay_time_s may also be the
+# Infinity of a flat power-delay profile
+_CAVITY_FIELDS = dict(
+    num_taps=read_integer, bandwidth_hz=read_number, carrier_freq_hz=read_number,
+    decay_time_s=lambda value, name: math.inf if value == math.inf else read_number(value, name),
+    rng_seed=read_integer,
+)
+_ENSEMBLE_KEYS = {"schema", "positions_mm", "csv", *_CAVITY_FIELDS}
+
+
+def read_cavity(obj: dict, where: str) -> CavityParams:
+    """:class:`CavityParams` from the fields present in a scenario's ``cavity`` or an
+    ensemble file's top level (other keys are the caller's), so every default
+    is the dataclass's. Each refusal is prefixed with ``where``."""
+    try:
+        fields = {key: read(obj[key], key) for key, read in _CAVITY_FIELDS.items() if key in obj}
+        return CavityParams(**fields)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{where}{exc}") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -474,6 +494,11 @@ def _real_solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return solved[:, :columns] + 1j * solved[:, columns:]
 
 
+def _csv_header(num_taps: int) -> list[str]:
+    """An ensemble CSV's header: ``position_mm``, then each tap's re/im pair."""
+    return ["position_mm"] + [f"tap{l}_{part}" for l in range(num_taps) for part in ("re", "im")]
+
+
 def export_ensemble(ensemble: SpatialChannelEnsemble, json_path: str | Path) -> None:
     """Write an ensemble as a JSON/CSV pair.
 
@@ -502,74 +527,59 @@ def export_ensemble(ensemble: SpatialChannelEnsemble, json_path: str | Path) -> 
         "positions_mm": [float(p) for p in ensemble.positions_mm],
         "csv": csv_path.name,
     }
-    header = ["position_mm"]
-    for l in range(params.num_taps):
-        header += [f"tap{l}_re", f"tap{l}_im"]
     # A complex128 array viewed as float64 interleaves real and imaginary parts.
     rows = [
         [float(pos), *taps.view(np.float64).tolist()]
         for pos, taps in zip(ensemble.positions_mm, ensemble.taps)
     ]
-    write_csv(csv_path, header, rows)
+    write_csv(csv_path, _csv_header(params.num_taps), rows)
     write_text(json_path, json.dumps(meta, indent=2) + "\n")
 
 
 def load_ensemble(json_path: str | Path) -> SpatialChannelEnsemble:
     """Load an ensemble previously written by :func:`export_ensemble`.
 
-    Every JSON field is read strictly (integers as JSON integers, numbers
-    finite, no unknown or repeated keys); ``decay_time_s`` also accepts the
-    ``Infinity`` written for a flat power-delay profile.
+    Every JSON field is read strictly (integers as JSON integers, numbers finite
+    but a flat profile's ``Infinity`` decay, no unknown or repeated keys); the
+    CSV (UTF-8, a byte-order mark allowed) has exactly the exported header.
     """
     json_path = Path(json_path)
-    try:
-        meta = json.loads(json_path.read_text(encoding="utf-8"), object_pairs_hook=unique_keys)
-    except (FileNotFoundError, IsADirectoryError):
-        raise ConfigurationError(f"ensemble file not found: {json_path}") from None
-    except (ValueError, RecursionError) as exc:  # bad JSON, an overlong integer, deep nesting
-        raise ConfigurationError(f"ensemble JSON {json_path.name} is invalid: {exc}") from None
-    require_keys(
-        meta, _ENSEMBLE_KEYS, _ENSEMBLE_KEYS - {"decay_time_s", "rng_seed"},
-        f"ensemble JSON {json_path.name}",
-    )
+    json_name = f"ensemble JSON {json_path.name}"
+    meta = read_json(json_path, "ensemble")
+    require_keys(meta, _ENSEMBLE_KEYS, _ENSEMBLE_KEYS - {"decay_time_s", "rng_seed"}, json_name)
     if meta["schema"] != _ENSEMBLE_SCHEMA:
         raise ConfigurationError(
             f"unsupported ensemble schema {shown(meta['schema'])} in {json_path}"
         )
-    decay = meta.get("decay_time_s", math.nan)
-    if "decay_time_s" in meta and decay != math.inf:
-        decay = read_number(decay, "decay_time_s")
-    params = CavityParams(
-        num_taps=read_integer(meta["num_taps"], "num_taps"),
-        bandwidth_hz=read_number(meta["bandwidth_hz"], "bandwidth_hz"),
-        carrier_freq_hz=read_number(meta["carrier_freq_hz"], "carrier_freq_hz"),
-        decay_time_s=decay,
-        rng_seed=read_integer(meta.get("rng_seed", 0), "rng_seed"),
-    )
-    positions = check_positions(
-        read_list(meta["positions_mm"], "positions_mm", read_number), "positions_mm"
-    )
+    params = read_cavity(meta, f"{json_name}: ")
+    name = f"{json_name}: positions_mm"
+    positions = check_positions(read_list(meta["positions_mm"], name, read_number), name)
     if not isinstance(meta["csv"], str):
-        raise ConfigurationError(f"csv must be a file name string, got {shown(meta['csv'])}")
+        raise ConfigurationError(f"{json_name}: csv must be a file name, got {shown(meta['csv'])}")
 
     csv_path = json_path.parent / meta["csv"]
     if not csv_path.is_file():
-        raise ConfigurationError(f"ensemble CSV not found: {csv_path}")
+        raise ConfigurationError(f"ensemble CSV not found: {csv_path}, named in {json_path.name}")
+    csv_name = f"ensemble CSV {csv_path.name}"
     rows = []
     try:
-        with open(csv_path, newline="", encoding="utf-8") as f:
+        with open(csv_path, newline="", encoding="utf-8-sig") as f:
             reader = csv.reader(f)
-            header = next(reader, [])
-            expected_cols = 1 + 2 * params.num_taps
-            if len(header) != expected_cols:
+            header, names = next(reader, []), _csv_header(params.num_taps)
+            if len(header) != len(names):
                 raise ConfigurationError(
-                    f"ensemble CSV has {len(header)} columns, expected {expected_cols}"
+                    f"{csv_name} has {len(header)} columns, expected {len(names)}"
                 )
-            for line, row in enumerate(reader, start=2):
-                where = f"ensemble CSV {csv_path.name} line {line}"
-                if len(row) != expected_cols:
+            for column, (got, wanted) in enumerate(zip(header, names), start=1):
+                if got != wanted:
                     raise ConfigurationError(
-                        f"{where} has {len(row)} columns, expected {expected_cols}"
+                        f"{csv_name} header column {column} is {shown(got)}, expected {wanted!r}"
+                    )
+            for line, row in enumerate(reader, start=2):
+                where = f"{csv_name} line {line}"
+                if len(row) != len(header):
+                    raise ConfigurationError(
+                        f"{where} has {len(row)} columns, expected {len(header)}"
                     )
                 try:
                     values = np.asarray(row, dtype=float)
@@ -587,13 +597,13 @@ def load_ensemble(json_path: str | Path) -> SpatialChannelEnsemble:
                     )
                 rows.append(values[1::2] + 1j * values[2::2])
     except UnicodeDecodeError as exc:
-        raise ConfigurationError(f"ensemble CSV {csv_path.name} is not UTF-8: {exc}") from None
+        raise ConfigurationError(f"{csv_name} is not UTF-8: {exc}") from None
     except csv.Error as exc:  # a cell longer than the csv module's field size limit
         raise ConfigurationError(
-            f"ensemble CSV {csv_path.name} line {reader.line_num} is unreadable: {exc}"
+            f"{csv_name} line {reader.line_num} is unreadable: {exc}"
         ) from None
     if len(rows) != positions.size:
         raise ConfigurationError(
-            f"ensemble CSV has {len(rows)} rows for {positions.size} positions"
+            f"{csv_name} has {len(rows)} rows for {positions.size} positions in {json_path.name}"
         )
     return SpatialChannelEnsemble(positions, rows, params)

@@ -1,10 +1,11 @@
-"""Exception hierarchy shared by all simulator modules, the strict readers
-that turn malformed JSON input (scenarios, ensemble files) into a
-``ConfigurationError`` naming the field, and the range check of a dB value.
-An error echoes the offending value through :func:`shown`, so a message
-stays short whatever the input holds.
+"""Exception hierarchy shared by all simulator modules, the one JSON file
+reader and the strict field readers that turn malformed input (scenarios,
+ensemble files) into a ``ConfigurationError`` naming the file or the field,
+and the range check of a dB value. An error echoes the offending value
+through :func:`shown`, so a message stays short whatever the input holds.
 """
 
+import json
 import math
 from typing import Callable
 
@@ -53,6 +54,19 @@ def unique_keys(pairs: list[tuple[str, object]]) -> dict:
             raise ConfigurationError(f"duplicate key {shown(key)}")
         obj[key] = value
     return obj
+
+
+def read_json(path, what: str):
+    """The JSON in the UTF-8 file ``path``; each failure (no file, not UTF-8, bad or
+    repeated-key JSON, an overlong integer, deep nesting) names ``what`` file."""
+    try:
+        return json.loads(path.read_text(encoding="utf-8"), object_pairs_hook=unique_keys)
+    except (FileNotFoundError, IsADirectoryError):
+        raise ConfigurationError(f"{what} file not found: {path}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"{what} file {path} is not UTF-8: {exc}") from None
+    except (ValueError, RecursionError) as exc:  # a repeated key is a ConfigurationError too
+        raise ConfigurationError(f"{what} JSON {path} is invalid: {exc}") from None
 
 
 def read_integer(value, name: str) -> int:

@@ -1,7 +1,7 @@
 """Scenario-driven experiment engine: focusing maps, BER sweeps, CSV output.
 
-Scenarios are versioned UTF-8 JSON files (schema below); unknown and
-repeated keys are rejected so typos fail fast. All randomness derives from
+Scenarios are versioned UTF-8 JSON files (schema below), read as ensemble
+files are; unknown and repeated keys are rejected so typos fail fast. All randomness derives from
 one master seed through a documented counter scheme, so identical scenario +
 seed produce byte-identical CSV artifacts regardless of how the work is split
 up, with one qualification: the Toeplitz solve of chirp sounding rounds with
@@ -55,7 +55,7 @@ Scenario JSON schema (version 1)::
     {
       "version": 1,
       "cavity": {"num_taps": .., "bandwidth_hz": .., "carrier_freq_hz": ..,
-                 "decay_time_s": .. (optional)},
+                 "decay_time_s": .. (optional; Infinity is a flat profile)},
       "grid_mm": {"start": .., "stop": .., "step": ..}   # or "positions_mm": [..]
                                                          #   (strictly increasing)
                                                          # or "ensemble_file": "path"
@@ -77,7 +77,9 @@ Scenario JSON schema (version 1)::
 
 Counts, spacings and seeds (``num_taps``, ``num_rx``, ``num_pilots``,
 ``d_values``, ``bits_per_point``, ``trials``, ``master_seed``, ``version``)
-must be JSON integers; every other number must be finite. Nothing is
+must be JSON integers; every other number but ``decay_time_s`` must be
+finite. :func:`~trlink.channel.read_cavity` reads ``cavity`` as it reads
+an ensemble file's parameters, naming ``cavity.<field>``. Nothing is
 coerced: ``15.7``, ``"15"`` or ``true`` in an integer field is an error,
 and ``rsm.scheme`` is one of the three lower-case strings shown. Each
 ``snr_grid_db`` entry must give a positive noise power ``10**(-q/10)``
@@ -137,7 +139,6 @@ file appears only complete.
 
 from __future__ import annotations
 
-import json
 import math
 import sys
 from dataclasses import astuple, dataclass, replace
@@ -154,6 +155,7 @@ from .channel import (
     energy,
     grid_index,
     load_ensemble,
+    read_cavity,
     sound_cir,
     synth_cavity_ensemble,
 )
@@ -163,11 +165,11 @@ from .errors import (
     DomainError,
     check_power_ratio,
     read_integer,
+    read_json,
     read_list,
     read_number,
     require_keys,
     shown,
-    unique_keys,
 )
 from .modem import (
     WINDOW_HALF_WIDTH,
@@ -478,26 +480,9 @@ def scenario_from_dict(data: dict, base_dir: Path | None = None) -> Scenario:
     else:
         if "cavity" not in data:
             raise ConfigurationError("missing keys in scenario: ['cavity']")
-        cav = data["cavity"]
-        require_keys(
-            cav,
-            {"num_taps", "bandwidth_hz", "carrier_freq_hz", "decay_time_s"},
-            {"num_taps", "bandwidth_hz", "carrier_freq_hz"},
-            "cavity",
-        )
-        try:
-            cavity = CavityParams(
-                num_taps=read_integer(cav["num_taps"], "num_taps"),
-                bandwidth_hz=read_number(cav["bandwidth_hz"], "bandwidth_hz"),
-                carrier_freq_hz=read_number(cav["carrier_freq_hz"], "carrier_freq_hz"),
-                decay_time_s=(
-                    read_number(cav["decay_time_s"], "decay_time_s")
-                    if "decay_time_s" in cav
-                    else math.nan
-                ),
-            )
-        except ConfigurationError as exc:  # each message starts with its field's name
-            raise ConfigurationError(f"cavity.{exc}") from None
+        required = {"num_taps", "bandwidth_hz", "carrier_freq_hz"}
+        require_keys(data["cavity"], required | {"decay_time_s"}, required, "cavity")
+        cavity = read_cavity(data["cavity"], "cavity.")
         if "grid_mm" in data:
             grid = data["grid_mm"]
             require_keys(grid, {"start", "stop", "step"}, {"start", "stop", "step"}, "grid_mm")
@@ -566,17 +551,7 @@ def scenario_from_dict(data: dict, base_dir: Path | None = None) -> Scenario:
 
 def load_scenario(path: str | Path) -> Scenario:
     path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except (FileNotFoundError, IsADirectoryError):
-        raise ConfigurationError(f"scenario file not found: {path}") from None
-    except UnicodeDecodeError as exc:
-        raise ConfigurationError(f"scenario file {path} is not UTF-8: {exc}") from None
-    try:
-        data = json.loads(text, object_pairs_hook=unique_keys)
-    except (ValueError, RecursionError) as exc:  # bad JSON, an overlong integer, deep nesting
-        raise ConfigurationError(f"scenario JSON is invalid: {exc}") from None
-    return scenario_from_dict(data, base_dir=path.parent)
+    return scenario_from_dict(read_json(path, "scenario"), base_dir=path.parent)
 
 
 def _trial_kernels(scenario: Scenario, trial: int) -> np.ndarray:

@@ -69,6 +69,12 @@ class TestCavityParams:
         with pytest.raises(ConfigurationError, match=f"{name} must be finite"):
             CavityParams(**{name: math.inf})
 
+    def test_refuses_a_negative_seed_by_name(self):
+        # numpy's default_rng would refuse it only at the draw, with a bare ValueError
+        with pytest.raises(ConfigurationError, match="^rng_seed must be >= 0, got -1"):
+            CavityParams(rng_seed=-1)
+        assert CavityParams(rng_seed=0).rng_seed == 0
+
     def test_infinite_decay_gives_a_flat_profile(self):
         params = CavityParams(num_taps=8, decay_time_s=math.inf)
         np.testing.assert_array_equal(params.power_delay_profile(), np.full(8, 1 / 8))
@@ -94,7 +100,9 @@ class TestCavityParams:
         meta = json.loads((tmp_path / "ensemble.json").read_text(encoding="utf-8"))
         meta["bandwidth_hz"] = outside
         (tmp_path / "ensemble.json").write_text(json.dumps(meta), encoding="utf-8")
-        with pytest.raises(ConfigurationError, match=f"^bandwidth_hz .* is too {side}"):
+        with pytest.raises(
+            ConfigurationError, match=f"^ensemble JSON ensemble.json: bandwidth_hz .* is too {side}"
+        ):
             load_ensemble(tmp_path / "ensemble.json")
 
     def test_bandwidth_that_zeroes_the_default_decay_is_named(self):
@@ -650,6 +658,17 @@ class TestEnsembleExportImport:
             for x, y in zip(loaded.taps, ensemble.taps):
                 assert np.array_equal(x, y)
         assert "Infinity" in json_path.read_text(encoding="utf-8")
+
+    def test_a_csv_with_a_byte_order_mark_loads_bit_for_bit(self, tmp_path):
+        ensemble = synth_cavity_ensemble(CavityParams(num_taps=12, rng_seed=9), [-0.3, 0.3])
+        json_path = tmp_path / "ensemble.json"
+        export_ensemble(ensemble, json_path)
+        csv_path = json_path.with_suffix(".csv")
+        csv_path.write_bytes(b"\xef\xbb\xbf" + csv_path.read_bytes())
+        loaded = load_ensemble(json_path)
+        assert loaded.params == ensemble.params
+        assert np.array_equal(loaded.positions_mm, ensemble.positions_mm)
+        assert np.array_equal(loaded.taps, ensemble.taps)
 
     def test_positions_whose_difference_overflows_load(self, tmp_path):
         # neighbours are compared, not subtracted: 1e308 - (-1e308) overflows

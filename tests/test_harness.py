@@ -1006,6 +1006,21 @@ class TestCli:
         assert cli_main([command, "--scenario", str(path), "--out", str(out)]) == 0
         assert any(out.iterdir())
 
+    def test_infinite_decay_is_the_flat_profile_and_focus_runs(self, tmp_path, capsys):
+        # the Infinity an exported ensemble holds loads from a scenario too;
+        # pytest turns any warning on the way into an error
+        path = write_scenario(tmp_path, cavity={
+            "num_taps": 64, "bandwidth_hz": 4.0e9, "carrier_freq_hz": 2.736e11,
+            "decay_time_s": math.inf,
+        })
+        assert "Infinity" in path.read_text(encoding="utf-8")
+        cavity = load_scenario(path).cavity
+        assert cavity.decay_time_s == math.inf
+        np.testing.assert_array_equal(cavity.power_delay_profile(), np.full(64, 1 / 64))
+        out = tmp_path / "results"
+        assert cli_main(["focus", "--scenario", str(path), "--out", str(out)]) == 0
+        assert (out / "focus_single_t0.csv").exists()
+
     def test_focus_writes_profiles(self, tmp_path, capsys):
         path = write_scenario(tmp_path)
         out = tmp_path / "results"
@@ -1125,6 +1140,42 @@ class TestCli:
         assert cli_main(["ber", "--scenario", str(scenario_path), "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            pytest.param(
+                lambda header: ["x"] + [f"col{k}" for k in range(len(header) - 1)],
+                "measured.csv header column 1 is 'x', expected 'position_mm'",
+                id="renamed-columns",
+            ),
+            # the taps would load with their real and imaginary parts exchanged
+            pytest.param(
+                lambda header: header[:1] + [header[2], header[1]] + header[3:],
+                "measured.csv header column 2 is 'tap0_im', expected 'tap0_re'",
+                id="swapped-re-im",
+            ),
+        ],
+    )
+    def test_a_csv_header_other_than_the_export_exits_2_before_writing(
+        self, tmp_path, capsys, edit, message
+    ):
+        from trlink.channel import synth_cavity_ensemble
+
+        ensemble = synth_cavity_ensemble(CavityParams(num_taps=8, rng_seed=4), [-2.7, -1.8])
+        export_ensemble(ensemble, tmp_path / "measured.json")
+        csv_path = tmp_path / "measured.csv"
+        lines = csv_path.read_text(encoding="utf-8").splitlines()
+        lines[0] = ",".join(edit(lines[0].split(",")))
+        csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        doc = scenario_dict(ensemble_file="measured.json")
+        del doc["cavity"], doc["grid_mm"]
+        scenario_path = tmp_path / "scenario.json"
+        scenario_path.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "results"
+        assert cli_main(["focus", "--scenario", str(scenario_path), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["focus", "ber", "sound"])
     def test_target_energy_overflowing_a_double_exits_2_before_writing(
@@ -1280,6 +1331,11 @@ class TestCli:
                 lambda doc: {**doc, "decay_time_s": -math.inf}, "decay_time_s", id="decay-neg-inf"
             ),
             pytest.param(lambda doc: {**doc, "rng_seed": 1.5}, "rng_seed", id="seed-float"),
+            pytest.param(lambda doc: {**doc, "rng_seed": -5}, "rng_seed", id="seed-negative"),
+            pytest.param(
+                lambda doc: {**doc, "bandwidth_hz": 1e200}, "bandwidth_hz 1e+200 is too large",
+                id="bw-past-the-chirp-edge",
+            ),
             pytest.param(lambda doc: {**doc, "positions_mm": "abc"}, "positions_mm", id="pos-string"),
             pytest.param(
                 lambda doc: {**doc, "positions_mm": [-1.8, -2.7]}, "positions_mm", id="pos-order"
@@ -1325,7 +1381,9 @@ class TestCli:
         scenario_path.write_text(json.dumps(doc), encoding="utf-8")
         out = tmp_path / "results"
         assert cli_main(["ber", "--scenario", str(scenario_path), "--out", str(out)]) == 2
-        assert field in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert field in err
+        assert "measured.json" in err
         assert not out.exists() or not any(out.iterdir())
 
     def test_deeply_nested_scenario_exits_2_before_writing(self, tmp_path, capsys):
@@ -1334,15 +1392,18 @@ class TestCli:
         scenario_path.write_text("[" * 100_000, encoding="utf-8")
         out = tmp_path / "results"
         assert cli_main(["ber", "--scenario", str(scenario_path), "--out", str(out)]) == 2
-        assert "scenario JSON is invalid: maximum recursion depth" in capsys.readouterr().err
+        assert "scenario.json is invalid: maximum recursion depth" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize(
         "corrupted, message",
         [
             pytest.param("scenario", "scenario.json is not UTF-8", id="scenario-not-utf8"),
+            pytest.param("json", "measured.json is not UTF-8", id="ensemble-json-not-utf8"),
             pytest.param("csv", "measured.csv is not UTF-8", id="ensemble-csv-not-utf8"),
-            pytest.param("empty-csv", "ensemble CSV has 0 columns", id="ensemble-csv-empty"),
+            pytest.param(
+                "empty-csv", "ensemble CSV measured.csv has 0 columns", id="ensemble-csv-empty"
+            ),
         ],
     )
     def test_unreadable_input_exits_2_before_writing(self, tmp_path, capsys, corrupted, message):
@@ -1356,6 +1417,9 @@ class TestCli:
         scenario_bytes = json.dumps(doc).encode("utf-8")
         if corrupted == "scenario":
             scenario_bytes = b"\xff\xfe" + scenario_bytes
+        elif corrupted == "json":
+            json_path = tmp_path / "measured.json"
+            json_path.write_bytes(b"\xff\xfe" + json_path.read_bytes())
         elif corrupted == "csv":
             lines = csv_path.read_bytes().split(b"\n")
             lines[2] = b"\xff" + lines[2]
@@ -1529,6 +1593,13 @@ class TestCli:
             pytest.param(
                 ("cavity", "bandwidth_hz"), 1e308, [], "cavity.bandwidth_hz",
                 id="bandwidth-zeroes-the-default-decay",
+            ),
+            pytest.param(
+                ("cavity", "decay_time_s"), math.nan, [], "cavity.decay_time_s", id="decay-nan"
+            ),
+            pytest.param(
+                ("cavity", "decay_time_s"), -math.inf, [], "cavity.decay_time_s",
+                id="decay-neg-inf",
             ),
             pytest.param(("version",), True, [], "version", id="version-bool"),
             pytest.param(

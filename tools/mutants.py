@@ -153,6 +153,13 @@ MUTANTS = (
         "(powers > threshold)",
         "tests/test_modem.py::TestPowerDetect::test_erask_power_equal_to_the_threshold_reaches_it",
     ),
+    Mutant(
+        "imported taps conjugated",
+        "src/trlink/channel.py",
+        "rows.append(values[1::2] + 1j * values[2::2])",
+        "rows.append(values[1::2] - 1j * values[2::2])",
+        "tests/test_channel.py::TestEnsembleExportImport::test_round_trip_is_bit_exact",
+    ),
 )
 
 # names of mutants tier-1 is known not to kill; entries may only be removed
