@@ -5,7 +5,7 @@ of taps: row ``p`` is the response at position ``p``, at the one sample
 rate kept in :class:`CavityParams`, the bandwidth. A set enters the
 pipeline as :class:`SpatialChannelEnsemble` ``.taps`` by one of two
 entry points, and each is checked there once. :func:`load_ensemble`
-reads its JSON as a scenario's (:func:`read_cavity`) and refuses, naming the
+reads its JSON with a scenario's readers (:func:`read_cavity`) and refuses, naming the
 JSON or CSV file, a header other than the exported one, a row of the wrong
 width, a non-numeric or non-finite cell, a row count or position off its
 ``positions_mm``, or positions that are not strictly increasing.
