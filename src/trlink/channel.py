@@ -49,21 +49,21 @@ root is read-only and equals a fresh one bit for bit.
 
 Sounding (:func:`sound_cir`) estimates a batch of responses under one
 :class:`SoundingConfig`, the probe chirp's duration and SNR; each row has
-its own noise seed. The least-squares estimate from a noisy recording is
-the truth plus the noise solved through the chirp's Gram, and sounding
-computes it in that form. A noiseless batch is its taps, bit for bit,
-with no chirp built. A noisy row's probe power is a quadratic form in the
-Gram, which is built in closed form (:func:`~trlink.dsp.chirp_gram`), and
-only its noise is correlated with the chirp, at the received signal's
-transform length, the smallest fast length holding its ``n + L - 1``
-samples, which holds lags ``0 .. L - 1`` without aliasing. The Gram is a unitary diagonal
-modulation of a real symmetric centrosymmetric Toeplitz matrix, which one
-fold splits into two real systems of half the size, so two real LUs of
-half the size solve every noisy row. The factorisations and solves run in
-LAPACK, whose last digits depend on the number of BLAS threads, so noisy
-sounded estimates are reproducible bit for bit for a fixed BLAS thread
-count. With one thread every row equals its singleton batch bit for bit;
-with more, within ``NUMERIC_RTOL``.
+its own seed of the :func:`~trlink.dsp.noise_blocks` stream. The
+least-squares estimate from a noisy recording is the truth plus the noise
+solved through the chirp's Gram, and sounding computes it in that form. A
+noiseless batch is its taps, bit for bit, with no chirp built. A noisy row's
+probe power is a quadratic form in the Gram, which is built in closed form
+(:func:`~trlink.dsp.chirp_gram`), and only its noise is correlated with the
+chirp, at the received signal's transform length, the smallest fast length
+holding its ``n + L - 1`` samples, which holds lags ``0 .. L - 1`` without
+aliasing. The Gram is a unitary diagonal modulation of a real symmetric
+centrosymmetric Toeplitz matrix, which one fold splits into two real systems
+of half the size, so two real LUs of half the size solve every noisy row.
+The factorisations and solves run in LAPACK, whose last digits depend on the
+number of BLAS threads, so noisy sounded estimates are reproducible bit for
+bit for a fixed BLAS thread count. With one thread every row equals its
+singleton batch bit for bit; with more, within ``NUMERIC_RTOL``.
 """
 
 from __future__ import annotations
@@ -79,7 +79,7 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .dsp import _CHIRP_BANDWIDTHS_HZ, _fast_len, chirp_gram, complex_noise, make_chirp, xcorr
+from .dsp import _CHIRP_BANDWIDTHS_HZ, _fast_len, chirp_gram, make_chirp, noise_blocks, xcorr
 from .errors import (
     ConfigurationError,
     read_integer,
@@ -188,10 +188,10 @@ class CavityParams:
 
     def __post_init__(self) -> None:
         if self.num_taps < 1:
-            raise ConfigurationError(f"num_taps must be >= 1, got {self.num_taps}")
+            raise ConfigurationError(f"num_taps must be >= 1, got {shown(self.num_taps)}")
         if self.num_taps > _MAX_TAPS:
             raise ConfigurationError(
-                f"num_taps {self.num_taps} is above the cap of {_MAX_TAPS} taps"
+                f"num_taps {shown(self.num_taps)} is above the cap of {_MAX_TAPS} taps"
             )
         for name in ("bandwidth_hz", "carrier_freq_hz"):
             value = getattr(self, name)
@@ -390,14 +390,15 @@ def sound_cir(
     holds the whole received signal, so those circular lags equal the
     linear ones.
 
-    Each row is handled in one pass: its probe power, then, for a noisy
-    row, its noise drawn into one zero-padded ``m``-sample row, which the
-    forward transform, the product with the conjugated chirp spectrum
+    Each row is handled in one pass: its probe power, then, for a noisy row,
+    its :func:`~trlink.dsp.noise_blocks` stream, seeded with the row's seed
+    and scaled block by block into one zero-padded ``m``-sample row, which
+    the forward transform, the product with the conjugated chirp spectrum
     (itself transformed in one zero-padded ``m``-sample buffer) and the
     inverse transform overwrite in place; that row's first ``L`` lags are
-    its window, and one row serves every noisy row, so the transforms do
-    not grow with the batch. The noisy rows share one Gram. Demodulated
-    by ``conj(d)``, their windows are solved against the real symmetric
+    its window, and one row serves every noisy row, so the transforms do not
+    grow with the batch. The noisy rows share one Gram. Demodulated by
+    ``conj(d)``, their windows are solved against the real symmetric
     centrosymmetric ``S``, which one fold splits into two real systems of
     half the size (:func:`_toeplitz_solve`); each half's one LU
     factorisation takes every noisy row as a right-hand side. Nothing is
@@ -428,13 +429,16 @@ def sound_cir(
     np.fft.fft(matched, out=matched)
     np.conj(matched, out=matched)
     noise = np.empty(m, dtype=np.complex128)
+    parts = (noise.real, noise.imag)
     rows, windows = [], np.empty_like(true_taps)
     for row, seed in enumerate(seeds):
         demodulated = np.conj(modulation) * true_taps[row]
         autocorrelation = xcorr(demodulated, demodulated).real
         rx_power = chirp_energy * float(np.dot(even_lags, autocorrelation)) / received_len
         if rx_power > 0.0:
-            noise[:received_len] = complex_noise(received_len, math.sqrt(rx_power / snr), seed)
+            scale = math.sqrt(rx_power / snr) / np.sqrt(2.0)
+            for part, start, block in noise_blocks(seed, received_len, received_len):
+                np.multiply(block, scale, out=parts[part][start : start + block.size])
             noise[received_len:] = 0.0
             np.fft.fft(noise, out=noise)
             np.multiply(matched, noise, out=noise)

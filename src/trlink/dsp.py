@@ -1,17 +1,17 @@
 """The DSP primitives: convolution, correlation, noise and the probe chirp.
 
 Propagation (``precoding.propagate``, which builds every received unit
-pulse) is the full-support convolution here. Chirp sounding
-(``channel.sound_cir``) takes its chirp, the chirp's Gram, its noise draw,
-the transform length and one correlation from this module. :func:`xcorr`
-gives each noisy row's taps' autocorrelation, which with the Gram gives
-its probe power.
-The noise's correlation with the chirp is read at ``L`` lags only, so
-sounding transforms the chirp and the noise at the received signal's
-length instead of the full correlation's. The
-Gram (:func:`chirp_gram`) is not transformed at all: the linear-FM chirp's
+pulse) is the full-support convolution here. Sounding
+(``channel.sound_cir``) and the BER windows (``precoding.received_at``) draw
+their noise from :func:`noise_blocks`, seed/noise contract v1's one stream.
+Sounding also takes its chirp, the chirp's Gram, the transform length and
+:func:`xcorr`, which gives each noisy row's taps' autocorrelation and so,
+with the Gram, its probe power. The noise's correlation with the chirp is
+read at ``L`` lags only, so sounding transforms the chirp and the noise at
+the received signal's length, not the full correlation's. The Gram
+(:func:`chirp_gram`) is not transformed at all: the linear-FM chirp's
 autocorrelation is a real Dirichlet kernel times a linear phase, in closed
-form next to the chirp's phase law in :func:`make_chirp`.
+form next to :func:`make_chirp`'s phase law.
 
 A signal is a plain 1-D ``complex128`` numpy array of complex-envelope
 samples at one rate, the simulated bandwidth, so no rate travels with it:
@@ -56,6 +56,7 @@ holds lag ``j - (len(a) - 1)``. Lag 0 therefore sits at index
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -109,21 +110,28 @@ def xcorr(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return convolve(np.conj(a[::-1]), b)
 
 
-def complex_noise(size: int, sigma: float, rng_seed: int | list[int] | None) -> np.ndarray:
-    """White circular complex Gaussian noise, ``E|n|^2 = sigma^2`` (seed/noise contract v1).
+# Every noise draw goes through one buffer of this many doubles (64 KiB),
+# below glibc's 128 KiB mmap threshold, so it is not mapped, and faulted in,
+# again on every call.
+_NOISE_BLOCK = 8192
 
-    The generator draws the ``size`` real parts, then the ``size`` imaginary
-    parts, each scaled by ``sigma / sqrt(2)``. The BER engine reads this
-    draw at its windows without holding it whole
-    (:func:`trlink.precoding.received_at`); sounding and the test oracles
-    take it whole.
+
+def noise_blocks(rng_seed: int | list[int], size: int, stop: int) -> Iterator[tuple]:
+    """Seed/noise contract v1, in blocks of at most ``_NOISE_BLOCK`` samples.
+
+    Noise of standard deviation ``sigma`` is ``sigma / sqrt(2) * (re + 1j *
+    im)``: ``numpy.random.default_rng(rng_seed)`` draws the ``size`` normals
+    ``re``, then the ``size`` ``im``. Yields ``(part, start, block)`` in draw
+    order, ``block`` being ``re[start:]`` (``part`` 0) or ``im[start:]``
+    (``part`` 1) up to its size; ``im`` stops after the first ``stop``. Each
+    block is a view of one buffer that the next overwrites; each part times
+    ``sigma / sqrt(2)`` is the complex product bit for bit for ``sigma > 0``.
     """
-    z = np.random.default_rng(rng_seed).standard_normal((2, size))
-    noise = np.empty(size, dtype=np.complex128)
-    noise.real = z[0]
-    noise.imag = z[1]
-    noise *= sigma / np.sqrt(2.0)
-    return noise
+    rng = np.random.default_rng(rng_seed)
+    buffer = np.empty(_NOISE_BLOCK)
+    for part, drawn in ((0, size), (1, stop)):
+        for start in range(0, drawn, _NOISE_BLOCK):
+            yield part, start, rng.standard_normal(out=buffer[: min(_NOISE_BLOCK, drawn - start)])
 
 
 # A sounding chirp is transformed with each noisy row's noise at the

@@ -126,9 +126,9 @@ that trial reuses them. Each BER cell evaluates the received field only at
 its detector's window samples (:func:`trlink.precoding.received_at`) as
 blocked real matrix products, so a cell costs ``2*(2*(L // D) + 1)`` real
 multiply-adds per user for each sample the detector reads, plus one
-full-length noise draw per antenna and frame (noise contract v1,
-unchanged), streamed through a fixed buffer and read at the windows, so
-the cell's memory does not grow with the frame.
+full-length noise draw per antenna and frame (the contract-v1 stream of
+:func:`trlink.dsp.noise_blocks`, unchanged), read at the windows block by
+block, so the cell's memory does not grow with the frame.
 
 BER CSV columns are fixed: ``scheme,D,snr_db,bits_sent,bit_errors,ber,seed``
 with one file per (scheme, spacing) and one row per (SNR point, trial).
@@ -208,7 +208,7 @@ _NOISE_HEADROOM = 1024
 _MAX_GRID_POSITIONS = 10_000
 
 # A BER frame of (M-1)*max(d_values) + 2L - 1 samples sets the length of
-# each antenna's noise draw (noise contract v1), which is streamed, so it
+# each antenna's noise draw (dsp.noise_blocks), which is streamed, so it
 # bounds the draw's time, not its memory; a sweep holds every trial's
 # (N, N, 2L - 1) pulse responses before its first cell, and a focusing
 # experiment holds the (P, N, 2L - 1) field of every target over the grid,

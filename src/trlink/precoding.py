@@ -56,9 +56,9 @@ K_ni``, so :func:`received_at` gives the BER sweep the samples at the
 detector's windows only, never the ``(M-1)*D + 2L - 1``-sample signal:
 each window is the few real symbol amplitudes whose pulses reach it times
 a fixed matrix of ``K_ni`` samples, computed as blocked real matrix products.
-Its noise is antenna ``n``'s full-length draw seeded ``[*seed_path, n]``
-(seed/noise contract v1) read at the windows, streamed through one small
-buffer and added in place, so no frame's draw is ever held whole.
+Its noise is antenna ``n``'s full-length :func:`~trlink.dsp.noise_blocks`
+stream seeded ``[*seed_path, n]`` (seed/noise contract v1), read at the
+windows and added in place, so no frame's draw is ever held whole.
 
 The full-signal references the tests hold these paths to (the emission
 ``s``, ``K_ni`` as a correlation, and the whole noisy received signal) live
@@ -78,7 +78,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .channel import SpatialChannelEnsemble, energy
-from .dsp import convolve
+from .dsp import convolve, noise_blocks
 from .modem import WINDOW_HALF_WIDTH
 
 # The window engine copies at most this many symbol-window entries (256 KiB
@@ -86,47 +86,33 @@ from .modem import WINDOW_HALF_WIDTH
 # the frame.
 _BLOCK_ELEMENTS = 2**15
 
-# The receiver noise is drawn through one buffer of this many doubles (64
-# KiB). It and every temporary of the noise path stay below glibc's 128 KiB
-# mmap threshold, so they come from the heap and are not mapped, and faulted
-# in, again on every call.
-_NOISE_BLOCK = 8192
-
 
 def _add_window_noise(
     field: np.ndarray, peak: int, spacing: int, length: int, sigma: float, seed_path
 ) -> None:
     """Add each antenna's contract-v1 noise to its ``(M, 2w+1)`` windows, in place.
 
-    Antenna ``n``'s noise is ``complex_noise(length, sigma, [*seed_path, n])``
-    read at the window lags; a lag past either end gets none. Its generator
-    draws ``length`` real parts, then the imaginary parts. The stream is
-    drawn in blocks of ``_NOISE_BLOCK`` into one buffer and never held
-    whole, and the imaginary parts stop after the last lag. Offset
-    ``k``'s lags ``peak - w + k + m*spacing`` fall in a block as one strided
-    slice of it, scaled by ``sigma / sqrt(2)`` and added to the field's real
-    or imaginary parts, which is ``complex_noise``'s arithmetic bit for bit.
+    Antenna ``n``'s noise is the :func:`~trlink.dsp.noise_blocks` stream of
+    ``length`` samples seeded ``[*seed_path, n]``, read at the window lags; a
+    lag past either end gets none, and the imaginary parts stop after the
+    last lag. Offset ``k``'s lags ``peak - w + k + m*spacing`` fall in a
+    block as one strided slice of it, scaled by ``sigma / sqrt(2)`` and added
+    to the field's real or imaginary parts.
     """
     num_rx, num_symbols, width = field.shape
     firsts = [peak - width // 2 + k for k in range(width)]  # offset k's lag at m = 0
     stop = min(firsts[-1] + (num_symbols - 1) * spacing, length - 1) + 1
     scale = sigma / np.sqrt(2.0)
-    buffer = np.empty(_NOISE_BLOCK)
     for n in range(num_rx):
-        rng = np.random.default_rng([*seed_path, n])
-        for part, drawn in ((field[n].real, length), (field[n].imag, stop)):
-            for start in range(0, drawn, _NOISE_BLOCK):
-                end = min(start + _NOISE_BLOCK, drawn)
-                block = rng.standard_normal(out=buffer[: end - start])
-                if start >= stop:
-                    continue
-                for k, first in enumerate(firsts):
-                    # m in [lo, hi) reads the block
-                    lo = max(0, -((first - start) // spacing))
-                    hi = min(num_symbols, -((first - end) // spacing))
-                    if lo < hi:
-                        at = first + lo * spacing - start
-                        part[lo:hi, k] += scale * block[at::spacing][: hi - lo]
+        parts = (field[n].real, field[n].imag)
+        for part, start, block in noise_blocks([*seed_path, n], length, stop):
+            for k, first in enumerate(firsts):
+                # m in [lo, hi) reads the block
+                lo = max(0, -((first - start) // spacing))
+                hi = min(num_symbols, -((first - start - block.size) // spacing))
+                if lo < hi:
+                    at = first + lo * spacing - start
+                    parts[part][lo:hi, k] += scale * block[at::spacing][: hi - lo]
 
 
 def propagate(signal: np.ndarray, taps: np.ndarray) -> np.ndarray:
@@ -189,9 +175,9 @@ def received_at(
     with real and imaginary parts interleaved, the users' windows sit side
     by side, and one real matrix product per block of at most
     ``_BLOCK_ELEMENTS`` window entries gives those windows' samples. The
-    noise (contract v1) is each antenna's full-length draw read at the
-    windows, streamed ``_NOISE_BLOCK`` samples at a time and added in place,
-    so its memory does not grow with the frame. The full-signal reference is
+    noise is each antenna's full-length :func:`~trlink.dsp.noise_blocks`
+    stream read at the windows, block by block, and added in place, so its
+    memory does not grow with the frame. The full-signal reference is
     ``tests/oracles.py``'s ``received_signal``.
     Returns shape ``(N, M, 2w+1)``.
     """

@@ -17,7 +17,8 @@ instead, the way the link is described:
   sums, independent of the transform-domain fast paths in ``trlink.dsp``;
 * :func:`noise_expression` and :func:`chirp_expression` - contract v1's
   noise and the probe chirp as one expression each, which ``trlink.dsp``
-  builds in place with the same arithmetic, bit for bit;
+  streams (``noise_blocks``) and builds in place with the same arithmetic,
+  bit for bit;
 * :func:`convolve_expression` and :func:`ensemble_expression` - the fast
   convolution and the cavity ensemble's taps as out-of-place expressions,
   which ``trlink.dsp`` and ``trlink.channel`` compute with fewer
@@ -29,7 +30,7 @@ import math
 import numpy as np
 
 from trlink.channel import CavityParams, _kernel_sqrt, check_positions
-from trlink.dsp import _fast_len, chirp_length, complex_noise, convolve, xcorr
+from trlink.dsp import _fast_len, chirp_length, convolve, xcorr
 from trlink.modem import WINDOW_HALF_WIDTH
 from trlink.precoding import propagate
 
@@ -92,7 +93,7 @@ def received_signal(symbols, known_taps, true_taps, spacing, noise_sigma, seed_p
     """
     received = propagate(tr_precode(symbols, known_taps, spacing), np.asarray(true_taps))
     for n, row in enumerate(received):
-        row += complex_noise(row.size, noise_sigma, [*seed_path, n])
+        row += noise_expression(row.size, noise_sigma, [*seed_path, n])
     return received
 
 
@@ -137,7 +138,10 @@ def direct_xcorr(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def noise_expression(size: int, sigma: float, rng_seed) -> np.ndarray:
-    """``complex_noise`` as one expression over its ``(2, size)`` draw."""
+    """Seed/noise contract v1's ``size`` samples at per-sample standard deviation
+    ``sigma``, as one expression over the whole ``(2, size)`` draw: the
+    reference for ``trlink.dsp.noise_blocks``' stream, which each consumer
+    scales part by part."""
     z = np.random.default_rng(rng_seed).standard_normal((2, size))
     return sigma / np.sqrt(2.0) * (z[0] + 1j * z[1])
 

@@ -10,7 +10,7 @@ import pytest
 
 import trlink.channel as channel
 from conftest import cir, energy, traced_peak
-from oracles import ensemble_expression
+from oracles import ensemble_expression, noise_expression
 from trlink.channel import (
     CavityParams,
     SoundingConfig,
@@ -27,7 +27,6 @@ from trlink.dsp import (
     NUMERIC_RTOL,
     _fast_len,
     chirp_gram,
-    complex_noise,
     make_chirp,
 )
 from trlink.errors import ConfigurationError
@@ -495,7 +494,7 @@ def _least_squares_estimate(
     rx_power = float(np.mean(np.abs(received) ** 2))
     if not (math.isinf(cfg.probe_snr_db) or rx_power == 0.0):
         sigma = math.sqrt(rx_power / 10.0 ** (cfg.probe_snr_db / 10.0))
-        received = received + complex_noise(received.size, sigma, seed)
+        received = received + noise_expression(received.size, sigma, seed)
     return np.linalg.lstsq(conv, received, rcond=None)[0]
 
 
@@ -539,6 +538,16 @@ class TestSoundingBatch:
             for rows in (2, 8)
         ]
         assert peaks[1] - peaks[0] < 16 * m
+
+    def test_memory_holds_no_copy_of_the_noise(self):
+        # TB 10^5: the chirp, its spectrum and one transform row, each of up to
+        # m = 100,352 complex samples; the noise is scaled into that row block
+        # by block, with no draw or copy of its own
+        m = _fast_len(100_000 + 256 - 1)
+        cfg = SoundingConfig(100_000 / 4e9, 20.0)
+        cirs = np.stack([_synth_cir(41 + k, 256) for k in range(2)])
+        peak = traced_peak(lambda: sound_cir(cirs, cfg, [0, 1], 4e9))
+        assert peak <= 4 * 16 * m
 
     def test_a_noiseless_batch_builds_no_chirp(self, monkeypatch):
         def refuse(*args):

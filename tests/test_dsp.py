@@ -22,11 +22,12 @@ from oracles import (
 from trlink.dsp import (
     _CHIRP_BANDWIDTHS_HZ,
     _MAX_CHIRP_SAMPLES,
+    _NOISE_BLOCK,
     NUMERIC_RTOL,
     _fast_len,
-    complex_noise,
     convolve,
     make_chirp,
+    noise_blocks,
     xcorr,
 )
 
@@ -225,18 +226,57 @@ class TestMakeChirp:
         assert peak <= 2.1 * 16 * num_samples
 
 
+def scaled_stream(size: int, stop: int, sigma: float, seed) -> tuple[np.ndarray, list]:
+    """``noise_blocks(seed, size, stop)`` scaled part by part into a zeroed
+    complex array, as sounding scales it, and each block's ``(part, start,
+    size)``."""
+    noise = np.zeros(size, dtype=np.complex128)
+    parts, blocks = (noise.real, noise.imag), []
+    for part, start, block in noise_blocks(seed, size, stop):
+        np.multiply(block, sigma / np.sqrt(2.0), out=parts[part][start : start + block.size])
+        blocks.append((part, start, block.size))
+    return noise, blocks
+
+
 class TestComplexNoise:
-    # sizes on both sides of 16,384 samples, and sigma across six decades and 0
+    """The one contract-v1 stream, ``noise_blocks``, against ``noise_expression``."""
+
+    # sizes on both sides of two blocks, and sigma across six decades and 0
     @pytest.mark.parametrize("size", [1, 1_000, 16_383, 16_385, 100_000])
     @pytest.mark.parametrize("sigma", [0.0, 1e-3, 1.0, 1e3])
     def test_equals_the_one_expression_bit_for_bit(self, size, sigma):
-        noise = complex_noise(size, sigma, [5, size])
-        assert noise.tobytes() == noise_expression(size, sigma, [5, size]).tobytes()
+        noise, _ = scaled_stream(size, size, sigma, [5, size])
+        expected = noise_expression(size, sigma, [5, size])
+        # at sigma 0 both are zeros, signed by how each product rounds 0 * z
+        assert np.array_equal(noise, expected)
+        assert sigma == 0.0 or noise.tobytes() == expected.tobytes()
 
-    def test_memory_is_about_twice_the_noise(self):
-        size = 10_000
-        peak = traced_peak(lambda: complex_noise(size, 1.0, 3))
-        assert peak <= 2.1 * 16 * size
+    @pytest.mark.parametrize(
+        "size", [1, _NOISE_BLOCK - 1, _NOISE_BLOCK, _NOISE_BLOCK + 1, 4 * _NOISE_BLOCK + 7]
+    )
+    @pytest.mark.parametrize("share", [1.0, 0.5, 0.0], ids=["all", "half", "none"])
+    def test_blocks_are_the_draw_across_block_edges(self, size, share):
+        # the imaginary parts stop after the first `stop`; the real parts never do
+        stop = int(share * size)
+        noise, blocks = scaled_stream(size, stop, 1.0, [5, size])
+        expected = noise_expression(size, 1.0, [5, size])
+        assert noise.real.tobytes() == expected.real.tobytes()
+        assert noise.imag[:stop].tobytes() == expected.imag[:stop].tobytes()
+        assert not np.any(noise.imag[stop:])
+        assert blocks == [
+            (part, start, min(_NOISE_BLOCK, drawn - start))
+            for part, drawn in ((0, size), (1, stop))
+            for start in range(0, drawn, _NOISE_BLOCK)
+        ]
+
+    def test_memory_is_one_block(self):
+        # 200,000 draws through one buffer of _NOISE_BLOCK doubles, plus a
+        # few objects (the generator, its rng, a block's view)
+        def drain():
+            for _ in noise_blocks(3, 100_000, 100_000):
+                pass
+
+        assert traced_peak(drain) <= 8 * _NOISE_BLOCK + 4096
 
 
 length = st.integers(min_value=1, max_value=200)

@@ -1276,6 +1276,19 @@ class TestCli:
         assert "5000002 characters" in err
         assert not out.exists()
 
+    # 400 digits load as JSON (Python's limit is 4300) and are refused by CavityParams
+    @pytest.mark.parametrize("sign", [1, -1], ids=["above-the-cap", "below-one"])
+    def test_an_overlong_num_taps_is_named_in_a_short_message(self, tmp_path, capsys, sign):
+        cavity = scenario_dict()["cavity"] | {"num_taps": sign * 10**399}
+        path = write_scenario(tmp_path, cavity=cavity)
+        out = tmp_path / "results"
+        assert cli_main(["ber", "--scenario", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.encode("utf-8")) < 200
+        assert "cavity.num_taps" in err
+        assert f"({400 + (sign < 0)} characters)" in err
+        assert not out.exists()
+
     def test_commands_do_not_import_numpy_ma(self, tmp_path):
         # numpy.ma, which np.median imports, is ~10 ms and ~2 MiB of a
         # one-shot run that no command needs

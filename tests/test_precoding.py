@@ -8,7 +8,14 @@ import numpy as np
 import pytest
 
 from conftest import cir, complex_gaussian, energy, measure_focusing, random_cir
-from oracles import read_at, received_signal, tr_kernel, tr_precode, window_lags
+from oracles import (
+    noise_expression,
+    read_at,
+    received_signal,
+    tr_kernel,
+    tr_precode,
+    window_lags,
+)
 from trlink import precoding
 from trlink.channel import (
     CavityParams,
@@ -20,7 +27,7 @@ from trlink.channel import (
     sound_cir,
     synth_cavity_ensemble,
 )
-from trlink.dsp import NUMERIC_RTOL, complex_noise, convolve
+from trlink.dsp import _NOISE_BLOCK, NUMERIC_RTOL, convolve
 from trlink.errors import ConfigurationError
 from trlink.harness import Scenario, _pilot_targets, grid_positions, run_focusing_experiment
 from trlink.modem import PilotThreshold, RsmConfig, Scheme, erask_modulate, rask_modulate
@@ -355,7 +362,7 @@ class TestReceivedAt:
         lags = window_lags(4, 32, 5)
         length = 3 * 5 + 2 * 32 - 1
         for n in range(3):
-            assert np.array_equal(field[n], complex_noise(length, 0.3, [7, 1, n])[lags])
+            assert np.array_equal(field[n], noise_expression(length, 0.3, [7, 1, n])[lags])
 
     @pytest.mark.parametrize("num_taps, spacing", [(1, 1), (1, 4), (32, 1), (32, 5)])
     @pytest.mark.parametrize("frame", ["one-block", "one-over", "many-blocks"])
@@ -365,8 +372,9 @@ class TestReceivedAt:
         # 1) still read the whole draw at the lags; with one tap the end
         # windows reach past the signal, where they read no noise, and both
         # the real and imaginary draws end at a lag
-        block = precoding._NOISE_BLOCK
-        target = {"one-block": block, "one-over": block + 1}.get(frame, 4 * block + 7)
+        target = {"one-block": _NOISE_BLOCK, "one-over": _NOISE_BLOCK + 1}.get(
+            frame, 4 * _NOISE_BLOCK + 7
+        )
         num_symbols = (target - (2 * num_taps - 1)) // spacing + 1
         length = (num_symbols - 1) * spacing + 2 * num_taps - 1
         rng = np.random.default_rng(9)
@@ -375,7 +383,8 @@ class TestReceivedAt:
         field = received_at(np.zeros((1, num_symbols)), kernels, spacing, 0.3, [7, 1])
         lags = window_lags(num_symbols, num_taps, spacing)
         for n in range(2):
-            assert np.array_equal(field[n], read_at(complex_noise(length, 0.3, [7, 1, n]), lags))
+            expected = read_at(noise_expression(length, 0.3, [7, 1, n]), lags)
+            assert np.array_equal(field[n], expected)
 
     def test_noise_memory_does_not_grow_with_the_frame(self):
         # one two-antenna RASK frame of 10,000 symbols at L = 256: the D = 30

@@ -84,10 +84,17 @@ MUTANTS = (
         "tests/test_precoding.py::TestReceivedAt::test_matches_full_length_chain",
     ),
     Mutant(
+        "noise stream with its real and imaginary parts swapped",
+        "src/trlink/dsp.py",
+        "for part, drawn in ((0, size), (1, stop)):",
+        "for part, drawn in ((1, size), (0, stop)):",
+        "tests/test_dsp.py::TestComplexNoise::test_blocks_are_the_draw_across_block_edges",
+    ),
+    Mutant(
         "probe sigma x1.05",
         "src/trlink/channel.py",
-        "complex_noise(received_len, math.sqrt(rx_power / snr), seed)",
-        "complex_noise(received_len, 1.05 * math.sqrt(rx_power / snr), seed)",
+        "scale = math.sqrt(rx_power / snr) / np.sqrt(2.0)",
+        "scale = 1.05 * math.sqrt(rx_power / snr) / np.sqrt(2.0)",
         "tests/test_channel.py::TestSoundingBatch::test_rows_match_the_dense_least_squares_oracle",
     ),
     Mutant(
