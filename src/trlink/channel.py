@@ -73,7 +73,7 @@ import functools
 import json
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -523,11 +523,7 @@ def export_ensemble(ensemble: SpatialChannelEnsemble, json_path: str | Path) -> 
     params = ensemble.params
     meta = {
         "schema": _ENSEMBLE_SCHEMA,
-        "num_taps": params.num_taps,
-        "bandwidth_hz": params.bandwidth_hz,
-        "carrier_freq_hz": params.carrier_freq_hz,
-        "decay_time_s": params.decay_time_s,
-        "rng_seed": params.rng_seed,
+        **asdict(params),
         "positions_mm": [float(p) for p in ensemble.positions_mm],
         "csv": csv_path.name,
     }

@@ -112,7 +112,9 @@ large for ``focus``.
 Channels pass between the stages as row selections of the trial's
 ensemble ``taps``, one ``(P, L)`` block checked where it entered: by
 :func:`~trlink.channel.load_ensemble` for a file, or over the positions
-checked here for a draw (:func:`~trlink.channel.synth_cavity_ensemble`); no
+checked here for a draw (:func:`~trlink.channel.synth_cavity_ensemble`).
+:class:`Scenario` takes the file's ``targets_mm`` and derives the rows they
+select, ``target_indices``, each within ``POSITION_TOL_MM`` of the grid; no
 experiment builds a per-position :class:`~trlink.channel.Cir` (that
 unexported class and its accessor, ``SpatialChannelEnsemble.cirs``, are
 kept for the benchmark's focus oracle only). Every trial of a synthesised
@@ -141,7 +143,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import astuple, dataclass, replace
+from dataclasses import astuple, dataclass, field, replace
 from pathlib import Path
 from typing import Callable
 
@@ -266,11 +268,16 @@ class BerRecord:
 
 @dataclass(frozen=True, eq=False)
 class Scenario:
-    """Fully resolved experiment description (see module docstring)."""
+    """Fully resolved experiment description (see module docstring).
+
+    ``target_indices`` is derived: the grid rows of ``targets_mm``, looked
+    up on every construction, ``dataclasses.replace`` included.
+    """
 
     cavity: CavityParams
     positions_mm: np.ndarray
-    target_indices: tuple[int, ...]
+    targets_mm: tuple[float, ...]
+    target_indices: tuple[int, ...] = field(init=False)
     rsm: RsmConfig
     schemes: tuple[Scheme, ...]
     d_values: tuple[int, ...]
@@ -282,35 +289,40 @@ class Scenario:
     imported_ensemble: SpatialChannelEnsemble | None = None
 
     def __post_init__(self) -> None:
-        positions = check_positions(self.positions_mm, "positions_mm")
-        # an imported ensemble fixes the sample rate, tap count and grid that
-        # sounding, the frame cap and the reports read from the scenario
         imported = self.imported_ensemble
-        if imported is not None and self.cavity != imported.params:
-            raise ConfigurationError(
-                f"cavity {self.cavity} differs from the imported ensemble's {imported.params}"
-            )
-        if imported is not None and not np.array_equal(positions, imported.positions_mm):
-            raise ConfigurationError("positions_mm differ from the imported ensemble's positions")
-        # a synthesised draw correlates every pair of positions, out to the
-        # extent, in one kernel; an imported ensemble is never correlated
-        first, last = float(positions[0]), float(positions[-1])
-        extent = 2 * math.pi * 2 * (last - first) / self.cavity.wavelength_mm
-        if self.imported_ensemble is None and not math.isfinite(extent):
-            raise ConfigurationError(
-                f"positions_mm from {first} to {last} mm overflow the spatial correlation "
-                "argument 2*pi*2*(last - first)/wavelength"
-            )
-        if self.imported_ensemble is None and positions.size > _MAX_GRID_POSITIONS:
-            raise ConfigurationError(
-                f"positions_mm has {positions.size} positions; a synthesised grid holds "
-                f"at most {_MAX_GRID_POSITIONS}"
-            )
-        if len(set(self.target_indices)) != len(self.target_indices):
+        if imported is None:
+            positions = check_positions(self.positions_mm, "positions_mm")
+            # a synthesised draw correlates every pair of positions, out to
+            # the extent, in one kernel
+            first, last = float(positions[0]), float(positions[-1])
+            extent = 2 * math.pi * 2 * (last - first) / self.cavity.wavelength_mm
+            if not math.isfinite(extent):
+                raise ConfigurationError(
+                    f"positions_mm from {first} to {last} mm overflow the spatial correlation "
+                    "argument 2*pi*2*(last - first)/wavelength"
+                )
+            if positions.size > _MAX_GRID_POSITIONS:
+                raise ConfigurationError(
+                    f"positions_mm has {positions.size} positions; a synthesised grid holds "
+                    f"at most {_MAX_GRID_POSITIONS}"
+                )
+        else:
+            # an imported ensemble (its positions checked where it was read)
+            # fixes the sample rate, tap count and grid that sounding, the
+            # frame cap and the reports read from the scenario
+            if self.cavity != imported.params:
+                raise ConfigurationError(
+                    f"cavity {self.cavity} differs from the imported ensemble's {imported.params}"
+                )
+            positions = imported.positions_mm
+            if not np.array_equal(self.positions_mm, positions):
+                raise ConfigurationError(
+                    "positions_mm differ from the imported ensemble's positions"
+                )
+        targets = tuple(grid_index(positions, target, "target") for target in self.targets_mm)
+        if len(set(targets)) != len(targets):
             raise ConfigurationError("targets must be distinct")
-        for idx in self.target_indices:
-            if not 0 <= idx < positions.size:
-                raise ConfigurationError(f"target index {idx} is off the grid")
+        object.__setattr__(self, "target_indices", targets)
         if not self.schemes:
             raise ConfigurationError("scenario needs at least one scheme")
         if Scheme.RASK in self.schemes and self.rsm.num_rx != 2:
@@ -349,11 +361,11 @@ class Scenario:
             frames.append(
                 ("rsm.threshold.num_pilots", policy.num_pilots, policy.num_pilots, "pilot frame")
             )
-        for field, value, symbols, what in frames:
+        for name, value, symbols, what in frames:
             frame_samples = (symbols - 1) * max(self.d_values) + 2 * num_taps - 1
             if frame_samples > _MAX_FRAME_SAMPLES:
                 raise ConfigurationError(
-                    f"{field} {value} at D={max(self.d_values)} gives a {frame_samples}-sample "
+                    f"{name} {value} at D={max(self.d_values)} gives a {frame_samples}-sample "
                     f"{what}; the cap is {_MAX_FRAME_SAMPLES}"
                 )
         if self.trials < 1:
@@ -475,8 +487,7 @@ def scenario_from_dict(data: dict, base_dir: Path | None = None) -> Scenario:
         if base_dir is not None and not path.is_absolute():
             path = base_dir / path
         imported = load_ensemble(path)
-        cavity = imported.params
-        positions = np.asarray(imported.positions_mm, dtype=float)
+        cavity, positions = imported.params, imported.positions_mm
     else:
         if "cavity" not in data:
             raise ConfigurationError("missing keys in scenario: ['cavity']")
@@ -490,10 +501,7 @@ def scenario_from_dict(data: dict, base_dir: Path | None = None) -> Scenario:
                 *(read_number(grid[k], f"grid_mm.{k}") for k in ("start", "stop", "step"))
             )
         else:
-            # strictly increasing before the targets are looked up on it
-            positions = check_positions(
-                read_list(data["positions_mm"], "positions_mm", read_number), "positions_mm"
-            )
+            positions = read_list(data["positions_mm"], "positions_mm", read_number)
 
     rsm_obj = data["rsm"]
     require_keys(rsm_obj, {"scheme", "num_rx", "threshold"}, {"scheme"}, "rsm")
@@ -511,11 +519,6 @@ def scenario_from_dict(data: dict, base_dir: Path | None = None) -> Scenario:
         num_rx=read_integer(rsm_obj.get("num_rx", 2), "rsm.num_rx"),
         threshold_policy=threshold,
     )
-
-    target_indices = [
-        grid_index(positions, target_mm, "target")
-        for target_mm in read_list(data["targets_mm"], "targets_mm", read_number)
-    ]
 
     sounding_obj = data["sounding"]
     if sounding_obj == "genie":
@@ -536,7 +539,7 @@ def scenario_from_dict(data: dict, base_dir: Path | None = None) -> Scenario:
     return Scenario(
         cavity=cavity,
         positions_mm=positions,
-        target_indices=tuple(target_indices),
+        targets_mm=tuple(read_list(data["targets_mm"], "targets_mm", read_number)),
         rsm=rsm,
         schemes=schemes,
         d_values=tuple(read_list(data["d_values"], "d_values", read_integer)),

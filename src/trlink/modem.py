@@ -75,7 +75,7 @@ class FixedThreshold:
 class PilotThreshold:
     """Calibrate the threshold from a pilot frame of known symbols."""
 
-    num_pilots: int = 32
+    num_pilots: int
 
     def __post_init__(self) -> None:
         if self.num_pilots < 2:
@@ -86,7 +86,7 @@ class PilotThreshold:
 class RsmConfig:
     """Antenna count and threshold policy; the scheme is passed per run."""
 
-    num_rx: int = 2
+    num_rx: int
     threshold_policy: FixedThreshold | PilotThreshold | None = None
 
     def __post_init__(self) -> None:

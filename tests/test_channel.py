@@ -668,6 +668,33 @@ class TestEnsembleExportImport:
                 assert np.array_equal(x, y)
         assert "Infinity" in json_path.read_text(encoding="utf-8")
 
+    def test_exported_json_of_the_focus_grid_is_pinned(self, tmp_path):
+        # trial 0 of focus_grid.json as `trlink synth` writes it: the key
+        # order and the float text are the file format, and no BLAS or SIMD
+        # path reaches the parameters, the seed or the grid positions
+        ensemble = load_scenario(ROOT / "scenarios" / "focus_grid.json").ensemble_for_trial(0)
+        export_ensemble(ensemble, tmp_path / "ensemble.json")
+        positions = """
+            -6.3 -6.0 -5.7 -5.4 -5.1 -4.8 -4.5 -4.199999999999999 -3.9 -3.6 -3.3 -3.0
+            -2.7 -2.4 -2.0999999999999996 -1.7999999999999998 -1.5 -1.2000000000000002
+            -0.9000000000000004 -0.5999999999999996 -0.2999999999999998 0.0
+            0.2999999999999998 0.5999999999999996 0.8999999999999995 1.2000000000000002
+            1.5 1.7999999999999998 2.1000000000000005 2.3999999999999995 2.7
+            2.999999999999999 3.3 3.6000000000000005 3.8999999999999995 4.2
+            4.499999999999999 4.8 5.1000000000000005 5.3999999999999995 5.7
+            5.999999999999999 6.3
+        """.split()
+        expected = (
+            '{\n  "schema": "trlink.ensemble/1",\n  "num_taps": 256,\n'
+            '  "bandwidth_hz": 4000000000.0,\n  "carrier_freq_hz": 273600000000.0,\n'
+            '  "decay_time_s": 2.1333333333333332e-08,\n  "rng_seed": 16920295385781661272,\n'
+            '  "positions_mm": [\n'
+            + ",\n".join(f"    {p}" for p in positions)
+            + '\n  ],\n  "csv": "ensemble.csv"\n}\n'
+        )
+        assert len(positions) == 43
+        assert (tmp_path / "ensemble.json").read_text(encoding="utf-8") == expected
+
     def test_a_csv_with_a_byte_order_mark_loads_bit_for_bit(self, tmp_path):
         ensemble = synth_cavity_ensemble(CavityParams(num_taps=12, rng_seed=9), [-0.3, 0.3])
         json_path = tmp_path / "ensemble.json"

@@ -94,7 +94,7 @@ def off_target_scenario() -> Scenario:
     return Scenario(
         cavity=params,
         positions_mm=ensemble.positions_mm,
-        target_indices=(1, 3),
+        targets_mm=(1.0, 3.0),
         rsm=RsmConfig(num_rx=2),
         schemes=(Scheme.RASK,),
         d_values=(3, 5),
@@ -229,6 +229,42 @@ class TestScenarioLoading:
         assert scenario.schemes == (Scheme.RASK, Scheme.ERASK)
         assert scenario.sounding is None
         assert isinstance(scenario.rsm.threshold_policy, PilotThreshold)
+
+    def test_a_replaced_grid_resolves_the_targets_again(self):
+        # target_indices derive from targets_mm: on the grid shifted by one
+        # step the same millimetres sit one row lower
+        scenario = small_scenario()
+        shifted = replace(scenario, positions_mm=scenario.positions_mm + 0.3)
+        assert shifted.target_indices == (11, 14)
+        targets = shifted.positions_mm[list(shifted.target_indices)]
+        assert targets.tolist() == pytest.approx([-2.7, -1.8])
+        with pytest.raises(ConfigurationError, match=r"target -2\.7 mm is not on the position grid"):
+            replace(scenario, positions_mm=scenario.positions_mm + 0.1)
+
+    def test_each_grid_source_checks_its_positions_once(self, monkeypatch, measured_dir):
+        calls, check_positions = [], channel.check_positions
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return check_positions(*args, **kwargs)
+
+        monkeypatch.setattr(channel, "check_positions", counted)
+        monkeypatch.setattr(harness, "check_positions", counted)
+        counts = {}
+        for source, value in [
+            ("grid_mm", {"start": -2.7, "stop": 0.3, "step": 0.3}),
+            ("positions_mm", [-2.7, -1.8, 0.3]),
+            ("ensemble_file", "measured.json"),
+        ]:
+            doc = scenario_dict(**{source: value})
+            if source != "grid_mm":
+                del doc["grid_mm"]
+            if source == "ensemble_file":
+                del doc["cavity"]
+            calls.clear()
+            scenario_from_dict(doc, base_dir=measured_dir)
+            counts[source] = len(calls)
+        assert counts == {"grid_mm": 1, "positions_mm": 1, "ensemble_file": 1}
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigurationError):
@@ -712,7 +748,7 @@ class TestFocusingExperiment:
         scenario = Scenario(
             cavity=CavityParams(num_taps=32),
             positions_mm=np.array([0.0]),
-            target_indices=(0,),
+            targets_mm=(0.0,),
             rsm=RsmConfig(num_rx=1, threshold_policy=PilotThreshold(8)),
             schemes=(Scheme.ERASK,),
             d_values=(15,),
@@ -1555,7 +1591,7 @@ class TestCli:
             return Scenario(
                 cavity=params,
                 positions_mm=ensemble.positions_mm,
-                target_indices=tuple(range(10)),
+                targets_mm=tuple(ensemble.positions_mm[:10]),
                 rsm=RsmConfig(num_rx=10, threshold_policy=FixedThreshold(0.5)),
                 schemes=(Scheme.ERASK,),
                 d_values=(15,),

@@ -521,7 +521,7 @@ class TestFocusingReport:
         scenario = Scenario(
             cavity=ensemble.params,
             positions_mm=ensemble.positions_mm,
-            target_indices=(target,),
+            targets_mm=(-1.8,),
             rsm=RsmConfig(num_rx=1, threshold_policy=PilotThreshold(8)),
             schemes=(Scheme.ERASK,),
             d_values=(15,),

@@ -167,6 +167,13 @@ MUTANTS = (
         "rows.append(values[1::2] - 1j * values[2::2])",
         "tests/test_channel.py::TestEnsembleExportImport::test_round_trip_is_bit_exact",
     ),
+    Mutant(
+        "target resolved to the right-hand grid neighbour only",
+        "src/trlink/channel.py",
+        "for k in (right - 1, right)",
+        "for k in (right, right)",
+        "tests/test_channel.py::TestEnsembleType::test_grid_index_requires_on_grid_position",
+    ),
 )
 
 # names of mutants tier-1 is known not to kill; entries may only be removed
